@@ -67,22 +67,27 @@ def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
     if kind == "tower":
         return _tower_from_spec(doc).embed_as_oracle(cap)
     table = doc.get("table")
-    if not isinstance(table, list):
-        raise SchemaError("oracle-table spec needs a 'table' array")
+    if not (isinstance(table, list) and table and all(
+            isinstance(row, list) and len(row) == len(table)
+            and all(type(x) is int for x in row) for row in table)):
+        raise SchemaError("oracle-table spec needs a non-empty square integer 'table'")
     return gr.from_mul_table(table, doc.get("name", "table-group"))
 
 
 def _tower_from_spec(doc: dict) -> tower.TowerGroup:
+    strict = doc.get("strict", False)
+    if not isinstance(strict, bool):
+        raise SchemaError("tower 'strict' must be true or false")
     if "primes" in doc:
         primes = doc["primes"]
-        if not isinstance(primes, list) or not all(isinstance(p, int) for p in primes):
+        if not isinstance(primes, list) or not all(type(p) is int for p in primes):
             raise SchemaError("tower primes must be an integer array")
-        tp = tower.TowerPrimes(len(primes), tuple(primes), bool(doc.get("strict", False)))
+        tp = tower.TowerPrimes(len(primes), tuple(primes), strict)
     else:
         n = doc.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("tower spec needs 'n' >= 1 or explicit 'primes'")
-        tp = tower.find_primes(n, bool(doc.get("strict", False)))
+        if type(n) is not int or n < 1:
+            raise SchemaError("tower spec needs an integer 'n' >= 1 or explicit 'primes'")
+        tp = tower.find_primes(n, strict)
     return tower.TowerGroup(tp)
 
 

@@ -117,6 +117,10 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
+
+
 def mat_has_order(a: Matrix, order: int, p: int) -> bool:
     """True iff the multiplicative order of `a` is exactly `order`."""
     if mat_pow(a, order, p) != mat_identity(len(a)):
@@ -488,15 +492,6 @@ class FieldOps:
             self.inv_t[i] = next(j for j in range(1, q) if self.mul_t[i][j] == self.one)
 
     # -- vectors over F^t, encoded as tuples of element indices
-
-    def f_zero(self, t: int):
-        return (0,) * t
-
-    def f_add(self, u, v):
-        return tuple(self.add_t[a][b] for a, b in zip(u, v))
-
-    def f_scale(self, u, c: int):
-        return tuple(self.mul_t[a][c] for a in u)
 
     def f_rref(self, vectors, t: int):
         rows = [list(v) for v in vectors]

@@ -6,9 +6,8 @@ is exact: subgroup lattices by cyclic extension, conjugacy classes of
 subgroups, Moebius values, and the index-counting tables built on them.
 
 Tables and subgroups are immutable; derived data (lattice, Moebius values,
-power tables) is memoized on the group in per-key dicts whose inserts are
-atomic under the interpreter lock, and every public result is returned in
-canonical order, so concurrent readers observe the single-threaded answer.
+power tables) is memoized on the group in `G._cache`, and every public
+result is returned in canonical order.  `G.gens` always generates G.
 """
 
 from __future__ import annotations
@@ -16,8 +15,10 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
+from .ffla import prime_factors
 
 DEFAULT_ORDER_CAP = 5000
 OVERGROUP_NODE_CAP = 10**4
@@ -84,9 +85,6 @@ class OracleGroup:
             k += 1
         return k
 
-    def elements(self) -> range:
-        return range(self.n)
-
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self._inv[a], self._inv[b]), self.mul(a, b))
 
@@ -137,6 +135,10 @@ def _spot_check_table(G: OracleGroup) -> None:
     for j in range(n):
         if G.mul(0, j) != j or G.mul(j, 0) != j:
             raise MalformedInput("row/column 0 is not an identity")
+    mul = G._mul
+    for i in range(n):
+        if len(set(mul[i * n:(i + 1) * n])) != n or len(set(mul[i::n])) != n:
+            raise MalformedInput(f"multiplication table is not a Latin square (row/column {i})")
     if n <= 128:
         triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
     else:
@@ -162,8 +164,7 @@ def from_mul_table(table, name: str = "table-group") -> OracleGroup:
         flat.extend(int(x) for x in row)
     G = OracleGroup(n, flat, name, gens=())
     _spot_check_table(G)
-    G_gens = small_generating_set(G)
-    G.gens = tuple(G_gens)
+    G.gens = tuple(small_generating_set(G))
     return G
 
 
@@ -348,6 +349,24 @@ def conjugate_mask(G: OracleGroup, mask: int, g: int) -> int:
     return out
 
 
+def _orbit(G: OracleGroup, mask: int) -> set[int]:
+    """The conjugates of the subgroup `mask` (its orbit under G.gens)."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        for g in G.gens:
+            c = conjugate_mask(G, m, g)
+            if c not in orbit:
+                orbit.add(c)
+                stack.append(c)
+    return orbit
+
+
+def _is_normal(G: OracleGroup, mask: int) -> bool:
+    return all(conjugate_mask(G, mask, g) == mask for g in G.gens)
+
+
 def greedy_generators(G: OracleGroup, mask: int) -> list[int]:
     """A short generating list for the subgroup given by `mask`."""
     gens: list[int] = []
@@ -452,7 +471,7 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
             s_members, s_gens = records[s_mask]
             s_order = len(s_members)
             quotient = n // s_order
-            for p in _prime_divisors(quotient):
+            for p in prime_factors(quotient):
                 pow_p = G.power_table(p)
                 local_cover = 0
                 for g in range(1, n):
@@ -487,20 +506,6 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
     return [Subgroup(G, m) for m in ordered]
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def maximal_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
     cached = G._cache.get("maximals")
     if cached is None:
@@ -532,22 +537,12 @@ def conjugacy_classes_of_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP)
     """Class representatives (canonically least) with their class sizes."""
     cached = G._cache.get("classes")
     if cached is None:
-        subs = all_subgroups(G, cap)
-        gens = G.gens or tuple(small_generating_set(G))
         seen: set[int] = set()
         classes = []
-        for s in subs:
+        for s in all_subgroups(G, cap):
             if s.mask in seen:
                 continue
-            orbit = {s.mask}
-            stack = [s.mask]
-            while stack:
-                m = stack.pop()
-                for g in gens:
-                    c = conjugate_mask(G, m, g)
-                    if c not in orbit:
-                        orbit.add(c)
-                        stack.append(c)
+            orbit = _orbit(G, s.mask)
             seen |= orbit
             classes.append((s.mask, len(orbit)))
         G._cache["classes"] = classes
@@ -559,8 +554,9 @@ def conjugacy_classes_of_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP)
 # Moebius function
 
 
-def mobius_all(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> dict[int, int]:
-    """mu(H, G) for every subgroup mask, via the full lattice."""
+def mobius_all(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> MappingProxyType:
+    """mu(H, G) for every subgroup mask, via the full lattice (a read-only
+    view of the memoized dict)."""
     cached = G._cache.get("mobius_all")
     if cached is None:
         subs = [s.mask for s in all_subgroups(G, cap)]
@@ -578,7 +574,7 @@ def mobius_all(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> dict[int, int]:
             mu[m] = -acc
         G._cache["mobius_all"] = mu
         cached = mu
-    return dict(cached)
+    return MappingProxyType(cached)
 
 
 def overgroups(G: OracleGroup, H: Subgroup, node_cap: int = OVERGROUP_NODE_CAP) -> list[Subgroup]:
@@ -667,11 +663,17 @@ def mobius(H: Subgroup, G: OracleGroup) -> int:
 def is_maximal_intersection(H: Subgroup, G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
     """True iff H equals the intersection of the maximal subgroups above it
     (the empty intersection is G, so G itself qualifies)."""
-    mask = (1 << G.n) - 1
-    for m in maximal_subgroups(G, cap):
-        if m.mask & H.mask == H.mask:
-            mask &= m.mask
-    return mask == H.mask
+    maximal_masks = [m.mask for m in maximal_subgroups(G, cap)]
+    return _meet_above(G, H.mask, maximal_masks) == H.mask
+
+
+def _meet_above(G: OracleGroup, mask: int, maximal_masks) -> int:
+    """Intersection of the maximal masks containing `mask` (G if none)."""
+    out = (1 << G.n) - 1
+    for m in maximal_masks:
+        if m & mask == mask:
+            out &= m
+    return out
 
 
 @dataclass(frozen=True)
@@ -688,22 +690,21 @@ def counts(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> CountTable:
     """m_n, b_n, c_n for every index n > 1 dividing |G| (proper subgroups
     only; a maximal subgroup is the intersection of the family containing
     just itself)."""
-    subs = all_subgroups(G, cap)
+    subs = [s.mask for s in all_subgroups(G, cap)]
     mu = mobius_all(G, cap)
-    maximal_masks = {m.mask for m in maximal_subgroups(G, cap)}
+    maximal_masks = [m.mask for m in maximal_subgroups(G, cap)]
     full = (1 << G.n) - 1
     divisors = sorted(d for d in range(2, G.n + 1) if G.n % d == 0)
     table = {d: [0, 0, 0] for d in divisors}
     for s in subs:
-        if s.mask == full:
+        if s == full:
             continue
-        idx = s.index
-        row = table[idx]
-        if s.mask in maximal_masks:
+        row = table[G.n // s.bit_count()]
+        if s in maximal_masks:
             row[0] += 1
-        if mu[s.mask] != 0:
+        if mu[s] != 0:
             row[1] += 1
-        if is_maximal_intersection(s, G, cap):
+        if _meet_above(G, s, maximal_masks) == s:
             row[2] += 1
     entries = tuple((d, tuple(table[d])) for d in divisors)
     for _, (m_n, b_n, c_n) in entries:
@@ -718,18 +719,8 @@ def counts(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> CountTable:
 
 def normal_core(G: OracleGroup, M: Subgroup) -> Subgroup:
     """Intersection of all conjugates of M."""
-    gens = G.gens or tuple(small_generating_set(G))
-    orbit = {M.mask}
-    stack = [M.mask]
-    while stack:
-        m = stack.pop()
-        for g in gens:
-            c = conjugate_mask(G, m, g)
-            if c not in orbit:
-                orbit.add(c)
-                stack.append(c)
     core = (1 << G.n) - 1
-    for m in orbit:
+    for m in _orbit(G, M.mask):
         core &= m
     return Subgroup(G, core)
 
@@ -740,14 +731,13 @@ def core_and_socle(M: Subgroup, G: OracleGroup) -> tuple[Subgroup, Subgroup]:
     if not is_solvable(G):
         raise UnsupportedGroup("core_and_socle requires a solvable group")
     y = normal_core(G, M)
-    gens = G.gens or tuple(small_generating_set(G))
     g0 = next(g for g in range(G.n) if not (y.mask >> g) & 1)
-    x_mask = normal_closure_mask(G, [g0] + greedy_generators(G, y.mask), gens)
+    x_mask = normal_closure_mask(G, [g0] + greedy_generators(G, y.mask), G.gens)
     improved = True
     while improved:
         improved = False
         for g in mask_bits(x_mask & ~y.mask):
-            cand = normal_closure_mask(G, [g] + greedy_generators(G, y.mask), gens)
+            cand = normal_closure_mask(G, [g] + greedy_generators(G, y.mask), G.gens)
             if cand.bit_count() < x_mask.bit_count():
                 x_mask = cand
                 improved = True
@@ -763,7 +753,7 @@ def core_and_socle(M: Subgroup, G: OracleGroup) -> tuple[Subgroup, Subgroup]:
 
 def factor_prime_dim(G: OracleGroup, X: Subgroup, Y: Subgroup) -> tuple[int, int]:
     size = X.order // Y.order
-    ps = _prime_divisors(size)
+    ps = prime_factors(size)
     if len(ps) != 1:
         raise MalformedInput("factor is not of prime-power order")
     p = ps[0]
@@ -781,7 +771,7 @@ def action_on_factor(G: OracleGroup, X: Subgroup, Y: Subgroup, gens=None):
     (G.gens by default); the factor is coordinatized deterministically.
     """
     if gens is None:
-        gens = G.gens or tuple(small_generating_set(G))
+        gens = G.gens
     p, d = factor_prime_dim(G, X, Y)
     y_members = Y.members
     mul = G._mul

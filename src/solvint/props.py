@@ -31,13 +31,21 @@ def floor_log_ratio(P: int, N: int, den: int = 1000) -> int:
     """Largest a with N^a <= P^den, i.e. floor(den * log_N(P))."""
     if P < 1 or N < 2:
         raise MalformedInput("floor_log_ratio needs P >= 1, N >= 2")
-    big = P**den
-    a = max(0, int(den * math.log(P) / math.log(N)) - 2)
-    while N ** (a + 1) <= big:
-        a += 1
-    while a > 0 and N**a > big:
-        a -= 1
-    return a
+    return _floor_log(P, N, den, 1)
+
+
+def _floor_log(P: int, N: int, num: int, den: int) -> int:
+    """Largest m with N^(m*den) <= P^num, i.e. floor(num/den * log_N(P)),
+    for P >= 1 and N >= 2; the float estimate only seeds the exact search."""
+    if P == N:
+        return num // den
+    big = P**num
+    m = max(0, int(num / den * math.log(P) / math.log(N)) - 2)
+    while N ** ((m + 1) * den) <= big:
+        m += 1
+    while m > 0 and N ** (m * den) > big:
+        m -= 1
+    return m
 
 
 def iroot(x: int, r: int) -> int:
@@ -108,7 +116,6 @@ def gamma_min(module: sdp.HModule, dim_cap: int = GAMMA_DIM_CAP,
             f"F-subspace enumeration with dim_F V={f}, |F|={module.fops.q}", dim_cap
         )
     H = module.to_oracle()
-    full_mask = (1 << H.n) - 1
     maximal_masks = [m.mask for m in gr.maximal_subgroups(H)]
 
     def cen_mask(space: FpSubspace) -> int:
@@ -130,14 +137,7 @@ def gamma_min(module: sdp.HModule, dim_cap: int = GAMMA_DIM_CAP,
     strong_max = 0
     for d in range(f + 1):
         for w_space, c_w in by_dim[d]:
-            inter = full_mask
-            hit = False
-            for m in maximal_masks:
-                if m & c_w == c_w:
-                    inter &= m
-                    hit = True
-            if not hit:
-                inter = full_mask
+            inter = gr._meet_above(H, c_w, maximal_masks)
             weak = strong = None
             for d_star in range(f + 1):
                 for w_star, c_star in by_dim[d_star]:
@@ -189,16 +189,7 @@ class EtaRecord:
 
     def floor_eta_times(self, c_num: int, c_den: int) -> int:
         """floor(eta * c_num/c_den), exactly (eta = log P / log N)."""
-        P, N = self.product, self.index
-        if P == N:
-            return c_num // c_den
-        big = P**c_num
-        m = max(0, int((c_num / c_den) * math.log(P) / math.log(N)) - 2)
-        while N ** ((m + 1) * c_den) <= big:
-            m += 1
-        while m > 0 and N ** (m * c_den) > big:
-            m -= 1
-        return m
+        return _floor_log(self.product, self.index, c_num, c_den)
 
     @property
     def eta_floor4(self) -> int:
@@ -213,10 +204,7 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
     if H.mask == full:
         raise MalformedInput("eta is defined for proper maximal intersections only")
     above = [m.mask for m in gr.maximal_subgroups(G) if m.mask & H.mask == H.mask]
-    inter_all = full
-    for m in above:
-        inter_all &= m
-    if inter_all != H.mask:
+    if gr._meet_above(G, H.mask, above) != H.mask:
         raise MalformedInput("subgroup is not an intersection of maximal subgroups")
     above.sort(key=lambda m: (G.n // m.bit_count(), m))
     idx = [G.n // m.bit_count() for m in above]
@@ -328,7 +316,7 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
                 cls = class_of_maximal[m.mask]
                 if cls not in touched:
                     touched.append(cls)
-        gamma_h = max(_class_gamma_min(cls) for cls in touched)
+        gamma_h = max(_class_gamma_min(G, cls) for cls in touched)
         rows.append(
             GammaEtaRow(H.mask, rec.index, rec.product, gamma_h,
                         rec.eta_leq(gamma_h + 1))
@@ -336,14 +324,13 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     return rows
 
 
-def _class_gamma_min(cls: sdp.ChiefFactorClass) -> int:
-    cached = getattr(cls, "_gamma_min", None)
-    if cached is None:
+def _class_gamma_min(G: gr.OracleGroup, cls: sdp.ChiefFactorClass) -> int:
+    memo = G._cache.setdefault("class_gamma_min", {})
+    if cls.label not in memo:
         module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices,
                                     name=f"action-{cls.label}")
-        cached = gamma_min(module).gamma_min
-        cls._gamma_min = cached
-    return cached
+        memo[cls.label] = gamma_min(module).gamma_min
+    return memo[cls.label]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ Multiplication convention (fixed artifact-wide, and locked by the
 brute-force equivalence tests): (w1,h1)(w2,h2) = (w1^{h2} + w2, h1*h2),
 so the conjugate H^v is {(v - v^h, h) : h in H}.
 
-Groups are immutable after validation and every operation is a pure,
-deterministic function of its arguments (internal caches only memoize),
-so families may be canonicalized concurrently.
+Groups are immutable after validation and every operation is a
+deterministic function of its arguments; caches only memoize.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from .errors import (
     MalformedInput,
     RealizationError,
     ResourceCapExceeded,
+    SchemaError,
     ValidationError,
 )
 from .ffla import (
@@ -32,6 +32,7 @@ from .ffla import (
     Vector,
     endomorphism_field,
     is_irreducible,
+    is_prime,
     mat_identity,
     mat_inv,
     mat_mod,
@@ -77,7 +78,8 @@ class HModule:
                 raise MalformedInput(f"generator is not {k}x{k}")
             mat_inv(g, p)  # raises on singular input
         identity = mat_identity(k)
-        elems = _matrix_closure(gens or (identity,), p, max_order)
+        elems = gr._closure_of_objects(gens or (identity,), lambda a, b: mat_mul(a, b, p),
+                                       identity, max_order)
         elements = (identity,) + tuple(sorted(e for e in elems if e != identity))
         if not is_irreducible(gens or (identity,), p, k):
             raise ValidationError("irreducibility", "H does not act irreducibly on V")
@@ -133,29 +135,6 @@ class HModule:
             for m in self.field.basis:
                 vectors.append(vec_mat(v, m, self.p))
         return FpSubspace.from_vectors(self.p, self.k, vectors)
-
-    def all_f_subspaces(self):
-        """Every F-subspace of V as an FpSubspace, deterministic order."""
-        for rows in self.fops.all_subspaces(self.f_dim):
-            yield self.v_subspace_from_fcoords(rows)
-
-
-def _matrix_closure(gens, p, cap):
-    identity = mat_identity(len(gens[0]))
-    seen = {identity}
-    order = [identity]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for g in gens:
-            y = mat_mul(x, g, p)
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                if len(order) > cap:
-                    raise ResourceCapExceeded("H element closure", cap)
-    return order
 
 
 def _matrix_group_solvable(gens, p, k, cap) -> bool:
@@ -373,10 +352,6 @@ class CanonicalIntersection:
     submodule: FpSubspace
     translate: Vector
     z_space: FpSubspace
-
-    @property
-    def z_f_dim_times_degree(self) -> int:
-        return self.z_space.dim
 
 
 def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
@@ -694,14 +669,13 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     subgroups, grouped by exact G-module isomorphism."""
     from .ffla import module_isomorphism
 
-    cached = getattr(G, "_crown_classes", None)
+    cached = G._cache.get("crown_classes")
     if cached is not None:
         return cached
-    gens = G.gens or tuple(gr.small_generating_set(G))
     classes: list[ChiefFactorClass] = []
     for m in gr.maximal_subgroups(G):
         y, x = gr.core_and_socle(m, G)
-        p, d, mats = gr.action_on_factor(G, x, y, gens)
+        p, d, mats = gr.action_on_factor(G, x, y, G.gens)
         c = gr.centralizer_of_factor(G, x, y)
         placed = False
         for cls in classes:
@@ -725,7 +699,7 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
                     maximals=[m],
                 )
             )
-    G._crown_classes = classes
+    G._cache["crown_classes"] = classes
     return classes
 
 
@@ -739,9 +713,8 @@ def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
     c = v_class.centralizer
     if r.mask & c.mask != r.mask:
         raise AssertionError("crown core is not inside the centralizer")
-    for g in G.gens or tuple(gr.small_generating_set(G)):
-        if gr.conjugate_mask(G, r.mask, g) != r.mask:
-            raise AssertionError("crown core is not normal")
+    if not gr._is_normal(G, r.mask):
+        raise AssertionError("crown core is not normal")
     quotient = c.order // r.order
     size = v_class.module_size
     delta = 0
@@ -750,13 +723,12 @@ def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
             raise AssertionError("crown size |C:R| is not a power of |V|")
         quotient //= size
         delta += 1
-    gens = G.gens or tuple(gr.small_generating_set(G))
     complement = None
     target = c.order // r.order
     for s in gr.all_subgroups(G):
         if s.order != target or s.mask & ~c.mask or (s.mask & r.mask) != 1:
             continue
-        if all(gr.conjugate_mask(G, s.mask, g) == s.mask for g in gens):
+        if gr._is_normal(G, s.mask):
             complement = s
             break
     return CrownData(v_class, c, r, delta, complement)
@@ -818,18 +790,7 @@ def random_submodule(G: SdGroup, rng) -> FpSubspace:
 def random_partial(G: SdGroup, rng) -> PartialIntersection:
     w = random_submodule(G, rng)
     seeds = [rng.randrange(G.module.order) for _ in range(rng.randrange(1, 3))]
-    # subgroup closure over element indices
-    x_set = {0}
-    frontier = list(seeds)
-    while frontier:
-        a = frontier.pop()
-        if a in x_set:
-            continue
-        x_set.add(a)
-        for b in list(x_set):
-            for c in (G.module.mul_idx(a, b), G.module.mul_idx(b, a)):
-                if c not in x_set:
-                    frontier.append(c)
+    x_set = gr._closure_of_objects(seeds, G.module.mul_idx, 0)
     v = tuple(rng.randrange(G.p) for _ in range(G.wdim))
     return PartialIntersection(w, tuple(sorted(x_set)), v)
 
@@ -874,20 +835,19 @@ def sdgroup_from_spec(doc: dict) -> SdGroup:
     """Build and validate an SdGroup from its structured document; raises
     SchemaError for shape problems and ValidationError (named invariant)
     for group-theoretic ones."""
-    from .errors import SchemaError
-
     for key in ("p", "k", "t", "h_gens"):
         if key not in doc:
             raise SchemaError(f"sdp spec is missing '{key}'")
     p, k, t = doc["p"], doc["k"], doc["t"]
-    if not (isinstance(p, int) and p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))):
+    if not (type(p) is int and is_prime(p)):
         raise SchemaError("p must be prime")
-    if not (isinstance(k, int) and k >= 1 and isinstance(t, int) and t >= 0):
-        raise SchemaError("k must be >= 1 and t >= 0")
+    if not (type(k) is int and k >= 1 and type(t) is int and t >= 0):
+        raise SchemaError("k must be an integer >= 1 and t an integer >= 0")
     gens = doc["h_gens"]
     if not isinstance(gens, list) or not all(
-        isinstance(g, list) and all(isinstance(r, list) for r in g) for g in gens
+        isinstance(g, list) and all(isinstance(r, list) and all(type(x) is int for x in r)
+                                    for r in g) for g in gens
     ):
         raise SchemaError("h_gens must be a list of integer matrices")
-    mats = [tuple(tuple(int(x) for x in row) for row in g) for g in gens]
+    mats = [tuple(tuple(row) for row in g) for g in gens]
     return SdGroup.create(p, k, t, mats, name=doc.get("name"))

@@ -16,19 +16,9 @@ from itertools import combinations, product as iter_product
 
 from . import groups as gr
 from .errors import MalformedInput, ResourceCapExceeded
+from .ffla import is_prime
 
 PRIME_SEARCH_CEILING = 10**6
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -46,7 +36,7 @@ class TowerPrimes:
         prod = 1
         last = 1
         for m, p in enumerate(self.primes, start=1):
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise MalformedInput(f"{p} is not prime")
             if p <= last:
                 raise MalformedInput("primes must be strictly ascending")
@@ -71,18 +61,13 @@ def find_primes(n: int, strict: bool = False,
             lower = max(lower, (1 << (m - 1)) * prod)
         step = 1 << m
         p = (lower // step) * step + 1
-        while p <= lower or not _is_prime(p):
+        while p <= lower or not is_prime(p):
             p += step
             if p > ceiling:
                 raise ResourceCapExceeded("prime search ceiling", ceiling)
         primes.append(p)
         prod *= p
     return TowerPrimes(n, tuple(primes), strict)
-
-
-def build(primes: TowerPrimes) -> "TowerGroup":
-    """Construct the tower level for validated prime data."""
-    return TowerGroup(primes)
 
 
 def _zeta(p: int, order: int) -> int:
@@ -342,20 +327,6 @@ def _oracle_class_data(T: TowerGroup, cap: int):
     return oracle, data
 
 
-def _canonical_orbit_rep(oracle: gr.OracleGroup, mask: int) -> int:
-    gens = oracle.gens
-    orbit = {mask}
-    stack = [mask]
-    while stack:
-        m = stack.pop()
-        for g in gens:
-            c = gr.conjugate_mask(oracle, m, g)
-            if c not in orbit:
-                orbit.add(c)
-                stack.append(c)
-    return min(orbit, key=lambda m: (m.bit_count(), tuple(gr.mask_bits(m))))
-
-
 def tilde_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> TowerCounts:
     """Conjugacy-class counts of proper maximal intersections (gamma) and
     nonzero-Moebius classes (beta); the oracle values are authoritative and
@@ -388,7 +359,8 @@ def structural_matches_oracle(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) ->
     structural_reps = set()
     for cls in classify_intersections(T):
         mask = T.subgroup_mask(class_representative_elements(T, cls))
-        structural_reps.add(_canonical_orbit_rep(oracle, mask))
+        structural_reps.add(min(gr._orbit(oracle, mask),
+                                key=lambda m: (m.bit_count(), tuple(gr.mask_bits(m)))))
     if len(structural_reps) != len(classify_intersections(T)):
         return False
     return structural_reps == oracle_reps

@@ -71,12 +71,35 @@ def test_json_format_parses(spec_dir, capsys):
     assert any(r["section"] == "crown" for r in payload["records"])
 
 
+SDP_C2_ON_F3 = {"kind": "sdp", "p": 3, "k": 1, "t": 1, "h_gens": [[[2]]]}
+MALFORMED_SPECS = (
+    {"kind": "oracle-table", "table": []},
+    {"kind": "oracle-table", "table": [["a"]]},
+    {"kind": "oracle-table", "table": [[0, 1], [1]]},
+    {"kind": "oracle-table", "table": [[True]]},
+    {**SDP_C2_ON_F3, "h_gens": [[["x"]]]},
+    {**SDP_C2_ON_F3, "h_gens": [[[2.5]]]},
+    {**SDP_C2_ON_F3, "k": True},
+    {**SDP_C2_ON_F3, "t": True},
+    {**SDP_C2_ON_F3, "p": 9},
+    {"kind": "tower", "n": True},
+    {"kind": "tower", "n": 2, "strict": 1},
+    {"kind": "tower", "primes": [3, 5.0]},
+)
+
+
 def test_schema_error_exit_2(spec_dir, capsys):
     for name in ("badkind.json", "notjson.json"):
         code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / name))
         assert code == 2, err
     code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / "missing.json"))
     assert code == 2
+    path = spec_dir / "malformed.json"
+    for doc in MALFORMED_SPECS:
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--spec", str(path))
+        assert (code, out) == (2, ""), (doc, err)
+        assert len(err.strip().splitlines()) == 1, (doc, err)
 
 
 def test_validation_error_exit_2(spec_dir, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from solvint import corpus
+from solvint import corpus, sdp
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 
@@ -13,6 +13,9 @@ def test_from_mul_table_validates():
     # broken identity row
     with pytest.raises(MalformedInput):
         gr.from_mul_table([[1, 0], [0, 1]])
+    # identity row and column, but row 1 repeats the entry 1
+    with pytest.raises(MalformedInput, match="Latin square"):
+        gr.from_mul_table([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
     # fine for C2
     g = gr.from_mul_table([[0, 1], [1, 0]], "C2")
     assert g.n == 2 and g.inv(1) == 1
@@ -29,6 +32,22 @@ def test_from_mul_table_catches_nonassociative():
     ]
     with pytest.raises(MalformedInput):
         gr.from_mul_table(table)
+
+
+def test_gens_generate_the_group(corpus_list, sdp_pool, tower2, tower3):
+    oracles = list(corpus_list) + [sdp.embed_as_oracle(g)[0] for g in sdp_pool]
+    oracles += [tower2.embed_as_oracle(), tower3.embed_as_oracle()]
+    for g in oracles:
+        assert gr.closure_mask(g, g.gens) == (1 << g.n) - 1, g.name
+
+
+def test_normal_core_is_intersection_of_all_conjugates(corpus_list):
+    for g in corpus_list:
+        for m in gr.maximal_subgroups(g):
+            core = (1 << g.n) - 1
+            for x in range(g.n):
+                core &= gr.conjugate_mask(g, m.mask, x)
+            assert gr.normal_core(g, m).mask == core, g.name
 
 
 def test_subgroup_closure_examples():

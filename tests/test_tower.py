@@ -90,7 +90,7 @@ def test_classes_pairwise_nonconjugate(tower2):
     reps = set()
     for cls in tower.classify_intersections(tower2):
         mask = tower2.subgroup_mask(tower.class_representative_elements(tower2, cls))
-        reps.add(tower._canonical_orbit_rep(oracle, mask))
+        reps.add(frozenset(gr._orbit(oracle, mask)))
     assert len(reps) == 9
 
 
