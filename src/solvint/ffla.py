@@ -117,8 +117,35 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound (the least strong pseudoprime to all of them); the first twelve
+# alone pass the composite 318665857834031151167461.
+PRIME_TEST_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == [n]
+    """Deterministic Miller-Rabin; MalformedInput for n >= PRIME_TEST_BOUND,
+    where the bases no longer decide primality."""
+    if n >= PRIME_TEST_BOUND:
+        raise MalformedInput(f"primality is only decided below {PRIME_TEST_BOUND}")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def mat_has_order(a: Matrix, order: int, p: int) -> bool:

@@ -140,12 +140,19 @@ def _spot_check_table(G: OracleGroup) -> None:
         if len(set(mul[i * n:(i + 1) * n])) != n or len(set(mul[i::n])) != n:
             raise MalformedInput(f"multiplication table is not a Latin square (row/column {i})")
     if n <= 128:
-        triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-    else:
-        rng = random.Random(0xA55)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(100000))
-    for a, b, c in triples:
-        if G.mul(G.mul(a, b), c) != G.mul(a, G.mul(b, c)):
+        # all triples, one row comparison per pair: row(ab)[c] == row(a)[bc]
+        rows = [mul[i * n:(i + 1) * n].tolist() for i in range(n)]
+        for a, row_a in enumerate(rows):
+            for b, row_b in enumerate(rows):
+                row_ab = rows[row_a[b]]
+                if row_ab != [row_a[x] for x in row_b]:
+                    c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
+                    raise MalformedInput(f"associativity fails on ({a},{b},{c})")
+        return
+    rng = random.Random(0xA55)
+    for _ in range(100000):
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if mul[mul[a * n + b] * n + c] != mul[a * n + mul[b * n + c]]:
             raise MalformedInput(f"associativity fails on ({a},{b},{c})")
 
 
@@ -727,21 +734,28 @@ def normal_core(G: OracleGroup, M: Subgroup) -> Subgroup:
 
 def core_and_socle(M: Subgroup, G: OracleGroup) -> tuple[Subgroup, Subgroup]:
     """(Y, X) where Y is the core of the maximal subgroup M and X/Y is the
-    unique minimal normal subgroup of the primitive quotient G/Y."""
+    unique minimal normal subgroup of the primitive quotient G/Y.
+
+    G/Y is primitive and solvable, so X/Y = F(G/Y).  The last nontrivial
+    derived term of G/Y is abelian and normal, so it lies in F(G/Y) and
+    contains X/Y: X is the last term before Y of D_0 = G, D_{i+1} =
+    [D_i, D_i] Y.  X is memoized per core (conjugate maximals share it)."""
     if not is_solvable(G):
         raise UnsupportedGroup("core_and_socle requires a solvable group")
     y = normal_core(G, M)
-    g0 = next(g for g in range(G.n) if not (y.mask >> g) & 1)
-    x_mask = normal_closure_mask(G, [g0] + greedy_generators(G, y.mask), G.gens)
-    improved = True
-    while improved:
-        improved = False
-        for g in mask_bits(x_mask & ~y.mask):
-            cand = normal_closure_mask(G, [g] + greedy_generators(G, y.mask), G.gens)
-            if cand.bit_count() < x_mask.bit_count():
-                x_mask = cand
-                improved = True
+    socles = G._cache.setdefault("socle_by_core", {})
+    x_mask = socles.get(y.mask)
+    if x_mask is None:
+        y_gens = greedy_generators(G, y.mask)
+        x_mask = (1 << G.n) - 1
+        while True:
+            d_gens = greedy_generators(G, x_mask)
+            comms = {G.commutator(a, b) for a in d_gens for b in d_gens}
+            nxt = normal_closure_mask(G, comms.union(y_gens), G.gens)
+            if nxt == y.mask:
                 break
+            x_mask = nxt
+        socles[y.mask] = x_mask
     x = Subgroup(G, x_mask)
     # chief factor sanity: M complements X/Y
     if x.mask & M.mask != y.mask:

@@ -243,11 +243,9 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
 def maximal_intersection_classes(G: gr.OracleGroup) -> list[gr.Subgroup]:
     """Conjugacy class representatives of proper maximal intersections."""
     full = (1 << G.n) - 1
-    out = []
-    for rep, _size in gr.conjugacy_classes_of_subgroups(G):
-        if rep.mask != full and gr.is_maximal_intersection(rep, G):
-            out.append(rep)
-    return out
+    maximal_masks = [m.mask for m in gr.maximal_subgroups(G)]
+    return [rep for rep, _size in gr.conjugacy_classes_of_subgroups(G)
+            if rep.mask != full and gr._meet_above(G, rep.mask, maximal_masks) == rep.mask]
 
 
 @dataclass(frozen=True)

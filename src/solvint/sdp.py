@@ -45,6 +45,9 @@ from .ffla import (
 )
 
 H_ORDER_CAP = 10000
+# is_irreducible spins every line of F_p^k; the corpus and the benchmark
+# catalogue use at most 7 lines (F_2^3)
+IRREDUCIBILITY_LINE_CAP = 4096
 FVECTOR_ENUM_CAP = 200000
 
 
@@ -77,6 +80,10 @@ class HModule:
             if len(g) != k or any(len(row) != k for row in g):
                 raise MalformedInput(f"generator is not {k}x{k}")
             mat_inv(g, p)  # raises on singular input
+        cap = IRREDUCIBILITY_LINE_CAP
+        # F_p^k has at least 2^k - 1 lines, so p**k is only taken for small k
+        if k > cap.bit_length() or (p**k - 1) // (p - 1) > cap:
+            raise ResourceCapExceeded("irreducibility test lines of F_p^k", cap)
         identity = mat_identity(k)
         elems = gr._closure_of_objects(gens or (identity,), lambda a, b: mat_mul(a, b, p),
                                        identity, max_order)

@@ -316,14 +316,10 @@ def _oracle_class_data(T: TowerGroup, cap: int):
     oracle = T.embed_as_oracle(cap)
     classes = gr.conjugacy_classes_of_subgroups(oracle, cap)
     mu = gr.mobius_all(oracle, cap)
+    maximal_masks = [m.mask for m in gr.maximal_subgroups(oracle, cap)]
     full = (1 << oracle.n) - 1
-    data = []
-    for rep, size in classes:
-        if rep.mask == full:
-            continue
-        data.append(
-            (rep, size, mu[rep.mask], gr.is_maximal_intersection(rep, oracle, cap))
-        )
+    data = [(rep, size, mu[rep.mask], gr._meet_above(oracle, rep.mask, maximal_masks) == rep.mask)
+            for rep, size in classes if rep.mask != full]
     return oracle, data
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -23,6 +24,15 @@ def spec_dir(tmp_path):
         json.dumps({"kind": "sdp", "p": 5, "k": 2, "t": 1, "h_gens": [[[2, 0], [0, 2]]]})
     )
     (tmp_path / "bigtower.json").write_text(json.dumps({"kind": "tower", "n": 4}))
+    # C_29 acting irreducibly on F_2^28: the companion matrix of 1 + x + ... + x^28
+    companion = [[int(j == i + 1) for j in range(28)] for i in range(27)] + [[1] * 28]
+    (tmp_path / "c29-on-f2^28.json").write_text(
+        json.dumps({"kind": "sdp", "p": 2, "k": 28, "t": 1, "h_gens": [companion]})
+    )
+    # p = 2^61 - 1 is prime; trial division would take about 1.5 * 10^9 steps
+    (tmp_path / "mersenne61.json").write_text(
+        json.dumps({"kind": "sdp", "p": 2**61 - 1, "k": 1, "t": 1, "h_gens": [[[3]]]})
+    )
     return tmp_path
 
 
@@ -85,6 +95,9 @@ MALFORMED_SPECS = (
     {"kind": "tower", "n": True},
     {"kind": "tower", "n": 2, "strict": 1},
     {"kind": "tower", "primes": [3, 5.0]},
+    # primality is decided exactly only below ffla.PRIME_TEST_BOUND
+    {**SDP_C2_ON_F3, "p": 3317044064679887385961981},
+    {"kind": "tower", "primes": [3, 3317044064679887385961981]},
 )
 
 
@@ -109,10 +122,19 @@ def test_validation_error_exit_2(spec_dir, capsys):
 
 
 def test_cap_error_exit_3(spec_dir, capsys):
-    code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / "bigtower.json"),
-                          "--cap-order", "1000")
-    assert code == 3
-    assert "cap" in err
+    for name in ("bigtower.json", "c29-on-f2^28.json"):
+        code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / name),
+                              "--cap-order", "1000")
+        assert code == 3, (name, err)
+        assert "cap" in err
+
+
+def test_huge_prime_spec_is_refused_quickly(spec_dir, capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / "mersenne61.json"))
+    assert code in (2, 3) and out == "", err
+    assert len(err.strip().splitlines()) == 1
+    assert time.monotonic() - start < 5
 
 
 def test_verify_tower_suite(spec_dir, capsys):

@@ -174,6 +174,17 @@ def test_irreducibility_catches_eigen_lines():
     assert ffla.is_irreducible([ffla.mat_mod(((0, -1), (1, 0)), 3)], 3, 2)
 
 
+def test_is_prime_matches_trial_division_and_rejects_pseudoprimes():
+    for n in range(3000):
+        assert ffla.is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
+    # least strong pseudoprimes to the first 4, 6, 11 and 12 prime bases
+    for n in (3215031751, 3474749660383, 3825123056546413051, 318665857834031151167461):
+        assert not ffla.is_prime(n), n
+    assert ffla.is_prime(2**61 - 1) and ffla.is_prime(2**31 - 1)
+    with pytest.raises(MalformedInput):
+        ffla.is_prime(ffla.PRIME_TEST_BOUND)
+
+
 def test_endomorphism_field_prime_field():
     f = ffla.endomorphism_field([((2,),)], 5, 1)
     assert f.degree == 1 and f.order == 5

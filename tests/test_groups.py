@@ -231,6 +231,23 @@ def test_chief_factor_complement_checks(corpus_list):
             gr.core_and_socle(m, g)
 
 
+def test_socle_is_the_least_normal_subgroup_above_the_core(corpus_list):
+    # from the lattice and conjugation by every element alone: neither
+    # normal_closure_mask nor derived_mask is called here
+    oracles = list(corpus_list) + [sdp.embed_as_oracle(g)[0] for g in corpus.primitive_groups()]
+    for g in oracles:
+        normal = [s.mask for s in gr.all_subgroups(g)
+                  if all((s.mask >> g.conj(x, h)) & 1 for h in range(g.n) for x in s.members)]
+        for m in gr.maximal_subgroups(g):
+            core = (1 << g.n) - 1
+            for h in range(g.n):
+                core &= gr.conjugate_mask(g, m.mask, h)
+            above = [t for t in normal if t != core and t & core == core]
+            least = [t for t in above if not any(k != t and k & t == k for k in above)]
+            y, x = gr.core_and_socle(m, g)
+            assert (y.mask, [x.mask]) == (core, least), g.name
+
+
 def test_solvability_and_derived_series():
     g = corpus.corpus_group("S4")
     orders = [s.order for s in gr.derived_series(g)]
