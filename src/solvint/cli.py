@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -65,7 +66,7 @@ def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
         oracle, _ = sdp.embed_as_oracle(g, cap)
         return oracle
     if kind == "tower":
-        return _tower_from_spec(doc).embed_as_oracle(cap)
+        return _tower_from_spec(doc, cap).embed_as_oracle(cap)
     table = doc.get("table")
     if not (isinstance(table, list) and table and all(
             isinstance(row, list) and len(row) == len(table)
@@ -74,7 +75,7 @@ def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
     return gr.from_mul_table(table, doc.get("name", "table-group"))
 
 
-def _tower_from_spec(doc: dict) -> tower.TowerGroup:
+def _tower_from_spec(doc: dict, cap: int) -> tower.TowerGroup:
     strict = doc.get("strict", False)
     if not isinstance(strict, bool):
         raise SchemaError("tower 'strict' must be true or false")
@@ -88,6 +89,8 @@ def _tower_from_spec(doc: dict) -> tower.TowerGroup:
         if type(n) is not int or n < 1:
             raise SchemaError("tower spec needs an integer 'n' >= 1 or explicit 'primes'")
         tp = tower.find_primes(n, strict)
+    # every tower request embeds G; refuse before TowerGroup searches the roots of unity
+    gr._check_embedding_order(math.prod(tp.primes) << tp.n, cap)
     return tower.TowerGroup(tp)
 
 
@@ -211,7 +214,7 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
             report.add("propo", g.name, "alpha", _fr(rep.alpha), "oracle")
             report.check("propo", g.name, rep.ok)
     elif suite == "tower":
-        t = _tower_from_spec(doc) if doc else tower.TowerGroup(tower.find_primes(2))
+        t = _tower_from_spec(doc, cap) if doc else tower.TowerGroup(tower.find_primes(2))
         expected = {2: 1}
         for p in t.primes.primes:
             expected[p] = p

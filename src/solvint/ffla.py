@@ -438,7 +438,7 @@ class EndField:
 def endomorphism_field(generators, p: int, k: int) -> EndField:
     """Solve X*g = g*X for all generators and package the resulting field."""
     if not is_irreducible(generators, p, k):
-        raise ValidationError("irreducibility", "module is not irreducible; no endomorphism field")
+        raise ValidationError("irreducibility", "H does not act irreducibly on V")
     # unknowns X_{ab} indexed a*k+b; one equation per (generator, i, j)
     rows = []
     for g in generators:

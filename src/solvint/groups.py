@@ -289,6 +289,12 @@ def semidirect_cyclic(n_order: int, h_order: int, action_exp: int,
     )
 
 
+def _check_embedding_order(order: int, cap: int) -> None:
+    """Refuse to embed a group of order above `cap` as an OracleGroup."""
+    if order > cap:
+        raise ResourceCapExceeded(f"oracle embedding of |G|={order} exceeds the order cap", cap)
+
+
 def oracle_from_split_tables(w_size: int, h_size: int, act, add, hmul, name: str,
                              w_gens=(), h_gens=()) -> OracleGroup:
     """Assemble a semidirect product W x| H oracle from small tables.

@@ -31,7 +31,6 @@ from .ffla import (
     Matrix,
     Vector,
     endomorphism_field,
-    is_irreducible,
     is_prime,
     mat_identity,
     mat_inv,
@@ -45,10 +44,13 @@ from .ffla import (
 )
 
 H_ORDER_CAP = 10000
-# is_irreducible spins every line of F_p^k; the corpus and the benchmark
+# ffla.is_irreducible spins every line of F_p^k; the corpus and the benchmark
 # catalogue use at most 7 lines (F_2^3)
 IRREDUCIBILITY_LINE_CAP = 4096
 FVECTOR_ENUM_CAP = 200000
+# a spec's V^t has p^(k t) >= 2^(k t) elements, too many for any order cap
+# that fits in memory once k t passes this
+SPEC_DIMENSION_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +90,12 @@ class HModule:
         elems = gr._closure_of_objects(gens or (identity,), lambda a, b: mat_mul(a, b, p),
                                        identity, max_order)
         elements = (identity,) + tuple(sorted(e for e in elems if e != identity))
-        if not is_irreducible(gens or (identity,), p, k):
-            raise ValidationError("irreducibility", "H does not act irreducibly on V")
+        # raises ValidationError("irreducibility") unless every line spins to V
+        field = endomorphism_field(gens or (identity,), p, k)
         # faithfulness is structural for matrix groups: the only element
         # acting trivially is the identity matrix itself
         if not _matrix_group_solvable(gens, p, k, max_order):
             raise ValidationError("solvability", "H is not solvable")
-        field = endomorphism_field(gens or (identity,), p, k)
         fops = FieldOps(field)
         f_basis = _f_basis_of_v(p, k, fops)
         return cls(p, k, gens, elements, field, fops, f_basis, name)
@@ -387,26 +388,61 @@ def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
     return out
 
 
-def descriptor_elements(G: SdGroup, submodule: FpSubspace, h_indices, translate) -> set:
-    """Explicit element set {(u + v - v^x, x)} of a descriptor subgroup."""
-    out = set()
-    vectors = list(submodule.vectors())
+def descriptor_elements(G: SdGroup, submodule: FpSubspace, h_indices, translate) -> int:
+    """Element set {(u + v - v^x, x) : u in U, x in X} of the descriptor
+    subgroup U * X^v, as a bitmask in the id order of `embed_as_oracle`:
+    bit w_id(w) * |H| + h is set exactly when (w, h) lies in the subgroup,
+    where w_id reads the n coordinates of w as base-p digits, first digit
+    most significant.
+
+    Adding c to digit i of every w moves a set bit by a fixed shift, with
+    B = p^(n-1-i) * |H| and L the ids whose digit i is below p - c:
+        translate(m, c e_i) = ((m & L) << c*B) | ((m & ~L) >> (p - c)*B).
+    The mask of U at h = 0 starts at 1 (the zero vector) and is spanned by
+    translating along each basis row p - 1 times; the set is then the union
+    over x in X of translate(U_mask << x, v - v^x).
+    """
+    p, n, h_order = G.p, G.wdim, G.module.order
+    steps = [p ** (n - 1 - i) * h_order for i in range(n)]
+    ones = (1 << G.order) - 1
+    # low[i][c]: the ids whose digit i is below p - c (c = 0 is unused)
+    low = [[0] + [((1 << (p - c) * b) - 1) * (ones // ((1 << p * b) - 1)) for c in range(1, p)]
+           for b in steps]
+
+    def move(mask: int, d: Vector) -> int:
+        for i, c in enumerate(d):
+            if c:
+                b, lo = steps[i], low[i][c]
+                mask = ((mask & lo) << c * b) | ((mask & ~lo) >> (p - c) * b)
+        return mask
+
+    u_mask = 1
+    for row in submodule.basis:
+        cur = acc = u_mask
+        for _ in range(p - 1):
+            cur = move(cur, row)
+            acc |= cur
+        u_mask = acc
+    # U_mask << x for every x sharing a shift is U_mask times their h bits
+    h_bits_by_shift: dict = {}
     for x in h_indices:
-        shift = vec_sub(translate, G.act_w(translate, x), G.p)
-        for u in vectors:
-            out.add((vec_add(u, shift, G.p), x))
+        shift = vec_sub(translate, G.act_w(translate, x), p)
+        h_bits_by_shift[shift] = h_bits_by_shift.get(shift, 0) | 1 << x
+    out = 0
+    for shift, h_bits in h_bits_by_shift.items():
+        out |= move(u_mask * h_bits, shift)
     return out
 
 
-def supplement_elements(G: SdGroup, M: MaximalSupplement) -> set:
+def supplement_elements(G: SdGroup, M: MaximalSupplement) -> int:
     return descriptor_elements(G, M.submodule, range(G.module.order), M.translate)
 
 
-def partial_elements(G: SdGroup, K: PartialIntersection) -> set:
+def partial_elements(G: SdGroup, K: PartialIntersection) -> int:
     return descriptor_elements(G, K.submodule, K.h_indices, K.translate)
 
 
-def canonical_elements(G: SdGroup, ci: CanonicalIntersection) -> set:
+def canonical_elements(G: SdGroup, ci: CanonicalIntersection) -> int:
     cen = centralizer_in_h(G, ci.z_space)
     return descriptor_elements(G, ci.submodule, cen, ci.translate)
 
@@ -602,8 +638,7 @@ def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP):
     Element ids enumerate (w, h) with w in lexicographic digit order and h
     in the canonical H order, so the identity gets id 0.
     """
-    if G.order > cap:
-        raise ResourceCapExceeded(f"oracle embedding of |G|={G.order} exceeds the order cap", cap)
+    gr._check_embedding_order(G.order, cap)
     p, wdim = G.p, G.wdim
     w_size = p**wdim
     h_size = G.module.order
@@ -812,12 +847,21 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int,
     rng = _random.Random(seed)
     failures = []
     supplements = {id(g): enumerate_maximal_supplements(g) for g in pool}
+    # element masks of the supplements drawn so far, per group and descriptor
+    masks: dict = {id(g): {} for g in pool}
+
+    def supplement_mask(g, m):
+        mask = masks[id(g)].get(m)
+        if mask is None:
+            mask = masks[id(g)][m] = supplement_elements(g, m)
+        return mask
+
     for case in range(pair_cases):
         g = pool[rng.randrange(len(pool))]
         k_desc = random_partial(g, rng)
         m = supplements[id(g)][rng.randrange(len(supplements[id(g)]))]
         result, _witness = intersect_supplement(g, k_desc, m)
-        brute = partial_elements(g, k_desc) & supplement_elements(g, m)
+        brute = partial_elements(g, k_desc) & supplement_mask(g, m)
         if brute != partial_elements(g, result):
             failures.append(("pair", case, g.name))
     for case in range(family_cases):
@@ -826,9 +870,9 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int,
         size = rng.randrange(1, family_max + 1)
         family = [avail[rng.randrange(len(avail))] for _ in range(size)]
         ci = canonicalize_intersection(g, family)
-        brute = supplement_elements(g, family[0])
+        brute = supplement_mask(g, family[0])
         for m in family[1:]:
-            brute &= supplement_elements(g, m)
+            brute &= supplement_mask(g, m)
         if brute != canonical_elements(g, ci):
             failures.append(("family", case, g.name))
     return pair_cases, family_cases, failures
@@ -856,5 +900,7 @@ def sdgroup_from_spec(doc: dict) -> SdGroup:
                                     for r in g) for g in gens
     ):
         raise SchemaError("h_gens must be a list of integer matrices")
+    if k * t > SPEC_DIMENSION_CAP:
+        raise ResourceCapExceeded("dimension k*t of V^t", SPEC_DIMENSION_CAP)
     mats = [tuple(tuple(row) for row in g) for g in gens]
     return SdGroup.create(p, k, t, mats, name=doc.get("name"))

@@ -162,10 +162,7 @@ class TowerGroup:
         cached = self._cache.get("oracle")
         if cached is not None:
             return cached
-        if self.order > cap:
-            raise ResourceCapExceeded(
-                f"oracle embedding of |G|={self.order} exceeds the order cap", cap
-            )
+        gr._check_embedding_order(self.order, cap)
         w_vectors = [self.w_of_id(i) for i in range(self.w_size)]
         act = [
             [self.w_id(self.act_w(w, e)) for w in w_vectors] for e in range(self.h_order)

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvint import cli
 
@@ -24,6 +30,11 @@ def spec_dir(tmp_path):
         json.dumps({"kind": "sdp", "p": 5, "k": 2, "t": 1, "h_gens": [[[2, 0], [0, 2]]]})
     )
     (tmp_path / "bigtower.json").write_text(json.dumps({"kind": "tower", "n": 4}))
+    # |G| = 5 * (10^21 + 117) * 4; finding a root of unity of order 4 mod the
+    # large prime by search would not end
+    (tmp_path / "huge-prime-tower.json").write_text(
+        json.dumps({"kind": "tower", "primes": [5, 1000000000000000000117]})
+    )
     # C_29 acting irreducibly on F_2^28: the companion matrix of 1 + x + ... + x^28
     companion = [[int(j == i + 1) for j in range(28)] for i in range(27)] + [[1] * 28]
     (tmp_path / "c29-on-f2^28.json").write_text(
@@ -122,11 +133,13 @@ def test_validation_error_exit_2(spec_dir, capsys):
 
 
 def test_cap_error_exit_3(spec_dir, capsys):
-    for name in ("bigtower.json", "c29-on-f2^28.json"):
+    for name in ("bigtower.json", "c29-on-f2^28.json", "huge-prime-tower.json"):
+        start = time.monotonic()
         code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / name),
                               "--cap-order", "1000")
         assert code == 3, (name, err)
         assert "cap" in err
+        assert time.monotonic() - start < 5, name
 
 
 def test_huge_prime_spec_is_refused_quickly(spec_dir, capsys):
@@ -135,6 +148,53 @@ def test_huge_prime_spec_is_refused_quickly(spec_dir, capsys):
     assert code in (2, 3) and out == "", err
     assert len(err.strip().splitlines()) == 1
     assert time.monotonic() - start < 5
+
+
+# Small ints stay in -2..3, so every valid sdp spec has |G| <= 192 and a
+# request takes at most a few seconds; huge ints probe the input guards.
+SPEC_INTS = st.one_of(st.integers(-2, 3), st.booleans(),
+                      st.integers(2**60, 2**90), st.integers(-(2**90), -(2**60)))
+RAGGED = st.recursive(SPEC_INTS, lambda inner: st.lists(inner, max_size=3), max_leaves=10)
+
+
+@st.composite
+def sdp_docs_with_square_gens(draw):
+    k = draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(SPEC_INTS, min_size=k, max_size=k), min_size=k, max_size=k)
+    return {"kind": "sdp", "p": draw(st.one_of(st.sampled_from([2, 3, 5]), SPEC_INTS)),
+            "k": k, "t": draw(SPEC_INTS), "h_gens": draw(st.lists(matrix, max_size=2))}
+
+
+SPEC_DOCS = st.one_of(
+    sdp_docs_with_square_gens(),
+    st.fixed_dictionaries({"kind": st.just("sdp")},
+                          optional={"p": SPEC_INTS, "k": SPEC_INTS, "t": SPEC_INTS,
+                                    "h_gens": RAGGED}),
+    st.fixed_dictionaries({"kind": st.just("tower")},
+                          optional={"n": SPEC_INTS, "primes": RAGGED,
+                                    "strict": st.one_of(st.booleans(), SPEC_INTS)}),
+    st.fixed_dictionaries({"kind": st.just("oracle-table")}, optional={"table": RAGGED}),
+    st.fixed_dictionaries({"kind": st.one_of(SPEC_INTS, st.text(max_size=4), st.none())}),
+    RAGGED,
+)
+
+
+def test_spec_fuzz_keeps_the_exit_code_contract():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(SPEC_DOCS)
+        def check(doc):
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["analyze", "--spec", str(path), "--cap-order", "200"])
+            assert code in (0, 2, 3), (doc, err.getvalue())
+            if code:
+                assert len(err.getvalue().strip().splitlines()) == 1, (doc, err.getvalue())
+
+        check()
 
 
 def test_verify_tower_suite(spec_dir, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from solvint import corpus, sdp
+from solvint import corpus, ffla, sdp
 from solvint import groups as gr
 from solvint.errors import (
     CaseDispatchError,
@@ -10,7 +10,7 @@ from solvint.errors import (
     RealizationError,
     ValidationError,
 )
-from solvint.ffla import FpSubspace
+from solvint.ffla import FpSubspace, vec_add, vec_sub
 
 
 def g_f5_c4(t=1):
@@ -27,6 +27,19 @@ def test_create_validates_invariants():
     assert err.value.invariant == "irreducibility"
     with pytest.raises(MalformedInput):
         sdp.SdGroup.create(5, 2, 1, [((1, 0), (1, 0))])  # singular generator
+
+
+def test_module_creation_spins_each_line_once(monkeypatch):
+    irreducibility_calls, spins = [], []
+    is_irreducible, spin = ffla.is_irreducible, ffla.spin
+    monkeypatch.setattr(ffla, "is_irreducible",
+                        lambda *a: irreducibility_calls.append(a) or is_irreducible(*a))
+    monkeypatch.setattr(ffla, "spin", lambda *a: spins.append(a) or spin(*a))
+    c7 = ((0, 1, 0), (0, 0, 1), (1, 1, 0))  # companion matrix of x^3 + x + 1 over F_2
+    module = sdp.HModule.create(2, 3, [c7])
+    assert module.order == 7 and module.field.degree == 3
+    assert len(irreducibility_calls) == 1
+    assert len(spins) == 7  # one spin per line of F_2^3
 
 
 def test_multiplication_convention():
@@ -50,13 +63,10 @@ def test_enumerate_maximal_supplements_counts():
 
 def test_supplements_are_maximal_in_oracle():
     g = g_s3()
-    oracle, encode = sdp.embed_as_oracle(g)
+    oracle, _ = sdp.embed_as_oracle(g)
     maximal_masks = {m.mask for m in gr.maximal_subgroups(oracle)}
     for m in sdp.enumerate_maximal_supplements(g):
-        mask = 0
-        for w, h in sdp.supplement_elements(g, m):
-            mask |= 1 << encode(w, h)
-        assert mask in maximal_masks
+        assert sdp.supplement_elements(g, m) in maximal_masks
 
 
 def test_supplement_enumeration_is_complete():
@@ -72,11 +82,54 @@ def test_supplement_enumeration_is_complete():
                        if m.mask & socle != socle}
         enumerated = set()
         for m in sdp.enumerate_maximal_supplements(g):
-            mask = 0
-            for w, h in sdp.supplement_elements(g, m):
-                mask |= 1 << encode(w, h)
-            enumerated.add(mask)
+            enumerated.add(sdp.supplement_elements(g, m))
         assert enumerated == oracle_sups, g.name
+
+
+def reference_elements(G, submodule, h_indices, translate) -> set:
+    """{(u + v - v^x, x)} as a set of (vector, h) tuples, one element at a time."""
+    out = set()
+    vectors = list(submodule.vectors())
+    for x in h_indices:
+        shift = vec_sub(translate, G.act_w(translate, x), G.p)
+        for u in vectors:
+            out.add((vec_add(u, shift, G.p), x))
+    return out
+
+
+def encode_elements(G, elements) -> int:
+    """Bitmask of (w, h) pairs in the id order of sdp.embed_as_oracle."""
+    mask = 0
+    for w, h in elements:
+        w_id = 0
+        for x in w:
+            w_id = w_id * G.p + x
+        mask |= 1 << (w_id * G.module.order + h)
+    return mask
+
+
+def test_encode_elements_matches_embed_as_oracle():
+    for g in [g_s3(), g_f5_c4(2)]:
+        _, encode = sdp.embed_as_oracle(g)
+        for w in FpSubspace.full(g.p, g.wdim).vectors():
+            for h in range(g.module.order):
+                assert encode_elements(g, [(w, h)]) == 1 << encode(w, h)
+
+
+def test_descriptor_masks_match_reference(sdp_pool):
+    rng = random.Random(2718)
+    for g in sdp_pool:
+        sups = sdp.enumerate_maximal_supplements(g)
+        descs = [(m.submodule, range(g.module.order), m.translate)
+                 for m in rng.sample(sups, min(len(sups), 40))]
+        for _ in range(20):
+            k = sdp.random_partial(g, rng)
+            descs.append((k.submodule, k.h_indices, k.translate))
+        for desc in descs:
+            ref = reference_elements(g, *desc)
+            mask = sdp.descriptor_elements(g, *desc)
+            assert mask == encode_elements(g, ref), (g.name, desc)
+            assert mask.bit_count() == len(ref)
 
 
 def test_case_spanning_spec_example():
@@ -121,7 +174,7 @@ def test_case_nested_spec_example():
     res, witness = sdp.intersect_case_nested(g, k, m)
     assert res.h_indices == (0,)
     assert witness is not None
-    assert len(sdp.partial_elements(g, res)) == 1
+    assert sdp.partial_elements(g, res).bit_count() == 1
     assert sdp.partial_elements(g, res) == (
         sdp.partial_elements(g, k) & sdp.supplement_elements(g, m)
     )
@@ -336,7 +389,7 @@ def test_trivial_acting_group_edge():
     assert all(m.translate == (0, 0) for m in ms)
     ci = sdp.canonicalize_intersection(g, ms)
     assert ci.submodule.dim == 0 and ci.z_space.dim == 0
-    assert sdp.canonical_elements(g, ci) == {((0, 0), 0)}
+    assert sdp.canonical_elements(g, ci) == 1
 
 
 def test_sdgroup_from_spec_schema():
