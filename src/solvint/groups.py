@@ -22,6 +22,7 @@ from .ffla import prime_factors
 
 DEFAULT_ORDER_CAP = 5000
 OVERGROUP_NODE_CAP = 10**4
+LATTICE_CAP = 10**4
 
 
 def mask_bits(mask: int):
@@ -43,12 +44,10 @@ class OracleGroup:
         inv = array("i", [0] * n)
         for a in range(n):
             row = a * n
-            for b in range(n):
-                if mul_flat[row + b] == 0:
-                    inv[a] = b
-                    break
-            else:
-                raise MalformedInput(f"element {a} has no inverse")
+            try:
+                inv[a] = mul_flat.index(0, row, row + n) - row
+            except ValueError:
+                raise MalformedInput(f"element {a} has no inverse") from None
         self._inv = inv
         self._cache: dict = {}
 
@@ -300,21 +299,26 @@ def oracle_from_split_tables(w_size: int, h_size: int, act, add, hmul, name: str
     """Assemble a semidirect product W x| H oracle from small tables.
 
     Element id = w*h_size + h; act[h][w] is the action of h on w; the group
-    law is (w1,h1)(w2,h2) = (act[h2][w1] + w2, h1*h2).
+    law is (w1,h1)(w2,h2) = (act[h2][w1] + w2, h1*h2).  Id 0 is the identity
+    of W and of H, and H acts by automorphisms of W.
     """
     n = w_size * h_size
-    flat = array("i", [0] * (n * n))
+    # row of (0, h1): (w2, h2) -> (w2, h1*h2)
+    h_rows = []
+    for hrow in hmul:
+        row = [0] * n
+        for h2, hh in enumerate(hrow):
+            row[h2::h_size] = range(hh, n, h_size)
+        h_rows.append(row)
+    flat = array("i")
     for w1 in range(w_size):
-        for h1 in range(h_size):
-            a = w1 * h_size + h1
-            base = a * n
-            hrow = hmul[h1]
-            for h2 in range(h_size):
-                aw_row = add[act[h2][w1]]
-                hh = hrow[h2]
-                off = base + h2
-                for w2 in range(w_size):
-                    flat[off + w2 * h_size] = aw_row[w2] * h_size + hh
+        # row of (w1, 0): (w2, h2) -> (act[h2][w1] + w2, h2)
+        w_row = [0] * n
+        for h2 in range(h_size):
+            w_row[h2::h_size] = [w * h_size + h2 for w in add[act[h2][w1]]]
+        # (w1, h1) = (0, h1)(w1, 0), so its row is the (0, h1) row after the (w1, 0) row
+        for h_row in h_rows:
+            flat.fromlist([h_row[x] for x in w_row])
     gens = tuple(w * h_size for w in w_gens) + tuple(h_gens)
     return OracleGroup(n, flat, name, gens)
 
@@ -356,9 +360,12 @@ def subgroup_closure(G: OracleGroup, gen_ids) -> Subgroup:
 
 
 def conjugate_mask(G: OracleGroup, mask: int, g: int) -> int:
+    images = G._cache.get(("conj", g))
+    if images is None:
+        images = G._cache[("conj", g)] = [G.conj(x, g) for x in range(G.n)]
     out = 0
     for x in mask_bits(mask):
-        out |= 1 << G.conj(x, g)
+        out |= 1 << images[x]
     return out
 
 
@@ -475,6 +482,11 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
             raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
         n = G.n
         mul = G._mul
+        # roots[p][x]: mask of the g with g^p = x
+        roots = {p: [0] * n for p in prime_factors(n)}
+        for p, masks in roots.items():
+            for g, x in enumerate(G.power_table(p)):
+                masks[x] |= 1 << g
         records: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((0,), ())}
         queue = [1]
         qi = 0
@@ -485,13 +497,14 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
             s_order = len(s_members)
             quotient = n // s_order
             for p in prime_factors(quotient):
-                pow_p = G.power_table(p)
-                local_cover = 0
-                for g in range(1, n):
-                    if (s_mask >> g) & 1 or (local_cover >> g) & 1:
-                        continue
-                    if not (s_mask >> pow_p[g]) & 1:
-                        continue
+                root_masks = roots[p]
+                candidates = 0
+                for s in s_members:
+                    candidates |= root_masks[s]
+                candidates &= ~s_mask
+                while candidates:
+                    g = (candidates & -candidates).bit_length() - 1
+                    candidates ^= 1 << g
                     if any(not (s_mask >> G.conj(s, g)) & 1 for s in s_gens):
                         continue
                     t_mask = s_mask
@@ -503,7 +516,7 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
                             t_mask |= 1 << y
                             new_members.append(y)
                         x = mul[x * n + g]
-                    local_cover |= t_mask
+                    candidates &= ~t_mask
                     if t_mask in records:
                         continue
                     records[t_mask] = (
@@ -511,9 +524,10 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
                         s_gens + (g,),
                     )
                     queue.append(t_mask)
+                    if len(records) > LATTICE_CAP:
+                        raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
         ordered = sorted(records, key=lambda m: (m.bit_count(), records[m][0]))
         G._cache["lattice"] = ordered
-        G._cache["lattice_gens"] = {m: records[m][1] for m in ordered}
     else:
         ordered = cached
     return [Subgroup(G, m) for m in ordered]
@@ -522,15 +536,13 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
 def maximal_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
     cached = G._cache.get("maximals")
     if cached is None:
-        subs = [s.mask for s in all_subgroups(G, cap)]
-        full = subs[-1]
-        maximals = []
-        for s in subs:
-            if s == full:
-                continue
-            if any(t != full and t != s and s & t == s for t in subs if t.bit_count() > s.bit_count()):
-                continue
-            maximals.append(s)
+        # a proper overgroup of s comes later in the lattice and lies in a
+        # maximal, so s is maximal iff no later maximal contains it
+        maximals: list[int] = []
+        for s in reversed([s.mask for s in all_subgroups(G, cap)][:-1]):
+            if not any(s & m == s for m in maximals):
+                maximals.append(s)
+        maximals.reverse()
         cached = maximals
         G._cache["maximals"] = cached
     return [Subgroup(G, m) for m in cached]
@@ -572,19 +584,16 @@ def mobius_all(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> MappingProxyType
     view of the memoized dict)."""
     cached = G._cache.get("mobius_all")
     if cached is None:
+        # mu(s) = -sum of mu(t) over the proper overgroups t of s, which come
+        # later in the lattice; the t with mu(t) = 0 add nothing
         subs = [s.mask for s in all_subgroups(G, cap)]
-        full = subs[-1]
-        by_desc = sorted(subs, key=lambda m: -m.bit_count())
-        mu: dict[int, int] = {}
-        for m in by_desc:
-            if m == full:
-                mu[m] = 1
-                continue
-            acc = 0
-            for t in by_desc:
-                if t.bit_count() > m.bit_count() and m & t == m:
-                    acc += mu[t]
-            mu[m] = -acc
+        mu: dict[int, int] = {subs[-1]: 1}
+        nonzero = [(subs[-1], 1)]
+        for s in reversed(subs[:-1]):
+            value = -sum(v for t, v in nonzero if s & t == s)
+            mu[s] = value
+            if value:
+                nonzero.append((s, value))
         G._cache["mobius_all"] = mu
         cached = mu
     return MappingProxyType(cached)
@@ -731,11 +740,16 @@ def counts(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> CountTable:
 
 
 def normal_core(G: OracleGroup, M: Subgroup) -> Subgroup:
-    """Intersection of all conjugates of M."""
-    core = (1 << G.n) - 1
-    for m in _orbit(G, M.mask):
-        core &= m
-    return Subgroup(G, core)
+    """Intersection of all conjugates of M (memoized for every conjugate,
+    as they share it)."""
+    cores = G._cache.setdefault("core_by_mask", {})
+    if M.mask not in cores:
+        orbit = _orbit(G, M.mask)
+        core = (1 << G.n) - 1
+        for m in orbit:
+            core &= m
+        cores.update(dict.fromkeys(orbit, core))
+    return Subgroup(G, cores[M.mask])
 
 
 def core_and_socle(M: Subgroup, G: OracleGroup) -> tuple[Subgroup, Subgroup]:
@@ -745,7 +759,8 @@ def core_and_socle(M: Subgroup, G: OracleGroup) -> tuple[Subgroup, Subgroup]:
     G/Y is primitive and solvable, so X/Y = F(G/Y).  The last nontrivial
     derived term of G/Y is abelian and normal, so it lies in F(G/Y) and
     contains X/Y: X is the last term before Y of D_0 = G, D_{i+1} =
-    [D_i, D_i] Y.  X is memoized per core (conjugate maximals share it)."""
+    [D_i, D_i] Y.  Y is memoized for the whole class of M and X per core
+    (conjugate maximals share both)."""
     if not is_solvable(G):
         raise UnsupportedGroup("core_and_socle requires a solvable group")
     y = normal_core(G, M)

@@ -163,17 +163,16 @@ class TowerGroup:
         if cached is not None:
             return cached
         gr._check_embedding_order(self.order, cap)
-        w_vectors = [self.w_of_id(i) for i in range(self.w_size)]
-        act = [
-            [self.w_id(self.act_w(w, e)) for w in w_vectors] for e in range(self.h_order)
-        ]
-        add = [
-            [
-                self.w_id(tuple((x + y) % p for x, y, p in zip(w1, w2, self.primes.primes)))
-                for w2 in w_vectors
-            ]
-            for w1 in w_vectors
-        ]
+        # one mixed-radix digit at a time: append digit m to the ids of
+        # levels 1..m-1
+        act = [[0] for _ in range(self.h_order)]
+        add = [[0]]
+        for p, zeta_pow in zip(self.primes.primes, self.zeta_pows):
+            act = [[x * p + (a * zeta_pow[e]) % p for x in row for a in range(p)]
+                   for e, row in enumerate(act)]
+            digit_add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            add = [[x * p + d for x in row for d in digit_row]
+                   for row in add for digit_row in digit_add]
         hmul = [[(a + b) % self.h_order for b in range(self.h_order)] for a in range(self.h_order)]
         unit_ids = []
         for m in range(self.n):

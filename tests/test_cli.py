@@ -30,6 +30,10 @@ def spec_dir(tmp_path):
         json.dumps({"kind": "sdp", "p": 5, "k": 2, "t": 1, "h_gens": [[[2, 0], [0, 2]]]})
     )
     (tmp_path / "bigtower.json").write_text(json.dumps({"kind": "tower", "n": 4}))
+    # C2^7: order 128, but 29,212 subgroups
+    (tmp_path / "c2^7.json").write_text(
+        json.dumps({"kind": "sdp", "p": 2, "k": 1, "t": 7, "h_gens": []})
+    )
     # |G| = 5 * (10^21 + 117) * 4; finding a root of unity of order 4 mod the
     # large prime by search would not end
     (tmp_path / "huge-prime-tower.json").write_text(
@@ -133,7 +137,7 @@ def test_validation_error_exit_2(spec_dir, capsys):
 
 
 def test_cap_error_exit_3(spec_dir, capsys):
-    for name in ("bigtower.json", "c29-on-f2^28.json", "huge-prime-tower.json"):
+    for name in ("bigtower.json", "c29-on-f2^28.json", "huge-prime-tower.json", "c2^7.json"):
         start = time.monotonic()
         code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / name),
                               "--cap-order", "1000")

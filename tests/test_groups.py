@@ -1,6 +1,8 @@
+from array import array
+
 import pytest
 
-from solvint import corpus, sdp
+from solvint import corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 
@@ -73,6 +75,13 @@ def test_all_subgroups_s3():
 def test_all_subgroups_cap():
     with pytest.raises(ResourceCapExceeded):
         gr.all_subgroups(gr.cyclic(50), cap=10)
+    # C2^6 has 2,825 subgroups, C2^7 has 29,212 > LATTICE_CAP
+    c2_6 = gr.cyclic(2)
+    for _ in range(5):
+        c2_6 = gr.direct_product(c2_6, gr.cyclic(2))
+    assert len(gr.all_subgroups(c2_6)) == 2825
+    with pytest.raises(ResourceCapExceeded, match="subgroup lattice size"):
+        gr.all_subgroups(gr.direct_product(c2_6, gr.cyclic(2)))
 
 
 def test_all_subgroups_requires_solvable():
@@ -272,3 +281,154 @@ def test_overgroups_of_trivial_is_whole_lattice():
     fresh = gr.OracleGroup(g.n, g._mul, g.name, g.gens)
     over = gr.overgroups(fresh, gr.Subgroup(fresh, 1))
     assert len(over) == 6
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the cell-by-cell split tables, the inverse scan,
+# the g = 1..n-1 lattice scan and the O(L^2) maximals and Moebius values that
+# the table-driven code replaced
+
+
+def reference_split_table(w_size, h_size, act, add, hmul):
+    n = w_size * h_size
+    flat = array("i", [0] * (n * n))
+    for w1 in range(w_size):
+        for h1 in range(h_size):
+            base = (w1 * h_size + h1) * n
+            hrow = hmul[h1]
+            for h2 in range(h_size):
+                aw_row = add[act[h2][w1]]
+                hh = hrow[h2]
+                off = base + h2
+                for w2 in range(w_size):
+                    flat[off + w2 * h_size] = aw_row[w2] * h_size + hh
+    return flat
+
+
+def reference_inverses(mul, n):
+    inv = array("i", [0] * n)
+    for a in range(n):
+        inv[a] = next(b for b in range(n) if mul[a * n + b] == 0)
+    return inv
+
+
+def reference_tower_tables(T):
+    """act, add and hmul of T from the element tuples, one w_id per entry."""
+    w_vectors = [T.w_of_id(i) for i in range(T.w_size)]
+    act = [[T.w_id(T.act_w(w, e)) for w in w_vectors] for e in range(T.h_order)]
+    add = [[T.w_id(tuple((x + y) % p for x, y, p in zip(w1, w2, T.primes.primes)))
+            for w2 in w_vectors] for w1 in w_vectors]
+    hmul = [[(a + b) % T.h_order for b in range(T.h_order)] for a in range(T.h_order)]
+    return act, add, hmul
+
+
+def reference_lattice(G):
+    n = G.n
+    mul = G._mul
+    records = {1: ((0,), ())}
+    queue = [1]
+    qi = 0
+    while qi < len(queue):
+        s_mask = queue[qi]
+        qi += 1
+        s_members, s_gens = records[s_mask]
+        for p in ffla.prime_factors(n // len(s_members)):
+            pow_p = G.power_table(p)
+            local_cover = 0
+            for g in range(1, n):
+                if (s_mask >> g) & 1 or (local_cover >> g) & 1:
+                    continue
+                if not (s_mask >> pow_p[g]) & 1:
+                    continue
+                if any(not (s_mask >> G.conj(s, g)) & 1 for s in s_gens):
+                    continue
+                t_mask = s_mask
+                new_members = []
+                x = g
+                for _ in range(1, p):
+                    for s in s_members:
+                        y = mul[s * n + x]
+                        t_mask |= 1 << y
+                        new_members.append(y)
+                    x = mul[x * n + g]
+                local_cover |= t_mask
+                if t_mask in records:
+                    continue
+                records[t_mask] = (tuple(sorted(s_members + tuple(new_members))), s_gens + (g,))
+                queue.append(t_mask)
+    return sorted(records, key=lambda m: (m.bit_count(), records[m][0]))
+
+
+def reference_maximals(subs):
+    """The proper subgroups whose only overgroups are themselves and G."""
+    full = max(subs, key=int.bit_count)
+    return [s for s in subs if s != full and len([t for t in subs if s & t == s]) == 2]
+
+
+def reference_mobius(subs):
+    """mu(G) = 1 and mu(s) = -(sum of mu(t) over the t > s), largest first."""
+    mu = {}
+    for s in sorted(subs, key=lambda m: -m.bit_count()):
+        over = [mu[t] for t in mu if s & t == s]
+        mu[s] = -sum(over) if over else 1
+    return mu
+
+
+def reference_towers(tower2, tower3):
+    """Tower levels n = 1, 2, 3 from find_primes and the order-884 and
+    order-364 levels (13, 17) and (7, 13)."""
+    towers = [tower.TowerGroup(tower.find_primes(1)), tower2, tower3]
+    towers += [tower.TowerGroup(tower.TowerPrimes(2, primes, False)) for primes in ((13, 17), (7, 13))]
+    return towers
+
+
+def small_pool_oracles(sdp_pool):
+    return [sdp.embed_as_oracle(g)[0] for g in sdp_pool if g.order <= 500]
+
+
+def test_split_tables_match_cell_by_cell_reference(monkeypatch, sdp_pool, tower2, tower3):
+    for T in reference_towers(tower2, tower3):
+        g = T.embed_as_oracle()
+        assert g._mul == reference_split_table(T.w_size, T.h_order, *reference_tower_tables(T)), T.name
+        assert g._inv == reference_inverses(g._mul, g.n), T.name
+    calls = []
+    build = gr.oracle_from_split_tables
+
+    def recording(w_size, h_size, act, add, hmul, *args, **kwargs):
+        g = build(w_size, h_size, act, add, hmul, *args, **kwargs)
+        calls.append((reference_split_table(w_size, h_size, act, add, hmul), g))
+        return g
+
+    monkeypatch.setattr(gr, "oracle_from_split_tables", recording)
+    assert len(small_pool_oracles(sdp_pool)) == len(calls) > 0
+    for flat, g in calls:
+        assert g._mul == flat, g.name
+        assert g._inv == reference_inverses(g._mul, g.n), g.name
+
+
+def test_from_mul_table_finds_inverses_and_rejects_a_row_without_identity():
+    g = gr.from_mul_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert list(g._inv) == [0, 2, 1]
+    with pytest.raises(MalformedInput, match="element 1 has no inverse"):
+        gr.OracleGroup(2, array("i", [0, 1, 1, 1]), "no-inverse", ())
+
+
+def test_lattice_and_its_maximals_and_mobius_match_references(corpus_list, sdp_pool, tower2, tower3):
+    oracles = [T.embed_as_oracle() for T in reference_towers(tower2, tower3)]
+    oracles += small_pool_oracles(sdp_pool) + list(corpus_list)
+    for g in oracles:
+        try:
+            subs = [s.mask for s in gr.all_subgroups(g)]
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            continue
+        assert subs == reference_lattice(g), g.name
+        maximals = [m.mask for m in gr.maximal_subgroups(g)]
+        assert maximals == reference_maximals(subs), g.name
+        assert dict(gr.mobius_all(g)) == reference_mobius(subs), g.name
+        for m in maximals:
+            for x in g.gens:
+                image = 0
+                for y in gr.mask_bits(m):
+                    image |= 1 << g.conj(y, x)
+                assert gr.conjugate_mask(g, m, x) == image, g.name
