@@ -179,10 +179,16 @@ def cmd_analyze(doc: dict, cap: int, seed: int) -> Report:
     return report
 
 
+def _fresh(groups: list[sdp.SdGroup]) -> list[sdp.SdGroup]:
+    """New groups over the set-up modules of the corpus, so that the memos
+    of one request start cold and end with it."""
+    return [sdp.SdGroup(g.module, g.t, g.name) for g in groups]
+
+
 def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
     report = Report(f"verify:{suite}", _digest(doc) if doc else "corpus", seed)
     if suite == "interKM":
-        pool = corpus.sdp_pool(2000)
+        pool = _fresh(corpus.sdp_pool(2000))
         pairs, fams, failures = sdp.random_case_suite(pool, 1000, 1000, seed)
         report.add("interKM", "pairs", "cases", pairs, "oracle")
         report.add("interKM", "families", "cases", fams, "oracle")
@@ -198,7 +204,7 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
                 raise SchemaError("the due suite needs an sdp spec (Gamma = V x| H)")
             targets = [sdp.sdgroup_from_spec(doc)]
         else:
-            targets = corpus.primitive_groups()
+            targets = _fresh(corpus.primitive_groups())
         for sd_group in targets:
             rep = props.verify_eta_to_gamma(sd_group)
             report.add("due", sd_group.name, "gamma_v", rep.gamma_v, "oracle")

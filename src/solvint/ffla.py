@@ -315,9 +315,11 @@ class FpSubspace:
         n = self.ambient_dim
         stacked = [tuple(row) + tuple(row) for row in self.basis]
         stacked += [tuple(row) + (0,) * n for row in other.basis]
-        red, _ = _rref(stacked, self.p, 2 * n)
-        inter = [row[n:] for row in red if not any(row[:n])]
-        return FpSubspace.from_vectors(self.p, n, inter)
+        red, pivots = _rref(stacked, self.p, 2 * n)
+        # the rows pivoting in the right half come last and are already in
+        # reduced echelon form there
+        inter = tuple(row[n:] for row, c in zip(red, pivots) if c >= n)
+        return FpSubspace(self.p, n, inter, tuple(c - n for c in pivots if c >= n))
 
     def complement_in(self, ambient: "FpSubspace") -> "FpSubspace":
         """Deterministic direct complement inside `ambient` (greedy extension

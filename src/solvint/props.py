@@ -213,6 +213,7 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
         suffix[i] = suffix[i + 1] & above[i]
     best_prod = None
     best_family: tuple[int, ...] = ()
+    h_order = H.order
 
     def dfs(i: int, mask: int, prod: int, chosen: tuple[int, ...]):
         nonlocal best_prod, best_family
@@ -223,7 +224,10 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
             return
         if i == len(above):
             return
-        if best_prod is not None and prod * idx[i] >= best_prod:
+        # lower bounds on the final product: one more index, at least
+        # idx[i]; and |K:H| for K = mask, since |K:K cap M| <= |G:M|
+        if best_prod is not None and (prod * idx[i] >= best_prod
+                                      or prod * (mask.bit_count() // h_order) >= best_prod):
             return
         if mask & suffix[i] != H.mask:
             return

@@ -36,7 +36,6 @@ from .ffla import (
     mat_inv,
     mat_mod,
     mat_mul,
-    nullspace,
     vec_add,
     vec_mat,
     vec_neg,
@@ -217,12 +216,43 @@ class SdGroup:
 
     # -- arithmetic on group elements ((w, h_idx) pairs)
 
+    def _memo(self, table: str, key, compute, *args):
+        """compute(*args), memoised under `key` in table `table` of
+        `_cache`.  The memos live as long as the group, and the CLI builds
+        its groups afresh for every request."""
+        memo = self._cache.setdefault(table, {})
+        try:
+            return memo[key]
+        except KeyError:
+            out = memo[key] = compute(*args)
+            return out
+
     def act_w(self, w: Vector, h_idx: int) -> Vector:
-        k, p = self.k, self.p
-        m = self.module.elements[h_idx]
+        # the image under h of each k-block of V met so far, by block
+        images = self._memo("act", h_idx, dict)
+        k = self.k
+        out = ()
+        for b in range(0, self.wdim, k):
+            block = w[b:b + k]
+            image = images.get(block)
+            if image is None:
+                image = images[block] = vec_mat(block, self.module.elements[h_idx], self.p)
+            out += image
+        return out
+
+    def _fixers(self, vectors, h_indices) -> tuple[int, ...]:
+        """The x in h_indices, in their order, fixing every given vector of V."""
         out = []
-        for b in range(self.t):
-            out.extend(vec_mat(w[b * k:(b + 1) * k], m, p))
+        for x in h_indices:
+            images = self._memo("act", x, dict)
+            for v in vectors:
+                image = images.get(v)
+                if image is None:
+                    image = images[v] = vec_mat(v, self.module.elements[x], self.p)
+                if image != v:
+                    break
+            else:
+                out.append(x)
         return tuple(out)
 
     def mul(self, a, b):
@@ -239,57 +269,41 @@ class SdGroup:
         return (0,) * self.wdim
 
     def full_w_space(self) -> FpSubspace:
-        return FpSubspace.full(self.p, self.wdim)
+        return self._memo("full", None, FpSubspace.full, self.p, self.wdim)
 
     # -- submodules of V^t via F-subspaces of F^t
 
     def submodule_from_fvectors(self, frows) -> FpSubspace:
         """H-submodule of V^t spanned by the images of V under the maps
         x -> (x*s_1, ..., x*s_t), s running over the given F^t rows."""
-        fops = self.module.fops
-        p, k, t = self.p, self.k, self.t
-        vectors = []
-        for s in frows:
-            mats = [fops.elements[idx] for idx in s]
-            for j in range(k):
-                e = tuple(1 if i == j else 0 for i in range(k))
-                w: list[int] = []
-                for i in range(t):
-                    w.extend(vec_mat(e, mats[i], p))
-                vectors.append(tuple(w))
-        return FpSubspace.from_vectors(p, self.wdim, vectors)
+        return self._memo("fspan", tuple(frows), self._span_fvectors, frows)
+
+    def _span_fvectors(self, frows) -> FpSubspace:
+        # e_j * s_i is row j of the matrix of s_i
+        elements = self.module.fops.elements
+        vectors = [tuple(x for idx in s for x in elements[idx][j])
+                   for s in frows for j in range(self.k)]
+        return FpSubspace.from_vectors(self.p, self.wdim, vectors)
 
     def fvectors_of_submodule(self, W: FpSubspace):
         """F-RREF basis of the F-subspace of F^t corresponding to W; raises
         if W is not an H-submodule of V^t.  Results are cached per W."""
-        fvec_cache = self._cache.setdefault("fvec", {})
-        cached = fvec_cache.get(W)
-        if cached is not None:
-            return cached
+        return self._memo("fvec", W, self._fvectors_of, W)
+
+    def _fvectors_of(self, W: FpSubspace):
         fops = self.module.fops
-        q, t, k, p = fops.q, self.t, self.k, self.p
+        q, t, k = fops.q, self.t, self.k
         if q**t > FVECTOR_ENUM_CAP:
             raise ResourceCapExceeded("F^t vector enumeration", FVECTOR_ENUM_CAP)
         from itertools import product as iter_product
 
-        members = []
-        for s in iter_product(range(q), repeat=t):
-            mats = [fops.elements[idx] for idx in s]
-            ok = True
-            for j in range(k):
-                e = tuple(1 if i == j else 0 for i in range(k))
-                w: list[int] = []
-                for i in range(t):
-                    w.extend(vec_mat(e, mats[i], p))
-                if not W.contains(tuple(w)):
-                    ok = False
-                    break
-            if ok:
-                members.append(s)
+        elements = fops.elements
+        members = [s for s in iter_product(range(q), repeat=t)
+                   if all(W.contains(tuple(x for idx in s for x in elements[idx][j]))
+                          for j in range(k))]
         rows, _ = fops.f_rref(members, t)
         if self.submodule_from_fvectors(rows) != W:
             raise RealizationError("subspace is not an H-submodule of V^t")
-        fvec_cache[W] = rows
         return rows
 
     def maximal_submodules(self) -> list[FpSubspace]:
@@ -306,28 +320,18 @@ class SdGroup:
         return list(cached)
 
     def fixed_space_over(self, W: FpSubspace) -> FpSubspace:
-        """{v in V^t : v^h - v in W for every h}; contains W, and equals W
-        whenever H acts nontrivially (faithful irreducible, |H| > 1)."""
-        cache = self._cache.setdefault("fixed_over", {})
-        cached = cache.get(W)
-        if cached is not None:
-            return cached
-        p, n = self.p, self.wdim
-        if n == 0 or not self.module.gen_indices:
-            result = self.full_w_space()
-        else:
-            eq_rows = []
-            for g in self.module.gen_indices:
-                reds = []
-                for i in range(n):
-                    e = tuple(1 if c == i else 0 for c in range(n))
-                    reds.append(W.reduce(vec_sub(self.act_w(e, g), e, p)))
-                for j in range(n):
-                    eq_rows.append(tuple(reds[i][j] for i in range(n)))
-            kernel = nullspace(eq_rows, p, n)
-            result = FpSubspace.from_vectors(p, n, list(W.basis) + kernel)
-        cache[W] = result
-        return result
+        """{v in V^t : v^h - v in W for every h}, for an H-submodule W: it is
+        W when |H| > 1, and V^t when H = 1 or t = 0.
+
+        Proof for |H| > 1.  The set is the preimage of the fixed points of H
+        on V^t/W.  V^t is a direct sum of copies of the irreducible V, so it
+        is semisimple and V^t/W is isomorphic to V^s for some s; its fixed
+        points are (V^H)^s.  V^H is a submodule of V, and not all of V since
+        H is faithful and nontrivial, so V^H = 0 and the preimage is W.
+        """
+        if self.wdim == 0 or self.module.order == 1:
+            return self.full_w_space()
+        return W
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +375,8 @@ def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
     seen = set()
     p = G.p
     for W in G.maximal_submodules():
+        if G.wdim and (G.order // (W.size() * G.module.order)) != p ** G.k:
+            raise AssertionError("maximal supplement index is not |V|")
         fixed = G.fixed_space_over(W)
         free_positions = [c for c in range(G.wdim) if c not in W.pivots]
         for fill in iter_product(range(p), repeat=len(free_positions)):
@@ -381,10 +387,7 @@ def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
             key = (W, canon)
             if key not in seen:
                 seen.add(key)
-                m = MaximalSupplement(W, canon)
-                if G.wdim and (G.order // (W.size() * G.module.order)) != p ** G.k:
-                    raise AssertionError("maximal supplement index is not |V|")
-                out.append(m)
+                out.append(MaximalSupplement(W, canon))
     return out
 
 
@@ -448,7 +451,7 @@ def canonical_elements(G: SdGroup, ci: CanonicalIntersection) -> int:
 
 
 def centralizer_in_h(G: SdGroup, z_space: FpSubspace) -> tuple[int, ...]:
-    return G.module.centralizer_of(z_space.basis)
+    return G._memo("centralizer", z_space, G._fixers, z_space.basis, range(G.module.order))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +463,7 @@ def intersect_case_spanning(G: SdGroup, K: PartialIntersection,
     """K cap M when K's submodule and M's submodule together span V^t:
     the submodules intersect and the translate shifts inside K's submodule."""
     W1, W2 = K.submodule, M.submodule
-    if W1.sum_with(W2).dim != G.wdim:
+    if G._memo("sum", (W1, W2), W1.sum_with, W2).dim != G.wdim:
         raise CaseDispatchError("submodules do not span V^t; use the nested case")
     d = vec_sub(K.translate, M.translate, G.p)
     dec = W2.decompose(d, W1)
@@ -468,7 +471,7 @@ def intersect_case_spanning(G: SdGroup, K: PartialIntersection,
         raise CaseDispatchError("translate difference not decomposable")
     _, b = dec  # d = w2 + b with b in W1; the shift is -b
     w1 = vec_neg(b, G.p)
-    new_sub = W1.intersect(W2)
+    new_sub = G._memo("meet", (W1, W2), W1.intersect, W2)
     new_v = new_sub.reduce(vec_add(K.translate, w1, G.p))
     return PartialIntersection(new_sub, K.h_indices, new_v)
 
@@ -481,25 +484,29 @@ def intersect_case_nested(G: SdGroup, K: PartialIntersection, M: MaximalSuppleme
     representative in V of the image of u, or None when K is unchanged.
     """
     W1, W2 = K.submodule, M.submodule
-    if not W1.is_subspace_of(W2):
+    if not G._memo("le", (W1, W2), W1.is_subspace_of, W2):
         raise CaseDispatchError("K's submodule is not inside M's; use the spanning case")
-    fops = G.module.fops
-    s2 = G.fvectors_of_submodule(W2)
-    comp = fops.f_complement(s2, G.t)
-    if len(comp) != 1:
-        raise CaseDispatchError("M's submodule is not maximal")
-    line = comp[0]
-    u_sub = G.submodule_from_fvectors([line])
+    line, u_sub = G._memo("line", W2, _complement_line, G, W2)
     d = vec_sub(M.translate, K.translate, G.p)
     dec = W2.decompose(d, u_sub)
     if dec is None:
         raise AssertionError("V^t is not W2 + U (internal complement bug)")
     _, u = dec
     z = _invert_line_embedding(G, line, u)
-    cen = tuple(x for x in K.h_indices if G.module.act(z, x) == z)
+    cen = G._fixers((z,), K.h_indices)
     if len(cen) == len(K.h_indices):
         return K, None
-    return PartialIntersection(W1, cen, K.translate), fops.canonical_line_rep(z)
+    return PartialIntersection(W1, cen, K.translate), G._memo(
+        "line_rep", z, G.module.fops.canonical_line_rep, z)
+
+
+def _complement_line(G: SdGroup, W2: FpSubspace):
+    """The F-line spanning the standard complement of a maximal submodule
+    W2 over F, and the submodule U of V^t it gives (V^t = W2 + U)."""
+    comp = G.module.fops.f_complement(G.fvectors_of_submodule(W2), G.t)
+    if len(comp) != 1:
+        raise CaseDispatchError("M's submodule is not maximal")
+    return comp[0], G.submodule_from_fvectors(comp)
 
 
 def _invert_line_embedding(G: SdGroup, line, u: Vector) -> Vector:
@@ -514,8 +521,9 @@ def _invert_line_embedding(G: SdGroup, line, u: Vector) -> Vector:
 
 def intersect_supplement(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
     """Dispatch on the (always exclusive, always exhaustive) case split."""
-    spanning = K.submodule.sum_with(M.submodule).dim == G.wdim
-    nested = K.submodule.is_subspace_of(M.submodule)
+    W1, W2 = K.submodule, M.submodule
+    spanning = G._memo("sum", (W1, W2), W1.sum_with, W2).dim == G.wdim
+    nested = G._memo("le", (W1, W2), W1.is_subspace_of, W2)
     if spanning == nested:
         raise AssertionError("case dispatch totality violated (M not maximal?)")
     if spanning:
@@ -540,7 +548,8 @@ def canonicalize_intersection(G: SdGroup, supplements) -> CanonicalIntersection:
     while progress:
         progress = False
         for i, m in enumerate(pending):
-            if not cur.submodule.is_subspace_of(m.submodule):
+            W1, W2 = cur.submodule, m.submodule
+            if not G._memo("le", (W1, W2), W1.is_subspace_of, W2):
                 cur = intersect_case_spanning(G, cur, m)
                 pending.pop(i)
                 progress = True
@@ -832,7 +841,8 @@ def random_submodule(G: SdGroup, rng) -> FpSubspace:
 def random_partial(G: SdGroup, rng) -> PartialIntersection:
     w = random_submodule(G, rng)
     seeds = [rng.randrange(G.module.order) for _ in range(rng.randrange(1, 3))]
-    x_set = gr._closure_of_objects(seeds, G.module.mul_idx, 0)
+    x_set = gr._closure_of_objects(
+        seeds, lambda a, b: G._memo("hmul", (a, b), G.module.mul_idx, a, b), 0)
     v = tuple(rng.randrange(G.p) for _ in range(G.wdim))
     return PartialIntersection(w, tuple(sorted(x_set)), v)
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvint import cli
+from solvint import cli, corpus
+from solvint import groups as gr
 
 
 @pytest.fixture()
@@ -43,6 +44,14 @@ def spec_dir(tmp_path):
     companion = [[int(j == i + 1) for j in range(28)] for i in range(27)] + [[1] * 28]
     (tmp_path / "c29-on-f2^28.json").write_text(
         json.dumps({"kind": "sdp", "p": 2, "k": 28, "t": 1, "h_gens": [companion]})
+    )
+    # C2^6 (2,825 subgroups, each a maximal intersection) and 3^4:C2: analyze
+    # runs an eta search for each of their many maximal-intersection classes
+    (tmp_path / "c2^6.json").write_text(
+        json.dumps({"kind": "sdp", "p": 2, "k": 1, "t": 6, "h_gens": []})
+    )
+    (tmp_path / "3^4-c2.json").write_text(
+        json.dumps({"kind": "sdp", "p": 3, "k": 1, "t": 4, "h_gens": [[[2]]]})
     )
     # p = 2^61 - 1 is prime; trial division would take about 1.5 * 10^9 steps
     (tmp_path / "mersenne61.json").write_text(
@@ -146,6 +155,17 @@ def test_cap_error_exit_3(spec_dir, capsys):
         assert time.monotonic() - start < 5, name
 
 
+def test_analyze_eta_search_ends_in_bounded_time(spec_dir, capsys):
+    # the |K:H| bound prunes the eta search; without it these take 6-10 s
+    for name in ("c2^6.json", "3^4-c2.json"):
+        start = time.monotonic()
+        code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / name),
+                             "--cap-order", "200")
+        assert code == 0, (name, err)
+        assert "eta_min" in out
+        assert time.monotonic() - start < 5, name
+
+
 def test_huge_prime_spec_is_refused_quickly(spec_dir, capsys):
     start = time.monotonic()
     code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / "mersenne61.json"))
@@ -217,6 +237,22 @@ def test_verify_interkm_deterministic(capsys):
     code3, out3, _ = run(capsys, "verify", "--suite", "interKM", "--seed", "100")
     assert code3 == 0
     assert "seed,100" in out3
+
+
+def test_interkm_requests_are_cold(monkeypatch):
+    # an interKM request works on fresh groups over the pool's modules, so
+    # it leaves no memo behind in the pool groups for the next request; a
+    # pool of its own keeps earlier tests from having filled them already
+    monkeypatch.setattr(corpus, "_template_cache", {})
+    pool = corpus.sdp_pool(2000)
+
+    def cache_sizes():
+        return [{key: len(value) for key, value in g._cache.items()} for g in pool]
+
+    before = cache_sizes()
+    report = cli.cmd_verify(None, "interKM", gr.DEFAULT_ORDER_CAP, 5)
+    assert report.failures == 0
+    assert cache_sizes() == before
 
 
 def test_counts_range(capsys):

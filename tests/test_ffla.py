@@ -75,6 +75,18 @@ def test_subspace_sum_intersect_dimension_law():
         assert inter.is_subspace_of(a) and inter.is_subspace_of(b)
 
 
+def test_intersect_is_the_canonical_rref_of_the_common_vectors():
+    rng = random.Random(29)
+    for _ in range(500):
+        p = rng.choice(PRIMES)
+        n = rng.randrange(1, 6)
+        a = ffla.rref(random_vectors(rng, p, n, rng.randrange(n + 1)), p, n)
+        b = ffla.rref(random_vectors(rng, p, n, rng.randrange(n + 1)), p, n)
+        inter = a.intersect(b)
+        assert inter == ffla.rref(inter.basis, p, n)
+        assert set(inter.vectors()) == set(a.vectors()) & set(b.vectors())
+
+
 def test_modular_law():
     rng = random.Random(31)
     for _ in range(1000):

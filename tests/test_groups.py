@@ -324,7 +324,7 @@ def reference_tower_tables(T):
 
 def reference_lattice(G):
     n = G.n
-    mul = G._mul
+    mul, inv = G._mul, G._inv
     records = {1: ((0,), ())}
     queue = [1]
     qi = 0
@@ -340,7 +340,8 @@ def reference_lattice(G):
                     continue
                 if not (s_mask >> pow_p[g]) & 1:
                     continue
-                if any(not (s_mask >> G.conj(s, g)) & 1 for s in s_gens):
+                gi = inv[g] * n
+                if any(not (s_mask >> mul[mul[gi + s] * n + g]) & 1 for s in s_gens):
                     continue
                 t_mask = s_mask
                 new_members = []
@@ -359,18 +360,41 @@ def reference_lattice(G):
     return sorted(records, key=lambda m: (m.bit_count(), records[m][0]))
 
 
+def reference_overgroups(subs):
+    """For each subgroup, the bitset over positions in `subs` of the
+    subgroups containing it: the AND, over its elements x, of the bitset
+    of the subgroups holding x."""
+    holding: dict[int, int] = {}
+    for j, t in enumerate(subs):
+        for x in gr.mask_bits(t):
+            holding[x] = holding.get(x, 0) | 1 << j
+    over = []
+    for s in subs:
+        acc = -1
+        for x in gr.mask_bits(s):
+            acc &= holding[x]
+        over.append(acc)
+    return over
+
+
 def reference_maximals(subs):
     """The proper subgroups whose only overgroups are themselves and G."""
     full = max(subs, key=int.bit_count)
-    return [s for s in subs if s != full and len([t for t in subs if s & t == s]) == 2]
+    return [s for s, o in zip(subs, reference_overgroups(subs))
+            if s != full and o.bit_count() == 2]
 
 
 def reference_mobius(subs):
-    """mu(G) = 1 and mu(s) = -(sum of mu(t) over the t > s), largest first."""
+    """mu(G) = 1 and mu(s) = -(sum of mu(t) over the t > s), largest first;
+    the sum counts, per value v, the overgroups in the bitset of value v."""
+    over = reference_overgroups(subs)
+    by_value: dict[int, int] = {}
     mu = {}
-    for s in sorted(subs, key=lambda m: -m.bit_count()):
-        over = [mu[t] for t in mu if s & t == s]
-        mu[s] = -sum(over) if over else 1
+    for j in sorted(range(len(subs)), key=lambda j: -subs[j].bit_count()):
+        above = over[j] & ~(1 << j)
+        value = -sum(v * (above & b).bit_count() for v, b in by_value.items()) if above else 1
+        mu[subs[j]] = value
+        by_value[value] = by_value.get(value, 0) | 1 << j
     return mu
 
 

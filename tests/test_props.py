@@ -111,6 +111,45 @@ def test_eta_family_is_realizing(corpus_list):
             assert mask == h.mask and prod == rec.product, g.name
 
 
+def reference_eta_search(G, H):
+    """(best product, family) of the branch and bound without the |K:H|
+    bound: the same maximals, order and index bound as eta_of_intersection."""
+    full = (1 << G.n) - 1
+    above = [m.mask for m in gr.maximal_subgroups(G) if m.mask & H.mask == H.mask]
+    above.sort(key=lambda m: (G.n // m.bit_count(), m))
+    idx = [G.n // m.bit_count() for m in above]
+    suffix = [full] * (len(above) + 1)
+    for i in range(len(above) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] & above[i]
+    best = [None, ()]
+
+    def dfs(i, mask, prod, chosen):
+        if mask == H.mask:
+            if best[0] is None or prod < best[0]:
+                best[:] = [prod, chosen]
+            return
+        if i == len(above) or (best[0] is not None and prod * idx[i] >= best[0]):
+            return
+        if mask & suffix[i] != H.mask:
+            return
+        if mask & above[i] != mask:
+            dfs(i + 1, mask & above[i], prod * idx[i], chosen + (above[i],))
+        dfs(i + 1, mask, prod, chosen)
+
+    dfs(0, full, 1, ())
+    return tuple(best)
+
+
+def test_eta_bound_keeps_the_first_optimal_family(corpus_list):
+    checked = 0
+    for g in corpus_list:
+        for H in props.maximal_intersection_classes(g):
+            rec = props.eta_of_intersection(g, H)
+            assert (rec.product, rec.family) == reference_eta_search(g, H), g.name
+            checked += 1
+    assert checked > 100
+
+
 def test_has_eta_property():
     g = corpus.corpus_group("F20")
     assert props.has_eta_property(g, Fraction(2))

@@ -357,6 +357,37 @@ def test_crown_module_check_corpus(corpus_list):
             assert sdp.crown_module_check(g, sdp.crown(g, cls)), g.name
 
 
+def reference_fixed_space_over(G, W):
+    """{v : v^h - v in W for every generator h} as W plus the nullspace of
+    the n^2 linear equations, one per (generator, coordinate of V^t/W)."""
+    p, n = G.p, G.wdim
+    if n == 0 or not G.module.gen_indices:
+        return FpSubspace.full(p, n)
+    eq_rows = []
+    for g in G.module.gen_indices:
+        reds = []
+        for i in range(n):
+            e = tuple(1 if c == i else 0 for c in range(n))
+            reds.append(W.reduce(vec_sub(G.act_w(e, g), e, p)))
+        for j in range(n):
+            eq_rows.append(tuple(reds[i][j] for i in range(n)))
+    kernel = ffla.nullspace(eq_rows, p, n)
+    return FpSubspace.from_vectors(p, n, list(W.basis) + kernel)
+
+
+def test_fixed_space_closed_form_matches_reference(sdp_pool):
+    groups = list(sdp_pool) + corpus.primitive_groups()
+    groups += [sdp.SdGroup.create(3, 1, 2, []), sdp.SdGroup(g_f5_c4(1).module, 0)]
+    checked = 0
+    for g in groups:
+        for W in g.maximal_submodules() if g.t else []:
+            assert g.fixed_space_over(W) == reference_fixed_space_over(g, W), g.name
+            checked += 1
+        zero = FpSubspace.zero(g.p, g.wdim)
+        assert g.fixed_space_over(zero) == reference_fixed_space_over(g, zero), g.name
+    assert checked > 1000
+
+
 def test_random_case_suite_seeded(sdp_pool):
     pairs, fams, failures = sdp.random_case_suite(sdp_pool, 120, 120, seed=7)
     assert (pairs, fams) == (120, 120)
