@@ -185,6 +185,11 @@ def _fresh(groups: list[sdp.SdGroup]) -> list[sdp.SdGroup]:
     return [sdp.SdGroup(g.module, g.t, g.name) for g in groups]
 
 
+def _fresh_oracles(groups: list[gr.OracleGroup]) -> list[gr.OracleGroup]:
+    """New oracles over the tables of the corpus groups, with empty memos."""
+    return [gr.OracleGroup(g.n, g._mul, g.name, g.gens, g._inv) for g in groups]
+
+
 def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
     report = Report(f"verify:{suite}", _digest(doc) if doc else "corpus", seed)
     if suite == "interKM":
@@ -194,7 +199,7 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
         report.add("interKM", "families", "cases", fams, "oracle")
         report.check("interKM", "closed-form equals elementwise", not failures)
     elif suite == "thuno":
-        targets = [build_oracle(doc, cap)] if doc else corpus.corpus_groups()
+        targets = [build_oracle(doc, cap)] if doc else _fresh_oracles(corpus.corpus_groups())
         for g in targets:
             rows = props.verify_gamma_to_eta(g)
             report.check("thuno", g.name, all(r.ok for r in rows))
@@ -213,7 +218,7 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
                        "yes" if rep.constant_sensitive else "no", "oracle")
             report.check("due", sd_group.name, rep.gamma_ok and rep.palfy_wolf_ok)
     elif suite == "propo":
-        targets = [build_oracle(doc, cap)] if doc else corpus.corpus_groups()
+        targets = [build_oracle(doc, cap)] if doc else _fresh_oracles(corpus.corpus_groups())
         for g in targets:
             rep = props.check_subgroup_count_bound(g)
             report.add("propo", g.name, "eta", _fr(rep.eta), "oracle")

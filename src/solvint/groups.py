@@ -34,20 +34,25 @@ def mask_bits(mask: int):
 
 
 class OracleGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table.
 
-    def __init__(self, n: int, mul_flat: array, name: str, gens: tuple[int, ...]):
+    `inv` is the inverse array when the caller knows it (a split product
+    reads it off its law); otherwise each row is scanned for the identity."""
+
+    def __init__(self, n: int, mul_flat: array, name: str, gens: tuple[int, ...],
+                 inv: array | None = None):
         self.n = n
         self.name = name
         self._mul = mul_flat
         self.gens = gens
-        inv = array("i", [0] * n)
-        for a in range(n):
-            row = a * n
-            try:
-                inv[a] = mul_flat.index(0, row, row + n) - row
-            except ValueError:
-                raise MalformedInput(f"element {a} has no inverse") from None
+        if inv is None:
+            inv = array("i", [0] * n)
+            for a in range(n):
+                row = a * n
+                try:
+                    inv[a] = mul_flat.index(0, row, row + n) - row
+                except ValueError:
+                    raise MalformedInput(f"element {a} has no inverse") from None
         self._inv = inv
         self._cache: dict = {}
 
@@ -301,26 +306,32 @@ def oracle_from_split_tables(w_size: int, h_size: int, act, add, hmul, name: str
     Element id = w*h_size + h; act[h][w] is the action of h on w; the group
     law is (w1,h1)(w2,h2) = (act[h2][w1] + w2, h1*h2).  Id 0 is the identity
     of W and of H, and H acts by automorphisms of W.
+
+    Cell (w2, h2) of the row of (w1, h1) is add[c][w2]*h_size + k with
+    c = act[h2][w1] and k = hmul[h1][h2].  So for fixed (w1, h1, h2) the
+    cells at offset h2 and stride h_size are the precomputed column
+    cols[c*h_size + k] = (add[c][w2]*h_size + k over w2), and the table is
+    filled by n*h_size strided slice copies.  The inverse comes from the
+    law: (w, h)^-1 = (-act[h^-1][w], h^-1).
     """
     n = w_size * h_size
-    # row of (0, h1): (w2, h2) -> (w2, h1*h2)
-    h_rows = []
-    for hrow in hmul:
-        row = [0] * n
-        for h2, hh in enumerate(hrow):
-            row[h2::h_size] = range(hh, n, h_size)
-        h_rows.append(row)
-    flat = array("i")
+    cols = []
+    for add_row in add:
+        base = [w * h_size for w in add_row]
+        cols.extend(array("i", [x + k for x in base]) for k in range(h_size))
+    flat = array("i", [0]) * (n * n)
+    row = 0
     for w1 in range(w_size):
-        # row of (w1, 0): (w2, h2) -> (act[h2][w1] + w2, h2)
-        w_row = [0] * n
-        for h2 in range(h_size):
-            w_row[h2::h_size] = [w * h_size + h2 for w in add[act[h2][w1]]]
-        # (w1, h1) = (0, h1)(w1, 0), so its row is the (0, h1) row after the (w1, 0) row
-        for h_row in h_rows:
-            flat.fromlist([h_row[x] for x in w_row])
+        col_rows = [act_h[w1] * h_size for act_h in act]
+        for hrow in hmul:
+            for h2, k in enumerate(hrow):
+                flat[row + h2:row + n:h_size] = cols[col_rows[h2] + k]
+            row += n
+    h_inv = [hrow.index(0) for hrow in hmul]
+    w_neg = [add_row.index(0) for add_row in add]
+    inv = array("i", [w_neg[act[hi][w]] * h_size + hi for w in range(w_size) for hi in h_inv])
     gens = tuple(w * h_size for w in w_gens) + tuple(h_gens)
-    return OracleGroup(n, flat, name, gens)
+    return OracleGroup(n, flat, name, gens, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +484,12 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
     Cyclic extension: each subgroup T has a normal subgroup of prime index,
     so the lattice is generated bottom-up by adjoining normalizing elements
     g with g^p inside the current subgroup.
+
+    The normalising test runs once per right coset of S: (sg)^-1 S (sg) =
+    g^-1 S g for every s in S, so sg normalises S exactly when g does.  A
+    failing g therefore clears all of Sg from the candidates; the elements
+    it skips would each have failed the test, so the records are the ones
+    the per-candidate test finds.
     """
     cached = G._cache.get("lattice")
     if cached is None:
@@ -482,6 +499,7 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
             raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
         n = G.n
         mul = G._mul
+        inv = G._inv
         # roots[p][x]: mask of the g with g^p = x
         roots = {p: [0] * n for p in prime_factors(n)}
         for p, masks in roots.items():
@@ -505,7 +523,12 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
                 while candidates:
                     g = (candidates & -candidates).bit_length() - 1
                     candidates ^= 1 << g
-                    if any(not (s_mask >> G.conj(s, g)) & 1 for s in s_gens):
+                    gi = inv[g] * n
+                    if any(not (s_mask >> mul[mul[gi + s] * n + g]) & 1 for s in s_gens):
+                        coset = 0
+                        for s in s_members:
+                            coset |= 1 << mul[s * n + g]
+                        candidates &= ~coset
                         continue
                     t_mask = s_mask
                     new_members = []

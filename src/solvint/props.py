@@ -21,6 +21,7 @@ PALFY_WOLF = Fraction(3243, 1000)
 
 GAMMA_DIM_CAP = 6
 GAMMA_FIELD_CAP = 9
+ETA_NODE_CAP = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,8 @@ class EtaRecord:
 
 def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
     """Exact minimum of prod |G:M_i| over families of maximal subgroups
-    intersecting in H, by branch and bound over the maximals above H."""
+    intersecting in H, by branch and bound over the maximals above H
+    (at most ETA_NODE_CAP search nodes)."""
     full = (1 << G.n) - 1
     if H.mask == full:
         raise MalformedInput("eta is defined for proper maximal intersections only")
@@ -214,9 +216,14 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
     best_prod = None
     best_family: tuple[int, ...] = ()
     h_order = H.order
+    nodes = 0
+    node_cap = ETA_NODE_CAP
 
     def dfs(i: int, mask: int, prod: int, chosen: tuple[int, ...]):
-        nonlocal best_prod, best_family
+        nonlocal best_prod, best_family, nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise ResourceCapExceeded("eta search nodes", node_cap)
         if mask == H.mask:
             if best_prod is None or prod < best_prod:
                 best_prod = prod

@@ -724,10 +724,16 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     if cached is not None:
         return cached
     classes: list[ChiefFactorClass] = []
+    # conjugate maximals share their core Y and socle X, so the action on
+    # X/Y and its centralizer are memoised per (Y, X) pair
+    steps = G._cache.setdefault("factor_action_by_pair", {})
     for m in gr.maximal_subgroups(G):
         y, x = gr.core_and_socle(m, G)
-        p, d, mats = gr.action_on_factor(G, x, y, G.gens)
-        c = gr.centralizer_of_factor(G, x, y)
+        pair = (y.mask, x.mask)
+        if pair not in steps:
+            steps[pair] = (*gr.action_on_factor(G, x, y, G.gens),
+                           gr.centralizer_of_factor(G, x, y))
+        p, d, mats, c = steps[pair]
         placed = False
         for cls in classes:
             if cls.prime != p or cls.dim != d or cls.centralizer.mask != c.mask:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvint import cli, corpus
+from solvint import cli, corpus, props, sdp
 from solvint import groups as gr
 
 
@@ -166,6 +166,14 @@ def test_analyze_eta_search_ends_in_bounded_time(spec_dir, capsys):
         assert time.monotonic() - start < 5, name
 
 
+def test_eta_node_cap_exits_3(spec_dir, capsys, monkeypatch):
+    monkeypatch.setattr(props, "ETA_NODE_CAP", 5)
+    code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / "c2^6.json"),
+                         "--cap-order", "200")
+    assert code == 3 and out == ""
+    assert err.strip().splitlines() == ["resource cap: eta search nodes (cap: 5)"]
+
+
 def test_huge_prime_spec_is_refused_quickly(spec_dir, capsys):
     start = time.monotonic()
     code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / "mersenne61.json"))
@@ -253,6 +261,30 @@ def test_interkm_requests_are_cold(monkeypatch):
     report = cli.cmd_verify(None, "interKM", gr.DEFAULT_ORDER_CAP, 5)
     assert report.failures == 0
     assert cache_sizes() == before
+
+
+def test_thuno_and_propo_requests_without_a_spec_are_cold(monkeypatch):
+    # the corpus oracles lend their tables to fresh groups, so a request
+    # leaves no memo behind in them, and the gamma witness modules of thuno
+    # are built again by every request
+    monkeypatch.setattr(corpus, "_corpus_cache", {})
+    groups = corpus.corpus_groups()
+    built = []
+    create = sdp.HModule.create
+    monkeypatch.setattr(sdp.HModule, "create",
+                        lambda *args, **kwargs: built.append(1) or create(*args, **kwargs))
+
+    def cache_sizes():
+        return [{key: len(value) for key, value in g._cache.items()} for g in groups]
+
+    before = cache_sizes()
+    for suite in ("thuno", "propo"):
+        assert cli.cmd_verify(None, suite, gr.DEFAULT_ORDER_CAP, 5).failures == 0
+        assert cache_sizes() == before, suite
+    modules_per_request = len(built)
+    assert modules_per_request > 0
+    cli.cmd_verify(None, "thuno", gr.DEFAULT_ORDER_CAP, 5)
+    assert len(built) == 2 * modules_per_request
 
 
 def test_counts_range(capsys):

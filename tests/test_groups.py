@@ -430,6 +430,30 @@ def test_split_tables_match_cell_by_cell_reference(monkeypatch, sdp_pool, tower2
         assert g._inv == reference_inverses(g._mul, g.n), g.name
 
 
+def test_split_tables_of_edge_shapes_match_references(monkeypatch):
+    # |W| = 1, |H| = 1 and n = 1 from semidirect_cyclic, and V^t x| 1 for
+    # t = 1..3: the strided slices degenerate to one cell or to whole rows
+    calls = []
+    build = gr.oracle_from_split_tables
+
+    def recording(w_size, h_size, act, add, hmul, *args, **kwargs):
+        g = build(w_size, h_size, act, add, hmul, *args, **kwargs)
+        calls.append((reference_split_table(w_size, h_size, act, add, hmul), (w_size, h_size), g))
+        return g
+
+    monkeypatch.setattr(gr, "oracle_from_split_tables", recording)
+    for n_order, h_order in ((1, 4), (5, 1), (1, 1)):
+        gr.semidirect_cyclic(n_order, h_order, 1)
+    for t in (1, 2, 3):
+        sdp.embed_as_oracle(sdp.SdGroup.create(3, 1, t, []))
+    shapes = [shape for _, shape, _ in calls]
+    assert shapes == [(1, 4), (5, 1), (1, 1), (3, 1), (9, 1), (27, 1)]
+    for flat, shape, g in calls:
+        assert g._mul == flat, shape
+        assert g._inv == reference_inverses(g._mul, g.n), shape
+        assert [s.mask for s in gr.all_subgroups(g)] == reference_lattice(g), shape
+
+
 def test_from_mul_table_finds_inverses_and_rejects_a_row_without_identity():
     g = gr.from_mul_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     assert list(g._inv) == [0, 2, 1]
