@@ -89,7 +89,7 @@ def _tower_from_spec(doc: dict, cap: int) -> tower.TowerGroup:
         if type(n) is not int or n < 1:
             raise SchemaError("tower spec needs an integer 'n' >= 1 or explicit 'primes'")
         tp = tower.find_primes(n, strict)
-    # every tower request embeds G; refuse before TowerGroup searches the roots of unity
+    # every tower request embeds G; refuse before TowerGroup builds 2^n powers of each root
     gr._check_embedding_order(math.prod(tp.primes) << tp.n, cap)
     return tower.TowerGroup(tp)
 

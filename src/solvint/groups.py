@@ -248,12 +248,7 @@ def from_matrices(mat_gens, p: int, name: str) -> OracleGroup:
 
 
 def cyclic(m: int, name: str | None = None) -> OracleGroup:
-    flat = array("i", [0] * (m * m))
-    for a in range(m):
-        for b in range(m):
-            flat[a * m + b] = (a + b) % m
-    gens = (1,) if m > 1 else ()
-    return OracleGroup(m, flat, name or f"C{m}", gens)
+    return semidirect_cyclic(m, 1, 1, name or f"C{m}")
 
 
 def direct_product(A: OracleGroup, B: OracleGroup, name: str | None = None) -> OracleGroup:
@@ -282,15 +277,9 @@ def semidirect_cyclic(n_order: int, h_order: int, action_exp: int,
     s = action_exp % n_order
     if pow(s, h_order, n_order) != 1 % n_order:
         raise MalformedInput("action exponent order does not divide |H|")
-    act = [[(w * pow(s, e, n_order)) % n_order for w in range(n_order)] for e in range(h_order)]
-    add = [[(w1 + w2) % n_order for w2 in range(n_order)] for w1 in range(n_order)]
     return oracle_from_split_tables(
-        n_order, h_order, act, add,
-        [[(e1 + e2) % h_order for e2 in range(h_order)] for e1 in range(h_order)],
-        name or f"C{n_order}:C{h_order}",
-        w_gens=[1] if n_order > 1 else [],
-        h_gens=[1] if h_order > 1 else [],
-    )
+        [n_order], [[pow(s, e, n_order)] for e in range(h_order)], _addition_table([h_order]),
+        name or f"C{n_order}:C{h_order}", h_gens=[1] if h_order > 1 else [])
 
 
 def _check_embedding_order(order: int, cap: int) -> None:
@@ -299,21 +288,50 @@ def _check_embedding_order(order: int, cap: int) -> None:
         raise ResourceCapExceeded(f"oracle embedding of |G|={order} exceeds the order cap", cap)
 
 
-def oracle_from_split_tables(w_size: int, h_size: int, act, add, hmul, name: str,
-                             w_gens=(), h_gens=()) -> OracleGroup:
-    """Assemble a semidirect product W x| H oracle from small tables.
+def _addition_table(radices) -> list[list[int]]:
+    """Addition table of Z/r_1 x ... x Z/r_m on mixed-radix ids (digit 1
+    most significant), built one digit at a time."""
+    add = [[0]]
+    for r in radices:
+        digit_add = [[(a + b) % r for b in range(r)] for a in range(r)]
+        add = [[x * r + d for x in row for d in digit_row]
+               for row in add for digit_row in digit_add]
+    return add
 
-    Element id = w*h_size + h; act[h][w] is the action of h on w; the group
-    law is (w1,h1)(w2,h2) = (act[h2][w1] + w2, h1*h2).  Id 0 is the identity
-    of W and of H, and H acts by automorphisms of W.
 
-    Cell (w2, h2) of the row of (w1, h1) is add[c][w2]*h_size + k with
+def oracle_from_split_tables(radices, images, hmul, name: str, h_gens=()) -> OracleGroup:
+    """Assemble a semidirect product W x| H oracle, W = Z/r_1 x ... x Z/r_m.
+
+    W's ids are mixed-radix over `radices`, digit 1 most significant;
+    images[h][i] is the id of e_i^h for the unit vector e_i of digit i, and
+    hmul is H's table.  Element id = w*|H| + h, the law is
+    (w1,h1)(w2,h2) = (act[h2][w1] + w2, h1*h2) and id 0 is the identity.
+    The gens are the e_i with r_i > 1, most significant first, then h_gens.
+
+    act[h] follows by additivity, least significant digit first: if `row`
+    holds the images of the lower digits' ids, a digit of radix r and image
+    b extends it to row ++ (row + b) ++ ... ++ (row + (r-1)b).
+
+    Cell (w2, h2) of the row of (w1, h1) is add[c][w2]*|H| + k with
     c = act[h2][w1] and k = hmul[h1][h2].  So for fixed (w1, h1, h2) the
-    cells at offset h2 and stride h_size are the precomputed column
-    cols[c*h_size + k] = (add[c][w2]*h_size + k over w2), and the table is
-    filled by n*h_size strided slice copies.  The inverse comes from the
+    cells at offset h2 and stride |H| are the precomputed column
+    cols[c*|H| + k] = (add[c][w2]*|H| + k over w2), and the table is
+    filled by n*|H| strided slice copies.  The inverse comes from the
     law: (w, h)^-1 = (-act[h^-1][w], h^-1).
     """
+    add = _addition_table(radices)
+    act = []
+    for h_images in images:
+        row = [0]
+        for r, b in zip(reversed(radices), reversed(h_images)):
+            add_b = add[b]
+            shifted = row
+            row = list(row)
+            for _ in range(1, r):
+                shifted = [add_b[x] for x in shifted]
+                row += shifted
+        act.append(row)
+    w_size, h_size = len(add), len(hmul)
     n = w_size * h_size
     cols = []
     for add_row in add:
@@ -330,8 +348,12 @@ def oracle_from_split_tables(w_size: int, h_size: int, act, add, hmul, name: str
     h_inv = [hrow.index(0) for hrow in hmul]
     w_neg = [add_row.index(0) for add_row in add]
     inv = array("i", [w_neg[act[hi][w]] * h_size + hi for w in range(w_size) for hi in h_inv])
-    gens = tuple(w * h_size for w in w_gens) + tuple(h_gens)
-    return OracleGroup(n, flat, name, gens, inv)
+    gens, place = [], n
+    for r in radices:
+        place //= r
+        if r > 1:
+            gens.append(place)
+    return OracleGroup(n, flat, name, tuple(gens) + tuple(h_gens), inv)
 
 
 # ---------------------------------------------------------------------------

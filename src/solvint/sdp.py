@@ -145,35 +145,32 @@ class HModule:
 
 
 def _matrix_group_solvable(gens, p, k, cap) -> bool:
-    current = tuple(gens)
+    """Whether <gens> is solvable: walk the derived series until it reaches 1
+    or stops shrinking.  The next term is the normal closure of the current
+    generators' commutators, generated by the commutators and conjugates
+    that enlarge it (so each kept generator at least doubles it)."""
     identity = mat_identity(k)
-    for _ in range(64):
-        if all(g == identity for g in current) or not current:
-            return True
-        comms = set()
-        for a in current:
-            ai = mat_inv(a, p)
-            for b in current:
-                bi = mat_inv(b, p)
-                comms.add(mat_mul(mat_mul(ai, bi, p), mat_mul(a, b, p), p))
-        # conjugation closure under the parent level
-        stack = list(comms)
-        conj_closed = set()
-        while stack:
-            x = stack.pop()
-            if x in conj_closed:
-                continue
-            conj_closed.add(x)
-            if len(conj_closed) > cap:
-                raise ResourceCapExceeded("derived series closure", cap)
-            for g in current:
-                gi = mat_inv(g, p)
-                stack.append(mat_mul(mat_mul(gi, x, p), g, p))
-        nxt = tuple(sorted(conj_closed))
-        if set(nxt) == set(current):
+
+    def mul(a, b):
+        return mat_mul(a, b, p)
+
+    current = list(gens)
+    order = len(gr._closure_of_objects(current, mul, identity, cap))
+    while order > 1:
+        pairs = [(g, mat_inv(g, p)) for g in current]
+        kept, members = [], {identity}
+        candidates = [mul(mul(ai, bi), mul(a, b)) for a, ai in pairs for b, bi in pairs]
+        while candidates:
+            for c in candidates:
+                if c not in members:
+                    kept.append(c)
+                    members = set(gr._closure_of_objects(kept, mul, identity, cap))
+            candidates = [y for x in kept for g, gi in pairs
+                          if (y := mul(mul(gi, x), g)) not in members]
+        if len(members) == order:
             return False
-        current = nxt
-    return False
+        current, order = kept, len(members)
+    return True
 
 
 def _f_basis_of_v(p, k, fops: FieldOps):
@@ -649,7 +646,6 @@ def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP):
     """
     gr._check_embedding_order(G.order, cap)
     p, wdim = G.p, G.wdim
-    w_size = p**wdim
     h_size = G.module.order
 
     def w_id(w: Vector) -> int:
@@ -658,22 +654,11 @@ def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP):
             out = out * p + x
         return out
 
-    def w_of_id(i: int) -> Vector:
-        digits = []
-        for _ in range(wdim):
-            digits.append(i % p)
-            i //= p
-        return tuple(reversed(digits))
-
-    w_vectors = [w_of_id(i) for i in range(w_size)]
-    act = [[w_id(G.act_w(w, h)) for w in w_vectors] for h in range(h_size)]
-    add = [[w_id(vec_add(w1, w2, p)) for w2 in w_vectors] for w1 in w_vectors]
+    units = [tuple(1 if j == i else 0 for j in range(wdim)) for i in range(wdim)]
+    images = [[w_id(G.act_w(e, h)) for e in units] for h in range(h_size)]
     hmul = [[G.module.mul_idx(i, j) for j in range(h_size)] for i in range(h_size)]
-    w_gens = [w_id(tuple(1 if j == i else 0 for j in range(wdim))) for i in range(wdim)]
-    oracle = gr.oracle_from_split_tables(
-        w_size, h_size, act, add, hmul, G.name,
-        w_gens=[w for w in w_gens if w], h_gens=[g for g in G.module.gen_indices if g],
-    )
+    oracle = gr.oracle_from_split_tables([p] * wdim, images, hmul, G.name,
+                                         h_gens=[g for g in G.module.gen_indices if g])
 
     def encode(w: Vector, h_idx: int) -> int:
         return w_id(w) * h_size + h_idx

@@ -71,11 +71,14 @@ def find_primes(n: int, strict: bool = False,
 
 
 def _zeta(p: int, order: int) -> int:
-    """Smallest positive integer of exact multiplicative order `order` mod p."""
-    for z in range(2, p):
-        if pow(z, order, p) == 1 and pow(z, order // 2, p) != 1:
-            return z
-    raise MalformedInput(f"no element of order {order} mod {p}")
+    """Smallest positive integer of exact multiplicative order `order` = 2^m
+    mod the prime p: for the least quadratic non-residue c, y = c^((p-1)/order)
+    has y^(order/2) = -1, and the elements of that order are the odd powers of y."""
+    if (p - 1) % order:
+        raise MalformedInput(f"no element of order {order} mod {p}")
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    y = pow(c, (p - 1) // order, p)
+    return min(pow(y, k, p) for k in range(1, order, 2))
 
 
 class TowerGroup:
@@ -163,25 +166,12 @@ class TowerGroup:
         if cached is not None:
             return cached
         gr._check_embedding_order(self.order, cap)
-        # one mixed-radix digit at a time: append digit m to the ids of
-        # levels 1..m-1
-        act = [[0] for _ in range(self.h_order)]
-        add = [[0]]
-        for p, zeta_pow in zip(self.primes.primes, self.zeta_pows):
-            act = [[x * p + (a * zeta_pow[e]) % p for x in row for a in range(p)]
-                   for e, row in enumerate(act)]
-            digit_add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            add = [[x * p + d for x in row for d in digit_row]
-                   for row in add for digit_row in digit_add]
-        hmul = [[(a + b) % self.h_order for b in range(self.h_order)] for a in range(self.h_order)]
-        unit_ids = []
-        for m in range(self.n):
-            unit = tuple(1 if j == m else 0 for j in range(self.n))
-            unit_ids.append(self.w_id(unit))
-        oracle = gr.oracle_from_split_tables(
-            self.w_size, self.h_order, act, add, hmul, self.name,
-            w_gens=unit_ids, h_gens=[1],
-        )
+        # the unit vector e_m has id place_m, and x^e maps it to zeta_m^e e_m
+        places = [self.w_id(tuple(int(j == m) for j in range(self.n))) for m in range(self.n)]
+        images = [[zeta_pow[e] * place for zeta_pow, place in zip(self.zeta_pows, places)]
+                  for e in range(self.h_order)]
+        hmul = gr._addition_table([self.h_order])
+        oracle = gr.oracle_from_split_tables(self.primes.primes, images, hmul, self.name, h_gens=[1])
         self._cache["oracle"] = oracle
         return oracle
 

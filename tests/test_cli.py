@@ -35,8 +35,7 @@ def spec_dir(tmp_path):
     (tmp_path / "c2^7.json").write_text(
         json.dumps({"kind": "sdp", "p": 2, "k": 1, "t": 7, "h_gens": []})
     )
-    # |G| = 5 * (10^21 + 117) * 4; finding a root of unity of order 4 mod the
-    # large prime by search would not end
+    # |G| = 5 * (10^21 + 117) * 4, far above any order cap
     (tmp_path / "huge-prime-tower.json").write_text(
         json.dumps({"kind": "tower", "primes": [5, 1000000000000000000117]})
     )
@@ -52,6 +51,11 @@ def spec_dir(tmp_path):
     )
     (tmp_path / "3^4-c2.json").write_text(
         json.dumps({"kind": "sdp", "p": 3, "k": 1, "t": 4, "h_gens": [[[2]]]})
+    )
+    # H = GL(2, 7), of order 2016 and not solvable
+    (tmp_path / "gl27.json").write_text(
+        json.dumps({"kind": "sdp", "p": 7, "k": 2, "t": 1,
+                    "h_gens": [[[0, 4], [3, 1]], [[2, 0], [0, 4]]]})
     )
     # p = 2^61 - 1 is prime; trial division would take about 1.5 * 10^9 steps
     (tmp_path / "mersenne61.json").write_text(
@@ -145,6 +149,15 @@ def test_validation_error_exit_2(spec_dir, capsys):
     assert "irreducibility" in err
 
 
+def test_non_solvable_h_is_refused_in_bounded_time(spec_dir, capsys):
+    # the derived series over all elements of each term took about 10 s
+    start = time.monotonic()
+    code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / "gl27.json"))
+    assert code == 2 and out == "", err
+    assert err.strip().splitlines() == ["invalid input: solvability: H is not solvable"]
+    assert time.monotonic() - start < 5
+
+
 def test_cap_error_exit_3(spec_dir, capsys):
     for name in ("bigtower.json", "c29-on-f2^28.json", "huge-prime-tower.json", "c2^7.json"):
         start = time.monotonic()
@@ -222,6 +235,39 @@ def test_spec_fuzz_keeps_the_exit_code_contract():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(["analyze", "--spec", str(path), "--cap-order", "200"])
+            assert code in (0, 2, 3), (doc, err.getvalue())
+            if code:
+                assert len(err.getvalue().strip().splitlines()) == 1, (doc, err.getvalue())
+
+        check()
+
+
+@st.composite
+def valid_shaped_sdp_docs(draw):
+    """sdp specs of the right types and ranges: a small prime, k <= 3,
+    t <= 7 and up to two k x k generators over F_p.  H may still be
+    singular, reducible or not solvable, and G above the order cap."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
+                      min_size=k, max_size=k)
+    return {"kind": "sdp", "p": p, "k": k, "t": draw(st.integers(0, 7)),
+            "h_gens": draw(st.lists(matrix, max_size=2))}
+
+
+def test_valid_shaped_sdp_specs_end_in_bounded_time():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(valid_shaped_sdp_docs())
+        def check(doc):
+            path.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            start = time.monotonic()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["analyze", "--spec", str(path), "--cap-order", "1000"])
+            assert time.monotonic() - start < 10, doc
             assert code in (0, 2, 3), (doc, err.getvalue())
             if code:
                 assert len(err.getvalue().strip().splitlines()) == 1, (doc, err.getvalue())

@@ -1,4 +1,5 @@
 from array import array
+from itertools import product
 
 import pytest
 
@@ -322,6 +323,27 @@ def reference_tower_tables(T):
     return act, add, hmul
 
 
+def reference_sdp_tables(G):
+    """act, add and hmul of the sdp group G from its vectors in
+    lexicographic order, one dict lookup per entry."""
+    w_vectors = list(product(range(G.p), repeat=G.wdim))
+    w_id = {w: i for i, w in enumerate(w_vectors)}
+    h_size = G.module.order
+    act = [[w_id[G.act_w(w, h)] for w in w_vectors] for h in range(h_size)]
+    add = [[w_id[ffla.vec_add(w1, w2, G.p)] for w2 in w_vectors] for w1 in w_vectors]
+    hmul = [[G.module.mul_idx(i, j) for j in range(h_size)] for i in range(h_size)]
+    return act, add, hmul
+
+
+def reference_cyclic_tables(n_order, h_order, s):
+    """act, add and hmul of C_n x| C_h from the law
+    (v1, e1)(v2, e2) = (v1*s^e2 + v2, e1 + e2) on the pairs (v, e)."""
+    act = [[v * s**e % n_order for v in range(n_order)] for e in range(h_order)]
+    add = [[(v1 + v2) % n_order for v2 in range(n_order)] for v1 in range(n_order)]
+    hmul = [[(e1 + e2) % h_order for e2 in range(h_order)] for e1 in range(h_order)]
+    return act, add, hmul
+
+
 def reference_lattice(G):
     n = G.n
     mul, inv = G._mul, G._inv
@@ -410,46 +432,38 @@ def small_pool_oracles(sdp_pool):
     return [sdp.embed_as_oracle(g)[0] for g in sdp_pool if g.order <= 500]
 
 
-def test_split_tables_match_cell_by_cell_reference(monkeypatch, sdp_pool, tower2, tower3):
+def test_split_tables_match_cell_by_cell_reference(sdp_pool, tower2, tower3):
     for T in reference_towers(tower2, tower3):
         g = T.embed_as_oracle()
         assert g._mul == reference_split_table(T.w_size, T.h_order, *reference_tower_tables(T)), T.name
         assert g._inv == reference_inverses(g._mul, g.n), T.name
-    calls = []
-    build = gr.oracle_from_split_tables
-
-    def recording(w_size, h_size, act, add, hmul, *args, **kwargs):
-        g = build(w_size, h_size, act, add, hmul, *args, **kwargs)
-        calls.append((reference_split_table(w_size, h_size, act, add, hmul), g))
-        return g
-
-    monkeypatch.setattr(gr, "oracle_from_split_tables", recording)
-    assert len(small_pool_oracles(sdp_pool)) == len(calls) > 0
-    for flat, g in calls:
+    small = [G for G in sdp_pool if G.order <= 500]
+    assert len(small) > 0
+    for G in small:
+        g = sdp.embed_as_oracle(G)[0]
+        flat = reference_split_table(G.p**G.wdim, G.module.order, *reference_sdp_tables(G))
         assert g._mul == flat, g.name
         assert g._inv == reference_inverses(g._mul, g.n), g.name
 
 
-def test_split_tables_of_edge_shapes_match_references(monkeypatch):
-    # |W| = 1, |H| = 1 and n = 1 from semidirect_cyclic, and V^t x| 1 for
-    # t = 1..3: the strided slices degenerate to one cell or to whole rows
-    calls = []
-    build = gr.oracle_from_split_tables
-
-    def recording(w_size, h_size, act, add, hmul, *args, **kwargs):
-        g = build(w_size, h_size, act, add, hmul, *args, **kwargs)
-        calls.append((reference_split_table(w_size, h_size, act, add, hmul), (w_size, h_size), g))
-        return g
-
-    monkeypatch.setattr(gr, "oracle_from_split_tables", recording)
-    for n_order, h_order in ((1, 4), (5, 1), (1, 1)):
-        gr.semidirect_cyclic(n_order, h_order, 1)
-    for t in (1, 2, 3):
-        sdp.embed_as_oracle(sdp.SdGroup.create(3, 1, t, []))
-    shapes = [shape for _, shape, _ in calls]
-    assert shapes == [(1, 4), (5, 1), (1, 1), (3, 1), (9, 1), (27, 1)]
-    for flat, shape, g in calls:
-        assert g._mul == flat, shape
+def test_split_tables_of_edge_shapes_match_references():
+    # |W| = 1, |H| = 1 and n = 1 from semidirect_cyclic, D8 and D12 (n not
+    # prime), and V^t x| 1 for t = 0..3: the strided slices degenerate to
+    # one cell or to whole rows, and the digit loop to no digit or one
+    cases = []
+    for n_order, h_order, s in ((1, 4, 1), (5, 1, 1), (1, 1, 1), (4, 2, 3), (6, 2, 5)):
+        cases.append((gr.semidirect_cyclic(n_order, h_order, s),
+                      reference_cyclic_tables(n_order, h_order, s)))
+    for t in (0, 1, 2, 3):
+        G = sdp.SdGroup.create(3, 1, t, [])
+        cases.append((sdp.embed_as_oracle(G)[0], reference_sdp_tables(G)))
+    # (|W|, |H|) of each reference
+    shapes = [(len(add), len(hmul)) for _, (_, add, hmul) in cases]
+    assert shapes == [(1, 4), (5, 1), (1, 1), (4, 2), (6, 2), (1, 1), (3, 1), (9, 1), (27, 1)]
+    for (g, tables), shape in zip(cases, shapes):
+        assert g.n == shape[0] * shape[1], shape
+        assert gr.closure_mask(g, g.gens) == (1 << g.n) - 1, shape
+        assert g._mul == reference_split_table(*shape, *tables), shape
         assert g._inv == reference_inverses(g._mul, g.n), shape
         assert [s.mask for s in gr.all_subgroups(g)] == reference_lattice(g), shape
 

@@ -432,3 +432,65 @@ def test_sdgroup_from_spec_schema():
         sdp.sdgroup_from_spec({"p": 5})
     g = sdp.sdgroup_from_spec({"kind": "sdp", "p": 5, "k": 1, "t": 2, "h_gens": [[[2]]]})
     assert g.order == 100
+
+
+def reference_closure(p, k, gens):
+    identity = ffla.mat_identity(k)
+    members = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = ffla.mat_mul(x, ffla.mat_mod(g, p), p)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return members
+
+
+def reference_solvable(p, k, gens):
+    """The derived series on element sets: each term is generated by the
+    commutators of all pairs of elements of the one before."""
+    term = reference_closure(p, k, gens)
+    while len(term) > 1:
+        inverse = {x: ffla.mat_inv(x, p) for x in term}
+        nxt = reference_closure(p, k, {ffla.mat_mul(ffla.mat_mul(inverse[a], inverse[b], p),
+                                                    ffla.mat_mul(a, b, p), p)
+                                       for a in term for b in term})
+        if len(nxt) == len(term):
+            return False
+        term = nxt
+    return True
+
+
+def test_matrix_group_solvability_matches_the_derived_series_of_elements():
+    # SL(2,3), GL(2,3), the trivial group, then SL(2,5) and GL(3,2), which
+    # are not solvable; then random groups of order <= 200 (the reference
+    # takes |G|^2 commutators)
+    named = [
+        (3, 2, [[[1, 1], [0, 1]], [[0, 2], [1, 0]]], True),
+        (3, 2, [[[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 1], [1, 0]]], True),
+        (5, 1, [], True),
+        (5, 2, [[[1, 1], [0, 1]], [[0, 4], [1, 0]]], False),
+        (2, 3, [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]], False),
+    ]
+    cases = [case[:3] for case in named]
+    rng = random.Random(7)
+    for p, k in ((2, 2), (3, 2), (5, 2), (2, 3)):
+        drawn = 0
+        while drawn < 8:
+            gens = [[[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+                    for _ in range(rng.randint(1, 2))]
+            try:
+                for g in gens:
+                    ffla.mat_inv(ffla.mat_mod(g, p), p)
+            except MalformedInput:
+                continue
+            if len(reference_closure(p, k, gens)) <= 200:
+                cases.append((p, k, gens))
+                drawn += 1
+    expected = [reference_solvable(p, k, gens) for p, k, gens in cases]
+    assert expected[:len(named)] == [case[3] for case in named]
+    for (p, k, gens), solvable in zip(cases, expected):
+        mats = tuple(ffla.mat_mod(g, p) for g in gens)
+        assert sdp._matrix_group_solvable(mats, p, k, 10**4) == solvable, (p, k, gens)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from solvint import tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput
+from solvint.ffla import is_prime
 
 
 def test_find_primes_examples():
@@ -136,3 +138,30 @@ def test_ratio_table_strict_primes():
 def test_beta_le_gamma(tower2):
     tc = tower.tilde_counts(tower2)
     assert tc.beta_tilde_oracle <= tc.gamma_tilde_oracle
+
+
+def reference_zeta(p, order):
+    """The first z = 2, 3, ... of exact multiplicative order `order` mod p."""
+    return next(z for z in range(2, p) if pow(z, order, p) == 1 and pow(z, order // 2, p) != 1)
+
+
+def test_zeta_is_the_smallest_root_of_exact_order():
+    checked = 0
+    for p in range(3, 5000, 2):
+        if not is_prime(p):
+            continue
+        for m in range(1, 7):
+            if (p - 1) % (1 << m) == 0:
+                assert tower._zeta(p, 1 << m) == reference_zeta(p, 1 << m), (p, m)
+                checked += 1
+    assert checked > 1000
+    with pytest.raises(MalformedInput):
+        tower._zeta(7, 4)
+
+
+def test_tower_group_with_a_huge_prime_is_built_at_once():
+    start = time.perf_counter()
+    T = tower.TowerGroup(tower.TowerPrimes(2, (5, 1000000000000000000117), False))
+    assert time.perf_counter() - start < 1.0
+    p = T.primes.primes[1]
+    assert pow(T.zetas[1], 4, p) == 1 and pow(T.zetas[1], 2, p) == p - 1
