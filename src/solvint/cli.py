@@ -211,7 +211,7 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
         else:
             targets = _fresh(corpus.primitive_groups())
         for sd_group in targets:
-            rep = props.verify_eta_to_gamma(sd_group)
+            rep = props.verify_eta_to_gamma(sd_group, cap)
             report.add("due", sd_group.name, "gamma_v", rep.gamma_v, "oracle")
             report.add("due", sd_group.name, "floor_eta_c", rep.eta_floor_c, "oracle")
             report.add("due", sd_group.name, "constant_sensitive",

@@ -357,12 +357,14 @@ class EtaGammaReport:
     eta_min_floor4: int
 
 
-def verify_eta_to_gamma(sd_group: sdp.SdGroup) -> EtaGammaReport:
+def verify_eta_to_gamma(sd_group: sdp.SdGroup,
+                        cap: int = gr.DEFAULT_ORDER_CAP) -> EtaGammaReport:
     """For a primitive solvable Gamma = V x| H: the module witness dimension
-    is bounded by floor(eta_min * c) with c = 3.243 (Palfy-Wolf)."""
+    is bounded by floor(eta_min * c) with c = 3.243 (Palfy-Wolf).  Gamma
+    is embedded as an oracle only up to order `cap`."""
     if sd_group.t != 1:
         raise MalformedInput("primitive verifier expects t = 1 (Gamma = V x| H)")
-    oracle, _ = sdp.embed_as_oracle(sd_group)
+    oracle, _ = sdp.embed_as_oracle(sd_group, cap)
     report = eta_report(oracle)
     gamma_v = gamma_min(sd_group.module).gamma_min
     c = PALFY_WOLF

@@ -46,6 +46,9 @@ H_ORDER_CAP = 10000
 # ffla.is_irreducible spins every line of F_p^k; the corpus and the benchmark
 # catalogue use at most 7 lines (F_2^3)
 IRREDUCIBILITY_LINE_CAP = 4096
+# FieldOps tabulates |F|^2 sums and products of the endomorphism field F; the
+# corpus and the benchmark catalogue reach |F| = 25 and the tests 7^3 = 343
+FIELD_ORDER_CAP = 512
 FVECTOR_ENUM_CAP = 200000
 # a spec's V^t has p^(k t) >= 2^(k t) elements, too many for any order cap
 # that fits in memory once k t passes this
@@ -81,6 +84,9 @@ class HModule:
             if len(g) != k or any(len(row) != k for row in g):
                 raise MalformedInput(f"generator is not {k}x{k}")
             mat_inv(g, p)  # raises on singular input
+        # F contains F_p, so a large p is refused before F is even computed
+        if p > FIELD_ORDER_CAP:
+            raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
         cap = IRREDUCIBILITY_LINE_CAP
         # F_p^k has at least 2^k - 1 lines, so p**k is only taken for small k
         if k > cap.bit_length() or (p**k - 1) // (p - 1) > cap:
@@ -95,6 +101,8 @@ class HModule:
         # acting trivially is the identity matrix itself
         if not _matrix_group_solvable(gens, p, k, max_order):
             raise ValidationError("solvability", "H is not solvable")
+        if field.order > FIELD_ORDER_CAP:
+            raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
         fops = FieldOps(field)
         f_basis = _f_basis_of_v(p, k, fops)
         return cls(p, k, gens, elements, field, fops, f_basis, name)
@@ -375,7 +383,7 @@ def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
         if G.wdim and (G.order // (W.size() * G.module.order)) != p ** G.k:
             raise AssertionError("maximal supplement index is not |V|")
         fixed = G.fixed_space_over(W)
-        free_positions = [c for c in range(G.wdim) if c not in W.pivots]
+        free_positions = W.free_columns
         for fill in iter_product(range(p), repeat=len(free_positions)):
             v = [0] * G.wdim
             for c, val in zip(free_positions, fill):
@@ -455,41 +463,53 @@ def centralizer_in_h(G: SdGroup, z_space: FpSubspace) -> tuple[int, ...]:
 # the intersection calculus
 
 
+def _split(G: SdGroup, W1: FpSubspace, W2: FpSubspace):
+    """W1.split_over(W2), memoised per pair: (W1 cap W2, lifts).  V^t/W2 is
+    isomorphic to the irreducible V for a maximal W2, so W1 maps onto 0
+    (nested case, no lifts) or onto all of it (spanning case, one lift per
+    free column of W2); any other rank means W2 is not maximal."""
+    meet, lifts = G._memo("split", (W1, W2), W1.split_over, W2)
+    if lifts and len(lifts) != G.wdim - W2.dim:
+        raise AssertionError("case dispatch totality violated (M not maximal?)")
+    return meet, lifts
+
+
 def intersect_case_spanning(G: SdGroup, K: PartialIntersection,
                             M: MaximalSupplement) -> PartialIntersection:
     """K cap M when K's submodule and M's submodule together span V^t:
-    the submodules intersect and the translate shifts inside K's submodule."""
+    the submodules intersect and the translate shifts inside K's submodule.
+
+    With pi the quotient map of `FpSubspace.split_over`, b = sum_i
+    pi(d)_i l_i lies in W1 and d - b in W2 for d = K.translate - M.translate,
+    and b is fixed modulo W1 cap W2, so the new translate is canonical."""
     W1, W2 = K.submodule, M.submodule
-    if G._memo("sum", (W1, W2), W1.sum_with, W2).dim != G.wdim:
+    meet, lifts = _split(G, W1, W2)
+    if not lifts:
         raise CaseDispatchError("submodules do not span V^t; use the nested case")
-    d = vec_sub(K.translate, M.translate, G.p)
-    dec = W2.decompose(d, W1)
-    if dec is None:
-        raise CaseDispatchError("translate difference not decomposable")
-    _, b = dec  # d = w2 + b with b in W1; the shift is -b
-    w1 = vec_neg(b, G.p)
-    new_sub = G._memo("meet", (W1, W2), W1.intersect, W2)
-    new_v = new_sub.reduce(vec_add(K.translate, w1, G.p))
-    return PartialIntersection(new_sub, K.h_indices, new_v)
+    p = G.p
+    image = W2.reduce(vec_sub(K.translate, M.translate, p))
+    v = K.translate
+    for c, lift in zip(W2.free_columns, lifts):
+        f = image[c]
+        if f:
+            v = tuple((x - f * y) % p for x, y in zip(v, lift))
+    return PartialIntersection(meet, K.h_indices, meet.reduce(v))
 
 
 def intersect_case_nested(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
     """K cap M when K's submodule lies inside M's: the H-part shrinks to the
-    centralizer of a vector u in a complement of M's submodule.
+    centralizer of the z in V with M.translate - K.translate - iota(z) in
+    M's submodule, iota the embedding of V along a complement line.
 
     Returns (descriptor, witness) where witness is the canonical F-line
-    representative in V of the image of u, or None when K is unchanged.
+    representative of z, or None when K is unchanged.
     """
     W1, W2 = K.submodule, M.submodule
-    if not G._memo("le", (W1, W2), W1.is_subspace_of, W2):
+    if _split(G, W1, W2)[1]:
         raise CaseDispatchError("K's submodule is not inside M's; use the spanning case")
-    line, u_sub = G._memo("line", W2, _complement_line, G, W2)
-    d = vec_sub(M.translate, K.translate, G.p)
-    dec = W2.decompose(d, u_sub)
-    if dec is None:
-        raise AssertionError("V^t is not W2 + U (internal complement bug)")
-    _, u = dec
-    z = _invert_line_embedding(G, line, u)
+    free, p_inv = G._memo("line", W2, _complement_line, G, W2)
+    image = W2.reduce(vec_sub(M.translate, K.translate, G.p))
+    z = vec_mat(tuple(image[c] for c in free), p_inv, G.p)
     cen = G._fixers((z,), K.h_indices)
     if len(cen) == len(K.h_indices):
         return K, None
@@ -498,32 +518,25 @@ def intersect_case_nested(G: SdGroup, K: PartialIntersection, M: MaximalSuppleme
 
 
 def _complement_line(G: SdGroup, W2: FpSubspace):
-    """The F-line spanning the standard complement of a maximal submodule
-    W2 over F, and the submodule U of V^t it gives (V^t = W2 + U)."""
+    """W2's free columns and P^-1 for a maximal submodule W2.  The F-line l
+    spanning the standard complement of W2 over F embeds V as iota(z) =
+    (z*l_1, ..., z*l_t), a complement of W2; row i of P is pi(iota(e_i)),
+    with pi(x) = W2.reduce(x) read on the free columns, so z = pi(d) P^-1
+    is the z with d - iota(z) in W2."""
     comp = G.module.fops.f_complement(G.fvectors_of_submodule(W2), G.t)
     if len(comp) != 1:
         raise CaseDispatchError("M's submodule is not maximal")
-    return comp[0], G.submodule_from_fvectors(comp)
-
-
-def _invert_line_embedding(G: SdGroup, line, u: Vector) -> Vector:
-    """Solve u = (z*l_1, ..., z*l_t) for z in V, given the F-line `line`."""
-    fops = G.module.fops
-    k = G.k
-    pos = next(i for i, idx in enumerate(line) if idx)
-    block = u[pos * k:(pos + 1) * k]
-    inv_idx = fops.inv_t[line[pos]]
-    return fops.act(block, inv_idx)
+    free = W2.free_columns
+    rows = []
+    for e in mat_identity(G.k):
+        image = W2.reduce(_line_embedding(G, comp[0], e))
+        rows.append(tuple(image[c] for c in free))
+    return free, mat_inv(tuple(rows), G.p)
 
 
 def intersect_supplement(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
     """Dispatch on the (always exclusive, always exhaustive) case split."""
-    W1, W2 = K.submodule, M.submodule
-    spanning = G._memo("sum", (W1, W2), W1.sum_with, W2).dim == G.wdim
-    nested = G._memo("le", (W1, W2), W1.is_subspace_of, W2)
-    if spanning == nested:
-        raise AssertionError("case dispatch totality violated (M not maximal?)")
-    if spanning:
+    if _split(G, K.submodule, M.submodule)[1]:
         return intersect_case_spanning(G, K, M), None
     return intersect_case_nested(G, K, M)
 
@@ -545,8 +558,7 @@ def canonicalize_intersection(G: SdGroup, supplements) -> CanonicalIntersection:
     while progress:
         progress = False
         for i, m in enumerate(pending):
-            W1, W2 = cur.submodule, m.submodule
-            if not G._memo("le", (W1, W2), W1.is_subspace_of, W2):
+            if _split(G, cur.submodule, m.submodule)[1]:
                 cur = intersect_case_spanning(G, cur, m)
                 pending.pop(i)
                 progress = True

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -56,6 +57,21 @@ def spec_dir(tmp_path):
     (tmp_path / "gl27.json").write_text(
         json.dumps({"kind": "sdp", "p": 7, "k": 2, "t": 1,
                     "h_gens": [[[0, 4], [3, 1]], [[2, 0], [0, 4]]]})
+    )
+    # C8 acting on F_25 = F_5^2: order 200
+    (tmp_path / "c8-f25.json").write_text(
+        json.dumps({"kind": "sdp", "p": 5, "k": 2, "t": 1, "h_gens": [[[0, 1], [2, 0]]]})
+    )
+    # F_1201: FieldOps would tabulate 1201^2 field sums and products; the
+    # group at t = 0 (order 1,200) passes the default order cap
+    for t in (0, 1):
+        (tmp_path / f"f1201-t{t}.json").write_text(
+            json.dumps({"kind": "sdp", "p": 1201, "k": 1, "t": t, "h_gens": [[[11]]]})
+        )
+    # 2 * 10^17 + 363 and its half minus one are prime, and H = 1: p - 1 is
+    # not smooth, and range(p) does not fit in memory
+    (tmp_path / "safe-prime.json").write_text(
+        json.dumps({"kind": "sdp", "p": 200000000000000363, "k": 1, "t": 1, "h_gens": []})
     )
     # p = 2^61 - 1 is prime; trial division would take about 1.5 * 10^9 steps
     (tmp_path / "mersenne61.json").write_text(
@@ -159,7 +175,8 @@ def test_non_solvable_h_is_refused_in_bounded_time(spec_dir, capsys):
 
 
 def test_cap_error_exit_3(spec_dir, capsys):
-    for name in ("bigtower.json", "c29-on-f2^28.json", "huge-prime-tower.json", "c2^7.json"):
+    for name in ("bigtower.json", "c29-on-f2^28.json", "huge-prime-tower.json", "c2^7.json",
+                 "f1201-t0.json", "f1201-t1.json", "safe-prime.json"):
         start = time.monotonic()
         code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / name),
                               "--cap-order", "1000")
@@ -242,13 +259,18 @@ def test_spec_fuzz_keeps_the_exit_code_contract():
         check()
 
 
+PRIMES_BELOW_10K = [n for n in range(2, 10**4)
+                    if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
 @st.composite
 def valid_shaped_sdp_docs(draw):
-    """sdp specs of the right types and ranges: a small prime, k <= 3,
-    t <= 7 and up to two k x k generators over F_p.  H may still be
-    singular, reducible or not solvable, and G above the order cap."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    """sdp specs of the right types and ranges: k <= 3, a prime below 10^4
+    when k = 1 and a small one otherwise, t <= 7 and up to two k x k
+    generators over F_p.  H may still be singular, reducible or not
+    solvable, F too large to tabulate, and G above the order cap."""
     k = draw(st.integers(1, 3))
+    p = draw(st.sampled_from(PRIMES_BELOW_10K if k == 1 else [2, 3, 5, 7]))
     matrix = st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
                       min_size=k, max_size=k)
     return {"kind": "sdp", "p": p, "k": k, "t": draw(st.integers(0, 7)),
@@ -362,6 +384,16 @@ def test_verify_due_with_spec(spec_dir, capsys):
     code, _out, _err = run(capsys, "verify", "--suite", "due",
                            "--spec", str(spec_dir / "tower2.json"))
     assert code == 2
+
+
+def test_verify_due_keeps_the_order_cap(spec_dir, capsys):
+    # every suite that embeds the group refuses it above --cap-order
+    for suite in ("due", "thuno", "propo"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--cap-order", "100",
+                             "--spec", str(spec_dir / "c8-f25.json"))
+        assert (code, out) == (3, ""), (suite, err)
+        assert err.strip().splitlines() == [
+            "resource cap: oracle embedding of |G|=200 exceeds the order cap (cap: 100)"]
 
 
 def test_verify_thuno_with_spec(spec_dir, capsys):

@@ -87,6 +87,37 @@ def test_intersect_is_the_canonical_rref_of_the_common_vectors():
         assert set(inter.vectors()) == set(a.vectors()) & set(b.vectors())
 
 
+def test_split_over_matches_intersect_and_sum_with():
+    rng = random.Random(37)
+    spanning = 0
+    for _ in range(1000):
+        p = rng.choice(PRIMES)
+        n = rng.randrange(1, 6)
+        a = ffla.rref(random_vectors(rng, p, n, rng.randrange(n + 1)), p, n)
+        b = ffla.rref(random_vectors(rng, p, n, rng.randrange(n + 1)), p, n)
+        meet, lifts = a.split_over(b)
+        assert meet == a.intersect(b)
+        assert len(lifts) == a.sum_with(b).dim - b.dim
+        assert all(a.contains(lift) for lift in lifts)
+
+        def quotient(x):
+            image = b.reduce(x)
+            return tuple(image[c] for c in b.free_columns)
+
+        # pi(l_i) is row i of the RREF basis of pi(a): a unit vector on the
+        # pivot columns of that basis
+        images = tuple(quotient(lift) for lift in lifts)
+        assert images == ffla.rref([quotient(row) for row in a.basis], p, n - b.dim).basis
+        if len(lifts) == n - b.dim:
+            spanning += 1
+            assert images == ffla.mat_identity(n - b.dim)
+            x = tuple(rng.randrange(p) for _ in range(n))
+            for coeff, lift in zip(quotient(x), lifts):
+                x = ffla.vec_sub(x, ffla.vec_scale(lift, coeff, p), p)
+            assert b.contains(x)
+    assert spanning > 100
+
+
 def test_modular_law():
     rng = random.Random(31)
     for _ in range(1000):

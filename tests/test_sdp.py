@@ -183,6 +183,52 @@ def test_case_nested_spec_example():
     assert res2 == k and witness2 is None
 
 
+def reference_case_spanning(G, K, M):
+    """The spanning step by decomposition: d = a + b with a in W2, b in W1,
+    and the meet by Zassenhaus."""
+    W1, W2 = K.submodule, M.submodule
+    assert W1.sum_with(W2).dim == G.wdim
+    _, b = W2.decompose(vec_sub(K.translate, M.translate, G.p), W1)
+    meet = W1.intersect(W2)
+    return sdp.PartialIntersection(meet, K.h_indices,
+                                   meet.reduce(vec_sub(K.translate, b, G.p)))
+
+
+def reference_case_nested(G, K, M):
+    """The nested step by decomposition over the complement U = iota(V) of
+    W2, with z read off the first nonzero block of the U-part."""
+    W1, W2 = K.submodule, M.submodule
+    assert W1.is_subspace_of(W2)
+    fops = G.module.fops
+    (line,) = fops.f_complement(G.fvectors_of_submodule(W2), G.t)
+    _, u = W2.decompose(vec_sub(M.translate, K.translate, G.p),
+                        G.submodule_from_fvectors((line,)))
+    pos = next(i for i, idx in enumerate(line) if idx)
+    z = fops.act(u[pos * G.k:(pos + 1) * G.k], fops.inv_t[line[pos]])
+    cen = tuple(x for x in K.h_indices if G.module.act(z, x) == z)
+    if len(cen) == len(K.h_indices):
+        return K, None
+    return sdp.PartialIntersection(W1, cen, K.translate), fops.canonical_line_rep(z)
+
+
+def test_calculus_steps_match_the_decomposition_reference(sdp_pool):
+    rng = random.Random(1618)
+    cases = {"spanning": 0, "nested": 0}
+    for g in sdp_pool:
+        sups = sdp.enumerate_maximal_supplements(g)
+        for _ in range(4):
+            k = sdp.random_partial(g, rng)
+            for m in sups:
+                if k.submodule.is_subspace_of(m.submodule):
+                    expected = reference_case_nested(g, k, m)
+                    cases["nested"] += 1
+                else:
+                    expected = reference_case_spanning(g, k, m), None
+                    cases["spanning"] += 1
+                assert sdp.intersect_supplement(g, k, m) == expected, (g.name, k, m)
+    assert min(cases.values()) > 1000, cases
+
+
 def test_canonicalize_single_supplement():
     g = g_f5_c4(1)
     for m in sdp.enumerate_maximal_supplements(g):
