@@ -392,32 +392,48 @@ def subgroup_closure(G: OracleGroup, gen_ids) -> Subgroup:
     return Subgroup(G, closure_mask(G, gen_ids))
 
 
+def _conjugation(G: OracleGroup, gens):
+    """The conjugation kernel: for each g in gens the map x -> x^g as a
+    `__getitem__` over its image list (memoised per g), and the map
+    x -> 2^x.  A conjugate's members are map(image, members) and, the
+    images being distinct, its mask is sum(map(bit, members))."""
+    images = []
+    for g in gens:
+        table = G._cache.get(("conj", g))
+        if table is None:
+            table = G._cache[("conj", g)] = [G.conj(x, g) for x in range(G.n)]
+        images.append(table.__getitem__)
+    powers = G._cache.get("powers_of_two")
+    if powers is None:
+        powers = G._cache["powers_of_two"] = [1 << x for x in range(G.n)]
+    return images, powers.__getitem__
+
+
 def conjugate_mask(G: OracleGroup, mask: int, g: int) -> int:
-    images = G._cache.get(("conj", g))
-    if images is None:
-        images = G._cache[("conj", g)] = [G.conj(x, g) for x in range(G.n)]
-    out = 0
-    for x in mask_bits(mask):
-        out |= 1 << images[x]
-    return out
+    (image,), bit = _conjugation(G, (g,))
+    return sum(map(bit, map(image, mask_bits(mask))))
 
 
 def _orbit(G: OracleGroup, mask: int) -> set[int]:
     """The conjugates of the subgroup `mask` (its orbit under G.gens)."""
+    images, bit = _conjugation(G, G.gens)
     orbit = {mask}
-    stack = [mask]
+    stack = [list(mask_bits(mask))]
     while stack:
-        m = stack.pop()
-        for g in G.gens:
-            c = conjugate_mask(G, m, g)
+        members = stack.pop()
+        for image in images:
+            c_members = list(map(image, members))
+            c = sum(map(bit, c_members))
             if c not in orbit:
                 orbit.add(c)
-                stack.append(c)
+                stack.append(c_members)
     return orbit
 
 
 def _is_normal(G: OracleGroup, mask: int) -> bool:
-    return all(conjugate_mask(G, mask, g) == mask for g in G.gens)
+    images, bit = _conjugation(G, G.gens)
+    members = list(mask_bits(mask))
+    return all(sum(map(bit, map(image, members))) == mask for image in images)
 
 
 def greedy_generators(G: OracleGroup, mask: int) -> list[int]:

@@ -13,6 +13,7 @@ deterministic function of its arguments; caches only memoize.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import groups as gr
@@ -225,7 +226,9 @@ class SdGroup:
         """compute(*args), memoised under `key` in table `table` of
         `_cache`.  The memos live as long as the group, and the CLI builds
         its groups afresh for every request."""
-        memo = self._cache.setdefault(table, {})
+        memo = self._cache.get(table)
+        if memo is None:
+            memo = self._cache[table] = {}
         try:
             return memo[key]
         except KeyError:
@@ -372,27 +375,27 @@ class CanonicalIntersection:
 
 
 def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
-    """All maximal subgroups of G supplementing V^t, deduplicated by
-    canonical descriptor."""
+    """All maximal subgroups of G supplementing V^t, one per canonical
+    descriptor.  The translates are the reduced vectors modulo
+    `fixed_space_over(W)`: when that is W, they are the vectors that vanish
+    on W's pivot columns, one per fill of its free columns; when it is V^t,
+    the only one is 0."""
     from itertools import product as iter_product
 
     out = []
-    seen = set()
     p = G.p
     for W in G.maximal_submodules():
         if G.wdim and (G.order // (W.size() * G.module.order)) != p ** G.k:
             raise AssertionError("maximal supplement index is not |V|")
-        fixed = G.fixed_space_over(W)
+        if G.fixed_space_over(W) is not W:
+            out.append(MaximalSupplement(W, G.zero_w()))
+            continue
         free_positions = W.free_columns
         for fill in iter_product(range(p), repeat=len(free_positions)):
             v = [0] * G.wdim
             for c, val in zip(free_positions, fill):
                 v[c] = val
-            canon = fixed.reduce(tuple(v))
-            key = (W, canon)
-            if key not in seen:
-                seen.add(key)
-                out.append(MaximalSupplement(W, canon))
+            out.append(MaximalSupplement(W, tuple(v)))
     return out
 
 
@@ -409,37 +412,68 @@ def descriptor_elements(G: SdGroup, submodule: FpSubspace, h_indices, translate)
     The mask of U at h = 0 starts at 1 (the zero vector) and is spanned by
     translating along each basis row p - 1 times; the set is then the union
     over x in X of translate(U_mask << x, v - v^x).
+
+    This brute force reads only U's basis rows and H's matrices.  Its memos
+    live in the group: the steps B and masks L per group, U's mask per
+    submodule, and block - block*x per k-block of V and x in H.
     """
-    p, n, h_order = G.p, G.wdim, G.module.order
-    steps = [p ** (n - 1 - i) * h_order for i in range(n)]
-    ones = (1 << G.order) - 1
-    # low[i][c]: the ids whose digit i is below p - c (c = 0 is unused)
-    low = [[0] + [((1 << (p - c) * b) - 1) * (ones // ((1 << p * b) - 1)) for c in range(1, p)]
-           for b in steps]
-
-    def move(mask: int, d: Vector) -> int:
-        for i, c in enumerate(d):
-            if c:
-                b, lo = steps[i], low[i][c]
-                mask = ((mask & lo) << c * b) | ((mask & ~lo) >> (p - c) * b)
-        return mask
-
-    u_mask = 1
-    for row in submodule.basis:
-        cur = acc = u_mask
-        for _ in range(p - 1):
-            cur = move(cur, row)
-            acc |= cur
-        u_mask = acc
+    moves = G._memo("digit_moves", None, _digit_moves, G)
+    u_mask = G._memo("span_mask", submodule, _span_mask, G.p, submodule.basis, moves)
+    p, k = G.p, G.k
+    blocks = [translate[b:b + k] for b in range(0, G.wdim, k)]
+    diffs_by_x = G._memo("shift", None, defaultdict, dict)
     # U_mask << x for every x sharing a shift is U_mask times their h bits
     h_bits_by_shift: dict = {}
     for x in h_indices:
-        shift = vec_sub(translate, G.act_w(translate, x), p)
+        diffs = diffs_by_x[x]
+        shift = ()
+        for block in blocks:
+            diff = diffs.get(block)
+            if diff is None:
+                diff = diffs[block] = vec_sub(block, vec_mat(block, G.module.elements[x], p), p)
+            shift += diff
         h_bits_by_shift[shift] = h_bits_by_shift.get(shift, 0) | 1 << x
     out = 0
     for shift, h_bits in h_bits_by_shift.items():
-        out |= move(u_mask * h_bits, shift)
+        out |= _move(u_mask * h_bits, shift, p, moves)
     return out
+
+
+def _digit_moves(G: SdGroup):
+    """(steps, low): steps[i] = p^(n-1-i) * |H| and low[i][c] the ids whose
+    digit i is below p - c (c = 0 is unused), as in `descriptor_elements`."""
+    p, n, h_order = G.p, G.wdim, G.module.order
+    steps = [p ** (n - 1 - i) * h_order for i in range(n)]
+    ones = (1 << G.order) - 1
+    low = []
+    for b in steps:
+        # one bit at the start of every run of p * b ids
+        starts = ones // ((1 << p * b) - 1)
+        low.append([0] + [((1 << (p - c) * b) - 1) * starts for c in range(1, p)])
+    return steps, low
+
+
+def _move(mask: int, d: Vector, p: int, moves) -> int:
+    """translate(mask, d) of `descriptor_elements`, one digit at a time."""
+    steps, low = moves
+    for i, c in enumerate(d):
+        if c:
+            b, lo = steps[i], low[i][c]
+            mask = ((mask & lo) << c * b) | ((mask & ~lo) >> (p - c) * b)
+    return mask
+
+
+def _span_mask(p: int, rows, moves) -> int:
+    """The mask of the span of `rows` at h = 0: the zero vector's bit,
+    translated along each row p - 1 times."""
+    u_mask = 1
+    for row in rows:
+        cur = acc = u_mask
+        for _ in range(p - 1):
+            cur = _move(cur, row, p, moves)
+            acc |= cur
+        u_mask = acc
+    return u_mask
 
 
 def supplement_elements(G: SdGroup, M: MaximalSupplement) -> int:

@@ -1,0 +1,62 @@
+"""The interKM brute force must not route through the code it checks.
+
+`sdp.descriptor_elements` builds the element set of a descriptor subgroup
+from U's basis rows and H's matrices alone; the equivalence suites compare
+it with the closed-form calculus.  This test reads src/solvint/sdp.py as
+source (nothing is imported or executed) and checks that the checker and
+every private helper it reaches name none of the closed-form, splitting or
+subspace-reduction entry points.
+"""
+
+import ast
+from pathlib import Path
+
+SDP = Path(__file__).resolve().parents[1] / "src" / "solvint" / "sdp.py"
+CHECKER = "descriptor_elements"
+FORBIDDEN = {
+    "intersect_case_spanning", "intersect_case_nested", "intersect_supplement",
+    "canonicalize_intersection", "realize_intersection", "_split", "split_over",
+    "reduce", "decompose", "intersect",
+}
+
+
+def functions(tree):
+    """Every function of the module by name: top-level ones and methods."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            out.setdefault(node.name, []).append(node)
+    return out
+
+
+def names_in(node):
+    """Every identifier the function's body names, as a variable or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def reached_from(defs, root):
+    """The checker and the private helpers of the module it names, transitively."""
+    seen = {root}
+    todo = [root]
+    while todo:
+        for node in defs[todo.pop()]:
+            for name in names_in(node):
+                if name.startswith("_") and name in defs and name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+    return seen
+
+
+def test_checker_names_no_closed_form_code():
+    defs = functions(ast.parse(SDP.read_text()))
+    reached = reached_from(defs, CHECKER)
+    # the memo helpers are reached, so the walk follows the checker's calls
+    assert {"_digit_moves", "_span_mask", "_move", "_memo"} <= reached
+    named = {(fn, name) for fn in reached for node in defs[fn]
+             for name in names_in(node) if name in FORBIDDEN}
+    assert named == set()
+

@@ -494,3 +494,33 @@ def test_lattice_and_its_maximals_and_mobius_match_references(corpus_list, sdp_p
                 for y in gr.mask_bits(m):
                     image |= 1 << g.conj(y, x)
                 assert gr.conjugate_mask(g, m, x) == image, g.name
+
+
+def reference_orbit(mask, conj):
+    """The conjugates of a subgroup by every element x of its group, bit by
+    bit from conj[x][y] = y^x."""
+    orbit = set()
+    members = list(gr.mask_bits(mask))
+    for images in conj:
+        image = 0
+        for y in members:
+            image |= 1 << images[y]
+        orbit.add(image)
+    return orbit
+
+
+def test_orbit_matches_conjugates_by_every_element(corpus_list, sdp_pool):
+    for g in list(corpus_list) + small_pool_oracles(sdp_pool):
+        try:
+            subs = [s.mask for s in gr.all_subgroups(g)]
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            continue
+        conj = [[g.conj(y, x) for y in range(g.n)] for x in range(g.n)]
+        # conjugate subgroups share their orbit, so one reference per class
+        reference: dict = {}
+        for s in subs:
+            if s not in reference:
+                orbit = reference_orbit(s, conj)
+                reference.update(dict.fromkeys(orbit, orbit))
+            assert gr._orbit(g, s) == reference[s], g.name

@@ -130,6 +130,11 @@ def test_descriptor_masks_match_reference(sdp_pool):
             mask = sdp.descriptor_elements(g, *desc)
             assert mask == encode_elements(g, ref), (g.name, desc)
             assert mask.bit_count() == len(ref)
+            # on a fresh group: the first call fills the checker's memos,
+            # the second reads them
+            fresh = sdp.SdGroup(g.module, g.t)
+            assert sdp.descriptor_elements(fresh, *desc) == mask, (g.name, desc)
+            assert sdp.descriptor_elements(fresh, *desc) == mask, (g.name, desc)
 
 
 def test_case_spanning_spec_example():
