@@ -327,34 +327,6 @@ class FpSubspace:
         inter = tuple(row[n:] for row, c in zip(red, pivots) if c >= n)
         return FpSubspace(self.p, n, inter, tuple(c - n for c in pivots if c >= n))
 
-    def split_over(self, other: "FpSubspace"):
-        """(self cap other, lifts) from one elimination.
-
-        Let pi(x) be `other.reduce(x)` read on `other.free_columns`: a linear
-        map onto F_p^k with kernel `other`.  The rows [pi(b) | b], b over this
-        basis, are row-reduced together; row operations keep every left
-        half equal to pi of its right half.  The rows pivoting in the right
-        half have pi = 0: their right halves are the canonical basis of
-        self cap other, as in `intersect`.  The right halves of the rows pivoting in the left
-        half are the lifts l_i in self, with pi(l_i) the RREF basis of
-        pi(self).  When self + other is the whole space, pi(l_i) = e_i, so
-        x - sum_i pi(x)_i l_i lies in `other` for every x.
-        """
-        self._check_compatible(other)
-        free = other.free_columns
-        k = len(free)
-        stacked = []
-        for row in self.basis:
-            image = other.reduce(row)
-            stacked.append(tuple(image[c] for c in free) + row)
-        if not any(any(row[:k]) for row in stacked):
-            return self, ()
-        red, pivots = _rref(stacked, self.p, k + self.ambient_dim)
-        meet = tuple(row[k:] for row, c in zip(red, pivots) if c >= k)
-        lifts = tuple(row[k:] for row, c in zip(red, pivots) if c < k)
-        return FpSubspace(self.p, self.ambient_dim, meet,
-                          tuple(c - k for c in pivots if c >= k)), lifts
-
     def complement_in(self, ambient: "FpSubspace") -> "FpSubspace":
         """Deterministic direct complement inside `ambient` (greedy extension
         of this basis by ambient basis rows)."""

@@ -276,14 +276,12 @@ class SdGroup:
     def zero_w(self) -> Vector:
         return (0,) * self.wdim
 
-    def full_w_space(self) -> FpSubspace:
-        return self._memo("full", None, FpSubspace.full, self.p, self.wdim)
-
     # -- submodules of V^t via F-subspaces of F^t
 
     def submodule_from_fvectors(self, frows) -> FpSubspace:
         """H-submodule of V^t spanned by the images of V under the maps
-        x -> (x*s_1, ..., x*s_t), s running over the given F^t rows."""
+        x -> (x*s_1, ..., x*s_t), s running over the given F^t rows, which
+        are recorded as the submodule's F-rows."""
         return self._memo("fspan", tuple(frows), self._span_fvectors, frows)
 
     def _span_fvectors(self, frows) -> FpSubspace:
@@ -291,11 +289,14 @@ class SdGroup:
         elements = self.module.fops.elements
         vectors = [tuple(x for idx in s for x in elements[idx][j])
                    for s in frows for j in range(self.k)]
-        return FpSubspace.from_vectors(self.p, self.wdim, vectors)
+        W = FpSubspace.from_vectors(self.p, self.wdim, vectors)
+        self._memo("fvec", W, tuple, frows)
+        return W
 
     def fvectors_of_submodule(self, W: FpSubspace):
-        """F-RREF basis of the F-subspace of F^t corresponding to W; raises
-        if W is not an H-submodule of V^t.  Results are cached per W."""
+        """F-rows spanning the F-subspace of F^t corresponding to W: those
+        `submodule_from_fvectors` built W from, else the F-RREF basis found
+        by enumeration, which raises if W is not an H-submodule of V^t."""
         return self._memo("fvec", W, self._fvectors_of, W)
 
     def _fvectors_of(self, W: FpSubspace):
@@ -315,17 +316,8 @@ class SdGroup:
         return rows
 
     def maximal_submodules(self) -> list[FpSubspace]:
-        cached = self._cache.get("maximal_submodules")
-        if cached is None:
-            fops = self.module.fops
-            fvec_cache = self._cache.setdefault("fvec", {})
-            cached = []
-            for rows in fops.hyperplanes(self.t):
-                w = self.submodule_from_fvectors(rows)
-                fvec_cache.setdefault(w, rows)
-                cached.append(w)
-            self._cache["maximal_submodules"] = cached
-        return list(cached)
+        return list(self._memo("maximal_submodules", None, lambda: [
+            self.submodule_from_fvectors(rows) for rows in self.module.fops.hyperplanes(self.t)]))
 
     def fixed_space_over(self, W: FpSubspace) -> FpSubspace:
         """{v in V^t : v^h - v in W for every h}, for an H-submodule W: it is
@@ -338,7 +330,7 @@ class SdGroup:
         H is faithful and nontrivial, so V^H = 0 and the preimage is W.
         """
         if self.wdim == 0 or self.module.order == 1:
-            return self.full_w_space()
+            return FpSubspace.full(self.p, self.wdim)
         return W
 
 
@@ -495,118 +487,143 @@ def centralizer_in_h(G: SdGroup, z_space: FpSubspace) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # the intersection calculus
+#
+# Linear algebra over F = End_H(V) on F^t: pi_phi(x) = sum_j x_j * phi_j is
+# an H-map V^t -> V for phi in F^t.  W * X^v has one row (phi, pi_phi(v)) per
+# phi in the F-annihilator of W's F-rows, a single row when W is maximal.  An
+# added row is kept, and the submodules meet, or psi = sum_i a_i phi_i leaves
+# the witness c - sum_i a_i c_i, whose centralizer is the new H-part.  Rows
+# are held as {pivot column: (phi, c)}, fully reduced with leading entry one.
 
 
-def _split(G: SdGroup, W1: FpSubspace, W2: FpSubspace):
-    """W1.split_over(W2), memoised per pair: (W1 cap W2, lifts).  V^t/W2 is
-    isomorphic to the irreducible V for a maximal W2, so W1 maps onto 0
-    (nested case, no lifts) or onto all of it (spanning case, one lift per
-    free column of W2); any other rank means W2 is not maximal."""
-    meet, lifts = G._memo("split", (W1, W2), W1.split_over, W2)
-    if lifts and len(lifts) != G.wdim - W2.dim:
-        raise AssertionError("case dispatch totality violated (M not maximal?)")
-    return meet, lifts
+def _f_nullspace(fops: FieldOps, rows, t: int):
+    """F-RREF (rows, pivots) of {s in F^t : sum_j s_j phi_j = 0 for every phi
+    in `rows`}, for rows in F-RREF."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    basis = []
+    for f in range(t):
+        if f not in pivots:
+            s = [0] * t
+            s[f] = fops.one
+            for row, c in zip(rows, pivots):
+                s[c] = fops.neg_t[row[f]]
+            basis.append(s)
+    return fops.f_rref(basis, t)
+
+
+def _annihilator(G: SdGroup, W: FpSubspace):
+    """(phis, pivots, P): the F-RREF phi with W the common kernel of the
+    pi_phi, and P with v*P the concatenated pi_phi(v)."""
+    fops = G.module.fops
+    phis, pivots = _f_nullspace(fops, fops.f_rref(G.fvectors_of_submodule(W), G.t)[0], G.t)
+    P = tuple(tuple(x for phi in phis for x in fops.elements[phi[b]][r])
+              for b in range(G.t) for r in range(G.k))
+    return phis, pivots, P
+
+
+def _rows(G: SdGroup, W: FpSubspace, v: Vector) -> dict:
+    """The rows of W * X^v."""
+    phis, pivots, P = G._memo("ann", W, _annihilator, G, W)
+    c, k = vec_mat(v, P, G.p), G.k
+    return {j: (phi, c[i * k:(i + 1) * k]) for i, (phi, j) in enumerate(zip(phis, pivots))}
+
+
+def _add_row(G: SdGroup, rows: dict, M: MaximalSupplement):
+    """Add M's row to `rows` in place: the witness when the row reduces to
+    zero, else None once it is kept."""
+    own = _rows(G, M.submodule, M.translate)
+    if len(own) != 1:
+        raise CaseDispatchError("M's submodule is not maximal")
+    fops = G.module.fops
+
+    def minus(row, a, other):
+        """row - a * other."""
+        na = fops.neg_t[a]
+        return (tuple(fops.add_t[x][fops.mul_t[na][y]] for x, y in zip(row[0], other[0])),
+                vec_add(row[1], fops.act(other[1], na), G.p))
+
+    (row,) = own.values()
+    for j, other in rows.items():
+        if row[0][j]:
+            row = minus(row, row[0][j], other)
+    piv = next((j for j, x in enumerate(row[0]) if x), None)
+    if piv is None:
+        return row[1]
+    inv = fops.inv_t[row[0][piv]]
+    row = tuple(fops.mul_t[inv][x] for x in row[0]), fops.act(row[1], inv)
+    for j, other in rows.items():
+        if other[0][piv]:
+            rows[j] = minus(other, other[0][piv], row)
+    rows[piv] = row
+    return None
+
+
+def _solution(G: SdGroup, rows: dict):
+    """(U, v): U the common kernel of the rows and v the canonical translate
+    with pi_phi(v) = c for each row (phi, c), which is c on its pivot block."""
+    phis = tuple(rows[j][0] for j in sorted(rows))
+    U = G._memo("kernel", phis, lambda: G.submodule_from_fvectors(
+        _f_nullspace(G.module.fops, phis, G.t)[0]))
+    k = G.k
+    v = [0] * G.wdim
+    for j, (_, c) in rows.items():
+        v[j * k:(j + 1) * k] = c
+    return U, U.reduce(tuple(v))
+
+
+def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
+    """(spanning, (K cap M, witness)), from M's row added to K's rows."""
+    rows = _rows(G, K.submodule, K.translate)
+    z = _add_row(G, rows, M)
+    if z is None:
+        U, v = _solution(G, rows)
+        return True, (PartialIntersection(U, K.h_indices, v), None)
+    cen = G._fixers((z,), K.h_indices)
+    if len(cen) == len(K.h_indices):
+        return False, (K, None)
+    return False, (PartialIntersection(K.submodule, cen, K.translate),
+                   G._memo("line_rep", z, G.module.fops.canonical_line_rep, z))
 
 
 def intersect_case_spanning(G: SdGroup, K: PartialIntersection,
                             M: MaximalSupplement) -> PartialIntersection:
-    """K cap M when K's submodule and M's submodule together span V^t:
-    the submodules intersect and the translate shifts inside K's submodule.
-
-    With pi the quotient map of `FpSubspace.split_over`, b = sum_i
-    pi(d)_i l_i lies in W1 and d - b in W2 for d = K.translate - M.translate,
-    and b is fixed modulo W1 cap W2, so the new translate is canonical."""
-    W1, W2 = K.submodule, M.submodule
-    meet, lifts = _split(G, W1, W2)
-    if not lifts:
+    """K cap M when K's submodule and M's submodule together span V^t: the
+    submodules intersect, the H-part stays, and the translate solves both
+    cosets."""
+    spanning, (out, _) = _pair_step(G, K, M)
+    if not spanning:
         raise CaseDispatchError("submodules do not span V^t; use the nested case")
-    p = G.p
-    image = W2.reduce(vec_sub(K.translate, M.translate, p))
-    v = K.translate
-    for c, lift in zip(W2.free_columns, lifts):
-        f = image[c]
-        if f:
-            v = tuple((x - f * y) % p for x, y in zip(v, lift))
-    return PartialIntersection(meet, K.h_indices, meet.reduce(v))
+    return out
 
 
 def intersect_case_nested(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
     """K cap M when K's submodule lies inside M's: the H-part shrinks to the
-    centralizer of the z in V with M.translate - K.translate - iota(z) in
-    M's submodule, iota the embedding of V along a complement line.
+    centralizer of the witness z.
 
     Returns (descriptor, witness) where witness is the canonical F-line
     representative of z, or None when K is unchanged.
     """
-    W1, W2 = K.submodule, M.submodule
-    if _split(G, W1, W2)[1]:
+    spanning, out = _pair_step(G, K, M)
+    if spanning:
         raise CaseDispatchError("K's submodule is not inside M's; use the spanning case")
-    free, p_inv = G._memo("line", W2, _complement_line, G, W2)
-    image = W2.reduce(vec_sub(M.translate, K.translate, G.p))
-    z = vec_mat(tuple(image[c] for c in free), p_inv, G.p)
-    cen = G._fixers((z,), K.h_indices)
-    if len(cen) == len(K.h_indices):
-        return K, None
-    return PartialIntersection(W1, cen, K.translate), G._memo(
-        "line_rep", z, G.module.fops.canonical_line_rep, z)
-
-
-def _complement_line(G: SdGroup, W2: FpSubspace):
-    """W2's free columns and P^-1 for a maximal submodule W2.  The F-line l
-    spanning the standard complement of W2 over F embeds V as iota(z) =
-    (z*l_1, ..., z*l_t), a complement of W2; row i of P is pi(iota(e_i)),
-    with pi(x) = W2.reduce(x) read on the free columns, so z = pi(d) P^-1
-    is the z with d - iota(z) in W2."""
-    comp = G.module.fops.f_complement(G.fvectors_of_submodule(W2), G.t)
-    if len(comp) != 1:
-        raise CaseDispatchError("M's submodule is not maximal")
-    free = W2.free_columns
-    rows = []
-    for e in mat_identity(G.k):
-        image = W2.reduce(_line_embedding(G, comp[0], e))
-        rows.append(tuple(image[c] for c in free))
-    return free, mat_inv(tuple(rows), G.p)
+    return out
 
 
 def intersect_supplement(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
-    """Dispatch on the (always exclusive, always exhaustive) case split."""
-    if _split(G, K.submodule, M.submodule)[1]:
-        return intersect_case_spanning(G, K, M), None
-    return intersect_case_nested(G, K, M)
+    """K cap M in whichever case holds (they are exclusive and exhaustive),
+    as (descriptor, witness)."""
+    return _pair_step(G, K, M)[1]
 
 
 def canonicalize_intersection(G: SdGroup, supplements) -> CanonicalIntersection:
-    """Closed form (U, v, Z) of an intersection of maximal supplements.
-
-    First the descriptors whose submodule does not contain the running
-    intersection are folded in (the submodule strictly decreases); the
-    remaining ones only shrink the H-part, accumulating the F-span Z of
-    their witnesses.
-    """
+    """Closed form (U, v, Z) of an intersection of maximal supplements: their
+    rows reduced in order give U and v, and Z is the F-span of the witnesses."""
     ms = list(supplements)
     if not ms:
         raise MalformedInput("canonicalize_intersection requires a nonempty family")
-    cur = PartialIntersection(G.full_w_space(), tuple(range(G.module.order)), G.zero_w())
-    pending = ms
-    progress = True
-    while progress:
-        progress = False
-        for i, m in enumerate(pending):
-            if _split(G, cur.submodule, m.submodule)[1]:
-                cur = intersect_case_spanning(G, cur, m)
-                pending.pop(i)
-                progress = True
-                break
-    witnesses = []
-    for m in pending:
-        cur, z = intersect_case_nested(G, cur, m)
-        if z is not None:
-            witnesses.append(z)
-    fops = G.module.fops
-    z_space = fops.f_closure(witnesses) if witnesses else FpSubspace.zero(G.p, G.k)
-    if tuple(sorted(cur.h_indices)) != centralizer_in_h(G, z_space):
-        raise AssertionError("H-part does not match the centralizer of Z")
-    return CanonicalIntersection(cur.submodule, cur.submodule.reduce(cur.translate), z_space)
+    rows: dict = {}
+    witnesses = [z for m in ms if (z := _add_row(G, rows, m)) is not None]
+    return CanonicalIntersection(*_solution(G, rows), G.module.fops.f_closure(witnesses))
 
 
 def realize_intersection(G: SdGroup, U: FpSubspace, Z: FpSubspace) -> list[MaximalSupplement]:

@@ -428,19 +428,20 @@ def reference_towers(tower2, tower3):
     return towers
 
 
+@pytest.fixture(scope="session")
 def small_pool_oracles(sdp_pool):
-    return [sdp.embed_as_oracle(g)[0] for g in sdp_pool if g.order <= 500]
+    """(G, oracle) for the pool groups of order <= 500, embedded once: the
+    oracles memoise their lattices, which two tests below compare."""
+    return [(G, sdp.embed_as_oracle(G)[0]) for G in sdp_pool if G.order <= 500]
 
 
-def test_split_tables_match_cell_by_cell_reference(sdp_pool, tower2, tower3):
+def test_split_tables_match_cell_by_cell_reference(small_pool_oracles, tower2, tower3):
     for T in reference_towers(tower2, tower3):
         g = T.embed_as_oracle()
         assert g._mul == reference_split_table(T.w_size, T.h_order, *reference_tower_tables(T)), T.name
         assert g._inv == reference_inverses(g._mul, g.n), T.name
-    small = [G for G in sdp_pool if G.order <= 500]
-    assert len(small) > 0
-    for G in small:
-        g = sdp.embed_as_oracle(G)[0]
+    assert len(small_pool_oracles) > 0
+    for G, g in small_pool_oracles:
         flat = reference_split_table(G.p**G.wdim, G.module.order, *reference_sdp_tables(G))
         assert g._mul == flat, g.name
         assert g._inv == reference_inverses(g._mul, g.n), g.name
@@ -475,9 +476,10 @@ def test_from_mul_table_finds_inverses_and_rejects_a_row_without_identity():
         gr.OracleGroup(2, array("i", [0, 1, 1, 1]), "no-inverse", ())
 
 
-def test_lattice_and_its_maximals_and_mobius_match_references(corpus_list, sdp_pool, tower2, tower3):
+def test_lattice_and_its_maximals_and_mobius_match_references(corpus_list, small_pool_oracles,
+                                                              tower2, tower3):
     oracles = [T.embed_as_oracle() for T in reference_towers(tower2, tower3)]
-    oracles += small_pool_oracles(sdp_pool) + list(corpus_list)
+    oracles += [g for _, g in small_pool_oracles] + list(corpus_list)
     for g in oracles:
         try:
             subs = [s.mask for s in gr.all_subgroups(g)]
@@ -509,8 +511,8 @@ def reference_orbit(mask, conj):
     return orbit
 
 
-def test_orbit_matches_conjugates_by_every_element(corpus_list, sdp_pool):
-    for g in list(corpus_list) + small_pool_oracles(sdp_pool):
+def test_orbit_matches_conjugates_by_every_element(corpus_list, small_pool_oracles):
+    for g in list(corpus_list) + [g for _, g in small_pool_oracles]:
         try:
             subs = [s.mask for s in gr.all_subgroups(g)]
         except ResourceCapExceeded:

@@ -234,6 +234,61 @@ def test_calculus_steps_match_the_decomposition_reference(sdp_pool):
     assert min(cases.values()) > 1000, cases
 
 
+def reference_canonicalize(G, family):
+    """The fold of a family through the pair references: spanning steps
+    first, restarting the pass after each, then nested steps, with Z the
+    F-span of the witnesses that shrank the H-part."""
+    cur = sdp.PartialIntersection(FpSubspace.full(G.p, G.wdim), tuple(range(G.module.order)),
+                                  G.zero_w())
+    pending = list(family)
+    while (m := next((m for m in pending if not cur.submodule.is_subspace_of(m.submodule)),
+                     None)) is not None:
+        cur = reference_case_spanning(G, cur, m)
+        pending.remove(m)
+    witnesses = []
+    for m in pending:
+        cur, z = reference_case_nested(G, cur, m)
+        if z is not None:
+            witnesses.append(z)
+    z_space = G.module.fops.f_closure(witnesses)
+    assert tuple(sorted(cur.h_indices)) == sdp.centralizer_in_h(G, z_space)
+    return sdp.CanonicalIntersection(cur.submodule, cur.submodule.reduce(cur.translate), z_space)
+
+
+def test_canonicalize_matches_the_fold_of_the_pair_references(sdp_pool):
+    # every other family is drawn from the supplements over two submodules,
+    # so that nested steps and nonzero witnesses are common
+    rng = random.Random(1729)
+    z_dims = set()
+    for g in sdp_pool:
+        avail = sdp.enumerate_maximal_supplements(g)
+        subs = g.maximal_submodules()
+        for case in range(20):
+            pool = avail
+            if case % 2:
+                pair = rng.sample(subs, min(2, len(subs)))
+                pool = [m for m in avail if m.submodule in pair]
+            fam = [pool[rng.randrange(len(pool))] for _ in range(1 + case % 5)]
+            ci = sdp.canonicalize_intersection(g, fam)
+            assert ci == reference_canonicalize(g, fam), (g.name, fam)
+            z_dims.add(ci.z_space.dim // g.module.field.degree)
+    assert z_dims == {0, 1, 2}
+
+
+def test_non_maximal_supplement_is_refused():
+    g2 = g_f5_c4(2)
+    line = FpSubspace.from_vectors(5, 2, [(1, 0)])
+    k = sdp.PartialIntersection(line, tuple(range(4)), (0, 0))
+    maximal = sdp.MaximalSupplement(line, (0, 1))
+    for w in (FpSubspace.zero(5, 2), FpSubspace.full(5, 2)):
+        m = sdp.MaximalSupplement(w, (0, 1))
+        with pytest.raises(CaseDispatchError):
+            sdp.intersect_supplement(g2, k, m)
+        for fam in ([m], [maximal, m]):
+            with pytest.raises(CaseDispatchError):
+                sdp.canonicalize_intersection(g2, fam)
+
+
 def test_canonicalize_single_supplement():
     g = g_f5_c4(1)
     for m in sdp.enumerate_maximal_supplements(g):
@@ -458,6 +513,7 @@ def test_canonicalize_is_order_invariant(sdp_pool):
         rng.shuffle(shuffled)
         ci2 = sdp.canonicalize_intersection(g, shuffled)
         assert ci2.submodule == ci.submodule
+        assert ci2.z_space == ci.z_space
         assert sdp.subgroup_equal(g, ci, ci2)
         assert sdp.canonical_elements(g, ci) == sdp.canonical_elements(g, ci2)
 
