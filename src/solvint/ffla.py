@@ -40,10 +40,6 @@ def vec_neg(u: Vector, p: int) -> Vector:
     return tuple((-a) % p for a in u)
 
 
-def vec_scale(u: Vector, c: int, p: int) -> Vector:
-    return tuple((a * c) % p for a in u)
-
-
 def vec_mat(v: Vector, m: Matrix, p: int) -> Vector:
     cols = len(m[0]) if m else 0
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p for j in range(cols))
@@ -280,10 +276,6 @@ class FpSubspace:
     def size(self) -> int:
         return self.p ** self.dim
 
-    def _check_compatible(self, other: "FpSubspace") -> None:
-        if self.p != other.p or self.ambient_dim != other.ambient_dim:
-            raise MalformedInput("subspaces live in different ambient spaces")
-
     def reduce(self, v: Vector) -> Vector:
         """Canonical coset representative of v modulo this subspace."""
         if len(v) != self.ambient_dim:
@@ -307,42 +299,6 @@ class FpSubspace:
             return coords
         return None
 
-    def is_subspace_of(self, other: "FpSubspace") -> bool:
-        self._check_compatible(other)
-        return all(other.contains(row) for row in self.basis)
-
-    def sum_with(self, other: "FpSubspace") -> "FpSubspace":
-        self._check_compatible(other)
-        return FpSubspace.from_vectors(self.p, self.ambient_dim, self.basis + other.basis)
-
-    def intersect(self, other: "FpSubspace") -> "FpSubspace":
-        """Zassenhaus intersection; exact and canonical."""
-        self._check_compatible(other)
-        n = self.ambient_dim
-        stacked = [tuple(row) + tuple(row) for row in self.basis]
-        stacked += [tuple(row) + (0,) * n for row in other.basis]
-        red, pivots = _rref(stacked, self.p, 2 * n)
-        # the rows pivoting in the right half come last and are already in
-        # reduced echelon form there
-        inter = tuple(row[n:] for row, c in zip(red, pivots) if c >= n)
-        return FpSubspace(self.p, n, inter, tuple(c - n for c in pivots if c >= n))
-
-    def complement_in(self, ambient: "FpSubspace") -> "FpSubspace":
-        """Deterministic direct complement inside `ambient` (greedy extension
-        of this basis by ambient basis rows)."""
-        self._check_compatible(ambient)
-        if not self.is_subspace_of(ambient):
-            raise MalformedInput("complement_in: subspace not inside ambient")
-        added = []
-        cur = list(self.basis)
-        cur_space = self
-        for row in ambient.basis:
-            if not cur_space.contains(row):
-                added.append(row)
-                cur = cur + [row]
-                cur_space = FpSubspace.from_vectors(self.p, self.ambient_dim, cur)
-        return FpSubspace.from_vectors(self.p, self.ambient_dim, added)
-
     def vectors(self):
         """All elements, in lexicographic coefficient order over the basis."""
         p, n = self.p, self.ambient_dim
@@ -353,21 +309,6 @@ class FpSubspace:
                     for j in range(n):
                         v[j] = (v[j] + c * row[j]) % p
             yield tuple(v)
-
-    def decompose(self, v: Vector, other: "FpSubspace"):
-        """Split v = a + b with a in self, b in other; None if impossible."""
-        self._check_compatible(other)
-        rows = self.basis + other.basis
-        combo = express_in_rows(rows, v, self.p)
-        if combo is None:
-            return None
-        p, n = self.p, self.ambient_dim
-        a = [0] * n
-        for c, row in zip(combo[: self.dim], self.basis):
-            for j in range(n):
-                a[j] = (a[j] + c * row[j]) % p
-        a = tuple(a)
-        return a, vec_sub(v, a, p)
 
 
 def rref(vectors, p: int, ambient_dim: int) -> FpSubspace:
@@ -551,15 +492,6 @@ class FieldOps:
                 break
         return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
-    def f_contains(self, basis_rows, pivots, v) -> bool:
-        res = list(v)
-        for row, c in zip(basis_rows, pivots):
-            f = res[c]
-            if f:
-                nf = self.neg_t[f]
-                res = [self.add_t[x][self.mul_t[nf][y]] for x, y in zip(res, row)]
-        return not any(res)
-
     def subspaces(self, t: int, dim: int):
         """All RREF bases of F-subspaces of F^t of the given dimension, in a
         deterministic order (pivot columns, then free entries, lex)."""
@@ -583,26 +515,8 @@ class FieldOps:
                     rows[i][c] = val
                 yield tuple(tuple(r) for r in rows)
 
-    def all_subspaces(self, t: int, max_dim=None):
-        top = t if max_dim is None else min(t, max_dim)
-        for d in range(top + 1):
-            yield from self.subspaces(t, d)
-
     def hyperplanes(self, t: int):
         return list(self.subspaces(t, t - 1))
-
-    def f_complement(self, basis_rows, t: int):
-        """Greedy deterministic complement spanned by standard F-vectors."""
-        added = []
-        rows = list(basis_rows)
-        cur_rows, cur_piv = self.f_rref(rows, t) if rows else ((), ())
-        for j in range(t):
-            e = tuple(self.one if i == j else 0 for i in range(t))
-            if not self.f_contains(cur_rows, cur_piv, e):
-                added.append(e)
-                rows.append(e)
-                cur_rows, cur_piv = self.f_rref(rows, t)
-        return tuple(added)
 
     # -- action of field elements on V-row-vectors
 

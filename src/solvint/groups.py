@@ -21,7 +21,6 @@ from .errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 from .ffla import prime_factors
 
 DEFAULT_ORDER_CAP = 5000
-OVERGROUP_NODE_CAP = 10**4
 LATTICE_CAP = 10**4
 
 
@@ -498,20 +497,6 @@ def is_solvable(G: OracleGroup) -> bool:
     return derived_series(G)[-1].mask == 1
 
 
-def is_nilpotent_mask(G: OracleGroup, mask: int) -> bool:
-    """Lower central series test for the subgroup given by `mask`."""
-    s_gens = greedy_generators(G, mask)
-    cur = mask
-    while cur != 1:
-        k_gens = greedy_generators(G, cur)
-        comms = {G.commutator(a, b) for a in k_gens for b in s_gens}
-        nxt = normal_closure_mask(G, comms, s_gens)
-        if nxt == cur:
-            return False
-        cur = nxt
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the subgroup lattice
 
@@ -660,83 +645,16 @@ def mobius_all(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> MappingProxyType
     return MappingProxyType(cached)
 
 
-def overgroups(G: OracleGroup, H: Subgroup, node_cap: int = OVERGROUP_NODE_CAP) -> list[Subgroup]:
-    """All subgroups K with H <= K <= G, by coset-transversal closure (does
-    not require the full lattice)."""
-    h_gens = tuple(greedy_generators(G, H.mask))
-    n = G.n
-    found = {H.mask}
-    queue = [H.mask]
-    qi = 0
-    while qi < len(queue):
-        k_mask = queue[qi]
-        qi += 1
-        k_gens = h_gens if k_mask == H.mask else tuple(greedy_generators(G, k_mask))
-        covered = k_mask
-        for g in range(1, n):
-            if (covered >> g) & 1:
-                continue
-            t_mask = _closure_above(G, k_mask, k_gens, g, node_cap)
-            covered |= _coset_mask(G, k_mask, g)
-            if t_mask not in found:
-                found.add(t_mask)
-                queue.append(t_mask)
-                if len(found) > node_cap:
-                    raise ResourceCapExceeded("overgroup lattice nodes", node_cap)
-    return [Subgroup(G, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))]
-
-
-def _coset_mask(G: OracleGroup, k_mask: int, g: int) -> int:
-    out = 0
-    mul = G._mul
-    n = G.n
-    for x in mask_bits(k_mask):
-        out |= 1 << mul[x * n + g]
-    return out
-
-
-def _closure_above(G: OracleGroup, k_mask: int, k_gens, g: int, node_cap: int) -> int:
-    """<K, g> via right-coset BFS over K."""
-    mul = G._mul
-    n = G.n
-    k_members = list(mask_bits(k_mask))
-    t_mask = k_mask
-    gens = tuple(k_gens) + (g,)
-    stack = list(gens)
-    cosets = 1
-    while stack:
-        x = stack.pop()
-        if (t_mask >> x) & 1:
-            continue
-        for m in k_members:
-            t_mask |= 1 << mul[m * n + x]
-        cosets += 1
-        if cosets > node_cap:
-            raise ResourceCapExceeded("coset closure nodes", node_cap)
-        for h in gens:
-            stack.append(mul[x * n + h])
-    return t_mask
+def overgroups(G: OracleGroup, H: Subgroup) -> list[Subgroup]:
+    """All subgroups K with H <= K <= G, in lattice order."""
+    return [K for K in all_subgroups(G) if K.mask & H.mask == H.mask]
 
 
 def mobius(H: Subgroup, G: OracleGroup) -> int:
-    """mu(H, G) over the subgroup lattice.
-
-    Uses the cached full lattice when available, otherwise recurses over the
-    overgroup lattice of H only (usable above the all-subgroups cap).
-    """
+    """mu(H, G) over the subgroup lattice."""
     if H.group is not G:
         raise MalformedInput("subgroup belongs to a different group")
-    if "mobius_all" in G._cache or "lattice" in G._cache:
-        return mobius_all(G)[H.mask]
-    over = overgroups(G, H)
-    full = (1 << G.n) - 1
-    mu: dict[int, int] = {}
-    for K in sorted((o.mask for o in over), key=lambda m: -m.bit_count()):
-        if K == full:
-            mu[K] = 1
-            continue
-        mu[K] = -sum(mu[t] for t in mu if t != K and K & t == K)
-    return mu[H.mask]
+    return mobius_all(G)[H.mask]
 
 
 # ---------------------------------------------------------------------------

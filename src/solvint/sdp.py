@@ -280,17 +280,20 @@ class SdGroup:
 
     def submodule_from_fvectors(self, frows) -> FpSubspace:
         """H-submodule of V^t spanned by the images of V under the maps
-        x -> (x*s_1, ..., x*s_t), s running over the given F^t rows, which
-        are recorded as the submodule's F-rows."""
+        x -> (x*s_1, ..., x*s_t), s running over the given F^t rows, whose
+        F-RREF is recorded as the submodule's F-rows."""
         return self._memo("fspan", tuple(frows), self._span_fvectors, frows)
 
     def _span_fvectors(self, frows) -> FpSubspace:
-        # e_j * s_i is row j of the matrix of s_i
-        elements = self.module.fops.elements
-        vectors = [tuple(x for idx in s for x in elements[idx][j])
-                   for s in frows for j in range(self.k)]
-        W = FpSubspace.from_vectors(self.p, self.wdim, vectors)
-        self._memo("fvec", W, tuple, frows)
+        # for s_i in F-RREF with pivot c_i, the rows e_j * s_i (row j of the
+        # matrix of each entry) are in RREF already, with pivots k*c_i + j
+        rows, pivots = self.module.fops.f_rref(frows, self.t)
+        elements, k = self.module.fops.elements, self.k
+        W = FpSubspace(self.p, self.wdim,
+                       tuple(tuple(x for idx in s for x in elements[idx][j])
+                             for s in rows for j in range(k)),
+                       tuple(k * c + j for c in pivots for j in range(k)))
+        self._memo("fvec", W, tuple, rows)
         return W
 
     def fvectors_of_submodule(self, W: FpSubspace):
@@ -628,45 +631,24 @@ def canonicalize_intersection(G: SdGroup, supplements) -> CanonicalIntersection:
 
 def realize_intersection(G: SdGroup, U: FpSubspace, Z: FpSubspace) -> list[MaximalSupplement]:
     """A family of exactly t* + d maximal supplements intersecting in
-    U * C_H(Z), where t* is the codimension of U over F and d = dim_F Z."""
-    fops = G.module.fops
-    if fops.f_closure(Z.basis) != Z:
+    U * C_H(Z), where t* is the codimension of U over F and d = dim_F Z: the
+    rows (phi_i, 0) for the F-annihilator phi_1..phi_t* of U, then (phi_1, z)
+    for an F-basis z of Z, each read back as a supplement."""
+    if G.module.fops.f_closure(Z.basis) != Z:
         raise MalformedInput("Z is not closed under the endomorphism field")
-    s_u = G.fvectors_of_submodule(U)
-    comp = fops.f_complement(s_u, G.t)
-    t_star = len(comp)
+    phis, pivots, _ = G._memo("ann", U, _annihilator, G, U)
     z_basis = _f_basis_of_subspace(G.module, Z)
-    d = len(z_basis)
-    if t_star == 0:
-        if d > 0:
-            raise RealizationError(
-                "U = V^t admits no maximal submodule above it; cannot realize a nonzero Z"
-            )
-        return []
-    family = []
-    for i in range(t_star):
-        rows = list(s_u) + [c for j, c in enumerate(comp) if j != i]
-        red, _ = fops.f_rref(rows, G.t)
-        w_i = G.submodule_from_fvectors(red)
-        family.append(MaximalSupplement(w_i, G.zero_w()))
-    if d:
-        a_sub = family[0].submodule
-        line = comp[0]
-        fixed = G.fixed_space_over(a_sub)
-        for z in z_basis:
-            b = _line_embedding(G, line, z)
-            family.append(MaximalSupplement(a_sub, fixed.reduce(b)))
-    if len(set(family)) != t_star + d:
+    if not phis and z_basis:
+        raise RealizationError(
+            "U = V^t admits no maximal submodule above it; cannot realize a nonzero Z"
+        )
+    zero = (0,) * G.k
+    rows = [{j: (phi, zero)} for phi, j in zip(phis, pivots)]
+    rows += [{pivots[0]: (phis[0], z)} for z in z_basis]
+    family = [MaximalSupplement(*_solution(G, row)) for row in rows]
+    if len(set(family)) != len(rows):
         raise AssertionError("realized family has duplicate descriptors")
     return family
-
-
-def _line_embedding(G: SdGroup, line, z: Vector) -> Vector:
-    fops = G.module.fops
-    w: list[int] = []
-    for idx in line:
-        w.extend(fops.act(z, idx))
-    return tuple(w)
 
 
 def _f_basis_of_subspace(module: HModule, Z: FpSubspace) -> list[Vector]:

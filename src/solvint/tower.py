@@ -118,11 +118,6 @@ class TowerGroup:
             (e1 + e2) % self.h_order,
         )
 
-    def centralizer_exponent(self, m: int) -> int:
-        """C_H(V_m) = <x^(2^m)>: the generator exponent 2^m (level m is
-        1-based)."""
-        return 1 << m
-
     # -- maximal subgroups, by descriptor
 
     def maximal_descriptors(self):
@@ -149,13 +144,6 @@ class TowerGroup:
         for a, p in zip(w, self.primes.primes):
             out = out * p + a
         return out
-
-    def w_of_id(self, i: int):
-        digits = []
-        for p in reversed(self.primes.primes):
-            digits.append(i % p)
-            i //= p
-        return tuple(reversed(digits))
 
     def encode(self, element) -> int:
         w, e = element

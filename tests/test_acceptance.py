@@ -13,6 +13,8 @@ from solvint import cli, corpus, props, sdp, tower
 from solvint import groups as gr
 from solvint.errors import RealizationError
 
+from references import all_subspaces, is_nilpotent_mask
+
 SEED = 20240
 
 
@@ -58,9 +60,9 @@ def test_criterion_03_realization_round_trip():
     for g in instances:
         assert g.t <= 2 and g.p**g.k <= 25 and g.module.order <= 24
         u_list = [g.submodule_from_fvectors(rows)
-                  for rows in g.module.fops.all_subspaces(g.t)]
+                  for rows in all_subspaces(g.module.fops, g.t)]
         z_list = [g.module.v_subspace_from_fcoords(rows)
-                  for rows in g.module.fops.all_subspaces(g.module.f_dim)]
+                  for rows in all_subspaces(g.module.fops, g.module.f_dim)]
         for u in u_list:
             t_star = g.t - u.dim // g.k
             for z in z_list:
@@ -74,13 +76,17 @@ def test_criterion_03_realization_round_trip():
                     continue
                 family = sdp.realize_intersection(g, u, z)
                 assert len(family) == t_star + d
-                ci = sdp.canonicalize_intersection(g, family)
                 expected = sdp.descriptor_elements(
                     g, u, sdp.centralizer_in_h(g, z), g.zero_w())
+                brute = (1 << g.order) - 1
+                for m in family:
+                    brute &= sdp.supplement_elements(g, m)
+                assert brute == expected
+                ci = sdp.canonicalize_intersection(g, family)
                 assert sdp.canonical_elements(g, ci) == expected
                 checked += 1
     report(3, f"{checked} enumerable (U, Z) pairs realize as exactly t*+d maximal "
-              f"supplements and round-trip to the same subgroup")
+              f"supplements, whose elementwise meet and closed form are the same subgroup")
 
 
 def _tower_level_checks(t: tower.TowerGroup):
@@ -145,7 +151,7 @@ def test_criterion_07_nilpotent_derived_two_intersection(corpus_list):
     checked = 0
     for g in corpus_list:
         derived = gr.derived_series(g)[1]
-        if not gr.is_nilpotent_mask(g, derived.mask):
+        if not is_nilpotent_mask(g, derived.mask):
             continue
         for rec in props.eta_report(g).records:
             assert rec.product**1 <= rec.index**2, g.name  # exact certificate

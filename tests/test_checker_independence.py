@@ -16,7 +16,7 @@ CHECKER = "descriptor_elements"
 FORBIDDEN = {
     "intersect_case_spanning", "intersect_case_nested", "intersect_supplement",
     "canonicalize_intersection", "realize_intersection", "_split", "split_over",
-    "_f_nullspace", "_rows", "_add_row", "_solution", "_pair_step",
+    "_f_nullspace", "_annihilator", "_rows", "_add_row", "_solution", "_pair_step",
     "reduce", "decompose", "intersect",
 }
 

@@ -1,0 +1,69 @@
+"""No package code that only tests use.
+
+Reads src/solvint/*.py as source (nothing is imported or executed) and
+checks that every public function and method is named somewhere in the
+package outside its own body, as a variable or an attribute, or stands in
+KEEP with the reason it stays.  A function that only tests call belongs in
+the tests, as a reference.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "solvint"
+
+KEEP = {
+    # the paper's results, reached only from tests: they are the reproduction
+    "realize_intersection", "crown_module_check", "subgroup_equal",
+    "is_gamma_module", "has_eta_property", "is_maximal_intersection",
+    # named by the span tables of bench/run.py, whose traced run raises on a
+    # span it cannot wrap
+    "mobius", "overgroups", "express_in_rows", "maximal_descriptors",
+    "intersect_case_spanning", "intersect_case_nested", "find_corona_crown",
+    "subgroup_closure", "conjugate_mask",
+    # entry points of the public API that the tests and the benchmark call
+    "rref",  # the canonical span of row vectors
+    "corpus_group",  # one corpus group by name
+    "inverse", "order_of",  # element arithmetic of SdGroup and OracleGroup
+    "apply",  # the map that module_isomorphism returns
+}
+
+
+def names_in(node):
+    """Every identifier under `node`, as a variable or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def public_defs(tree):
+    """The module's public functions and the public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield sub
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node
+
+
+def unnamed_public_defs():
+    """The names of the public functions and methods that the package names
+    nowhere outside their own bodies.  Names are compared, not bindings, so
+    a method counts as named when any attribute of that name is read."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    named = Counter(name for tree in trees for name in names_in(tree))
+    return {node.name for tree in trees for node in public_defs(tree)
+            if named[node.name] == Counter(names_in(node))[node.name]}
+
+
+def test_every_public_function_is_named_in_the_package_or_kept():
+    assert sorted(unnamed_public_defs() - KEEP) == []
+
+
+def test_keep_holds_only_functions_the_package_does_not_name():
+    # a KEEP entry that is gone, or that the package now calls, is stale
+    assert sorted(KEEP - unnamed_public_defs()) == []

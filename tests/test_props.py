@@ -6,6 +6,8 @@ from solvint import corpus, props, sdp
 from solvint import groups as gr
 from solvint.errors import MalformedInput
 
+from references import is_nilpotent_mask
+
 
 def test_floor_log_ratio():
     # floor(1000 * log_20(25)) = 1074
@@ -56,7 +58,7 @@ def test_nilpotent_derived_chief_factors_are_one_dimensional(corpus_list):
     # have endomorphism field as large as the factor itself
     for g in corpus_list:
         derived = gr.derived_series(g)[1]
-        if not gr.is_nilpotent_mask(g, derived.mask):
+        if not is_nilpotent_mask(g, derived.mask):
             continue
         for cls in sdp.chief_factor_classes(g):
             module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices)

@@ -12,6 +12,8 @@ from solvint.errors import (
 )
 from solvint.ffla import FpSubspace, vec_add, vec_sub
 
+from references import all_subspaces, decompose, intersect, is_subspace_of, sum_with
+
 
 def g_f5_c4(t=1):
     return sdp.SdGroup.create(5, 1, t, [((2,),)])
@@ -192,22 +194,33 @@ def reference_case_spanning(G, K, M):
     """The spanning step by decomposition: d = a + b with a in W2, b in W1,
     and the meet by Zassenhaus."""
     W1, W2 = K.submodule, M.submodule
-    assert W1.sum_with(W2).dim == G.wdim
-    _, b = W2.decompose(vec_sub(K.translate, M.translate, G.p), W1)
-    meet = W1.intersect(W2)
+    assert sum_with(W1, W2).dim == G.wdim
+    _, b = decompose(W2, vec_sub(K.translate, M.translate, G.p), W1)
+    meet = intersect(W1, W2)
     return sdp.PartialIntersection(meet, K.h_indices,
                                    meet.reduce(vec_sub(K.translate, b, G.p)))
+
+
+def f_complement(fops, basis_rows, t):
+    """Greedy deterministic complement spanned by standard F-vectors."""
+    rows, added = list(basis_rows), []
+    for j in range(t):
+        e = tuple(fops.one if i == j else 0 for i in range(t))
+        if len(fops.f_rref(rows + [e], t)[0]) > len(fops.f_rref(rows, t)[0]):
+            added.append(e)
+            rows.append(e)
+    return tuple(added)
 
 
 def reference_case_nested(G, K, M):
     """The nested step by decomposition over the complement U = iota(V) of
     W2, with z read off the first nonzero block of the U-part."""
     W1, W2 = K.submodule, M.submodule
-    assert W1.is_subspace_of(W2)
+    assert is_subspace_of(W1, W2)
     fops = G.module.fops
-    (line,) = fops.f_complement(G.fvectors_of_submodule(W2), G.t)
-    _, u = W2.decompose(vec_sub(M.translate, K.translate, G.p),
-                        G.submodule_from_fvectors((line,)))
+    (line,) = f_complement(fops, G.fvectors_of_submodule(W2), G.t)
+    _, u = decompose(W2, vec_sub(M.translate, K.translate, G.p),
+                     G.submodule_from_fvectors((line,)))
     pos = next(i for i, idx in enumerate(line) if idx)
     z = fops.act(u[pos * G.k:(pos + 1) * G.k], fops.inv_t[line[pos]])
     cen = tuple(x for x in K.h_indices if G.module.act(z, x) == z)
@@ -224,7 +237,7 @@ def test_calculus_steps_match_the_decomposition_reference(sdp_pool):
         for _ in range(4):
             k = sdp.random_partial(g, rng)
             for m in sups:
-                if k.submodule.is_subspace_of(m.submodule):
+                if is_subspace_of(k.submodule, m.submodule):
                     expected = reference_case_nested(g, k, m)
                     cases["nested"] += 1
                 else:
@@ -241,7 +254,7 @@ def reference_canonicalize(G, family):
     cur = sdp.PartialIntersection(FpSubspace.full(G.p, G.wdim), tuple(range(G.module.order)),
                                   G.zero_w())
     pending = list(family)
-    while (m := next((m for m in pending if not cur.submodule.is_subspace_of(m.submodule)),
+    while (m := next((m for m in pending if not is_subspace_of(cur.submodule, m.submodule)),
                      None)) is not None:
         cur = reference_case_spanning(G, cur, m)
         pending.remove(m)
@@ -355,9 +368,9 @@ def test_realize_round_trip_enumerated():
     ]
     for g in instances:
         fops = g.module.fops
-        u_list = [g.submodule_from_fvectors(rows) for rows in fops.all_subspaces(g.t)]
+        u_list = [g.submodule_from_fvectors(rows) for rows in all_subspaces(fops, g.t)]
         z_list = [g.module.v_subspace_from_fcoords(rows)
-                  for rows in g.module.fops.all_subspaces(g.module.f_dim)]
+                  for rows in all_subspaces(fops, g.module.f_dim)]
         for u in u_list:
             t_star = g.t - u.dim // g.k
             for z in z_list:
@@ -371,10 +384,14 @@ def test_realize_round_trip_enumerated():
                     assert fam == []
                     continue
                 assert len(fam) == t_star + d
-                ci = sdp.canonicalize_intersection(g, fam)
                 expected = sdp.descriptor_elements(
                     g, u, sdp.centralizer_in_h(g, z), g.zero_w()
                 )
+                brute = (1 << g.order) - 1
+                for m in fam:
+                    brute &= sdp.supplement_elements(g, m)
+                assert brute == expected, (g.name, u, z)
+                ci = sdp.canonicalize_intersection(g, fam)
                 assert sdp.canonical_elements(g, ci) == expected
 
 
@@ -479,6 +496,28 @@ def reference_fixed_space_over(G, W):
             eq_rows.append(tuple(reds[i][j] for i in range(n)))
     kernel = ffla.nullspace(eq_rows, p, n)
     return FpSubspace.from_vectors(p, n, list(W.basis) + kernel)
+
+
+def test_submodule_from_fvectors_matches_the_fp_span(sdp_pool):
+    # seeded F^t rows, zero, dependent and unreduced ones included, on cold
+    # groups: the span built from the F-RREF equals the F_p elimination of
+    # every e_j * s_i, and the F-RREF is recorded as W's F-rows
+    rng = random.Random(2718)
+    unreduced = 0
+    for g in sdp_pool:
+        fops = g.module.fops
+        for _ in range(20):
+            rows = [tuple(rng.randrange(fops.q) for _ in range(g.t))
+                    for _ in range(rng.randrange(g.t + 2))]
+            reduced = fops.f_rref(rows, g.t)[0]
+            unreduced += reduced != tuple(rows)
+            vectors = [tuple(x for idx in s for x in fops.elements[idx][j])
+                       for s in rows for j in range(g.k)]
+            fresh = sdp.SdGroup(g.module, g.t)
+            W = fresh.submodule_from_fvectors(rows)
+            assert W == FpSubspace.from_vectors(g.p, g.wdim, vectors), (g.name, rows)
+            assert fresh.fvectors_of_submodule(W) == reduced
+    assert unreduced > 400
 
 
 def test_fixed_space_closed_form_matches_reference(sdp_pool):
