@@ -150,12 +150,11 @@ def cmd_analyze(doc: dict, cap: int, seed: int) -> Report:
     report = Report("analyze", _digest(doc), seed)
     oracle = build_oracle(doc, cap)
     report.add("group", oracle.name, "order", oracle.n, "oracle")
-    by_index: dict[int, int] = {}
-    for m in gr.maximal_subgroups(oracle, cap):
-        by_index[m.index] = by_index.get(m.index, 0) + 1
-    for n in sorted(by_index):
-        report.add("maximal_counts", f"n={n}", "m_n", by_index[n], "oracle")
-    for n, (m_n, b_n, c_n) in gr.counts(oracle, cap).entries:
+    entries = gr.counts(oracle, cap).entries
+    for n, (m_n, _b_n, _c_n) in entries:
+        if m_n:
+            report.add("maximal_counts", f"n={n}", "m_n", m_n, "oracle")
+    for n, (m_n, b_n, c_n) in entries:
         report.add("count_table", f"n={n}", "m_n", m_n, "oracle")
         report.add("count_table", f"n={n}", "b_n", b_n, "oracle")
         report.add("count_table", f"n={n}", "c_n", c_n, "oracle")
@@ -163,19 +162,21 @@ def cmd_analyze(doc: dict, cap: int, seed: int) -> Report:
         data = sdp.crown(oracle, cls)
         label = cls.label
         report.add("crown", label, "module_size", cls.module_size, "oracle")
-        report.add("crown", label, "centralizer_order", data.centralizer.order, "oracle")
-        report.add("crown", label, "core_order", data.core_r.order, "oracle")
+        report.add("crown", label, "centralizer_order", data.centralizer.bit_count(), "oracle")
+        report.add("crown", label, "core_order", data.core_r.bit_count(), "oracle")
         report.add("crown", label, "delta", data.delta, "oracle")
         report.add("crown", label, "complement_order",
-                   data.complement.order if data.complement else "-", "oracle")
-    records = props.eta_report(oracle)
-    for rec in sorted(records.records, key=lambda r: (r.index, r.subgroup_mask)):
+                   "-" if data.complement is None else data.complement.bit_count(), "oracle")
+    records = sorted(props.eta_report(oracle).records, key=lambda r: (r.index, r.subgroup_mask))
+    floors = [rec.eta_floor4 for rec in records]
+    for rec, floor4 in zip(records, floors):
         label = f"index={rec.index}"
         report.add("eta", label, "product", rec.product, "oracle")
-        report.add("eta", label, "eta_floor4", _floor4_str(rec.eta_floor4), "oracle")
+        report.add("eta", label, "eta_floor4", _floor4_str(floor4), "oracle")
         report.add("eta", label, "family_size", len(rec.family), "oracle")
-    report.add("eta_min", "group", "eta_min_floor4",
-               _floor4_str(records.eta_min_floor4), "oracle")
+    # floor is monotone, so eta_min's floor is the max of the class floors
+    eta_min = max(floors, default=0)
+    report.add("eta_min", "group", "eta_min_floor4", _floor4_str(eta_min), "oracle")
     return report
 
 

@@ -1,13 +1,17 @@
 """Brute-force oracle for finite groups.
 
 Groups are multiplication tables over dense element ids 0..n-1 with the
-identity at id 0; subgroups are bitmasks over element ids.  Everything here
-is exact: subgroup lattices by cyclic extension, conjugacy classes of
-subgroups, Moebius values, and the index-counting tables built on them.
+identity at id 0.  A subgroup is an int mask over element ids, bit x set
+exactly when element x is in it; every subgroup argument and result here
+is such a mask, so |H| = h.bit_count() and |G:H| = G.n // h.bit_count().
+Everything here is exact: subgroup lattices by cyclic extension,
+conjugacy classes of subgroups, Moebius values, and the index-counting
+tables built on them.
 
-Tables and subgroups are immutable; derived data (lattice, Moebius values,
-power tables) is memoized on the group in `G._cache`, and every public
-result is returned in canonical order.  `G.gens` always generates G.
+Tables are immutable; derived data (lattice, Moebius values, power
+tables) is memoized on the group in `G._cache`, the memoized tuples are
+returned as they are, and every public result is in canonical order.
+`G.gens` always generates G.
 """
 
 from __future__ import annotations
@@ -101,32 +105,6 @@ class OracleGroup:
 
     def __repr__(self):
         return f"OracleGroup({self.name}, order={self.n})"
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup as a membership bitmask over element ids."""
-
-    group: OracleGroup
-    mask: int
-
-    @property
-    def order(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def index(self) -> int:
-        return self.group.n // self.order
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(mask_bits(self.mask))
-
-    def contains(self, other: "Subgroup") -> bool:
-        return self.mask | other.mask == self.mask
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order} of {self.group.name})"
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +361,12 @@ def closure_mask(G: OracleGroup, gen_ids) -> int:
     return mask
 
 
-def subgroup_closure(G: OracleGroup, gen_ids) -> Subgroup:
+def subgroup_closure(G: OracleGroup, gen_ids) -> int:
     """Smallest subgroup containing the given elements."""
     for g in gen_ids:
         if not 0 <= g < G.n:
             raise MalformedInput(f"element id {g} out of range")
-    return Subgroup(G, closure_mask(G, gen_ids))
+    return closure_mask(G, gen_ids)
 
 
 def _conjugation(G: OracleGroup, gens):
@@ -476,7 +454,7 @@ def derived_mask(G: OracleGroup, mask: int) -> int:
     return normal_closure_mask(G, comms, gens)
 
 
-def derived_series(G: OracleGroup) -> list[Subgroup]:
+def derived_series(G: OracleGroup) -> tuple[int, ...]:
     cached = G._cache.get("derived_series")
     if cached is None:
         full = (1 << G.n) - 1
@@ -488,20 +466,19 @@ def derived_series(G: OracleGroup) -> list[Subgroup]:
             series.append(nxt)
             if nxt == 1:
                 break
-        cached = series
-        G._cache["derived_series"] = cached
-    return [Subgroup(G, m) for m in cached]
+        cached = G._cache["derived_series"] = tuple(series)
+    return cached
 
 
 def is_solvable(G: OracleGroup) -> bool:
-    return derived_series(G)[-1].mask == 1
+    return derived_series(G)[-1] == 1
 
 
 # ---------------------------------------------------------------------------
 # the subgroup lattice
 
 
-def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
+def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
     """Every subgroup of a solvable G, canonically ordered.
 
     Cyclic extension: each subgroup T has a normal subgroup of prime index,
@@ -572,53 +549,44 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup
                     queue.append(t_mask)
                     if len(records) > LATTICE_CAP:
                         raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
-        ordered = sorted(records, key=lambda m: (m.bit_count(), records[m][0]))
-        G._cache["lattice"] = ordered
-    else:
-        ordered = cached
-    return [Subgroup(G, m) for m in ordered]
+        cached = G._cache["lattice"] = tuple(
+            sorted(records, key=lambda m: (m.bit_count(), records[m][0])))
+    return cached
 
 
-def maximal_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
+def maximal_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
     cached = G._cache.get("maximals")
     if cached is None:
         # a proper overgroup of s comes later in the lattice and lies in a
         # maximal, so s is maximal iff no later maximal contains it
         maximals: list[int] = []
-        for s in reversed([s.mask for s in all_subgroups(G, cap)][:-1]):
+        for s in reversed(all_subgroups(G, cap)[:-1]):
             if not any(s & m == s for m in maximals):
                 maximals.append(s)
-        maximals.reverse()
-        cached = maximals
-        G._cache["maximals"] = cached
-    return [Subgroup(G, m) for m in cached]
+        cached = G._cache["maximals"] = tuple(reversed(maximals))
+    return cached
 
 
-def frattini(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> Subgroup:
+def frattini(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> int:
     """Intersection of all maximal subgroups (G itself when |G| = 1)."""
-    if G.n == 1:
-        return Subgroup(G, 1)
-    mask = (1 << G.n) - 1
-    for m in maximal_subgroups(G, cap):
-        mask &= m.mask
-    return Subgroup(G, mask)
+    return _meet_above(G, 1, maximal_subgroups(G, cap))
 
 
 def conjugacy_classes_of_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP):
-    """Class representatives (canonically least) with their class sizes."""
+    """(class representative, class size) pairs; each representative is the
+    canonically least subgroup of its class."""
     cached = G._cache.get("classes")
     if cached is None:
         seen: set[int] = set()
         classes = []
         for s in all_subgroups(G, cap):
-            if s.mask in seen:
+            if s in seen:
                 continue
-            orbit = _orbit(G, s.mask)
+            orbit = _orbit(G, s)
             seen |= orbit
-            classes.append((s.mask, len(orbit)))
-        G._cache["classes"] = classes
-        cached = classes
-    return [(Subgroup(G, m), size) for m, size in cached]
+            classes.append((s, len(orbit)))
+        cached = G._cache["classes"] = tuple(classes)
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +600,7 @@ def mobius_all(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> MappingProxyType
     if cached is None:
         # mu(s) = -sum of mu(t) over the proper overgroups t of s, which come
         # later in the lattice; the t with mu(t) = 0 add nothing
-        subs = [s.mask for s in all_subgroups(G, cap)]
+        subs = all_subgroups(G, cap)
         mu: dict[int, int] = {subs[-1]: 1}
         nonzero = [(subs[-1], 1)]
         for s in reversed(subs[:-1]):
@@ -645,27 +613,27 @@ def mobius_all(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> MappingProxyType
     return MappingProxyType(cached)
 
 
-def overgroups(G: OracleGroup, H: Subgroup) -> list[Subgroup]:
-    """All subgroups K with H <= K <= G, in lattice order."""
-    return [K for K in all_subgroups(G) if K.mask & H.mask == H.mask]
+def overgroups(G: OracleGroup, h: int) -> list[int]:
+    """All subgroups k with h <= k <= G, in lattice order."""
+    return [k for k in all_subgroups(G) if k & h == h]
 
 
-def mobius(H: Subgroup, G: OracleGroup) -> int:
-    """mu(H, G) over the subgroup lattice."""
-    if H.group is not G:
-        raise MalformedInput("subgroup belongs to a different group")
-    return mobius_all(G)[H.mask]
+def mobius(h: int, G: OracleGroup) -> int:
+    """mu(h, G) over the subgroup lattice."""
+    mu = mobius_all(G)
+    if h not in mu:
+        raise MalformedInput("mask is not a subgroup of the group")
+    return mu[h]
 
 
 # ---------------------------------------------------------------------------
 # maximal intersections and counting tables
 
 
-def is_maximal_intersection(H: Subgroup, G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    """True iff H equals the intersection of the maximal subgroups above it
+def is_maximal_intersection(h: int, G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
+    """True iff h equals the intersection of the maximal subgroups above it
     (the empty intersection is G, so G itself qualifies)."""
-    maximal_masks = [m.mask for m in maximal_subgroups(G, cap)]
-    return _meet_above(G, H.mask, maximal_masks) == H.mask
+    return _meet_above(G, h, maximal_subgroups(G, cap)) == h
 
 
 def _meet_above(G: OracleGroup, mask: int, maximal_masks) -> int:
@@ -691,9 +659,9 @@ def counts(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> CountTable:
     """m_n, b_n, c_n for every index n > 1 dividing |G| (proper subgroups
     only; a maximal subgroup is the intersection of the family containing
     just itself)."""
-    subs = [s.mask for s in all_subgroups(G, cap)]
+    subs = all_subgroups(G, cap)
     mu = mobius_all(G, cap)
-    maximal_masks = [m.mask for m in maximal_subgroups(G, cap)]
+    maximal_masks = maximal_subgroups(G, cap)
     full = (1 << G.n) - 1
     divisors = sorted(d for d in range(2, G.n + 1) if G.n % d == 0)
     table = {d: [0, 0, 0] for d in divisors}
@@ -718,22 +686,22 @@ def counts(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> CountTable:
 # cores, socles and chief-factor machinery
 
 
-def normal_core(G: OracleGroup, M: Subgroup) -> Subgroup:
-    """Intersection of all conjugates of M (memoized for every conjugate,
+def normal_core(G: OracleGroup, m: int) -> int:
+    """Intersection of all conjugates of m (memoized for every conjugate,
     as they share it)."""
     cores = G._cache.setdefault("core_by_mask", {})
-    if M.mask not in cores:
-        orbit = _orbit(G, M.mask)
+    if m not in cores:
+        orbit = _orbit(G, m)
         core = (1 << G.n) - 1
-        for m in orbit:
-            core &= m
+        for c in orbit:
+            core &= c
         cores.update(dict.fromkeys(orbit, core))
-    return Subgroup(G, cores[M.mask])
+    return cores[m]
 
 
-def core_and_socle(M: Subgroup, G: OracleGroup) -> tuple[Subgroup, Subgroup]:
-    """(Y, X) where Y is the core of the maximal subgroup M and X/Y is the
-    unique minimal normal subgroup of the primitive quotient G/Y.
+def core_and_socle(m: int, G: OracleGroup) -> tuple[int, int]:
+    """The masks (Y, X): Y is the core of the maximal subgroup M = m, and
+    X/Y is the unique minimal normal subgroup of the primitive quotient G/Y.
 
     G/Y is primitive and solvable, so X/Y = F(G/Y).  The last nontrivial
     derived term of G/Y is abelian and normal, so it lies in F(G/Y) and
@@ -742,31 +710,30 @@ def core_and_socle(M: Subgroup, G: OracleGroup) -> tuple[Subgroup, Subgroup]:
     (conjugate maximals share both)."""
     if not is_solvable(G):
         raise UnsupportedGroup("core_and_socle requires a solvable group")
-    y = normal_core(G, M)
+    y = normal_core(G, m)
     socles = G._cache.setdefault("socle_by_core", {})
-    x_mask = socles.get(y.mask)
-    if x_mask is None:
-        y_gens = greedy_generators(G, y.mask)
-        x_mask = (1 << G.n) - 1
+    x = socles.get(y)
+    if x is None:
+        y_gens = greedy_generators(G, y)
+        x = (1 << G.n) - 1
         while True:
-            d_gens = greedy_generators(G, x_mask)
+            d_gens = greedy_generators(G, x)
             comms = {G.commutator(a, b) for a in d_gens for b in d_gens}
             nxt = normal_closure_mask(G, comms.union(y_gens), G.gens)
-            if nxt == y.mask:
+            if nxt == y:
                 break
-            x_mask = nxt
-        socles[y.mask] = x_mask
-    x = Subgroup(G, x_mask)
+            x = nxt
+        socles[y] = x
     # chief factor sanity: M complements X/Y
-    if x.mask & M.mask != y.mask:
+    if x & m != y:
         raise AssertionError("socle does not meet M in the core")
-    if closure_mask(G, greedy_generators(G, M.mask) + greedy_generators(G, x.mask)) != (1 << G.n) - 1:
+    if closure_mask(G, greedy_generators(G, m) + greedy_generators(G, x)) != (1 << G.n) - 1:
         raise AssertionError("M does not supplement the socle")
     return y, x
 
 
-def factor_prime_dim(G: OracleGroup, X: Subgroup, Y: Subgroup) -> tuple[int, int]:
-    size = X.order // Y.order
+def factor_prime_dim(G: OracleGroup, x: int, y: int) -> tuple[int, int]:
+    size = x.bit_count() // y.bit_count()
     ps = prime_factors(size)
     if len(ps) != 1:
         raise MalformedInput("factor is not of prime-power order")
@@ -778,23 +745,23 @@ def factor_prime_dim(G: OracleGroup, X: Subgroup, Y: Subgroup) -> tuple[int, int
     return p, d
 
 
-def action_on_factor(G: OracleGroup, X: Subgroup, Y: Subgroup, gens=None):
-    """Conjugation action of G on the elementary abelian factor X/Y.
+def action_on_factor(G: OracleGroup, x: int, y: int, gens=None):
+    """Conjugation action of G on the elementary abelian factor x/y.
 
     Returns (p, d, matrices) with one d x d matrix over F_p per generator
     (G.gens by default); the factor is coordinatized deterministically.
     """
     if gens is None:
         gens = G.gens
-    p, d = factor_prime_dim(G, X, Y)
-    y_members = Y.members
+    p, d = factor_prime_dim(G, x, y)
+    y_members = tuple(mask_bits(y))
     mul = G._mul
     n = G.n
 
-    def rep(x: int) -> int:
-        return min(mul[y * n + x] for y in y_members)
+    def rep(a: int) -> int:
+        return min(mul[e * n + a] for e in y_members)
 
-    reps = sorted({rep(x) for x in X.members})
+    reps = sorted({rep(a) for a in mask_bits(x)})
     vec_of: dict[int, tuple[int, ...]] = {reps[0]: (0,) * d}
     if rep(0) != reps[0]:
         raise AssertionError("identity coset is not canonical-least")
@@ -822,11 +789,11 @@ def action_on_factor(G: OracleGroup, X: Subgroup, Y: Subgroup, gens=None):
     return p, d, matrices
 
 
-def centralizer_of_factor(G: OracleGroup, X: Subgroup, Y: Subgroup) -> Subgroup:
-    """Elements g with [X, g] <= Y."""
-    x_gens = greedy_generators(G, X.mask)
+def centralizer_of_factor(G: OracleGroup, x: int, y: int) -> int:
+    """Elements g with [x, g] <= y."""
+    x_gens = greedy_generators(G, x)
     mask = 0
     for g in range(G.n):
-        if all((Y.mask >> G.mul(G.inv(x), G.conj(x, g))) & 1 for x in x_gens):
+        if all((y >> G.mul(G.inv(a), G.conj(a, g))) & 1 for a in x_gens):
             mask |= 1 << g
-    return Subgroup(G, mask)
+    return mask

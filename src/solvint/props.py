@@ -117,7 +117,7 @@ def gamma_min(module: sdp.HModule, dim_cap: int = GAMMA_DIM_CAP,
             f"F-subspace enumeration with dim_F V={f}, |F|={module.fops.q}", dim_cap
         )
     H = module.to_oracle()
-    maximal_masks = [m.mask for m in gr.maximal_subgroups(H)]
+    maximal_masks = gr.maximal_subgroups(H)
 
     def cen_mask(space: FpSubspace) -> int:
         mask = 0
@@ -198,15 +198,15 @@ class EtaRecord:
         return self.floor_eta_times(10**4, 1)
 
 
-def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
+def eta_of_intersection(G: gr.OracleGroup, h: int) -> EtaRecord:
     """Exact minimum of prod |G:M_i| over families of maximal subgroups
-    intersecting in H, by branch and bound over the maximals above H
-    (at most ETA_NODE_CAP search nodes)."""
+    intersecting in the mask h, by branch and bound over the maximals
+    above h (at most ETA_NODE_CAP search nodes)."""
     full = (1 << G.n) - 1
-    if H.mask == full:
+    if h == full:
         raise MalformedInput("eta is defined for proper maximal intersections only")
-    above = [m.mask for m in gr.maximal_subgroups(G) if m.mask & H.mask == H.mask]
-    if gr._meet_above(G, H.mask, above) != H.mask:
+    above = [m for m in gr.maximal_subgroups(G) if m & h == h]
+    if gr._meet_above(G, h, above) != h:
         raise MalformedInput("subgroup is not an intersection of maximal subgroups")
     above.sort(key=lambda m: (G.n // m.bit_count(), m))
     idx = [G.n // m.bit_count() for m in above]
@@ -215,7 +215,7 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
         suffix[i] = suffix[i + 1] & above[i]
     best_prod = None
     best_family: tuple[int, ...] = ()
-    h_order = H.order
+    h_order = h.bit_count()
     nodes = 0
     node_cap = ETA_NODE_CAP
 
@@ -224,7 +224,7 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
         nodes += 1
         if nodes > node_cap:
             raise ResourceCapExceeded("eta search nodes", node_cap)
-        if mask == H.mask:
+        if mask == h:
             if best_prod is None or prod < best_prod:
                 best_prod = prod
                 best_family = chosen
@@ -236,7 +236,7 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
         if best_prod is not None and (prod * idx[i] >= best_prod
                                       or prod * (mask.bit_count() // h_order) >= best_prod):
             return
-        if mask & suffix[i] != H.mask:
+        if mask & suffix[i] != h:
             return
         if mask & above[i] != mask:
             dfs(i + 1, mask & above[i], prod * idx[i], chosen + (above[i],))
@@ -245,18 +245,18 @@ def eta_of_intersection(G: gr.OracleGroup, H: gr.Subgroup) -> EtaRecord:
     dfs(0, full, 1, ())
     if best_prod is None:
         raise AssertionError("branch and bound found no realizing family")
-    index = G.n // H.order
+    index = G.n // h_order
     if best_prod < index:
         raise AssertionError("index product below the index (eta < 1 is impossible)")
-    return EtaRecord(H.mask, index, best_prod, best_family)
+    return EtaRecord(h, index, best_prod, best_family)
 
 
-def maximal_intersection_classes(G: gr.OracleGroup) -> list[gr.Subgroup]:
+def maximal_intersection_classes(G: gr.OracleGroup) -> list[int]:
     """Conjugacy class representatives of proper maximal intersections."""
     full = (1 << G.n) - 1
-    maximal_masks = [m.mask for m in gr.maximal_subgroups(G)]
+    maximal_masks = gr.maximal_subgroups(G)
     return [rep for rep, _size in gr.conjugacy_classes_of_subgroups(G)
-            if rep.mask != full and gr._meet_above(G, rep.mask, maximal_masks) == rep.mask]
+            if rep != full and gr._meet_above(G, rep, maximal_masks) == rep]
 
 
 @dataclass(frozen=True)
@@ -271,16 +271,12 @@ class EtaReport:
             return 0
         return max(r.floor_eta_times(c_num, c_den) for r in self.records)
 
-    @property
-    def eta_min_floor4(self) -> int:
-        return self.max_floor_times(10**4, 1)
-
     def holds_for(self, eta: Fraction) -> bool:
         return all(r.eta_leq(eta.numerator, eta.denominator) for r in self.records)
 
 
 def eta_report(G: gr.OracleGroup) -> EtaReport:
-    records = tuple(eta_of_intersection(G, H) for H in maximal_intersection_classes(G))
+    records = tuple(eta_of_intersection(G, h) for h in maximal_intersection_classes(G))
     return EtaReport(G.name, records)
 
 
@@ -315,19 +311,19 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     class_of_maximal = {}
     for cls in classes:
         for m in cls.maximals:
-            class_of_maximal[m.mask] = cls
+            class_of_maximal[m] = cls
     rows = []
-    for H in maximal_intersection_classes(G):
-        rec = eta_of_intersection(G, H)
+    for h in maximal_intersection_classes(G):
+        rec = eta_of_intersection(G, h)
         touched = []
         for m in gr.maximal_subgroups(G):
-            if m.mask & H.mask == H.mask:
-                cls = class_of_maximal[m.mask]
+            if m & h == h:
+                cls = class_of_maximal[m]
                 if cls not in touched:
                     touched.append(cls)
         gamma_h = max(_class_gamma_min(G, cls) for cls in touched)
         rows.append(
-            GammaEtaRow(H.mask, rec.index, rec.product, gamma_h,
+            GammaEtaRow(h, rec.index, rec.product, gamma_h,
                         rec.eta_leq(gamma_h + 1))
         )
     return rows
@@ -354,7 +350,6 @@ class EtaGammaReport:
     gamma_ok: bool
     palfy_wolf_ok: bool        # |Gamma| <= |V|^3.243, exact
     constant_sensitive: bool   # verdict would flip for c in [3.24, 3.25]
-    eta_min_floor4: int
 
 
 def verify_eta_to_gamma(sd_group: sdp.SdGroup,
@@ -380,7 +375,6 @@ def verify_eta_to_gamma(sd_group: sdp.SdGroup,
         gamma_ok=gamma_v <= bound,
         palfy_wolf_ok=pw_ok,
         constant_sensitive=(gamma_v <= bound_lo) != (gamma_v <= bound_hi),
-        eta_min_floor4=report.eta_min_floor4,
     )
 
 

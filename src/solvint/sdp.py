@@ -718,16 +718,14 @@ def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP):
 @dataclass
 class ChiefFactorClass:
     """A class of G-isomorphic complemented chief factors, carried by the
-    maximal subgroups whose socle factor realizes it."""
+    maximal subgroups (masks) whose socle factor realizes it."""
 
     label: str
     prime: int
     dim: int
-    rep_core: gr.Subgroup
-    rep_socle: gr.Subgroup
     action_matrices: list[Matrix]
-    centralizer: gr.Subgroup
-    maximals: list[gr.Subgroup]
+    centralizer: int
+    maximals: list[int]
 
     @property
     def module_size(self) -> int:
@@ -736,13 +734,13 @@ class ChiefFactorClass:
 
 @dataclass
 class CrownData:
-    """(C_G(V), R_G(V), delta, optional direct complement D with C = R x D)."""
+    """(C_G(V), R_G(V), delta, optional direct complement D with C = R x D), as masks."""
 
     v_class: ChiefFactorClass
-    centralizer: gr.Subgroup
-    core_r: gr.Subgroup
+    centralizer: int
+    core_r: int
     delta: int
-    complement: gr.Subgroup | None
+    complement: int | None
 
 
 def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
@@ -759,14 +757,13 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     steps = G._cache.setdefault("factor_action_by_pair", {})
     for m in gr.maximal_subgroups(G):
         y, x = gr.core_and_socle(m, G)
-        pair = (y.mask, x.mask)
-        if pair not in steps:
-            steps[pair] = (*gr.action_on_factor(G, x, y, G.gens),
+        if (y, x) not in steps:
+            steps[y, x] = (*gr.action_on_factor(G, x, y, G.gens),
                            gr.centralizer_of_factor(G, x, y))
-        p, d, mats, c = steps[pair]
+        p, d, mats, c = steps[y, x]
         placed = False
         for cls in classes:
-            if cls.prime != p or cls.dim != d or cls.centralizer.mask != c.mask:
+            if cls.prime != p or cls.dim != d or cls.centralizer != c:
                 continue
             full = FpSubspace.full(p, d)
             if module_isomorphism(full, cls.action_matrices, full, mats) is not None:
@@ -779,8 +776,6 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
                     label=f"p{p}d{d}#{len(classes)}",
                     prime=p,
                     dim=d,
-                    rep_core=y,
-                    rep_socle=x,
                     action_matrices=mats,
                     centralizer=c,
                     maximals=[m],
@@ -793,16 +788,14 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
 def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
     """C = C_G(V), R = intersection of the maximals in the class, delta with
     |C:R| = |V|^delta, and a direct normal complement D when one exists."""
-    r_mask = (1 << G.n) - 1
-    for m in v_class.maximals:
-        r_mask &= m.mask
-    r = gr.Subgroup(G, r_mask)
+    r = gr._meet_above(G, 1, v_class.maximals)
     c = v_class.centralizer
-    if r.mask & c.mask != r.mask:
+    if r & c != r:
         raise AssertionError("crown core is not inside the centralizer")
-    if not gr._is_normal(G, r.mask):
+    if not gr._is_normal(G, r):
         raise AssertionError("crown core is not normal")
-    quotient = c.order // r.order
+    target = c.bit_count() // r.bit_count()
+    quotient = target
     size = v_class.module_size
     delta = 0
     while quotient > 1:
@@ -811,11 +804,10 @@ def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
         quotient //= size
         delta += 1
     complement = None
-    target = c.order // r.order
     for s in gr.all_subgroups(G):
-        if s.order != target or s.mask & ~c.mask or (s.mask & r.mask) != 1:
+        if s.bit_count() != target or s & ~c or (s & r) != 1:
             continue
-        if gr._is_normal(G, s.mask):
+        if gr._is_normal(G, s):
             complement = s
             break
     return CrownData(v_class, c, r, delta, complement)
@@ -829,7 +821,7 @@ def crown_module_check(G: gr.OracleGroup, data: CrownData) -> bool:
 
     cls = data.v_class
     p, d, delta = cls.prime, cls.dim, data.delta
-    if data.centralizer.order != data.core_r.order * (p**d) ** delta:
+    if data.centralizer.bit_count() != data.core_r.bit_count() * (p**d) ** delta:
         return False
     if delta == 0:
         return True
@@ -853,11 +845,11 @@ def crown_module_check(G: gr.OracleGroup, data: CrownData) -> bool:
 def find_corona_crown(G: gr.OracleGroup) -> CrownData:
     """A crown with a nontrivial direct complement D (exists whenever the
     Frattini subgroup is trivial)."""
-    if gr.frattini(G).order != 1:
+    if gr.frattini(G) != 1:
         raise ValidationError("frattini-free", "find_corona_crown requires Frattini(G) = 1")
     for cls in chief_factor_classes(G):
         data = crown(G, cls)
-        if data.complement is not None and data.complement.order > 1:
+        if data.complement not in (None, 1):
             return data
     raise AssertionError("no crown with direct complement found in a Frattini-free group")
 

@@ -290,10 +290,10 @@ def _oracle_class_data(T: TowerGroup, cap: int):
     oracle = T.embed_as_oracle(cap)
     classes = gr.conjugacy_classes_of_subgroups(oracle, cap)
     mu = gr.mobius_all(oracle, cap)
-    maximal_masks = [m.mask for m in gr.maximal_subgroups(oracle, cap)]
+    maximal_masks = gr.maximal_subgroups(oracle, cap)
     full = (1 << oracle.n) - 1
-    data = [(rep, size, mu[rep.mask], gr._meet_above(oracle, rep.mask, maximal_masks) == rep.mask)
-            for rep, size in classes if rep.mask != full]
+    data = [(rep, size, mu[rep], gr._meet_above(oracle, rep, maximal_masks) == rep)
+            for rep, size in classes if rep != full]
     return oracle, data
 
 
@@ -325,7 +325,7 @@ def structural_matches_oracle(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) ->
     """The structural classes biject with the oracle's maximal-intersection
     classes (by conjugacy of representatives)."""
     oracle, data = _oracle_class_data(T, cap)
-    oracle_reps = {rep.mask for rep, _s, _mu, is_mi in data if is_mi}
+    oracle_reps = {rep for rep, _s, _mu, is_mi in data if is_mi}
     structural_reps = set()
     for cls in classify_intersections(T):
         mask = T.subgroup_mask(class_representative_elements(T, cls))
@@ -355,7 +355,8 @@ def maximal_index_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> dict
     oracle = T.embed_as_oracle(cap)
     out: dict[int, int] = {}
     for m in gr.maximal_subgroups(oracle, cap):
-        out[m.index] = out.get(m.index, 0) + 1
+        index = oracle.n // m.bit_count()
+        out[index] = out.get(index, 0) + 1
     return out
 
 

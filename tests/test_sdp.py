@@ -66,7 +66,7 @@ def test_enumerate_maximal_supplements_counts():
 def test_supplements_are_maximal_in_oracle():
     g = g_s3()
     oracle, _ = sdp.embed_as_oracle(g)
-    maximal_masks = {m.mask for m in gr.maximal_subgroups(oracle)}
+    maximal_masks = set(gr.maximal_subgroups(oracle))
     for m in sdp.enumerate_maximal_supplements(g):
         assert sdp.supplement_elements(g, m) in maximal_masks
 
@@ -80,8 +80,8 @@ def test_supplement_enumeration_is_complete():
         socle = 0
         for w in FpSubspace.full(g.p, g.wdim).vectors():
             socle |= 1 << encode(w, 0)
-        oracle_sups = {m.mask for m in gr.maximal_subgroups(oracle)
-                       if m.mask & socle != socle}
+        oracle_sups = {m for m in gr.maximal_subgroups(oracle)
+                       if m & socle != socle}
         enumerated = set()
         for m in sdp.enumerate_maximal_supplements(g):
             enumerated.add(sdp.supplement_elements(g, m))
@@ -427,10 +427,10 @@ def test_crown_g2_spec_example(tower2):
     classes = sdp.chief_factor_classes(oracle)
     cls5 = next(c for c in classes if c.prime == 5)
     data = sdp.crown(oracle, cls5)
-    assert data.centralizer.order == 15       # V_1 x V_2
-    assert data.core_r.order == 3             # V_1
+    assert data.centralizer.bit_count() == 15       # V_1 x V_2
+    assert data.core_r.bit_count() == 3             # V_1
     assert data.delta == 1
-    assert data.complement is not None and data.complement.order == 5
+    assert data.complement is not None and data.complement.bit_count() == 5
     assert sdp.crown_module_check(oracle, data)
 
 
@@ -438,16 +438,16 @@ def test_crown_s3_and_f20():
     s3, _ = sdp.embed_as_oracle(g_s3())
     cls3 = next(c for c in sdp.chief_factor_classes(s3) if c.prime == 3)
     data = sdp.crown(s3, cls3)
-    assert (data.centralizer.order, data.core_r.order, data.delta) == (3, 1, 1)
-    assert data.complement.order == 3
+    assert (data.centralizer.bit_count(), data.core_r.bit_count(), data.delta) == (3, 1, 1)
+    assert data.complement.bit_count() == 3
     f20, _ = sdp.embed_as_oracle(g_f5_c4(1))
     cls5 = next(c for c in sdp.chief_factor_classes(f20) if c.prime == 5)
     data = sdp.crown(f20, cls5)
-    assert data.delta == 1 and data.core_r.order == 1
+    assert data.delta == 1 and data.core_r.bit_count() == 1
     assert sdp.crown_module_check(f20, data)
     # |G/R| = |V|^delta * |G/C|
-    assert (f20.n // data.core_r.order
-            == cls5.module_size**data.delta * (f20.n // data.centralizer.order))
+    assert (f20.n // data.core_r.bit_count()
+            == cls5.module_size**data.delta * (f20.n // data.centralizer.bit_count()))
 
 
 def test_find_corona_crown_requires_frattini_free():
@@ -458,20 +458,20 @@ def test_find_corona_crown_requires_frattini_free():
 
 def test_corona_and_sotto_on_corpus(corpus_list):
     for g in corpus_list:
-        if gr.frattini(g).order != 1:
+        if gr.frattini(g).bit_count() != 1:
             continue
         data = sdp.find_corona_crown(g)
         d_sub = data.complement
         r_sub = data.core_r
-        assert d_sub.order > 1
-        assert (d_sub.mask & r_sub.mask) == 1
-        assert d_sub.order * r_sub.order == data.centralizer.order
+        assert d_sub.bit_count() > 1
+        assert (d_sub & r_sub) == 1
+        assert d_sub.bit_count() * r_sub.bit_count() == data.centralizer.bit_count()
         # if KD = KR = G then K = G
         for k in gr.all_subgroups(g):
-            kd = k.order * d_sub.order // (k.mask & d_sub.mask).bit_count()
-            kr = k.order * r_sub.order // (k.mask & r_sub.mask).bit_count()
+            kd = k.bit_count() * d_sub.bit_count() // (k & d_sub).bit_count()
+            kr = k.bit_count() * r_sub.bit_count() // (k & r_sub).bit_count()
             if kd == g.n and kr == g.n:
-                assert k.order == g.n, g.name
+                assert k.bit_count() == g.n, g.name
 
 
 def test_crown_module_check_corpus(corpus_list):

@@ -64,9 +64,9 @@ def test_unique_maximal_above_socle(tower2):
     socle_mask = 0
     for w_id in range(tower2.w_size):
         socle_mask |= 1 << (w_id * tower2.h_order)
-    containing = [m for m in gr.maximal_subgroups(oracle) if m.mask & socle_mask == socle_mask]
+    containing = [m for m in gr.maximal_subgroups(oracle) if m & socle_mask == socle_mask]
     assert len(containing) == 1
-    assert containing[0].index == 2
+    assert oracle.n // containing[0].bit_count() == 2
 
 
 def test_classification_n2(tower2):
