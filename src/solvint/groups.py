@@ -724,10 +724,12 @@ def core_and_socle(m: int, G: OracleGroup) -> tuple[int, int]:
                 break
             x = nxt
         socles[y] = x
-    # chief factor sanity: M complements X/Y
+    # chief factor sanity: M complements X/Y.  X is normal, so MX is a
+    # subgroup of order |M||X|/|M cap X| = |M||X|/|Y|, and MX = G iff
+    # |M||X| = |G||Y|
     if x & m != y:
         raise AssertionError("socle does not meet M in the core")
-    if closure_mask(G, greedy_generators(G, m) + greedy_generators(G, x)) != (1 << G.n) - 1:
+    if m.bit_count() * x.bit_count() != G.n * y.bit_count():
         raise AssertionError("M does not supplement the socle")
     return y, x
 
@@ -757,13 +759,16 @@ def action_on_factor(G: OracleGroup, x: int, y: int, gens=None):
     y_members = tuple(mask_bits(y))
     mul = G._mul
     n = G.n
-
-    def rep(a: int) -> int:
-        return min(mul[e * n + a] for e in y_members)
-
-    reps = sorted({rep(a) for a in mask_bits(x)})
+    # walking x ascending, the first element met in a coset Ya is its
+    # least, so rep maps each coset to it and reps comes out ascending
+    rep: dict[int, int] = {}
+    reps: list[int] = []
+    for a in mask_bits(x):
+        if a not in rep:
+            reps.append(a)
+            rep.update(dict.fromkeys([mul[e * n + a] for e in y_members], a))
     vec_of: dict[int, tuple[int, ...]] = {reps[0]: (0,) * d}
-    if rep(0) != reps[0]:
+    if rep[0] != reps[0]:
         raise AssertionError("identity coset is not canonical-least")
     basis: list[int] = []
     for r in reps:
@@ -775,25 +780,44 @@ def action_on_factor(G: OracleGroup, x: int, y: int, gens=None):
         x_pow = r
         for j in range(1, p):
             for s, v in current:
-                t = rep(mul[s * n + x_pow])
+                t = rep[mul[s * n + x_pow]]
                 w = list(v)
                 w[i] = j
                 vec_of[t] = tuple(w)
-            x_pow = rep(mul[x_pow * n + r])
+            x_pow = rep[mul[x_pow * n + r]]
     if len(vec_of) != p**d:
         raise AssertionError("factor coordinatization incomplete")
     matrices = []
     for g in gens:
-        rows = [vec_of[rep(G.conj(b, g))] for b in basis]
+        rows = [vec_of[rep[G.conj(b, g)]] for b in basis]
         matrices.append(tuple(rows))
     return p, d, matrices
 
 
 def centralizer_of_factor(G: OracleGroup, x: int, y: int) -> int:
-    """Elements g with [x, g] <= y."""
+    """Elements g with [x, g] <= y, for y <= x with y normal in G and x/y
+    abelian.
+
+    The test runs once per right coset of x: for x' in x and a in x,
+    a^(x'g) = (a[a, x'])^g lies in a^g y, as [a, x'] lies in y and y is
+    normal.  So [a, x'g] lies in y exactly when [a, g] does, and the test
+    of the least untested g decides its whole coset xg.
+    """
     x_gens = greedy_generators(G, x)
+    x_members = tuple(mask_bits(x))
+    mul = G._mul
+    inv = G._inv
+    n = G.n
+    a_rows = [(a, inv[a] * n) for a in x_gens]
+    untested = (1 << n) - 1
     mask = 0
-    for g in range(G.n):
-        if all((y >> G.mul(G.inv(a), G.conj(a, g))) & 1 for a in x_gens):
-            mask |= 1 << g
+    while untested:
+        g = (untested & -untested).bit_length() - 1
+        coset = 0
+        for s in x_members:
+            coset |= 1 << mul[s * n + g]
+        untested &= ~coset
+        gi = inv[g] * n
+        if all((y >> mul[ai + mul[mul[gi + a] * n + g]]) & 1 for a, ai in a_rows):
+            mask |= coset
     return mask

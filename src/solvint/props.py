@@ -41,21 +41,31 @@ def _floor_log(P: int, N: int, num: int, den: int) -> int:
     if P == N:
         return num // den
     big = P**num
-    m = max(0, int(num / den * math.log(P) / math.log(N)) - 2)
-    while N ** ((m + 1) * den) <= big:
+    step = N**den
+    m = max(0, int(num / den * math.log(P) / math.log(N)))
+    power = N ** (m * den)
+    while power * step <= big:
+        power *= step
         m += 1
-    while m > 0 and N ** (m * den) > big:
+    while m > 0 and power > big:
+        power //= step
         m -= 1
     return m
 
 
 def iroot(x: int, r: int) -> int:
-    """Integer floor r-th root."""
+    """Integer floor r-th root: Newton's method from a float seed above the
+    root; exact corrections both ways make the result right from any seed."""
     if x < 0 or r < 1:
         raise MalformedInput("iroot needs x >= 0, r >= 1")
     if x < 2 or r == 1:
         return x
-    g = 1 << ((x.bit_length() + r - 1) // r + 1)
+    # x^(1/r) = 2^(e-k) * 2^k with the float factor below 2^53 for any x,
+    # raised by more than its rounding error (a few ulps of e) so that the
+    # seed lies above the root
+    e = math.log2(x) / r
+    k = max(0, int(e) - 52)
+    g = int(2 ** (e - k) * (1 + 1e-9 + e * 1e-15) + 1) << k
     while True:
         nxt = ((r - 1) * g + x // g ** (r - 1)) // r
         if nxt >= g:
@@ -63,6 +73,8 @@ def iroot(x: int, r: int) -> int:
         g = nxt
     while g**r > x:
         g -= 1
+    while (g + 1) ** r <= x:
+        g += 1
     return g
 
 
@@ -70,9 +82,7 @@ def floor_root_pow(n: int, num: int, den: int) -> int:
     """Exact floor(n^(num/den))."""
     if den <= 0 or num < 0 or n < 0:
         raise MalformedInput("floor_root_pow arguments out of range")
-    from math import gcd
-
-    g = gcd(num, den)
+    g = math.gcd(num, den)
     num //= g
     den //= g
     return iroot(n**num, den)

@@ -2,8 +2,10 @@
 
 The package no longer needs these: subspace sums, meets, decompositions
 and containment, the lower central series test, the enumeration of every
-F-subspace of F^t and scaling a vector.  The tests keep them to build
-independent references and test data.
+F-subspace of F^t, scaling a vector, the chief-factor action and
+centralizer one element at a time, and integer roots and logarithms by
+bisection.  The tests keep them to build independent references and test
+data.
 """
 
 from solvint import groups as gr
@@ -76,3 +78,74 @@ def is_nilpotent_mask(G, mask: int) -> bool:
             return False
         cur = nxt
     return True
+
+
+def reference_action_on_factor(G, x: int, y: int, gens):
+    """The conjugation action on x/y, each coset representative found as
+    the least element of its coset Ya by a scan over y."""
+    p, d = gr.factor_prime_dim(G, x, y)
+    y_members = tuple(gr.mask_bits(y))
+    mul = G._mul
+    n = G.n
+
+    def rep(a: int) -> int:
+        return min(mul[e * n + a] for e in y_members)
+
+    reps = sorted({rep(a) for a in gr.mask_bits(x)})
+    vec_of = {reps[0]: (0,) * d}
+    basis = []
+    for r in reps:
+        if r in vec_of:
+            continue
+        basis.append(r)
+        i = len(basis) - 1
+        current = list(vec_of.items())
+        x_pow = r
+        for j in range(1, p):
+            for s, v in current:
+                w = list(v)
+                w[i] = j
+                vec_of[rep(mul[s * n + x_pow])] = tuple(w)
+            x_pow = rep(mul[x_pow * n + r])
+    matrices = [tuple(vec_of[rep(G.conj(b, g))] for b in basis) for g in gens]
+    return p, d, matrices
+
+
+def reference_centralizer_of_factor(G, x: int, y: int) -> int:
+    """Elements g with [a, g] in y for every generator a of x, testing
+    every element of G."""
+    x_gens = gr.greedy_generators(G, x)
+    mask = 0
+    for g in range(G.n):
+        if all((y >> G.mul(G.inv(a), G.conj(a, g))) & 1 for a in x_gens):
+            mask |= 1 << g
+    return mask
+
+
+def floor_root(x: int, r: int) -> int:
+    """Largest g with g^r <= x, by integer bisection."""
+    lo, hi = 0, 1
+    while hi**r <= x:
+        hi *= 2
+    while hi - lo > 1:  # lo^r <= x < hi^r
+        mid = (lo + hi) // 2
+        if mid**r <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def floor_log(P: int, N: int, num: int, den: int) -> int:
+    """Largest m with N^(m*den) <= P^num, by integer bisection."""
+    big = P**num
+    lo, hi = 0, 1
+    while N ** (hi * den) <= big:
+        hi *= 2
+    while hi - lo > 1:  # N^(lo*den) <= big < N^(hi*den)
+        mid = (lo + hi) // 2
+        if N ** (mid * den) <= big:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -7,7 +7,8 @@ from solvint import corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 
-from references import is_nilpotent_mask
+from references import (is_nilpotent_mask, reference_action_on_factor,
+                        reference_centralizer_of_factor)
 
 
 def s3():
@@ -254,18 +255,65 @@ def test_frattini_members_are_not_maximal_intersections():
     assert not gr.is_maximal_intersection(1, sl23)
 
 
-def test_chief_factor_complement_checks(corpus_list):
-    # M cap X = Y and M X = G are asserted inside core_and_socle
-    for g in corpus_list[:10]:
+@pytest.fixture(scope="session")
+def corpus_and_primitive_oracles(corpus_list):
+    """The corpus groups and the primitive groups embedded as oracles."""
+    return list(corpus_list) + [sdp.embed_as_oracle(g)[0] for g in corpus.primitive_groups()]
+
+
+def test_chief_factor_complement_checks(corpus_and_primitive_oracles):
+    # M complements X/Y: M cap X = Y, and M and X generate G, proved here by
+    # a closure rather than by the order identity core_and_socle uses
+    for g in corpus_and_primitive_oracles:
+        full = (1 << g.n) - 1
         for m in gr.maximal_subgroups(g):
+            y, x = gr.core_and_socle(m, g)
+            assert m & x == y, g.name
+            assert gr.closure_mask(g, set(gr.mask_bits(m)) | set(gr.mask_bits(x))) == full, g.name
+
+
+def test_chief_factor_action_and_centralizer_match_references(corpus_and_primitive_oracles,
+                                                              small_pool_oracles):
+    # the coset table and the per-coset centralizer test against the least
+    # element of each coset by a scan over Y and a test of every element
+    oracles = corpus_and_primitive_oracles + [g for _, g in small_pool_oracles]
+    for g in oracles:
+        try:
+            maximals = gr.maximal_subgroups(g)
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            continue
+        for y, x in {gr.core_and_socle(m, g) for m in maximals}:
+            assert gr.action_on_factor(g, x, y) == reference_action_on_factor(g, x, y, g.gens), g.name
+            assert gr.centralizer_of_factor(g, x, y) == reference_centralizer_of_factor(g, x, y), g.name
+
+
+def test_core_and_socle_with_a_memoised_socle_runs_no_closure(corpus_list, monkeypatch):
+    calls = []
+    closure_mask = gr.closure_mask
+
+    def counting_closure_mask(G, gen_ids):
+        calls.append(G.name)
+        return closure_mask(G, gen_ids)
+
+    monkeypatch.setattr(gr, "closure_mask", counting_closure_mask)
+    reused = 0
+    for c in corpus_list:
+        g = gr.OracleGroup(c.n, c._mul, c.name, c.gens, c._inv)
+        for m in gr.maximal_subgroups(g):
+            memoised = gr.normal_core(g, m) in g._cache.get("socle_by_core", {})
+            calls.clear()
             gr.core_and_socle(m, g)
+            if memoised:
+                reused += 1
+                assert calls == [], g.name
+    assert reused > 0
 
 
-def test_socle_is_the_least_normal_subgroup_above_the_core(corpus_list):
+def test_socle_is_the_least_normal_subgroup_above_the_core(corpus_and_primitive_oracles):
     # from the lattice and conjugation by every element alone: neither
     # normal_closure_mask nor derived_mask is called here
-    oracles = list(corpus_list) + [sdp.embed_as_oracle(g)[0] for g in corpus.primitive_groups()]
-    for g in oracles:
+    for g in corpus_and_primitive_oracles:
         normal = [s for s in gr.all_subgroups(g)
                   if all((s >> g.conj(x, h)) & 1 for h in range(g.n)
                          for x in tuple(gr.mask_bits(s)))]

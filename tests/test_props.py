@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from solvint import corpus, props, sdp
 from solvint import groups as gr
 from solvint.errors import MalformedInput
 
-from references import is_nilpotent_mask
+from references import floor_log, floor_root, is_nilpotent_mask
 
 
 def test_floor_log_ratio():
@@ -23,6 +25,38 @@ def test_iroot_and_floor_root_pow():
     assert props.floor_root_pow(20, 1074, 1000) == 24  # 20^1.074
     assert props.floor_root_pow(3, 2, 1) == 9
     assert props.floor_root_pow(2, 2807, 1000) == 6
+
+
+def test_roots_and_logs_match_bisection():
+    rng = random.Random(20260)
+    cases = []
+    for r in (1, 2, 3, 1000) + tuple(rng.randrange(4, 60) for _ in range(6)):
+        # perfect powers and their neighbours, roots on both sides of 2^53
+        for bits in (1, 2, 5, 20, 52, 53, 54, 60, 100):
+            if r == 1000 and bits > 60:
+                continue
+            g = rng.getrandbits(bits) | 1 << (bits - 1)
+            cases += [(g**r - 1, r), (g**r, r), (g**r + 1, r)]
+        cases += [(rng.getrandbits(rng.randrange(1, 400)), r) for _ in range(4)]
+    # log(x)/r >= 700: the float root 2^(log2(x)/r) would overflow
+    cases += [(rng.getrandbits(1100 * r) | 1 << (1100 * r), r) for r in (1, 2, 3, 7)]
+    cases += [(0, 5), (1, 5), (2, 1000), (2**1000, 1000), (2**1000 - 1, 1000)]
+    for x, r in cases:
+        assert props.iroot(x, r) == floor_root(x, r), (x, r)
+    for _ in range(40):
+        n, num, den = rng.randrange(1, 5000), rng.randrange(0, 3000), rng.randrange(1, 1200)
+        g = math.gcd(num, den)
+        assert props.floor_root_pow(n, num, den) == floor_root(n ** (num // g), den // g)
+    logs = [(rng.randrange(1, 300), rng.randrange(2, 300),
+             rng.choice((1000, 10**4, 3243, 324, 325, rng.randrange(1, 5000))),
+             rng.choice((1, 100, rng.randrange(1, 50)))) for _ in range(150)]
+    logs += [(N, N, num, den) for N, num, den in ((2, 1000, 1), (7, 3243, 1000), (97, 10**4, 3))]
+    logs += [(1, N, num, den) for N, num, den in ((2, 1000, 1), (7, 3243, 1000), (97, 10**4, 3))]
+    logs += [(8, 2, 1000, 1), (25, 20, 1000, 1), (2**60, 2, 7, 3)]
+    for P, N, num, den in logs:
+        assert props._floor_log(P, N, num, den) == floor_log(P, N, num, den), (P, N, num, den)
+        if den == 1:
+            assert props.floor_log_ratio(P, N, num) == floor_log(P, N, num, 1), (P, N, num)
 
 
 def test_gamma_min_one_dimensional_modules():
