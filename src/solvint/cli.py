@@ -11,7 +11,9 @@ integer floors.  Exit codes: 0 ok, 1 assertion failure, 2 schema error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -129,9 +131,6 @@ class Report:
                 "version": __version__,
             }
             return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-        import csv
-        import io
-
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["command", self.command, "digest", self.digest, "seed",

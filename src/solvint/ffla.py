@@ -9,7 +9,7 @@ representative used for equality, hashing and deduplication everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 from .errors import MalformedInput, ResourceCapExceeded, ValidationError
 
@@ -70,33 +70,13 @@ def mat_mod(a, p: int) -> Matrix:
     return tuple(tuple(int(x) % p for x in row) for row in a)
 
 
-def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
-    result = mat_identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
-        e >>= 1
-    return result
-
-
 def mat_inv(a: Matrix, p: int) -> Matrix:
-    """Inverse via Gauss-Jordan; raises MalformedInput on singular matrices."""
+    """Inverse by reducing [a | I]; raises MalformedInput on singular matrices."""
     k = len(a)
-    rows = [list(a[i]) + [1 if i == j else 0 for j in range(k)] for i in range(k)]
-    for c in range(k):
-        piv = next((r for r in range(c, k) if rows[r][c] % p), None)
-        if piv is None:
-            raise MalformedInput("matrix is singular mod p")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = inv_mod(rows[c][c], p)
-        rows[c] = [(x * inv) % p for x in rows[c]]
-        for r in range(k):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
-    return tuple(tuple(row[k:]) for row in rows)
+    red, pivots = _rref([tuple(row) + e for row, e in zip(a, mat_identity(k))], p, k)
+    if len(pivots) < k:
+        raise MalformedInput("matrix is singular mod p")
+    return tuple(row[k:] for row in red)
 
 
 def prime_factors(n: int) -> list[int]:
@@ -144,13 +124,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mat_has_order(a: Matrix, order: int, p: int) -> bool:
-    """True iff the multiplicative order of `a` is exactly `order`."""
-    if mat_pow(a, order, p) != mat_identity(len(a)):
-        return False
-    return all(mat_pow(a, order // q, p) != mat_identity(len(a)) for q in prime_factors(order))
-
-
 # ---------------------------------------------------------------------------
 # row reduction
 
@@ -174,33 +147,19 @@ def _rref(vectors, p: int, ncols: int):
         r += 1
         if r == len(rows):
             break
-    return tuple(tuple(x % p for x in row) for row in rows[:r]), tuple(pivots)
+    # every row kept was reduced mod p when it was scaled to its pivot
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
 def express_in_rows(rows, v: Vector, p: int):
     """Coefficients writing v as a combination of `rows`, or None.
 
-    Gaussian elimination with bookkeeping; the returned combination is the
-    unique one with all free coefficients zero, so it is deterministic.
+    Reduces [rows | I] over the columns of v; the returned combination is
+    the unique one with all free coefficients zero, so it is deterministic.
     """
     n = len(v)
     m = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    piv_cols = []
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] % p), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = inv_mod(aug[r][c], p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
+    aug, piv_cols = _rref([tuple(row) + e for row, e in zip(rows, mat_identity(m))], p, n)
     res = list(v)
     combo = [0] * m
     for i, c in enumerate(piv_cols):
@@ -369,15 +328,14 @@ def is_irreducible(generators, p: int, k: int) -> bool:
 class EndField:
     """The centralizer field F = End_H(V) of an irreducible action.
 
-    `basis` spans the centralizer algebra over F_p, `primitive` generates
-    the unit group (order p^degree - 1).
+    `basis` spans the centralizer algebra over F_p; `FieldOps` checks that
+    it is a field when it tabulates the inverses.
     """
 
     p: int
     dim: int
     degree: int
     basis: tuple[Matrix, ...]
-    primitive: Matrix
 
     @property
     def order(self) -> int:
@@ -388,47 +346,31 @@ def endomorphism_field(generators, p: int, k: int) -> EndField:
     """Solve X*g = g*X for all generators and package the resulting field."""
     if not is_irreducible(generators, p, k):
         raise ValidationError("irreducibility", "H does not act irreducibly on V")
-    # unknowns X_{ab} indexed a*k+b; one equation per (generator, i, j)
-    rows = []
-    for g in generators:
-        for i in range(k):
-            for j in range(k):
-                row = [0] * (k * k)
-                for b in range(k):
-                    row[i * k + b] = (row[i * k + b] + g[b][j]) % p
-                for a in range(k):
-                    row[a * k + j] = (row[a * k + j] - g[i][a]) % p
-                rows.append(tuple(row))
-    if rows:
-        kernel = nullspace(rows, p, k * k)
-    else:
-        kernel = [tuple(1 if i == j else 0 for i in range(k * k)) for j in range(k * k)]
     basis = tuple(
-        tuple(tuple(vec[i * k + j] for j in range(k)) for i in range(k)) for vec in kernel
+        tuple(tuple(vec[i * k + j] for j in range(k)) for i in range(k))
+        for vec in _intertwiners(generators, generators, p, k)
     )
     e = len(basis)
     if k % e != 0:
         raise ValidationError("irreducibility", "centralizer dimension does not divide k")
-    order = p**e - 1
-    primitive = None
-    for coeffs in iter_product(range(p), repeat=e):
-        if not any(coeffs):
-            continue
-        cand = mat_scale(basis[0], coeffs[0], p)
-        for c, b in zip(coeffs[1:], basis[1:]):
-            cand = mat_add(cand, mat_scale(b, c, p), p)
-        try:
-            mat_inv(cand, p)
-        except MalformedInput:
-            raise ValidationError(
-                "irreducibility", "centralizer contains a singular element; not a field"
-            )
-        if mat_has_order(cand, order, p):
-            primitive = cand
-            break
-    if primitive is None:
-        raise ValidationError("irreducibility", "no primitive element found in centralizer")
-    return EndField(p=p, dim=k, degree=e, basis=basis, primitive=primitive)
+    return EndField(p=p, dim=k, degree=e, basis=basis)
+
+
+def _intertwiners(rho_a, rho_b, p: int, d: int):
+    """Canonical basis of {T : a*T = T*b for every pair (a, b) of the
+    parallel lists rho_a, rho_b}, each T a d x d matrix flattened with T_ij
+    at i*d + j: the nullspace of one equation per (pair, i, j)."""
+    rows = []
+    for ga, gb in zip(rho_a, rho_b):
+        for i in range(d):
+            for j in range(d):
+                row = [0] * (d * d)
+                for b in range(d):
+                    row[b * d + j] = (row[b * d + j] + ga[i][b]) % p
+                for a in range(d):
+                    row[i * d + a] = (row[i * d + a] - gb[a][j]) % p
+                rows.append(tuple(row))
+    return nullspace(rows, p, d * d)
 
 
 class FieldOps:
@@ -465,7 +407,10 @@ class FieldOps:
         self.neg_t = [self.index[mat_scale(elems[i], -1, p)] for i in range(q)]
         self.inv_t = [0] * q
         for i in range(1, q):
-            self.inv_t[i] = next(j for j in range(1, q) if self.mul_t[i][j] == self.one)
+            inv = next((j for j in range(1, q) if self.mul_t[i][j] == self.one), None)
+            if inv is None:
+                raise ValidationError("irreducibility", "centralizer is not a field")
+            self.inv_t[i] = inv
 
     # -- vectors over F^t, encoded as tuples of element indices
 
@@ -498,8 +443,6 @@ class FieldOps:
         if dim == 0:
             yield ()
             return
-        from itertools import combinations
-
         nonzero = range(self.q)
         for pivots in combinations(range(t), dim):
             free_positions = []
@@ -537,6 +480,17 @@ class FieldOps:
             for m in self.field.basis:
                 rows.append(vec_mat(v, m, p))
         return FpSubspace.from_vectors(p, k, rows)
+
+    def f_basis_among(self, vectors) -> tuple[Vector, ...]:
+        """The V-vectors outside the F-span of those picked before them: an
+        F-basis of the F-span of `vectors`, in their order."""
+        basis = []
+        span = FpSubspace.zero(self.p, self.field.dim)
+        for v in vectors:
+            if not span.contains(v):
+                basis.append(v)
+                span = self.f_closure(basis)
+        return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +549,7 @@ def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b,
         return ModuleMap(sub_a, sub_b, ())
     rho_a = [induced_action(sub_a, g) for g in gens_a]
     rho_b = [induced_action(sub_b, g) for g in gens_b]
-    # unknown T (d x d), equations rho_a[g] * T - T * rho_b[g] = 0
-    rows = []
-    for ga, gb in zip(rho_a, rho_b):
-        for i in range(d):
-            for j in range(d):
-                row = [0] * (d * d)
-                for b in range(d):
-                    row[b * d + j] = (row[b * d + j] + ga[i][b]) % p
-                for a in range(d):
-                    row[i * d + a] = (row[i * d + a] - gb[a][j]) % p
-                rows.append(tuple(row))
-    kernel = nullspace(rows, p, d * d) if rows else []
-    if rows == []:
-        kernel = [tuple(1 if i == j else 0 for i in range(d * d)) for j in range(d * d)]
+    kernel = _intertwiners(rho_a, rho_b, p, d)
     if not kernel:
         return None
     count = 0

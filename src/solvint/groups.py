@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
-from .ffla import prime_factors
+from .ffla import mat_identity, mat_mod, mat_mul, prime_factors
 
 DEFAULT_ORDER_CAP = 5000
 LATTICE_CAP = 10**4
@@ -210,8 +210,6 @@ def from_permutations(perm_gens, name: str) -> OracleGroup:
 
 def from_matrices(mat_gens, p: int, name: str) -> OracleGroup:
     """Group generated by invertible matrices over F_p."""
-    from .ffla import mat_identity, mat_mod, mat_mul
-
     k = len(mat_gens[0])
     gens = [mat_mod(g, p) for g in mat_gens]
     identity = mat_identity(k)

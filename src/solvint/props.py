@@ -438,12 +438,7 @@ def check_subgroup_count_bound(G: gr.OracleGroup, eta: Fraction | None = None,
             if m_k > 0 and m_k**alpha.denominator > k ** (alpha.numerator):
                 raise MalformedInput(f"alpha too small: m_{k} = {m_k} exceeds {k}^alpha")
     if eta is None:
-        report = eta_report(G)
-        best = 0
-        for r in report.records:
-            if r.product > 1:
-                best = max(best, floor_log_ratio(r.product, r.index, 1000))
-        eta = Fraction(max(best, 1000), 1000)
+        eta = Fraction(max(eta_report(G).max_floor_times(1000, 1), 1000), 1000)
     rows = []
     ok = True
     for n in sorted(table):

@@ -13,8 +13,10 @@ deterministic function of its arguments; caches only memoize.
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import product as iter_product
 
 from . import groups as gr
 from .errors import (
@@ -37,6 +39,7 @@ from .ffla import (
     mat_inv,
     mat_mod,
     mat_mul,
+    module_isomorphism,
     vec_add,
     vec_mat,
     vec_neg,
@@ -105,7 +108,7 @@ class HModule:
         if field.order > FIELD_ORDER_CAP:
             raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
         fops = FieldOps(field)
-        f_basis = _f_basis_of_v(p, k, fops)
+        f_basis = fops.f_basis_among(mat_identity(k))
         return cls(p, k, gens, elements, field, fops, f_basis, name)
 
     @property
@@ -148,9 +151,8 @@ class HModule:
             for pos, idx in enumerate(row):
                 if idx:
                     v = vec_add(v, self.fops.act(self.f_basis[pos], idx), self.p)
-            for m in self.field.basis:
-                vectors.append(vec_mat(v, m, self.p))
-        return FpSubspace.from_vectors(self.p, self.k, vectors)
+            vectors.append(v)
+        return self.fops.f_closure(vectors)
 
 
 def _matrix_group_solvable(gens, p, k, cap) -> bool:
@@ -180,21 +182,6 @@ def _matrix_group_solvable(gens, p, k, cap) -> bool:
             return False
         current, order = kept, len(members)
     return True
-
-
-def _f_basis_of_v(p, k, fops: FieldOps):
-    """Greedy F-basis of V from standard vectors (deterministic)."""
-    basis = []
-    span = FpSubspace.zero(p, k)
-    for i in range(k):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        if not span.contains(e):
-            basis.append(e)
-            rows = list(span.basis)
-            for m in fops.field.basis:
-                rows.append(vec_mat(e, m, p))
-            span = FpSubspace.from_vectors(p, k, rows)
-    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +294,6 @@ class SdGroup:
         q, t, k = fops.q, self.t, self.k
         if q**t > FVECTOR_ENUM_CAP:
             raise ResourceCapExceeded("F^t vector enumeration", FVECTOR_ENUM_CAP)
-        from itertools import product as iter_product
-
         elements = fops.elements
         members = [s for s in iter_product(range(q), repeat=t)
                    if all(W.contains(tuple(x for idx in s for x in elements[idx][j]))
@@ -375,8 +360,6 @@ def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
     `fixed_space_over(W)`: when that is W, they are the vectors that vanish
     on W's pivot columns, one per fill of its free columns; when it is V^t,
     the only one is 0."""
-    from itertools import product as iter_product
-
     out = []
     p = G.p
     for W in G.maximal_submodules():
@@ -634,10 +617,11 @@ def realize_intersection(G: SdGroup, U: FpSubspace, Z: FpSubspace) -> list[Maxim
     U * C_H(Z), where t* is the codimension of U over F and d = dim_F Z: the
     rows (phi_i, 0) for the F-annihilator phi_1..phi_t* of U, then (phi_1, z)
     for an F-basis z of Z, each read back as a supplement."""
-    if G.module.fops.f_closure(Z.basis) != Z:
+    fops = G.module.fops
+    z_basis = fops.f_basis_among(Z.basis)
+    if fops.f_closure(z_basis) != Z:
         raise MalformedInput("Z is not closed under the endomorphism field")
     phis, pivots, _ = G._memo("ann", U, _annihilator, G, U)
-    z_basis = _f_basis_of_subspace(G.module, Z)
     if not phis and z_basis:
         raise RealizationError(
             "U = V^t admits no maximal submodule above it; cannot realize a nonzero Z"
@@ -649,19 +633,6 @@ def realize_intersection(G: SdGroup, U: FpSubspace, Z: FpSubspace) -> list[Maxim
     if len(set(family)) != len(rows):
         raise AssertionError("realized family has duplicate descriptors")
     return family
-
-
-def _f_basis_of_subspace(module: HModule, Z: FpSubspace) -> list[Vector]:
-    """Greedy F-basis extraction from an F-closed subspace of V."""
-    basis: list[Vector] = []
-    span = FpSubspace.zero(module.p, module.k)
-    for row in Z.basis:
-        if not span.contains(row):
-            basis.append(row)
-            span = module.fops.f_closure(basis)
-    if span != Z:
-        raise MalformedInput("Z basis extraction failed (Z not F-closed?)")
-    return basis
 
 
 def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersection) -> bool:
@@ -746,8 +717,6 @@ class CrownData:
 def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     """Complemented chief factor classes of a solvable G, from its maximal
     subgroups, grouped by exact G-module isomorphism."""
-    from .ffla import module_isomorphism
-
     cached = G._cache.get("crown_classes")
     if cached is not None:
         return cached
@@ -817,8 +786,6 @@ def crown_module_check(G: gr.OracleGroup, data: CrownData) -> bool:
     """Exact check that C/R is G-isomorphic to V^delta: sizes agree and the
     conjugation action on C/R is equivalent to the delta-fold diagonal of
     the class action."""
-    from .ffla import module_isomorphism
-
     cls = data.v_class
     p, d, delta = cls.prime, cls.dim, data.delta
     if data.centralizer.bit_count() != data.core_r.bit_count() * (p**d) ** delta:
@@ -880,9 +847,7 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int,
     """Seeded equivalence checks of the closed-form calculus against
     elementwise brute force.  Returns (pairs_checked, families_checked,
     failures) where failures is a list of diagnostics (empty on success)."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     failures = []
     supplements = {id(g): enumerate_maximal_supplements(g) for g in pool}
     # element masks of the supplements drawn so far, per group and descriptor

@@ -1,6 +1,6 @@
 import pytest
 
-from solvint import corpus, tower
+from solvint import corpus, sdp, tower
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,9 @@ def tower3():
 @pytest.fixture(scope="session")
 def sdp_pool():
     return corpus.sdp_pool(2000)
+
+
+@pytest.fixture(scope="session")
+def corpus_and_primitive_oracles(corpus_list):
+    """The corpus groups and the primitive groups embedded as oracles."""
+    return list(corpus_list) + [sdp.embed_as_oracle(g)[0] for g in corpus.primitive_groups()]

@@ -3,9 +3,9 @@
 The package no longer needs these: subspace sums, meets, decompositions
 and containment, the lower central series test, the enumeration of every
 F-subspace of F^t, scaling a vector, the chief-factor action and
-centralizer one element at a time, and integer roots and logarithms by
-bisection.  The tests keep them to build independent references and test
-data.
+centralizer one element at a time, integer roots and logarithms by
+bisection, and the least eta product over every family of maximals.  The
+tests keep them to build independent references and test data.
 """
 
 from solvint import groups as gr
@@ -149,3 +149,17 @@ def floor_log(P: int, N: int, num: int, den: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def reference_eta_product(G, h: int) -> int:
+    """Least product of indices |G:M| over the sets of maximals above h
+    that intersect in h, by enumerating every set (2^m of them for m
+    maximals above h)."""
+    full = (1 << G.n) - 1
+    meet, prod = [full], [1]
+    for m in gr.maximal_subgroups(G):
+        if m & h == h:
+            index = G.n // m.bit_count()
+            meet += [x & m for x in meet]
+            prod += [x * index for x in prod]
+    return min(pr for x, pr in zip(meet, prod) if x == h)

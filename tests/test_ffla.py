@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,10 +181,22 @@ def test_is_prime_matches_trial_division_and_rejects_pseudoprimes():
         ffla.is_prime(ffla.PRIME_TEST_BOUND)
 
 
+def has_unit_of_order(fops, order):
+    """Whether some element of the field has multiplicative order `order`,
+    by powering in FieldOps.mul_t."""
+    for i in range(1, fops.q):
+        x, n = i, 1
+        while x != fops.one:
+            x, n = fops.mul_t[x][i], n + 1
+        if n == order:
+            return True
+    return False
+
+
 def test_endomorphism_field_prime_field():
     f = ffla.endomorphism_field([((2,),)], 5, 1)
     assert f.degree == 1 and f.order == 5
-    assert ffla.mat_has_order(f.primitive, 4, 5)
+    assert has_unit_of_order(ffla.FieldOps(f), 4)
 
 
 def test_endomorphism_field_f9():
@@ -193,7 +206,7 @@ def test_endomorphism_field_f9():
     # every basis matrix commutes with the generator
     for b in f.basis:
         assert ffla.mat_mul(b, rot, 3) == ffla.mat_mul(rot, b, 3)
-    assert ffla.mat_has_order(f.primitive, 8, 3)
+    assert has_unit_of_order(ffla.FieldOps(f), 8)
 
 
 def test_endomorphism_field_sl23_is_prime():
@@ -209,6 +222,84 @@ def test_endomorphism_field_rejects_reducible():
     with pytest.raises(ValidationError) as err:
         ffla.endomorphism_field([((2, 0), (0, 2))], 5, 2)
     assert err.value.invariant == "irreducibility"
+
+
+def all_matrices(p, k):
+    return [tuple(tuple(e[i * k:(i + 1) * k]) for i in range(k))
+            for e in product(range(p), repeat=k * k)]
+
+
+def test_endomorphism_field_is_every_commuting_matrix():
+    # the F_p-combinations of the basis are exactly the k x k matrices that
+    # commute with every generator, found by trying all p^(k^2) <= 625
+    rng = random.Random(15)
+    cases = [(5, 1, [((2,),)]), (7, 1, [((3,),)]), (3, 2, [((0, 2), (1, 0))]),
+             (3, 2, [((1, 1), (0, 1)), ((0, 2), (1, 0))]),
+             (3, 2, [((1, 1), (2, 1)), ((1, 0), (0, 2))]), (2, 2, [((1, 1), (1, 0))]),
+             (5, 2, [((0, 1), (2, 0))]), (2, 3, [((0, 1, 0), (0, 0, 1), (1, 1, 0))])]
+    while len(cases) < 20:
+        p, k = rng.choice([(2, 2), (3, 2), (5, 2), (2, 3)])
+        gens = [tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(k))
+                for _ in range(rng.randint(1, 2))]
+        if ffla.is_irreducible(gens, p, k):
+            cases.append((p, k, gens))
+    for p, k, gens in cases:
+        f = ffla.endomorphism_field(gens, p, k)
+        commuting = {x for x in all_matrices(p, k)
+                     if all(ffla.mat_mul(x, g, p) == ffla.mat_mul(g, x, p) for g in gens)}
+        spanned = set()
+        for coeffs in product(range(p), repeat=len(f.basis)):
+            m = ((0,) * k,) * k
+            for c, b in zip(coeffs, f.basis):
+                m = ffla.mat_add(m, ffla.mat_scale(b, c, p), p)
+            spanned.add(m)
+        assert spanned == commuting, (p, k, gens)
+        assert p ** f.degree == len(commuting) == f.order
+
+
+def test_field_ops_rejects_a_centralizer_that_is_not_a_field():
+    # F_2[N] with N^2 = 0: N has no inverse
+    algebra = ffla.EndField(p=2, dim=2, degree=2, basis=(((1, 0), (0, 1)), ((0, 1), (0, 0))))
+    with pytest.raises(ValidationError) as err:
+        ffla.FieldOps(algebra)
+    assert err.value.invariant == "irreducibility"
+
+
+def test_mat_inv_inverts_exactly_the_matrices_with_zero_left_kernel():
+    rng = random.Random(16)
+    assert ffla.mat_inv((), 5) == ()
+    for _ in range(300):
+        p = rng.choice(PRIMES)
+        k = rng.randint(1, 3)
+        a = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+        if k > 1 and rng.random() < 0.3:  # force some singular matrices
+            a[0] = [(x * rng.randrange(p)) % p for x in a[1]]
+        a = tuple(tuple(row) for row in a)
+        singular = any(any(v) and not any(ffla.vec_mat(v, a, p))
+                       for v in product(range(p), repeat=k))
+        if singular:
+            with pytest.raises(MalformedInput):
+                ffla.mat_inv(a, p)
+        else:
+            assert ffla.mat_mul(a, ffla.mat_inv(a, p), p) == ffla.mat_identity(k)
+
+
+def test_express_in_rows_rebuilds_exactly_the_vectors_of_the_span():
+    rng = random.Random(17)
+    for _ in range(300):
+        p = rng.choice(PRIMES)
+        n = rng.randint(0, 4)
+        rows = random_vectors(rng, p, n, rng.randint(0, 3))
+        span = {tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(n))
+                for coeffs in product(range(p), repeat=len(rows))}
+        v = rng.choice(sorted(span)) if rng.random() < 0.5 else random_vectors(rng, p, n, 1)[0]
+        combo = ffla.express_in_rows(rows, v, p)
+        if v not in span:
+            assert combo is None
+        else:
+            assert combo is not None and len(combo) == len(rows)
+            assert tuple(sum(c * row[j] for c, row in zip(combo, rows)) % p
+                         for j in range(n)) == v
 
 
 def test_field_ops_unit_group_order():

@@ -255,12 +255,6 @@ def test_frattini_members_are_not_maximal_intersections():
     assert not gr.is_maximal_intersection(1, sl23)
 
 
-@pytest.fixture(scope="session")
-def corpus_and_primitive_oracles(corpus_list):
-    """The corpus groups and the primitive groups embedded as oracles."""
-    return list(corpus_list) + [sdp.embed_as_oracle(g)[0] for g in corpus.primitive_groups()]
-
-
 def test_chief_factor_complement_checks(corpus_and_primitive_oracles):
     # M complements X/Y: M cap X = Y, and M and X generate G, proved here by
     # a closure rather than by the order identity core_and_socle uses

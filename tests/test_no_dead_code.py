@@ -1,10 +1,11 @@
 """No package code that only tests use.
 
 Reads src/solvint/*.py as source (nothing is imported or executed) and
-checks that every public function and method is named somewhere in the
-package outside its own body, as a variable or an attribute, or stands in
-KEEP with the reason it stays.  A function that only tests call belongs in
-the tests, as a reference.
+checks that every function and method is named somewhere in the package
+outside its own body, as a variable or an attribute.  A public one may
+instead stand in KEEP with the reason it stays; a private helper may not,
+so one that a consolidation leaves behind is caught.  A function that only
+tests call belongs in the tests, as a reference.
 """
 
 import ast
@@ -39,31 +40,33 @@ def names_in(node):
             yield sub.attr
 
 
-def public_defs(tree):
-    """The module's public functions and the public methods of its classes."""
+def defs(tree):
+    """The module's functions and the methods of its classes, except the
+    dunder methods that Python calls."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield sub
-        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node
+        for sub in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                yield sub
 
 
-def unnamed_public_defs():
-    """The names of the public functions and methods that the package names
+def unnamed_defs():
+    """The names of the functions and methods that the package names
     nowhere outside their own bodies.  Names are compared, not bindings, so
     a method counts as named when any attribute of that name is read."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     named = Counter(name for tree in trees for name in names_in(tree))
-    return {node.name for tree in trees for node in public_defs(tree)
+    return {node.name for tree in trees for node in defs(tree)
             if named[node.name] == Counter(names_in(node))[node.name]}
 
 
 def test_every_public_function_is_named_in_the_package_or_kept():
-    assert sorted(unnamed_public_defs() - KEEP) == []
+    assert sorted(n for n in unnamed_defs() - KEEP if not n.startswith("_")) == []
+
+
+def test_every_private_helper_is_named_in_the_package():
+    assert sorted(n for n in unnamed_defs() if n.startswith("_")) == []
 
 
 def test_keep_holds_only_functions_the_package_does_not_name():
     # a KEEP entry that is gone, or that the package now calls, is stale
-    assert sorted(KEEP - unnamed_public_defs()) == []
+    assert sorted(KEEP - unnamed_defs()) == []

@@ -8,7 +8,7 @@ from solvint import corpus, props, sdp
 from solvint import groups as gr
 from solvint.errors import MalformedInput
 
-from references import floor_log, floor_root, is_nilpotent_mask
+from references import floor_log, floor_root, is_nilpotent_mask, reference_eta_product
 
 
 def test_floor_log_ratio():
@@ -184,6 +184,21 @@ def test_eta_bound_keeps_the_first_optimal_family(corpus_list):
             assert (rec.product, rec.family) == reference_eta_search(g, h), g.name
             checked += 1
     assert checked > 100
+
+
+def test_eta_product_matches_exhaustive_search(corpus_and_primitive_oracles):
+    # every class with at most 16 maximals above it; in F20, F9:C4 and F156
+    # the first complete family the search meets is not the optimum, so
+    # these classes exercise the pruning
+    checked = 0
+    for g in corpus_and_primitive_oracles:
+        maximals = gr.maximal_subgroups(g)
+        for h in props.maximal_intersection_classes(g):
+            if sum(m & h == h for m in maximals) <= 16:
+                assert props.eta_of_intersection(g, h).product == reference_eta_product(g, h), \
+                    (g.name, h)
+                checked += 1
+    assert checked >= 264
 
 
 def test_has_eta_property():
