@@ -8,6 +8,14 @@ Everything here is exact: subgroup lattices by cyclic extension,
 conjugacy classes of subgroups, Moebius values, and the index-counting
 tables built on them.
 
+The lattice and its conjugacy classes come from one pass of cyclic
+extension (Neubueser 1960) run up to conjugacy, as GAP's
+`LatticeByCyclicExtension` does: only one member of each class is
+extended, and each new extension brings in its whole orbit.  Conjugation
+carries extensions to extensions: if T = <S, g> with S normal of prime
+index in T and S = R^x, then T^(x^-1) = <R, g^(x^-1)> extends R.  So every
+class is reached from the extended member of the class below it.
+
 Tables are immutable; derived data (lattice, Moebius values, power
 tables) is memoized on the group in `G._cache`, the memoized tuples are
 returned as they are, and every public result is in canonical order.
@@ -476,18 +484,47 @@ def is_solvable(G: OracleGroup) -> bool:
 # the subgroup lattice
 
 
-def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
-    """Every subgroup of a solvable G, canonically ordered.
+_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-    Cyclic extension: each subgroup T has a normal subgroup of prime index,
-    so the lattice is generated bottom-up by adjoining normalizing elements
-    g with g^p inside the current subgroup.
+
+def _canonical_key(mask: int):
+    """Sort key of the canonical subgroup order: by order, then by the
+    ascending member tuples.
+
+    Of two masks a != b of equal bit count, a comes first exactly when the
+    lowest set bit of a ^ b lies in a (below it they share their members).
+    That bit sits in the first byte where their little-endian bytes differ
+    (equal bit counts keep one from being a prefix of the other), and
+    reversing and complementing every byte makes a's byte there the
+    smaller."""
+    return mask.bit_count(), mask.to_bytes((mask.bit_length() + 7) // 8, "little").translate(
+        _REVERSED_COMPLEMENT)
+
+
+def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
+    """Every subgroup of a solvable G, canonically ordered; the conjugacy
+    classes come out of the same pass into `G._cache["classes"]`.
+
+    Cyclic extension (Neubueser 1960), run up to conjugacy as GAP's
+    `LatticeByCyclicExtension` does: the lattice is generated bottom-up by
+    adjoining to S the elements g that normalise S with g^p in S, p prime,
+    and only one member of each conjugacy class is extended.  When an
+    extension T is new, its whole orbit joins the lattice as one class and
+    T alone is queued.  This is exact: every T != 1 of a solvable G has a
+    normal subgroup S of prime index p, so T = <S, g> with g^p in S.  If R
+    is the queued member of S's class and S = R^x, then T^(x^-1) =
+    <R, g^(x^-1)> is a cyclic extension of R, so T's class is reached
+    from R.
 
     The normalising test runs once per right coset of S: (sg)^-1 S (sg) =
     g^-1 S g for every s in S, so sg normalises S exactly when g does.  A
     failing g therefore clears all of Sg from the candidates; the elements
-    it skips would each have failed the test, so the records are the ones
-    the per-candidate test finds.
+    it skips would each have failed the test, so the extensions are the
+    ones the per-candidate test finds.
+
+    Each class is represented by its least member in the lattice order.
+    The cap is checked after each orbit is added, and an orbit has at most
+    |G| members.
     """
     cached = G._cache.get("lattice")
     if cached is None:
@@ -503,16 +540,11 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ..
         for p, masks in roots.items():
             for g, x in enumerate(G.power_table(p)):
                 masks[x] |= 1 << g
-        records: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((0,), ())}
-        queue = [1]
-        qi = 0
-        while qi < len(queue):
-            s_mask = queue[qi]
-            qi += 1
-            s_members, s_gens = records[s_mask]
-            s_order = len(s_members)
-            quotient = n // s_order
-            for p in prime_factors(quotient):
+        class_of = {1: 0}  # lattice mask -> number of its class
+        sizes = [1]  # class sizes by number
+        queue = [(1, [0], ())]  # (mask, members, generators), one per class
+        for s_mask, s_members, s_gens in queue:  # extended while it is walked
+            for p in prime_factors(n // len(s_members)):
                 root_masks = roots[p]
                 candidates = 0
                 for s in s_members:
@@ -538,17 +570,20 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ..
                             new_members.append(y)
                         x = mul[x * n + g]
                     candidates &= ~t_mask
-                    if t_mask in records:
+                    if t_mask in class_of:
                         continue
-                    records[t_mask] = (
-                        tuple(sorted(s_members + tuple(new_members))),
-                        s_gens + (g,),
-                    )
-                    queue.append(t_mask)
-                    if len(records) > LATTICE_CAP:
+                    orbit = _orbit(G, t_mask)
+                    class_of.update(dict.fromkeys(orbit, len(sizes)))
+                    sizes.append(len(orbit))
+                    queue.append((t_mask, s_members + new_members, s_gens + (g,)))
+                    if len(class_of) > LATTICE_CAP:
                         raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
-        cached = G._cache["lattice"] = tuple(
-            sorted(records, key=lambda m: (m.bit_count(), records[m][0])))
+        lattice = tuple(sorted(class_of, key=_canonical_key))
+        reps: dict[int, int] = {}  # class number -> least member, in lattice order
+        for s in lattice:
+            reps.setdefault(class_of[s], s)
+        G._cache["classes"] = tuple((s, sizes[c]) for c, s in reps.items())
+        cached = G._cache["lattice"] = lattice
     return cached
 
 
@@ -571,19 +606,13 @@ def frattini(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> int:
 
 
 def conjugacy_classes_of_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP):
-    """(class representative, class size) pairs; each representative is the
-    canonically least subgroup of its class."""
+    """(class representative, class size) pairs in lattice order; each
+    representative is the canonically least subgroup of its class.
+    `all_subgroups` finds the classes as it builds the lattice."""
     cached = G._cache.get("classes")
     if cached is None:
-        seen: set[int] = set()
-        classes = []
-        for s in all_subgroups(G, cap):
-            if s in seen:
-                continue
-            orbit = _orbit(G, s)
-            seen |= orbit
-            classes.append((s, len(orbit)))
-        cached = G._cache["classes"] = tuple(classes)
+        all_subgroups(G, cap)
+        cached = G._cache["classes"]
     return cached
 
 

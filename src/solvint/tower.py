@@ -329,8 +329,7 @@ def structural_matches_oracle(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) ->
     structural_reps = set()
     for cls in classify_intersections(T):
         mask = T.subgroup_mask(class_representative_elements(T, cls))
-        structural_reps.add(min(gr._orbit(oracle, mask),
-                                key=lambda m: (m.bit_count(), tuple(gr.mask_bits(m)))))
+        structural_reps.add(min(gr._orbit(oracle, mask), key=gr._canonical_key))
     if len(structural_reps) != len(classify_intersections(T)):
         return False
     return structural_reps == oracle_reps

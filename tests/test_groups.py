@@ -1,3 +1,4 @@
+import functools
 from array import array
 from itertools import product
 
@@ -86,6 +87,20 @@ def test_all_subgroups_cap():
     assert len(gr.all_subgroups(c2_6)) == 2825
     with pytest.raises(ResourceCapExceeded, match="subgroup lattice size"):
         gr.all_subgroups(gr.direct_product(c2_6, gr.cyclic(2)))
+
+
+def test_lattice_cap_fires_on_the_class_and_maximal_paths(sdp_pool):
+    # C2^7 has 29,212 subgroups and the order-486 pool group 3^5:C2 more
+    # than LATTICE_CAP; each query starts on a cold copy of its group
+    c2_7 = gr.cyclic(2)
+    for _ in range(6):
+        c2_7 = gr.direct_product(c2_7, gr.cyclic(2))
+    (g486,) = [sdp.embed_as_oracle(G)[0] for G in sdp_pool if G.order == 486]
+    for g in (c2_7, g486):
+        for query in (gr.all_subgroups, gr.conjugacy_classes_of_subgroups, gr.maximal_subgroups):
+            cold = gr.OracleGroup(g.n, g._mul, g.name, g.gens, g._inv)
+            with pytest.raises(ResourceCapExceeded, match="subgroup lattice size"):
+                query(cold)
 
 
 def test_all_subgroups_requires_solvable():
@@ -267,10 +282,12 @@ def test_chief_factor_complement_checks(corpus_and_primitive_oracles):
 
 
 def test_chief_factor_action_and_centralizer_match_references(corpus_and_primitive_oracles,
-                                                              small_pool_oracles):
+                                                              small_pool_oracles, sdp_pool):
     # the coset table and the per-coset centralizer test against the least
     # element of each coset by a scan over Y and a test of every element
-    oracles = corpus_and_primitive_oracles + [g for _, g in small_pool_oracles]
+    large = [sdp.embed_as_oracle(G)[0] for G in sdp_pool if G.order in (1029, 1210, 1296, 1944)]
+    assert sorted(g.n for g in large) == [1029, 1210, 1296, 1944]
+    oracles = corpus_and_primitive_oracles + [g for _, g in small_pool_oracles] + large
     for g in oracles:
         try:
             maximals = gr.maximal_subgroups(g)
@@ -542,17 +559,26 @@ def test_from_mul_table_finds_inverses_and_rejects_a_row_without_identity():
         gr.OracleGroup(2, array("i", [0, 1, 1, 1]), "no-inverse", ())
 
 
-def test_lattice_and_its_maximals_and_mobius_match_references(corpus_list, small_pool_oracles,
-                                                              tower2, tower3):
+@pytest.fixture(scope="session")
+def lattice_oracles(corpus_list, small_pool_oracles, tower2, tower3):
+    """The tower levels, the pool groups of order <= 500 and the corpus,
+    with reference_lattice and reference_classes memoised per oracle: the
+    tests below share them."""
     oracles = [T.embed_as_oracle() for T in reference_towers(tower2, tower3)]
     oracles += [g for _, g in small_pool_oracles] + list(corpus_list)
+    lattice_of = functools.cache(reference_lattice)
+    return oracles, lattice_of, functools.cache(lambda g: reference_classes(g, lattice_of(g)))
+
+
+def test_lattice_and_its_maximals_and_mobius_match_references(lattice_oracles):
+    oracles, lattice_of, _ = lattice_oracles
     for g in oracles:
         try:
             subs = list(gr.all_subgroups(g))
         except ResourceCapExceeded:
             assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
             continue
-        assert subs == reference_lattice(g), g.name
+        assert subs == lattice_of(g), g.name
         maximals = list(gr.maximal_subgroups(g))
         assert maximals == reference_maximals(subs), g.name
         assert dict(gr.mobius_all(g)) == reference_mobius(subs), g.name
@@ -565,30 +591,66 @@ def test_lattice_and_its_maximals_and_mobius_match_references(corpus_list, small
 
 
 def reference_orbit(mask, conj):
-    """The conjugates of a subgroup by every element x of its group, bit by
-    bit from conj[x][y] = y^x."""
-    orbit = set()
+    """The conjugates of a subgroup by every element x of its group, from
+    conj[x][y] = y^x: each conjugate's member set, then its mask."""
     members = list(gr.mask_bits(mask))
-    for images in conj:
-        image = 0
-        for y in members:
-            image |= 1 << images[y]
-        orbit.add(image)
-    return orbit
+    conjugates = {frozenset(map(images.__getitem__, members)) for images in conj}
+    return {sum(1 << y for y in c) for c in conjugates}
 
 
-def test_orbit_matches_conjugates_by_every_element(corpus_list, small_pool_oracles):
-    for g in list(corpus_list) + [g for _, g in small_pool_oracles]:
+def reference_conjugation(g):
+    """conj[x][y] = y^x = x^-1 y x for every element x, read off the table:
+    row x^-1 maps y to x^-1 y and column x maps z to z x."""
+    n, mul = g.n, g._mul
+    return [array("i", map(mul[x::n].__getitem__, mul[g._inv[x] * n:(g._inv[x] + 1) * n]))
+            for x in range(n)]
+
+
+def reference_classes(g, lattice):
+    """(least member, orbit) of each class of subgroups, in lattice order,
+    from conjugation by every element."""
+    conj = reference_conjugation(g)
+    classes, seen = [], set()
+    for s in lattice:
+        if s not in seen:
+            orbit = reference_orbit(s, conj)
+            seen |= orbit
+            classes.append((s, orbit))
+    return classes
+
+
+def test_classes_match_least_members_of_reference_orbits(lattice_oracles):
+    # (least member, size) of each class from the g = 1..n-1 lattice scan
+    # and conjugation by every element, neither of which runs _orbit
+    oracles, lattice_of, classes_of = lattice_oracles
+    for g in oracles:
         try:
-            subs = list(gr.all_subgroups(g))
+            classes = gr.conjugacy_classes_of_subgroups(g)
         except ResourceCapExceeded:
             assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
             continue
-        conj = [[g.conj(y, x) for y in range(g.n)] for x in range(g.n)]
+        assert classes == tuple((s, len(orbit)) for s, orbit in classes_of(g)), g.name
+        # cold copies: the classes come out of the lattice pass whichever
+        # query runs first
+        classes_first, lattice_first = (gr.OracleGroup(g.n, g._mul, g.name, g.gens, g._inv)
+                                        for _ in range(2))
+        assert gr.conjugacy_classes_of_subgroups(classes_first) == classes, g.name
+        lattice = gr.all_subgroups(lattice_first)
+        assert list(lattice) == lattice_of(g), g.name
+        assert gr.conjugacy_classes_of_subgroups(lattice_first) == classes, g.name
+        assert gr.all_subgroups(classes_first) == lattice, g.name
+
+
+def test_orbit_matches_conjugates_by_every_element(corpus_list, small_pool_oracles,
+                                                    lattice_oracles):
+    _, _, classes_of = lattice_oracles
+    for g in list(corpus_list) + [g for _, g in small_pool_oracles]:
+        try:
+            gr.all_subgroups(g)
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            continue
         # conjugate subgroups share their orbit, so one reference per class
-        reference: dict = {}
-        for s in subs:
-            if s not in reference:
-                orbit = reference_orbit(s, conj)
-                reference.update(dict.fromkeys(orbit, orbit))
-            assert gr._orbit(g, s) == reference[s], g.name
+        for _, orbit in classes_of(g):
+            for s in orbit:
+                assert gr._orbit(g, s) == orbit, g.name
