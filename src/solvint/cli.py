@@ -74,6 +74,7 @@ def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
             isinstance(row, list) and len(row) == len(table)
             and all(type(x) is int for x in row) for row in table)):
         raise SchemaError("oracle-table spec needs a non-empty square integer 'table'")
+    gr._check_embedding_order(len(table), cap)
     return gr.from_mul_table(table, doc.get("name", "table-group"))
 
 
@@ -149,7 +150,7 @@ def cmd_analyze(doc: dict, cap: int, seed: int) -> Report:
     report = Report("analyze", _digest(doc), seed)
     oracle = build_oracle(doc, cap)
     report.add("group", oracle.name, "order", oracle.n, "oracle")
-    entries = gr.counts(oracle, cap).entries
+    entries = gr.counts(oracle).entries
     for n, (m_n, _b_n, _c_n) in entries:
         if m_n:
             report.add("maximal_counts", f"n={n}", "m_n", m_n, "oracle")

@@ -531,8 +531,11 @@ def induced_action(sub: FpSubspace, g: Matrix) -> Matrix:
     return tuple(rows)
 
 
-def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b,
-                       search_cap: int = 100000):
+# module_isomorphism tries at most this many nonzero kernel combinations
+ISOMORPHISM_SEARCH_CAP = 100000
+
+
+def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b):
     """Invertible equivariant map A -> B if one exists, else None.
 
     gens_a and gens_b are parallel lists (images of the same abstract
@@ -557,8 +560,8 @@ def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b,
         if not any(coeffs):
             continue
         count += 1
-        if count > search_cap:
-            raise ResourceCapExceeded("module_isomorphism solution search", search_cap)
+        if count > ISOMORPHISM_SEARCH_CAP:
+            raise ResourceCapExceeded("module_isomorphism solution search", ISOMORPHISM_SEARCH_CAP)
         vec = [0] * (d * d)
         for c, basis_vec in zip(coeffs, kernel):
             if c:

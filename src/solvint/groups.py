@@ -501,7 +501,7 @@ def _canonical_key(mask: int):
         _REVERSED_COMPLEMENT)
 
 
-def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
+def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
     """Every subgroup of a solvable G, canonically ordered; the conjugacy
     classes come out of the same pass into `G._cache["classes"]`.
 
@@ -523,13 +523,11 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ..
     ones the per-candidate test finds.
 
     Each class is represented by its least member in the lattice order.
-    The cap is checked after each orbit is added, and an orbit has at most
-    |G| members.
+    LATTICE_CAP is checked after each orbit is added, and an orbit has at
+    most |G| members.
     """
     cached = G._cache.get("lattice")
     if cached is None:
-        if G.n > cap:
-            raise ResourceCapExceeded(f"all_subgroups on |G|={G.n} exceeds the order cap", cap)
         if not is_solvable(G):
             raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
         n = G.n
@@ -587,31 +585,31 @@ def all_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ..
     return cached
 
 
-def maximal_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
+def maximal_subgroups(G: OracleGroup) -> tuple[int, ...]:
     cached = G._cache.get("maximals")
     if cached is None:
         # a proper overgroup of s comes later in the lattice and lies in a
         # maximal, so s is maximal iff no later maximal contains it
         maximals: list[int] = []
-        for s in reversed(all_subgroups(G, cap)[:-1]):
+        for s in reversed(all_subgroups(G)[:-1]):
             if not any(s & m == s for m in maximals):
                 maximals.append(s)
         cached = G._cache["maximals"] = tuple(reversed(maximals))
     return cached
 
 
-def frattini(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> int:
+def frattini(G: OracleGroup) -> int:
     """Intersection of all maximal subgroups (G itself when |G| = 1)."""
-    return _meet_above(G, 1, maximal_subgroups(G, cap))
+    return _meet_above(G, 1, maximal_subgroups(G))
 
 
-def conjugacy_classes_of_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP):
+def conjugacy_classes_of_subgroups(G: OracleGroup):
     """(class representative, class size) pairs in lattice order; each
     representative is the canonically least subgroup of its class.
     `all_subgroups` finds the classes as it builds the lattice."""
     cached = G._cache.get("classes")
     if cached is None:
-        all_subgroups(G, cap)
+        all_subgroups(G)
         cached = G._cache["classes"]
     return cached
 
@@ -620,14 +618,14 @@ def conjugacy_classes_of_subgroups(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP)
 # Moebius function
 
 
-def mobius_all(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> MappingProxyType:
+def mobius_all(G: OracleGroup) -> MappingProxyType:
     """mu(H, G) for every subgroup mask, via the full lattice (a read-only
     view of the memoized dict)."""
     cached = G._cache.get("mobius_all")
     if cached is None:
         # mu(s) = -sum of mu(t) over the proper overgroups t of s, which come
         # later in the lattice; the t with mu(t) = 0 add nothing
-        subs = all_subgroups(G, cap)
+        subs = all_subgroups(G)
         mu: dict[int, int] = {subs[-1]: 1}
         nonzero = [(subs[-1], 1)]
         for s in reversed(subs[:-1]):
@@ -657,10 +655,10 @@ def mobius(h: int, G: OracleGroup) -> int:
 # maximal intersections and counting tables
 
 
-def is_maximal_intersection(h: int, G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> bool:
+def is_maximal_intersection(h: int, G: OracleGroup) -> bool:
     """True iff h equals the intersection of the maximal subgroups above it
     (the empty intersection is G, so G itself qualifies)."""
-    return _meet_above(G, h, maximal_subgroups(G, cap)) == h
+    return _meet_above(G, h, maximal_subgroups(G)) == h
 
 
 def _meet_above(G: OracleGroup, mask: int, maximal_masks) -> int:
@@ -682,13 +680,13 @@ class CountTable:
         return dict(self.entries)
 
 
-def counts(G: OracleGroup, cap: int = DEFAULT_ORDER_CAP) -> CountTable:
+def counts(G: OracleGroup) -> CountTable:
     """m_n, b_n, c_n for every index n > 1 dividing |G| (proper subgroups
     only; a maximal subgroup is the intersection of the family containing
     just itself)."""
-    subs = all_subgroups(G, cap)
-    mu = mobius_all(G, cap)
-    maximal_masks = maximal_subgroups(G, cap)
+    subs = all_subgroups(G)
+    mu = mobius_all(G)
+    maximal_masks = maximal_subgroups(G)
     full = (1 << G.n) - 1
     divisors = sorted(d for d in range(2, G.n + 1) if G.n % d == 0)
     table = {d: [0, 0, 0] for d in divisors}
@@ -732,24 +730,25 @@ def core_and_socle(m: int, G: OracleGroup) -> tuple[int, int]:
 
     G/Y is primitive and solvable, so X/Y = F(G/Y).  The last nontrivial
     derived term of G/Y is abelian and normal, so it lies in F(G/Y) and
-    contains X/Y: X is the last term before Y of D_0 = G, D_{i+1} =
-    [D_i, D_i] Y.  Y is memoized for the whole class of M and X per core
-    (conjugate maximals share both)."""
+    contains X/Y: the two are equal.  The derived series of G/Y is the
+    image of G's, (G/Y)^(i) = G^(i) Y / Y, so X = G^(i) Y for the largest i
+    with G^(i) not inside Y, read off the memoized `derived_series(G)` as
+    the union of the cosets Ya over a in G^(i).  Y is memoized for the
+    whole class of M and X per core (conjugate maximals share both)."""
     if not is_solvable(G):
         raise UnsupportedGroup("core_and_socle requires a solvable group")
     y = normal_core(G, m)
     socles = G._cache.setdefault("socle_by_core", {})
     x = socles.get(y)
     if x is None:
-        y_gens = greedy_generators(G, y)
-        x = (1 << G.n) - 1
-        while True:
-            d_gens = greedy_generators(G, x)
-            comms = {G.commutator(a, b) for a in d_gens for b in d_gens}
-            nxt = normal_closure_mask(G, comms.union(y_gens), G.gens)
-            if nxt == y:
-                break
-            x = nxt
+        # the terms inside Y are a suffix of the series, and it ends in 1
+        d = next(d for d in reversed(derived_series(G)) if d & ~y)
+        y_members = tuple(mask_bits(y))
+        x = 0
+        for a in mask_bits(d):
+            if not (x >> a) & 1:
+                for e in y_members:
+                    x |= 1 << G.mul(e, a)
         socles[y] = x
     # chief factor sanity: M complements X/Y.  X is normal, so MX is a
     # subgroup of order |M||X|/|M cap X| = |M||X|/|Y|, and MX = G iff
@@ -774,14 +773,12 @@ def factor_prime_dim(G: OracleGroup, x: int, y: int) -> tuple[int, int]:
     return p, d
 
 
-def action_on_factor(G: OracleGroup, x: int, y: int, gens=None):
+def action_on_factor(G: OracleGroup, x: int, y: int):
     """Conjugation action of G on the elementary abelian factor x/y.
 
     Returns (p, d, matrices) with one d x d matrix over F_p per generator
-    (G.gens by default); the factor is coordinatized deterministically.
+    in G.gens; the factor is coordinatized deterministically.
     """
-    if gens is None:
-        gens = G.gens
     p, d = factor_prime_dim(G, x, y)
     y_members = tuple(mask_bits(y))
     mul = G._mul
@@ -815,7 +812,7 @@ def action_on_factor(G: OracleGroup, x: int, y: int, gens=None):
     if len(vec_of) != p**d:
         raise AssertionError("factor coordinatization incomplete")
     matrices = []
-    for g in gens:
+    for g in G.gens:
         rows = [vec_of[rep[G.conj(b, g)]] for b in basis]
         matrices.append(tuple(rows))
     return p, d, matrices

@@ -114,17 +114,17 @@ class GammaReport:
     witnesses: tuple[GammaWitness, ...]
 
 
-def gamma_min(module: sdp.HModule, dim_cap: int = GAMMA_DIM_CAP,
-              field_cap: int = GAMMA_FIELD_CAP) -> GammaReport:
-    """Exhaustive gamma witness search over all F-subspaces of V.
+def gamma_min(module: sdp.HModule) -> GammaReport:
+    """Exhaustive gamma witness search over all F-subspaces of V, refused
+    when dim_F V >= 2 exceeds GAMMA_DIM_CAP or |F| exceeds GAMMA_FIELD_CAP.
 
     Subspaces are enumerated by F-dimension then lexicographic canonical
     basis, so reported witnesses are deterministic.
     """
     f = module.f_dim
-    if f >= 2 and (f > dim_cap or module.fops.q > field_cap):
+    if f >= 2 and (f > GAMMA_DIM_CAP or module.fops.q > GAMMA_FIELD_CAP):
         raise ResourceCapExceeded(
-            f"F-subspace enumeration with dim_F V={f}, |F|={module.fops.q}", dim_cap
+            f"F-subspace enumeration with dim_F V={f}, |F|={module.fops.q}", GAMMA_DIM_CAP
         )
     H = module.to_oracle()
     maximal_masks = gr.maximal_subgroups(H)

@@ -33,6 +33,7 @@ from .ffla import (
     FpSubspace,
     Matrix,
     Vector,
+    _intertwiners,
     endomorphism_field,
     is_prime,
     mat_identity,
@@ -57,6 +58,8 @@ FVECTOR_ENUM_CAP = 200000
 # a spec's V^t has p^(k t) >= 2^(k t) elements, too many for any order cap
 # that fits in memory once k t passes this
 SPEC_DIMENSION_CAP = 64
+# random_case_suite draws families of 1..FAMILY_MAX maximal supplements
+FAMILY_MAX = 5
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +85,7 @@ class HModule:
         self._oracle = None
 
     @classmethod
-    def create(cls, p: int, k: int, gens, name: str = "H", max_order: int = H_ORDER_CAP):
+    def create(cls, p: int, k: int, gens, name: str = "H"):
         gens = tuple(mat_mod(g, p) for g in gens)
         for g in gens:
             if len(g) != k or any(len(row) != k for row in g):
@@ -97,13 +100,13 @@ class HModule:
             raise ResourceCapExceeded("irreducibility test lines of F_p^k", cap)
         identity = mat_identity(k)
         elems = gr._closure_of_objects(gens or (identity,), lambda a, b: mat_mul(a, b, p),
-                                       identity, max_order)
+                                       identity, H_ORDER_CAP)
         elements = (identity,) + tuple(sorted(e for e in elems if e != identity))
         # raises ValidationError("irreducibility") unless every line spins to V
         field = endomorphism_field(gens or (identity,), p, k)
         # faithfulness is structural for matrix groups: the only element
         # acting trivially is the identity matrix itself
-        if not _matrix_group_solvable(gens, p, k, max_order):
+        if not _matrix_group_solvable(gens, p, k):
             raise ValidationError("solvability", "H is not solvable")
         if field.order > FIELD_ORDER_CAP:
             raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
@@ -155,7 +158,7 @@ class HModule:
         return self.fops.f_closure(vectors)
 
 
-def _matrix_group_solvable(gens, p, k, cap) -> bool:
+def _matrix_group_solvable(gens, p, k) -> bool:
     """Whether <gens> is solvable: walk the derived series until it reaches 1
     or stops shrinking.  The next term is the normal closure of the current
     generators' commutators, generated by the commutators and conjugates
@@ -166,7 +169,7 @@ def _matrix_group_solvable(gens, p, k, cap) -> bool:
         return mat_mul(a, b, p)
 
     current = list(gens)
-    order = len(gr._closure_of_objects(current, mul, identity, cap))
+    order = len(gr._closure_of_objects(current, mul, identity, H_ORDER_CAP))
     while order > 1:
         pairs = [(g, mat_inv(g, p)) for g in current]
         kept, members = [], {identity}
@@ -175,7 +178,7 @@ def _matrix_group_solvable(gens, p, k, cap) -> bool:
             for c in candidates:
                 if c not in members:
                     kept.append(c)
-                    members = set(gr._closure_of_objects(kept, mul, identity, cap))
+                    members = set(gr._closure_of_objects(kept, mul, identity, H_ORDER_CAP))
             candidates = [y for x in kept for g, gi in pairs
                           if (y := mul(mul(gi, x), g)) not in members]
         if len(members) == order:
@@ -727,29 +730,21 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     for m in gr.maximal_subgroups(G):
         y, x = gr.core_and_socle(m, G)
         if (y, x) not in steps:
-            steps[y, x] = (*gr.action_on_factor(G, x, y, G.gens),
+            steps[y, x] = (*gr.action_on_factor(G, x, y),
                            gr.centralizer_of_factor(G, x, y))
         p, d, mats, c = steps[y, x]
-        placed = False
+        # X/Y is the unique minimal normal subgroup of the primitive G/Y, so
+        # both modules are irreducible.  By Schur's lemma a nonzero
+        # intertwiner T has kernel 0 and image everything, so two of equal
+        # dimension are isomorphic iff one exists.
         for cls in classes:
-            if cls.prime != p or cls.dim != d or cls.centralizer != c:
-                continue
-            full = FpSubspace.full(p, d)
-            if module_isomorphism(full, cls.action_matrices, full, mats) is not None:
+            if ((cls.prime, cls.dim, cls.centralizer) == (p, d, c)
+                    and _intertwiners(cls.action_matrices, mats, p, d)):
                 cls.maximals.append(m)
-                placed = True
                 break
-        if not placed:
-            classes.append(
-                ChiefFactorClass(
-                    label=f"p{p}d{d}#{len(classes)}",
-                    prime=p,
-                    dim=d,
-                    action_matrices=mats,
-                    centralizer=c,
-                    maximals=[m],
-                )
-            )
+        else:
+            classes.append(ChiefFactorClass(label=f"p{p}d{d}#{len(classes)}", prime=p, dim=d,
+                                            action_matrices=mats, centralizer=c, maximals=[m]))
     G._cache["crown_classes"] = classes
     return classes
 
@@ -842,8 +837,7 @@ def random_partial(G: SdGroup, rng) -> PartialIntersection:
     return PartialIntersection(w, tuple(sorted(x_set)), v)
 
 
-def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int,
-                      family_max: int = 5):
+def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int):
     """Seeded equivalence checks of the closed-form calculus against
     elementwise brute force.  Returns (pairs_checked, families_checked,
     failures) where failures is a list of diagnostics (empty on success)."""
@@ -870,7 +864,7 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int,
     for case in range(family_cases):
         g = pool[rng.randrange(len(pool))]
         avail = supplements[id(g)]
-        size = rng.randrange(1, family_max + 1)
+        size = rng.randrange(1, FAMILY_MAX + 1)
         family = [avail[rng.randrange(len(avail))] for _ in range(size)]
         ci = canonicalize_intersection(g, family)
         brute = supplement_mask(g, family[0])

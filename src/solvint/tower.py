@@ -288,9 +288,9 @@ class TowerCounts:
 
 def _oracle_class_data(T: TowerGroup, cap: int):
     oracle = T.embed_as_oracle(cap)
-    classes = gr.conjugacy_classes_of_subgroups(oracle, cap)
-    mu = gr.mobius_all(oracle, cap)
-    maximal_masks = gr.maximal_subgroups(oracle, cap)
+    classes = gr.conjugacy_classes_of_subgroups(oracle)
+    mu = gr.mobius_all(oracle)
+    maximal_masks = gr.maximal_subgroups(oracle)
     full = (1 << oracle.n) - 1
     data = [(rep, size, mu[rep], gr._meet_above(oracle, rep, maximal_masks) == rep)
             for rep, size in classes if rep != full]
@@ -338,7 +338,7 @@ def structural_matches_oracle(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) ->
 def verify_mu_zero(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP):
     """mu(Z_{J,i}, G_n) = 0 for every structurally emitted Z-class."""
     oracle = T.embed_as_oracle(cap)
-    mu = gr.mobius_all(oracle, cap)
+    mu = gr.mobius_all(oracle)
     rows = []
     for cls in classify_intersections(T):
         if cls.kind != "Z":
@@ -353,7 +353,7 @@ def maximal_index_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> dict
     and p_i of index p_i)."""
     oracle = T.embed_as_oracle(cap)
     out: dict[int, int] = {}
-    for m in gr.maximal_subgroups(oracle, cap):
+    for m in gr.maximal_subgroups(oracle):
         index = oracle.n // m.bit_count()
         out[index] = out.get(index, 0) + 1
     return out

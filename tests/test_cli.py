@@ -396,6 +396,29 @@ def test_verify_due_keeps_the_order_cap(spec_dir, capsys):
             "resource cap: oracle embedding of |G|=200 exceeds the order cap (cap: 100)"]
 
 
+def test_every_command_honours_one_order_cap(spec_dir, capsys):
+    # the cap is checked once, where the oracle is built: a table spec is
+    # refused below its order and an sdp spec accepted above the default
+    c8 = gr.cyclic(8)
+    table = [c8._mul[i * 8:(i + 1) * 8].tolist() for i in range(8)]
+    (spec_dir / "c8-table.json").write_text(json.dumps({"kind": "oracle-table", "table": table}))
+    for command in (["analyze"], ["verify", "--suite", "thuno"], ["verify", "--suite", "propo"]):
+        code, out, err = run(capsys, *command, "--cap-order", "4",
+                             "--spec", str(spec_dir / "c8-table.json"))
+        assert (code, out) == (3, ""), command
+        assert err.strip().splitlines() == [
+            "resource cap: oracle embedding of |G|=8 exceeds the order cap (cap: 4)"]
+    # F_73 x| C_72, of order 5,256 > DEFAULT_ORDER_CAP
+    (spec_dir / "f73-c72.json").write_text(
+        json.dumps({"kind": "sdp", "p": 73, "k": 1, "t": 1, "h_gens": [[[5]]]}))
+    for command in (["analyze"], ["verify", "--suite", "thuno"],
+                    ["verify", "--suite", "due"], ["verify", "--suite", "propo"]):
+        code, out, err = run(capsys, *command, "--cap-order", "6000",
+                             "--spec", str(spec_dir / "f73-c72.json"))
+        assert (code, err) == (0, ""), command
+        assert out.splitlines()[0].endswith(",status,ok"), command
+
+
 def test_verify_thuno_with_spec(spec_dir, capsys):
     code, out, _ = run(capsys, "verify", "--suite", "thuno",
                        "--spec", str(spec_dir / "s3.json"))

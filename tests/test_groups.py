@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from solvint import corpus, ffla, sdp, tower
+from solvint import cli, corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 
@@ -77,9 +77,16 @@ def test_all_subgroups_s3():
     assert [(rep.bit_count(), size) for rep, size in classes] == [(1, 1), (2, 3), (3, 1), (6, 1)]
 
 
-def test_all_subgroups_cap():
-    with pytest.raises(ResourceCapExceeded):
-        gr.all_subgroups(gr.cyclic(50), cap=10)
+def test_all_subgroups_cap(monkeypatch):
+    # the order cap is checked where the oracle is built, before the table
+    # is validated (from_mul_table is never reached); the lattice itself
+    # only has LATTICE_CAP
+    c50 = gr.cyclic(50)
+    table = [c50._mul[i * 50:(i + 1) * 50].tolist() for i in range(50)]
+    monkeypatch.setattr(gr, "from_mul_table", None)
+    with pytest.raises(ResourceCapExceeded) as refused:
+        cli.build_oracle({"kind": "oracle-table", "table": table}, 10)
+    assert str(refused.value) == "oracle embedding of |G|=50 exceeds the order cap (cap: 10)"
     # C2^6 has 2,825 subgroups, C2^7 has 29,212 > LATTICE_CAP
     c2_6 = gr.cyclic(2)
     for _ in range(5):
@@ -321,17 +328,23 @@ def test_core_and_socle_with_a_memoised_socle_runs_no_closure(corpus_list, monke
     assert reused > 0
 
 
-def test_socle_is_the_least_normal_subgroup_above_the_core(corpus_and_primitive_oracles):
+def test_socle_is_the_least_normal_subgroup_above_the_core(corpus_and_primitive_oracles,
+                                                           small_pool_oracles):
     # from the lattice and conjugation by every element alone: neither
-    # normal_closure_mask nor derived_mask is called here
-    for g in corpus_and_primitive_oracles:
-        normal = [s for s in gr.all_subgroups(g)
+    # normal_closure_mask nor derived_mask is called here.  The core of M is
+    # the largest normal subgroup inside M (normal subgroups are closed
+    # under products).
+    for g in corpus_and_primitive_oracles + [g for _, g in small_pool_oracles]:
+        try:
+            subs = gr.all_subgroups(g)
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            continue
+        normal = [s for s in subs
                   if all((s >> g.conj(x, h)) & 1 for h in range(g.n)
                          for x in tuple(gr.mask_bits(s)))]
         for m in gr.maximal_subgroups(g):
-            core = (1 << g.n) - 1
-            for h in range(g.n):
-                core &= gr.conjugate_mask(g, m, h)
+            core = max((t for t in normal if t & m == t), key=int.bit_count)
             above = [t for t in normal if t != core and t & core == core]
             least = [t for t in above if not any(k != t and k & t == k for k in above)]
             y, x = gr.core_and_socle(m, g)
@@ -509,13 +522,6 @@ def reference_towers(tower2, tower3):
     towers = [tower.TowerGroup(tower.find_primes(1)), tower2, tower3]
     towers += [tower.TowerGroup(tower.TowerPrimes(2, primes, False)) for primes in ((13, 17), (7, 13))]
     return towers
-
-
-@pytest.fixture(scope="session")
-def small_pool_oracles(sdp_pool):
-    """(G, oracle) for the pool groups of order <= 500, embedded once: the
-    oracles memoise their lattices, which two tests below compare."""
-    return [(G, sdp.embed_as_oracle(G)[0]) for G in sdp_pool if G.order <= 500]
 
 
 def test_split_tables_match_cell_by_cell_reference(small_pool_oracles, tower2, tower3):

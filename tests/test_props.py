@@ -252,9 +252,10 @@ def test_palfy_wolf_constant_is_exact_rational():
     assert props.PALFY_WOLF == Fraction(3243, 1000)
 
 
-def test_gamma_min_enumeration_cap():
+def test_gamma_min_enumeration_cap(monkeypatch):
     from solvint.errors import ResourceCapExceeded
 
     module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
+    monkeypatch.setattr(props, "GAMMA_FIELD_CAP", 2)
     with pytest.raises(ResourceCapExceeded):
-        props.gamma_min(module, field_cap=2)  # |F| = 3 exceeds the forced cap
+        props.gamma_min(module)  # |F| = 3 exceeds the forced cap
