@@ -568,9 +568,6 @@ def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b):
                 for i in range(d * d):
                     vec[i] = (vec[i] + c * basis_vec[i]) % p
         t_mat = tuple(tuple(vec[i * d + j] for j in range(d)) for i in range(d))
-        try:
-            mat_inv(t_mat, p)
-        except MalformedInput:
-            continue
-        return ModuleMap(sub_a, sub_b, t_mat)
+        if len(_rref(t_mat, p, d)[1]) == d:
+            return ModuleMap(sub_a, sub_b, t_mat)
     return None

@@ -122,10 +122,10 @@ def gamma_min(module: sdp.HModule) -> GammaReport:
     basis, so reported witnesses are deterministic.
     """
     f = module.f_dim
-    if f >= 2 and (f > GAMMA_DIM_CAP or module.fops.q > GAMMA_FIELD_CAP):
-        raise ResourceCapExceeded(
-            f"F-subspace enumeration with dim_F V={f}, |F|={module.fops.q}", GAMMA_DIM_CAP
-        )
+    if f >= 2 and f > GAMMA_DIM_CAP:
+        raise ResourceCapExceeded(f"F-subspace enumeration with dim_F V={f}", GAMMA_DIM_CAP)
+    if f >= 2 and module.fops.q > GAMMA_FIELD_CAP:
+        raise ResourceCapExceeded(f"F-subspace enumeration with |F|={module.fops.q}", GAMMA_FIELD_CAP)
     H = module.to_oracle()
     maximal_masks = gr.maximal_subgroups(H)
 

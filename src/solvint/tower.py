@@ -6,13 +6,24 @@ Levels are generated from prime data satisfying 2^m | p_m - 1, structurally
 classified into the intersection classes X_J / Y_J / Z_{J,i}, and checked
 against the generic oracle: the oracle counts are authoritative, the closed
 formulas are reported with an agreement flag (see tilde_counts).
+
+Subgroups are int masks over the oracle's element ids.  The element
+((a_1, ..., a_n), e) has id (a_1 place_1 + ... + a_n place_n) 2^n + e, where
+place_m is the product of the primes after p_m: the ids run over
+itertools.product(range(p_1), ..., range(p_n), range(2^n)) in order.  So a
+product set has its mask built digit by digit from the last up:
+mask(D_m x ... x D_n x E) = sum over a in D_m of
+mask(D_(m+1) x ... x D_n x E) << (a place_m 2^n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 from . import groups as gr
 from .errors import MalformedInput, ResourceCapExceeded
@@ -84,16 +95,14 @@ def _zeta(p: int, order: int) -> int:
 class TowerGroup:
     """One level G_n; elements are ((a_1, ..., a_n), e) with a_m in F_{p_m}
     and e in Z/2^n, multiplied with the same right-action convention as the
-    single-prime semidirect products."""
+    single-prime semidirect products, and named by their oracle ids."""
 
     def __init__(self, primes: TowerPrimes):
         self.primes = primes
         self.n = primes.n
         self.h_order = 1 << primes.n
         self.zetas = tuple(_zeta(p, 1 << m) for m, p in enumerate(primes.primes, start=1))
-        self.w_size = 1
-        for p in primes.primes:
-            self.w_size *= p
+        self.w_size = math.prod(primes.primes)
         self.order = self.w_size * self.h_order
         # zeta_pows[m][e] = zetas[m]^e mod p_m
         self.zeta_pows = tuple(
@@ -102,21 +111,6 @@ class TowerGroup:
         )
         self.name = f"tower-n{self.n}-" + "x".join(str(p) for p in primes.primes)
         self._cache: dict = {}
-
-    def act_w(self, w, e: int):
-        return tuple(
-            (a * self.zeta_pows[m][e]) % p
-            for m, (a, p) in enumerate(zip(w, self.primes.primes))
-        )
-
-    def mul(self, a, b):
-        w1, e1 = a
-        w2, e2 = b
-        moved = self.act_w(w1, e2)
-        return (
-            tuple((x + y) % p for x, y, p in zip(moved, w2, self.primes.primes)),
-            (e1 + e2) % self.h_order,
-        )
 
     # -- maximal subgroups, by descriptor
 
@@ -128,34 +122,31 @@ class TowerGroup:
                 out.append((i, v))
         return out
 
-    def maximal_contains(self, desc, element) -> bool:
-        w, e = element
+    def maximal_mask(self, desc) -> int:
+        """The mask of a descriptor's maximal subgroup: W x| <x^2> holds the
+        even e; W_i x| H^v holds the (w, e) with a_i = v (1 - zeta_i^e), one
+        product set per e."""
+        digits = [range(p) for p in self.primes.primes]
         if desc == ("even",):
-            return e % 2 == 0
+            return self.subgroup_mask(digits, range(0, self.h_order, 2))
         i, v = desc
-        zi = self.zeta_pows[i - 1][e]
         p = self.primes.primes[i - 1]
-        return w[i - 1] == (v * (1 - zi)) % p
+        mask = 0
+        for e, z in enumerate(self.zeta_pows[i - 1]):
+            digits[i - 1] = (v * (1 - z) % p,)
+            mask |= self.subgroup_mask(digits, (e,))
+        return mask
 
     # -- oracle bridge
-
-    def w_id(self, w) -> int:
-        out = 0
-        for a, p in zip(w, self.primes.primes):
-            out = out * p + a
-        return out
-
-    def encode(self, element) -> int:
-        w, e = element
-        return self.w_id(w) * self.h_order + e
 
     def embed_as_oracle(self, cap: int = gr.DEFAULT_ORDER_CAP) -> gr.OracleGroup:
         cached = self._cache.get("oracle")
         if cached is not None:
             return cached
         gr._check_embedding_order(self.order, cap)
-        # the unit vector e_m has id place_m, and x^e maps it to zeta_m^e e_m
-        places = [self.w_id(tuple(int(j == m) for j in range(self.n))) for m in range(self.n)]
+        # the unit vector e_m has id place_m, the product of the later
+        # primes, and x^e maps it to zeta_m^e e_m
+        places = [math.prod(self.primes.primes[m + 1:]) for m in range(self.n)]
         images = [[zeta_pow[e] * place for zeta_pow, place in zip(self.zeta_pows, places)]
                   for e in range(self.h_order)]
         hmul = gr._addition_table([self.h_order])
@@ -163,10 +154,17 @@ class TowerGroup:
         self._cache["oracle"] = oracle
         return oracle
 
-    def subgroup_mask(self, elements) -> int:
-        mask = 0
-        for el in elements:
-            mask |= 1 << self.encode(el)
+    def subgroup_mask(self, digit_sets, exponents) -> int:
+        """The mask of the product set {((a_1, ..., a_n), e) : a_m in
+        digit_sets[m - 1], e in exponents}.  Ids run through the digits
+        a_1, ..., a_n, e with e fastest, so a block of the ids after a_m
+        spans `width` = 2^n p_(m+1) ... p_n ids and the digit a_m shifts
+        the mask of the later digits by a_m * width."""
+        mask = sum(1 << e for e in exponents)
+        width = self.h_order
+        for digits, p in zip(reversed(digit_sets), reversed(self.primes.primes)):
+            mask = sum(mask << (a * width) for a in digits)
+            width *= p
         return mask
 
 
@@ -220,51 +218,37 @@ def classify_intersections(T: TowerGroup) -> list[IntersectionClass]:
     return out
 
 
-def class_representative_elements(T: TowerGroup, cls: IntersectionClass):
-    """The canonical representative subgroup: socle coordinates vanish on J
-    and the cyclic part is <x^(2^level)>."""
-    step = 1 << cls.level
-    coords = []
-    for m, p in enumerate(T.primes.primes, start=1):
-        coords.append((0,) if m in cls.j_set else range(p))
-    elements = []
-    for w in iter_product(*coords):
-        for e in range(0, T.h_order, step):
-            elements.append((tuple(w), e))
-    return elements
+def class_representative_elements(T: TowerGroup, cls: IntersectionClass) -> int:
+    """The mask of the canonical representative subgroup: socle coordinates
+    vanish on J and the cyclic part is <x^(2^level)>."""
+    digits = [(0,) if m in cls.j_set else range(p)
+              for m, p in enumerate(T.primes.primes, start=1)]
+    return T.subgroup_mask(digits, range(0, T.h_order, 1 << cls.level))
 
 
 def realizing_family(T: TowerGroup, cls: IntersectionClass):
     """Maximal-subgroup descriptors whose intersection is exactly the
     canonical representative (two distinct translates at level i force the
     cyclic part down to <x^(2^i)>)."""
-    fam = []
     if cls.kind == "X":
-        fam = [(i, 0) for i in sorted(cls.j_set)]
-    elif cls.kind == "Y":
-        fam = [("even",)] + [(i, 0) for i in sorted(cls.j_set)]
-    else:
-        i = cls.level
-        fam = [(i, 0), (i, 1)] + [(j, 0) for j in sorted(cls.j_set) if j != i]
-    return fam
+        return [(i, 0) for i in sorted(cls.j_set)]
+    if cls.kind == "Y":
+        return [("even",)] + [(i, 0) for i in sorted(cls.j_set)]
+    i = cls.level
+    return [(i, 0), (i, 1)] + [(j, 0) for j in sorted(cls.j_set) if j != i]
 
 
 def verify_realizing_families(T: TowerGroup) -> bool:
-    """Elementwise check that each structural class's family intersects in
-    exactly its representative subgroup."""
-    all_elements = [
-        (w, e)
-        for w in iter_product(*(range(p) for p in T.primes.primes))
-        for e in range(T.h_order)
-    ]
-    for cls in classify_intersections(T):
-        fam = realizing_family(T, cls)
-        inter = {
-            el for el in all_elements if all(T.maximal_contains(d, el) for d in fam)
-        }
-        if inter != set(class_representative_elements(T, cls)):
-            return False
-    return True
+    """Each structural class's family intersects in exactly its
+    representative subgroup: the AND of the family's maximal masks, each
+    built from its membership rule, against the representative mask."""
+    classes = classify_intersections(T)
+    families = [realizing_family(T, cls) for cls in classes]
+    masks = {desc: T.maximal_mask(desc) for desc in {d for fam in families for d in fam}}
+    full = (1 << T.order) - 1
+    return all(reduce(and_, (masks[desc] for desc in fam), full)
+               == class_representative_elements(T, cls)
+               for cls, fam in zip(classes, families))
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +310,11 @@ def structural_matches_oracle(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) ->
     classes (by conjugacy of representatives)."""
     oracle, data = _oracle_class_data(T, cap)
     oracle_reps = {rep for rep, _s, _mu, is_mi in data if is_mi}
-    structural_reps = set()
-    for cls in classify_intersections(T):
-        mask = T.subgroup_mask(class_representative_elements(T, cls))
-        structural_reps.add(min(gr._orbit(oracle, mask), key=gr._canonical_key))
-    if len(structural_reps) != len(classify_intersections(T)):
-        return False
-    return structural_reps == oracle_reps
+    classes = classify_intersections(T)
+    structural_reps = {min(gr._orbit(oracle, class_representative_elements(T, cls)),
+                           key=gr._canonical_key)
+                       for cls in classes}
+    return len(structural_reps) == len(classes) and structural_reps == oracle_reps
 
 
 def verify_mu_zero(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP):
@@ -343,7 +325,7 @@ def verify_mu_zero(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP):
     for cls in classify_intersections(T):
         if cls.kind != "Z":
             continue
-        mask = T.subgroup_mask(class_representative_elements(T, cls))
+        mask = class_representative_elements(T, cls)
         rows.append((cls, mu[mask], mu[mask] == 0))
     return rows
 

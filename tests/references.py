@@ -4,11 +4,15 @@ The package no longer needs these: subspace sums, meets, decompositions
 and containment, the lower central series test, the enumeration of every
 F-subspace of F^t, scaling a vector, the chief-factor action and
 centralizer one element at a time, integer roots and logarithms by
-bisection, and the least eta product over every family of maximals.  The
+bisection, the least eta product over every family of maximals, and the
+tower's element tuples ((a_1, ..., a_n), e) with their action and ids.  The
 tests keep them to build independent references and test data.
 """
 
+from itertools import product
+
 from solvint import groups as gr
+from solvint import tower
 from solvint.errors import MalformedInput
 from solvint.ffla import FpSubspace, _rref, express_in_rows, vec_sub
 
@@ -163,3 +167,39 @@ def reference_eta_product(G, h: int) -> int:
             meet += [x & m for x in meet]
             prod += [x * index for x in prod]
     return min(pr for x, pr in zip(meet, prod) if x == h)
+
+
+def reference_towers(tower2, tower3):
+    """Tower levels n = 1, 2, 3 from find_primes and the order-884 and
+    order-364 levels (13, 17) and (7, 13)."""
+    towers = [tower.TowerGroup(tower.find_primes(1)), tower2, tower3]
+    towers += [tower.TowerGroup(tower.TowerPrimes(2, primes, False)) for primes in ((13, 17), (7, 13))]
+    return towers
+
+
+def tower_act_w(T, w, e: int):
+    """x^e acting on the socle tuple w: coordinate m scales by zeta_m^e."""
+    return tuple((a * T.zeta_pows[m][e]) % p for m, (a, p) in enumerate(zip(w, T.primes.primes)))
+
+
+def tower_w_id(T, w) -> int:
+    """The id of the socle tuple w, its first digit most significant."""
+    out = 0
+    for a, p in zip(w, T.primes.primes):
+        out = out * p + a
+    return out
+
+
+def tower_mask(T, elements) -> int:
+    """The mask of a list of element tuples (w, e), id w_id(w) 2^n + e."""
+    mask = 0
+    for w, e in elements:
+        mask |= 1 << (tower_w_id(T, w) * T.h_order + e)
+    return mask
+
+
+def reference_class_representative(T, cls):
+    """The representative of an intersection class as a list of element
+    tuples: socle coordinates vanish on J, the cyclic part is <x^(2^level)>."""
+    coords = [(0,) if m in cls.j_set else range(p) for m, p in enumerate(T.primes.primes, start=1)]
+    return [(w, e) for w in product(*coords) for e in range(0, T.h_order, 1 << cls.level)]

@@ -346,6 +346,7 @@ def test_module_isomorphism_coordinate_swap():
     b = ffla.rref([(0, 1)], 5, 2)
     iso = ffla.module_isomorphism(a, [g], b, [g])
     assert iso is not None
+    assert iso.matrix == ((1,),)  # the first invertible candidate
     assert iso.apply((1, 0)) in [(0, 1), (0, 2), (0, 3), (0, 4)]
 
 

@@ -4,12 +4,13 @@ from itertools import product
 
 import pytest
 
-from solvint import cli, corpus, ffla, sdp, tower
+from solvint import cli, corpus, ffla, sdp
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 
 from references import (is_nilpotent_mask, reference_action_on_factor,
-                        reference_centralizer_of_factor)
+                        reference_centralizer_of_factor, reference_towers, tower_act_w,
+                        tower_w_id)
 
 
 def s3():
@@ -411,9 +412,9 @@ def reference_tower_tables(T):
     the w_ids read the digits first digit most significant, so the tuples
     in lexicographic order have ids 0, 1, ..."""
     w_vectors = list(product(*(range(p) for p in T.primes.primes)))
-    assert [T.w_id(w) for w in w_vectors] == list(range(T.w_size))
-    act = [[T.w_id(T.act_w(w, e)) for w in w_vectors] for e in range(T.h_order)]
-    add = [[T.w_id(tuple((x + y) % p for x, y, p in zip(w1, w2, T.primes.primes)))
+    assert [tower_w_id(T, w) for w in w_vectors] == list(range(T.w_size))
+    act = [[tower_w_id(T, tower_act_w(T, w, e)) for w in w_vectors] for e in range(T.h_order)]
+    add = [[tower_w_id(T, tuple((x + y) % p for x, y, p in zip(w1, w2, T.primes.primes)))
             for w2 in w_vectors] for w1 in w_vectors]
     hmul = [[(a + b) % T.h_order for b in range(T.h_order)] for a in range(T.h_order)]
     return act, add, hmul
@@ -514,14 +515,6 @@ def reference_mobius(subs):
         mu[subs[j]] = value
         by_value[value] = by_value.get(value, 0) | 1 << j
     return mu
-
-
-def reference_towers(tower2, tower3):
-    """Tower levels n = 1, 2, 3 from find_primes and the order-884 and
-    order-364 levels (13, 17) and (7, 13)."""
-    towers = [tower.TowerGroup(tower.find_primes(1)), tower2, tower3]
-    towers += [tower.TowerGroup(tower.TowerPrimes(2, primes, False)) for primes in ((13, 17), (7, 13))]
-    return towers
 
 
 def test_split_tables_match_cell_by_cell_reference(small_pool_oracles, tower2, tower3):

@@ -4,31 +4,40 @@ Reads src/solvint/*.py as source (nothing is imported or executed) and
 checks that every function and method is named somewhere in the package
 outside its own body, as a variable or an attribute.  A public one may
 instead stand in KEEP with the reason it stays; a private helper may not,
-so one that a consolidation leaves behind is caught.  A function that only
-tests call belongs in the tests, as a reference.
+so one that a consolidation leaves behind is caught.  KEEP is the union of
+one named set per reason, and the bench-span set is checked against the
+span tables of bench/run.py.  A function that only tests call belongs in
+the tests, as a reference.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+from test_bench_spans import BENCH, SPAN_TABLES, module_constants
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "solvint"
 
-KEEP = {
-    # the paper's results, reached only from tests: they are the reproduction
+# the paper's results, reached only from tests: they are the reproduction
+PAPER_RESULTS = {
     "realize_intersection", "crown_module_check", "subgroup_equal",
     "is_gamma_module", "has_eta_property", "is_maximal_intersection",
-    # named by the span tables of bench/run.py, whose traced run raises on a
-    # span it cannot wrap
+}
+# named by the span tables of bench/run.py, whose traced run raises on a
+# span it cannot wrap; a name the tables drop must leave the package too
+BENCH_SPANS = {
     "mobius", "overgroups", "express_in_rows", "maximal_descriptors",
     "intersect_case_spanning", "intersect_case_nested", "find_corona_crown",
     "subgroup_closure", "conjugate_mask",
-    # entry points of the public API that the tests and the benchmark call
+}
+# entry points of the public API that the tests and the benchmark call
+PUBLIC_API = {
     "rref",  # the canonical span of row vectors
     "corpus_group",  # one corpus group by name
     "inverse", "order_of",  # element arithmetic of SdGroup and OracleGroup
     "apply",  # the map that module_isomorphism returns
 }
+KEEP = PAPER_RESULTS | BENCH_SPANS | PUBLIC_API
 
 
 def names_in(node):
@@ -70,3 +79,10 @@ def test_every_private_helper_is_named_in_the_package():
 def test_keep_holds_only_functions_the_package_does_not_name():
     # a KEEP entry that is gone, or that the package now calls, is stale
     assert sorted(KEEP - unnamed_defs()) == []
+
+
+def test_bench_spans_keep_only_names_the_span_tables_hold():
+    tables = module_constants(BENCH / "run.py", SPAN_TABLES)
+    spans = {span.rsplit(".", 1)[-1] for table in tables.values()
+             for names in table.values() for span in names}
+    assert sorted(BENCH_SPANS - spans) == []

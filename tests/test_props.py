@@ -256,6 +256,12 @@ def test_gamma_min_enumeration_cap(monkeypatch):
     from solvint.errors import ResourceCapExceeded
 
     module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
-    monkeypatch.setattr(props, "GAMMA_FIELD_CAP", 2)
-    with pytest.raises(ResourceCapExceeded):
-        props.gamma_min(module)  # |F| = 3 exceeds the forced cap
+    with monkeypatch.context() as m:
+        m.setattr(props, "GAMMA_FIELD_CAP", 2)
+        with pytest.raises(ResourceCapExceeded) as info:
+            props.gamma_min(module)  # |F| = 3 exceeds the forced cap
+    assert str(info.value) == "F-subspace enumeration with |F|=3 (cap: 2)"
+    monkeypatch.setattr(props, "GAMMA_DIM_CAP", 1)
+    with pytest.raises(ResourceCapExceeded) as info:
+        props.gamma_min(module)  # dim_F V = 2 exceeds the forced cap
+    assert str(info.value) == "F-subspace enumeration with dim_F V=2 (cap: 1)"

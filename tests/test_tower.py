@@ -8,6 +8,9 @@ from solvint import groups as gr
 from solvint.errors import MalformedInput
 from solvint.ffla import is_prime
 
+from references import (reference_class_representative, reference_towers, tower_act_w,
+                        tower_mask)
+
 
 def test_find_primes_examples():
     assert tower.find_primes(2).primes == (3, 5)
@@ -50,7 +53,7 @@ def test_centralizer_of_each_module(tower2):
     # C_H(V_m) = <x^(2^m)>, elementwise
     for m in range(1, tower2.n + 1):
         v = tuple(1 if j == m - 1 else 0 for j in range(tower2.n))
-        fixing = [e for e in range(tower2.h_order) if tower2.act_w(v, e) == v]
+        fixing = [e for e in range(tower2.h_order) if tower_act_w(tower2, v, e) == v]
         assert fixing == list(range(0, tower2.h_order, 1 << m))
 
 
@@ -86,11 +89,31 @@ def test_realizing_families_elementwise(tower2):
     assert tower.verify_realizing_families(tower2)
 
 
+def test_masks_match_the_oracle_and_the_element_tuples(tower2, tower3):
+    # the descriptors name exactly the oracle's maximal subgroups, and each
+    # representative mask holds exactly the representative's element tuples
+    for T in reference_towers(tower2, tower3):
+        maximals = {T.maximal_mask(d) for d in T.maximal_descriptors()}
+        assert len(maximals) == len(T.maximal_descriptors())
+        assert maximals == set(gr.maximal_subgroups(T.embed_as_oracle())), T.name
+        for cls in tower.classify_intersections(T):
+            expected = tower_mask(T, reference_class_representative(T, cls))
+            assert tower.class_representative_elements(T, cls) == expected, (T.name, cls)
+
+
+def test_subgroup_mask_of_a_product_set(tower2):
+    # primes (3, 5), 2^n = 4: the id of ((a_1, a_2), e) is (5 a_1 + a_2) 4 + e
+    ids = {(5 * a1 + a2) * 4 + e for a1 in (0, 2) for a2 in (1, 3, 4) for e in (1, 2)}
+    assert tower2.subgroup_mask([(0, 2), (1, 3, 4)], (1, 2)) == sum(1 << i for i in ids)
+    assert tower2.subgroup_mask([range(3), range(5)], range(4)) == (1 << tower2.order) - 1
+    assert tower2.subgroup_mask([(), range(5)], range(4)) == 0
+
+
 def test_classes_pairwise_nonconjugate(tower2):
     oracle = tower2.embed_as_oracle()
     reps = set()
     for cls in tower.classify_intersections(tower2):
-        mask = tower2.subgroup_mask(tower.class_representative_elements(tower2, cls))
+        mask = tower.class_representative_elements(tower2, cls)
         reps.add(frozenset(gr._orbit(oracle, mask)))
     assert len(reps) == 9
 
