@@ -187,8 +187,8 @@ def _fresh(groups: list[sdp.SdGroup]) -> list[sdp.SdGroup]:
 
 
 def _fresh_oracles(groups: list[gr.OracleGroup]) -> list[gr.OracleGroup]:
-    """New oracles over the tables of the corpus groups, with empty memos."""
-    return [gr.OracleGroup(g.n, g._mul, g.name, g.gens, g._inv) for g in groups]
+    """New oracles over the laws of the corpus groups, with empty memos."""
+    return [gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv) for g in groups]
 
 
 def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:

@@ -1,9 +1,11 @@
 """Brute-force oracle for finite groups.
 
-Groups are multiplication tables over dense element ids 0..n-1 with the
-identity at id 0.  A subgroup is an int mask over element ids, bit x set
-exactly when element x is in it; every subgroup argument and result here
-is such a mask, so |H| = h.bit_count() and |G:H| = G.n // h.bit_count().
+Groups are multiplication laws `G.mul(a, b)` over dense element ids
+0..n-1 with the identity at id 0: a split product W x| H multiplies from
+its split tables, an explicit group reads its n x n table.  A subgroup is
+an int mask over element ids, bit x set exactly when element x is in it;
+every subgroup argument and result here is such a mask, so
+|H| = h.bit_count() and |G:H| = G.n // h.bit_count().
 Everything here is exact: subgroup lattices by cyclic extension,
 conjugacy classes of subgroups, Moebius values, and the index-counting
 tables built on them.
@@ -16,7 +18,7 @@ carries extensions to extensions: if T = <S, g> with S normal of prime
 index in T and S = R^x, then T^(x^-1) = <R, g^(x^-1)> extends R.  So every
 class is reached from the extended member of the class below it.
 
-Tables are immutable; derived data (lattice, Moebius values, power
+Laws are immutable; derived data (lattice, Moebius values, power
 tables) is memoized on the group in `G._cache`, the memoized tuples are
 returned as they are, and every public result is in canonical order.
 `G.gens` always generates G.
@@ -45,52 +47,25 @@ def mask_bits(mask: int):
 
 
 class OracleGroup:
-    """A finite group given by its full multiplication table.
+    """A finite group given by its law `mul(a, b)`, a closure over the data
+    its constructor built, and its inverse array."""
 
-    `inv` is the inverse array when the caller knows it (a split product
-    reads it off its law); otherwise each row is scanned for the identity."""
-
-    def __init__(self, n: int, mul_flat: array, name: str, gens: tuple[int, ...],
-                 inv: array | None = None):
+    def __init__(self, n: int, mul, name: str, gens: tuple[int, ...], inv: array):
         self.n = n
         self.name = name
-        self._mul = mul_flat
+        self.mul = mul
         self.gens = gens
-        if inv is None:
-            inv = array("i", [0] * n)
-            for a in range(n):
-                row = a * n
-                try:
-                    inv[a] = mul_flat.index(0, row, row + n) - row
-                except ValueError:
-                    raise MalformedInput(f"element {a} has no inverse") from None
         self._inv = inv
         self._cache: dict = {}
 
     # -- elementary operations
 
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a * self.n + b]
-
     def inv(self, a: int) -> int:
         return self._inv[a]
 
     def conj(self, x: int, g: int) -> int:
-        m = self._mul
-        n = self.n
-        return m[m[self._inv[g] * n + x] * n + g]
-
-    def power(self, a: int, e: int) -> int:
-        result = 0
-        base = a
-        m = self._mul
-        n = self.n
-        while e:
-            if e & 1:
-                result = m[result * n + base]
-            base = m[base * n + base]
-            e >>= 1
-        return result
+        mul = self.mul
+        return mul(mul(self._inv[g], x), g)
 
     def order_of(self, a: int) -> int:
         k = 1
@@ -104,10 +79,23 @@ class OracleGroup:
         return self.mul(self.mul(self._inv[a], self._inv[b]), self.mul(a, b))
 
     def power_table(self, e: int) -> array:
+        """g -> g^e for every g, walking each cyclic subgroup <g> once:
+        with 1, g, ..., g^(k-1) listed, g^i maps to g^(i*e mod k)."""
         key = ("pow", e)
         tab = self._cache.get(key)
         if tab is None:
-            tab = array("i", [self.power(g, e) for g in range(self.n)])
+            mul = self.mul
+            tab = array("i", [-1]) * self.n
+            for g in range(self.n):
+                if tab[g] < 0:
+                    cycle = [0]
+                    x = g
+                    while x:
+                        cycle.append(x)
+                        x = mul(x, g)
+                    k = len(cycle)
+                    for i, x in enumerate(cycle):
+                        tab[x] = cycle[i * e % k]
             self._cache[key] = tab
         return tab
 
@@ -119,18 +107,33 @@ class OracleGroup:
 # constructors
 
 
-def _spot_check_table(G: OracleGroup) -> None:
-    n = G.n
+def _table_group(n: int, flat: array, name: str, gens: tuple[int, ...]) -> OracleGroup:
+    """An oracle over the flat n x n table `flat`: the law reads a cell,
+    and each row is scanned for the identity to find the inverses."""
+    inv = array("i", [0] * n)
+    for a in range(n):
+        row = a * n
+        try:
+            inv[a] = flat.index(0, row, row + n) - row
+        except ValueError:
+            raise MalformedInput(f"element {a} has no inverse") from None
+
+    def mul(a: int, b: int) -> int:
+        return flat[a * n + b]
+
+    return OracleGroup(n, mul, name, gens, inv)
+
+
+def _spot_check_table(flat: array, n: int) -> None:
     for j in range(n):
-        if G.mul(0, j) != j or G.mul(j, 0) != j:
+        if flat[j] != j or flat[j * n] != j:
             raise MalformedInput("row/column 0 is not an identity")
-    mul = G._mul
     for i in range(n):
-        if len(set(mul[i * n:(i + 1) * n])) != n or len(set(mul[i::n])) != n:
+        if len(set(flat[i * n:(i + 1) * n])) != n or len(set(flat[i::n])) != n:
             raise MalformedInput(f"multiplication table is not a Latin square (row/column {i})")
     if n <= 128:
         # all triples, one row comparison per pair: row(ab)[c] == row(a)[bc]
-        rows = [mul[i * n:(i + 1) * n].tolist() for i in range(n)]
+        rows = [flat[i * n:(i + 1) * n].tolist() for i in range(n)]
         for a, row_a in enumerate(rows):
             for b, row_b in enumerate(rows):
                 row_ab = rows[row_a[b]]
@@ -141,7 +144,7 @@ def _spot_check_table(G: OracleGroup) -> None:
     rng = random.Random(0xA55)
     for _ in range(100000):
         a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if mul[mul[a * n + b] * n + c] != mul[a * n + mul[b * n + c]]:
+        if flat[flat[a * n + b] * n + c] != flat[a * n + flat[b * n + c]]:
             raise MalformedInput(f"associativity fails on ({a},{b},{c})")
 
 
@@ -158,8 +161,8 @@ def from_mul_table(table, name: str = "table-group") -> OracleGroup:
             if not 0 <= int(x) < n:
                 raise MalformedInput("table entry out of range")
         flat.extend(int(x) for x in row)
-    G = OracleGroup(n, flat, name, gens=())
-    _spot_check_table(G)
+    G = _table_group(n, flat, name, gens=())
+    _spot_check_table(flat, n)
     G.gens = tuple(small_generating_set(G))
     return G
 
@@ -180,7 +183,7 @@ def from_elements(elems, mul_fn, name: str, gen_elems=()) -> OracleGroup:
                 raise MalformedInput("multiplication is not closed over the given elements")
             flat[row + j] = index[product]
     gens = tuple(index[g] for g in gen_elems)
-    G = OracleGroup(n, flat, name, gens)
+    G = _table_group(n, flat, name, gens)
     if not gens:
         G.gens = tuple(small_generating_set(G))
     return G
@@ -235,19 +238,12 @@ def cyclic(m: int, name: str | None = None) -> OracleGroup:
 
 
 def direct_product(A: OracleGroup, B: OracleGroup, name: str | None = None) -> OracleGroup:
-    n = A.n * B.n
-    nb = B.n
-    flat = array("i", [0] * (n * n))
-    for a1 in range(A.n):
-        for b1 in range(nb):
-            x = a1 * nb + b1
-            row = x * n
-            for a2 in range(A.n):
-                arow = A._mul[a1 * A.n + a2] * nb
-                for b2 in range(nb):
-                    flat[row + a2 * nb + b2] = arow + B._mul[b1 * nb + b2]
-    gens = tuple(g * nb for g in A.gens) + tuple(B.gens)
-    return OracleGroup(n, flat, name or f"{A.name}x{B.name}", gens)
+    a_rows = [[A.mul(a1, a2) * B.n for a2 in range(A.n)] for a1 in range(A.n)]
+    b_rows = [[B.mul(b1, b2) for b2 in range(B.n)] for b1 in range(B.n)]
+    flat = array("i", [x + y for a_row in a_rows for b_row in b_rows
+                       for x in a_row for y in b_row])
+    gens = tuple(g * B.n for g in A.gens) + tuple(B.gens)
+    return _table_group(A.n * B.n, flat, name or f"{A.name}x{B.name}", gens)
 
 
 def semidirect_cyclic(n_order: int, h_order: int, action_exp: int,
@@ -295,12 +291,9 @@ def oracle_from_split_tables(radices, images, hmul, name: str, h_gens=()) -> Ora
     holds the images of the lower digits' ids, a digit of radix r and image
     b extends it to row ++ (row + b) ++ ... ++ (row + (r-1)b).
 
-    Cell (w2, h2) of the row of (w1, h1) is add[c][w2]*|H| + k with
-    c = act[h2][w1] and k = hmul[h1][h2].  So for fixed (w1, h1, h2) the
-    cells at offset h2 and stride |H| are the precomputed column
-    cols[c*|H| + k] = (add[c][w2]*|H| + k over w2), and the table is
-    filled by n*|H| strided slice copies.  The inverse comes from the
-    law: (w, h)^-1 = (-act[h^-1][w], h^-1).
+    The law multiplies from W's addition table, act and hmul, with two
+    length-n lists splitting an id into (w, h): no n x n table is built.
+    The inverse comes from the law: (w, h)^-1 = (-act[h^-1][w], h^-1).
     """
     add = _addition_table(radices)
     act = []
@@ -316,18 +309,13 @@ def oracle_from_split_tables(radices, images, hmul, name: str, h_gens=()) -> Ora
         act.append(row)
     w_size, h_size = len(add), len(hmul)
     n = w_size * h_size
-    cols = []
-    for add_row in add:
-        base = [w * h_size for w in add_row]
-        cols.extend(array("i", [x + k for x in base]) for k in range(h_size))
-    flat = array("i", [0]) * (n * n)
-    row = 0
-    for w1 in range(w_size):
-        col_rows = [act_h[w1] * h_size for act_h in act]
-        for hrow in hmul:
-            for h2, k in enumerate(hrow):
-                flat[row + h2:row + n:h_size] = cols[col_rows[h2] + k]
-            row += n
+    w_of = [w for w in range(w_size) for _ in range(h_size)]
+    h_of = list(range(h_size)) * w_size
+
+    def mul(a: int, b: int) -> int:
+        h2 = h_of[b]
+        return add[act[h2][w_of[a]]][w_of[b]] * h_size + hmul[h_of[a]][h2]
+
     h_inv = [hrow.index(0) for hrow in hmul]
     w_neg = [add_row.index(0) for add_row in add]
     inv = array("i", [w_neg[act[hi][w]] * h_size + hi for w in range(w_size) for hi in h_inv])
@@ -336,7 +324,7 @@ def oracle_from_split_tables(radices, images, hmul, name: str, h_gens=()) -> Ora
         place //= r
         if r > 1:
             gens.append(place)
-    return OracleGroup(n, flat, name, tuple(gens) + tuple(h_gens), inv)
+    return OracleGroup(n, mul, name, tuple(gens) + tuple(h_gens), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +333,7 @@ def oracle_from_split_tables(radices, images, hmul, name: str, h_gens=()) -> Ora
 
 def closure_mask(G: OracleGroup, gen_ids) -> int:
     """Subgroup generated by the given element ids, as a mask."""
-    mul = G._mul
-    n = G.n
+    mul = G.mul
     mask = 1
     members = [0]
     gen_list = [g for g in gen_ids if g != 0]
@@ -358,9 +345,8 @@ def closure_mask(G: OracleGroup, gen_ids) -> int:
     while i < len(members):
         x = members[i]
         i += 1
-        row = x * n
         for g in gen_list:
-            y = mul[row + g]
+            y = mul(x, g)
             if not (mask >> y) & 1:
                 mask |= 1 << y
                 members.append(y)
@@ -503,7 +489,8 @@ def _canonical_key(mask: int):
 
 def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
     """Every subgroup of a solvable G, canonically ordered; the conjugacy
-    classes come out of the same pass into `G._cache["classes"]`.
+    classes come out of the same pass into `G._cache["classes"]`, and each
+    subgroup's least conjugate into `G._cache["least_conjugate"]`.
 
     Cyclic extension (Neubueser 1960), run up to conjugacy as GAP's
     `LatticeByCyclicExtension` does: the lattice is generated bottom-up by
@@ -531,7 +518,7 @@ def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
         if not is_solvable(G):
             raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
         n = G.n
-        mul = G._mul
+        mul = G.mul
         inv = G._inv
         # roots[p][x]: mask of the g with g^p = x
         roots = {p: [0] * n for p in prime_factors(n)}
@@ -551,11 +538,11 @@ def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
                 while candidates:
                     g = (candidates & -candidates).bit_length() - 1
                     candidates ^= 1 << g
-                    gi = inv[g] * n
-                    if any(not (s_mask >> mul[mul[gi + s] * n + g]) & 1 for s in s_gens):
+                    gi = inv[g]
+                    if any(not (s_mask >> mul(mul(gi, s), g)) & 1 for s in s_gens):
                         coset = 0
                         for s in s_members:
-                            coset |= 1 << mul[s * n + g]
+                            coset |= 1 << mul(s, g)
                         candidates &= ~coset
                         continue
                     t_mask = s_mask
@@ -563,10 +550,10 @@ def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
                     x = g
                     for _ in range(1, p):
                         for s in s_members:
-                            y = mul[s * n + x]
+                            y = mul(s, x)
                             t_mask |= 1 << y
                             new_members.append(y)
-                        x = mul[x * n + g]
+                        x = mul(x, g)
                     candidates &= ~t_mask
                     if t_mask in class_of:
                         continue
@@ -581,6 +568,7 @@ def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
         for s in lattice:
             reps.setdefault(class_of[s], s)
         G._cache["classes"] = tuple((s, sizes[c]) for c, s in reps.items())
+        G._cache["least_conjugate"] = {s: reps[c] for s, c in class_of.items()}
         cached = G._cache["lattice"] = lattice
     return cached
 
@@ -781,8 +769,7 @@ def action_on_factor(G: OracleGroup, x: int, y: int):
     """
     p, d = factor_prime_dim(G, x, y)
     y_members = tuple(mask_bits(y))
-    mul = G._mul
-    n = G.n
+    mul = G.mul
     # walking x ascending, the first element met in a coset Ya is its
     # least, so rep maps each coset to it and reps comes out ascending
     rep: dict[int, int] = {}
@@ -790,7 +777,7 @@ def action_on_factor(G: OracleGroup, x: int, y: int):
     for a in mask_bits(x):
         if a not in rep:
             reps.append(a)
-            rep.update(dict.fromkeys([mul[e * n + a] for e in y_members], a))
+            rep.update(dict.fromkeys([mul(e, a) for e in y_members], a))
     vec_of: dict[int, tuple[int, ...]] = {reps[0]: (0,) * d}
     if rep[0] != reps[0]:
         raise AssertionError("identity coset is not canonical-least")
@@ -804,11 +791,11 @@ def action_on_factor(G: OracleGroup, x: int, y: int):
         x_pow = r
         for j in range(1, p):
             for s, v in current:
-                t = rep[mul[s * n + x_pow]]
+                t = rep[mul(s, x_pow)]
                 w = list(v)
                 w[i] = j
                 vec_of[t] = tuple(w)
-            x_pow = rep[mul[x_pow * n + r]]
+            x_pow = rep[mul(x_pow, r)]
     if len(vec_of) != p**d:
         raise AssertionError("factor coordinatization incomplete")
     matrices = []
@@ -829,19 +816,18 @@ def centralizer_of_factor(G: OracleGroup, x: int, y: int) -> int:
     """
     x_gens = greedy_generators(G, x)
     x_members = tuple(mask_bits(x))
-    mul = G._mul
+    mul = G.mul
     inv = G._inv
-    n = G.n
-    a_rows = [(a, inv[a] * n) for a in x_gens]
-    untested = (1 << n) - 1
+    a_invs = [(a, inv[a]) for a in x_gens]
+    untested = (1 << G.n) - 1
     mask = 0
     while untested:
         g = (untested & -untested).bit_length() - 1
         coset = 0
         for s in x_members:
-            coset |= 1 << mul[s * n + g]
+            coset |= 1 << mul(s, g)
         untested &= ~coset
-        gi = inv[g] * n
-        if all((y >> mul[ai + mul[mul[gi + a] * n + g]]) & 1 for a, ai in a_rows):
+        gi = inv[g]
+        if all((y >> mul(ai, mul(mul(gi, a), g))) & 1 for a, ai in a_invs):
             mask |= coset
     return mask

@@ -307,13 +307,14 @@ def tilde_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> TowerCounts:
 
 def structural_matches_oracle(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> bool:
     """The structural classes biject with the oracle's maximal-intersection
-    classes (by conjugacy of representatives)."""
+    classes (by conjugacy of representatives, each read as its least
+    conjugate off the lattice pass; a representative that is not an
+    oracle subgroup reads None and fails the check)."""
     oracle, data = _oracle_class_data(T, cap)
     oracle_reps = {rep for rep, _s, _mu, is_mi in data if is_mi}
+    least = oracle._cache["least_conjugate"]
     classes = classify_intersections(T)
-    structural_reps = {min(gr._orbit(oracle, class_representative_elements(T, cls)),
-                           key=gr._canonical_key)
-                       for cls in classes}
+    structural_reps = {least.get(class_representative_elements(T, cls)) for cls in classes}
     return len(structural_reps) == len(classes) and structural_reps == oracle_reps
 
 

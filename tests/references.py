@@ -84,16 +84,26 @@ def is_nilpotent_mask(G, mask: int) -> bool:
     return True
 
 
+def reference_power(G, a: int, e: int) -> int:
+    """a^e by repeated squaring through the law."""
+    result = 0
+    while e:
+        if e & 1:
+            result = G.mul(result, a)
+        a = G.mul(a, a)
+        e >>= 1
+    return result
+
+
 def reference_action_on_factor(G, x: int, y: int, gens):
     """The conjugation action on x/y, each coset representative found as
     the least element of its coset Ya by a scan over y."""
     p, d = gr.factor_prime_dim(G, x, y)
     y_members = tuple(gr.mask_bits(y))
-    mul = G._mul
-    n = G.n
+    mul = G.mul
 
     def rep(a: int) -> int:
-        return min(mul[e * n + a] for e in y_members)
+        return min(mul(e, a) for e in y_members)
 
     reps = sorted({rep(a) for a in gr.mask_bits(x)})
     vec_of = {reps[0]: (0,) * d}
@@ -109,8 +119,8 @@ def reference_action_on_factor(G, x: int, y: int, gens):
             for s, v in current:
                 w = list(v)
                 w[i] = j
-                vec_of[rep(mul[s * n + x_pow])] = tuple(w)
-            x_pow = rep(mul[x_pow * n + r])
+                vec_of[rep(mul(s, x_pow))] = tuple(w)
+            x_pow = rep(mul(x_pow, r))
     matrices = [tuple(vec_of[rep(G.conj(b, g))] for b in basis) for g in gens]
     return p, d, matrices
 

@@ -400,7 +400,7 @@ def test_every_command_honours_one_order_cap(spec_dir, capsys):
     # the cap is checked once, where the oracle is built: a table spec is
     # refused below its order and an sdp spec accepted above the default
     c8 = gr.cyclic(8)
-    table = [c8._mul[i * 8:(i + 1) * 8].tolist() for i in range(8)]
+    table = [[c8.mul(a, b) for b in range(8)] for a in range(8)]
     (spec_dir / "c8-table.json").write_text(json.dumps({"kind": "oracle-table", "table": table}))
     for command in (["analyze"], ["verify", "--suite", "thuno"], ["verify", "--suite", "propo"]):
         code, out, err = run(capsys, *command, "--cap-order", "4",

@@ -1,16 +1,17 @@
 import functools
+import tracemalloc
 from array import array
 from itertools import product
 
 import pytest
 
-from solvint import cli, corpus, ffla, sdp
+from solvint import cli, corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 
 from references import (is_nilpotent_mask, reference_action_on_factor,
-                        reference_centralizer_of_factor, reference_towers, tower_act_w,
-                        tower_w_id)
+                        reference_centralizer_of_factor, reference_power, reference_towers,
+                        tower_act_w, tower_w_id)
 
 
 def s3():
@@ -83,7 +84,7 @@ def test_all_subgroups_cap(monkeypatch):
     # is validated (from_mul_table is never reached); the lattice itself
     # only has LATTICE_CAP
     c50 = gr.cyclic(50)
-    table = [c50._mul[i * 50:(i + 1) * 50].tolist() for i in range(50)]
+    table = [[c50.mul(a, b) for b in range(50)] for a in range(50)]
     monkeypatch.setattr(gr, "from_mul_table", None)
     with pytest.raises(ResourceCapExceeded) as refused:
         cli.build_oracle({"kind": "oracle-table", "table": table}, 10)
@@ -106,7 +107,7 @@ def test_lattice_cap_fires_on_the_class_and_maximal_paths(sdp_pool):
     (g486,) = [sdp.embed_as_oracle(G)[0] for G in sdp_pool if G.order == 486]
     for g in (c2_7, g486):
         for query in (gr.all_subgroups, gr.conjugacy_classes_of_subgroups, gr.maximal_subgroups):
-            cold = gr.OracleGroup(g.n, g._mul, g.name, g.gens, g._inv)
+            cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
             with pytest.raises(ResourceCapExceeded, match="subgroup lattice size"):
                 query(cold)
 
@@ -177,7 +178,7 @@ def test_mobius_on_a_cold_oracle_matches_the_warm_lattice(corpus_list):
     for g in corpus_list[:8]:
         lattice_mu = gr.mobius_all(g)
         for s in gr.all_subgroups(g)[:6]:
-            fresh = gr.OracleGroup(g.n, g._mul, g.name, g.gens)
+            fresh = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
             assert gr.mobius(s, fresh) == lattice_mu[s]
 
 
@@ -318,7 +319,7 @@ def test_core_and_socle_with_a_memoised_socle_runs_no_closure(corpus_list, monke
     monkeypatch.setattr(gr, "closure_mask", counting_closure_mask)
     reused = 0
     for c in corpus_list:
-        g = gr.OracleGroup(c.n, c._mul, c.name, c.gens, c._inv)
+        g = gr.OracleGroup(c.n, c.mul, c.name, c.gens, c._inv)
         for m in gr.maximal_subgroups(g):
             memoised = gr.normal_core(g, m) in g._cache.get("socle_by_core", {})
             calls.clear()
@@ -373,7 +374,7 @@ def test_direct_product_and_semidirect():
 
 def test_overgroups_of_trivial_is_whole_lattice():
     g = s3()
-    fresh = gr.OracleGroup(g.n, g._mul, g.name, g.gens)
+    fresh = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
     over = gr.overgroups(fresh, 1)
     assert len(over) == 6
 
@@ -398,6 +399,15 @@ def reference_split_table(w_size, h_size, act, add, hmul):
                 for w2 in range(w_size):
                     flat[off + w2 * h_size] = aw_row[w2] * h_size + hh
     return flat
+
+
+def law_cells(g):
+    """G.mul(a, b) on all n^2 pairs, row by row."""
+    return array("i", [g.mul(a, b) for a in range(g.n) for b in range(g.n)])
+
+
+def law_inverses(g):
+    return array("i", map(g.inv, range(g.n)))
 
 
 def reference_inverses(mul, n):
@@ -443,7 +453,7 @@ def reference_cyclic_tables(n_order, h_order, s):
 
 def reference_lattice(G):
     n = G.n
-    mul, inv = G._mul, G._inv
+    mul, inv = G.mul, G._inv
     records = {1: ((0,), ())}
     queue = [1]
     qi = 0
@@ -459,18 +469,18 @@ def reference_lattice(G):
                     continue
                 if not (s_mask >> pow_p[g]) & 1:
                     continue
-                gi = inv[g] * n
-                if any(not (s_mask >> mul[mul[gi + s] * n + g]) & 1 for s in s_gens):
+                gi = inv[g]
+                if any(not (s_mask >> mul(mul(gi, s), g)) & 1 for s in s_gens):
                     continue
                 t_mask = s_mask
                 new_members = []
                 x = g
                 for _ in range(1, p):
                     for s in s_members:
-                        y = mul[s * n + x]
+                        y = mul(s, x)
                         t_mask |= 1 << y
                         new_members.append(y)
-                    x = mul[x * n + g]
+                    x = mul(x, g)
                 local_cover |= t_mask
                 if t_mask in records:
                     continue
@@ -520,13 +530,14 @@ def reference_mobius(subs):
 def test_split_tables_match_cell_by_cell_reference(small_pool_oracles, tower2, tower3):
     for T in reference_towers(tower2, tower3):
         g = T.embed_as_oracle()
-        assert g._mul == reference_split_table(T.w_size, T.h_order, *reference_tower_tables(T)), T.name
-        assert g._inv == reference_inverses(g._mul, g.n), T.name
+        flat = reference_split_table(T.w_size, T.h_order, *reference_tower_tables(T))
+        assert law_cells(g) == flat, T.name
+        assert law_inverses(g) == reference_inverses(flat, g.n), T.name
     assert len(small_pool_oracles) > 0
     for G, g in small_pool_oracles:
         flat = reference_split_table(G.p**G.wdim, G.module.order, *reference_sdp_tables(G))
-        assert g._mul == flat, g.name
-        assert g._inv == reference_inverses(g._mul, g.n), g.name
+        assert law_cells(g) == flat, g.name
+        assert law_inverses(g) == reference_inverses(flat, g.n), g.name
 
 
 def test_split_tables_of_edge_shapes_match_references():
@@ -546,16 +557,62 @@ def test_split_tables_of_edge_shapes_match_references():
     for (g, tables), shape in zip(cases, shapes):
         assert g.n == shape[0] * shape[1], shape
         assert gr.closure_mask(g, g.gens) == (1 << g.n) - 1, shape
-        assert g._mul == reference_split_table(*shape, *tables), shape
-        assert g._inv == reference_inverses(g._mul, g.n), shape
+        flat = reference_split_table(*shape, *tables)
+        assert law_cells(g) == flat, shape
+        assert law_inverses(g) == reference_inverses(flat, g.n), shape
         assert list(gr.all_subgroups(g)) == reference_lattice(g), shape
+
+
+def test_power_tables_match_powers_by_squaring(corpus_list, small_pool_oracles, tower2, tower3):
+    # e = 0, 1, each prime dividing |G| and |G| - 1 (the inverse map)
+    oracles = list(corpus_list) + [g for _, g in small_pool_oracles]
+    oracles += [T.embed_as_oracle() for T in reference_towers(tower2, tower3)]
+    for g in oracles:
+        for e in (0, 1, g.n - 1, *ffla.prime_factors(g.n)):
+            assert list(g.power_table(e)) == [reference_power(g, x, e) for x in range(g.n)], (g.name, e)
+        assert list(g.power_table(g.n - 1)) == list(g._inv), g.name
+
+
+def test_split_oracle_of_order_2040_and_its_lattice_stay_small():
+    # the split law holds no n^2 table: a 2040^2 table of C ints alone
+    # would take 16.6 MB
+    T = tower.TowerGroup(tower.find_primes(3))
+    tracemalloc.start()
+    try:
+        g = T.embed_as_oracle()
+        assert len(gr.all_subgroups(g)) == 728
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_split_and_table_laws_give_the_same_lattice(small_pool_oracles, tower2, tower3):
+    # the consumers run on both laws of each group: its split tables and
+    # from_mul_table over the split law's cells
+    oracles = [g for _, g in small_pool_oracles]
+    oracles += [T.embed_as_oracle() for T in reference_towers(tower2, tower3) if T.n <= 2]
+    for g in oracles:
+        table = gr.from_mul_table([[g.mul(a, b) for b in range(g.n)] for a in range(g.n)], g.name)
+        try:
+            subs = gr.all_subgroups(g)
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            with pytest.raises(ResourceCapExceeded):
+                gr.all_subgroups(table)
+            continue
+        assert gr.all_subgroups(table) == subs, g.name
+        assert (gr.conjugacy_classes_of_subgroups(table)
+                == gr.conjugacy_classes_of_subgroups(g)), g.name
+        assert gr.maximal_subgroups(table) == gr.maximal_subgroups(g), g.name
+        assert gr.mobius_all(table) == gr.mobius_all(g), g.name
 
 
 def test_from_mul_table_finds_inverses_and_rejects_a_row_without_identity():
     g = gr.from_mul_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     assert list(g._inv) == [0, 2, 1]
     with pytest.raises(MalformedInput, match="element 1 has no inverse"):
-        gr.OracleGroup(2, array("i", [0, 1, 1, 1]), "no-inverse", ())
+        gr.from_mul_table([[0, 1], [1, 1]], "no-inverse")
 
 
 @pytest.fixture(scope="session")
@@ -598,11 +655,10 @@ def reference_orbit(mask, conj):
 
 
 def reference_conjugation(g):
-    """conj[x][y] = y^x = x^-1 y x for every element x, read off the table:
-    row x^-1 maps y to x^-1 y and column x maps z to z x."""
-    n, mul = g.n, g._mul
-    return [array("i", map(mul[x::n].__getitem__, mul[g._inv[x] * n:(g._inv[x] + 1) * n]))
-            for x in range(n)]
+    """conj[x][y] = y^x = x^-1 y x for every element x, read off the law:
+    x^-1 y first, then that times x."""
+    n, mul = g.n, g.mul
+    return [array("i", [mul(mul(g.inv(x), y), x) for y in range(n)]) for x in range(n)]
 
 
 def reference_classes(g, lattice):
@@ -631,7 +687,7 @@ def test_classes_match_least_members_of_reference_orbits(lattice_oracles):
         assert classes == tuple((s, len(orbit)) for s, orbit in classes_of(g)), g.name
         # cold copies: the classes come out of the lattice pass whichever
         # query runs first
-        classes_first, lattice_first = (gr.OracleGroup(g.n, g._mul, g.name, g.gens, g._inv)
+        classes_first, lattice_first = (gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
                                         for _ in range(2))
         assert gr.conjugacy_classes_of_subgroups(classes_first) == classes, g.name
         lattice = gr.all_subgroups(lattice_first)

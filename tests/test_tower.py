@@ -122,6 +122,26 @@ def test_structural_matches_oracle_n2(tower2):
     assert tower.structural_matches_oracle(tower2)
 
 
+def test_structural_check_compares_classes_of_swapped_representatives(tower2, monkeypatch):
+    # one representative swapped for another member of its class still
+    # matches; swapped for a subgroup of a class that no structural class
+    # has, or for a mask that is not a subgroup at all, it does not
+    oracle = tower2.embed_as_oracle()
+    classes = tower.classify_intersections(tower2)
+    reps = [tower.class_representative_elements(tower2, cls) for cls in classes]
+    orbits = [gr._orbit(oracle, r) for r in reps]
+    i = next(i for i, orbit in enumerate(orbits) if len(orbit) > 1)
+    conjugate = next(c for c in orbits[i] if c != reps[i])
+    other = next(s for s in gr.all_subgroups(oracle) if not any(s in orbit for orbit in orbits))
+    not_a_subgroup = (1 << oracle.n) - 2  # every element but the identity
+    original = tower.class_representative_elements
+    for swapped, expected in ((conjugate, True), (other, False), (not_a_subgroup, False)):
+        monkeypatch.setattr(tower, "class_representative_elements",
+                            lambda T, cls, swapped=swapped:
+                            swapped if cls == classes[i] else original(T, cls))
+        assert tower.structural_matches_oracle(tower2) is expected, swapped
+
+
 def test_mu_zero_n2(tower2):
     rows = tower.verify_mu_zero(tower2)
     assert len(rows) == 2
