@@ -18,6 +18,15 @@ carries extensions to extensions: if T = <S, g> with S normal of prime
 index in T and S = R^x, then T^(x^-1) = <R, g^(x^-1)> extends R.  So every
 class is reached from the extended member of the class below it.
 
+Conjugation by g is an automorphism of the lattice that fixes G, so
+Moebius values, maximality and being a maximal intersection are the same
+on every member of a class: `mobius_all` sums over overgroups once per
+class and `counts` tests one member per class.  Closures grow by right
+cosets (Dimino's algorithm): adjoining x to H = <gens> fills one coset Hr
+per new representative r, one law call per new element, instead of
+closing <gens, x> again from scratch.  The power maps g -> g^e of every e
+are read off one walk of the cyclic subgroups.
+
 Laws are immutable; derived data (lattice, Moebius values, power
 tables) is memoized on the group in `G._cache`, the memoized tuples are
 returned as they are, and every public result is in canonical order.
@@ -79,23 +88,33 @@ class OracleGroup:
         return self.mul(self.mul(self._inv[a], self._inv[b]), self.mul(a, b))
 
     def power_table(self, e: int) -> array:
-        """g -> g^e for every g, walking each cyclic subgroup <g> once:
-        with 1, g, ..., g^(k-1) listed, g^i maps to g^(i*e mod k)."""
+        """g -> g^e for every g: with 1, g, ..., g^(k-1) listed for a cyclic
+        subgroup <g>, g^i maps to g^(i*e mod k).  The cyclic subgroups are
+        walked once per group (each g not met yet starts a walk), and every
+        exponent's table is read off those lists with no law call."""
         key = ("pow", e)
         tab = self._cache.get(key)
         if tab is None:
-            mul = self.mul
-            tab = array("i", [-1]) * self.n
-            for g in range(self.n):
-                if tab[g] < 0:
-                    cycle = [0]
-                    x = g
-                    while x:
-                        cycle.append(x)
-                        x = mul(x, g)
-                    k = len(cycle)
-                    for i, x in enumerate(cycle):
-                        tab[x] = cycle[i * e % k]
+            cycles = self._cache.get("cycles")
+            if cycles is None:
+                mul = self.mul
+                cycles = []
+                seen = bytearray(self.n)
+                for g in range(self.n):
+                    if not seen[g]:
+                        cycle = [0]
+                        x = g
+                        while x:
+                            cycle.append(x)
+                            seen[x] = 1
+                            x = mul(x, g)
+                        cycles.append(array("i", cycle))
+                self._cache["cycles"] = cycles
+            tab = array("i", [0]) * self.n
+            for cycle in cycles:
+                k = len(cycle)
+                for i, x in enumerate(cycle):
+                    tab[x] = cycle[i * e % k]
             self._cache[key] = tab
         return tab
 
@@ -331,25 +350,44 @@ def oracle_from_split_tables(radices, images, hmul, name: str, h_gens=()) -> Ora
 # closures and elementary subgroup machinery
 
 
+def _closures(G: OracleGroup, candidates):
+    """Adjoin each candidate not yet inside to the subgroup generated so
+    far, yielding (candidate, mask of the new subgroup) after each one.
+
+    Each step grows H = <gens> to <gens, x> by right cosets of H (Dimino's
+    algorithm): K is a union of cosets Hr, from r = 1; for each r and each
+    generator s with rs not yet in K, the coset H(rs) is added and rs
+    becomes a representative.  At the end every rs lies in some Hr', so
+    h0 r s = (h0 h) r' lies in K too: K holds 1 and is closed under right
+    multiplication by the generators, so K = <gens, x> (each r is a
+    product of generators).  A step costs one law call per new element
+    and one per (coset, generator) pair, and H is never walked again."""
+    mul = G.mul
+    mask, members, gens = 1, [0], []
+    for x in candidates:
+        if (mask >> x) & 1:
+            continue
+        gens.append(x)
+        h_members = members
+        members = list(h_members)
+        reps = [0]
+        for r in reps:  # grows while it is walked
+            for s in gens:
+                y = mul(r, s)
+                if not (mask >> y) & 1:
+                    reps.append(y)
+                    for h in h_members:
+                        z = mul(h, y)
+                        mask |= 1 << z
+                        members.append(z)
+        yield x, mask
+
+
 def closure_mask(G: OracleGroup, gen_ids) -> int:
     """Subgroup generated by the given element ids, as a mask."""
-    mul = G.mul
     mask = 1
-    members = [0]
-    gen_list = [g for g in gen_ids if g != 0]
-    for g in gen_list:
-        if not (mask >> g) & 1:
-            mask |= 1 << g
-            members.append(g)
-    i = 0
-    while i < len(members):
-        x = members[i]
-        i += 1
-        for g in gen_list:
-            y = mul(x, g)
-            if not (mask >> y) & 1:
-                mask |= 1 << y
-                members.append(y)
+    for _, mask in _closures(G, gen_ids):
+        pass
     return mask
 
 
@@ -406,15 +444,17 @@ def _is_normal(G: OracleGroup, mask: int) -> bool:
 
 
 def greedy_generators(G: OracleGroup, mask: int) -> list[int]:
-    """A short generating list for the subgroup given by `mask`."""
+    """A short generating list for the subgroup given by `mask`: each
+    member, ascending, that is not in the subgroup generated so far.
+
+    The subgroup generated so far is extended by the new member through
+    its right cosets (`_closures`), not closed again from scratch, so each
+    element costs one law call however many generators came before it."""
     gens: list[int] = []
-    cur = 1
-    for x in mask_bits(mask):
-        if not (cur >> x) & 1:
-            gens.append(x)
-            cur = closure_mask(G, gens)
-            if cur == mask:
-                break
+    for x, cur in _closures(G, mask_bits(mask)):
+        gens.append(x)
+        if cur == mask:
+            break
     return gens
 
 
@@ -608,16 +648,25 @@ def conjugacy_classes_of_subgroups(G: OracleGroup):
 
 def mobius_all(G: OracleGroup) -> MappingProxyType:
     """mu(H, G) for every subgroup mask, via the full lattice (a read-only
-    view of the memoized dict)."""
+    view of the memoized dict).
+
+    mu(s) = -sum of mu(t) over the proper overgroups t of s, which come
+    later in the lattice; the t with mu(t) = 0 add nothing.  The sum is
+    taken once per conjugacy class: x -> x^g is a lattice automorphism
+    fixing G, so it carries the overgroups of s onto those of s^g and
+    mu(s^g) = mu(s).  The first member of a class that the reverse scan
+    meets sums over its overgroups, and the others copy its value."""
     cached = G._cache.get("mobius_all")
     if cached is None:
-        # mu(s) = -sum of mu(t) over the proper overgroups t of s, which come
-        # later in the lattice; the t with mu(t) = 0 add nothing
         subs = all_subgroups(G)
+        least = G._cache["least_conjugate"]
         mu: dict[int, int] = {subs[-1]: 1}
+        by_class: dict[int, int] = {}  # least member -> mu of its class
         nonzero = [(subs[-1], 1)]
         for s in reversed(subs[:-1]):
-            value = -sum(v for t, v in nonzero if s & t == s)
+            value = by_class.get(least[s])
+            if value is None:
+                value = by_class[least[s]] = -sum(v for t, v in nonzero if s & t == s)
             mu[s] = value
             if value:
                 nonzero.append((s, value))
@@ -671,23 +720,27 @@ class CountTable:
 def counts(G: OracleGroup) -> CountTable:
     """m_n, b_n, c_n for every index n > 1 dividing |G| (proper subgroups
     only; a maximal subgroup is the intersection of the family containing
-    just itself)."""
-    subs = all_subgroups(G)
+    just itself).
+
+    Being maximal, mu != 0 and being a maximal intersection are invariant
+    under conjugation (an automorphism of the lattice), so each class is
+    tested once, on its representative, and counted with its size."""
     mu = mobius_all(G)
     maximal_masks = maximal_subgroups(G)
+    maximal_set = set(maximal_masks)
     full = (1 << G.n) - 1
     divisors = sorted(d for d in range(2, G.n + 1) if G.n % d == 0)
     table = {d: [0, 0, 0] for d in divisors}
-    for s in subs:
+    for s, size in conjugacy_classes_of_subgroups(G):
         if s == full:
             continue
         row = table[G.n // s.bit_count()]
-        if s in maximal_masks:
-            row[0] += 1
+        if s in maximal_set:
+            row[0] += size
         if mu[s] != 0:
-            row[1] += 1
+            row[1] += size
         if _meet_above(G, s, maximal_masks) == s:
-            row[2] += 1
+            row[2] += size
     entries = tuple((d, tuple(table[d])) for d in divisors)
     for _, (m_n, b_n, c_n) in entries:
         if not (m_n <= b_n <= c_n):

@@ -502,9 +502,11 @@ def _f_nullspace(fops: FieldOps, rows, t: int):
 
 def _annihilator(G: SdGroup, W: FpSubspace):
     """(phis, pivots, P): the F-RREF phi with W the common kernel of the
-    pi_phi, and P with v*P the concatenated pi_phi(v)."""
+    pi_phi, and P with v*P the concatenated pi_phi(v).  W's F-rows are
+    already in F-RREF, as both `_span_fvectors` and `_fvectors_of` record
+    them."""
     fops = G.module.fops
-    phis, pivots = _f_nullspace(fops, fops.f_rref(G.fvectors_of_submodule(W), G.t)[0], G.t)
+    phis, pivots = _f_nullspace(fops, G.fvectors_of_submodule(W), G.t)
     P = tuple(tuple(x for phi in phis for x in fops.elements[phi[b]][r])
               for b in range(G.t) for r in range(G.k))
     return phis, pivots, P

@@ -5,10 +5,13 @@ and containment, the lower central series test, the enumeration of every
 F-subspace of F^t, scaling a vector, the chief-factor action and
 centralizer one element at a time, integer roots and logarithms by
 bisection, the least eta product over every family of maximals, and the
-tower's element tuples ((a_1, ..., a_n), e) with their action and ids.  The
-tests keep them to build independent references and test data.
+tower's element tuples ((a_1, ..., a_n), e) with their action and ids,
+closures and greedy generators closed from scratch, and the count tables
+tested one subgroup at a time.  The tests keep them to build independent
+references and test data, with a counter of the law calls an oracle makes.
 """
 
+from contextlib import contextmanager
 from itertools import product
 
 from solvint import groups as gr
@@ -93,6 +96,67 @@ def reference_power(G, a: int, e: int) -> int:
         a = G.mul(a, a)
         e >>= 1
     return result
+
+
+def reference_closure(G, gens) -> int:
+    """The mask of <gens>: every member times every generator, until no
+    product is new."""
+    mask, members = 1, [0]
+    for x in members:  # grows while it is walked
+        for g in gens:
+            y = G.mul(x, g)
+            if not (mask >> y) & 1:
+                mask |= 1 << y
+                members.append(y)
+    return mask
+
+
+def reference_greedy_generators(G, mask: int) -> list[int]:
+    """Each member of `mask`, ascending, that is not in the subgroup the
+    earlier ones generate, that subgroup closed from scratch each time."""
+    gens, cur = [], 1
+    for x in gr.mask_bits(mask):
+        if not (cur >> x) & 1:
+            gens.append(x)
+            cur = reference_closure(G, gens)
+            if cur == mask:
+                break
+    return gens
+
+
+@contextmanager
+def counting_law_calls(G):
+    """Count the calls of G's law while the block runs: yields a list
+    whose one entry is the count so far."""
+    law, calls = G.mul, [0]
+
+    def counted(a: int, b: int) -> int:
+        calls[0] += 1
+        return law(a, b)
+
+    G.mul = counted
+    try:
+        yield calls
+    finally:
+        G.mul = law
+
+
+def reference_counts(G) -> dict:
+    """n -> (m_n, b_n, c_n) over the proper subgroups of index n > 1
+    dividing |G|, testing every subgroup on its own."""
+    mu = gr.mobius_all(G)
+    maximal_masks = gr.maximal_subgroups(G)
+    table = {d: [0, 0, 0] for d in range(2, G.n + 1) if G.n % d == 0}
+    for s in gr.all_subgroups(G)[:-1]:
+        meet = (1 << G.n) - 1
+        for m in maximal_masks:
+            if m & s == s:
+                meet &= m
+        row = table[G.n // s.bit_count()]
+        row[0] += s in maximal_masks
+        row[1] += mu[s] != 0
+        row[2] += meet == s
+    return {d: tuple(row) for d, row in table.items()}
 
 
 def reference_action_on_factor(G, x: int, y: int, gens):

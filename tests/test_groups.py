@@ -9,8 +9,9 @@ from solvint import cli, corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 
-from references import (is_nilpotent_mask, reference_action_on_factor,
-                        reference_centralizer_of_factor, reference_power, reference_towers,
+from references import (counting_law_calls, is_nilpotent_mask, reference_action_on_factor,
+                        reference_centralizer_of_factor, reference_closure, reference_counts,
+                        reference_greedy_generators, reference_power, reference_towers,
                         tower_act_w, tower_w_id)
 
 
@@ -454,6 +455,7 @@ def reference_cyclic_tables(n_order, h_order, s):
 def reference_lattice(G):
     n = G.n
     mul, inv = G.mul, G._inv
+    pow_tables = {p: [reference_power(G, g, p) for g in range(n)] for p in ffla.prime_factors(n)}
     records = {1: ((0,), ())}
     queue = [1]
     qi = 0
@@ -462,7 +464,7 @@ def reference_lattice(G):
         qi += 1
         s_members, s_gens = records[s_mask]
         for p in ffla.prime_factors(n // len(s_members)):
-            pow_p = G.power_table(p)
+            pow_p = pow_tables[p]
             local_cover = 0
             for g in range(1, n):
                 if (s_mask >> g) & 1 or (local_cover >> g) & 1:
@@ -573,6 +575,27 @@ def test_power_tables_match_powers_by_squaring(corpus_list, small_pool_oracles, 
         assert list(g.power_table(g.n - 1)) == list(g._inv), g.name
 
 
+def test_a_new_exponent_reads_its_power_table_without_law_calls(corpus_list, tower3):
+    # the cyclic subgroups are walked by the first table only
+    for g in list(corpus_list[:8]) + [tower3.embed_as_oracle()]:
+        cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
+        cold.power_table(2)
+        with counting_law_calls(cold) as calls:
+            tables = [cold.power_table(e) for e in (3, 5, g.n - 1)]
+        assert calls == [0], g.name
+        assert tables == [g.power_table(e) for e in (3, 5, g.n - 1)], g.name
+
+
+def test_greedy_generators_of_order_2040_take_under_two_law_calls_per_element(tower3):
+    g = tower3.embed_as_oracle()
+    full = (1 << g.n) - 1
+    with counting_law_calls(g) as calls:
+        gens = gr.greedy_generators(g, full)
+    # closing from scratch after each added generator takes 10,480
+    assert calls[0] < 2 * g.n, calls
+    assert gens == reference_greedy_generators(g, full)
+
+
 def test_split_oracle_of_order_2040_and_its_lattice_stay_small():
     # the split law holds no n^2 table: a 2040^2 table of C ints alone
     # would take 16.6 MB
@@ -644,6 +667,33 @@ def test_lattice_and_its_maximals_and_mobius_match_references(lattice_oracles):
                 for y in gr.mask_bits(m):
                     image |= 1 << g.conj(y, x)
                 assert gr.conjugate_mask(g, m, x) == image, g.name
+
+
+def test_counts_match_the_per_subgroup_reference(lattice_oracles):
+    oracles, _, _ = lattice_oracles
+    for g in oracles:
+        try:
+            table = gr.counts(g).as_dict()
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            continue
+        assert table == reference_counts(g), g.name
+
+
+def test_greedy_generators_match_the_from_scratch_reference(lattice_oracles):
+    # the gens of a table group are its greedy generators, so the list
+    # itself is pinned, on G and on one subgroup of each class
+    oracles, _, _ = lattice_oracles
+    for g in oracles:
+        try:
+            classes = gr.conjugacy_classes_of_subgroups(g)
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            classes = [((1 << g.n) - 1, 1)]
+        for s, _ in classes:
+            gens = gr.greedy_generators(g, s)
+            assert gens == reference_greedy_generators(g, s), g.name
+            assert gr.closure_mask(g, gens) == s == reference_closure(g, gens), g.name
 
 
 def reference_orbit(mask, conj):
