@@ -36,10 +36,6 @@ def vec_sub(u: Vector, v: Vector, p: int) -> Vector:
     return tuple((a - b) % p for a, b in zip(u, v))
 
 
-def vec_neg(u: Vector, p: int) -> Vector:
-    return tuple((-a) % p for a in u)
-
-
 def vec_mat(v: Vector, m: Matrix, p: int) -> Vector:
     cols = len(m[0]) if m else 0
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p for j in range(cols))
@@ -504,19 +500,6 @@ class ModuleMap:
     source: FpSubspace
     target: FpSubspace
     matrix: Matrix  # dim(source) x dim(target), acting on coordinates
-
-    def apply(self, v: Vector) -> Vector:
-        coords = self.source.coords_of(v)
-        if coords is None:
-            raise MalformedInput("vector outside the source submodule")
-        p = self.source.p
-        out_coords = vec_mat(coords, self.matrix, p)
-        n = self.target.ambient_dim
-        out = [0] * n
-        for c, row in zip(out_coords, self.target.basis):
-            for j in range(n):
-                out[j] = (out[j] + c * row[j]) % p
-        return tuple(out)
 
 
 def induced_action(sub: FpSubspace, g: Matrix) -> Matrix:

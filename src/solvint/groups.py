@@ -76,14 +76,6 @@ class OracleGroup:
         mul = self.mul
         return mul(mul(self._inv[g], x), g)
 
-    def order_of(self, a: int) -> int:
-        k = 1
-        x = a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self._inv[a], self._inv[b]), self.mul(a, b))
 

@@ -126,21 +126,15 @@ def gamma_min(module: sdp.HModule) -> GammaReport:
         raise ResourceCapExceeded(f"F-subspace enumeration with dim_F V={f}", GAMMA_DIM_CAP)
     if f >= 2 and module.fops.q > GAMMA_FIELD_CAP:
         raise ResourceCapExceeded(f"F-subspace enumeration with |F|={module.fops.q}", GAMMA_FIELD_CAP)
-    H = module.to_oracle()
+    H = module.group
     maximal_masks = gr.maximal_subgroups(H)
-
-    def cen_mask(space: FpSubspace) -> int:
-        mask = 0
-        for i in module.centralizer_of(space.basis):
-            mask |= 1 << i
-        return mask
 
     by_dim: list[list[tuple[FpSubspace, int]]] = []
     for d in range(f + 1):
         level = []
         for rows in module.fops.subspaces(f, d):
             space = module.v_subspace_from_fcoords(rows)
-            level.append((space, cen_mask(space)))
+            level.append((space, module.centralizer_of(space.basis)))
         by_dim.append(level)
 
     witnesses = []

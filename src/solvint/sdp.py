@@ -14,6 +14,7 @@ deterministic function of its arguments; caches only memoize.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -43,7 +44,6 @@ from .ffla import (
     module_isomorphism,
     vec_add,
     vec_mat,
-    vec_neg,
     vec_sub,
 )
 
@@ -68,21 +68,20 @@ FAMILY_MAX = 5
 
 class HModule:
     """A solvable matrix group H <= GL(k, p) acting faithfully and
-    irreducibly on V = F_p^k, with its endomorphism field."""
+    irreducibly on V = F_p^k, with its endomorphism field.  `group` is H as
+    an oracle over the ids of `elements`, and a subgroup of H is a mask
+    over those ids."""
 
-    def __init__(self, p, k, gens, elements, field, fops, f_basis, name):
+    def __init__(self, p, k, elements, group, field, fops, f_basis, name):
         self.p = p
         self.k = k
-        self.gens = gens
         self.elements = elements  # identity first, rest sorted by entries
-        self.index = {m: i for i, m in enumerate(elements)}
-        self.gen_indices = tuple(self.index[g] for g in gens)
+        self.group: gr.OracleGroup = group
         self.field: EndField = field
         self.fops: FieldOps = fops
         self.f_basis = f_basis  # F-basis of V, deterministic
         self.f_dim = k // field.degree
         self.name = name
-        self._oracle = None
 
     @classmethod
     def create(cls, p: int, k: int, gens, name: str = "H"):
@@ -106,13 +105,14 @@ class HModule:
         field = endomorphism_field(gens or (identity,), p, k)
         # faithfulness is structural for matrix groups: the only element
         # acting trivially is the identity matrix itself
-        if not _matrix_group_solvable(gens, p, k):
+        group = _matrix_oracle(elements, gens, p, name)
+        if not gr.is_solvable(group):
             raise ValidationError("solvability", "H is not solvable")
         if field.order > FIELD_ORDER_CAP:
             raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
         fops = FieldOps(field)
         f_basis = fops.f_basis_among(mat_identity(k))
-        return cls(p, k, gens, elements, field, fops, f_basis, name)
+        return cls(p, k, elements, group, field, fops, f_basis, name)
 
     @property
     def order(self) -> int:
@@ -121,30 +121,9 @@ class HModule:
     def act(self, v: Vector, h_idx: int) -> Vector:
         return vec_mat(v, self.elements[h_idx], self.p)
 
-    def mul_idx(self, i: int, j: int) -> int:
-        return self.index[mat_mul(self.elements[i], self.elements[j], self.p)]
-
-    def inv_idx(self, i: int) -> int:
-        return self.index[mat_inv(self.elements[i], self.p)]
-
-    def centralizer_of(self, vectors) -> tuple[int, ...]:
+    def centralizer_of(self, vectors) -> int:
         vs = [v for v in vectors if any(v)]
-        return tuple(
-            i for i in range(self.order) if all(self.act(v, i) == v for v in vs)
-        )
-
-    def to_oracle(self) -> gr.OracleGroup:
-        if self._oracle is None:
-            p = self.p
-
-            def mul(a, b):
-                return mat_mul(a, b, p)
-
-            self._oracle = gr.from_elements(
-                list(self.elements), mul, f"{self.name}-oracle",
-                gen_elems=list(self.gens) or [self.elements[0]],
-            )
-        return self._oracle
+        return sum(1 << i for i in range(self.order) if all(self.act(v, i) == v for v in vs))
 
     def v_subspace_from_fcoords(self, frows) -> FpSubspace:
         """F-subspace of V given by RREF rows over F^{f_dim} (via f_basis)."""
@@ -158,33 +137,18 @@ class HModule:
         return self.fops.f_closure(vectors)
 
 
-def _matrix_group_solvable(gens, p, k) -> bool:
-    """Whether <gens> is solvable: walk the derived series until it reaches 1
-    or stops shrinking.  The next term is the normal closure of the current
-    generators' commutators, generated by the commutators and conjugates
-    that enlarge it (so each kept generator at least doubles it)."""
-    identity = mat_identity(k)
+def _matrix_oracle(elements, gens, p: int, name: str) -> gr.OracleGroup:
+    """The group of the matrices `elements` (identity first) over their
+    ids: the law multiplies two matrices and looks the product up, and the
+    inverses are looked up once.  Its gens are the ids of the non-identity
+    `gens`."""
+    index = {m: i for i, m in enumerate(elements)}
 
-    def mul(a, b):
-        return mat_mul(a, b, p)
+    def mul(a: int, b: int) -> int:
+        return index[mat_mul(elements[a], elements[b], p)]
 
-    current = list(gens)
-    order = len(gr._closure_of_objects(current, mul, identity, H_ORDER_CAP))
-    while order > 1:
-        pairs = [(g, mat_inv(g, p)) for g in current]
-        kept, members = [], {identity}
-        candidates = [mul(mul(ai, bi), mul(a, b)) for a, ai in pairs for b, bi in pairs]
-        while candidates:
-            for c in candidates:
-                if c not in members:
-                    kept.append(c)
-                    members = set(gr._closure_of_objects(kept, mul, identity, H_ORDER_CAP))
-            candidates = [y for x in kept for g, gi in pairs
-                          if (y := mul(mul(gi, x), g)) not in members]
-        if len(members) == order:
-            return False
-        current, order = kept, len(members)
-    return True
+    inv = array("i", [index[mat_inv(e, p)] for e in elements])
+    return gr.OracleGroup(len(elements), mul, name, tuple(i for g in gens if (i := index[g])), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +202,10 @@ class SdGroup:
             out += image
         return out
 
-    def _fixers(self, vectors, h_indices) -> tuple[int, ...]:
-        """The x in h_indices, in their order, fixing every given vector of V."""
-        out = []
-        for x in h_indices:
+    def _fixers(self, vectors, h_mask: int) -> int:
+        """The mask of the x in h_mask fixing every given vector of V."""
+        out = 0
+        for x in gr.mask_bits(h_mask):
             images = self._memo("act", x, dict)
             for v in vectors:
                 image = images.get(v)
@@ -250,18 +214,13 @@ class SdGroup:
                 if image != v:
                     break
             else:
-                out.append(x)
-        return tuple(out)
+                out |= 1 << x
+        return out
 
     def mul(self, a, b):
         w1, h1 = a
         w2, h2 = b
-        return (vec_add(self.act_w(w1, h2), w2, self.p), self.module.mul_idx(h1, h2))
-
-    def inverse(self, a):
-        w, h = a
-        hi = self.module.inv_idx(h)
-        return (vec_neg(self.act_w(w, hi), self.p), hi)
+        return (vec_add(self.act_w(w1, h2), w2, self.p), self.module.group.mul(h1, h2))
 
     def zero_w(self) -> Vector:
         return (0,) * self.wdim
@@ -341,10 +300,10 @@ class MaximalSupplement:
 
 @dataclass(frozen=True)
 class PartialIntersection:
-    """A subgroup W * X^v with X <= H given by sorted element indices."""
+    """A subgroup W * X^v with X <= H given by its mask."""
 
     submodule: FpSubspace
-    h_indices: tuple[int, ...]
+    h_mask: int
     translate: Vector
 
 
@@ -380,7 +339,7 @@ def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
     return out
 
 
-def descriptor_elements(G: SdGroup, submodule: FpSubspace, h_indices, translate) -> int:
+def descriptor_elements(G: SdGroup, submodule: FpSubspace, h_mask: int, translate) -> int:
     """Element set {(u + v - v^x, x) : u in U, x in X} of the descriptor
     subgroup U * X^v, as a bitmask in the id order of `embed_as_oracle`:
     bit w_id(w) * |H| + h is set exactly when (w, h) lies in the subgroup,
@@ -405,7 +364,7 @@ def descriptor_elements(G: SdGroup, submodule: FpSubspace, h_indices, translate)
     diffs_by_x = G._memo("shift", None, defaultdict, dict)
     # U_mask << x for every x sharing a shift is U_mask times their h bits
     h_bits_by_shift: dict = {}
-    for x in h_indices:
+    for x in gr.mask_bits(h_mask):
         diffs = diffs_by_x[x]
         shift = ()
         for block in blocks:
@@ -458,11 +417,11 @@ def _span_mask(p: int, rows, moves) -> int:
 
 
 def supplement_elements(G: SdGroup, M: MaximalSupplement) -> int:
-    return descriptor_elements(G, M.submodule, range(G.module.order), M.translate)
+    return descriptor_elements(G, M.submodule, (1 << G.module.order) - 1, M.translate)
 
 
 def partial_elements(G: SdGroup, K: PartialIntersection) -> int:
-    return descriptor_elements(G, K.submodule, K.h_indices, K.translate)
+    return descriptor_elements(G, K.submodule, K.h_mask, K.translate)
 
 
 def canonical_elements(G: SdGroup, ci: CanonicalIntersection) -> int:
@@ -470,8 +429,8 @@ def canonical_elements(G: SdGroup, ci: CanonicalIntersection) -> int:
     return descriptor_elements(G, ci.submodule, cen, ci.translate)
 
 
-def centralizer_in_h(G: SdGroup, z_space: FpSubspace) -> tuple[int, ...]:
-    return G._memo("centralizer", z_space, G._fixers, z_space.basis, range(G.module.order))
+def centralizer_in_h(G: SdGroup, z_space: FpSubspace) -> int:
+    return G._memo("centralizer", z_space, G._fixers, z_space.basis, (1 << G.module.order) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +527,9 @@ def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
     z = _add_row(G, rows, M)
     if z is None:
         U, v = _solution(G, rows)
-        return True, (PartialIntersection(U, K.h_indices, v), None)
-    cen = G._fixers((z,), K.h_indices)
-    if len(cen) == len(K.h_indices):
+        return True, (PartialIntersection(U, K.h_mask, v), None)
+    cen = G._fixers((z,), K.h_mask)
+    if cen == K.h_mask:
         return False, (K, None)
     return False, (PartialIntersection(K.submodule, cen, K.translate),
                    G._memo("line_rep", z, G.module.fops.canonical_line_rep, z))
@@ -651,7 +610,7 @@ def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersectio
         return False
     delta = vec_sub(a.translate, b.translate, G.p)
     return all(
-        a.submodule.contains(vec_sub(delta, G.act_w(delta, x), G.p)) for x in cen_a
+        a.submodule.contains(vec_sub(delta, G.act_w(delta, x), G.p)) for x in gr.mask_bits(cen_a)
     )
 
 
@@ -677,9 +636,9 @@ def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP):
 
     units = [tuple(1 if j == i else 0 for j in range(wdim)) for i in range(wdim)]
     images = [[w_id(G.act_w(e, h)) for e in units] for h in range(h_size)]
-    hmul = [[G.module.mul_idx(i, j) for j in range(h_size)] for i in range(h_size)]
-    oracle = gr.oracle_from_split_tables([p] * wdim, images, hmul, G.name,
-                                         h_gens=[g for g in G.module.gen_indices if g])
+    H = G.module.group
+    hmul = [[H.mul(i, j) for j in range(h_size)] for i in range(h_size)]
+    oracle = gr.oracle_from_split_tables([p] * wdim, images, hmul, G.name, h_gens=H.gens)
 
     def encode(w: Vector, h_idx: int) -> int:
         return w_id(w) * h_size + h_idx
@@ -834,9 +793,9 @@ def random_partial(G: SdGroup, rng) -> PartialIntersection:
     w = random_submodule(G, rng)
     seeds = [rng.randrange(G.module.order) for _ in range(rng.randrange(1, 3))]
     x_set = gr._closure_of_objects(
-        seeds, lambda a, b: G._memo("hmul", (a, b), G.module.mul_idx, a, b), 0)
+        seeds, lambda a, b: G._memo("hmul", (a, b), G.module.group.mul, a, b), 0)
     v = tuple(rng.randrange(G.p) for _ in range(G.wdim))
-    return PartialIntersection(w, tuple(sorted(x_set)), v)
+    return PartialIntersection(w, sum(1 << x for x in x_set), v)
 
 
 def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int):

@@ -59,9 +59,9 @@ class TowerPrimes:
             last = p
 
 
-def find_primes(n: int, strict: bool = False,
-                ceiling: int = PRIME_SEARCH_CEILING) -> TowerPrimes:
-    """Smallest admissible primes by increasing search."""
+def find_primes(n: int, strict: bool = False) -> TowerPrimes:
+    """Smallest admissible primes by increasing search, up to
+    PRIME_SEARCH_CEILING."""
     if n < 1:
         raise MalformedInput("tower level must be >= 1")
     primes: list[int] = []
@@ -74,8 +74,8 @@ def find_primes(n: int, strict: bool = False,
         p = (lower // step) * step + 1
         while p <= lower or not is_prime(p):
             p += step
-            if p > ceiling:
-                raise ResourceCapExceeded("prime search ceiling", ceiling)
+            if p > PRIME_SEARCH_CEILING:
+                raise ResourceCapExceeded("prime search ceiling", PRIME_SEARCH_CEILING)
         primes.append(p)
         prod *= p
     return TowerPrimes(n, tuple(primes), strict)
@@ -140,10 +140,10 @@ class TowerGroup:
     # -- oracle bridge
 
     def embed_as_oracle(self, cap: int = gr.DEFAULT_ORDER_CAP) -> gr.OracleGroup:
+        gr._check_embedding_order(self.order, cap)
         cached = self._cache.get("oracle")
         if cached is not None:
             return cached
-        gr._check_embedding_order(self.order, cap)
         # the unit vector e_m has id place_m, the product of the later
         # primes, and x^e maps it to zeta_m^e e_m
         places = [math.prod(self.primes.primes[m + 1:]) for m in range(self.n)]

@@ -7,8 +7,10 @@ centralizer one element at a time, integer roots and logarithms by
 bisection, the least eta product over every family of maximals, and the
 tower's element tuples ((a_1, ..., a_n), e) with their action and ids,
 closures and greedy generators closed from scratch, and the count tables
-tested one subgroup at a time.  The tests keep them to build independent
-references and test data, with a counter of the law calls an oracle makes.
+tested one subgroup at a time, the order of an element, the inverse in
+V^t x| H, and the map of a module isomorphism applied to a vector.  The
+tests keep them to build independent references and test data, with a
+counter of the law calls an oracle makes.
 """
 
 from contextlib import contextmanager
@@ -17,7 +19,7 @@ from itertools import product
 from solvint import groups as gr
 from solvint import tower
 from solvint.errors import MalformedInput
-from solvint.ffla import FpSubspace, _rref, express_in_rows, vec_sub
+from solvint.ffla import FpSubspace, _rref, express_in_rows, vec_mat, vec_sub
 
 
 def vec_scale(u, c, p):
@@ -96,6 +98,34 @@ def reference_power(G, a: int, e: int) -> int:
         a = G.mul(a, a)
         e >>= 1
     return result
+
+
+def order_of(G, a: int) -> int:
+    """The least k >= 1 with a^k = 1, one law call per power."""
+    k, x = 1, a
+    while x != 0:
+        x = G.mul(x, a)
+        k += 1
+    return k
+
+
+def sd_inverse(G, a):
+    """(w, h)^-1 = (-w^(h^-1), h^-1) in the sdp group G = V^t x| H."""
+    w, h = a
+    hi = G.module.group.inv(h)
+    return tuple(-x % G.p for x in G.act_w(w, hi)), hi
+
+
+def apply_module_map(iso, v):
+    """The image of v under the ModuleMap iso, in ambient coordinates."""
+    coords = iso.source.coords_of(v)
+    if coords is None:
+        raise MalformedInput("vector outside the source submodule")
+    p = iso.source.p
+    out = [0] * iso.target.ambient_dim
+    for c, row in zip(vec_mat(coords, iso.matrix, p), iso.target.basis):
+        out = [(x + c * y) % p for x, y in zip(out, row)]
+    return tuple(out)
 
 
 def reference_closure(G, gens) -> int:

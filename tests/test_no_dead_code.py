@@ -8,6 +8,13 @@ so one that a consolidation leaves behind is caught.  KEEP is the union of
 one named set per reason, and the bench-span set is checked against the
 span tables of bench/run.py.  A function that only tests call belongs in
 the tests, as a reference.
+
+Being named is not enough: code that only dead code names is dead too.  So
+every function and method must also be reached by name from a root: the
+CLI's `main`, the statements that run at import (module level and class
+bodies), the dunder methods that Python calls, the paper's results, and
+every name in the span tables of bench/run.py.  A reached function's body
+reaches the names it holds, until nothing new is reached.
 """
 
 import ast
@@ -20,24 +27,21 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "solvint"
 
 # the paper's results, reached only from tests: they are the reproduction
 PAPER_RESULTS = {
-    "realize_intersection", "crown_module_check", "subgroup_equal",
-    "is_gamma_module", "has_eta_property", "is_maximal_intersection",
+    "realize_intersection": "t* + d maximal supplements meeting in U * C_H(Z)",
+    "crown_module_check": "C/R is G-isomorphic to V^delta",
+    "subgroup_equal": "canonical triples are equal exactly when their subgroups are",
+    "is_gamma_module": "the gamma condition on the centralizers of H in V",
+    "has_eta_property": "the eta bound on intersections of maximal subgroups",
+    "is_maximal_intersection": "a subgroup is the meet of the maximals above it",
 }
 # named by the span tables of bench/run.py, whose traced run raises on a
 # span it cannot wrap; a name the tables drop must leave the package too
 BENCH_SPANS = {
     "mobius", "overgroups", "express_in_rows", "maximal_descriptors",
     "intersect_case_spanning", "intersect_case_nested", "find_corona_crown",
-    "subgroup_closure", "conjugate_mask",
+    "subgroup_closure", "conjugate_mask", "rref", "corpus_group",
 }
-# entry points of the public API that the tests and the benchmark call
-PUBLIC_API = {
-    "rref",  # the canonical span of row vectors
-    "corpus_group",  # one corpus group by name
-    "inverse", "order_of",  # element arithmetic of SdGroup and OracleGroup
-    "apply",  # the map that module_isomorphism returns
-}
-KEEP = PAPER_RESULTS | BENCH_SPANS | PUBLIC_API
+KEEP = PAPER_RESULTS.keys() | BENCH_SPANS
 
 
 def names_in(node):
@@ -58,14 +62,58 @@ def defs(tree):
                 yield sub
 
 
+def package_trees():
+    return [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+
+
 def unnamed_defs():
     """The names of the functions and methods that the package names
     nowhere outside their own bodies.  Names are compared, not bindings, so
     a method counts as named when any attribute of that name is read."""
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    trees = package_trees()
     named = Counter(name for tree in trees for name in names_in(tree))
     return {node.name for tree in trees for node in defs(tree)
             if named[node.name] == Counter(names_in(node))[node.name]}
+
+
+def reached_names(trees, span_names):
+    """Every name reached from the roots: the bodies of `main` and of the
+    dunder methods, what runs at import, PAPER_RESULTS and `span_names`,
+    then the body of every function or method whose name is reached."""
+    bodies: dict = {}
+    names = set(PAPER_RESULTS) | set(span_names) | {"main"}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                at_import, members = node.bases + node.decorator_list, node.body
+            else:
+                at_import, members = [], [node]
+            for sub in members:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    bodies.setdefault(sub.name, []).append(sub)
+                    # decorators and defaults run at import
+                    at_import += sub.decorator_list + sub.args.defaults + sub.args.kw_defaults
+                else:
+                    at_import.append(sub)
+            names.update(n for e in at_import if e is not None for n in names_in(e))
+    todo = list(names)
+    while todo:
+        for node in bodies.pop(todo.pop(), ()):
+            new = set(names_in(node)) - names
+            names |= new
+            todo += new
+    return names
+
+
+def test_every_function_is_reached_from_a_root():
+    trees = package_trees()
+    tables = module_constants(BENCH / "run.py", SPAN_TABLES)
+    # "ffla.rref" names rref; the prefix "ffla.FpSubspace." names its class
+    spans = {span.rstrip(".").rsplit(".", 1)[-1] for table in tables.values()
+             for names in table.values() for span in names}
+    reached = reached_names(trees, spans)
+    assert sorted(node.name for tree in trees for node in defs(tree)
+                  if node.name not in reached) == []
 
 
 def test_every_public_function_is_named_in_the_package_or_kept():

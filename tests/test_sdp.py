@@ -13,7 +13,8 @@ from solvint.errors import (
 )
 from solvint.ffla import FpSubspace, vec_add, vec_sub
 
-from references import all_subspaces, decompose, intersect, is_subspace_of, sum_with
+from references import (all_subspaces, decompose, intersect, is_subspace_of, order_of,
+                        sd_inverse, sum_with)
 
 
 def g_f5_c4(t=1):
@@ -54,8 +55,8 @@ def test_multiplication_convention():
     assert w == (2,) and h == 1
     ident = ((0,), 0)
     for x in [a, b, g.mul(a, b)]:
-        assert g.mul(x, g.inverse(x)) == ident
-        assert g.mul(g.inverse(x), x) == ident
+        assert g.mul(x, sd_inverse(g, x)) == ident
+        assert g.mul(sd_inverse(g, x), x) == ident
 
 
 def test_enumerate_maximal_supplements_counts():
@@ -89,11 +90,11 @@ def test_supplement_enumeration_is_complete():
         assert enumerated == oracle_sups, g.name
 
 
-def reference_elements(G, submodule, h_indices, translate) -> set:
+def reference_elements(G, submodule, h_mask, translate) -> set:
     """{(u + v - v^x, x)} as a set of (vector, h) tuples, one element at a time."""
     out = set()
     vectors = list(submodule.vectors())
-    for x in h_indices:
+    for x in gr.mask_bits(h_mask):
         shift = vec_sub(translate, G.act_w(translate, x), G.p)
         for u in vectors:
             out.add((vec_add(u, shift, G.p), x))
@@ -123,11 +124,11 @@ def test_descriptor_masks_match_reference(sdp_pool):
     rng = random.Random(2718)
     for g in sdp_pool:
         sups = sdp.enumerate_maximal_supplements(g)
-        descs = [(m.submodule, range(g.module.order), m.translate)
+        descs = [(m.submodule, (1 << g.module.order) - 1, m.translate)
                  for m in rng.sample(sups, min(len(sups), 40))]
         for _ in range(20):
             k = sdp.random_partial(g, rng)
-            descs.append((k.submodule, k.h_indices, k.translate))
+            descs.append((k.submodule, k.h_mask, k.translate))
         for desc in descs:
             ref = reference_elements(g, *desc)
             mask = sdp.descriptor_elements(g, *desc)
@@ -144,7 +145,7 @@ def test_case_spanning_spec_example():
     g2 = g_f5_c4(2)
     w1 = FpSubspace.from_vectors(5, 2, [(1, 0)])
     w2 = FpSubspace.from_vectors(5, 2, [(0, 1)])
-    all_h = tuple(range(4))
+    all_h = 0b1111  # all of H = C4
     # same translates: K cap M = H
     k = sdp.PartialIntersection(w1, all_h, (0, 0))
     m = sdp.MaximalSupplement(w2, (0, 0))
@@ -164,12 +165,12 @@ def test_case_spanning_spec_example():
 def test_case_dispatch_guard():
     g2 = g_f5_c4(2)
     w2 = FpSubspace.from_vectors(5, 2, [(0, 1)])
-    k = sdp.PartialIntersection(w2, tuple(range(4)), (0, 0))
+    k = sdp.PartialIntersection(w2, 0b1111, (0, 0))
     m = sdp.MaximalSupplement(w2, (0, 0))
     with pytest.raises(CaseDispatchError):
         sdp.intersect_case_spanning(g2, k, m)  # W1 = W2 cannot span
     w1 = FpSubspace.from_vectors(5, 2, [(1, 0)])
-    k = sdp.PartialIntersection(w1, tuple(range(4)), (0, 0))
+    k = sdp.PartialIntersection(w1, 0b1111, (0, 0))
     with pytest.raises(CaseDispatchError):
         sdp.intersect_case_nested(g2, k, m)  # W1 not inside W2
 
@@ -177,10 +178,10 @@ def test_case_dispatch_guard():
 def test_case_nested_spec_example():
     g = g_f5_c4(1)
     zero = FpSubspace.zero(5, 1)
-    k = sdp.PartialIntersection(zero, tuple(range(4)), (0,))
+    k = sdp.PartialIntersection(zero, 0b1111, (0,))
     m = sdp.MaximalSupplement(zero, (1,))
     res, witness = sdp.intersect_case_nested(g, k, m)
-    assert res.h_indices == (0,)
+    assert res.h_mask == 1  # the identity alone
     assert witness is not None
     assert sdp.partial_elements(g, res).bit_count() == 1
     assert sdp.partial_elements(g, res) == (
@@ -198,7 +199,7 @@ def reference_case_spanning(G, K, M):
     assert sum_with(W1, W2).dim == G.wdim
     _, b = decompose(W2, vec_sub(K.translate, M.translate, G.p), W1)
     meet = intersect(W1, W2)
-    return sdp.PartialIntersection(meet, K.h_indices,
+    return sdp.PartialIntersection(meet, K.h_mask,
                                    meet.reduce(vec_sub(K.translate, b, G.p)))
 
 
@@ -224,8 +225,8 @@ def reference_case_nested(G, K, M):
                      G.submodule_from_fvectors((line,)))
     pos = next(i for i, idx in enumerate(line) if idx)
     z = fops.act(u[pos * G.k:(pos + 1) * G.k], fops.inv_t[line[pos]])
-    cen = tuple(x for x in K.h_indices if G.module.act(z, x) == z)
-    if len(cen) == len(K.h_indices):
+    cen = sum(1 << x for x in gr.mask_bits(K.h_mask) if G.module.act(z, x) == z)
+    if cen == K.h_mask:
         return K, None
     return sdp.PartialIntersection(W1, cen, K.translate), fops.canonical_line_rep(z)
 
@@ -252,7 +253,7 @@ def reference_canonicalize(G, family):
     """The fold of a family through the pair references: spanning steps
     first, restarting the pass after each, then nested steps, with Z the
     F-span of the witnesses that shrank the H-part."""
-    cur = sdp.PartialIntersection(FpSubspace.full(G.p, G.wdim), tuple(range(G.module.order)),
+    cur = sdp.PartialIntersection(FpSubspace.full(G.p, G.wdim), (1 << G.module.order) - 1,
                                   G.zero_w())
     pending = list(family)
     while (m := next((m for m in pending if not is_subspace_of(cur.submodule, m.submodule)),
@@ -265,7 +266,7 @@ def reference_canonicalize(G, family):
         if z is not None:
             witnesses.append(z)
     z_space = G.module.fops.f_closure(witnesses)
-    assert tuple(sorted(cur.h_indices)) == sdp.centralizer_in_h(G, z_space)
+    assert cur.h_mask == sdp.centralizer_in_h(G, z_space)
     return sdp.CanonicalIntersection(cur.submodule, cur.submodule.reduce(cur.translate), z_space)
 
 
@@ -292,7 +293,7 @@ def test_canonicalize_matches_the_fold_of_the_pair_references(sdp_pool):
 def test_non_maximal_supplement_is_refused():
     g2 = g_f5_c4(2)
     line = FpSubspace.from_vectors(5, 2, [(1, 0)])
-    k = sdp.PartialIntersection(line, tuple(range(4)), (0, 0))
+    k = sdp.PartialIntersection(line, 0b1111, (0, 0))
     maximal = sdp.MaximalSupplement(line, (0, 1))
     for w in (FpSubspace.zero(5, 2), FpSubspace.full(5, 2)):
         m = sdp.MaximalSupplement(w, (0, 1))
@@ -324,7 +325,7 @@ def test_canonicalize_pair_spec_example():
     m1 = next(m for m in ms if m.translate == (1,))
     ci = sdp.canonicalize_intersection(g, [m0, m1])
     assert ci.submodule.dim == 0 and ci.z_space == FpSubspace.full(5, 1)
-    assert sdp.centralizer_in_h(g, ci.z_space) == (0,)
+    assert sdp.centralizer_in_h(g, ci.z_space) == 1  # the identity alone
 
 
 def test_canonicalize_matches_bruteforce_random(sdp_pool):
@@ -407,13 +408,13 @@ def test_realize_family_size_is_tstar_plus_d():
 def test_embed_as_oracle_examples():
     oracle, _ = sdp.embed_as_oracle(g_s3())
     assert oracle.n == 6
-    assert sorted(oracle.order_of(x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(order_of(oracle, x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
     h_only = sdp.SdGroup(g_f5_c4(1).module, 0)
     o2, _ = sdp.embed_as_oracle(h_only)
     assert o2.n == 4
     o3, _ = sdp.embed_as_oracle(g_f5_c4(1))
     assert o3.n == 20
-    assert sorted({o3.order_of(x) for x in range(20)}) == [1, 2, 4, 5]
+    assert sorted({order_of(o3, x) for x in range(20)}) == [1, 2, 4, 5]
 
 
 def test_index_law():
@@ -527,10 +528,10 @@ def reference_fixed_space_over(G, W):
     """{v : v^h - v in W for every generator h} as W plus the nullspace of
     the n^2 linear equations, one per (generator, coordinate of V^t/W)."""
     p, n = G.p, G.wdim
-    if n == 0 or not G.module.gen_indices:
+    if n == 0 or not G.module.group.gens:
         return FpSubspace.full(p, n)
     eq_rows = []
-    for g in G.module.gen_indices:
+    for g in G.module.group.gens:
         reds = []
         for i in range(n):
             e = tuple(1 if c == i else 0 for c in range(n))
@@ -682,4 +683,30 @@ def test_matrix_group_solvability_matches_the_derived_series_of_elements():
     assert expected[:len(named)] == [case[3] for case in named]
     for (p, k, gens), solvable in zip(cases, expected):
         mats = tuple(ffla.mat_mod(g, p) for g in gens)
-        assert sdp._matrix_group_solvable(mats, p, k) == solvable, (p, k, gens)
+        group = sdp._matrix_oracle(ordered_elements(reference_closure(p, k, gens), k), mats, p, "H")
+        assert gr.is_solvable(group) == solvable, (p, k, gens)
+
+
+def ordered_elements(members, k):
+    """The matrices of `members` in HModule's id order: the identity, then
+    the rest sorted by entries."""
+    identity = ffla.mat_identity(k)
+    return (identity,) + tuple(sorted(m for m in members if m != identity))
+
+
+def test_module_group_matches_the_table_of_its_elements(sdp_pool):
+    # the law and the inverses of module.group, cell by cell, against the
+    # |H|^2 table that groups.from_elements fills from matrix products
+    modules = {id(g.module): g.module for g in sdp_pool + corpus.primitive_groups()}
+    for module in modules.values():
+        H = module.group
+        table = gr.from_elements(list(module.elements),
+                                 lambda a, b: ffla.mat_mul(a, b, module.p), "table")
+        assert H.n == table.n == module.order
+        cells = [(a, b) for a in range(H.n) for b in range(H.n)]
+        assert [H.mul(a, b) for a, b in cells] == [table.mul(a, b) for a, b in cells], module.name
+        assert list(map(H.inv, range(H.n))) == list(map(table.inv, range(H.n))), module.name
+        assert module.elements[0] == ffla.mat_identity(module.k)
+        assert list(module.elements[1:]) == sorted(module.elements[1:])
+        assert all(H.gens)  # the ids of the non-identity generators
+        assert gr.closure_mask(H, H.gens) == (1 << H.n) - 1, module.name

@@ -8,8 +8,8 @@ from solvint import groups as gr
 from solvint.errors import MalformedInput
 from solvint.ffla import is_prime
 
-from references import (reference_class_representative, reference_towers, tower_act_w,
-                        tower_mask)
+from references import (order_of, reference_class_representative, reference_towers,
+                        tower_act_w, tower_mask)
 
 
 def test_find_primes_examples():
@@ -19,11 +19,12 @@ def test_find_primes_examples():
     assert tower.find_primes(2, strict=True).primes == (3, 13)
 
 
-def test_find_primes_ceiling():
+def test_find_primes_ceiling(monkeypatch):
     from solvint.errors import ResourceCapExceeded
 
+    monkeypatch.setattr(tower, "PRIME_SEARCH_CEILING", 100)
     with pytest.raises(ResourceCapExceeded):
-        tower.find_primes(5, strict=True, ceiling=100)
+        tower.find_primes(5, strict=True)
 
 
 def test_tower_primes_validation():
@@ -39,7 +40,17 @@ def test_level_one_is_symmetric_group_of_order_six():
     t1 = tower.TowerGroup(tower.find_primes(1))
     assert t1.order == 6
     oracle = t1.embed_as_oracle()
-    assert sorted(oracle.order_of(x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(order_of(oracle, x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
+
+
+def test_embed_as_oracle_checks_the_cap_before_its_cache():
+    from solvint.errors import ResourceCapExceeded
+
+    T = tower.TowerGroup(tower.find_primes(2))  # order 60
+    assert T.embed_as_oracle(100).n == 60
+    with pytest.raises(ResourceCapExceeded):
+        T.embed_as_oracle(10)  # a fresh level refuses this cap, and so does a cached one
+    assert T.embed_as_oracle(60).n == 60
 
 
 def test_zetas_have_exact_orders(tower3):
