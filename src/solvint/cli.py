@@ -194,6 +194,8 @@ def _fresh_oracles(groups: list[gr.OracleGroup]) -> list[gr.OracleGroup]:
 def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
     report = Report(f"verify:{suite}", _digest(doc) if doc else "corpus", seed)
     if suite == "interKM":
+        if doc:
+            raise SchemaError("the interKM suite runs on the corpus pool and takes no spec")
         pool = _fresh(corpus.sdp_pool(2000))
         pairs, fams, failures = sdp.random_case_suite(pool, 1000, 1000, seed)
         report.add("interKM", "pairs", "cases", pairs, "oracle")

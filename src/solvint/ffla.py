@@ -462,32 +462,6 @@ class FieldOps:
     def act(self, v: Vector, idx: int) -> Vector:
         return vec_mat(v, self.elements[idx], self.p)
 
-    def canonical_line_rep(self, v: Vector) -> Vector:
-        """Lex-least nonzero F-scalar multiple of v (canonical F-line rep)."""
-        cands = [self.act(v, i) for i in range(1, self.q)]
-        cands = [c for c in cands if any(c)]
-        return min(cands) if cands else tuple(v)
-
-    def f_closure(self, vectors) -> FpSubspace:
-        """F_p-span of the F-orbit of the given V-vectors (an F-subspace of V)."""
-        p, k = self.p, self.field.dim
-        rows = []
-        for v in vectors:
-            for m in self.field.basis:
-                rows.append(vec_mat(v, m, p))
-        return FpSubspace.from_vectors(p, k, rows)
-
-    def f_basis_among(self, vectors) -> tuple[Vector, ...]:
-        """The V-vectors outside the F-span of those picked before them: an
-        F-basis of the F-span of `vectors`, in their order."""
-        basis = []
-        span = FpSubspace.zero(self.p, self.field.dim)
-        for v in vectors:
-            if not span.contains(v):
-                basis.append(v)
-                span = self.f_closure(basis)
-        return tuple(basis)
-
 
 # ---------------------------------------------------------------------------
 # module isomorphisms

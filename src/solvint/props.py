@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import groups as gr
 from . import sdp
 from .errors import MalformedInput, ResourceCapExceeded
-from .ffla import FpSubspace
 
 PALFY_WOLF = Fraction(3243, 1000)
 
@@ -94,11 +93,13 @@ def floor_root_pow(n: int, num: int, den: int) -> int:
 
 @dataclass(frozen=True)
 class GammaWitness:
-    w_subspace: FpSubspace
+    """W and its least weak and strong witnesses W*, as F-RREF rows over F^f_dim."""
+
+    w_subspace: tuple
     weak_dim: int
-    weak_witness: FpSubspace
+    weak_witness: tuple
     strong_dim: int
-    strong_witness: FpSubspace
+    strong_witness: tuple
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,10 @@ def gamma_min(module: sdp.HModule) -> GammaReport:
         raise ResourceCapExceeded(f"F-subspace enumeration with |F|={module.fops.q}", GAMMA_FIELD_CAP)
     H = module.group
     maximal_masks = gr.maximal_subgroups(H)
-
-    by_dim: list[list[tuple[FpSubspace, int]]] = []
-    for d in range(f + 1):
-        level = []
-        for rows in module.fops.subspaces(f, d):
-            space = module.v_subspace_from_fcoords(rows)
-            level.append((space, module.centralizer_of(space.basis)))
-        by_dim.append(level)
+    # F commutes with H, so C_H(W) fixes the vector of each F-row of W only
+    full = (1 << H.n) - 1
+    by_dim = [[(rows, module.centralizer_of([module.vector_of(r) for r in rows], full))
+               for rows in module.fops.subspaces(f, d)] for d in range(f + 1)]
 
     witnesses = []
     weak_max = 0
@@ -412,27 +409,20 @@ class CountBoundReport:
     ok: bool
 
 
-def check_subgroup_count_bound(G: gr.OracleGroup, eta: Fraction | None = None,
-                               alpha: Fraction | None = None) -> CountBoundReport:
+def check_subgroup_count_bound(G: gr.OracleGroup) -> CountBoundReport:
     """c_n <= (n^eta (n^eta+1)/2) n^(eta alpha) for all n dividing |G|.
 
-    When not supplied, alpha is the exact milli-floor of max_k log_k m_k
-    and eta the exact milli-floor of eta_min(G); the bound is evaluated at
-    these lower approximations, so a pass certifies the inequality at the
-    true (eta_min, alpha_min)."""
+    alpha is the exact milli-floor of max_k log_k m_k and eta the exact
+    milli-floor of eta_min(G); the bound is evaluated at these lower
+    approximations, so a pass certifies the inequality at the true
+    (eta_min, alpha_min)."""
     table = gr.counts(G).as_dict()
-    if alpha is None:
-        best = 0
-        for k, (m_k, _b, _c) in table.items():
-            if m_k >= 1:
-                best = max(best, floor_log_ratio(m_k, k, 1000))
-        alpha = Fraction(best, 1000)
-    else:
-        for k, (m_k, _b, _c) in table.items():
-            if m_k > 0 and m_k**alpha.denominator > k ** (alpha.numerator):
-                raise MalformedInput(f"alpha too small: m_{k} = {m_k} exceeds {k}^alpha")
-    if eta is None:
-        eta = Fraction(max(eta_report(G).max_floor_times(1000, 1), 1000), 1000)
+    best = 0
+    for k, (m_k, _b, _c) in table.items():
+        if m_k >= 1:
+            best = max(best, floor_log_ratio(m_k, k, 1000))
+    alpha = Fraction(best, 1000)
+    eta = Fraction(max(eta_report(G).max_floor_times(1000, 1), 1000), 1000)
     rows = []
     ok = True
     for n in sorted(table):

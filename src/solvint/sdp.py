@@ -54,7 +54,6 @@ IRREDUCIBILITY_LINE_CAP = 4096
 # FieldOps tabulates |F|^2 sums and products of the endomorphism field F; the
 # corpus and the benchmark catalogue reach |F| = 25 and the tests 7^3 = 343
 FIELD_ORDER_CAP = 512
-FVECTOR_ENUM_CAP = 200000
 # a spec's V^t has p^(k t) >= 2^(k t) elements, too many for any order cap
 # that fits in memory once k t passes this
 SPEC_DIMENSION_CAP = 64
@@ -68,18 +67,19 @@ FAMILY_MAX = 5
 
 class HModule:
     """A solvable matrix group H <= GL(k, p) acting faithfully and
-    irreducibly on V = F_p^k, with its endomorphism field.  `group` is H as
-    an oracle over the ids of `elements`, and a subgroup of H is a mask
-    over those ids."""
+    irreducibly on V = F_p^k, with its endomorphism field F.  `group` is H as
+    an oracle over the ids of `elements`, a subgroup of H is a mask over
+    those ids, and an F-subspace of V is held as the F-RREF of `fcoords`."""
 
-    def __init__(self, p, k, elements, group, field, fops, f_basis, name):
+    def __init__(self, p, k, elements, group, field, fops, frame, name):
         self.p = p
         self.k = k
         self.elements = elements  # identity first, rest sorted by entries
         self.group: gr.OracleGroup = group
         self.field: EndField = field
         self.fops: FieldOps = fops
-        self.f_basis = f_basis  # F-basis of V, deterministic
+        self.frame: Matrix = frame  # row i*e + j is b_i * field.basis[j], b_i an F-basis of V
+        self.frame_inv: Matrix = mat_inv(frame, p)
         self.f_dim = k // field.degree
         self.name = name
 
@@ -110,31 +110,34 @@ class HModule:
             raise ValidationError("solvability", "H is not solvable")
         if field.order > FIELD_ORDER_CAP:
             raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
-        fops = FieldOps(field)
-        f_basis = fops.f_basis_among(mat_identity(k))
-        return cls(p, k, elements, group, field, fops, f_basis, name)
+        # the unit vectors outside the F-span of those taken before them
+        frame: Matrix = ()
+        for u in identity:
+            if not FpSubspace.from_vectors(p, k, frame).contains(u):
+                frame += tuple(vec_mat(u, b, p) for b in field.basis)
+        return cls(p, k, elements, group, field, FieldOps(field), frame, name)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def act(self, v: Vector, h_idx: int) -> Vector:
-        return vec_mat(v, self.elements[h_idx], self.p)
+    def fcoords(self, v: Vector) -> tuple[int, ...]:
+        """The F-coordinates a_i of v = sum_i b_i * a_i: the base-p digits of
+        v * frame_inv, e at a time, each read as a FieldOps element index."""
+        c, e, p = vec_mat(v, self.frame_inv, self.p), self.field.degree, self.p
+        return tuple(sum(c[i + j] * p ** (e - 1 - j) for j in range(e))
+                     for i in range(0, self.k, e))
 
-    def centralizer_of(self, vectors) -> int:
-        vs = [v for v in vectors if any(v)]
-        return sum(1 << i for i in range(self.order) if all(self.act(v, i) == v for v in vs))
+    def vector_of(self, frow) -> Vector:
+        """The vector of V with F-coordinates `frow`, inverse to `fcoords`."""
+        e, p = self.field.degree, self.p
+        return vec_mat([idx // p ** (e - 1 - j) % p for idx in frow for j in range(e)],
+                       self.frame, p)
 
-    def v_subspace_from_fcoords(self, frows) -> FpSubspace:
-        """F-subspace of V given by RREF rows over F^{f_dim} (via f_basis)."""
-        vectors = []
-        for row in frows:
-            v = (0,) * self.k
-            for pos, idx in enumerate(row):
-                if idx:
-                    v = vec_add(v, self.fops.act(self.f_basis[pos], idx), self.p)
-            vectors.append(v)
-        return self.fops.f_closure(vectors)
+    def centralizer_of(self, vectors, h_mask: int) -> int:
+        """The mask of the x in h_mask fixing every vector of the list `vectors`."""
+        return sum(1 << x for x in gr.mask_bits(h_mask)
+                   if all(vec_mat(v, self.elements[x], self.p) == v for v in vectors))
 
 
 def _matrix_oracle(elements, gens, p: int, name: str) -> gr.OracleGroup:
@@ -202,26 +205,6 @@ class SdGroup:
             out += image
         return out
 
-    def _fixers(self, vectors, h_mask: int) -> int:
-        """The mask of the x in h_mask fixing every given vector of V."""
-        out = 0
-        for x in gr.mask_bits(h_mask):
-            images = self._memo("act", x, dict)
-            for v in vectors:
-                image = images.get(v)
-                if image is None:
-                    image = images[v] = vec_mat(v, self.module.elements[x], self.p)
-                if image != v:
-                    break
-            else:
-                out |= 1 << x
-        return out
-
-    def mul(self, a, b):
-        w1, h1 = a
-        w2, h2 = b
-        return (vec_add(self.act_w(w1, h2), w2, self.p), self.module.group.mul(h1, h2))
-
     def zero_w(self) -> Vector:
         return (0,) * self.wdim
 
@@ -229,40 +212,29 @@ class SdGroup:
 
     def submodule_from_fvectors(self, frows) -> FpSubspace:
         """H-submodule of V^t spanned by the images of V under the maps
-        x -> (x*s_1, ..., x*s_t), s running over the given F^t rows, whose
-        F-RREF is recorded as the submodule's F-rows."""
+        x -> (x*s_1, ..., x*s_t), s running over the given F-RREF rows of
+        F^t, which are recorded as the submodule's F-rows; MalformedInput
+        for rows not in F-RREF."""
         return self._memo("fspan", tuple(frows), self._span_fvectors, frows)
 
     def _span_fvectors(self, frows) -> FpSubspace:
         # for s_i in F-RREF with pivot c_i, the rows e_j * s_i (row j of the
         # matrix of each entry) are in RREF already, with pivots k*c_i + j
-        rows, pivots = self.module.fops.f_rref(frows, self.t)
+        pivots = _f_rref_pivots(self.module.fops, frows, self.t)
         elements, k = self.module.fops.elements, self.k
         W = FpSubspace(self.p, self.wdim,
                        tuple(tuple(x for idx in s for x in elements[idx][j])
-                             for s in rows for j in range(k)),
+                             for s in frows for j in range(k)),
                        tuple(k * c + j for c in pivots for j in range(k)))
-        self._memo("fvec", W, tuple, rows)
+        self._memo("fvec", W, tuple, frows)
         return W
 
     def fvectors_of_submodule(self, W: FpSubspace):
-        """F-rows spanning the F-subspace of F^t corresponding to W: those
-        `submodule_from_fvectors` built W from, else the F-RREF basis found
-        by enumeration, which raises if W is not an H-submodule of V^t."""
-        return self._memo("fvec", W, self._fvectors_of, W)
-
-    def _fvectors_of(self, W: FpSubspace):
-        fops = self.module.fops
-        q, t, k = fops.q, self.t, self.k
-        if q**t > FVECTOR_ENUM_CAP:
-            raise ResourceCapExceeded("F^t vector enumeration", FVECTOR_ENUM_CAP)
-        elements = fops.elements
-        members = [s for s in iter_product(range(q), repeat=t)
-                   if all(W.contains(tuple(x for idx in s for x in elements[idx][j]))
-                          for j in range(k))]
-        rows, _ = fops.f_rref(members, t)
-        if self.submodule_from_fvectors(rows) != W:
-            raise RealizationError("subspace is not an H-submodule of V^t")
+        """The F-RREF rows of F^t that `submodule_from_fvectors` built W
+        from on this group; MalformedInput for a W it did not build."""
+        rows = self._cache.get("fvec", {}).get(W)
+        if rows is None:
+            raise MalformedInput("the submodule was not built from F-rows on this group")
         return rows
 
     def maximal_submodules(self) -> list[FpSubspace]:
@@ -309,11 +281,12 @@ class PartialIntersection:
 
 @dataclass(frozen=True)
 class CanonicalIntersection:
-    """The triple (U, v, Z) representing U * C_{H^v}(Z)."""
+    """The triple (U, v, Z) representing U * C_{H^v}(Z), with Z given by
+    its F-RREF rows over F^f_dim."""
 
     submodule: FpSubspace
     translate: Vector
-    z_space: FpSubspace
+    z_space: tuple
 
 
 def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
@@ -429,8 +402,13 @@ def canonical_elements(G: SdGroup, ci: CanonicalIntersection) -> int:
     return descriptor_elements(G, ci.submodule, cen, ci.translate)
 
 
-def centralizer_in_h(G: SdGroup, z_space: FpSubspace) -> int:
-    return G._memo("centralizer", z_space, G._fixers, z_space.basis, (1 << G.module.order) - 1)
+def centralizer_in_h(G: SdGroup, z_space) -> int:
+    """C_H(Z) for Z given by its F-RREF rows.  It fixes the vector of each
+    row only: F commutes with H, so an element fixing z fixes every
+    F-multiple of z, and so all of Z."""
+    module = G.module
+    return G._memo("centralizer", z_space, lambda: module.centralizer_of(
+        [module.vector_of(r) for r in z_space], (1 << module.order) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +422,21 @@ def centralizer_in_h(G: SdGroup, z_space: FpSubspace) -> int:
 # are held as {pivot column: (phi, c)}, fully reduced with leading entry one.
 
 
+def _f_rref_pivots(fops: FieldOps, rows, n: int) -> list[int]:
+    """The leading columns of `rows`, or MalformedInput unless they are in F-RREF over F^n."""
+    pivots = [next((c for c, x in enumerate(row) if x), None) for row in rows]
+    if (None in pivots or pivots != sorted(set(pivots))
+            or not all(len(row) == n and all(0 <= x < fops.q for x in row) for row in rows)
+            or any(row[c] != (fops.one if i == j else 0)
+                   for i, c in enumerate(pivots) for j, row in enumerate(rows))):
+        raise MalformedInput(f"rows are not in F-RREF over F^{n}")
+    return pivots
+
+
 def _f_nullspace(fops: FieldOps, rows, t: int):
     """F-RREF (rows, pivots) of {s in F^t : sum_j s_j phi_j = 0 for every phi
     in `rows`}, for rows in F-RREF."""
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    pivots = _f_rref_pivots(fops, rows, t)
     basis = []
     for f in range(t):
         if f not in pivots:
@@ -461,9 +450,8 @@ def _f_nullspace(fops: FieldOps, rows, t: int):
 
 def _annihilator(G: SdGroup, W: FpSubspace):
     """(phis, pivots, P): the F-RREF phi with W the common kernel of the
-    pi_phi, and P with v*P the concatenated pi_phi(v).  W's F-rows are
-    already in F-RREF, as both `_span_fvectors` and `_fvectors_of` record
-    them."""
+    pi_phi, and P with v*P the concatenated pi_phi(v), from W's
+    recorded F-RREF rows."""
     fops = G.module.fops
     phis, pivots = _f_nullspace(fops, G.fvectors_of_submodule(W), G.t)
     P = tuple(tuple(x for phi in phis for x in fops.elements[phi[b]][r])
@@ -528,11 +516,12 @@ def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
     if z is None:
         U, v = _solution(G, rows)
         return True, (PartialIntersection(U, K.h_mask, v), None)
-    cen = G._fixers((z,), K.h_mask)
+    module = G.module
+    cen = module.centralizer_of((z,), K.h_mask)
     if cen == K.h_mask:
         return False, (K, None)
-    return False, (PartialIntersection(K.submodule, cen, K.translate),
-                   G._memo("line_rep", z, G.module.fops.canonical_line_rep, z))
+    ((line,), _) = module.fops.f_rref([module.fcoords(z)], module.f_dim)
+    return False, (PartialIntersection(K.submodule, cen, K.translate), line)
 
 
 def intersect_case_spanning(G: SdGroup, K: PartialIntersection,
@@ -550,8 +539,8 @@ def intersect_case_nested(G: SdGroup, K: PartialIntersection, M: MaximalSuppleme
     """K cap M when K's submodule lies inside M's: the H-part shrinks to the
     centralizer of the witness z.
 
-    Returns (descriptor, witness) where witness is the canonical F-line
-    representative of z, or None when K is unchanged.
+    Returns (descriptor, witness) where witness is the F-line of z as its
+    one F-RREF row, or None when K is unchanged.
     """
     spanning, out = _pair_step(G, K, M)
     if spanning:
@@ -567,24 +556,27 @@ def intersect_supplement(G: SdGroup, K: PartialIntersection, M: MaximalSupplemen
 
 def canonicalize_intersection(G: SdGroup, supplements) -> CanonicalIntersection:
     """Closed form (U, v, Z) of an intersection of maximal supplements: their
-    rows reduced in order give U and v, and Z is the F-span of the witnesses."""
+    rows reduced in order give U and v, and Z is the F-span of the witnesses,
+    as the F-RREF of their F-coordinates."""
     ms = list(supplements)
     if not ms:
         raise MalformedInput("canonicalize_intersection requires a nonempty family")
     rows: dict = {}
-    witnesses = [z for m in ms if (z := _add_row(G, rows, m)) is not None]
-    return CanonicalIntersection(*_solution(G, rows), G.module.fops.f_closure(witnesses))
+    module = G.module
+    witnesses = [module.fcoords(z) for m in ms if (z := _add_row(G, rows, m)) is not None]
+    return CanonicalIntersection(*_solution(G, rows),
+                                 module.fops.f_rref(witnesses, module.f_dim)[0])
 
 
-def realize_intersection(G: SdGroup, U: FpSubspace, Z: FpSubspace) -> list[MaximalSupplement]:
+def realize_intersection(G: SdGroup, U: FpSubspace, Z) -> list[MaximalSupplement]:
     """A family of exactly t* + d maximal supplements intersecting in
     U * C_H(Z), where t* is the codimension of U over F and d = dim_F Z: the
     rows (phi_i, 0) for the F-annihilator phi_1..phi_t* of U, then (phi_1, z)
-    for an F-basis z of Z, each read back as a supplement."""
-    fops = G.module.fops
-    z_basis = fops.f_basis_among(Z.basis)
-    if fops.f_closure(z_basis) != Z:
-        raise MalformedInput("Z is not closed under the endomorphism field")
+    for the vector z of each F-RREF row of Z, each read back as a
+    supplement."""
+    module = G.module
+    _f_rref_pivots(module.fops, Z, module.f_dim)
+    z_basis = [module.vector_of(r) for r in Z]
     phis, pivots, _ = G._memo("ann", U, _annihilator, G, U)
     if not phis and z_basis:
         raise RealizationError(
@@ -602,7 +594,7 @@ def realize_intersection(G: SdGroup, U: FpSubspace, Z: FpSubspace) -> list[Maxim
 def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersection) -> bool:
     """Exact subgroup equality of two canonical triples (algebraic: sizes,
     submodules, centralizers and translate congruence)."""
-    if a.submodule != b.submodule or a.z_space.dim != b.z_space.dim:
+    if a.submodule != b.submodule or len(a.z_space) != len(b.z_space):
         return False
     cen_a = centralizer_in_h(G, a.z_space)
     cen_b = centralizer_in_h(G, b.z_space)

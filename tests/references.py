@@ -7,9 +7,10 @@ centralizer one element at a time, integer roots and logarithms by
 bisection, the least eta product over every family of maximals, and the
 tower's element tuples ((a_1, ..., a_n), e) with their action and ids,
 closures and greedy generators closed from scratch, and the count tables
-tested one subgroup at a time, the order of an element, the inverse in
-V^t x| H, and the map of a module isomorphism applied to a vector.  The
-tests keep them to build independent references and test data, with a
+tested one subgroup at a time, the order of an element, the product and
+the inverse in V^t x| H, the F_p-span of the F-multiples of vectors of V,
+and the map of a module isomorphism applied to a vector.  The tests keep
+them to build independent references and test data, with a
 counter of the law calls an oracle makes.
 """
 
@@ -19,7 +20,7 @@ from itertools import product
 from solvint import groups as gr
 from solvint import tower
 from solvint.errors import MalformedInput
-from solvint.ffla import FpSubspace, _rref, express_in_rows, vec_mat, vec_sub
+from solvint.ffla import FpSubspace, _rref, express_in_rows, vec_add, vec_mat, vec_sub
 
 
 def vec_scale(u, c, p):
@@ -109,11 +110,27 @@ def order_of(G, a: int) -> int:
     return k
 
 
+def sd_mul(G, a, b):
+    """(w1, h1)(w2, h2) = (w1^h2 + w2, h1 h2) in the sdp group G = V^t x| H."""
+    w1, h1 = a
+    w2, h2 = b
+    return vec_add(G.act_w(w1, h2), w2, G.p), G.module.group.mul(h1, h2)
+
+
 def sd_inverse(G, a):
     """(w, h)^-1 = (-w^(h^-1), h^-1) in the sdp group G = V^t x| H."""
     w, h = a
     hi = G.module.group.inv(h)
     return tuple(-x % G.p for x in G.act_w(w, hi)), hi
+
+
+def f_span(fops, vectors) -> FpSubspace:
+    """The F_p-span of the F-multiples of the given vectors of V: the
+    F-subspace they span, by one F_p elimination of every v * beta for the
+    basis beta of F over F_p."""
+    p, k = fops.p, fops.field.dim
+    return FpSubspace.from_vectors(p, k, [vec_mat(v, m, p) for v in vectors
+                                          for m in fops.field.basis])
 
 
 def apply_module_map(iso, v):

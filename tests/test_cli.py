@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvint import cli, corpus, props, sdp
+from solvint import cli, corpus, ffla, props, sdp
 from solvint import groups as gr
 
 
@@ -329,6 +329,29 @@ def test_interkm_requests_are_cold(monkeypatch):
     report = cli.cmd_verify(None, "interKM", gr.DEFAULT_ORDER_CAP, 5)
     assert report.failures == 0
     assert cache_sizes() == before
+
+
+def test_verify_interkm_refuses_a_spec(spec_dir, capsys):
+    # the suite runs on the corpus pool, so a spec, even one without p, k
+    # or t, is refused rather than ignored
+    (spec_dir / "bare-sdp.json").write_text(json.dumps({"kind": "sdp"}))
+    for spec in ("bare-sdp.json", "f20.json"):
+        code, out, err = run(capsys, "verify", "--suite", "interKM",
+                             "--spec", str(spec_dir / spec))
+        assert (code, out) == (2, ""), spec
+        assert err.strip().splitlines() == [
+            "schema error: the interKM suite runs on the corpus pool and takes no spec"]
+
+
+def test_interkm_request_runs_no_fp_elimination(monkeypatch):
+    # the calculus keeps every F-subspace as F-RREF rows, so once the pool
+    # is set up a request makes no F_p row reduction at all
+    corpus.sdp_pool(2000)
+    calls = []
+    rref = ffla._rref
+    monkeypatch.setattr(ffla, "_rref", lambda *args: calls.append(1) or rref(*args))
+    assert cli.cmd_verify(None, "interKM", gr.DEFAULT_ORDER_CAP, 0).failures == 0
+    assert len(calls) == 0
 
 
 def test_thuno_and_propo_requests_without_a_spec_are_cold(monkeypatch):

@@ -11,10 +11,10 @@ from solvint.errors import (
     ResourceCapExceeded,
     ValidationError,
 )
-from solvint.ffla import FpSubspace, vec_add, vec_sub
+from solvint.ffla import FpSubspace, vec_add, vec_mat, vec_sub
 
-from references import (all_subspaces, decompose, intersect, is_subspace_of, order_of,
-                        sd_inverse, sum_with)
+from references import (all_subspaces, decompose, f_span, intersect, is_subspace_of, order_of,
+                        sd_inverse, sd_mul, sum_with)
 
 
 def g_f5_c4(t=1):
@@ -51,12 +51,12 @@ def test_multiplication_convention():
     a = ((1,), 0)
     b = ((0,), 1)
     # (w1, h1)(w2, h2) = (w1^{h2} + w2, h1 h2)
-    w, h = g.mul(a, b)
+    w, h = sd_mul(g, a, b)
     assert w == (2,) and h == 1
     ident = ((0,), 0)
-    for x in [a, b, g.mul(a, b)]:
-        assert g.mul(x, sd_inverse(g, x)) == ident
-        assert g.mul(sd_inverse(g, x), x) == ident
+    for x in [a, b, sd_mul(g, a, b)]:
+        assert sd_mul(g, x, sd_inverse(g, x)) == ident
+        assert sd_mul(g, sd_inverse(g, x), x) == ident
 
 
 def test_enumerate_maximal_supplements_counts():
@@ -143,8 +143,11 @@ def test_descriptor_masks_match_reference(sdp_pool):
 
 def test_case_spanning_spec_example():
     g2 = g_f5_c4(2)
-    w1 = FpSubspace.from_vectors(5, 2, [(1, 0)])
-    w2 = FpSubspace.from_vectors(5, 2, [(0, 1)])
+    one = g2.module.fops.one
+    w1 = g2.submodule_from_fvectors([(one, 0)])
+    w2 = g2.submodule_from_fvectors([(0, one)])
+    assert (w1, w2) == (FpSubspace.from_vectors(5, 2, [(1, 0)]),
+                        FpSubspace.from_vectors(5, 2, [(0, 1)]))
     all_h = 0b1111  # all of H = C4
     # same translates: K cap M = H
     k = sdp.PartialIntersection(w1, all_h, (0, 0))
@@ -164,12 +167,13 @@ def test_case_spanning_spec_example():
 
 def test_case_dispatch_guard():
     g2 = g_f5_c4(2)
-    w2 = FpSubspace.from_vectors(5, 2, [(0, 1)])
+    one = g2.module.fops.one
+    w2 = g2.submodule_from_fvectors([(0, one)])
     k = sdp.PartialIntersection(w2, 0b1111, (0, 0))
     m = sdp.MaximalSupplement(w2, (0, 0))
     with pytest.raises(CaseDispatchError):
         sdp.intersect_case_spanning(g2, k, m)  # W1 = W2 cannot span
-    w1 = FpSubspace.from_vectors(5, 2, [(1, 0)])
+    w1 = g2.submodule_from_fvectors([(one, 0)])
     k = sdp.PartialIntersection(w1, 0b1111, (0, 0))
     with pytest.raises(CaseDispatchError):
         sdp.intersect_case_nested(g2, k, m)  # W1 not inside W2
@@ -177,12 +181,12 @@ def test_case_dispatch_guard():
 
 def test_case_nested_spec_example():
     g = g_f5_c4(1)
-    zero = FpSubspace.zero(5, 1)
+    zero = g.submodule_from_fvectors(())
     k = sdp.PartialIntersection(zero, 0b1111, (0,))
     m = sdp.MaximalSupplement(zero, (1,))
     res, witness = sdp.intersect_case_nested(g, k, m)
     assert res.h_mask == 1  # the identity alone
-    assert witness is not None
+    assert witness == (g.module.fops.one,)  # the F-line of z = 1, as its F-RREF row
     assert sdp.partial_elements(g, res).bit_count() == 1
     assert sdp.partial_elements(g, res) == (
         sdp.partial_elements(g, k) & sdp.supplement_elements(g, m)
@@ -225,10 +229,23 @@ def reference_case_nested(G, K, M):
                      G.submodule_from_fvectors((line,)))
     pos = next(i for i, idx in enumerate(line) if idx)
     z = fops.act(u[pos * G.k:(pos + 1) * G.k], fops.inv_t[line[pos]])
-    cen = sum(1 << x for x in gr.mask_bits(K.h_mask) if G.module.act(z, x) == z)
+    cen = sum(1 << x for x in gr.mask_bits(K.h_mask)
+              if vec_mat(z, G.module.elements[x], G.p) == z)
     if cen == K.h_mask:
         return K, None
-    return sdp.PartialIntersection(W1, cen, K.translate), fops.canonical_line_rep(z)
+    return sdp.PartialIntersection(W1, cen, K.translate), z
+
+
+def is_f_rref(module, rows) -> bool:
+    return tuple(rows) == module.fops.f_rref(rows, module.f_dim)[0]
+
+
+def same_witness(module, row, z) -> bool:
+    """The pair step's witness row and the reference's z span one F-line."""
+    if row is None or z is None:
+        return row is z
+    return (len(row) == module.f_dim and is_f_rref(module, [row])
+            and f_span(module.fops, [module.vector_of(row)]) == f_span(module.fops, [z]))
 
 
 def test_calculus_steps_match_the_decomposition_reference(sdp_pool):
@@ -240,19 +257,22 @@ def test_calculus_steps_match_the_decomposition_reference(sdp_pool):
             k = sdp.random_partial(g, rng)
             for m in sups:
                 if is_subspace_of(k.submodule, m.submodule):
-                    expected = reference_case_nested(g, k, m)
+                    expected, z = reference_case_nested(g, k, m)
                     cases["nested"] += 1
                 else:
-                    expected = reference_case_spanning(g, k, m), None
+                    expected, z = reference_case_spanning(g, k, m), None
                     cases["spanning"] += 1
-                assert sdp.intersect_supplement(g, k, m) == expected, (g.name, k, m)
+                got, row = sdp.intersect_supplement(g, k, m)
+                assert got == expected, (g.name, k, m)
+                assert same_witness(g.module, row, z), (g.name, k, m)
     assert min(cases.values()) > 1000, cases
 
 
 def reference_canonicalize(G, family):
     """The fold of a family through the pair references: spanning steps
     first, restarting the pass after each, then nested steps, with Z the
-    F-span of the witnesses that shrank the H-part."""
+    F_p-span of the F-multiples of the witnesses that shrank the H-part:
+    (U, v, Z, X) with X the H-part the fold ends with."""
     cur = sdp.PartialIntersection(FpSubspace.full(G.p, G.wdim), (1 << G.module.order) - 1,
                                   G.zero_w())
     pending = list(family)
@@ -265,9 +285,8 @@ def reference_canonicalize(G, family):
         cur, z = reference_case_nested(G, cur, m)
         if z is not None:
             witnesses.append(z)
-    z_space = G.module.fops.f_closure(witnesses)
-    assert cur.h_mask == sdp.centralizer_in_h(G, z_space)
-    return sdp.CanonicalIntersection(cur.submodule, cur.submodule.reduce(cur.translate), z_space)
+    return (cur.submodule, cur.submodule.reduce(cur.translate),
+            f_span(G.module.fops, witnesses), cur.h_mask)
 
 
 def test_canonicalize_matches_the_fold_of_the_pair_references(sdp_pool):
@@ -285,17 +304,26 @@ def test_canonicalize_matches_the_fold_of_the_pair_references(sdp_pool):
                 pool = [m for m in avail if m.submodule in pair]
             fam = [pool[rng.randrange(len(pool))] for _ in range(1 + case % 5)]
             ci = sdp.canonicalize_intersection(g, fam)
-            assert ci == reference_canonicalize(g, fam), (g.name, fam)
-            z_dims.add(ci.z_space.dim // g.module.field.degree)
+            module = g.module
+            assert is_f_rref(module, ci.z_space) and all(len(r) == module.f_dim
+                                                         for r in ci.z_space)
+            z_span = f_span(module.fops, map(module.vector_of, ci.z_space))
+            got = (ci.submodule, ci.translate, z_span, sdp.centralizer_in_h(g, ci.z_space))
+            assert got == reference_canonicalize(g, fam), (g.name, fam)
+            z_dims.add(len(ci.z_space))
     assert z_dims == {0, 1, 2}
 
 
 def test_non_maximal_supplement_is_refused():
     g2 = g_f5_c4(2)
-    line = FpSubspace.from_vectors(5, 2, [(1, 0)])
+    one = g2.module.fops.one
+    line = g2.submodule_from_fvectors([(one, 0)])
     k = sdp.PartialIntersection(line, 0b1111, (0, 0))
     maximal = sdp.MaximalSupplement(line, (0, 1))
-    for w in (FpSubspace.zero(5, 2), FpSubspace.full(5, 2)):
+    zero = g2.submodule_from_fvectors(())
+    full = g2.submodule_from_fvectors([(one, 0), (0, one)])
+    assert (zero, full) == (FpSubspace.zero(5, 2), FpSubspace.full(5, 2))
+    for w in (zero, full):
         m = sdp.MaximalSupplement(w, (0, 1))
         with pytest.raises(CaseDispatchError):
             sdp.intersect_supplement(g2, k, m)
@@ -309,7 +337,7 @@ def test_canonicalize_single_supplement():
     for m in sdp.enumerate_maximal_supplements(g):
         ci = sdp.canonicalize_intersection(g, [m])
         assert ci.submodule == m.submodule
-        assert ci.z_space.dim == 0
+        assert ci.z_space == ()
         assert sdp.canonical_elements(g, ci) == sdp.supplement_elements(g, m)
 
 
@@ -324,7 +352,7 @@ def test_canonicalize_pair_spec_example():
     m0 = next(m for m in ms if m.translate == (0,))
     m1 = next(m for m in ms if m.translate == (1,))
     ci = sdp.canonicalize_intersection(g, [m0, m1])
-    assert ci.submodule.dim == 0 and ci.z_space == FpSubspace.full(5, 1)
+    assert ci.submodule.dim == 0 and ci.z_space == ((g.module.fops.one,),)  # Z = V
     assert sdp.centralizer_in_h(g, ci.z_space) == 1  # the identity alone
 
 
@@ -345,19 +373,35 @@ def test_canonicalize_matches_bruteforce_random(sdp_pool):
 
 def test_realize_spec_examples():
     g = g_f5_c4(1)
+    one = g.module.fops.one
+    full, zero = g.submodule_from_fvectors([(one,)]), g.submodule_from_fvectors(())
     # U = V^t, Z = 0: the empty family (meaning G)
-    assert sdp.realize_intersection(g, FpSubspace.full(5, 1), FpSubspace.zero(5, 1)) == []
+    assert sdp.realize_intersection(g, full, ()) == []
     # U = V^t with nonzero Z is flagged
     with pytest.raises(RealizationError):
-        sdp.realize_intersection(g, FpSubspace.full(5, 1), FpSubspace.full(5, 1))
+        sdp.realize_intersection(g, full, [(one,)])
     # U = 0, Z = F_5: two descriptors with translates 0 and 1
-    fam = sdp.realize_intersection(g, FpSubspace.zero(5, 1), FpSubspace.full(5, 1))
+    fam = sdp.realize_intersection(g, zero, [(one,)])
     assert len(fam) == 2 and {m.translate for m in fam} == {(0,), (1,)}
     # t = 2, U a coordinate line, Z = 0: a single descriptor
     g2 = g_f5_c4(2)
-    u = FpSubspace.from_vectors(5, 2, [(1, 0)])
-    fam = sdp.realize_intersection(g2, u, FpSubspace.zero(5, 1))
+    u = g2.submodule_from_fvectors([(one, 0)])
+    assert u == FpSubspace.from_vectors(5, 2, [(1, 0)])
+    fam = sdp.realize_intersection(g2, u, ())
     assert len(fam) == 1 and fam[0].submodule == u
+
+
+def test_realize_rejects_z_rows_not_in_f_rref():
+    # F_3^2 x| SL(2,3): F = F_3 and dim_F V = 2
+    g = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))])
+    fops = g.module.fops
+    one, two = fops.one, fops.neg_t[fops.one]
+    zero = g.submodule_from_fvectors(())
+    assert len(sdp.realize_intersection(g, zero, [(one, two)])) == 2
+    for z in ([(two, one)], [(one, two), (0, one)], [(0, one), (one, 0)], [(one, 0), (one, 0)],
+              [(0, 0)], [(one,)], [(one, 0, 0)], [(one, fops.q)]):
+        with pytest.raises(MalformedInput):
+            sdp.realize_intersection(g, zero, z)
 
 
 def test_realize_round_trip_enumerated():
@@ -371,12 +415,11 @@ def test_realize_round_trip_enumerated():
     for g in instances:
         fops = g.module.fops
         u_list = [g.submodule_from_fvectors(rows) for rows in all_subspaces(fops, g.t)]
-        z_list = [g.module.v_subspace_from_fcoords(rows)
-                  for rows in all_subspaces(fops, g.module.f_dim)]
+        z_list = list(all_subspaces(fops, g.module.f_dim))
         for u in u_list:
             t_star = g.t - u.dim // g.k
             for z in z_list:
-                d = z.dim // g.module.field.degree
+                d = len(z)
                 if t_star == 0 and d > 0:
                     with pytest.raises(RealizationError):
                         sdp.realize_intersection(g, u, z)
@@ -399,8 +442,8 @@ def test_realize_round_trip_enumerated():
 
 def test_realize_family_size_is_tstar_plus_d():
     g2 = g_f5_c4(2)
-    u = FpSubspace.zero(5, 2)
-    z = FpSubspace.full(5, 1)
+    u = g2.submodule_from_fvectors(())
+    z = [(g2.module.fops.one,)]
     fam = sdp.realize_intersection(g2, u, z)
     assert len(fam) == 2 + 1  # t* = 2, d = 1
 
@@ -544,8 +587,9 @@ def reference_fixed_space_over(G, W):
 
 def test_submodule_from_fvectors_matches_the_fp_span(sdp_pool):
     # seeded F^t rows, zero, dependent and unreduced ones included, on cold
-    # groups: the span built from the F-RREF equals the F_p elimination of
-    # every e_j * s_i, and the F-RREF is recorded as W's F-rows
+    # groups: the span built from their F-RREF equals the F_p elimination of
+    # every e_j * s_i, and the F-RREF is recorded as W's F-rows; rows not
+    # in F-RREF are refused
     rng = random.Random(2718)
     unreduced = 0
     for g in sdp_pool:
@@ -558,10 +602,50 @@ def test_submodule_from_fvectors_matches_the_fp_span(sdp_pool):
             vectors = [tuple(x for idx in s for x in fops.elements[idx][j])
                        for s in rows for j in range(g.k)]
             fresh = sdp.SdGroup(g.module, g.t)
-            W = fresh.submodule_from_fvectors(rows)
+            if reduced != tuple(rows):
+                with pytest.raises(MalformedInput):
+                    fresh.submodule_from_fvectors(rows)
+            W = fresh.submodule_from_fvectors(reduced)
             assert W == FpSubspace.from_vectors(g.p, g.wdim, vectors), (g.name, rows)
             assert fresh.fvectors_of_submodule(W) == reduced
     assert unreduced > 400
+
+
+def test_fvectors_of_submodule_refuses_a_submodule_built_elsewhere(sdp_pool):
+    # only the F-rows recorded on the group are read back
+    g = next(g for g in sdp_pool if g.t == 2 and g.k == 2)
+    W = g.maximal_submodules()[0]
+    assert g.fvectors_of_submodule(W) == g.module.fops.hyperplanes(2)[0]
+    # a fresh group over the same module has built nothing yet, and W does
+    # not even lie in V^3
+    for other in (sdp.SdGroup(g.module, g.t), sdp.SdGroup(g.module, 3)):
+        with pytest.raises(MalformedInput):
+            other.fvectors_of_submodule(W)
+    # an F_p line of V^2 is no submodule, so no F-rows built it
+    line = FpSubspace.from_vectors(g.p, g.wdim, [(0, 0, 0, 1)])
+    with pytest.raises(MalformedInput):
+        g.fvectors_of_submodule(line)
+
+
+def test_frame_coordinates_are_f_linear_and_invert_vector_of(sdp_pool):
+    # every v of V comes back from its F-coordinates, and the coordinates
+    # of u + v and of v * a are the sums and the products over F
+    modules = {id(g.module): g.module for g in sdp_pool + corpus.primitive_groups()}
+    shapes = set()
+    for module in modules.values():
+        fops, p = module.fops, module.p
+        shapes.add((module.field.degree, module.f_dim))
+        assert len(module.frame) == module.k
+        coords = {v: module.fcoords(v) for v in FpSubspace.full(p, module.k).vectors()}
+        for v, c in coords.items():
+            assert len(c) == module.f_dim and all(0 <= x < fops.q for x in c)
+            assert module.vector_of(c) == v, (module.name, v)
+            for a in range(fops.q):
+                assert coords[fops.act(v, a)] == tuple(fops.mul_t[x][a] for x in c), module.name
+            for u, d in coords.items():
+                assert (coords[vec_add(u, v, p)]
+                        == tuple(fops.add_t[x][y] for x, y in zip(d, c))), module.name
+    assert shapes == {(1, 1), (2, 1), (3, 1), (1, 2)}
 
 
 def test_fixed_space_closed_form_matches_reference(sdp_pool):
@@ -609,7 +693,7 @@ def test_trivial_acting_group_edge():
     assert len(ms) == 3
     assert all(m.translate == (0, 0) for m in ms)
     ci = sdp.canonicalize_intersection(g, ms)
-    assert ci.submodule.dim == 0 and ci.z_space.dim == 0
+    assert ci.submodule.dim == 0 and ci.z_space == ()
     assert sdp.canonical_elements(g, ci) == 1
 
 
