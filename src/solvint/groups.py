@@ -16,7 +16,9 @@ extension (Neubueser 1960) run up to conjugacy, as GAP's
 extended, and each new extension brings in its whole orbit.  Conjugation
 carries extensions to extensions: if T = <S, g> with S normal of prime
 index in T and S = R^x, then T^(x^-1) = <R, g^(x^-1)> extends R.  So every
-class is reached from the extended member of the class below it.
+class is reached from the extended member of the class below it.  The
+orbit pass also gives the normaliser (orbit-stabiliser, Schreier
+generators), and the candidates are read off it with no test.
 
 Conjugation by g is an automorphism of the lattice that fixes G, so
 Moebius values, maximality and being a maximal intersection are the same
@@ -342,7 +344,7 @@ def oracle_from_split_tables(radices, images, hmul, name: str, h_gens=()) -> Ora
 # closures and elementary subgroup machinery
 
 
-def _closures(G: OracleGroup, candidates):
+def _closures(G: OracleGroup, candidates, start=(1, (0,))):
     """Adjoin each candidate not yet inside to the subgroup generated so
     far, yielding (candidate, mask of the new subgroup) after each one.
 
@@ -353,9 +355,16 @@ def _closures(G: OracleGroup, candidates):
     h0 r s = (h0 h) r' lies in K too: K holds 1 and is closed under right
     multiplication by the generators, so K = <gens, x> (each r is a
     product of generators).  A step costs one law call per new element
-    and one per (coset, generator) pair, and H is never walked again."""
+    and one per (coset, generator) pair, and H is never walked again.
+
+    `start` = (mask, members) of a subgroup H0 to grow from, in place of
+    1; its own generators are not needed when every candidate normalises
+    it.  Then so does each r, and for t in H0, Hr t = H (r t r^-1) r = Hr
+    with r t r^-1 in H0 <= H: K is closed under right multiplication by
+    H0 as well, so K = <H0, gens, x>."""
     mul = G.mul
-    mask, members, gens = 1, [0], []
+    mask, members = start
+    gens = []
     for x in candidates:
         if (mask >> x) & 1:
             continue
@@ -413,20 +422,66 @@ def conjugate_mask(G: OracleGroup, mask: int, g: int) -> int:
     return sum(map(bit, map(image, mask_bits(mask))))
 
 
+def _conjugates(G: OracleGroup, mask: int, members):
+    """The orbit of the subgroup T = (mask, members) under G.gens, walked
+    from T with the conjugation tables and no law call.
+
+    Returns the masks of the conjugates c_0 = T, c_1, ..., the tree edge
+    (i, g) through which each c_k, k >= 1, was first met (c_k = c_i^g), and
+    every other edge (i, g, j) with c_i^g = c_j.  A conjugate is keyed by
+    the frozenset of its members, and its mask is built once, when it is
+    new."""
+    images, bit = _conjugation(G, G.gens)
+    index = {frozenset(members): 0}
+    conjugates = [members]
+    masks, tree, edges = [mask], [None], []
+    for i, c_members in enumerate(conjugates):  # grows while it is walked
+        for g, image in zip(G.gens, images):
+            d = frozenset(map(image, c_members))
+            j = index.setdefault(d, len(masks))
+            if j == len(masks):
+                conjugates.append(d)
+                masks.append(sum(map(bit, d)))
+                tree.append((i, g))
+            else:
+                edges.append((i, g, j))
+    return masks, tree, edges
+
+
 def _orbit(G: OracleGroup, mask: int) -> set[int]:
     """The conjugates of the subgroup `mask` (its orbit under G.gens)."""
-    images, bit = _conjugation(G, G.gens)
-    orbit = {mask}
-    stack = [list(mask_bits(mask))]
-    while stack:
-        members = stack.pop()
-        for image in images:
-            c_members = list(map(image, members))
-            c = sum(map(bit, c_members))
-            if c not in orbit:
-                orbit.add(c)
-                stack.append(c_members)
-    return orbit
+    return set(_conjugates(G, mask, tuple(mask_bits(mask)))[0])
+
+
+def _orbit_and_normaliser(G: OracleGroup, mask: int, members) -> tuple[list[int], int]:
+    """The conjugates of the subgroup T = (mask, members), as in `_orbit`,
+    and its normaliser N = N_G(T), from one walk of the orbit.
+
+    Conjugation is a right action, T^(ab) = (T^a)^b, and the gens generate
+    G, so the walk meets every conjugate.  The stabiliser of T is N, so
+    |orbit| = |G:N| (orbit-stabiliser).  Each conjugate c = T^(u_c) gets
+    u_c = u_i g from its tree edge (one law call).  For every other edge
+    c_i^g = c_j, the Schreier generator u_i g u_j^-1 maps T to c_j and
+    back, so it lies in N; by Schreier's lemma these generate N.  N grows
+    from T (T <= N) by them through `_closures`, which needs no generators
+    of T since each of them normalises T, and stops once |N| = |G|/|orbit|:
+    a subgroup of N of that order is N.  An orbit of size 1 gives N = G and
+    |G|/|orbit| = |T| gives N = T, both with no law call."""
+    masks, tree, edges = _conjugates(G, mask, members)
+    norm_order = G.n // len(masks)
+    if norm_order == G.n:
+        return masks, (1 << G.n) - 1
+    norm = mask
+    if norm_order > len(members):
+        mul, inv = G.mul, G._inv
+        u = [0]
+        for i, g in tree[1:]:
+            u.append(mul(u[i], g))
+        schreier = (mul(mul(u[i], g), inv[u[j]]) for i, g, j in edges)
+        for _, norm in _closures(G, schreier, (mask, members)):
+            if norm.bit_count() == norm_order:
+                break
+    return masks, norm
 
 
 def _is_normal(G: OracleGroup, mask: int) -> bool:
@@ -521,8 +576,9 @@ def _canonical_key(mask: int):
 
 def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
     """Every subgroup of a solvable G, canonically ordered; the conjugacy
-    classes come out of the same pass into `G._cache["classes"]`, and each
-    subgroup's least conjugate into `G._cache["least_conjugate"]`.
+    classes come out of the same pass into `G._cache["classes"]`, each
+    subgroup's least conjugate into `G._cache["least_conjugate"]`, and the
+    normaliser of each extended class member into `G._cache["normaliser"]`.
 
     Cyclic extension (Neubueser 1960), run up to conjugacy as GAP's
     `LatticeByCyclicExtension` does: the lattice is generated bottom-up by
@@ -535,11 +591,15 @@ def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
     <R, g^(x^-1)> is a cyclic extension of R, so T's class is reached
     from R.
 
-    The normalising test runs once per right coset of S: (sg)^-1 S (sg) =
-    g^-1 S g for every s in S, so sg normalises S exactly when g does.  A
-    failing g therefore clears all of Sg from the candidates; the elements
-    it skips would each have failed the test, so the extensions are the
-    ones the per-candidate test finds.
+    The orbit pass of T also gives N_G(T) (`_orbit_and_normaliser`), so the
+    candidates for S are read off masks with no test: the g in N_G(S) - S
+    with g^p in S.  Such a g gives <S, g> = S<g> = S u Sg u ... u Sg^(p-1),
+    of order p|S| and inside N_G(S), so only the p dividing |N_G(S):S| are
+    tried.  A candidate g inside a known subgroup d of order p|S| with
+    S <= d gives S<g> = d (g in d - S normalises S with g^p in S, and S<g>
+    <= d has d's order): before S is extended by p, every such d is
+    cleared from the candidates, and so is every member of a new orbit
+    that contains S.  Each extension computed is then a new class.
 
     Each class is represented by its least member in the lattice order.
     LATTICE_CAP is checked after each orbit is added, and an orbit has at
@@ -551,48 +611,47 @@ def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
             raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
         n = G.n
         mul = G.mul
-        inv = G._inv
+        _, bit = _conjugation(G, ())  # x -> 2^x
         # roots[p][x]: mask of the g with g^p = x
         roots = {p: [0] * n for p in prime_factors(n)}
         for p, masks in roots.items():
             for g, x in enumerate(G.power_table(p)):
                 masks[x] |= 1 << g
+        full = (1 << n) - 1
         class_of = {1: 0}  # lattice mask -> number of its class
         sizes = [1]  # class sizes by number
-        queue = [(1, [0], ())]  # (mask, members, generators), one per class
-        for s_mask, s_members, s_gens in queue:  # extended while it is walked
-            for p in prime_factors(n // len(s_members)):
+        by_order: dict[int, list[int]] = {}  # the lattice so far, by order
+        normalisers = {1: full}
+        queue = [(1, [0], full)]  # (mask, members, normaliser), one per class
+        for s_mask, s_members, s_norm in queue:  # extended while it is walked
+            order = len(s_members)
+            for p in prime_factors(s_norm.bit_count() // order):
+                known = by_order.setdefault(p * order, [])
                 root_masks = roots[p]
                 candidates = 0
                 for s in s_members:
                     candidates |= root_masks[s]
-                candidates &= ~s_mask
+                candidates &= s_norm & ~s_mask
+                for d in known:
+                    if d & s_mask == s_mask:
+                        candidates &= ~d
                 while candidates:
                     g = (candidates & -candidates).bit_length() - 1
-                    candidates ^= 1 << g
-                    gi = inv[g]
-                    if any(not (s_mask >> mul(mul(gi, s), g)) & 1 for s in s_gens):
-                        coset = 0
-                        for s in s_members:
-                            coset |= 1 << mul(s, g)
-                        candidates &= ~coset
-                        continue
-                    t_mask = s_mask
-                    new_members = []
-                    x = g
+                    t_members = list(s_members)
+                    coset = s_members
                     for _ in range(1, p):
-                        for s in s_members:
-                            y = mul(s, x)
-                            t_mask |= 1 << y
-                            new_members.append(y)
-                        x = mul(x, g)
-                    candidates &= ~t_mask
-                    if t_mask in class_of:
-                        continue
-                    orbit = _orbit(G, t_mask)
+                        coset = [mul(y, g) for y in coset]
+                        t_members += coset
+                    t_mask = s_mask | sum(map(bit, t_members[order:]))
+                    orbit, t_norm = _orbit_and_normaliser(G, t_mask, t_members)
+                    for c in orbit:
+                        if c & s_mask == s_mask:
+                            candidates &= ~c
                     class_of.update(dict.fromkeys(orbit, len(sizes)))
                     sizes.append(len(orbit))
-                    queue.append((t_mask, s_members + new_members, s_gens + (g,)))
+                    known += orbit
+                    normalisers[t_mask] = t_norm
+                    queue.append((t_mask, t_members, t_norm))
                     if len(class_of) > LATTICE_CAP:
                         raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
         lattice = tuple(sorted(class_of, key=_canonical_key))
@@ -601,6 +660,7 @@ def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
             reps.setdefault(class_of[s], s)
         G._cache["classes"] = tuple((s, sizes[c]) for c, s in reps.items())
         G._cache["least_conjugate"] = {s: reps[c] for s, c in class_of.items()}
+        G._cache["normaliser"] = normalisers
         cached = G._cache["lattice"] = lattice
     return cached
 

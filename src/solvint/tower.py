@@ -19,7 +19,7 @@ mask(D_(m+1) x ... x D_n x E) << (a place_m 2^n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -261,7 +261,7 @@ class TowerCounts:
     primes: tuple[int, ...]
     gamma_tilde_formula: int       # closed form printed alongside the oracle
     beta_tilde_bound: int
-    gamma_tilde_structural: int
+    gamma_tilde_structural: int | None
     gamma_tilde_oracle: int | None
     beta_tilde_oracle: int | None
     ratio_bound: Fraction
@@ -281,27 +281,31 @@ def _oracle_class_data(T: TowerGroup, cap: int):
     return oracle, data
 
 
+def _capped_counts(n: int, primes: tuple[int, ...]) -> TowerCounts:
+    """The closed forms of level n, with every oracle column None."""
+    return TowerCounts(n, primes, (1 << (n - 1)) * (n + 2) - 1, (1 << (n + 1)) - 1, None,
+                       None, None, Fraction(4, n + 2), None, None, None)
+
+
 def tilde_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> TowerCounts:
     """Conjugacy-class counts of proper maximal intersections (gamma) and
     nonzero-Moebius classes (beta); the oracle values are authoritative and
-    the closed formula is compared, not assumed."""
-    n = T.n
-    formula = (1 << (n - 1)) * (n + 2) - 1
-    beta_bound = (1 << (n + 1)) - 1
-    structural = len(classify_intersections(T))
-    ratio = Fraction(4, n + 2)
+    the closed formula is compared, not assumed.  The structural count is
+    taken once the oracle data exists: a capped level carries None there."""
+    counts = _capped_counts(T.n, T.primes.primes)
     try:
         oracle, data = _oracle_class_data(T, cap)
     except ResourceCapExceeded:
-        return TowerCounts(n, T.primes.primes, formula, beta_bound, structural,
-                           None, None, ratio, None, None, None)
+        return counts
+    structural = len(classify_intersections(T))
     gamma_oracle = sum(1 for _rep, _s, _mu, is_mi in data if is_mi)
     beta_oracle = sum(1 for _rep, _s, mu_v, _mi in data if mu_v != 0)
-    return TowerCounts(
-        n, T.primes.primes, formula, beta_bound, structural,
-        gamma_oracle, beta_oracle, ratio,
-        formula == gamma_oracle, structural == gamma_oracle,
-        beta_oracle <= beta_bound,
+    return replace(
+        counts, gamma_tilde_structural=structural, gamma_tilde_oracle=gamma_oracle,
+        beta_tilde_oracle=beta_oracle,
+        formula_agrees_oracle=counts.gamma_tilde_formula == gamma_oracle,
+        structural_agrees_oracle=structural == gamma_oracle,
+        beta_bound_holds=beta_oracle <= counts.beta_tilde_bound,
     )
 
 
@@ -351,7 +355,12 @@ def ratio_table(n_min: int, n_max: int, strict: bool = False,
     rows = []
     for n in range(n_min, n_max + 1):
         primes = find_primes(n, strict)
-        counts = tilde_counts(TowerGroup(primes), cap)
+        try:  # before TowerGroup fills its n 2^n zeta powers
+            gr._check_embedding_order((1 << n) * math.prod(primes.primes), cap)
+        except ResourceCapExceeded:
+            counts = _capped_counts(n, primes.primes)
+        else:
+            counts = tilde_counts(TowerGroup(primes), cap)
         provenance = "oracle" if counts.gamma_tilde_oracle is not None else "formula"
         rows.append((n, primes.primes, counts, provenance))
     return rows

@@ -760,3 +760,47 @@ def test_orbit_matches_conjugates_by_every_element(corpus_list, small_pool_oracl
         for _, orbit in classes_of(g):
             for s in orbit:
                 assert gr._orbit(g, s) == orbit, g.name
+
+
+def test_memoised_normalisers_match_conjugation_by_every_element(lattice_oracles):
+    # the normaliser of each extended class member, against the x with
+    # S^x = S from conjugation by every element; one member per class
+    oracles, _, _ = lattice_oracles
+    for g in oracles:
+        try:
+            classes = gr.conjugacy_classes_of_subgroups(g)
+        except ResourceCapExceeded:
+            assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
+            continue
+        normalisers = g._cache["normaliser"]
+        least = g._cache["least_conjugate"]
+        assert sorted(least[s] for s in normalisers) == sorted(s for s, _ in classes), g.name
+        conj = reference_conjugation(g)
+        for s, norm in normalisers.items():
+            members = list(gr.mask_bits(s))
+            expected = sum(1 << x for x, images in enumerate(conj)
+                           if all((s >> images[y]) & 1 for y in members))
+            assert norm == expected, g.name
+
+
+def test_cold_lattice_of_order_2040_takes_under_32000_law_calls(tower3):
+    # the power tables, the solvability test and the conjugation tables
+    # included; testing each candidate for normalising S and computing
+    # every extension took 46,439
+    g = tower3.embed_as_oracle()
+    cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
+    with counting_law_calls(cold) as calls:
+        lattice = gr.all_subgroups(cold)
+    assert calls[0] < 32000, calls
+    assert lattice == gr.all_subgroups(g)
+
+
+def test_orbit_with_conjugation_tables_makes_no_law_call(corpus_list, tower3):
+    # normal_core walks orbits and must not pay for a normaliser
+    for g in list(corpus_list[:8]) + [tower3.embed_as_oracle()]:
+        gr._conjugation(g, g.gens)
+        masks = [s for s, _ in gr.conjugacy_classes_of_subgroups(g)]
+        with counting_law_calls(g) as calls:
+            orbits = [gr._orbit(g, s) for s in masks]
+        assert calls == [0], g.name
+        assert all(s in orbit for s, orbit in zip(masks, orbits)), g.name

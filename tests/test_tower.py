@@ -182,6 +182,27 @@ def test_ratio_table_formula_columns():
     assert rows[0][2].ratio_bound == Fraction(4, 8)
 
 
+def test_ratio_table_builds_no_level_over_the_order_cap(monkeypatch):
+    # a capped level gets its closed forms without TowerGroup's n 2^n zeta
+    # powers or the structural class list
+    def refuse(*args):
+        raise AssertionError("a capped level was built")
+
+    monkeypatch.setattr(tower, "TowerGroup", refuse)
+    monkeypatch.setattr(tower, "classify_intersections", refuse)
+    primes = (3, 5, 17, 97, 193, 257, 641, 769, 7681, 12289, 18433, 40961, 65537, 114689,
+              163841, 786433)
+    closed_forms = {14: (131071, 32767, Fraction(1, 4)), 15: (278527, 65535, Fraction(4, 17)),
+                    16: (589823, 131071, Fraction(2, 9))}
+    rows = tower.ratio_table(14, 16, cap=gr.DEFAULT_ORDER_CAP)
+    assert [(n, p, provenance) for n, p, _, provenance in rows] == [
+        (n, primes[:n], "formula") for n in (14, 15, 16)]
+    for n, p, tc, _ in rows:
+        gamma, beta, ratio = closed_forms[n]
+        assert tc == tower.TowerCounts(n, p, gamma, beta, None, None, None, ratio,
+                                       None, None, None), n
+
+
 def test_ratio_table_strict_primes():
     rows = tower.ratio_table(2, 3, strict=True, cap=1)
     assert rows[0][1] == (3, 13)
