@@ -15,7 +15,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -68,7 +67,7 @@ def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
         oracle, _ = sdp.embed_as_oracle(g, cap)
         return oracle
     if kind == "tower":
-        return _tower_from_spec(doc, cap).embed_as_oracle(cap)
+        return _tower_from_spec(doc, cap).embed_as_oracle()
     table = doc.get("table")
     if not (isinstance(table, list) and table and all(
             isinstance(row, list) and len(row) == len(table)
@@ -92,9 +91,7 @@ def _tower_from_spec(doc: dict, cap: int) -> tower.TowerGroup:
         if type(n) is not int or n < 1:
             raise SchemaError("tower spec needs an integer 'n' >= 1 or explicit 'primes'")
         tp = tower.find_primes(n, strict)
-    # every tower request embeds G; refuse before TowerGroup builds 2^n powers of each root
-    gr._check_embedding_order(math.prod(tp.primes) << tp.n, cap)
-    return tower.TowerGroup(tp)
+    return tower.TowerGroup(tp, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +225,21 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
             report.add("propo", g.name, "alpha", _fr(rep.alpha), "oracle")
             report.check("propo", g.name, rep.ok)
     elif suite == "tower":
-        t = _tower_from_spec(doc, cap) if doc else tower.TowerGroup(tower.find_primes(2))
+        t = _tower_from_spec(doc, cap) if doc else tower.TowerGroup(tower.find_primes(2), cap)
         expected = {2: 1}
         for p in t.primes.primes:
             expected[p] = p
         report.check("tower", "maximal index counts",
-                     tower.maximal_index_counts(t, cap) == expected)
-        for cls, mu_val, ok in tower.verify_mu_zero(t, cap):
+                     tower.maximal_index_counts(t) == expected)
+        for cls, mu_val, ok in tower.verify_mu_zero(t):
             label = f"Z[{' '.join(str(j) for j in sorted(cls.j_set))}]i={cls.level}"
             report.add("tower", label, "mu", mu_val, "oracle")
             report.check("tower", label, ok)
         report.check("tower", "families intersect to classes",
                      tower.verify_realizing_families(t))
         report.check("tower", "structural classes equal oracle classes",
-                     tower.structural_matches_oracle(t, cap))
-        tc = tower.tilde_counts(t, cap)
+                     tower.structural_matches_oracle(t))
+        tc = tower.tilde_counts(t)
         report.add("tower", "counts", "gamma_formula", tc.gamma_tilde_formula, "formula")
         report.add("tower", "counts", "gamma_structural", tc.gamma_tilde_structural, "structural")
         report.add("tower", "counts", "gamma_oracle", tc.gamma_tilde_oracle, "oracle")

@@ -320,26 +320,13 @@ def is_irreducible(generators, p: int, k: int) -> bool:
 # endomorphism field of an irreducible module
 
 
-@dataclass(frozen=True)
-class EndField:
-    """The centralizer field F = End_H(V) of an irreducible action.
-
-    `basis` spans the centralizer algebra over F_p; `FieldOps` checks that
-    it is a field when it tabulates the inverses.
-    """
-
-    p: int
-    dim: int
-    degree: int
-    basis: tuple[Matrix, ...]
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.degree
+# bounds FieldOps's q^2 tables; the catalogue reaches |F| = 25, the tests 2^9
+FIELD_ORDER_CAP = 512
 
 
-def endomorphism_field(generators, p: int, k: int) -> EndField:
-    """Solve X*g = g*X for all generators and package the resulting field."""
+def endomorphism_field(generators, p: int, k: int) -> "FieldOps":
+    """Solve X*g = g*X for all generators and tabulate the resulting field,
+    refusing one above FIELD_ORDER_CAP before any table is built."""
     if not is_irreducible(generators, p, k):
         raise ValidationError("irreducibility", "H does not act irreducibly on V")
     basis = tuple(
@@ -349,7 +336,9 @@ def endomorphism_field(generators, p: int, k: int) -> EndField:
     e = len(basis)
     if k % e != 0:
         raise ValidationError("irreducibility", "centralizer dimension does not divide k")
-    return EndField(p=p, dim=k, degree=e, basis=basis)
+    if p**e > FIELD_ORDER_CAP:
+        raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
+    return FieldOps(p, k, basis)
 
 
 def _intertwiners(rho_a, rho_b, p: int, d: int):
@@ -369,44 +358,61 @@ def _intertwiners(rho_a, rho_b, p: int, d: int):
     return nullspace(rows, p, d * d)
 
 
+def _addition_table(radices) -> list[list[int]]:
+    """Addition table of Z/r_1 x ... x Z/r_m on mixed-radix ids (digit 1
+    most significant), built one digit at a time."""
+    add = [[0]]
+    for r in radices:
+        digit_add = [[(a + b) % r for b in range(r)] for a in range(r)]
+        add = [[x * r + d for x in row for d in digit_row]
+               for row in add for digit_row in digit_add]
+    return add
+
+
 class FieldOps:
-    """Lookup tables for arithmetic in an EndField and for exact linear
-    algebra over F on tuples of field-element indices.
+    """The field F spanned over F_p by the dim x dim matrices `basis`, an
+    algebra holding the identity (End_H(V) for an irreducible H), with
+    tables for its arithmetic and linear algebra over F on tuples of
+    element indices.  Element i is sum_j c_j basis[j] for the base-p digits
+    c_0 ... c_(e-1) of i, c_0 first, so 0 is zero and `add_t` is the
+    mixed-radix addition table.  Products and inverses are read off the
+    exp/log tables of the first g with q - 1 distinct powers (Zech
+    logarithms; Lidl and Niederreiter, Finite Fields, ch. 9), walked on
+    first rows: e_1 g^(k+1) = (e_1 g^k) g takes no matrix product.  If the
+    rows first return to e_1 at k = q - 1, they are q - 1 distinct nonzero
+    rows, so with 0 every element has its own first row, which names it,
+    and the nonzero elements are the units g^k.  If no g does that, the span
+    is not a field (ValidationError): F* is cyclic."""
 
-    Field elements are indexed by their coefficient tuple over the algebra
-    basis, in lexicographic order, so index 0 is always zero.
-    """
-
-    def __init__(self, field: EndField):
-        self.field = field
-        p, e = field.p, field.degree
-        self.p = p
-        self.q = field.order
-        elems = []
-        for coeffs in iter_product(range(p), repeat=e):
-            m = None
-            for c, b in zip(coeffs, field.basis):
-                part = mat_scale(b, c, p)
-                m = part if m is None else mat_add(m, part, p)
-            elems.append(m)
-        self.elements: tuple[Matrix, ...] = tuple(elems)
-        self.index: dict[Matrix, int] = {m: i for i, m in enumerate(elems)}
-        self.one = self.index[mat_identity(field.dim)]
-        q = self.q
-        self.mul_t = [[0] * q for _ in range(q)]
-        for i in range(q):
-            for j in range(i, q):
-                r = self.index[mat_mul(elems[i], elems[j], p)]
-                self.mul_t[i][j] = r
-                self.mul_t[j][i] = r
-        self.add_t = [[self.index[mat_add(elems[i], elems[j], p)] for j in range(q)] for i in range(q)]
-        self.neg_t = [self.index[mat_scale(elems[i], -1, p)] for i in range(q)]
-        self.inv_t = [0] * q
-        for i in range(1, q):
-            inv = next((j for j in range(1, q) if self.mul_t[i][j] == self.one), None)
-            if inv is None:
-                raise ValidationError("irreducibility", "centralizer is not a field")
-            self.inv_t[i] = inv
+    def __init__(self, p: int, dim: int, basis):
+        self.p, self.dim, self.basis = p, dim, basis
+        self.degree = e = len(basis)
+        self.q = q = p**e
+        elements = [((0,) * dim,) * dim]
+        for b in basis:
+            elements = [mat_add(m, mat_scale(b, c, p), p) for m in elements for c in range(p)]
+        self.elements: tuple[Matrix, ...] = tuple(elements)
+        self.add_t = _addition_table([p] * e)
+        self.neg_t = [row.index(0) for row in self.add_t]
+        named = {m[0]: i for i, m in enumerate(elements)}
+        one_row = mat_identity(dim)[0]
+        for g in elements[1:]:
+            exp, row = [named[one_row]], vec_mat(one_row, g, p)
+            while row != one_row and len(exp) < q - 1:
+                exp.append(named[row])
+                row = vec_mat(row, g, p)
+            if row == one_row and len(exp) == q - 1:
+                break
+        else:
+            raise ValidationError("irreducibility", "centralizer is not a field")
+        log = [0] * q
+        for k, x in enumerate(exp):
+            log[x] = k
+        self.one = exp[0]
+        exp2 = exp + exp  # exp2[a + b] = g^(a + b) for a, b < q - 1
+        self.mul_t = [[0] * q] + [[0, *map(exp2[log[i]:].__getitem__, log[1:])]
+                                  for i in range(1, q)]
+        self.inv_t = [0] + [exp[-log[i]] for i in range(1, q)]
 
     # -- vectors over F^t, encoded as tuples of element indices
 

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .ffla import (
-    EndField,
+    FIELD_ORDER_CAP,
     FieldOps,
     FpSubspace,
     Matrix,
@@ -51,9 +51,6 @@ H_ORDER_CAP = 10000
 # ffla.is_irreducible spins every line of F_p^k; the corpus and the benchmark
 # catalogue use at most 7 lines (F_2^3)
 IRREDUCIBILITY_LINE_CAP = 4096
-# FieldOps tabulates |F|^2 sums and products of the endomorphism field F; the
-# corpus and the benchmark catalogue reach |F| = 25 and the tests 7^3 = 343
-FIELD_ORDER_CAP = 512
 # a spec's V^t has p^(k t) >= 2^(k t) elements, too many for any order cap
 # that fits in memory once k t passes this
 SPEC_DIMENSION_CAP = 64
@@ -71,16 +68,15 @@ class HModule:
     an oracle over the ids of `elements`, a subgroup of H is a mask over
     those ids, and an F-subspace of V is held as the F-RREF of `fcoords`."""
 
-    def __init__(self, p, k, elements, group, field, fops, frame, name):
+    def __init__(self, p, k, elements, group, fops, frame, name):
         self.p = p
         self.k = k
         self.elements = elements  # identity first, rest sorted by entries
         self.group: gr.OracleGroup = group
-        self.field: EndField = field
         self.fops: FieldOps = fops
-        self.frame: Matrix = frame  # row i*e + j is b_i * field.basis[j], b_i an F-basis of V
+        self.frame: Matrix = frame  # row i*e + j is b_i * fops.basis[j], b_i an F-basis of V
         self.frame_inv: Matrix = mat_inv(frame, p)
-        self.f_dim = k // field.degree
+        self.f_dim = k // fops.degree
         self.name = name
 
     @classmethod
@@ -101,21 +97,19 @@ class HModule:
         elems = gr._closure_of_objects(gens or (identity,), lambda a, b: mat_mul(a, b, p),
                                        identity, H_ORDER_CAP)
         elements = (identity,) + tuple(sorted(e for e in elems if e != identity))
-        # raises ValidationError("irreducibility") unless every line spins to V
-        field = endomorphism_field(gens or (identity,), p, k)
+        # ValidationError("irreducibility") unless every line spins to V
+        fops = endomorphism_field(gens or (identity,), p, k)
         # faithfulness is structural for matrix groups: the only element
         # acting trivially is the identity matrix itself
         group = _matrix_oracle(elements, gens, p, name)
         if not gr.is_solvable(group):
             raise ValidationError("solvability", "H is not solvable")
-        if field.order > FIELD_ORDER_CAP:
-            raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
         # the unit vectors outside the F-span of those taken before them
         frame: Matrix = ()
         for u in identity:
             if not FpSubspace.from_vectors(p, k, frame).contains(u):
-                frame += tuple(vec_mat(u, b, p) for b in field.basis)
-        return cls(p, k, elements, group, field, FieldOps(field), frame, name)
+                frame += tuple(vec_mat(u, b, p) for b in fops.basis)
+        return cls(p, k, elements, group, fops, frame, name)
 
     @property
     def order(self) -> int:
@@ -124,13 +118,13 @@ class HModule:
     def fcoords(self, v: Vector) -> tuple[int, ...]:
         """The F-coordinates a_i of v = sum_i b_i * a_i: the base-p digits of
         v * frame_inv, e at a time, each read as a FieldOps element index."""
-        c, e, p = vec_mat(v, self.frame_inv, self.p), self.field.degree, self.p
+        c, e, p = vec_mat(v, self.frame_inv, self.p), self.fops.degree, self.p
         return tuple(sum(c[i + j] * p ** (e - 1 - j) for j in range(e))
                      for i in range(0, self.k, e))
 
     def vector_of(self, frow) -> Vector:
         """The vector of V with F-coordinates `frow`, inverse to `fcoords`."""
-        e, p = self.field.degree, self.p
+        e, p = self.fops.degree, self.p
         return vec_mat([idx // p ** (e - 1 - j) % p for idx in frow for j in range(e)],
                        self.frame, p)
 

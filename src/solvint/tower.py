@@ -27,7 +27,7 @@ from operator import and_
 
 from . import groups as gr
 from .errors import MalformedInput, ResourceCapExceeded
-from .ffla import is_prime
+from .ffla import _addition_table, is_prime
 
 PRIME_SEARCH_CEILING = 10**6
 
@@ -95,15 +95,17 @@ def _zeta(p: int, order: int) -> int:
 class TowerGroup:
     """One level G_n; elements are ((a_1, ..., a_n), e) with a_m in F_{p_m}
     and e in Z/2^n, multiplied with the same right-action convention as the
-    single-prime semidirect products, and named by their oracle ids."""
+    single-prime semidirect products, and named by their oracle ids.  A
+    level of order above `cap` is refused before anything is computed."""
 
-    def __init__(self, primes: TowerPrimes):
+    def __init__(self, primes: TowerPrimes, cap: int = gr.DEFAULT_ORDER_CAP):
+        self.w_size = math.prod(primes.primes)
+        self.order = self.w_size << primes.n
+        gr._check_embedding_order(self.order, cap)
         self.primes = primes
         self.n = primes.n
         self.h_order = 1 << primes.n
         self.zetas = tuple(_zeta(p, 1 << m) for m, p in enumerate(primes.primes, start=1))
-        self.w_size = math.prod(primes.primes)
-        self.order = self.w_size * self.h_order
         # zeta_pows[m][e] = zetas[m]^e mod p_m
         self.zeta_pows = tuple(
             tuple(pow(z, e, p) for e in range(self.h_order))
@@ -139,8 +141,7 @@ class TowerGroup:
 
     # -- oracle bridge
 
-    def embed_as_oracle(self, cap: int = gr.DEFAULT_ORDER_CAP) -> gr.OracleGroup:
-        gr._check_embedding_order(self.order, cap)
+    def embed_as_oracle(self) -> gr.OracleGroup:
         cached = self._cache.get("oracle")
         if cached is not None:
             return cached
@@ -149,7 +150,7 @@ class TowerGroup:
         places = [math.prod(self.primes.primes[m + 1:]) for m in range(self.n)]
         images = [[zeta_pow[e] * place for zeta_pow, place in zip(self.zeta_pows, places)]
                   for e in range(self.h_order)]
-        hmul = gr._addition_table([self.h_order])
+        hmul = _addition_table([self.h_order])
         oracle = gr.oracle_from_split_tables(self.primes.primes, images, hmul, self.name, h_gens=[1])
         self._cache["oracle"] = oracle
         return oracle
@@ -270,8 +271,8 @@ class TowerCounts:
     beta_bound_holds: bool | None
 
 
-def _oracle_class_data(T: TowerGroup, cap: int):
-    oracle = T.embed_as_oracle(cap)
+def _oracle_class_data(T: TowerGroup):
+    oracle = T.embed_as_oracle()
     classes = gr.conjugacy_classes_of_subgroups(oracle)
     mu = gr.mobius_all(oracle)
     maximal_masks = gr.maximal_subgroups(oracle)
@@ -287,16 +288,13 @@ def _capped_counts(n: int, primes: tuple[int, ...]) -> TowerCounts:
                        None, None, Fraction(4, n + 2), None, None, None)
 
 
-def tilde_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> TowerCounts:
+def tilde_counts(T: TowerGroup) -> TowerCounts:
     """Conjugacy-class counts of proper maximal intersections (gamma) and
     nonzero-Moebius classes (beta); the oracle values are authoritative and
     the closed formula is compared, not assumed.  The structural count is
-    taken once the oracle data exists: a capped level carries None there."""
+    taken once the oracle data exists."""
     counts = _capped_counts(T.n, T.primes.primes)
-    try:
-        oracle, data = _oracle_class_data(T, cap)
-    except ResourceCapExceeded:
-        return counts
+    oracle, data = _oracle_class_data(T)
     structural = len(classify_intersections(T))
     gamma_oracle = sum(1 for _rep, _s, _mu, is_mi in data if is_mi)
     beta_oracle = sum(1 for _rep, _s, mu_v, _mi in data if mu_v != 0)
@@ -309,12 +307,12 @@ def tilde_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> TowerCounts:
     )
 
 
-def structural_matches_oracle(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> bool:
+def structural_matches_oracle(T: TowerGroup) -> bool:
     """The structural classes biject with the oracle's maximal-intersection
     classes (by conjugacy of representatives, each read as its least
     conjugate off the lattice pass; a representative that is not an
     oracle subgroup reads None and fails the check)."""
-    oracle, data = _oracle_class_data(T, cap)
+    oracle, data = _oracle_class_data(T)
     oracle_reps = {rep for rep, _s, _mu, is_mi in data if is_mi}
     least = oracle._cache["least_conjugate"]
     classes = classify_intersections(T)
@@ -322,9 +320,9 @@ def structural_matches_oracle(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) ->
     return len(structural_reps) == len(classes) and structural_reps == oracle_reps
 
 
-def verify_mu_zero(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP):
+def verify_mu_zero(T: TowerGroup):
     """mu(Z_{J,i}, G_n) = 0 for every structurally emitted Z-class."""
-    oracle = T.embed_as_oracle(cap)
+    oracle = T.embed_as_oracle()
     mu = gr.mobius_all(oracle)
     rows = []
     for cls in classify_intersections(T):
@@ -335,10 +333,10 @@ def verify_mu_zero(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP):
     return rows
 
 
-def maximal_index_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> dict[int, int]:
+def maximal_index_counts(T: TowerGroup) -> dict[int, int]:
     """Oracle count of maximal subgroups by index (expect one of index 2
     and p_i of index p_i)."""
-    oracle = T.embed_as_oracle(cap)
+    oracle = T.embed_as_oracle()
     out: dict[int, int] = {}
     for m in gr.maximal_subgroups(oracle):
         index = oracle.n // m.bit_count()
@@ -349,18 +347,17 @@ def maximal_index_counts(T: TowerGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> dict
 def ratio_table(n_min: int, n_max: int, strict: bool = False,
                 cap: int = gr.DEFAULT_ORDER_CAP):
     """Rows (n, primes, gamma formula, gamma oracle, beta bound, beta
-    oracle, ratio bound, provenance)."""
+    oracle, ratio bound, provenance); a level over the order cap or the
+    lattice cap gets only the closed forms."""
     if n_min < 1 or n_max < n_min:
         raise MalformedInput("bad tower range")
     rows = []
     for n in range(n_min, n_max + 1):
         primes = find_primes(n, strict)
-        try:  # before TowerGroup fills its n 2^n zeta powers
-            gr._check_embedding_order((1 << n) * math.prod(primes.primes), cap)
+        try:
+            counts = tilde_counts(TowerGroup(primes, cap))
         except ResourceCapExceeded:
             counts = _capped_counts(n, primes.primes)
-        else:
-            counts = tilde_counts(TowerGroup(primes), cap)
         provenance = "oracle" if counts.gamma_tilde_oracle is not None else "formula"
         rows.append((n, primes.primes, counts, provenance))
     return rows

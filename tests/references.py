@@ -9,7 +9,8 @@ tower's element tuples ((a_1, ..., a_n), e) with their action and ids,
 closures and greedy generators closed from scratch, and the count tables
 tested one subgroup at a time, the order of an element, the product and
 the inverse in V^t x| H, the F_p-span of the F-multiples of vectors of V,
-and the map of a module isomorphism applied to a vector.  The tests keep
+the map of a module isomorphism applied to a vector, and the tables of a
+field by matrix products, sums and an inverse scan.  The tests keep
 them to build independent references and test data, with a
 counter of the law calls an oracle makes.
 """
@@ -20,7 +21,8 @@ from itertools import product
 from solvint import groups as gr
 from solvint import tower
 from solvint.errors import MalformedInput
-from solvint.ffla import FpSubspace, _rref, express_in_rows, vec_add, vec_mat, vec_sub
+from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_mul,
+                          mat_scale, vec_add, vec_mat, vec_sub)
 
 
 def vec_scale(u, c, p):
@@ -128,9 +130,40 @@ def f_span(fops, vectors) -> FpSubspace:
     """The F_p-span of the F-multiples of the given vectors of V: the
     F-subspace they span, by one F_p elimination of every v * beta for the
     basis beta of F over F_p."""
-    p, k = fops.p, fops.field.dim
+    p, k = fops.p, fops.dim
     return FpSubspace.from_vectors(p, k, [vec_mat(v, m, p) for v in vectors
-                                          for m in fops.field.basis])
+                                          for m in fops.basis])
+
+
+def reference_field_tables(p: int, dim: int, basis):
+    """(elements, one, add_t, neg_t, mul_t, inv_t) of the F_p-span of the
+    matrices `basis`, tabulated by matrix arithmetic: each element is
+    summed from its coefficient tuple (lexicographic, so index 0 is zero),
+    every sum, negative and product is a matrix looked up among the
+    elements, and each inverse is found by scanning a row of products.
+    None for a span that is not a field."""
+    elements = []
+    for coeffs in product(range(p), repeat=len(basis)):
+        m = mat_scale(mat_identity(dim), 0, p)
+        for c, b in zip(coeffs, basis):
+            m = mat_add(m, mat_scale(b, c, p), p)
+        elements.append(m)
+    index = {m: i for i, m in enumerate(elements)}
+    q = len(elements)
+    one = index[mat_identity(dim)]
+    mul_t = [[0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            mul_t[i][j] = mul_t[j][i] = index[mat_mul(elements[i], elements[j], p)]
+    add_t = [[index[mat_add(a, b, p)] for b in elements] for a in elements]
+    neg_t = [index[mat_scale(a, -1, p)] for a in elements]
+    inv_t = [0] * q
+    for i in range(1, q):
+        inv = next((j for j in range(1, q) if mul_t[i][j] == one), None)
+        if inv is None:
+            return None
+        inv_t[i] = inv
+    return tuple(elements), one, add_t, neg_t, mul_t, inv_t
 
 
 def apply_module_map(iso, v):

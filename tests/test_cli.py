@@ -62,6 +62,14 @@ def spec_dir(tmp_path):
     (tmp_path / "c8-f25.json").write_text(
         json.dumps({"kind": "sdp", "p": 5, "k": 2, "t": 1, "h_gens": [[[0, 1], [2, 0]]]})
     )
+    # Singer cycles: H = <companion matrix of x^8 + x^4 + x^3 + x^2 + 1 or of
+    # x^9 + x^4 + 1> on F_2^k has F = F_(2^k), up to the field cap, and F is
+    # tabulated before G's order is known (about 25 s for F_512 by matrix
+    # products)
+    for k, low in ((8, (1, 0, 1, 1, 1, 0, 0, 0)), (9, (1, 0, 0, 0, 1, 0, 0, 0, 0))):
+        companion = [[int(j == i + 1) for j in range(k)] for i in range(k - 1)] + [list(low)]
+        (tmp_path / f"singer-f{2**k}.json").write_text(
+            json.dumps({"kind": "sdp", "p": 2, "k": k, "t": 1, "h_gens": [companion]}))
     # F_1201: FieldOps would tabulate 1201^2 field sums and products; the
     # group at t = 0 (order 1,200) passes the default order cap
     for t in (0, 1):
@@ -176,13 +184,28 @@ def test_non_solvable_h_is_refused_in_bounded_time(spec_dir, capsys):
 
 def test_cap_error_exit_3(spec_dir, capsys):
     for name in ("bigtower.json", "c29-on-f2^28.json", "huge-prime-tower.json", "c2^7.json",
-                 "f1201-t0.json", "f1201-t1.json", "safe-prime.json"):
+                 "f1201-t0.json", "f1201-t1.json", "safe-prime.json", "singer-f256.json",
+                 "singer-f512.json"):
         start = time.monotonic()
         code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / name),
                               "--cap-order", "1000")
         assert code == 3, (name, err)
         assert "cap" in err
         assert time.monotonic() - start < 5, name
+
+
+def test_a_latin_square_that_is_not_associative_is_refused(spec_dir, capsys):
+    # C_1500 with the intercalate at rows and columns 1 and 751 swapped: a
+    # Latin square with an identity that 10^5 random triples pass
+    n = 1500
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for a, b in ((1, 1), (1, 751), (751, 1), (751, 751)):
+        table[a][b] = (a + b + 750) % n
+    path = spec_dir / "c1500-swapped.json"
+    path.write_text(json.dumps({"kind": "oracle-table", "table": table}))
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert (code, out) == (2, ""), err
+    assert err.strip().splitlines() == ["invalid input: associativity fails on (1,1,2)"]
 
 
 def test_analyze_eta_search_ends_in_bounded_time(spec_dir, capsys):
@@ -384,6 +407,15 @@ def test_counts_range(capsys):
     assert "counts,n=2,gamma_formula,7,formula" in out
     assert "counts,n=2,ratio_bound,1/1,formula" in out
     assert "counts,n=3,gamma_oracle,-" in out
+
+
+def test_counts_fall_back_to_the_closed_forms_at_the_lattice_cap(capsys, monkeypatch):
+    # G_1 = S_3 has 6 subgroups and G_2 (order 60) more than 20
+    monkeypatch.setattr(gr, "LATTICE_CAP", 20)
+    code, out, err = run(capsys, "counts", "--range", "1..2")
+    assert (code, err) == (0, "")
+    assert "counts,n=1,gamma_oracle,3,oracle" in out
+    assert "counts,n=2,gamma_oracle,-,formula" in out
 
 
 def test_counts_strict_primes(capsys):

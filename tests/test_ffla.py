@@ -1,15 +1,20 @@
+import importlib.util
 import random
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solvint import ffla
-from solvint.errors import MalformedInput, ValidationError
+from solvint import corpus, ffla, sdp
+from solvint.errors import MalformedInput, ResourceCapExceeded, ValidationError
 from solvint.ffla import FpSubspace
 
-from references import apply_module_map, intersect, is_subspace_of, sum_with, vec_scale
+from references import (apply_module_map, intersect, is_subspace_of, reference_field_tables,
+                        sum_with, vec_scale)
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 PRIMES = [2, 3, 5, 7]
 
 
@@ -195,18 +200,18 @@ def has_unit_of_order(fops, order):
 
 def test_endomorphism_field_prime_field():
     f = ffla.endomorphism_field([((2,),)], 5, 1)
-    assert f.degree == 1 and f.order == 5
-    assert has_unit_of_order(ffla.FieldOps(f), 4)
+    assert f.degree == 1 and f.q == 5
+    assert has_unit_of_order(f, 4)
 
 
 def test_endomorphism_field_f9():
     rot = ffla.mat_mod(((0, -1), (1, 0)), 3)
     f = ffla.endomorphism_field([rot], 3, 2)
-    assert f.degree == 2 and f.order == 9
+    assert f.degree == 2 and f.q == 9
     # every basis matrix commutes with the generator
     for b in f.basis:
         assert ffla.mat_mul(b, rot, 3) == ffla.mat_mul(rot, b, 3)
-    assert has_unit_of_order(ffla.FieldOps(f), 8)
+    assert has_unit_of_order(f, 8)
 
 
 def test_endomorphism_field_sl23_is_prime():
@@ -254,15 +259,78 @@ def test_endomorphism_field_is_every_commuting_matrix():
                 m = ffla.mat_add(m, ffla.mat_scale(b, c, p), p)
             spanned.add(m)
         assert spanned == commuting, (p, k, gens)
-        assert p ** f.degree == len(commuting) == f.order
+        assert p ** f.degree == len(commuting) == f.q
 
 
 def test_field_ops_rejects_a_centralizer_that_is_not_a_field():
-    # F_2[N] with N^2 = 0: N has no inverse
-    algebra = ffla.EndField(p=2, dim=2, degree=2, basis=(((1, 0), (0, 1)), ((0, 1), (0, 0))))
-    with pytest.raises(ValidationError) as err:
-        ffla.FieldOps(algebra)
-    assert err.value.invariant == "irreducibility"
+    # F_2[N] with N^2 = 0, for N = e_12 and for N = e_21, whose first row is
+    # that of 0: N has no inverse, and no element has 3 distinct powers
+    for n in (((0, 1), (0, 0)), ((0, 0), (1, 0))):
+        with pytest.raises(ValidationError) as err:
+            ffla.FieldOps(2, 2, (((1, 0), (0, 1)), n))
+        assert err.value.invariant == "irreducibility"
+
+
+def companion(coeffs):
+    """The companion matrix of x^k - sum_i coeffs[i] x^i, acting on row
+    vectors: e_i -> e_(i+1), and e_(k-1) -> coeffs.  For a primitive
+    polynomial it generates a Singer cycle of GL(k, p)."""
+    k = len(coeffs)
+    return tuple(tuple(int(j == i + 1) for j in range(k)) for i in range(k - 1)) + (tuple(coeffs),)
+
+
+# x^4 + x + 1 over F_2, x^3 + 2x + 1 over F_3 and x^8 + x^4 + x^3 + x^2 + 1
+# over F_2, all primitive
+SINGER_FIELDS = {"F16": (2, companion((1, 1, 0, 0))), "F27": (3, companion((2, 1, 0))),
+                 "F256": (2, companion((1, 0, 1, 1, 1, 0, 0, 0)))}
+
+
+def test_field_tables_match_the_matrix_product_reference(sdp_pool):
+    # the tables read off digits and one generator's powers equal those
+    # built from matrix sums, products and an inverse scan, on every field
+    # of the pools, of the benchmark catalogue, of H = 1 on F_2 (the C2^t
+    # specs) and of three Singer cycles (the corpus's one sdp group, F9:C4,
+    # is a primitive group too)
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    fields = {id(g.module.fops): g.module.fops for g in sdp_pool + corpus.primitive_groups()}
+    for p, k, gens in [*workloads.SDP_MODULES.values(), (2, 1, [])]:
+        fops = sdp.HModule.create(p, k, gens).fops
+        fields[id(fops)] = fops
+    for p, gen in SINGER_FIELDS.values():
+        fops = ffla.endomorphism_field([gen], p, len(gen))
+        fields[id(fops)] = fops
+    orders = set()
+    for f in fields.values():
+        orders.add(f.q)
+        assert (reference_field_tables(f.p, f.dim, f.basis)
+                == (f.elements, f.one, f.add_t, f.neg_t, f.mul_t, f.inv_t)), (f.p, f.basis)
+    assert orders == {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 256}
+
+
+def test_field_of_order_512_is_tabulated_in_bounded_time():
+    # x^9 + x^4 + 1 over F_2: the matrix-product fill took about 25 s
+    gen = companion((1, 0, 0, 0, 1, 0, 0, 0, 0))
+    basis = ffla.endomorphism_field([gen], 2, 9).basis
+    start = time.perf_counter()
+    f = ffla.FieldOps(2, 9, basis)
+    assert time.perf_counter() - start < 2
+    assert f.q == ffla.FIELD_ORDER_CAP == 512 and has_unit_of_order(f, 511)
+    for x in (1, 2, 100, 511):
+        assert f.elements[f.mul_t[x][f.inv_t[x]]] == ffla.mat_identity(9)
+        assert f.elements[f.add_t[x][f.neg_t[x]]] == ((0,) * 9,) * 9
+
+
+def test_a_field_above_the_cap_is_refused_before_its_tables(monkeypatch):
+    # x^10 + x^3 + 1 over F_2 gives |F| = 1024
+    def refuse(*args):
+        raise AssertionError("the tables of a capped field were built")
+
+    monkeypatch.setattr(ffla, "FieldOps", refuse)
+    gen = companion((1, 0, 0, 1, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(ResourceCapExceeded, match="endomorphism field"):
+        ffla.endomorphism_field([gen], 2, 10)
 
 
 def test_mat_inv_inverts_exactly_the_matrices_with_zero_left_kernel():
@@ -304,7 +372,7 @@ def test_express_in_rows_rebuilds_exactly_the_vectors_of_the_span():
 
 def test_field_ops_unit_group_order():
     rot = ffla.mat_mod(((0, -1), (1, 0)), 3)
-    fops = ffla.FieldOps(ffla.endomorphism_field([rot], 3, 2))
+    fops = ffla.endomorphism_field([rot], 3, 2)
     invertible = 0
     for i, m in enumerate(fops.elements):
         try:
@@ -318,7 +386,7 @@ def test_field_ops_unit_group_order():
 
 def test_field_ops_tables_consistent():
     rot = ffla.mat_mod(((0, -1), (1, 0)), 3)
-    fops = ffla.FieldOps(ffla.endomorphism_field([rot], 3, 2))
+    fops = ffla.endomorphism_field([rot], 3, 2)
     for i in range(fops.q):
         for j in range(fops.q):
             assert fops.elements[fops.mul_t[i][j]] == ffla.mat_mul(

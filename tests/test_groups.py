@@ -1,4 +1,5 @@
 import functools
+import random
 import tracemalloc
 from array import array
 from itertools import product
@@ -31,7 +32,7 @@ def test_from_mul_table_validates():
     assert g.n == 2 and g.inv(1) == 1
 
 
-def test_from_mul_table_catches_nonassociative():
+def test_from_mul_table_catches_nonassociative(corpus_list):
     # a quasigroup table that is not associative
     table = [
         [0, 1, 2, 3, 4],
@@ -42,6 +43,37 @@ def test_from_mul_table_catches_nonassociative():
     ]
     with pytest.raises(MalformedInput):
         gr.from_mul_table(table)
+    # Light's test on a generating set against every triple, on the Cayley
+    # tables of the small corpus groups with intercalates swapped: each swap
+    # of a 2 x 2 subsquare [[x, y], [y, x]] off row and column 0 keeps a
+    # Latin square with an identity
+    rng = random.Random(22)
+    verdicts = set()
+    for g in corpus_list:
+        if g.n > 24:
+            continue
+        for _ in range(6):
+            table = [[g.mul(a, b) for b in range(g.n)] for a in range(g.n)]
+            for _ in range(rng.randint(0, 2)):
+                cells = [(a, b, c, d) for a in range(1, g.n) for b in range(a + 1, g.n)
+                         for c in range(1, g.n) for d in range(c + 1, g.n)
+                         if table[a][c] == table[b][d] and table[a][d] == table[b][c]]
+                if cells:
+                    a, b, c, d = rng.choice(cells)
+                    table[a][c], table[a][d] = table[a][d], table[a][c]
+                    table[b][c], table[b][d] = table[b][d], table[b][c]
+            n = len(table)
+            associative = all(table[table[x][y]][z] == table[x][table[y][z]]
+                              for x in range(n) for y in range(n) for z in range(n))
+            verdicts.add(associative)
+            if associative:
+                assert gr.from_mul_table(table).n == n
+                continue
+            with pytest.raises(MalformedInput, match="associativity fails") as err:
+                gr.from_mul_table(table)
+            x, y, z = map(int, str(err.value).split("(")[1].rstrip(")").split(","))
+            assert table[table[x][y]][z] != table[x][table[y][z]]
+    assert verdicts == {True, False}
 
 
 def test_gens_generate_the_group(corpus_list, sdp_pool, tower2, tower3):

@@ -41,7 +41,7 @@ def test_module_creation_spins_each_line_once(monkeypatch):
     monkeypatch.setattr(ffla, "spin", lambda *a: spins.append(a) or spin(*a))
     c7 = ((0, 1, 0), (0, 0, 1), (1, 1, 0))  # companion matrix of x^3 + x + 1 over F_2
     module = sdp.HModule.create(2, 3, [c7])
-    assert module.order == 7 and module.field.degree == 3
+    assert module.order == 7 and module.fops.degree == 3
     assert len(irreducibility_calls) == 1
     assert len(spins) == 7  # one spin per line of F_2^3
 
@@ -553,7 +553,7 @@ def test_chief_factor_classes_match_the_isomorphism_search(corpus_and_primitive_
     # and 4, the two F_7 factors share prime, dimension and centralizer
     # but are not isomorphic.
     images = [[pow(2, e, 7) * 7, pow(4, e, 7)] for e in range(3)]
-    f49_c3 = gr.oracle_from_split_tables([7, 7], images, gr._addition_table([3]), "F7^2:C3",
+    f49_c3 = gr.oracle_from_split_tables([7, 7], images, ffla._addition_table([3]), "F7^2:C3",
                                          h_gens=[1])
     assert ([(p, d, c.bit_count()) for _, p, d, c, _ in reference_chief_factor_classes(f49_c3)]
             == [(7, 1, 49), (7, 1, 49), (3, 1, 147)])
@@ -634,7 +634,7 @@ def test_frame_coordinates_are_f_linear_and_invert_vector_of(sdp_pool):
     shapes = set()
     for module in modules.values():
         fops, p = module.fops, module.p
-        shapes.add((module.field.degree, module.f_dim))
+        shapes.add((module.fops.degree, module.f_dim))
         assert len(module.frame) == module.k
         coords = {v: module.fcoords(v) for v in FpSubspace.full(p, module.k).vectors()}
         for v, c in coords.items():

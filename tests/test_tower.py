@@ -43,14 +43,18 @@ def test_level_one_is_symmetric_group_of_order_six():
     assert sorted(order_of(oracle, x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
 
 
-def test_embed_as_oracle_checks_the_cap_before_its_cache():
+def test_tower_group_checks_the_order_cap_before_it_is_built(monkeypatch):
     from solvint.errors import ResourceCapExceeded
 
-    T = tower.TowerGroup(tower.find_primes(2))  # order 60
-    assert T.embed_as_oracle(100).n == 60
-    with pytest.raises(ResourceCapExceeded):
-        T.embed_as_oracle(10)  # a fresh level refuses this cap, and so does a cached one
-    assert T.embed_as_oracle(60).n == 60
+    primes = tower.find_primes(2)  # order 60
+    assert tower.TowerGroup(primes, 60).embed_as_oracle().n == 60
+
+    def refuse(*args):
+        raise AssertionError("a capped level computed its roots of unity")
+
+    monkeypatch.setattr(tower, "_zeta", refuse)
+    with pytest.raises(ResourceCapExceeded, match=r"\|G\|=60 exceeds the order cap \(cap: 59\)"):
+        tower.TowerGroup(primes, 59)
 
 
 def test_zetas_have_exact_orders(tower3):
@@ -188,7 +192,7 @@ def test_ratio_table_builds_no_level_over_the_order_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("a capped level was built")
 
-    monkeypatch.setattr(tower, "TowerGroup", refuse)
+    monkeypatch.setattr(tower, "_zeta", refuse)
     monkeypatch.setattr(tower, "classify_intersections", refuse)
     primes = (3, 5, 17, 97, 193, 257, 641, 769, 7681, 12289, 18433, 40961, 65537, 114689,
               163841, 786433)
@@ -235,7 +239,8 @@ def test_zeta_is_the_smallest_root_of_exact_order():
 
 def test_tower_group_with_a_huge_prime_is_built_at_once():
     start = time.perf_counter()
-    T = tower.TowerGroup(tower.TowerPrimes(2, (5, 1000000000000000000117), False))
+    primes = tower.TowerPrimes(2, (5, 1000000000000000000117), False)
+    T = tower.TowerGroup(primes, cap=5 * primes.primes[1] * 4)
     assert time.perf_counter() - start < 1.0
     p = T.primes.primes[1]
     assert pow(T.zetas[1], 4, p) == 1 and pow(T.zetas[1], 2, p) == p - 1
