@@ -211,10 +211,6 @@ class FpSubspace:
         return cls(p, ambient_dim, rows, pivots)
 
     @classmethod
-    def zero(cls, p: int, ambient_dim: int) -> "FpSubspace":
-        return cls(p, ambient_dim, (), ())
-
-    @classmethod
     def full(cls, p: int, ambient_dim: int) -> "FpSubspace":
         return cls.from_vectors(p, ambient_dim, mat_identity(ambient_dim))
 
@@ -253,17 +249,6 @@ class FpSubspace:
         if self.contains(v):
             return coords
         return None
-
-    def vectors(self):
-        """All elements, in lexicographic coefficient order over the basis."""
-        p, n = self.p, self.ambient_dim
-        for coeffs in iter_product(range(p), repeat=self.dim):
-            v = [0] * n
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j in range(n):
-                        v[j] = (v[j] + c * row[j]) % p
-            yield tuple(v)
 
 
 def rref(vectors, p: int, ambient_dim: int) -> FpSubspace:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -70,9 +71,6 @@ class OracleGroup:
         self._cache: dict = {}
 
     # -- elementary operations
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
 
     def conj(self, x: int, g: int) -> int:
         mul = self.mul
@@ -137,7 +135,7 @@ def _table_group(n: int, flat: array, name: str, gens: tuple[int, ...]) -> Oracl
     return OracleGroup(n, mul, name, gens, inv)
 
 
-def _check_table(flat: array, n: int) -> None:
+def _check_table(flat: array, n: int) -> list[int]:
     """Refuse `flat` unless it is a group table: row and column 0 are the
     identity, rows and columns are permutations, and Light's test passes.
     The s with (xs)y = x(sy) for all x, y are closed under products, as
@@ -145,7 +143,8 @@ def _check_table(flat: array, n: int) -> None:
     generating set S suffices.  Each element ascending that the closure R
     of the identity under right multiplication by S misses joins S once it
     passes.  R is then the subgroup S generates, so it at least doubles per
-    new s, and the test costs at most n^2 (log2(n) + 1) lookups."""
+    new s, and the test costs at most n^2 (log2(n) + 1) lookups.  S is
+    returned: it is the greedy generating set of the whole group."""
     for j in range(n):
         if flat[j] != j or flat[j * n] != j:
             raise MalformedInput("row/column 0 is not an identity")
@@ -174,23 +173,21 @@ def _check_table(flat: array, n: int) -> None:
                 if y not in reached:
                     reached.add(y)
                     stack.append(y)
+    return gens
 
 
 def from_mul_table(table, name: str = "table-group") -> OracleGroup:
     """Build from an explicit n x n table; the group axioms are verified
     exactly at every order, associativity by Light's test (_check_table)."""
     n = len(table)
-    flat = array("i")
     for row in table:
         if len(row) != n:
             raise MalformedInput("multiplication table is not square")
-        for x in row:
-            if not 0 <= int(x) < n:
-                raise MalformedInput("table entry out of range")
-        flat.extend(int(x) for x in row)
+        if min(row) < 0 or max(row) >= n:
+            raise MalformedInput("table entry out of range")
+    flat = array("i", chain.from_iterable(table))
     G = _table_group(n, flat, name, gens=())
-    _check_table(flat, n)
-    G.gens = tuple(small_generating_set(G))
+    G.gens = tuple(_check_table(flat, n))
     return G
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from . import groups as gr
 from . import sdp
@@ -116,11 +118,15 @@ class GammaReport:
 
 
 def gamma_min(module: sdp.HModule) -> GammaReport:
-    """Exhaustive gamma witness search over all F-subspaces of V, refused
-    when dim_F V >= 2 exceeds GAMMA_DIM_CAP or |F| exceeds GAMMA_FIELD_CAP.
+    """Gamma witness search over all F-subspaces of V, refused when
+    dim_F V >= 2 exceeds GAMMA_DIM_CAP or |F| exceeds GAMMA_FIELD_CAP.
 
     Subspaces are enumerated by F-dimension then lexicographic canonical
-    basis, so reported witnesses are deterministic.
+    basis, so reported witnesses are deterministic.  Both conditions read
+    W* only through C_H(W*), and W* = W meets both.  So the least W* is the
+    first subspace with the first centralizer, in order of first
+    appearance, that meets the condition, and it comes no later than W:
+    one pass finds every witness.
     """
     f = module.f_dim
     if f >= 2 and f > GAMMA_DIM_CAP:
@@ -129,40 +135,24 @@ def gamma_min(module: sdp.HModule) -> GammaReport:
         raise ResourceCapExceeded(f"F-subspace enumeration with |F|={module.fops.q}", GAMMA_FIELD_CAP)
     H = module.group
     maximal_masks = gr.maximal_subgroups(H)
-    # F commutes with H, so C_H(W) fixes the vector of each F-row of W only
     full = (1 << H.n) - 1
-    by_dim = [[(rows, module.centralizer_of([module.vector_of(r) for r in rows], full))
-               for rows in module.fops.subspaces(f, d)] for d in range(f + 1)]
-
+    # F commutes with H, so C_H(W) is the meet of C_H(w) over the F-rows w
+    # of W, and each F-RREF row is a monic F-line, one of the 1-dim subspaces
+    line_c = {w: module.centralizer_of([module.vector_of(w)], full)
+              for (w,) in module.fops.subspaces(f, 1)}
+    first: dict = {}  # each C_H(W) met so far -> the first (dim, rows) with it
     witnesses = []
-    weak_max = 0
-    strong_max = 0
     for d in range(f + 1):
-        for w_space, c_w in by_dim[d]:
+        for rows in module.fops.subspaces(f, d):
+            c_w = reduce(and_, map(line_c.__getitem__, rows), full)
+            first.setdefault(c_w, (d, rows))
             inter = gr._meet_above(H, c_w, maximal_masks)
-            weak = strong = None
-            for d_star in range(f + 1):
-                for w_star, c_star in by_dim[d_star]:
-                    if weak is None and c_star & inter == c_w:
-                        weak = (d_star, w_star)
-                    if strong is None and c_star == c_w:
-                        strong = (d_star, w_star)
-                    if weak and strong:
-                        break
-                if weak and strong:
-                    break
-            if weak is None or strong is None:
+            weak = next((first[c] for c in first if c & inter == c_w), None)
+            if weak is None:
                 raise AssertionError("witness search failed (W* = W always works)")
-            witnesses.append(GammaWitness(w_space, weak[0], weak[1], strong[0], strong[1]))
-            weak_max = max(weak_max, weak[0])
-            strong_max = max(strong_max, strong[0])
-    return GammaReport(
-        module_label=module.name,
-        f_dim=f,
-        gamma_min=max(1, weak_max),
-        strong_gamma_min=max(1, strong_max),
-        witnesses=tuple(witnesses),
-    )
+            witnesses.append(GammaWitness(rows, *weak, *first[c_w]))
+    return GammaReport(module.name, f, max(1, *(w.weak_dim for w in witnesses)),
+                       max(1, *(w.strong_dim for w in witnesses)), tuple(witnesses))
 
 
 def is_gamma_module(module: sdp.HModule, gamma: int) -> bool:
@@ -316,13 +306,8 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     rows = []
     for h in maximal_intersection_classes(G):
         rec = eta_of_intersection(G, h)
-        touched = []
-        for m in gr.maximal_subgroups(G):
-            if m & h == h:
-                cls = class_of_maximal[m]
-                if cls not in touched:
-                    touched.append(cls)
-        gamma_h = max(_class_gamma_min(G, cls) for cls in touched)
+        gamma_h = max(_class_gamma_min(G, class_of_maximal[m])
+                      for m in gr.maximal_subgroups(G) if m & h == h)
         rows.append(
             GammaEtaRow(h, rec.index, rec.product, gamma_h,
                         rec.eta_leq(gamma_h + 1))

@@ -193,29 +193,14 @@ def classify_intersections(T: TowerGroup) -> list[IntersectionClass]:
     printed alongside it in tilde_counts may disagree and the report says
     so explicitly.
     """
-    n = T.n
+    n, primes = T.n, T.primes.primes
     out = []
-    levels = list(range(1, n + 1))
-    for size in range(1, n + 1):
-        for j in combinations(levels, size):
-            idx = 1
-            for m in j:
-                idx *= T.primes.primes[m - 1]
-            out.append(IntersectionClass("X", frozenset(j), 0, idx))
-    for size in range(0, n + 1):
-        for j in combinations(levels, size):
-            idx = 2
-            for m in j:
-                idx *= T.primes.primes[m - 1]
-            out.append(IntersectionClass("Y", frozenset(j), 1, idx))
-    for i in range(2, n + 1):
-        for size in range(0, n):
-            for rest in combinations([m for m in levels if m != i], size):
-                j = frozenset(rest) | {i}
-                idx = 1 << i
-                for m in j:
-                    idx *= T.primes.primes[m - 1]
-                out.append(IntersectionClass("Z", j, i, idx))
+    for level in range(n + 1):
+        for size in range(n + 1):
+            for j in combinations(range(1, n + 1), size):
+                if (level == 0 and j) or level == 1 or level in j:
+                    index = (1 << level) * math.prod(primes[m - 1] for m in j)
+                    out.append(IntersectionClass("XYZ"[min(level, 2)], frozenset(j), level, index))
     return out
 
 

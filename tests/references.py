@@ -1,17 +1,19 @@
 """Reference implementations shared by the tests.
 
 The package no longer needs these: subspace sums, meets, decompositions
-and containment, the lower central series test, the enumeration of every
-F-subspace of F^t, scaling a vector, the chief-factor action and
-centralizer one element at a time, integer roots and logarithms by
-bisection, the least eta product over every family of maximals, and the
-tower's element tuples ((a_1, ..., a_n), e) with their action and ids,
-closures and greedy generators closed from scratch, and the count tables
-tested one subgroup at a time, the order of an element, the product and
-the inverse in V^t x| H, the F_p-span of the F-multiples of vectors of V,
-the map of a module isomorphism applied to a vector, and the tables of a
-field by matrix products, sums and an inverse scan.  The tests keep
-them to build independent references and test data, with a
+and containment, the zero subspace and the list of a subspace's vectors,
+the lower central series test, the enumeration of every F-subspace of
+F^t, scaling a vector, the inverse of an oracle element, the chief-factor
+action and centralizer one element at a time, integer roots and
+logarithms by bisection, the least eta product over every family of
+maximals, the gamma witnesses by a scan of every F-subspace for every
+F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with their
+action and ids, closures and greedy generators closed from scratch, and
+the count tables tested one subgroup at a time, the order of an element,
+the product and the inverse in V^t x| H, the F_p-span of the F-multiples
+of vectors of V, the map of a module isomorphism applied to a vector, and
+the tables of a field by matrix products, sums and an inverse scan.  The
+tests keep them to build independent references and test data, with a
 counter of the law calls an oracle makes.
 """
 
@@ -19,7 +21,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from solvint import groups as gr
-from solvint import tower
+from solvint import props, tower
 from solvint.errors import MalformedInput
 from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_mul,
                           mat_scale, vec_add, vec_mat, vec_sub)
@@ -27,6 +29,27 @@ from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_ident
 
 def vec_scale(u, c, p):
     return tuple((a * c) % p for a in u)
+
+
+def zero_subspace(p: int, ambient_dim: int) -> FpSubspace:
+    return FpSubspace(p, ambient_dim, (), ())
+
+
+def subspace_vectors(s: FpSubspace):
+    """All elements of s, in lexicographic coefficient order over the basis."""
+    p, n = s.p, s.ambient_dim
+    for coeffs in product(range(p), repeat=s.dim):
+        v = [0] * n
+        for c, row in zip(coeffs, s.basis):
+            if c:
+                for j in range(n):
+                    v[j] = (v[j] + c * row[j]) % p
+        yield tuple(v)
+
+
+def inverse(G, a: int) -> int:
+    """a^-1 in the oracle group G, read off its inverse array."""
+    return G._inv[a]
 
 
 def check_compatible(a: FpSubspace, b: FpSubspace) -> None:
@@ -122,7 +145,7 @@ def sd_mul(G, a, b):
 def sd_inverse(G, a):
     """(w, h)^-1 = (-w^(h^-1), h^-1) in the sdp group G = V^t x| H."""
     w, h = a
-    hi = G.module.group.inv(h)
+    hi = inverse(G.module.group, h)
     return tuple(-x % G.p for x in G.act_w(w, hi)), hi
 
 
@@ -275,7 +298,7 @@ def reference_centralizer_of_factor(G, x: int, y: int) -> int:
     x_gens = gr.greedy_generators(G, x)
     mask = 0
     for g in range(G.n):
-        if all((y >> G.mul(G.inv(a), G.conj(a, g))) & 1 for a in x_gens):
+        if all((y >> G.mul(inverse(G, a), G.conj(a, g))) & 1 for a in x_gens):
             mask |= 1 << g
     return mask
 
@@ -357,3 +380,36 @@ def reference_class_representative(T, cls):
     tuples: socle coordinates vanish on J, the cyclic part is <x^(2^level)>."""
     coords = [(0,) if m in cls.j_set else range(p) for m, p in enumerate(T.primes.primes, start=1)]
     return [(w, e) for w in product(*coords) for e in range(0, T.h_order, 1 << cls.level)]
+
+
+def reference_gamma_min(module):
+    """The GammaReport of props.gamma_min by the exhaustive search: C_H(W)
+    from all of W's row vectors at once, and for every W a scan of every
+    F-subspace W*, in order, for the first weak and strong witness."""
+    f, H = module.f_dim, module.group
+    maximal_masks = gr.maximal_subgroups(H)
+    full = (1 << H.n) - 1
+    by_dim = [[(rows, module.centralizer_of([module.vector_of(r) for r in rows], full))
+               for rows in module.fops.subspaces(f, d)] for d in range(f + 1)]
+    witnesses = []
+    weak_max = 0
+    strong_max = 0
+    for d in range(f + 1):
+        for w_space, c_w in by_dim[d]:
+            inter = gr._meet_above(H, c_w, maximal_masks)
+            weak = strong = None
+            for d_star in range(f + 1):
+                for w_star, c_star in by_dim[d_star]:
+                    if weak is None and c_star & inter == c_w:
+                        weak = (d_star, w_star)
+                    if strong is None and c_star == c_w:
+                        strong = (d_star, w_star)
+                    if weak and strong:
+                        break
+                if weak and strong:
+                    break
+            witnesses.append(props.GammaWitness(w_space, weak[0], weak[1], strong[0], strong[1]))
+            weak_max = max(weak_max, weak[0])
+            strong_max = max(strong_max, strong[0])
+    return props.GammaReport(module.name, f, max(1, weak_max), max(1, strong_max),
+                             tuple(witnesses))

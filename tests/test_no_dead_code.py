@@ -2,12 +2,14 @@
 
 Reads src/solvint/*.py as source (nothing is imported or executed) and
 checks that every function and method is named somewhere in the package
-outside its own body, as a variable or an attribute.  A public one may
-instead stand in KEEP with the reason it stays; a private helper may not,
-so one that a consolidation leaves behind is caught.  KEEP is the union of
-one named set per reason, and the bench-span set is checked against the
-span tables of bench/run.py.  A function that only tests call belongs in
-the tests, as a reference.
+outside its own body: a function as a variable or an attribute, a method
+as an attribute only, so a local variable of the same name does not keep
+a method that only tests call.  A public one may instead stand in KEEP
+with the reason it stays; a private helper may not, so one that a
+consolidation leaves behind is caught.  KEEP is the union of one named
+set per reason, and the bench-span set is checked against the span
+tables of bench/run.py.  A function that only tests call belongs in the
+tests, as a reference.
 
 Being named is not enough: code that only dead code names is dead too.  So
 every function and method must also be reached by name from a root: the
@@ -45,21 +47,28 @@ KEEP = PAPER_RESULTS.keys() | BENCH_SPANS
 
 
 def names_in(node):
-    """Every identifier under `node`, as a variable or an attribute."""
+    """Every identifier under `node`: a variable as its name, an attribute
+    as its name after a dot."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            yield "." + sub.attr
+
+
+def reads(name: str, method: bool) -> set:
+    """The identifiers of `names_in` that name a function, or a method."""
+    return {"." + name} if method else {name, "." + name}
 
 
 def defs(tree):
-    """The module's functions and the methods of its classes, except the
-    dunder methods that Python calls."""
+    """(node, reads) for the module's functions and the methods of its
+    classes, except the dunder methods that Python calls."""
     for node in tree.body:
-        for sub in node.body if isinstance(node, ast.ClassDef) else [node]:
+        method = isinstance(node, ast.ClassDef)
+        for sub in node.body if method else [node]:
             if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
-                yield sub
+                yield sub, reads(sub.name, method)
 
 
 def package_trees():
@@ -72,16 +81,17 @@ def unnamed_defs():
     a method counts as named when any attribute of that name is read."""
     trees = package_trees()
     named = Counter(name for tree in trees for name in names_in(tree))
-    return {node.name for tree in trees for node in defs(tree)
-            if named[node.name] == Counter(names_in(node))[node.name]}
+    return {node.name for tree in trees for node, node_reads in defs(tree)
+            if all(named[r] == Counter(names_in(node))[r] for r in node_reads)}
 
 
 def reached_names(trees, span_names):
-    """Every name reached from the roots: the bodies of `main` and of the
-    dunder methods, what runs at import, PAPER_RESULTS and `span_names`,
-    then the body of every function or method whose name is reached."""
+    """Every identifier reached from the roots: the bodies of `main` and of
+    the dunder methods, what runs at import, PAPER_RESULTS and
+    `span_names`, then the body of every function or method that a reached
+    identifier names."""
     bodies: dict = {}
-    names = set(PAPER_RESULTS) | set(span_names) | {"main"}
+    names = set().union(*(reads(name, False) for name in {*PAPER_RESULTS, *span_names, "main"}))
     for tree in trees:
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
@@ -90,7 +100,8 @@ def reached_names(trees, span_names):
                 at_import, members = [], [node]
             for sub in members:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
-                    bodies.setdefault(sub.name, []).append(sub)
+                    for r in reads(sub.name, isinstance(node, ast.ClassDef)):
+                        bodies.setdefault(r, []).append(sub)
                     # decorators and defaults run at import
                     at_import += sub.decorator_list + sub.args.defaults + sub.args.kw_defaults
                 else:
@@ -112,8 +123,8 @@ def test_every_function_is_reached_from_a_root():
     spans = {span.rstrip(".").rsplit(".", 1)[-1] for table in tables.values()
              for names in table.values() for span in names}
     reached = reached_names(trees, spans)
-    assert sorted(node.name for tree in trees for node in defs(tree)
-                  if node.name not in reached) == []
+    assert sorted(node.name for tree in trees for node, node_reads in defs(tree)
+                  if not node_reads & reached) == []
 
 
 def test_every_public_function_is_named_in_the_package_or_kept():

@@ -8,7 +8,8 @@ from solvint import corpus, props, sdp
 from solvint import groups as gr
 from solvint.errors import MalformedInput
 
-from references import floor_log, floor_root, is_nilpotent_mask, reference_eta_product
+from references import (floor_log, floor_root, is_nilpotent_mask, reference_eta_product,
+                        reference_gamma_min)
 
 
 def test_floor_log_ratio():
@@ -85,6 +86,22 @@ def test_gamma_monotone_and_strong_implies_weak():
     assert report.gamma_min <= report.strong_gamma_min
     for w in report.witnesses:
         assert w.weak_dim <= w.strong_dim
+
+
+def test_gamma_min_matches_the_exhaustive_witness_search(sdp_pool, corpus_list):
+    modules = [g.module for g in sdp_pool + corpus.primitive_groups()]
+    modules += [sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices)
+                for g in corpus_list for cls in sdp.chief_factor_classes(g)]
+    # the monomial group 2^4:4 <= GL(4, 3): 212 F-subspaces, 40 of them lines
+    cycle = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
+    sign = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monomial = sdp.HModule.create(3, 4, [cycle, sign])
+    assert (monomial.order, monomial.f_dim, monomial.fops.q) == (64, 4, 3)
+    for module in modules + [monomial]:
+        assert props.gamma_min(module) == reference_gamma_min(module), module.name
+    report = props.gamma_min(monomial)
+    assert len(report.witnesses) == 212
+    assert sum(len(w.w_subspace) == 1 for w in report.witnesses) == 40
 
 
 def test_nilpotent_derived_chief_factors_are_one_dimensional(corpus_list):

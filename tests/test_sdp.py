@@ -13,8 +13,8 @@ from solvint.errors import (
 )
 from solvint.ffla import FpSubspace, vec_add, vec_mat, vec_sub
 
-from references import (all_subspaces, decompose, f_span, intersect, is_subspace_of, order_of,
-                        sd_inverse, sd_mul, sum_with)
+from references import (all_subspaces, decompose, f_span, intersect, inverse, is_subspace_of,
+                        order_of, sd_inverse, sd_mul, subspace_vectors, sum_with, zero_subspace)
 
 
 def g_f5_c4(t=1):
@@ -80,7 +80,7 @@ def test_supplement_enumeration_is_complete():
               sdp.SdGroup.create(2, 2, 2, [((1, 1), (1, 0))])]:
         oracle, encode = sdp.embed_as_oracle(g)
         socle = 0
-        for w in FpSubspace.full(g.p, g.wdim).vectors():
+        for w in subspace_vectors(FpSubspace.full(g.p, g.wdim)):
             socle |= 1 << encode(w, 0)
         oracle_sups = {m for m in gr.maximal_subgroups(oracle)
                        if m & socle != socle}
@@ -93,7 +93,7 @@ def test_supplement_enumeration_is_complete():
 def reference_elements(G, submodule, h_mask, translate) -> set:
     """{(u + v - v^x, x)} as a set of (vector, h) tuples, one element at a time."""
     out = set()
-    vectors = list(submodule.vectors())
+    vectors = list(subspace_vectors(submodule))
     for x in gr.mask_bits(h_mask):
         shift = vec_sub(translate, G.act_w(translate, x), G.p)
         for u in vectors:
@@ -115,7 +115,7 @@ def encode_elements(G, elements) -> int:
 def test_encode_elements_matches_embed_as_oracle():
     for g in [g_s3(), g_f5_c4(2)]:
         _, encode = sdp.embed_as_oracle(g)
-        for w in FpSubspace.full(g.p, g.wdim).vectors():
+        for w in subspace_vectors(FpSubspace.full(g.p, g.wdim)):
             for h in range(g.module.order):
                 assert encode_elements(g, [(w, h)]) == 1 << encode(w, h)
 
@@ -322,7 +322,7 @@ def test_non_maximal_supplement_is_refused():
     maximal = sdp.MaximalSupplement(line, (0, 1))
     zero = g2.submodule_from_fvectors(())
     full = g2.submodule_from_fvectors([(one, 0), (0, one)])
-    assert (zero, full) == (FpSubspace.zero(5, 2), FpSubspace.full(5, 2))
+    assert (zero, full) == (zero_subspace(5, 2), FpSubspace.full(5, 2))
     for w in (zero, full):
         m = sdp.MaximalSupplement(w, (0, 1))
         with pytest.raises(CaseDispatchError):
@@ -636,7 +636,7 @@ def test_frame_coordinates_are_f_linear_and_invert_vector_of(sdp_pool):
         fops, p = module.fops, module.p
         shapes.add((module.fops.degree, module.f_dim))
         assert len(module.frame) == module.k
-        coords = {v: module.fcoords(v) for v in FpSubspace.full(p, module.k).vectors()}
+        coords = {v: module.fcoords(v) for v in subspace_vectors(FpSubspace.full(p, module.k))}
         for v, c in coords.items():
             assert len(c) == module.f_dim and all(0 <= x < fops.q for x in c)
             assert module.vector_of(c) == v, (module.name, v)
@@ -656,7 +656,7 @@ def test_fixed_space_closed_form_matches_reference(sdp_pool):
         for W in g.maximal_submodules() if g.t else []:
             assert g.fixed_space_over(W) == reference_fixed_space_over(g, W), g.name
             checked += 1
-        zero = FpSubspace.zero(g.p, g.wdim)
+        zero = zero_subspace(g.p, g.wdim)
         assert g.fixed_space_over(zero) == reference_fixed_space_over(g, zero), g.name
     assert checked > 1000
 
@@ -789,7 +789,7 @@ def test_module_group_matches_the_table_of_its_elements(sdp_pool):
         assert H.n == table.n == module.order
         cells = [(a, b) for a in range(H.n) for b in range(H.n)]
         assert [H.mul(a, b) for a, b in cells] == [table.mul(a, b) for a, b in cells], module.name
-        assert list(map(H.inv, range(H.n))) == list(map(table.inv, range(H.n))), module.name
+        assert [inverse(H, a) for a in range(H.n)] == [inverse(table, a) for a in range(H.n)], module.name
         assert module.elements[0] == ffla.mat_identity(module.k)
         assert list(module.elements[1:]) == sorted(module.elements[1:])
         assert all(H.gens)  # the ids of the non-identity generators
