@@ -28,10 +28,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def vec_add(u: Vector, v: Vector, p: int) -> Vector:
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
 def vec_sub(u: Vector, v: Vector, p: int) -> Vector:
     return tuple((a - b) % p for a, b in zip(u, v))
 
@@ -401,6 +397,11 @@ class FieldOps:
 
     # -- vectors over F^t, encoded as tuples of element indices
 
+    def _add_multiple(self, x, a, y) -> tuple[int, ...]:
+        """x + a*y for vectors x, y over F and a in F."""
+        add, ay = self.add_t, self.mul_t[a]
+        return tuple(add[u][ay[w]] for u, w in zip(x, y))
+
     def f_rref(self, vectors, t: int):
         rows = [list(v) for v in vectors]
         pivots = []
@@ -414,10 +415,7 @@ class FieldOps:
             rows[r] = [self.mul_t[x][inv] for x in rows[r]]
             for i in range(len(rows)):
                 if i != r and rows[i][c]:
-                    f = self.neg_t[rows[i][c]]
-                    rows[i] = [
-                        self.add_t[x][self.mul_t[f][y]] for x, y in zip(rows[i], rows[r])
-                    ]
+                    rows[i] = self._add_multiple(rows[i], self.neg_t[rows[i][c]], rows[r])
             pivots.append(c)
             r += 1
             if r == len(rows):
@@ -447,11 +445,6 @@ class FieldOps:
 
     def hyperplanes(self, t: int):
         return list(self.subspaces(t, t - 1))
-
-    # -- action of field elements on V-row-vectors
-
-    def act(self, v: Vector, idx: int) -> Vector:
-        return vec_mat(v, self.elements[idx], self.p)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def gamma_min(module: sdp.HModule) -> GammaReport:
     full = (1 << H.n) - 1
     # F commutes with H, so C_H(W) is the meet of C_H(w) over the F-rows w
     # of W, and each F-RREF row is a monic F-line, one of the 1-dim subspaces
-    line_c = {w: module.centralizer_of([module.vector_of(w)], full)
+    line_c = {w: module.centralizer_of((w,), full)
               for (w,) in module.fops.subspaces(f, 1)}
     first: dict = {}  # each C_H(W) met so far -> the first (dim, rows) with it
     witnesses = []

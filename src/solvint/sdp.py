@@ -42,7 +42,6 @@ from .ffla import (
     mat_mod,
     mat_mul,
     module_isomorphism,
-    vec_add,
     vec_mat,
     vec_sub,
 )
@@ -128,8 +127,9 @@ class HModule:
         return vec_mat([idx // p ** (e - 1 - j) % p for idx in frow for j in range(e)],
                        self.frame, p)
 
-    def centralizer_of(self, vectors, h_mask: int) -> int:
-        """The mask of the x in h_mask fixing every vector of the list `vectors`."""
+    def centralizer_of(self, frows, h_mask: int) -> int:
+        """The mask of the x in h_mask fixing the vector of every F-row of `frows`."""
+        vectors = [self.vector_of(r) for r in frows]
         return sum(1 << x for x in gr.mask_bits(h_mask)
                    if all(vec_mat(v, self.elements[x], self.p) == v for v in vectors))
 
@@ -401,19 +401,21 @@ def centralizer_in_h(G: SdGroup, z_space) -> int:
     row only: F commutes with H, so an element fixing z fixes every
     F-multiple of z, and so all of Z."""
     module = G.module
-    return G._memo("centralizer", z_space, lambda: module.centralizer_of(
-        [module.vector_of(r) for r in z_space], (1 << module.order) - 1))
+    return G._memo("centralizer", z_space, module.centralizer_of, z_space,
+                   (1 << module.order) - 1)
 
 
 # ---------------------------------------------------------------------------
 # the intersection calculus
 #
 # Linear algebra over F = End_H(V) on F^t: pi_phi(x) = sum_j x_j * phi_j is
-# an H-map V^t -> V for phi in F^t.  W * X^v has one row (phi, pi_phi(v)) per
-# phi in the F-annihilator of W's F-rows, a single row when W is maximal.  An
-# added row is kept, and the submodules meet, or psi = sum_i a_i phi_i leaves
-# the witness c - sum_i a_i c_i, whose centralizer is the new H-part.  Rows
-# are held as {pivot column: (phi, c)}, fully reduced with leading entry one.
+# an H-map V^t -> V for phi in F^t.  W * X^v has one row phi + c per phi in
+# the F-annihilator of W's F-rows, with c the F-coordinates of pi_phi(v), a
+# single row when W is maximal.  An added row is kept, and the submodules
+# meet, or psi = sum_i a_i phi_i leaves the witness c - sum_i a_i c_i, whose
+# centralizer is the new H-part.  Rows are held as {pivot column: phi + c},
+# fully reduced with leading entry one, so all row arithmetic reads F's
+# tables; values go back to vectors of V only in `_solution`.
 
 
 def _f_rref_pivots(fops: FieldOps, rows, n: int) -> list[int]:
@@ -427,10 +429,9 @@ def _f_rref_pivots(fops: FieldOps, rows, n: int) -> list[int]:
     return pivots
 
 
-def _f_nullspace(fops: FieldOps, rows, t: int):
+def _f_nullspace(fops: FieldOps, rows, pivots, t: int):
     """F-RREF (rows, pivots) of {s in F^t : sum_j s_j phi_j = 0 for every phi
-    in `rows`}, for rows in F-RREF."""
-    pivots = _f_rref_pivots(fops, rows, t)
+    in `rows`}, for rows in F-RREF with leading columns `pivots`."""
     basis = []
     for f in range(t):
         if f not in pivots:
@@ -443,63 +444,66 @@ def _f_nullspace(fops: FieldOps, rows, t: int):
 
 
 def _annihilator(G: SdGroup, W: FpSubspace):
-    """(phis, pivots, P): the F-RREF phi with W the common kernel of the
-    pi_phi, and P with v*P the concatenated pi_phi(v), from W's
-    recorded F-RREF rows."""
-    fops = G.module.fops
-    phis, pivots = _f_nullspace(fops, G.fvectors_of_submodule(W), G.t)
-    P = tuple(tuple(x for phi in phis for x in fops.elements[phi[b]][r])
-              for b in range(G.t) for r in range(G.k))
-    return phis, pivots, P
+    """(phis, pivots): the F-RREF phi with W the common kernel of the pi_phi,
+    from W's recorded F-RREF rows.  `_span_fvectors` gave W the pivots
+    k*c + j (j < k) for each F-pivot c, so every k-th of them names one."""
+    k = G.k
+    return _f_nullspace(G.module.fops, G.fvectors_of_submodule(W),
+                        [c // k for c in W.pivots[::k]], G.t)
 
 
 def _rows(G: SdGroup, W: FpSubspace, v: Vector) -> dict:
-    """The rows of W * X^v."""
-    phis, pivots, P = G._memo("ann", W, _annihilator, G, W)
-    c, k = vec_mat(v, P, G.p), G.k
-    return {j: (phi, c[i * k:(i + 1) * k]) for i, (phi, j) in enumerate(zip(phis, pivots))}
+    """The rows of W * X^v: c is the sum over j of phi_j times the
+    F-coordinates of v's j-th k-block, memoised per block."""
+    phis, pivots = G._memo("ann", W, _annihilator, G, W)
+    module, k = G.module, G.k
+    fops = module.fops
+    blocks = [G._memo("fcoords", b, module.fcoords, b)
+              for b in (v[i:i + k] for i in range(0, G.wdim, k))]
+    rows = {}
+    for phi, j in zip(phis, pivots):
+        c = (0,) * module.f_dim
+        for a, x in zip(phi, blocks):
+            if a:
+                c = fops._add_multiple(c, a, x)
+        rows[j] = phi + c
+    return rows
 
 
 def _add_row(G: SdGroup, rows: dict, M: MaximalSupplement):
-    """Add M's row to `rows` in place: the witness when the row reduces to
+    """Add M's row to `rows` in place: the witness c when its phi reduces to
     zero, else None once it is kept."""
     own = _rows(G, M.submodule, M.translate)
     if len(own) != 1:
         raise CaseDispatchError("M's submodule is not maximal")
-    fops = G.module.fops
-
-    def minus(row, a, other):
-        """row - a * other."""
-        na = fops.neg_t[a]
-        return (tuple(fops.add_t[x][fops.mul_t[na][y]] for x, y in zip(row[0], other[0])),
-                vec_add(row[1], fops.act(other[1], na), G.p))
-
+    fops, t = G.module.fops, G.t
     (row,) = own.values()
     for j, other in rows.items():
-        if row[0][j]:
-            row = minus(row, row[0][j], other)
-    piv = next((j for j, x in enumerate(row[0]) if x), None)
+        if row[j]:
+            row = fops._add_multiple(row, fops.neg_t[row[j]], other)
+    piv = next((j for j in range(t) if row[j]), None)
     if piv is None:
-        return row[1]
-    inv = fops.inv_t[row[0][piv]]
-    row = tuple(fops.mul_t[inv][x] for x in row[0]), fops.act(row[1], inv)
+        return row[t:]
+    row = fops._add_multiple((0,) * len(row), fops.inv_t[row[piv]], row)
     for j, other in rows.items():
-        if other[0][piv]:
-            rows[j] = minus(other, other[0][piv], row)
+        if other[piv]:
+            rows[j] = fops._add_multiple(other, fops.neg_t[other[piv]], row)
     rows[piv] = row
     return None
 
 
 def _solution(G: SdGroup, rows: dict):
     """(U, v): U the common kernel of the rows and v the canonical translate
-    with pi_phi(v) = c for each row (phi, c), which is c on its pivot block."""
-    phis = tuple(rows[j][0] for j in sorted(rows))
+    with pi_phi(v) = c for each row phi + c, which is the vector of c on its
+    pivot block."""
+    module, t, k = G.module, G.t, G.k
+    pivots = sorted(rows)
+    phis = tuple(rows[j][:t] for j in pivots)
     U = G._memo("kernel", phis, lambda: G.submodule_from_fvectors(
-        _f_nullspace(G.module.fops, phis, G.t)[0]))
-    k = G.k
+        _f_nullspace(module.fops, phis, pivots, t)[0]))
     v = [0] * G.wdim
-    for j, (_, c) in rows.items():
-        v[j * k:(j + 1) * k] = c
+    for j, row in rows.items():
+        v[j * k:(j + 1) * k] = G._memo("vector", row[t:], module.vector_of, row[t:])
     return U, U.reduce(tuple(v))
 
 
@@ -510,12 +514,12 @@ def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
     if z is None:
         U, v = _solution(G, rows)
         return True, (PartialIntersection(U, K.h_mask, v), None)
-    module = G.module
-    cen = module.centralizer_of((z,), K.h_mask)
+    # z = 0 has no line and all of H as its centralizer
+    lines = G.module.fops.f_rref([z], G.module.f_dim)[0]
+    cen = centralizer_in_h(G, lines) & K.h_mask
     if cen == K.h_mask:
         return False, (K, None)
-    ((line,), _) = module.fops.f_rref([module.fcoords(z)], module.f_dim)
-    return False, (PartialIntersection(K.submodule, cen, K.translate), line)
+    return False, (PartialIntersection(K.submodule, cen, K.translate), lines[0])
 
 
 def intersect_case_spanning(G: SdGroup, K: PartialIntersection,
@@ -551,34 +555,31 @@ def intersect_supplement(G: SdGroup, K: PartialIntersection, M: MaximalSupplemen
 def canonicalize_intersection(G: SdGroup, supplements) -> CanonicalIntersection:
     """Closed form (U, v, Z) of an intersection of maximal supplements: their
     rows reduced in order give U and v, and Z is the F-span of the witnesses,
-    as the F-RREF of their F-coordinates."""
+    which are F-coordinates already, as their F-RREF."""
     ms = list(supplements)
     if not ms:
         raise MalformedInput("canonicalize_intersection requires a nonempty family")
     rows: dict = {}
-    module = G.module
-    witnesses = [module.fcoords(z) for m in ms if (z := _add_row(G, rows, m)) is not None]
+    witnesses = [z for m in ms if (z := _add_row(G, rows, m)) is not None]
     return CanonicalIntersection(*_solution(G, rows),
-                                 module.fops.f_rref(witnesses, module.f_dim)[0])
+                                 G.module.fops.f_rref(witnesses, G.module.f_dim)[0])
 
 
 def realize_intersection(G: SdGroup, U: FpSubspace, Z) -> list[MaximalSupplement]:
     """A family of exactly t* + d maximal supplements intersecting in
     U * C_H(Z), where t* is the codimension of U over F and d = dim_F Z: the
-    rows (phi_i, 0) for the F-annihilator phi_1..phi_t* of U, then (phi_1, z)
-    for the vector z of each F-RREF row of Z, each read back as a
-    supplement."""
+    rows phi_i + 0 for the F-annihilator phi_1..phi_t* of U, then phi_1 + z
+    for each F-RREF row z of Z, each read back as a supplement."""
     module = G.module
     _f_rref_pivots(module.fops, Z, module.f_dim)
-    z_basis = [module.vector_of(r) for r in Z]
-    phis, pivots, _ = G._memo("ann", U, _annihilator, G, U)
-    if not phis and z_basis:
+    phis, pivots = G._memo("ann", U, _annihilator, G, U)
+    if not phis and Z:
         raise RealizationError(
             "U = V^t admits no maximal submodule above it; cannot realize a nonzero Z"
         )
-    zero = (0,) * G.k
-    rows = [{j: (phi, zero)} for phi, j in zip(phis, pivots)]
-    rows += [{pivots[0]: (phis[0], z)} for z in z_basis]
+    zero = (0,) * module.f_dim
+    rows = [{j: phi + zero} for phi, j in zip(phis, pivots)]
+    rows += [{pivots[0]: phis[0] + tuple(z)} for z in Z]
     family = [MaximalSupplement(*_solution(G, row)) for row in rows]
     if len(set(family)) != len(rows):
         raise AssertionError("realized family has duplicate descriptors")
@@ -623,7 +624,19 @@ def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP):
     units = [tuple(1 if j == i else 0 for j in range(wdim)) for i in range(wdim)]
     images = [[w_id(G.act_w(e, h)) for e in units] for h in range(h_size)]
     H = G.module.group
-    hmul = [[H.mul(i, j) for j in range(h_size)] for i in range(h_size)]
+    # column j of H's table is i -> i * j.  Each j != 0 is reached once as
+    # parent * g for a generator g, and i * j = (i * parent) * g, so its column
+    # is the parent's read through g's right multiplication
+    rights = [[H.mul(x, g) for x in range(h_size)] for g in H.gens]
+    cols = [list(range(h_size))] + [None] * (h_size - 1)
+    order = [0]
+    for parent in order:
+        for right in rights:
+            j = right[parent]
+            if cols[j] is None:
+                cols[j] = [right[x] for x in cols[parent]]
+                order.append(j)
+    hmul = list(zip(*cols))
     oracle = gr.oracle_from_split_tables([p] * wdim, images, hmul, G.name, h_gens=H.gens)
 
     def encode(w: Vector, h_idx: int) -> int:

@@ -3,8 +3,8 @@
 The package no longer needs these: subspace sums, meets, decompositions
 and containment, the zero subspace and the list of a subspace's vectors,
 the lower central series test, the enumeration of every F-subspace of
-F^t, scaling a vector, the inverse of an oracle element, the chief-factor
-action and centralizer one element at a time, integer roots and
+F^t, adding and scaling vectors, the inverse of an oracle element, the
+chief-factor action and centralizer one element at a time, integer roots and
 logarithms by bisection, the least eta product over every family of
 maximals, the gamma witnesses by a scan of every F-subspace for every
 F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with their
@@ -24,7 +24,11 @@ from solvint import groups as gr
 from solvint import props, tower
 from solvint.errors import MalformedInput
 from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_mul,
-                          mat_scale, vec_add, vec_mat, vec_sub)
+                          mat_scale, vec_mat, vec_sub)
+
+
+def vec_add(u, v, p):
+    return tuple((a + b) % p for a, b in zip(u, v))
 
 
 def vec_scale(u, c, p):
@@ -389,7 +393,7 @@ def reference_gamma_min(module):
     f, H = module.f_dim, module.group
     maximal_masks = gr.maximal_subgroups(H)
     full = (1 << H.n) - 1
-    by_dim = [[(rows, module.centralizer_of([module.vector_of(r) for r in rows], full))
+    by_dim = [[(rows, module.centralizer_of(rows, full))
                for rows in module.fops.subspaces(f, d)] for d in range(f + 1)]
     witnesses = []
     weak_max = 0

@@ -5,7 +5,8 @@ from U's basis rows and H's matrices alone; the equivalence suites compare
 it with the closed-form calculus.  This test reads src/solvint/sdp.py as
 source (nothing is imported or executed) and checks that the checker and
 every private helper it reaches name none of the closed-form, splitting or
-subspace-reduction entry points.
+subspace-reduction entry points, nor the F-coordinate frame and F's row
+arithmetic.
 """
 
 import ast
@@ -18,6 +19,7 @@ FORBIDDEN = {
     "canonicalize_intersection", "realize_intersection", "_split", "split_over",
     "_f_nullspace", "_annihilator", "_rows", "_add_row", "_solution", "_pair_step",
     "reduce", "decompose", "intersect",
+    "fcoords", "vector_of", "centralizer_in_h", "_add_multiple",
 }
 
 

@@ -13,7 +13,7 @@ from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 from references import (counting_law_calls, is_nilpotent_mask, reference_action_on_factor,
                         reference_centralizer_of_factor, reference_closure, reference_counts,
                         order_of, reference_greedy_generators, reference_power,
-                        reference_towers, inverse, tower_act_w, tower_w_id)
+                        reference_towers, inverse, tower_act_w, tower_w_id, vec_add)
 
 
 def s3():
@@ -470,7 +470,7 @@ def reference_sdp_tables(G):
     w_id = {w: i for i, w in enumerate(w_vectors)}
     h_size = G.module.order
     act = [[w_id[G.act_w(w, h)] for w in w_vectors] for h in range(h_size)]
-    add = [[w_id[ffla.vec_add(w1, w2, G.p)] for w2 in w_vectors] for w1 in w_vectors]
+    add = [[w_id[vec_add(w1, w2, G.p)] for w2 in w_vectors] for w1 in w_vectors]
     h_id = {m: i for i, m in enumerate(G.module.elements)}
     hmul = [[h_id[ffla.mat_mul(a, b, G.p)] for b in G.module.elements] for a in G.module.elements]
     return act, add, hmul

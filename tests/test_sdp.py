@@ -11,10 +11,11 @@ from solvint.errors import (
     ResourceCapExceeded,
     ValidationError,
 )
-from solvint.ffla import FpSubspace, vec_add, vec_mat, vec_sub
+from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
 from references import (all_subspaces, decompose, f_span, intersect, inverse, is_subspace_of,
-                        order_of, sd_inverse, sd_mul, subspace_vectors, sum_with, zero_subspace)
+                        order_of, sd_inverse, sd_mul, subspace_vectors, sum_with, vec_add,
+                        zero_subspace)
 
 
 def g_f5_c4(t=1):
@@ -228,7 +229,7 @@ def reference_case_nested(G, K, M):
     _, u = decompose(W2, vec_sub(M.translate, K.translate, G.p),
                      G.submodule_from_fvectors((line,)))
     pos = next(i for i, idx in enumerate(line) if idx)
-    z = fops.act(u[pos * G.k:(pos + 1) * G.k], fops.inv_t[line[pos]])
+    z = vec_mat(u[pos * G.k:(pos + 1) * G.k], fops.elements[fops.inv_t[line[pos]]], G.p)
     cen = sum(1 << x for x in gr.mask_bits(K.h_mask)
               if vec_mat(z, G.module.elements[x], G.p) == z)
     if cen == K.h_mask:
@@ -460,6 +461,27 @@ def test_embed_as_oracle_examples():
     assert sorted({order_of(o3, x) for x in range(20)}) == [1, 2, 4, 5]
 
 
+def test_embed_as_oracle_fills_h_table_from_the_generators(monkeypatch):
+    # H's table takes one matrix product per element and generator of H
+    # (144 here), not one per pair of elements (5,184)
+    g = sdp.sdgroup_from_spec({"kind": "sdp", "p": 7, "k": 2, "t": 1,
+                               "h_gens": [[[5, 0], [0, 1]], [[0, 1], [1, 0]]]})
+    H = g.module.group
+    assert (H.n, len(H.gens)) == (72, 2)
+    calls = [0]
+
+    def counted(a, b, p):
+        calls[0] += 1
+        return ffla.mat_mul(a, b, p)
+
+    monkeypatch.setattr(sdp, "mat_mul", counted)
+    oracle, _ = sdp.embed_as_oracle(g)
+    assert calls[0] <= H.n * len(H.gens)
+    monkeypatch.undo()
+    # the ids below |H| are (0, h), and they multiply as in H
+    assert all(oracle.mul(i, j) == H.mul(i, j) for i in range(H.n) for j in range(H.n))
+
+
 def test_index_law():
     for g in [g_f5_c4(2), sdp.SdGroup.create(3, 2, 2, [((0, 2), (1, 0))])]:
         v_size = g.p**g.k
@@ -588,8 +610,9 @@ def reference_fixed_space_over(G, W):
 def test_submodule_from_fvectors_matches_the_fp_span(sdp_pool):
     # seeded F^t rows, zero, dependent and unreduced ones included, on cold
     # groups: the span built from their F-RREF equals the F_p elimination of
-    # every e_j * s_i, and the F-RREF is recorded as W's F-rows; rows not
-    # in F-RREF are refused
+    # every e_j * s_i, and the F-RREF is recorded as W's F-rows, whose
+    # leading columns are every k-th pivot of W over k; rows not in F-RREF
+    # are refused
     rng = random.Random(2718)
     unreduced = 0
     for g in sdp_pool:
@@ -608,6 +631,8 @@ def test_submodule_from_fvectors_matches_the_fp_span(sdp_pool):
             W = fresh.submodule_from_fvectors(reduced)
             assert W == FpSubspace.from_vectors(g.p, g.wdim, vectors), (g.name, rows)
             assert fresh.fvectors_of_submodule(W) == reduced
+            leading = [next(c for c, x in enumerate(s) if x) for s in reduced]
+            assert [c // g.k for c in W.pivots[::g.k]] == leading, (g.name, rows)
     assert unreduced > 400
 
 
@@ -641,7 +666,8 @@ def test_frame_coordinates_are_f_linear_and_invert_vector_of(sdp_pool):
             assert len(c) == module.f_dim and all(0 <= x < fops.q for x in c)
             assert module.vector_of(c) == v, (module.name, v)
             for a in range(fops.q):
-                assert coords[fops.act(v, a)] == tuple(fops.mul_t[x][a] for x in c), module.name
+                assert (coords[vec_mat(v, fops.elements[a], p)]
+                        == tuple(fops.mul_t[x][a] for x in c)), module.name
             for u, d in coords.items():
                 assert (coords[vec_add(u, v, p)]
                         == tuple(fops.add_t[x][y] for x, y in zip(d, c))), module.name
