@@ -11,6 +11,7 @@ integer floors.  Exit codes: 0 ok, 1 assertion failure, 2 schema error,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import io
@@ -63,9 +64,7 @@ def load_spec(path: str) -> dict:
 def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
     kind = doc["kind"]
     if kind == "sdp":
-        g = sdp.sdgroup_from_spec(doc)
-        oracle, _ = sdp.embed_as_oracle(g, cap)
-        return oracle
+        return sdp.embed_as_oracle(sdp.sdgroup_from_spec(doc), cap)
     if kind == "tower":
         return _tower_from_spec(doc, cap).embed_as_oracle()
     table = doc.get("table")
@@ -109,8 +108,8 @@ class Report:
     def add(self, section: str, label: str, field: str, value, provenance: str):
         self.rows.append((section, label, field, str(value), provenance))
 
-    def check(self, section: str, label: str, ok: bool, provenance: str = "oracle"):
-        self.add(section, label, "pass", "yes" if ok else "NO", provenance)
+    def check(self, section: str, label: str, ok: bool):
+        self.add(section, label, "pass", "yes" if ok else "NO", "oracle")
         if not ok:
             self.failures += 1
 
@@ -178,9 +177,14 @@ def cmd_analyze(doc: dict, cap: int, seed: int) -> Report:
 
 
 def _fresh(groups: list[sdp.SdGroup]) -> list[sdp.SdGroup]:
-    """New groups over the set-up modules of the corpus, so that the memos
-    of one request start cold and end with it."""
-    return [sdp.SdGroup(g.module, g.t, g.name) for g in groups]
+    """New groups over copies of the set-up modules of the corpus, with a
+    fresh H, so that the memos of one request start cold and end with it."""
+    out = []
+    for g in groups:
+        module = copy.copy(g.module)
+        (module.group,) = _fresh_oracles([module.group])
+        out.append(sdp.SdGroup(module, g.t, g.name))
+    return out
 
 
 def _fresh_oracles(groups: list[gr.OracleGroup]) -> list[gr.OracleGroup]:

@@ -34,7 +34,7 @@ def _tower_g2() -> gr.OracleGroup:
 
 def _affine_36() -> gr.OracleGroup:
     g = sdp.SdGroup.create(3, 2, 1, [((0, 2), (1, 0))], name="F9:C4")
-    return sdp.embed_as_oracle(g)[0]
+    return sdp.embed_as_oracle(g)
 
 
 # name -> zero-argument builder; instances are cached on first use

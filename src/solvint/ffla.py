@@ -341,11 +341,12 @@ def _intertwiners(rho_a, rho_b, p: int, d: int):
 
 def _addition_table(radices) -> list[list[int]]:
     """Addition table of Z/r_1 x ... x Z/r_m on mixed-radix ids (digit 1
-    most significant), built one digit at a time."""
+    most significant), built one digit at a time from one int object per id."""
     add = [[0]]
     for r in radices:
         digit_add = [[(a + b) % r for b in range(r)] for a in range(r)]
-        add = [[x * r + d for x in row for d in digit_row]
+        ids = list(range(len(add) * r))
+        add = [[ids[x * r + d] for x in row for d in digit_row]
                for row in add for digit_row in digit_add]
     return add
 

@@ -280,9 +280,11 @@ def semidirect_cyclic(n_order: int, h_order: int, action_exp: int,
     s = action_exp % n_order
     if pow(s, h_order, n_order) != 1 % n_order:
         raise MalformedInput("action exponent order does not divide |H|")
-    return oracle_from_split_tables(
-        [n_order], [[pow(s, e, n_order)] for e in range(h_order)], _addition_table([h_order]),
-        name or f"C{n_order}:C{h_order}", h_gens=[1] if h_order > 1 else [])
+    name = name or f"C{n_order}:C{h_order}"
+    if h_order == 1:
+        trivial = _table_group(1, array("i", [0]), "C1", ())
+        return oracle_from_split_tables([n_order], [], trivial, name)
+    return oracle_from_split_tables([n_order], [[s]], cyclic(h_order), name)
 
 
 def _check_embedding_order(order: int, cap: int) -> None:
@@ -291,53 +293,68 @@ def _check_embedding_order(order: int, cap: int) -> None:
         raise ResourceCapExceeded(f"oracle embedding of |G|={order} exceeds the order cap", cap)
 
 
-def oracle_from_split_tables(radices, images, hmul, name: str, h_gens=()) -> OracleGroup:
+def oracle_from_split_tables(radices, images, H: OracleGroup, name: str) -> OracleGroup:
     """Assemble a semidirect product W x| H oracle, W = Z/r_1 x ... x Z/r_m.
 
     W's ids are mixed-radix over `radices`, digit 1 most significant;
-    images[h][i] is the id of e_i^h for the unit vector e_i of digit i, and
-    hmul is H's table.  Element id = w*|H| + h, the law is
+    images[j][i] is the id of e_i^g for the unit vector e_i of digit i and
+    g = H.gens[j].  Element id = w*|H| + h, the law is
     (w1,h1)(w2,h2) = (act[h2][w1] + w2, h1*h2) and id 0 is the identity.
-    The gens are the e_i with r_i > 1, most significant first, then h_gens.
+    The gens are the e_i with r_i > 1, most significant first, then H.gens.
 
-    act[h] follows by additivity, least significant digit first: if `row`
+    act[g] follows by additivity, least significant digit first: if `row`
     holds the images of the lower digits' ids, a digit of radix r and image
-    b extends it to row ++ (row + b) ++ ... ++ (row + (r-1)b).
-
-    The law multiplies from W's addition table, act and hmul, with two
-    length-n lists splitting an id into (w, h): no n x n table is built.
-    The inverse comes from the law: (w, h)^-1 = (-act[h^-1][w], h^-1).
+    b extends it to row ++ (row + b) ++ ... ++ (row + (r-1)b).  One walk
+    along H's Cayley graph reaches each h once as parent*g, and reads act[h]
+    off act[parent] through act[g] and H's column x -> x*h off the parent's
+    through x -> x*g.  The law reads W's addition table, act and the columns,
+    with two length-n lists splitting an id into (w, h): no n x n table.
+    The inverse is (w, h)^-1 = (-act[h^-1][w], h^-1).
     """
+    if len(images) != len(H.gens):
+        raise MalformedInput(f"{len(images)} generator images for {len(H.gens)} generators of H")
     add = _addition_table(radices)
-    act = []
-    for h_images in images:
+    gen_acts = []
+    for g_images in images:
         row = [0]
-        for r, b in zip(reversed(radices), reversed(h_images)):
+        for r, b in zip(reversed(radices), reversed(g_images)):
             add_b = add[b]
             shifted = row
             row = list(row)
             for _ in range(1, r):
                 shifted = [add_b[x] for x in shifted]
                 row += shifted
-        act.append(row)
-    w_size, h_size = len(add), len(hmul)
+        gen_acts.append(row)
+    w_size, h_size = len(add), H.n
+    act = [list(range(w_size))] + [None] * (h_size - 1)
+    cols = [list(range(h_size))] + [None] * (h_size - 1)
+    rights = [[H.mul(x, g) for x in range(h_size)] for g in H.gens]
+    order = [0]
+    for parent in order:
+        for gen_act, right in zip(gen_acts, rights):
+            h = right[parent]
+            if cols[h] is None:
+                act[h] = [gen_act[w] for w in act[parent]]
+                cols[h] = [right[x] for x in cols[parent]]
+                order.append(h)
+    if len(order) != h_size:
+        raise MalformedInput("H.gens do not generate H")
     n = w_size * h_size
     w_of = [w for w in range(w_size) for _ in range(h_size)]
     h_of = list(range(h_size)) * w_size
 
     def mul(a: int, b: int) -> int:
         h2 = h_of[b]
-        return add[act[h2][w_of[a]]][w_of[b]] * h_size + hmul[h_of[a]][h2]
+        return add[act[h2][w_of[a]]][w_of[b]] * h_size + cols[h2][h_of[a]]
 
-    h_inv = [hrow.index(0) for hrow in hmul]
     w_neg = [add_row.index(0) for add_row in add]
-    inv = array("i", [w_neg[act[hi][w]] * h_size + hi for w in range(w_size) for hi in h_inv])
+    inv = array("i", [w_neg[act[hi][w]] * h_size + hi for w in range(w_size) for hi in H._inv])
     gens, place = [], n
     for r in radices:
         place //= r
         if r > 1:
             gens.append(place)
-    return OracleGroup(n, mul, name, tuple(gens) + tuple(h_gens), inv)
+    return OracleGroup(n, mul, name, tuple(gens) + tuple(H.gens), inv)
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ def verify_eta_to_gamma(sd_group: sdp.SdGroup,
     is embedded as an oracle only up to order `cap`."""
     if sd_group.t != 1:
         raise MalformedInput("primitive verifier expects t = 1 (Gamma = V x| H)")
-    oracle, _ = sdp.embed_as_oracle(sd_group, cap)
+    oracle = sdp.embed_as_oracle(sd_group, cap)
     report = eta_report(oracle)
     gamma_v = gamma_min(sd_group.module).gamma_min
     c = PALFY_WOLF

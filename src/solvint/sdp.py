@@ -186,22 +186,6 @@ class SdGroup:
             out = memo[key] = compute(*args)
             return out
 
-    def act_w(self, w: Vector, h_idx: int) -> Vector:
-        # the image under h of each k-block of V met so far, by block
-        images = self._memo("act", h_idx, dict)
-        k = self.k
-        out = ()
-        for b in range(0, self.wdim, k):
-            block = w[b:b + k]
-            image = images.get(block)
-            if image is None:
-                image = images[block] = vec_mat(block, self.module.elements[h_idx], self.p)
-            out += image
-        return out
-
-    def zero_w(self) -> Vector:
-        return (0,) * self.wdim
-
     # -- submodules of V^t via F-subspaces of F^t
 
     def submodule_from_fvectors(self, frows) -> FpSubspace:
@@ -295,7 +279,7 @@ def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
         if G.wdim and (G.order // (W.size() * G.module.order)) != p ** G.k:
             raise AssertionError("maximal supplement index is not |V|")
         if G.fixed_space_over(W) is not W:
-            out.append(MaximalSupplement(W, G.zero_w()))
+            out.append(MaximalSupplement(W, (0,) * G.wdim))
             continue
         free_positions = W.free_columns
         for fill in iter_product(range(p), repeat=len(free_positions)):
@@ -595,9 +579,14 @@ def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersectio
     cen_b = centralizer_in_h(G, b.z_space)
     if cen_a != cen_b:
         return False
-    delta = vec_sub(a.translate, b.translate, G.p)
+    p, k, elements = G.p, G.k, G.module.elements
+    delta = vec_sub(a.translate, b.translate, p)
+    blocks = [delta[c:c + k] for c in range(0, G.wdim, k)]
+    # delta - delta^x, one k-block of V at a time
     return all(
-        a.submodule.contains(vec_sub(delta, G.act_w(delta, x), G.p)) for x in gr.mask_bits(cen_a)
+        a.submodule.contains(tuple(y for block in blocks
+                                   for y in vec_sub(block, vec_mat(block, elements[x], p), p)))
+        for x in gr.mask_bits(cen_a)
     )
 
 
@@ -605,44 +594,22 @@ def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersectio
 # oracle bridge
 
 
-def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP):
-    """Explicit OracleGroup for G plus the element encoder.
+def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> gr.OracleGroup:
+    """Explicit OracleGroup for G.
 
     Element ids enumerate (w, h) with w in lexicographic digit order and h
-    in the canonical H order, so the identity gets id 0.
+    in the canonical H order, so the identity gets id 0: (w, h) has id
+    w_id(w) * |H| + h, where w_id reads the coordinates of w as base-p
+    digits, first digit most significant.
     """
     gr._check_embedding_order(G.order, cap)
-    p, wdim = G.p, G.wdim
-    h_size = G.module.order
-
-    def w_id(w: Vector) -> int:
-        out = 0
-        for x in w:
-            out = out * p + x
-        return out
-
-    units = [tuple(1 if j == i else 0 for j in range(wdim)) for i in range(wdim)]
-    images = [[w_id(G.act_w(e, h)) for e in units] for h in range(h_size)]
+    p, k, wdim = G.p, G.k, G.wdim
     H = G.module.group
-    # column j of H's table is i -> i * j.  Each j != 0 is reached once as
-    # parent * g for a generator g, and i * j = (i * parent) * g, so its column
-    # is the parent's read through g's right multiplication
-    rights = [[H.mul(x, g) for x in range(h_size)] for g in H.gens]
-    cols = [list(range(h_size))] + [None] * (h_size - 1)
-    order = [0]
-    for parent in order:
-        for right in rights:
-            j = right[parent]
-            if cols[j] is None:
-                cols[j] = [right[x] for x in cols[parent]]
-                order.append(j)
-    hmul = list(zip(*cols))
-    oracle = gr.oracle_from_split_tables([p] * wdim, images, hmul, G.name, h_gens=H.gens)
-
-    def encode(w: Vector, h_idx: int) -> int:
-        return w_id(w) * h_size + h_idx
-
-    return oracle, encode
+    # a generator matrix m maps e_i to row i % k of m, placed in k-block i // k
+    images = [[sum(x * p ** (wdim - 1 - (i - i % k + j)) for j, x in enumerate(m[i % k]))
+               for i in range(wdim)]
+              for m in (G.module.elements[g] for g in H.gens)]
+    return gr.oracle_from_split_tables([p] * wdim, images, H, G.name)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from operator import and_
 
 from . import groups as gr
 from .errors import MalformedInput, ResourceCapExceeded
-from .ffla import _addition_table, is_prime
+from .ffla import is_prime
 
 PRIME_SEARCH_CEILING = 10**6
 
@@ -146,12 +146,11 @@ class TowerGroup:
         if cached is not None:
             return cached
         # the unit vector e_m has id place_m, the product of the later
-        # primes, and x^e maps it to zeta_m^e e_m
+        # primes, and x maps it to zeta_m e_m
         places = [math.prod(self.primes.primes[m + 1:]) for m in range(self.n)]
-        images = [[zeta_pow[e] * place for zeta_pow, place in zip(self.zeta_pows, places)]
-                  for e in range(self.h_order)]
-        hmul = _addition_table([self.h_order])
-        oracle = gr.oracle_from_split_tables(self.primes.primes, images, hmul, self.name, h_gens=[1])
+        images = [[zeta * place for zeta, place in zip(self.zetas, places)]]
+        oracle = gr.oracle_from_split_tables(self.primes.primes, images, gr.cyclic(self.h_order),
+                                             self.name)
         self._cache["oracle"] = oracle
         return oracle
 
@@ -252,7 +251,6 @@ class TowerCounts:
     beta_tilde_oracle: int | None
     ratio_bound: Fraction
     formula_agrees_oracle: bool | None
-    structural_agrees_oracle: bool | None
     beta_bound_holds: bool | None
 
 
@@ -270,7 +268,7 @@ def _oracle_class_data(T: TowerGroup):
 def _capped_counts(n: int, primes: tuple[int, ...]) -> TowerCounts:
     """The closed forms of level n, with every oracle column None."""
     return TowerCounts(n, primes, (1 << (n - 1)) * (n + 2) - 1, (1 << (n + 1)) - 1, None,
-                       None, None, Fraction(4, n + 2), None, None, None)
+                       None, None, Fraction(4, n + 2), None, None)
 
 
 def tilde_counts(T: TowerGroup) -> TowerCounts:
@@ -287,7 +285,6 @@ def tilde_counts(T: TowerGroup) -> TowerCounts:
         counts, gamma_tilde_structural=structural, gamma_tilde_oracle=gamma_oracle,
         beta_tilde_oracle=beta_oracle,
         formula_agrees_oracle=counts.gamma_tilde_formula == gamma_oracle,
-        structural_agrees_oracle=structural == gamma_oracle,
         beta_bound_holds=beta_oracle <= counts.beta_tilde_bound,
     )
 

@@ -26,11 +26,11 @@ def sdp_pool():
 @pytest.fixture(scope="session")
 def corpus_and_primitive_oracles(corpus_list):
     """The corpus groups and the primitive groups embedded as oracles."""
-    return list(corpus_list) + [sdp.embed_as_oracle(g)[0] for g in corpus.primitive_groups()]
+    return list(corpus_list) + [sdp.embed_as_oracle(g) for g in corpus.primitive_groups()]
 
 
 @pytest.fixture(scope="session")
 def small_pool_oracles(sdp_pool):
     """(G, oracle) for the pool groups of order <= 500, embedded once: the
     oracles memoise their lattices, which several tests compare."""
-    return [(G, sdp.embed_as_oracle(G)[0]) for G in sdp_pool if G.order <= 500]
+    return [(G, sdp.embed_as_oracle(G)) for G in sdp_pool if G.order <= 500]

@@ -4,17 +4,18 @@ The package no longer needs these: subspace sums, meets, decompositions
 and containment, the zero subspace and the list of a subspace's vectors,
 the lower central series test, the enumeration of every F-subspace of
 F^t, adding and scaling vectors, the inverse of an oracle element, the
-chief-factor action and centralizer one element at a time, integer roots and
-logarithms by bisection, the least eta product over every family of
+chief-factor action and centralizer one element at a time, integer roots
+and logarithms by bisection, the least eta product over every family of
 maximals, the gamma witnesses by a scan of every F-subspace for every
-F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with their
-action and ids, closures and greedy generators closed from scratch, and
-the count tables tested one subgroup at a time, the order of an element,
-the product and the inverse in V^t x| H, the F_p-span of the F-multiples
-of vectors of V, the map of a module isomorphism applied to a vector, and
-the tables of a field by matrix products, sums and an inverse scan.  The
-tests keep them to build independent references and test data, with a
-counter of the law calls an oracle makes.
+F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with
+their action and ids, closures and greedy generators closed from
+scratch, and the count tables tested one subgroup at a time, the order
+of an element, the action of H on V^t, the product and the inverse in
+V^t x| H, the F_p-span of the F-multiples of vectors of V, the map of a
+module isomorphism applied to a vector, and the tables of a field by
+matrix products, sums and an inverse scan.  The tests keep them to build
+independent references and test data, with a counter of the law calls an
+oracle makes.
 """
 
 from contextlib import contextmanager
@@ -139,18 +140,25 @@ def order_of(G, a: int) -> int:
     return k
 
 
+def sd_act(G, w, h: int):
+    """w^h in V^t for the sdp group G = V^t x| H: each k-block of w times
+    the matrix of h."""
+    k, m = G.k, G.module.elements[h]
+    return tuple(y for b in range(0, G.wdim, k) for y in vec_mat(w[b:b + k], m, G.p))
+
+
 def sd_mul(G, a, b):
     """(w1, h1)(w2, h2) = (w1^h2 + w2, h1 h2) in the sdp group G = V^t x| H."""
     w1, h1 = a
     w2, h2 = b
-    return vec_add(G.act_w(w1, h2), w2, G.p), G.module.group.mul(h1, h2)
+    return vec_add(sd_act(G, w1, h2), w2, G.p), G.module.group.mul(h1, h2)
 
 
 def sd_inverse(G, a):
     """(w, h)^-1 = (-w^(h^-1), h^-1) in the sdp group G = V^t x| H."""
     w, h = a
     hi = inverse(G.module.group, h)
-    return tuple(-x % G.p for x in G.act_w(w, hi)), hi
+    return tuple(-x % G.p for x in sd_act(G, w, hi)), hi
 
 
 def f_span(fops, vectors) -> FpSubspace:

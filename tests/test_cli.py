@@ -377,12 +377,14 @@ def test_interkm_request_runs_no_fp_elimination(monkeypatch):
     assert len(calls) == 0
 
 
-def test_thuno_and_propo_requests_without_a_spec_are_cold(monkeypatch):
-    # the corpus oracles lend their tables to fresh groups, so a request
-    # leaves no memo behind in them, and the gamma witness modules of thuno
-    # are built again by every request
+def test_thuno_propo_and_due_requests_without_a_spec_are_cold(monkeypatch):
+    # the corpus oracles and the primitive groups' H lend their laws to
+    # fresh groups, so a request leaves no memo behind in them, and the
+    # gamma witness modules of thuno are built again by every request
     monkeypatch.setattr(corpus, "_corpus_cache", {})
-    groups = corpus.corpus_groups()
+    monkeypatch.setattr(corpus, "_primitive_cache", {})
+    primitive = corpus.primitive_groups()
+    groups = corpus.corpus_groups() + primitive + [G.module.group for G in primitive]
     built = []
     create = sdp.HModule.create
     monkeypatch.setattr(sdp.HModule, "create",
@@ -392,7 +394,7 @@ def test_thuno_and_propo_requests_without_a_spec_are_cold(monkeypatch):
         return [{key: len(value) for key, value in g._cache.items()} for g in groups]
 
     before = cache_sizes()
-    for suite in ("thuno", "propo"):
+    for suite in ("thuno", "propo", "due"):
         assert cli.cmd_verify(None, suite, gr.DEFAULT_ORDER_CAP, 5).failures == 0
         assert cache_sizes() == before, suite
     modules_per_request = len(built)

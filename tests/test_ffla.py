@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -429,3 +430,17 @@ def test_projective_points_count():
     pts = list(ffla.projective_points(3, 2))
     assert len(pts) == 4
     assert pts[0] == (1, 0)
+
+
+def test_addition_table_shares_one_int_per_id():
+    # 529^2 entries, each a fresh int, peak at 7.15 MB; with one int object
+    # per id the table is its row lists alone
+    tracemalloc.start()
+    try:
+        add = ffla._addition_table([23, 23])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6, peak
+    assert add == [[(a // 23 + b // 23) % 23 * 23 + (a + b) % 23 for b in range(529)]
+                   for a in range(529)]

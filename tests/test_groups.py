@@ -13,7 +13,7 @@ from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 from references import (counting_law_calls, is_nilpotent_mask, reference_action_on_factor,
                         reference_centralizer_of_factor, reference_closure, reference_counts,
                         order_of, reference_greedy_generators, reference_power,
-                        reference_towers, inverse, tower_act_w, tower_w_id, vec_add)
+                        reference_towers, inverse, sd_act, tower_act_w, tower_w_id, vec_add)
 
 
 def s3():
@@ -77,7 +77,7 @@ def test_from_mul_table_catches_nonassociative(corpus_list):
 
 
 def test_gens_generate_the_group(corpus_list, sdp_pool, tower2, tower3):
-    oracles = list(corpus_list) + [sdp.embed_as_oracle(g)[0] for g in sdp_pool]
+    oracles = list(corpus_list) + [sdp.embed_as_oracle(g) for g in sdp_pool]
     oracles += [tower2.embed_as_oracle(), tower3.embed_as_oracle()]
     for g in oracles:
         assert gr.closure_mask(g, g.gens) == (1 << g.n) - 1, g.name
@@ -137,7 +137,7 @@ def test_lattice_cap_fires_on_the_class_and_maximal_paths(sdp_pool):
     c2_7 = gr.cyclic(2)
     for _ in range(6):
         c2_7 = gr.direct_product(c2_7, gr.cyclic(2))
-    (g486,) = [sdp.embed_as_oracle(G)[0] for G in sdp_pool if G.order == 486]
+    (g486,) = [sdp.embed_as_oracle(G) for G in sdp_pool if G.order == 486]
     for g in (c2_7, g486):
         for query in (gr.all_subgroups, gr.conjugacy_classes_of_subgroups, gr.maximal_subgroups):
             cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
@@ -327,7 +327,7 @@ def test_chief_factor_action_and_centralizer_match_references(corpus_and_primiti
                                                               small_pool_oracles, sdp_pool):
     # the coset table and the per-coset centralizer test against the least
     # element of each coset by a scan over Y and a test of every element
-    large = [sdp.embed_as_oracle(G)[0] for G in sdp_pool if G.order in (1029, 1210, 1296, 1944)]
+    large = [sdp.embed_as_oracle(G) for G in sdp_pool if G.order in (1029, 1210, 1296, 1944)]
     assert sorted(g.n for g in large) == [1029, 1210, 1296, 1944]
     oracles = corpus_and_primitive_oracles + [g for _, g in small_pool_oracles] + large
     for g in oracles:
@@ -469,7 +469,7 @@ def reference_sdp_tables(G):
     w_vectors = list(product(range(G.p), repeat=G.wdim))
     w_id = {w: i for i, w in enumerate(w_vectors)}
     h_size = G.module.order
-    act = [[w_id[G.act_w(w, h)] for w in w_vectors] for h in range(h_size)]
+    act = [[w_id[sd_act(G, w, h)] for w in w_vectors] for h in range(h_size)]
     add = [[w_id[vec_add(w1, w2, G.p)] for w2 in w_vectors] for w1 in w_vectors]
     h_id = {m: i for i, m in enumerate(G.module.elements)}
     hmul = [[h_id[ffla.mat_mul(a, b, G.p)] for b in G.module.elements] for a in G.module.elements]
@@ -585,7 +585,7 @@ def test_split_tables_of_edge_shapes_match_references():
                       reference_cyclic_tables(n_order, h_order, s)))
     for t in (0, 1, 2, 3):
         G = sdp.SdGroup.create(3, 1, t, [])
-        cases.append((sdp.embed_as_oracle(G)[0], reference_sdp_tables(G)))
+        cases.append((sdp.embed_as_oracle(G), reference_sdp_tables(G)))
     # (|W|, |H|) of each reference
     shapes = [(len(add), len(hmul)) for _, (_, add, hmul) in cases]
     assert shapes == [(1, 4), (5, 1), (1, 1), (4, 2), (6, 2), (1, 1), (3, 1), (9, 1), (27, 1)]
@@ -596,6 +596,17 @@ def test_split_tables_of_edge_shapes_match_references():
         assert law_cells(g) == flat, shape
         assert law_inverses(g) == reference_inverses(flat, g.n), shape
         assert list(gr.all_subgroups(g)) == reference_lattice(g), shape
+
+
+def test_split_tables_refuse_images_that_do_not_fit_h():
+    # one image list per generator of H, and generators that reach all of H
+    C3 = gr.cyclic(3)
+    for images in ([], [[2], [4]]):
+        with pytest.raises(MalformedInput, match="generator images"):
+            gr.oracle_from_split_tables([7], images, C3, "C7:C3")
+    no_gens = gr.OracleGroup(C3.n, C3.mul, "C3", (), C3._inv)
+    with pytest.raises(MalformedInput, match="do not generate"):
+        gr.oracle_from_split_tables([7], [], no_gens, "C7:C3")
 
 
 def test_power_tables_match_powers_by_squaring(corpus_list, small_pool_oracles, tower2, tower3):

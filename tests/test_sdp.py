@@ -14,7 +14,7 @@ from solvint.errors import (
 from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
 from references import (all_subspaces, decompose, f_span, intersect, inverse, is_subspace_of,
-                        order_of, sd_inverse, sd_mul, subspace_vectors, sum_with, vec_add,
+                        order_of, sd_act, sd_inverse, sd_mul, subspace_vectors, sum_with, vec_add,
                         zero_subspace)
 
 
@@ -68,7 +68,7 @@ def test_enumerate_maximal_supplements_counts():
 
 def test_supplements_are_maximal_in_oracle():
     g = g_s3()
-    oracle, _ = sdp.embed_as_oracle(g)
+    oracle = sdp.embed_as_oracle(g)
     maximal_masks = set(gr.maximal_subgroups(oracle))
     for m in sdp.enumerate_maximal_supplements(g):
         assert sdp.supplement_elements(g, m) in maximal_masks
@@ -79,10 +79,8 @@ def test_supplement_enumeration_is_complete():
     for g in [g_s3(), g_f5_c4(1), g_f5_c4(2),
               sdp.SdGroup.create(3, 2, 1, [((0, 2), (1, 0))]),
               sdp.SdGroup.create(2, 2, 2, [((1, 1), (1, 0))])]:
-        oracle, encode = sdp.embed_as_oracle(g)
-        socle = 0
-        for w in subspace_vectors(FpSubspace.full(g.p, g.wdim)):
-            socle |= 1 << encode(w, 0)
+        oracle = sdp.embed_as_oracle(g)
+        socle = encode_elements(g, [(w, 0) for w in subspace_vectors(FpSubspace.full(g.p, g.wdim))])
         oracle_sups = {m for m in gr.maximal_subgroups(oracle)
                        if m & socle != socle}
         enumerated = set()
@@ -96,7 +94,7 @@ def reference_elements(G, submodule, h_mask, translate) -> set:
     out = set()
     vectors = list(subspace_vectors(submodule))
     for x in gr.mask_bits(h_mask):
-        shift = vec_sub(translate, G.act_w(translate, x), G.p)
+        shift = vec_sub(translate, sd_act(G, translate, x), G.p)
         for u in vectors:
             out.add((vec_add(u, shift, G.p), x))
     return out
@@ -113,12 +111,21 @@ def encode_elements(G, elements) -> int:
     return mask
 
 
-def test_encode_elements_matches_embed_as_oracle():
-    for g in [g_s3(), g_f5_c4(2)]:
-        _, encode = sdp.embed_as_oracle(g)
-        for w in subspace_vectors(FpSubspace.full(g.p, g.wdim)):
-            for h in range(g.module.order):
-                assert encode_elements(g, [(w, h)]) == 1 << encode(w, h)
+def test_encode_elements_pins_the_id_order_of_the_law():
+    # the id of a*b is oracle.mul of the ids of a and b: all pairs of S3,
+    # and sampled pairs of F5:C4 at t = 2
+    rng = random.Random(31)
+    for g, samples in ((g_s3(), None), (g_f5_c4(2), 2000)):
+        oracle = sdp.embed_as_oracle(g)
+        elements = [(w, h) for w in subspace_vectors(FpSubspace.full(g.p, g.wdim))
+                    for h in range(g.module.order)]
+        ids = {x: encode_elements(g, [x]).bit_length() - 1 for x in elements}
+        assert sorted(ids.values()) == list(range(oracle.n))
+        pairs = [(a, b) for a in elements for b in elements]
+        if samples:
+            pairs = rng.sample(pairs, samples)
+        for a, b in pairs:
+            assert ids[sd_mul(g, a, b)] == oracle.mul(ids[a], ids[b]), (g.name, a, b)
 
 
 def test_descriptor_masks_match_reference(sdp_pool):
@@ -275,7 +282,7 @@ def reference_canonicalize(G, family):
     F_p-span of the F-multiples of the witnesses that shrank the H-part:
     (U, v, Z, X) with X the H-part the fold ends with."""
     cur = sdp.PartialIntersection(FpSubspace.full(G.p, G.wdim), (1 << G.module.order) - 1,
-                                  G.zero_w())
+                                  (0,) * G.wdim)
     pending = list(family)
     while (m := next((m for m in pending if not is_subspace_of(cur.submodule, m.submodule)),
                      None)) is not None:
@@ -431,7 +438,7 @@ def test_realize_round_trip_enumerated():
                     continue
                 assert len(fam) == t_star + d
                 expected = sdp.descriptor_elements(
-                    g, u, sdp.centralizer_in_h(g, z), g.zero_w()
+                    g, u, sdp.centralizer_in_h(g, z), (0,) * g.wdim
                 )
                 brute = (1 << g.order) - 1
                 for m in fam:
@@ -450,13 +457,13 @@ def test_realize_family_size_is_tstar_plus_d():
 
 
 def test_embed_as_oracle_examples():
-    oracle, _ = sdp.embed_as_oracle(g_s3())
+    oracle = sdp.embed_as_oracle(g_s3())
     assert oracle.n == 6
     assert sorted(order_of(oracle, x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
     h_only = sdp.SdGroup(g_f5_c4(1).module, 0)
-    o2, _ = sdp.embed_as_oracle(h_only)
+    o2 = sdp.embed_as_oracle(h_only)
     assert o2.n == 4
-    o3, _ = sdp.embed_as_oracle(g_f5_c4(1))
+    o3 = sdp.embed_as_oracle(g_f5_c4(1))
     assert o3.n == 20
     assert sorted({order_of(o3, x) for x in range(20)}) == [1, 2, 4, 5]
 
@@ -475,7 +482,7 @@ def test_embed_as_oracle_fills_h_table_from_the_generators(monkeypatch):
         return ffla.mat_mul(a, b, p)
 
     monkeypatch.setattr(sdp, "mat_mul", counted)
-    oracle, _ = sdp.embed_as_oracle(g)
+    oracle = sdp.embed_as_oracle(g)
     assert calls[0] <= H.n * len(H.gens)
     monkeypatch.undo()
     # the ids below |H| are (0, h), and they multiply as in H
@@ -502,12 +509,12 @@ def test_crown_g2_spec_example(tower2):
 
 
 def test_crown_s3_and_f20():
-    s3, _ = sdp.embed_as_oracle(g_s3())
+    s3 = sdp.embed_as_oracle(g_s3())
     cls3 = next(c for c in sdp.chief_factor_classes(s3) if c.prime == 3)
     data = sdp.crown(s3, cls3)
     assert (data.centralizer.bit_count(), data.core_r.bit_count(), data.delta) == (3, 1, 1)
     assert data.complement.bit_count() == 3
-    f20, _ = sdp.embed_as_oracle(g_f5_c4(1))
+    f20 = sdp.embed_as_oracle(g_f5_c4(1))
     cls5 = next(c for c in sdp.chief_factor_classes(f20) if c.prime == 5)
     data = sdp.crown(f20, cls5)
     assert data.delta == 1 and data.core_r.bit_count() == 1
@@ -574,9 +581,7 @@ def test_chief_factor_classes_match_the_isomorphism_search(corpus_and_primitive_
     # F_7^2 x| C_3, with the generator scaling the two coordinates by 2
     # and 4, the two F_7 factors share prime, dimension and centralizer
     # but are not isomorphic.
-    images = [[pow(2, e, 7) * 7, pow(4, e, 7)] for e in range(3)]
-    f49_c3 = gr.oracle_from_split_tables([7, 7], images, ffla._addition_table([3]), "F7^2:C3",
-                                         h_gens=[1])
+    f49_c3 = gr.oracle_from_split_tables([7, 7], [[2 * 7, 4]], gr.cyclic(3), "F7^2:C3")
     assert ([(p, d, c.bit_count()) for _, p, d, c, _ in reference_chief_factor_classes(f49_c3)]
             == [(7, 1, 49), (7, 1, 49), (3, 1, 147)])
     for g in corpus_and_primitive_oracles + [g for _, g in small_pool_oracles] + [f49_c3]:
@@ -600,7 +605,7 @@ def reference_fixed_space_over(G, W):
         reds = []
         for i in range(n):
             e = tuple(1 if c == i else 0 for c in range(n))
-            reds.append(W.reduce(vec_sub(G.act_w(e, g), e, p)))
+            reds.append(W.reduce(vec_sub(sd_act(G, e, g), e, p)))
         for j in range(n):
             eq_rows.append(tuple(reds[i][j] for i in range(n)))
     kernel = ffla.nullspace(eq_rows, p, n)

@@ -169,7 +169,6 @@ def test_tilde_counts_n2(tower2):
     assert tc.gamma_tilde_structural == 9
     assert tc.gamma_tilde_oracle == 9
     assert tc.formula_agrees_oracle is False
-    assert tc.structural_agrees_oracle is True
     assert tc.beta_tilde_oracle <= tc.beta_tilde_bound == 7
     # pinned for primes (3, 5): every X and Y class has nonzero Moebius value
     assert tc.beta_tilde_oracle == 7
@@ -204,7 +203,7 @@ def test_ratio_table_builds_no_level_over_the_order_cap(monkeypatch):
     for n, p, tc, _ in rows:
         gamma, beta, ratio = closed_forms[n]
         assert tc == tower.TowerCounts(n, p, gamma, beta, None, None, None, ratio,
-                                       None, None, None), n
+                                       None, None), n
 
 
 def test_ratio_table_strict_primes():
