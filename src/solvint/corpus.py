@@ -74,8 +74,8 @@ _corpus_cache: dict[str, gr.OracleGroup] = {}
 
 
 def corpus_groups() -> list[gr.OracleGroup]:
-    """The curated solvable corpus (orders <= 200, except the order-60
-    tower level used for cross-checks)."""
+    """The curated solvable corpus: orders <= 200, the order-60 tower
+    level used for cross-checks among them."""
     out = []
     for name, build in CORPUS_BUILDERS:
         if name not in _corpus_cache:

@@ -214,15 +214,6 @@ class FpSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def free_columns(self) -> tuple[int, ...]:
-        """The non-pivot columns: `reduce` is zero everywhere else."""
-        pivots = set(self.pivots)
-        return tuple(c for c in range(self.ambient_dim) if c not in pivots)
-
-    def size(self) -> int:
-        return self.p ** self.dim
-
     def reduce(self, v: Vector) -> Vector:
         """Canonical coset representative of v modulo this subspace."""
         if len(v) != self.ambient_dim:
@@ -445,7 +436,8 @@ class FieldOps:
                 yield tuple(tuple(r) for r in rows)
 
     def hyperplanes(self, t: int):
-        return list(self.subspaces(t, t - 1))
+        """The F-subspaces of F^t of dimension t - 1; F^0 has none."""
+        return list(self.subspaces(t, t - 1)) if t else []
 
 
 # ---------------------------------------------------------------------------

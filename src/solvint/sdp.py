@@ -189,10 +189,9 @@ class SdGroup:
     # -- submodules of V^t via F-subspaces of F^t
 
     def submodule_from_fvectors(self, frows) -> FpSubspace:
-        """H-submodule of V^t spanned by the images of V under the maps
-        x -> (x*s_1, ..., x*s_t), s running over the given F-RREF rows of
-        F^t, which are recorded as the submodule's F-rows; MalformedInput
-        for rows not in F-RREF."""
+        """The F_p span of the H-submodule of V^t spanned by the images of V
+        under x -> (x*s_1, ..., x*s_t), s running over the F-RREF rows
+        `frows` of F^t; MalformedInput for rows not in F-RREF."""
         return self._memo("fspan", tuple(frows), self._span_fvectors, frows)
 
     def _span_fvectors(self, frows) -> FpSubspace:
@@ -200,24 +199,25 @@ class SdGroup:
         # matrix of each entry) are in RREF already, with pivots k*c_i + j
         pivots = _f_rref_pivots(self.module.fops, frows, self.t)
         elements, k = self.module.fops.elements, self.k
-        W = FpSubspace(self.p, self.wdim,
-                       tuple(tuple(x for idx in s for x in elements[idx][j])
-                             for s in frows for j in range(k)),
-                       tuple(k * c + j for c in pivots for j in range(k)))
-        self._memo("fvec", W, tuple, frows)
-        return W
+        return FpSubspace(self.p, self.wdim,
+                          tuple(tuple(x for idx in s for x in elements[idx][j])
+                                for s in frows for j in range(k)),
+                          tuple(k * c + j for c in pivots for j in range(k)))
 
     def fvectors_of_submodule(self, W: FpSubspace):
-        """The F-RREF rows of F^t that `submodule_from_fvectors` built W
-        from on this group; MalformedInput for a W it did not build."""
-        rows = self._cache.get("fvec", {}).get(W)
-        if rows is None:
-            raise MalformedInput("the submodule was not built from F-rows on this group")
+        """The inverse of `submodule_from_fvectors`: row k*i of W's basis is
+        e_0 * s_i, and e_0 is the frame's first vector, so each k-block e_0 * a
+        has F-coordinates (a, 0, ..).  MalformedInput unless these span W."""
+        k, module = self.k, self.module
+        rows = tuple(tuple(module.fcoords(row[b:b + k])[0] for b in range(0, len(row), k))
+                     for row in W.basis[::k])
+        if self.submodule_from_fvectors(rows) != W:
+            raise MalformedInput("the subspace is not a submodule of V^t")
         return rows
 
-    def maximal_submodules(self) -> list[FpSubspace]:
-        return list(self._memo("maximal_submodules", None, lambda: [
-            self.submodule_from_fvectors(rows) for rows in self.module.fops.hyperplanes(self.t)]))
+    def maximal_submodules(self) -> list:
+        """The maximal submodules: the F-hyperplanes of F^t."""
+        return self.module.fops.hyperplanes(self.t)
 
     def fixed_space_over(self, W: FpSubspace) -> FpSubspace:
         """{v in V^t : v^h - v in W for every h}, for an H-submodule W: it is
@@ -236,6 +236,8 @@ class SdGroup:
 
 # ---------------------------------------------------------------------------
 # descriptors
+#
+# A descriptor's submodule is its F-RREF rows over F^t.
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ class MaximalSupplement:
     canonical coset representative, so descriptor equality is subgroup
     equality."""
 
-    submodule: FpSubspace
+    submodule: tuple
     translate: Vector
 
 
@@ -252,7 +254,7 @@ class MaximalSupplement:
 class PartialIntersection:
     """A subgroup W * X^v with X <= H given by its mask."""
 
-    submodule: FpSubspace
+    submodule: tuple
     h_mask: int
     translate: Vector
 
@@ -262,7 +264,7 @@ class CanonicalIntersection:
     """The triple (U, v, Z) representing U * C_{H^v}(Z), with Z given by
     its F-RREF rows over F^f_dim."""
 
-    submodule: FpSubspace
+    submodule: tuple
     translate: Vector
     z_space: tuple
 
@@ -270,27 +272,24 @@ class CanonicalIntersection:
 def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
     """All maximal subgroups of G supplementing V^t, one per canonical
     descriptor.  The translates are the reduced vectors modulo
-    `fixed_space_over(W)`: when that is W, they are the vectors that vanish
-    on W's pivot columns, one per fill of its free columns; when it is V^t,
-    the only one is 0."""
+    `fixed_space_over(W)`: when that is W (|H| > 1), they are the x in F_p^k
+    on the k-block of W's one non-pivot F-column f; else the only one is 0."""
     out = []
-    p = G.p
+    p, k, n = G.p, G.k, G.wdim
     for W in G.maximal_submodules():
-        if G.wdim and (G.order // (W.size() * G.module.order)) != p ** G.k:
+        if G.order // (p ** (k * len(W)) * G.module.order) != p ** k:
             raise AssertionError("maximal supplement index is not |V|")
-        if G.fixed_space_over(W) is not W:
-            out.append(MaximalSupplement(W, (0,) * G.wdim))
+        if not (n and G.module.order > 1):
+            out.append(MaximalSupplement(W, (0,) * n))
             continue
-        free_positions = W.free_columns
-        for fill in iter_product(range(p), repeat=len(free_positions)):
-            v = [0] * G.wdim
-            for c, val in zip(free_positions, fill):
-                v[c] = val
-            out.append(MaximalSupplement(W, tuple(v)))
+        # row i leads in column i until f
+        f = next((i for i, s in enumerate(W) if not s[i]), len(W))
+        out.extend(MaximalSupplement(W, (0,) * (k * f) + x + (0,) * (n - k * f - k))
+                   for x in iter_product(range(p), repeat=k))
     return out
 
 
-def descriptor_elements(G: SdGroup, submodule: FpSubspace, h_mask: int, translate) -> int:
+def descriptor_elements(G: SdGroup, submodule, h_mask: int, translate) -> int:
     """Element set {(u + v - v^x, x) : u in U, x in X} of the descriptor
     subgroup U * X^v, as a bitmask in the id order of `embed_as_oracle`:
     bit w_id(w) * |H| + h is set exactly when (w, h) lies in the subgroup,
@@ -304,12 +303,13 @@ def descriptor_elements(G: SdGroup, submodule: FpSubspace, h_mask: int, translat
     translating along each basis row p - 1 times; the set is then the union
     over x in X of translate(U_mask << x, v - v^x).
 
-    This brute force reads only U's basis rows and H's matrices.  Its memos
-    live in the group: the steps B and masks L per group, U's mask per
-    submodule, and block - block*x per k-block of V and x in H.
+    This brute force reads only the basis rows of U's F_p span and H's
+    matrices.  Its memos live in the group: the steps B and masks L per
+    group, U's mask per submodule, and block - block*x per k-block of V and
+    x in H.
     """
     moves = G._memo("digit_moves", None, _digit_moves, G)
-    u_mask = G._memo("span_mask", submodule, _span_mask, G.p, submodule.basis, moves)
+    u_mask = G._memo("span_mask", submodule, _span_mask, G, submodule, moves)
     p, k = G.p, G.k
     blocks = [translate[b:b + k] for b in range(0, G.wdim, k)]
     diffs_by_x = G._memo("shift", None, defaultdict, dict)
@@ -354,11 +354,11 @@ def _move(mask: int, d: Vector, p: int, moves) -> int:
     return mask
 
 
-def _span_mask(p: int, rows, moves) -> int:
-    """The mask of the span of `rows` at h = 0: the zero vector's bit,
-    translated along each row p - 1 times."""
-    u_mask = 1
-    for row in rows:
+def _span_mask(G: SdGroup, submodule, moves) -> int:
+    """The mask of the submodule at h = 0: the zero vector's bit, translated
+    along each row of its F_p basis p - 1 times."""
+    p, u_mask = G.p, 1
+    for row in G.submodule_from_fvectors(submodule).basis:
         cur = acc = u_mask
         for _ in range(p - 1):
             cur = _move(cur, row, p, moves)
@@ -427,16 +427,14 @@ def _f_nullspace(fops: FieldOps, rows, pivots, t: int):
     return fops.f_rref(basis, t)
 
 
-def _annihilator(G: SdGroup, W: FpSubspace):
-    """(phis, pivots): the F-RREF phi with W the common kernel of the pi_phi,
-    from W's recorded F-RREF rows.  `_span_fvectors` gave W the pivots
-    k*c + j (j < k) for each F-pivot c, so every k-th of them names one."""
-    k = G.k
-    return _f_nullspace(G.module.fops, G.fvectors_of_submodule(W),
-                        [c // k for c in W.pivots[::k]], G.t)
+def _annihilator(G: SdGroup, W):
+    """(phis, pivots): the F-RREF phi with W the common kernel of the pi_phi;
+    MalformedInput unless W's rows are in F-RREF."""
+    fops = G.module.fops
+    return _f_nullspace(fops, W, _f_rref_pivots(fops, W, G.t), G.t)
 
 
-def _rows(G: SdGroup, W: FpSubspace, v: Vector) -> dict:
+def _rows(G: SdGroup, W, v: Vector) -> dict:
     """The rows of W * X^v: c is the sum over j of phi_j times the
     F-coordinates of v's j-th k-block, memoised per block."""
     phis, pivots = G._memo("ann", W, _annihilator, G, W)
@@ -478,17 +476,16 @@ def _add_row(G: SdGroup, rows: dict, M: MaximalSupplement):
 
 def _solution(G: SdGroup, rows: dict):
     """(U, v): U the common kernel of the rows and v the canonical translate
-    with pi_phi(v) = c for each row phi + c, which is the vector of c on its
-    pivot block."""
+    with pi_phi(v) = c for each row phi + c: the vector of c on its pivot
+    block, reduced modulo U's F_p span."""
     module, t, k = G.module, G.t, G.k
     pivots = sorted(rows)
     phis = tuple(rows[j][:t] for j in pivots)
-    U = G._memo("kernel", phis, lambda: G.submodule_from_fvectors(
-        _f_nullspace(module.fops, phis, pivots, t)[0]))
+    U = G._memo("kernel", phis, lambda: _f_nullspace(module.fops, phis, pivots, t)[0])
     v = [0] * G.wdim
     for j, row in rows.items():
         v[j * k:(j + 1) * k] = G._memo("vector", row[t:], module.vector_of, row[t:])
-    return U, U.reduce(tuple(v))
+    return U, G.submodule_from_fvectors(U).reduce(tuple(v))
 
 
 def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
@@ -549,13 +546,16 @@ def canonicalize_intersection(G: SdGroup, supplements) -> CanonicalIntersection:
                                  G.module.fops.f_rref(witnesses, G.module.f_dim)[0])
 
 
-def realize_intersection(G: SdGroup, U: FpSubspace, Z) -> list[MaximalSupplement]:
+def realize_intersection(G: SdGroup, U, Z) -> list[MaximalSupplement]:
     """A family of exactly t* + d maximal supplements intersecting in
-    U * C_H(Z), where t* is the codimension of U over F and d = dim_F Z: the
+    U * C_H(Z), for U and Z given by their F-RREF rows over F^t and
+    F^f_dim, where t* is the codimension of U over F and d = dim_F Z: the
     rows phi_i + 0 for the F-annihilator phi_1..phi_t* of U, then phi_1 + z
-    for each F-RREF row z of Z, each read back as a supplement."""
+    for each F-RREF row z of Z, each read back as a supplement.  Rows not
+    in F-RREF are MalformedInput: Z's here, U's in `_annihilator`."""
     module = G.module
     _f_rref_pivots(module.fops, Z, module.f_dim)
+    U = tuple(map(tuple, U))
     phis, pivots = G._memo("ann", U, _annihilator, G, U)
     if not phis and Z:
         raise RealizationError(
@@ -582,9 +582,10 @@ def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersectio
     p, k, elements = G.p, G.k, G.module.elements
     delta = vec_sub(a.translate, b.translate, p)
     blocks = [delta[c:c + k] for c in range(0, G.wdim, k)]
+    span = G.submodule_from_fvectors(a.submodule)
     # delta - delta^x, one k-block of V at a time
     return all(
-        a.submodule.contains(tuple(y for block in blocks
+        span.contains(tuple(y for block in blocks
                                    for y in vec_sub(block, vec_mat(block, elements[x], p), p)))
         for x in gr.mask_bits(cen_a)
     )
@@ -747,12 +748,12 @@ def find_corona_crown(G: gr.OracleGroup) -> CrownData:
 # randomized equivalence suite (seeded, deterministic)
 
 
-def random_submodule(G: SdGroup, rng) -> FpSubspace:
+def random_submodule(G: SdGroup, rng) -> tuple:
+    """The F-RREF rows of a seeded random F-subspace of F^t."""
     fops = G.module.fops
     dim = rng.randrange(G.t + 1)
     rows = [tuple(rng.randrange(fops.q) for _ in range(G.t)) for _ in range(dim)]
-    red, _ = fops.f_rref(rows, G.t)
-    return G.submodule_from_fvectors(red)
+    return fops.f_rref(rows, G.t)[0]
 
 
 def random_partial(G: SdGroup, rng) -> PartialIntersection:

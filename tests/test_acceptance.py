@@ -59,11 +59,10 @@ def test_criterion_03_realization_round_trip():
     checked = 0
     for g in instances:
         assert g.t <= 2 and g.p**g.k <= 25 and g.module.order <= 24
-        u_list = [g.submodule_from_fvectors(rows)
-                  for rows in all_subspaces(g.module.fops, g.t)]
+        u_list = list(all_subspaces(g.module.fops, g.t))
         z_list = list(all_subspaces(g.module.fops, g.module.f_dim))
         for u in u_list:
-            t_star = g.t - u.dim // g.k
+            t_star = g.t - len(u)
             for z in z_list:
                 d = len(z)
                 if t_star == 0:

@@ -1,12 +1,13 @@
 """The interKM brute force must not route through the code it checks.
 
 `sdp.descriptor_elements` builds the element set of a descriptor subgroup
-from U's basis rows and H's matrices alone; the equivalence suites compare
-it with the closed-form calculus.  This test reads src/solvint/sdp.py as
-source (nothing is imported or executed) and checks that the checker and
-every private helper it reaches name none of the closed-form, splitting or
-subspace-reduction entry points, nor the F-coordinate frame and F's row
-arithmetic.
+from the basis rows of U's F_p span and H's matrices alone; the
+equivalence suites compare it with the closed-form calculus.  This test
+reads src/solvint/sdp.py as source (nothing is imported or executed) and
+checks that the checker and every function or method of the module it
+reaches, the span of U's F-rows included, name none of the closed-form,
+splitting or subspace-reduction entry points, nor the F-coordinate frame
+and F's row arithmetic.
 """
 
 import ast
@@ -42,13 +43,14 @@ def names_in(node):
 
 
 def reached_from(defs, root):
-    """The checker and the private helpers of the module it names, transitively."""
+    """The checker and the functions and methods of the module it names,
+    transitively: a name is followed to every definition of that name."""
     seen = {root}
     todo = [root]
     while todo:
         for node in defs[todo.pop()]:
             for name in names_in(node):
-                if name.startswith("_") and name in defs and name not in seen:
+                if name in defs and name not in seen:
                     seen.add(name)
                     todo.append(name)
     return seen
@@ -57,8 +59,10 @@ def reached_from(defs, root):
 def test_checker_names_no_closed_form_code():
     defs = functions(ast.parse(SDP.read_text()))
     reached = reached_from(defs, CHECKER)
-    # the memo helpers are reached, so the walk follows the checker's calls
+    # the memo helpers and the span of U's F-rows are reached, so the walk
+    # follows the checker's calls
     assert {"_digit_moves", "_span_mask", "_move", "_memo"} <= reached
+    assert {"submodule_from_fvectors", "_span_fvectors", "_f_rref_pivots"} <= reached
     named = {(fn, name) for fn in reached for node in defs[fn]
              for name in names_in(node) if name in FORBIDDEN}
     assert named == set()

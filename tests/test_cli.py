@@ -64,8 +64,8 @@ def spec_dir(tmp_path):
     )
     # Singer cycles: H = <companion matrix of x^8 + x^4 + x^3 + x^2 + 1 or of
     # x^9 + x^4 + 1> on F_2^k has F = F_(2^k), up to the field cap, and F is
-    # tabulated before G's order is known (about 25 s for F_512 by matrix
-    # products)
+    # tabulated before G's order is known (under a second for F_512, from
+    # one primitive element)
     for k, low in ((8, (1, 0, 1, 1, 1, 0, 0, 0)), (9, (1, 0, 0, 0, 1, 0, 0, 0, 0))):
         companion = [[int(j == i + 1) for j in range(k)] for i in range(k - 1)] + [list(low)]
         (tmp_path / f"singer-f{2**k}.json").write_text(

@@ -42,6 +42,7 @@ BENCH_SPANS = {
     "mobius", "overgroups", "express_in_rows", "maximal_descriptors",
     "intersect_case_spanning", "intersect_case_nested", "find_corona_crown",
     "subgroup_closure", "conjugate_mask", "rref", "corpus_group",
+    "fvectors_of_submodule", "fixed_space_over",
 }
 KEEP = PAPER_RESULTS.keys() | BENCH_SPANS
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -24,6 +25,19 @@ def g_f5_c4(t=1):
 
 def g_s3():
     return sdp.SdGroup.create(3, 1, 1, [((2,),)])
+
+
+def fp_span(G, rows) -> FpSubspace:
+    """The F_p span of the submodule with F-rows `rows`: the elimination of
+    every e_j * s, row j of the matrix of each entry of s."""
+    elements = G.module.fops.elements
+    return FpSubspace.from_vectors(G.p, G.wdim, [tuple(x for idx in s for x in elements[idx][j])
+                                                 for s in rows for j in range(G.k)])
+
+
+def fp_form(G, K):
+    """The descriptor K with its submodule given by its F_p span."""
+    return dataclasses.replace(K, submodule=fp_span(G, K.submodule))
 
 
 def test_create_validates_invariants():
@@ -92,7 +106,7 @@ def test_supplement_enumeration_is_complete():
 def reference_elements(G, submodule, h_mask, translate) -> set:
     """{(u + v - v^x, x)} as a set of (vector, h) tuples, one element at a time."""
     out = set()
-    vectors = list(subspace_vectors(submodule))
+    vectors = list(subspace_vectors(fp_span(G, submodule)))
     for x in gr.mask_bits(h_mask):
         shift = vec_sub(translate, sd_act(G, translate, x), G.p)
         for u in vectors:
@@ -152,16 +166,15 @@ def test_descriptor_masks_match_reference(sdp_pool):
 def test_case_spanning_spec_example():
     g2 = g_f5_c4(2)
     one = g2.module.fops.one
-    w1 = g2.submodule_from_fvectors([(one, 0)])
-    w2 = g2.submodule_from_fvectors([(0, one)])
-    assert (w1, w2) == (FpSubspace.from_vectors(5, 2, [(1, 0)]),
-                        FpSubspace.from_vectors(5, 2, [(0, 1)]))
+    w1, w2 = ((one, 0),), ((0, one),)
+    assert (g2.submodule_from_fvectors(w1), g2.submodule_from_fvectors(w2)) == (
+        FpSubspace.from_vectors(5, 2, [(1, 0)]), FpSubspace.from_vectors(5, 2, [(0, 1)]))
     all_h = 0b1111  # all of H = C4
     # same translates: K cap M = H
     k = sdp.PartialIntersection(w1, all_h, (0, 0))
     m = sdp.MaximalSupplement(w2, (0, 0))
     res = sdp.intersect_case_spanning(g2, k, m)
-    assert res.submodule.dim == 0 and res.translate == (0, 0)
+    assert res.submodule == () and res.translate == (0, 0)
     assert sdp.partial_elements(g2, res) == (
         sdp.partial_elements(g2, k) & sdp.supplement_elements(g2, m)
     )
@@ -176,12 +189,12 @@ def test_case_spanning_spec_example():
 def test_case_dispatch_guard():
     g2 = g_f5_c4(2)
     one = g2.module.fops.one
-    w2 = g2.submodule_from_fvectors([(0, one)])
+    w2 = ((0, one),)
     k = sdp.PartialIntersection(w2, 0b1111, (0, 0))
     m = sdp.MaximalSupplement(w2, (0, 0))
     with pytest.raises(CaseDispatchError):
         sdp.intersect_case_spanning(g2, k, m)  # W1 = W2 cannot span
-    w1 = g2.submodule_from_fvectors([(one, 0)])
+    w1 = ((one, 0),)
     k = sdp.PartialIntersection(w1, 0b1111, (0, 0))
     with pytest.raises(CaseDispatchError):
         sdp.intersect_case_nested(g2, k, m)  # W1 not inside W2
@@ -189,7 +202,7 @@ def test_case_dispatch_guard():
 
 def test_case_nested_spec_example():
     g = g_f5_c4(1)
-    zero = g.submodule_from_fvectors(())
+    zero = ()
     k = sdp.PartialIntersection(zero, 0b1111, (0,))
     m = sdp.MaximalSupplement(zero, (1,))
     res, witness = sdp.intersect_case_nested(g, k, m)
@@ -206,8 +219,8 @@ def test_case_nested_spec_example():
 
 def reference_case_spanning(G, K, M):
     """The spanning step by decomposition: d = a + b with a in W2, b in W1,
-    and the meet by Zassenhaus."""
-    W1, W2 = K.submodule, M.submodule
+    and the meet by Zassenhaus.  K and the result hold F_p spans."""
+    W1, W2 = K.submodule, fp_span(G, M.submodule)
     assert sum_with(W1, W2).dim == G.wdim
     _, b = decompose(W2, vec_sub(K.translate, M.translate, G.p), W1)
     meet = intersect(W1, W2)
@@ -228,13 +241,13 @@ def f_complement(fops, basis_rows, t):
 
 def reference_case_nested(G, K, M):
     """The nested step by decomposition over the complement U = iota(V) of
-    W2, with z read off the first nonzero block of the U-part."""
-    W1, W2 = K.submodule, M.submodule
+    W2, with z read off the first nonzero block of the U-part.  K and the
+    result hold F_p spans."""
+    W1, W2 = K.submodule, fp_span(G, M.submodule)
     assert is_subspace_of(W1, W2)
     fops = G.module.fops
-    (line,) = f_complement(fops, G.fvectors_of_submodule(W2), G.t)
-    _, u = decompose(W2, vec_sub(M.translate, K.translate, G.p),
-                     G.submodule_from_fvectors((line,)))
+    (line,) = f_complement(fops, M.submodule, G.t)
+    _, u = decompose(W2, vec_sub(M.translate, K.translate, G.p), fp_span(G, (line,)))
     pos = next(i for i, idx in enumerate(line) if idx)
     z = vec_mat(u[pos * G.k:(pos + 1) * G.k], fops.elements[fops.inv_t[line[pos]]], G.p)
     cen = sum(1 << x for x in gr.mask_bits(K.h_mask)
@@ -263,15 +276,16 @@ def test_calculus_steps_match_the_decomposition_reference(sdp_pool):
         sups = sdp.enumerate_maximal_supplements(g)
         for _ in range(4):
             k = sdp.random_partial(g, rng)
+            kf = fp_form(g, k)
             for m in sups:
-                if is_subspace_of(k.submodule, m.submodule):
-                    expected, z = reference_case_nested(g, k, m)
+                if is_subspace_of(kf.submodule, fp_span(g, m.submodule)):
+                    expected, z = reference_case_nested(g, kf, m)
                     cases["nested"] += 1
                 else:
-                    expected, z = reference_case_spanning(g, k, m), None
+                    expected, z = reference_case_spanning(g, kf, m), None
                     cases["spanning"] += 1
                 got, row = sdp.intersect_supplement(g, k, m)
-                assert got == expected, (g.name, k, m)
+                assert fp_form(g, got) == expected, (g.name, k, m)
                 assert same_witness(g.module, row, z), (g.name, k, m)
     assert min(cases.values()) > 1000, cases
 
@@ -284,7 +298,8 @@ def reference_canonicalize(G, family):
     cur = sdp.PartialIntersection(FpSubspace.full(G.p, G.wdim), (1 << G.module.order) - 1,
                                   (0,) * G.wdim)
     pending = list(family)
-    while (m := next((m for m in pending if not is_subspace_of(cur.submodule, m.submodule)),
+    while (m := next((m for m in pending
+                      if not is_subspace_of(cur.submodule, fp_span(G, m.submodule))),
                      None)) is not None:
         cur = reference_case_spanning(G, cur, m)
         pending.remove(m)
@@ -316,7 +331,8 @@ def test_canonicalize_matches_the_fold_of_the_pair_references(sdp_pool):
             assert is_f_rref(module, ci.z_space) and all(len(r) == module.f_dim
                                                          for r in ci.z_space)
             z_span = f_span(module.fops, map(module.vector_of, ci.z_space))
-            got = (ci.submodule, ci.translate, z_span, sdp.centralizer_in_h(g, ci.z_space))
+            got = (fp_span(g, ci.submodule), ci.translate, z_span,
+                   sdp.centralizer_in_h(g, ci.z_space))
             assert got == reference_canonicalize(g, fam), (g.name, fam)
             z_dims.add(len(ci.z_space))
     assert z_dims == {0, 1, 2}
@@ -325,12 +341,11 @@ def test_canonicalize_matches_the_fold_of_the_pair_references(sdp_pool):
 def test_non_maximal_supplement_is_refused():
     g2 = g_f5_c4(2)
     one = g2.module.fops.one
-    line = g2.submodule_from_fvectors([(one, 0)])
+    line = ((one, 0),)
     k = sdp.PartialIntersection(line, 0b1111, (0, 0))
     maximal = sdp.MaximalSupplement(line, (0, 1))
-    zero = g2.submodule_from_fvectors(())
-    full = g2.submodule_from_fvectors([(one, 0), (0, one)])
-    assert (zero, full) == (zero_subspace(5, 2), FpSubspace.full(5, 2))
+    zero, full = (), ((one, 0), (0, one))
+    assert (fp_span(g2, zero), fp_span(g2, full)) == (zero_subspace(5, 2), FpSubspace.full(5, 2))
     for w in (zero, full):
         m = sdp.MaximalSupplement(w, (0, 1))
         with pytest.raises(CaseDispatchError):
@@ -360,7 +375,7 @@ def test_canonicalize_pair_spec_example():
     m0 = next(m for m in ms if m.translate == (0,))
     m1 = next(m for m in ms if m.translate == (1,))
     ci = sdp.canonicalize_intersection(g, [m0, m1])
-    assert ci.submodule.dim == 0 and ci.z_space == ((g.module.fops.one,),)  # Z = V
+    assert ci.submodule == () and ci.z_space == ((g.module.fops.one,),)  # Z = V
     assert sdp.centralizer_in_h(g, ci.z_space) == 1  # the identity alone
 
 
@@ -382,7 +397,7 @@ def test_canonicalize_matches_bruteforce_random(sdp_pool):
 def test_realize_spec_examples():
     g = g_f5_c4(1)
     one = g.module.fops.one
-    full, zero = g.submodule_from_fvectors([(one,)]), g.submodule_from_fvectors(())
+    full, zero = ((one,),), ()
     # U = V^t, Z = 0: the empty family (meaning G)
     assert sdp.realize_intersection(g, full, ()) == []
     # U = V^t with nonzero Z is flagged
@@ -393,8 +408,8 @@ def test_realize_spec_examples():
     assert len(fam) == 2 and {m.translate for m in fam} == {(0,), (1,)}
     # t = 2, U a coordinate line, Z = 0: a single descriptor
     g2 = g_f5_c4(2)
-    u = g2.submodule_from_fvectors([(one, 0)])
-    assert u == FpSubspace.from_vectors(5, 2, [(1, 0)])
+    u = ((one, 0),)
+    assert fp_span(g2, u) == FpSubspace.from_vectors(5, 2, [(1, 0)])
     fam = sdp.realize_intersection(g2, u, ())
     assert len(fam) == 1 and fam[0].submodule == u
 
@@ -404,7 +419,7 @@ def test_realize_rejects_z_rows_not_in_f_rref():
     g = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))])
     fops = g.module.fops
     one, two = fops.one, fops.neg_t[fops.one]
-    zero = g.submodule_from_fvectors(())
+    zero = ()
     assert len(sdp.realize_intersection(g, zero, [(one, two)])) == 2
     for z in ([(two, one)], [(one, two), (0, one)], [(0, one), (one, 0)], [(one, 0), (one, 0)],
               [(0, 0)], [(one,)], [(one, 0, 0)], [(one, fops.q)]):
@@ -412,45 +427,81 @@ def test_realize_rejects_z_rows_not_in_f_rref():
             sdp.realize_intersection(g, zero, z)
 
 
-def test_realize_round_trip_enumerated():
-    # every (U, Z) pair in a few small instances
-    instances = [
+def round_trip_instances():
+    return [
         g_f5_c4(1), g_f5_c4(2),
         sdp.SdGroup.create(3, 1, 2, [((2,),)]),
         sdp.SdGroup.create(3, 2, 1, [((0, 2), (1, 0))]),
         sdp.SdGroup.create(2, 2, 2, [((1, 1), (1, 0))]),
     ]
-    for g in instances:
-        fops = g.module.fops
-        u_list = [g.submodule_from_fvectors(rows) for rows in all_subspaces(fops, g.t)]
-        z_list = list(all_subspaces(fops, g.module.f_dim))
-        for u in u_list:
-            t_star = g.t - u.dim // g.k
-            for z in z_list:
-                d = len(z)
-                if t_star == 0 and d > 0:
-                    with pytest.raises(RealizationError):
-                        sdp.realize_intersection(g, u, z)
-                    continue
-                fam = sdp.realize_intersection(g, u, z)
-                if t_star == 0 and d == 0:
-                    assert fam == []
-                    continue
-                assert len(fam) == t_star + d
-                expected = sdp.descriptor_elements(
-                    g, u, sdp.centralizer_in_h(g, z), (0,) * g.wdim
-                )
-                brute = (1 << g.order) - 1
-                for m in fam:
-                    brute &= sdp.supplement_elements(g, m)
-                assert brute == expected, (g.name, u, z)
-                ci = sdp.canonicalize_intersection(g, fam)
-                assert sdp.canonical_elements(g, ci) == expected
+
+
+def round_trip_pairs(g):
+    """Every (U, Z) pair of g, as F-RREF rows."""
+    fops = g.module.fops
+    z_list = list(all_subspaces(fops, g.module.f_dim))
+    return [(u, z) for u in all_subspaces(fops, g.t) for z in z_list]
+
+
+def test_realize_round_trip_enumerated():
+    # every (U, Z) pair in a few small instances
+    for g in round_trip_instances():
+        for u, z in round_trip_pairs(g):
+            t_star, d = g.t - len(u), len(z)
+            if t_star == 0 and d > 0:
+                with pytest.raises(RealizationError):
+                    sdp.realize_intersection(g, u, z)
+                continue
+            fam = sdp.realize_intersection(g, u, z)
+            if t_star == 0 and d == 0:
+                assert fam == []
+                continue
+            assert len(fam) == t_star + d
+            expected = sdp.descriptor_elements(
+                g, u, sdp.centralizer_in_h(g, z), (0,) * g.wdim
+            )
+            brute = (1 << g.order) - 1
+            for m in fam:
+                brute &= sdp.supplement_elements(g, m)
+            assert brute == expected, (g.name, u, z)
+            ci = sdp.canonicalize_intersection(g, fam)
+            assert sdp.canonical_elements(g, ci) == expected
+
+
+def test_enumerate_and_the_calculus_share_one_canonical_translate(sdp_pool):
+    # each enumerated translate is zero off the k-block of its hyperplane's
+    # non-pivot F-column, and distinct descriptors are distinct subgroups
+    for g in sdp_pool:
+        sups = sdp.enumerate_maximal_supplements(g)
+        for m in sups:
+            (f,) = set(range(g.t)) - {next(c for c, x in enumerate(s) if x)
+                                      for s in m.submodule}
+            assert not any(m.translate[:f * g.k] + m.translate[(f + 1) * g.k:]), (g.name, m)
+        masks = {sdp.supplement_elements(g, m) for m in sups}
+        assert len(masks) == len(sups), g.name
+    # the calculus reads back the same translates: every realized family
+    # member is an enumerated descriptor
+    checked = 0
+    for g in round_trip_instances():
+        sups = set(sdp.enumerate_maximal_supplements(g))
+        for u, z in round_trip_pairs(g):
+            if len(u) < g.t:
+                for m in sdp.realize_intersection(g, u, z):
+                    assert m in sups, (g.name, u, z, m)
+                    checked += 1
+    assert checked > 50, checked
+
+
+def test_trivial_multiplicity_has_no_maximal_submodule():
+    # F^0 has no hyperplane, so V^0 x| H = H has no maximal supplement
+    g = sdp.SdGroup.create(5, 1, 0, [((2,),)])
+    assert g.maximal_submodules() == []
+    assert sdp.enumerate_maximal_supplements(g) == []
 
 
 def test_realize_family_size_is_tstar_plus_d():
     g2 = g_f5_c4(2)
-    u = g2.submodule_from_fvectors(())
+    u = ()
     z = [(g2.module.fops.one,)]
     fam = sdp.realize_intersection(g2, u, z)
     assert len(fam) == 2 + 1  # t* = 2, d = 1
@@ -493,7 +544,7 @@ def test_index_law():
     for g in [g_f5_c4(2), sdp.SdGroup.create(3, 2, 2, [((0, 2), (1, 0))])]:
         v_size = g.p**g.k
         for m in sdp.enumerate_maximal_supplements(g):
-            assert g.order // (m.submodule.size() * g.module.order) == v_size
+            assert g.order // (g.p ** fp_span(g, m.submodule).dim * g.module.order) == v_size
 
 
 def test_crown_g2_spec_example(tower2):
@@ -615,9 +666,9 @@ def reference_fixed_space_over(G, W):
 def test_submodule_from_fvectors_matches_the_fp_span(sdp_pool):
     # seeded F^t rows, zero, dependent and unreduced ones included, on cold
     # groups: the span built from their F-RREF equals the F_p elimination of
-    # every e_j * s_i, and the F-RREF is recorded as W's F-rows, whose
-    # leading columns are every k-th pivot of W over k; rows not in F-RREF
-    # are refused
+    # every e_j * s_i, and `fvectors_of_submodule` reads that F-RREF back off
+    # the span alone, whose every k-th pivot over k is a leading column of
+    # it; rows not in F-RREF are refused
     rng = random.Random(2718)
     unreduced = 0
     for g in sdp_pool:
@@ -627,34 +678,55 @@ def test_submodule_from_fvectors_matches_the_fp_span(sdp_pool):
                     for _ in range(rng.randrange(g.t + 2))]
             reduced = fops.f_rref(rows, g.t)[0]
             unreduced += reduced != tuple(rows)
-            vectors = [tuple(x for idx in s for x in fops.elements[idx][j])
-                       for s in rows for j in range(g.k)]
             fresh = sdp.SdGroup(g.module, g.t)
             if reduced != tuple(rows):
                 with pytest.raises(MalformedInput):
                     fresh.submodule_from_fvectors(rows)
             W = fresh.submodule_from_fvectors(reduced)
-            assert W == FpSubspace.from_vectors(g.p, g.wdim, vectors), (g.name, rows)
+            assert W == fp_span(g, rows), (g.name, rows)
             assert fresh.fvectors_of_submodule(W) == reduced
+            assert g.fvectors_of_submodule(fp_span(g, rows)) == reduced
             leading = [next(c for c, x in enumerate(s) if x) for s in reduced]
             assert [c // g.k for c in W.pivots[::g.k]] == leading, (g.name, rows)
     assert unreduced > 400
 
 
-def test_fvectors_of_submodule_refuses_a_submodule_built_elsewhere(sdp_pool):
-    # only the F-rows recorded on the group are read back
+def test_fvectors_of_submodule_reads_the_rows_off_the_span(sdp_pool):
+    # the F-rows come from W alone, so a group over the same module that has
+    # built nothing reads them too
     g = next(g for g in sdp_pool if g.t == 2 and g.k == 2)
-    W = g.maximal_submodules()[0]
-    assert g.fvectors_of_submodule(W) == g.module.fops.hyperplanes(2)[0]
-    # a fresh group over the same module has built nothing yet, and W does
-    # not even lie in V^3
-    for other in (sdp.SdGroup(g.module, g.t), sdp.SdGroup(g.module, 3)):
-        with pytest.raises(MalformedInput):
-            other.fvectors_of_submodule(W)
-    # an F_p line of V^2 is no submodule, so no F-rows built it
+    rows = g.maximal_submodules()[0]
+    W = g.submodule_from_fvectors(rows)
+    assert g.fvectors_of_submodule(W) == rows == g.module.fops.hyperplanes(2)[0]
+    assert sdp.SdGroup(g.module, g.t).fvectors_of_submodule(W) == rows
+    # W does not lie in V^3, and an F_p line of V^2 is no submodule
+    with pytest.raises(MalformedInput):
+        sdp.SdGroup(g.module, 3).fvectors_of_submodule(W)
     line = FpSubspace.from_vectors(g.p, g.wdim, [(0, 0, 0, 1)])
     with pytest.raises(MalformedInput):
         g.fvectors_of_submodule(line)
+
+
+def test_realize_refuses_u_rows_not_in_f_rref():
+    g2 = g_f5_c4(2)
+    fops = g2.module.fops
+    one, two = fops.one, fops.neg_t[fops.one]
+    for u in ([(two, 0)], [(one, one), (0, one)], [(0, one), (one, 0)], [(one, 0), (one, 0)],
+              [(0, 0)], [(one,)], [(one, 0, 0)], [(one, fops.q)]):
+        with pytest.raises(MalformedInput):
+            sdp.realize_intersection(g2, u, ())
+
+
+def test_realize_takes_u_rows_from_another_group_over_the_module():
+    # U is its F-RREF rows, which name the same submodule on every group
+    # over the module with the same t
+    g2 = g_f5_c4(2)
+    other = sdp.SdGroup(g2.module, 2)
+    one = g2.module.fops.one
+    for u in other.maximal_submodules() + [()]:
+        fam = sdp.realize_intersection(g2, u, [(one,)])
+        assert fam == sdp.realize_intersection(other, u, [(one,)])
+        assert set(fam) <= set(sdp.enumerate_maximal_supplements(g2))
 
 
 def test_frame_coordinates_are_f_linear_and_invert_vector_of(sdp_pool):
@@ -684,7 +756,8 @@ def test_fixed_space_closed_form_matches_reference(sdp_pool):
     groups += [sdp.SdGroup.create(3, 1, 2, []), sdp.SdGroup(g_f5_c4(1).module, 0)]
     checked = 0
     for g in groups:
-        for W in g.maximal_submodules() if g.t else []:
+        for rows in g.maximal_submodules():
+            W = g.submodule_from_fvectors(rows)
             assert g.fixed_space_over(W) == reference_fixed_space_over(g, W), g.name
             checked += 1
         zero = zero_subspace(g.p, g.wdim)
@@ -724,7 +797,7 @@ def test_trivial_acting_group_edge():
     assert len(ms) == 3
     assert all(m.translate == (0, 0) for m in ms)
     ci = sdp.canonicalize_intersection(g, ms)
-    assert ci.submodule.dim == 0 and ci.z_space == ()
+    assert ci.submodule == () and ci.z_space == ()
     assert sdp.canonical_elements(g, ci) == 1
 
 
