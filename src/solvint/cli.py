@@ -4,8 +4,8 @@ suites and count tables.
 Reports are emitted on stdout as CSV or JSON with deterministic bytes for
 a fixed spec, seed and version.  Exact rationals are rendered as "p/q";
 the only decimal columns are display-only values derived from exact
-integer floors.  Exit codes: 0 ok, 1 assertion failure, 2 schema error,
-3 resource cap exceeded.
+integer floors.  Exit codes: 0 ok, 1 assertion failure, 2 schema error
+or invalid input, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ def load_spec(path: str) -> dict:
         raise SchemaError("spec must be a JSON object with a 'kind' field")
     if doc["kind"] not in ("sdp", "tower", "oracle-table"):
         raise SchemaError(f"unknown spec kind: {doc['kind']!r}")
+    if not isinstance(doc.get("name", ""), str):
+        raise SchemaError("spec 'name' must be a string")
     return doc
 
 
@@ -319,6 +321,8 @@ def main(argv=None) -> int:
             doc = load_spec(args.spec) if args.spec else None
             report = cmd_verify(doc, args.suite, args.cap_order, args.seed)
         else:
+            if args.spec:
+                raise SchemaError("counts builds its towers from --range and takes no spec")
             try:
                 lo, hi = args.range.split("..")
                 n_min, n_max = int(lo), int(hi)
@@ -328,7 +332,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2
-    except (ValidationError, MalformedInput) as e:
+    except (ValidationError, MalformedInput, gr.UnsupportedGroup) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
     except ResourceCapExceeded as e:

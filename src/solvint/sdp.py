@@ -128,7 +128,7 @@ class HModule:
                        self.frame, p)
 
     def centralizer_of(self, frows, h_mask: int) -> int:
-        """The mask of the x in h_mask fixing the vector of every F-row of `frows`."""
+        """The mask of the x in h_mask fixing the vector of each F-coordinate row in `frows`."""
         vectors = [self.vector_of(r) for r in frows]
         return sum(1 << x for x in gr.mask_bits(h_mask)
                    if all(vec_mat(v, self.elements[x], self.p) == v for v in vectors))
@@ -192,9 +192,6 @@ class SdGroup:
         """The F_p span of the H-submodule of V^t spanned by the images of V
         under x -> (x*s_1, ..., x*s_t), s running over the F-RREF rows
         `frows` of F^t; MalformedInput for rows not in F-RREF."""
-        return self._memo("fspan", tuple(frows), self._span_fvectors, frows)
-
-    def _span_fvectors(self, frows) -> FpSubspace:
         # for s_i in F-RREF with pivot c_i, the rows e_j * s_i (row j of the
         # matrix of each entry) are in RREF already, with pivots k*c_i + j
         pivots = _f_rref_pivots(self.module.fops, frows, self.t)
@@ -476,16 +473,20 @@ def _add_row(G: SdGroup, rows: dict, M: MaximalSupplement):
 
 def _solution(G: SdGroup, rows: dict):
     """(U, v): U the common kernel of the rows and v the canonical translate
-    with pi_phi(v) = c for each row phi + c: the vector of c on its pivot
-    block, reduced modulo U's F_p span."""
-    module, t, k = G.module, G.t, G.k
+    with pi_phi(v) = c for each row phi + c: c on its pivot block of F-coordinates,
+    reduced modulo U's F-RREF rows, is the one vector of v's coset zero on U's pivot blocks."""
+    module, t, fops = G.module, G.t, G.module.fops
     pivots = sorted(rows)
     phis = tuple(rows[j][:t] for j in pivots)
-    U = G._memo("kernel", phis, lambda: _f_nullspace(module.fops, phis, pivots, t)[0])
-    v = [0] * G.wdim
-    for j, row in rows.items():
-        v[j * k:(j + 1) * k] = G._memo("vector", row[t:], module.vector_of, row[t:])
-    return U, G.submodule_from_fvectors(U).reduce(tuple(v))
+    U, u_pivots = G._memo("kernel", phis, _f_nullspace, fops, phis, pivots, t)
+    blocks = [rows[j][t:] if j in rows else (0,) * module.f_dim for j in range(t)]
+    # block j loses s_j times block c, for each row s of U with pivot c
+    for s, c in zip(U, u_pivots):
+        lead = blocks[c]
+        if any(lead):
+            blocks = [fops._add_multiple(b, fops.neg_t[a], lead) if a else b
+                      for a, b in zip(s, blocks)]
+    return U, tuple(x for b in blocks for x in G._memo("vector", b, module.vector_of, b))
 
 
 def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
@@ -572,23 +573,17 @@ def realize_intersection(G: SdGroup, U, Z) -> list[MaximalSupplement]:
 
 def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersection) -> bool:
     """Exact subgroup equality of two canonical triples (algebraic: sizes,
-    submodules, centralizers and translate congruence)."""
+    submodules, centralizers and translate congruence).  delta - delta^x lies in U
+    for every x in C = C_H(Z), for delta the translates' difference, exactly when C
+    fixes pi_phi(delta) for every row phi: the pi_phi are H-maps with common kernel U."""
     if a.submodule != b.submodule or len(a.z_space) != len(b.z_space):
         return False
-    cen_a = centralizer_in_h(G, a.z_space)
-    cen_b = centralizer_in_h(G, b.z_space)
-    if cen_a != cen_b:
+    cen = centralizer_in_h(G, a.z_space)
+    if cen != centralizer_in_h(G, b.z_space):
         return False
-    p, k, elements = G.p, G.k, G.module.elements
-    delta = vec_sub(a.translate, b.translate, p)
-    blocks = [delta[c:c + k] for c in range(0, G.wdim, k)]
-    span = G.submodule_from_fvectors(a.submodule)
-    # delta - delta^x, one k-block of V at a time
-    return all(
-        span.contains(tuple(y for block in blocks
-                                   for y in vec_sub(block, vec_mat(block, elements[x], p), p)))
-        for x in gr.mask_bits(cen_a)
-    )
+    delta = vec_sub(a.translate, b.translate, G.p)
+    values = [row[G.t:] for row in _rows(G, a.submodule, delta).values()]
+    return G.module.centralizer_of(values, cen) == cen
 
 
 # ---------------------------------------------------------------------------

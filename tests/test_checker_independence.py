@@ -1,13 +1,14 @@
-"""The interKM brute force must not route through the code it checks.
+"""The interKM brute force and the closed form it checks share no code.
 
 `sdp.descriptor_elements` builds the element set of a descriptor subgroup
 from the basis rows of U's F_p span and H's matrices alone; the
-equivalence suites compare it with the closed-form calculus.  This test
-reads src/solvint/sdp.py as source (nothing is imported or executed) and
-checks that the checker and every function or method of the module it
-reaches, the span of U's F-rows included, name none of the closed-form,
-splitting or subspace-reduction entry points, nor the F-coordinate frame
-and F's row arithmetic.
+equivalence suites compare it with the closed-form calculus.  These tests
+read src/solvint/sdp.py as source (nothing is imported or executed).  The
+checker and every function or method of the module it reaches, the span
+of U's F-rows included, name none of the closed-form, splitting or
+subspace-reduction entry points, nor the F-coordinate frame and F's row
+arithmetic.  The calculus in turn reaches neither the checker nor an F_p
+span: it reduces and compares in F-coordinates only.
 """
 
 import ast
@@ -21,6 +22,12 @@ FORBIDDEN = {
     "_f_nullspace", "_annihilator", "_rows", "_add_row", "_solution", "_pair_step",
     "reduce", "decompose", "intersect",
     "fcoords", "vector_of", "centralizer_in_h", "_add_multiple",
+}
+CALCULUS = ("canonicalize_intersection", "intersect_supplement", "realize_intersection",
+            "subgroup_equal")
+CHECKER_ONLY = {
+    "descriptor_elements", "_span_mask", "_move", "_digit_moves", "submodule_from_fvectors",
+    "FpSubspace", "reduce", "contains",
 }
 
 
@@ -43,7 +50,7 @@ def names_in(node):
 
 
 def reached_from(defs, root):
-    """The checker and the functions and methods of the module it names,
+    """The root and the functions and methods of the module it names,
     transitively: a name is followed to every definition of that name."""
     seen = {root}
     todo = [root]
@@ -56,14 +63,26 @@ def reached_from(defs, root):
     return seen
 
 
+def named_from(defs, reached, names):
+    """The (function, name) pairs of the reached functions that name one of `names`."""
+    return {(fn, name) for fn in reached for node in defs[fn]
+            for name in names_in(node) if name in names}
+
+
 def test_checker_names_no_closed_form_code():
     defs = functions(ast.parse(SDP.read_text()))
     reached = reached_from(defs, CHECKER)
     # the memo helpers and the span of U's F-rows are reached, so the walk
     # follows the checker's calls
     assert {"_digit_moves", "_span_mask", "_move", "_memo"} <= reached
-    assert {"submodule_from_fvectors", "_span_fvectors", "_f_rref_pivots"} <= reached
-    named = {(fn, name) for fn in reached for node in defs[fn]
-             for name in names_in(node) if name in FORBIDDEN}
-    assert named == set()
+    assert {"submodule_from_fvectors", "_f_rref_pivots"} <= reached
+    assert named_from(defs, reached, FORBIDDEN) == set()
+
+
+def test_calculus_names_no_checker_or_span_code():
+    defs = functions(ast.parse(SDP.read_text()))
+    reached = set().union(*(reached_from(defs, root) for root in CALCULUS))
+    # the row arithmetic and the F-coordinate frame are reached
+    assert {"_solution", "_rows", "_add_row", "centralizer_of", "vector_of"} <= reached
+    assert named_from(defs, reached, CHECKER_ONLY) == set()
 

@@ -182,6 +182,33 @@ def test_non_solvable_h_is_refused_in_bounded_time(spec_dir, capsys):
     assert time.monotonic() - start < 5
 
 
+def test_a_non_solvable_group_is_invalid_input(spec_dir, capsys):
+    a5 = gr.from_permutations([(1, 2, 3, 4, 0), (1, 0, 3, 2, 4)], "A5")
+    path = spec_dir / "a5.json"
+    path.write_text(json.dumps({"kind": "oracle-table", "name": "A5",
+                                "table": [[a5.mul(a, b) for b in range(a5.n)]
+                                          for a in range(a5.n)]}))
+    for command in (["analyze"], ["verify", "--suite", "thuno"], ["verify", "--suite", "propo"]):
+        code, out, err = run(capsys, *command, "--spec", str(path))
+        assert (code, out) == (2, ""), (command, err)
+        (line,) = err.strip().splitlines()
+        assert line.startswith("invalid input: ") and "requires a solvable group" in line
+
+
+def test_spec_name_must_be_a_string(spec_dir, capsys):
+    path = spec_dir / "named.json"
+    for doc in ({**SDP_C2_ON_F3, "name": 0}, {**SDP_C2_ON_F3, "name": 5},
+                {"kind": "oracle-table", "table": [[0]], "name": [1]},
+                {"kind": "tower", "n": 2, "name": None}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--spec", str(path))
+        assert (code, out) == (2, ""), doc
+        assert err.strip().splitlines() == ["schema error: spec 'name' must be a string"]
+    path.write_text(json.dumps({**SDP_C2_ON_F3, "name": "S3"}))
+    code, out, _ = run(capsys, "analyze", "--spec", str(path))
+    assert code == 0 and "group,S3,order,6,oracle" in out
+
+
 def test_cap_error_exit_3(spec_dir, capsys):
     for name in ("bigtower.json", "c29-on-f2^28.json", "huge-prime-tower.json", "c2^7.json",
                  "f1201-t0.json", "f1201-t1.json", "safe-prime.json", "singer-f256.json",
@@ -426,6 +453,15 @@ def test_counts_strict_primes(capsys):
     assert code == 0
     assert "counts,n=2,primes,3 13,formula" in out
     assert "counts,n=3,primes,3 13 193,formula" in out
+
+
+def test_counts_refuses_a_spec(capsys):
+    # counts builds its towers from --range, so a spec is refused, not
+    # left unread
+    code, out, err = run(capsys, "counts", "--range", "1..1", "--spec", "/nonexistent.json")
+    assert (code, out) == (2, "")
+    assert err.strip().splitlines() == [
+        "schema error: counts builds its towers from --range and takes no spec"]
 
 
 def test_counts_bad_range(capsys):

@@ -789,6 +789,35 @@ def test_canonicalize_is_order_invariant(sdp_pool):
         assert sdp.canonical_elements(g, ci) == sdp.canonical_elements(g, ci2)
 
 
+def test_subgroup_equal_matches_the_element_masks(sdp_pool):
+    # random (U, Z) with two translates, the second v plus a vector of U's
+    # F_p span or drawn at random: the triples are equal subgroups exactly
+    # when the brute force gives them one element mask
+    rng = random.Random(8080)
+    verdicts = []
+    for g in (g for g in sdp_pool if g.order <= 800):
+        fops, f_dim = g.module.fops, g.module.f_dim
+        for _ in range(40):
+            U = sdp.random_submodule(g, rng)
+            span = fp_span(g, U)
+            lines = [tuple(rng.randrange(fops.q) for _ in range(f_dim))
+                     for _ in range(rng.randrange(f_dim + 1))]
+            Z = fops.f_rref(lines, f_dim)[0]
+            v = tuple(rng.randrange(g.p) for _ in range(g.wdim))
+            if rng.randrange(2):
+                w = v
+                for row in span.basis:
+                    w = vec_add(w, tuple(rng.randrange(g.p) * x for x in row), g.p)
+            else:
+                w = tuple(rng.randrange(g.p) for _ in range(g.wdim))
+            a, b = sdp.CanonicalIntersection(U, v, Z), sdp.CanonicalIntersection(U, w, Z)
+            equal = sdp.canonical_elements(g, a) == sdp.canonical_elements(g, b)
+            assert sdp.subgroup_equal(g, a, b) == equal, (g.name, a, b)
+            verdicts.append(equal)
+    assert len(verdicts) == 1160
+    assert 100 < verdicts.count(False) < 1060
+
+
 def test_trivial_acting_group_edge():
     # H = 1 forces k = 1 and G = V^t elementary abelian; translates of each
     # hyperplane collapse to a single maximal subgroup
