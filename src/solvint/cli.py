@@ -66,7 +66,7 @@ def load_spec(path: str) -> dict:
 def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
     kind = doc["kind"]
     if kind == "sdp":
-        return sdp.embed_as_oracle(sdp.sdgroup_from_spec(doc), cap)
+        return sdp.embed_as_oracle(sdp.sdgroup_from_spec(doc, cap), cap)
     if kind == "tower":
         return _tower_from_spec(doc, cap).embed_as_oracle()
     table = doc.get("table")
@@ -92,7 +92,7 @@ def _tower_from_spec(doc: dict, cap: int) -> tower.TowerGroup:
         if type(n) is not int or n < 1:
             raise SchemaError("tower spec needs an integer 'n' >= 1 or explicit 'primes'")
         tp = tower.find_primes(n, strict)
-    return tower.TowerGroup(tp, cap)
+    return tower.TowerGroup(tp, cap, doc.get("name"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,8 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
         if doc:
             if doc.get("kind") != "sdp":
                 raise SchemaError("the due suite needs an sdp spec (Gamma = V x| H)")
-            targets = [sdp.sdgroup_from_spec(doc)]
+            # the verifier refuses t != 1 before it embeds: keep that first
+            targets = [sdp.sdgroup_from_spec(doc, cap if doc.get("t") == 1 else None)]
         else:
             targets = _fresh(corpus.primitive_groups())
         for sd_group in targets:

@@ -2,8 +2,11 @@
 intersections, and the finite-level verifiers tying them together.
 
 All accept/reject decisions are made in exact integer arithmetic: an
-exponent eta = log(P)/log(N) is carried as the integer pair (P, N) and
-compared through powers (P^den <= N^num), never through floats.
+exponent eta = log(P)/log(N) is carried as the integer pair (P, N).  A
+bound eta <= num/den is decided by one power comparison (P^den <= N^num);
+a floor of num/den * eta comes from the continued fraction of eta, whose
+every partial quotient is decided by comparing integers (a float only
+seeds it).
 """
 
 from __future__ import annotations
@@ -37,21 +40,64 @@ def floor_log_ratio(P: int, N: int, den: int = 1000) -> int:
 
 
 def _floor_log(P: int, N: int, num: int, den: int) -> int:
-    """Largest m with N^(m*den) <= P^num, i.e. floor(num/den * log_N(P)),
-    for P >= 1 and N >= 2; the float estimate only seeds the exact search."""
+    """Largest m with N^(m*den) <= P^num, i.e. floor(num/den * r) for
+    r = log P / log N, with P >= 1 and N >= 2.
+
+    Euclid's algorithm on logarithms, i.e. the continued fraction of r, held
+    as log A / log B for exact rationals A and B (first P and N).  The
+    partial quotient a is the largest exponent with B^a <= A: a float seeds
+    it and integer comparisons decide it.  If A = B^a, r is the convergent
+    h/k; else r lies between h/k and its mediant with the convergent before,
+    and the expansion stops once the floor agrees at both.  The floor steps
+    only at fractions of denominator at most q, and none lies strictly
+    between Farey neighbours whose denominators sum past q.  So a is taken
+    at most up to `top`, whose semiconvergent settles the floor: no power
+    exceeds about P^(2q), where a direct comparison takes P^num.
+    """
     if P == N:
         return num // den
-    big = P**num
-    step = N**den
-    m = max(0, int(num / den * math.log(P) / math.log(N)))
-    power = N ** (m * den)
-    while power * step <= big:
-        power *= step
-        m += 1
-    while m > 0 and power > big:
-        power //= step
-        m -= 1
-    return m
+    q = num // math.gcd(num, den)
+    a1, a2, b1, b2 = P, 1, N, 1      # A = a1/a2 and B = b1/b2; A > B after the first step
+    h0, k0, h1, k1 = 0, 1, 1, 0      # the last two convergents, h1/k1 the newer
+    ln_a = _ln_ratio(a1, a2)
+    while True:
+        top = (q - k0) // k1 + 1 if k1 else math.inf
+        ln_b = _ln_ratio(b1, b2)
+        # log A / log B as a float; past 2^1000 it is past top, so clip there
+        seed = math.ldexp(ln_a[0] / ln_b[0], min(ln_a[1] - ln_b[1], 1000))
+        a = int(min(seed, top))
+        pa, pb = b1**a, b2**a        # B^a = pa/pb
+        while a and pa * a2 > a1 * pb:
+            a -= 1
+            pa //= b1
+            pb //= b2
+        while a < top and pa * b1 * a2 <= a1 * pb * b2:
+            a += 1
+            pa *= b1
+            pb *= b2
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        floor = num * h1 // (den * k1)
+        if a == top:
+            return floor
+        c1, c2 = a1 * pb, a2 * pa    # A/B^a, in [1, B)
+        if c1 == c2 or floor == num * (h1 + h0) // (den * (k1 + k0)):
+            return floor
+        a1, a2, b1, b2, ln_a = b1, b2, c1, c2, ln_b
+
+
+def _ln_ratio(x: int, y: int) -> tuple[float, int]:
+    """frexp(ln(x/y)) for integers x >= y >= 1, never 0 for x > y: a
+    difference of logs where x >= 2y, else log1p of the correctly rounded
+    quotient (x-y)/y, or that quotient itself, scaled, below 2^-1000, where
+    it would underflow (ln(1+u) = u to double precision there)."""
+    d = x - y
+    if d >= y:
+        return math.frexp(math.log(x) - math.log(y))
+    shift = y.bit_length() - d.bit_length()
+    if shift < 1000:
+        return math.frexp(math.log1p(d / y))
+    m, e = math.frexp((d << shift) / y)
+    return m, e - shift
 
 
 def iroot(x: int, r: int) -> int:

@@ -79,7 +79,11 @@ class HModule:
         self.name = name
 
     @classmethod
-    def create(cls, p: int, k: int, gens, name: str = "H"):
+    def create(cls, p: int, k: int, gens, name: str = "H", t: int = 1,
+               cap: int | None = None):
+        """H = <gens> on F_p^k, validated.  With a `cap`, V^t x| H of order
+        above it is refused once H is enumerated and found solvable, before
+        the endomorphism field is built."""
         gens = tuple(mat_mod(g, p) for g in gens)
         for g in gens:
             if len(g) != k or any(len(row) != k for row in g):
@@ -88,21 +92,23 @@ class HModule:
         # F contains F_p, so a large p is refused before F is even computed
         if p > FIELD_ORDER_CAP:
             raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
-        cap = IRREDUCIBILITY_LINE_CAP
+        lines = IRREDUCIBILITY_LINE_CAP
         # F_p^k has at least 2^k - 1 lines, so p**k is only taken for small k
-        if k > cap.bit_length() or (p**k - 1) // (p - 1) > cap:
-            raise ResourceCapExceeded("irreducibility test lines of F_p^k", cap)
+        if k > lines.bit_length() or (p**k - 1) // (p - 1) > lines:
+            raise ResourceCapExceeded("irreducibility test lines of F_p^k", lines)
         identity = mat_identity(k)
         elems = gr._closure_of_objects(gens or (identity,), lambda a, b: mat_mul(a, b, p),
                                        identity, H_ORDER_CAP)
         elements = (identity,) + tuple(sorted(e for e in elems if e != identity))
-        # ValidationError("irreducibility") unless every line spins to V
-        fops = endomorphism_field(gens or (identity,), p, k)
         # faithfulness is structural for matrix groups: the only element
         # acting trivially is the identity matrix itself
         group = _matrix_oracle(elements, gens, p, name)
         if not gr.is_solvable(group):
             raise ValidationError("solvability", "H is not solvable")
+        if cap is not None:
+            gr._check_embedding_order(p ** (k * t) * len(elements), cap)
+        # ValidationError("irreducibility") unless every line spins to V
+        fops = endomorphism_field(gens or (identity,), p, k)
         # the unit vectors outside the F-span of those taken before them
         frame: Matrix = ()
         for u in identity:
@@ -168,8 +174,10 @@ class SdGroup:
         self._cache: dict = {}
 
     @classmethod
-    def create(cls, p: int, k: int, t: int, h_gens, name: str | None = None) -> "SdGroup":
-        return cls(HModule.create(p, k, h_gens, name=f"H<GL({k},{p})"), t, name=name)
+    def create(cls, p: int, k: int, t: int, h_gens, name: str | None = None,
+               cap: int | None = None) -> "SdGroup":
+        return cls(HModule.create(p, k, h_gens, name=f"H<GL({k},{p})", t=t, cap=cap), t,
+                   name=name)
 
     # -- arithmetic on group elements ((w, h_idx) pairs)
 
@@ -802,10 +810,11 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int):
 # group-spec ingestion (shared wire format with the CLI)
 
 
-def sdgroup_from_spec(doc: dict) -> SdGroup:
+def sdgroup_from_spec(doc: dict, cap: int | None = None) -> SdGroup:
     """Build and validate an SdGroup from its structured document; raises
     SchemaError for shape problems and ValidationError (named invariant)
-    for group-theoretic ones."""
+    for group-theoretic ones.  With a `cap`, a group of order above it is
+    refused before its endomorphism field is built."""
     for key in ("p", "k", "t", "h_gens"):
         if key not in doc:
             raise SchemaError(f"sdp spec is missing '{key}'")
@@ -823,4 +832,4 @@ def sdgroup_from_spec(doc: dict) -> SdGroup:
     if k * t > SPEC_DIMENSION_CAP:
         raise ResourceCapExceeded("dimension k*t of V^t", SPEC_DIMENSION_CAP)
     mats = [tuple(tuple(row) for row in g) for g in gens]
-    return SdGroup.create(p, k, t, mats, name=doc.get("name"))
+    return SdGroup.create(p, k, t, mats, name=doc.get("name"), cap=cap)

@@ -98,7 +98,8 @@ class TowerGroup:
     single-prime semidirect products, and named by their oracle ids.  A
     level of order above `cap` is refused before anything is computed."""
 
-    def __init__(self, primes: TowerPrimes, cap: int = gr.DEFAULT_ORDER_CAP):
+    def __init__(self, primes: TowerPrimes, cap: int = gr.DEFAULT_ORDER_CAP,
+                 name: str | None = None):
         self.w_size = math.prod(primes.primes)
         self.order = self.w_size << primes.n
         gr._check_embedding_order(self.order, cap)
@@ -111,7 +112,7 @@ class TowerGroup:
             tuple(pow(z, e, p) for e in range(self.h_order))
             for z, p in zip(self.zetas, primes.primes)
         )
-        self.name = f"tower-n{self.n}-" + "x".join(str(p) for p in primes.primes)
+        self.name = name or f"tower-n{self.n}-" + "x".join(str(p) for p in primes.primes)
         self._cache: dict = {}
 
     # -- maximal subgroups, by descriptor

@@ -63,9 +63,8 @@ def spec_dir(tmp_path):
         json.dumps({"kind": "sdp", "p": 5, "k": 2, "t": 1, "h_gens": [[[0, 1], [2, 0]]]})
     )
     # Singer cycles: H = <companion matrix of x^8 + x^4 + x^3 + x^2 + 1 or of
-    # x^9 + x^4 + 1> on F_2^k has F = F_(2^k), up to the field cap, and F is
-    # tabulated before G's order is known (under a second for F_512, from
-    # one primitive element)
+    # x^9 + x^4 + 1> on F_2^k has F = F_(2^k), up to the field cap; an order
+    # cap below |G| refuses G before F is tabulated
     for k, low in ((8, (1, 0, 1, 1, 1, 0, 0, 0)), (9, (1, 0, 0, 0, 1, 0, 0, 0, 0))):
         companion = [[int(j == i + 1) for j in range(k)] for i in range(k - 1)] + [list(low)]
         (tmp_path / f"singer-f{2**k}.json").write_text(
@@ -207,6 +206,46 @@ def test_spec_name_must_be_a_string(spec_dir, capsys):
     path.write_text(json.dumps({**SDP_C2_ON_F3, "name": "S3"}))
     code, out, _ = run(capsys, "analyze", "--spec", str(path))
     assert code == 0 and "group,S3,order,6,oracle" in out
+
+
+def test_a_tower_spec_name_names_the_group(spec_dir, capsys):
+    path = spec_dir / "named-tower.json"
+    path.write_text(json.dumps({"kind": "tower", "n": 2, "name": "mine"}))
+    for command, needle in ((["analyze"], "group,mine,order,60,oracle"),
+                            (["verify", "--suite", "thuno"], "thuno,mine,pass,yes,oracle")):
+        code, out, err = run(capsys, *command, "--spec", str(path))
+        assert (code, err) == (0, ""), command
+        assert needle in out and "tower-n2" not in out, command
+    # an empty name keeps the default, as for sdp specs
+    path.write_text(json.dumps({"kind": "tower", "n": 2, "name": ""}))
+    code, out, _ = run(capsys, "analyze", "--spec", str(path))
+    assert code == 0 and "group,tower-n2-3x5,order,60,oracle" in out
+
+
+def test_the_order_cap_refuses_an_sdp_spec_before_its_field_is_built(spec_dir, capsys,
+                                                                     monkeypatch):
+    # |G| = 512 * 511 is known once H is enumerated; building F = F_512 took
+    # most of the 0.76 s this refusal used to take
+    def no_field(*args):
+        raise AssertionError("the endomorphism field was built")
+
+    monkeypatch.setattr(sdp, "endomorphism_field", no_field)
+    start = time.monotonic()
+    for command in (["analyze"], ["verify", "--suite", "thuno"], ["verify", "--suite", "due"],
+                    ["verify", "--suite", "propo"]):
+        code, out, err = run(capsys, *command, "--cap-order", "1000",
+                             "--spec", str(spec_dir / "singer-f512.json"))
+        assert (code, out) == (3, ""), command
+        assert err.strip().splitlines() == [
+            "resource cap: oracle embedding of |G|=261632 exceeds the order cap (cap: 1000)"]
+    assert time.monotonic() - start < 2
+    # due refuses t != 1 as invalid input before it weighs the order
+    monkeypatch.undo()
+    code, out, err = run(capsys, "verify", "--suite", "due", "--cap-order", "100",
+                         "--spec", str(spec_dir / "c2^7.json"))
+    assert (code, out) == (2, "")
+    assert err.strip().splitlines() == [
+        "invalid input: primitive verifier expects t = 1 (Gamma = V x| H)"]
 
 
 def test_cap_error_exit_3(spec_dir, capsys):

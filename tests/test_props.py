@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,43 @@ def test_roots_and_logs_match_bisection():
         assert props._floor_log(P, N, num, den) == floor_log(P, N, num, den), (P, N, num, den)
         if den == 1:
             assert props.floor_log_ratio(P, N, num) == floor_log(P, N, num, 1), (P, N, num)
+
+
+# the (num, den) of eta_floor4, floor_log_ratio's milli-floors and verify_eta_to_gamma
+CATALOGUE_FLOORS = ((10**4, 1), (1000, 1), (3243, 1000), (324, 100), (325, 100))
+
+
+def test_floor_log_continued_fraction_matches_bisection():
+    # the continued fraction of log P / log N ends exactly where the ratio is
+    # rational: exact powers, 2^a 3^b against 6^c, 8 against 4 (= 3/2)
+    cases = [(N**k + e, N) for N in (2, 3, 6, 20, 97) for k in range(5) for e in (-1, 0, 1)
+             if N**k + e >= 1]
+    cases += [(2**a * 3**b, 6**c) for a in range(5) for b in range(5) for c in (1, 2)]
+    cases += [(8, 4), (4, 8), (27, 9), (1, 2), (1, 97), (5, 5), (294, 294), (25, 20), (625, 200)]
+    for P, N in cases:
+        for num, den in CATALOGUE_FLOORS + ((3, 2), (2, 3), (1, 1), (0, 1)):
+            assert props._floor_log(P, N, num, den) == floor_log(P, N, num, den), (P, N, num, den)
+    assert props._floor_log(8, 4, 3, 2) == 2  # floor(3/2 * 3/2)
+    assert props._floor_log(8, 4, 2, 3) == 1  # 2/3 * 3/2 = 1 exactly
+
+
+def test_floor_log_near_one_ratios():
+    # log P / log N within 10^-30 of 1: a float log of P/N is 0, and the
+    # second partial quotient is about 10^31.  Integers decide the floor,
+    # and a partial quotient is cut off where the convergent's denominator
+    # would pass num, so no power beyond about P^(2 num) is taken
+    cases = [(P, N, num, den) for P, N in ((10**30 + 1, 10**30), (10**30, 10**30 + 1),
+                                           (10**30 - 1, 10**30))
+             for num, den in ((1, 1), (7, 3), (100, 1), (3243, 1000))]
+    cases += [(P, N, num, den) for P, N in ((2**4000 + 1, 2**4000), (2**4000 - 1, 2**4000),
+                                            (2**4000, 2**4000 - 1), (3**200 + 1, 3))
+              for num, den in ((1, 1), (3, 1), (7, 3), (20, 1))]
+    start = time.monotonic()
+    got = [props._floor_log(*case) for case in cases]
+    got.append(props._floor_log(10**30 + 1, 10**30, 10**4, 1))
+    got.append(props._floor_log(10**30 - 1, 10**30, 10**4, 1))
+    assert time.monotonic() - start < 2
+    assert got == [floor_log(*case) for case in cases] + [10**4, 10**4 - 1]
 
 
 def test_gamma_min_one_dimensional_modules():
