@@ -545,7 +545,8 @@ def normal_closure_mask(G: OracleGroup, seed_ids, ambient_gens) -> int:
 
 
 def derived_mask(G: OracleGroup, mask: int) -> int:
-    gens = greedy_generators(G, mask)
+    # G.gens generates G, so only a proper subgroup needs generators found
+    gens = G.gens if mask == (1 << G.n) - 1 else greedy_generators(G, mask)
     comms = {G.commutator(a, b) for a in gens for b in gens}
     return normal_closure_mask(G, comms, gens)
 
@@ -822,44 +823,35 @@ def counts(G: OracleGroup) -> CountTable:
 
 
 def normal_core(G: OracleGroup, m: int) -> int:
-    """Intersection of all conjugates of m (memoized for every conjugate,
-    as they share it)."""
-    cores = G._cache.setdefault("core_by_mask", {})
-    if m not in cores:
-        orbit = _orbit(G, m)
-        core = (1 << G.n) - 1
-        for c in orbit:
-            core &= c
-        cores.update(dict.fromkeys(orbit, core))
-    return cores[m]
+    """Intersection of all conjugates of m."""
+    core = (1 << G.n) - 1
+    for c in _orbit(G, m):
+        core &= c
+    return core
 
 
 def core_and_socle(m: int, G: OracleGroup) -> tuple[int, int]:
     """The masks (Y, X): Y is the core of the maximal subgroup M = m, and
     X/Y is the unique minimal normal subgroup of the primitive quotient G/Y.
+    A reference for the chief series of `sdp.chief_factor_classes`.
 
     G/Y is primitive and solvable, so X/Y = F(G/Y).  The last nontrivial
     derived term of G/Y is abelian and normal, so it lies in F(G/Y) and
     contains X/Y: the two are equal.  The derived series of G/Y is the
     image of G's, (G/Y)^(i) = G^(i) Y / Y, so X = G^(i) Y for the largest i
     with G^(i) not inside Y, read off the memoized `derived_series(G)` as
-    the union of the cosets Ya over a in G^(i).  Y is memoized for the
-    whole class of M and X per core (conjugate maximals share both)."""
+    the union of the cosets Ya over a in G^(i)."""
     if not is_solvable(G):
         raise UnsupportedGroup("core_and_socle requires a solvable group")
     y = normal_core(G, m)
-    socles = G._cache.setdefault("socle_by_core", {})
-    x = socles.get(y)
-    if x is None:
-        # the terms inside Y are a suffix of the series, and it ends in 1
-        d = next(d for d in reversed(derived_series(G)) if d & ~y)
-        y_members = tuple(mask_bits(y))
-        x = 0
-        for a in mask_bits(d):
-            if not (x >> a) & 1:
-                for e in y_members:
-                    x |= 1 << G.mul(e, a)
-        socles[y] = x
+    # the terms inside Y are a suffix of the series, and it ends in 1
+    d = next(d for d in reversed(derived_series(G)) if d & ~y)
+    y_members = tuple(mask_bits(y))
+    x = 0
+    for a in mask_bits(d):
+        if not (x >> a) & 1:
+            for e in y_members:
+                x |= 1 << G.mul(e, a)
     # chief factor sanity: M complements X/Y.  X is normal, so MX is a
     # subgroup of order |M||X|/|M cap X| = |M||X|/|Y|, and MX = G iff
     # |M||X| = |G||Y|

@@ -460,7 +460,7 @@ def _rows(G: SdGroup, W, v: Vector) -> dict:
 def _add_row(G: SdGroup, rows: dict, M: MaximalSupplement):
     """Add M's row to `rows` in place: the witness c when its phi reduces to
     zero, else None once it is kept."""
-    own = _rows(G, M.submodule, M.translate)
+    own = G._memo("row", M, _rows, G, M.submodule, M.translate)
     if len(own) != 1:
         raise CaseDispatchError("M's submodule is not maximal")
     fops, t = G.module.fops, G.t
@@ -649,40 +649,52 @@ class CrownData:
 
 
 def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
-    """Complemented chief factor classes of a solvable G, from its maximal
-    subgroups, grouped by exact G-module isomorphism."""
+    """Complemented chief factor classes of a solvable G, grouped by exact
+    G-module isomorphism, in the order of their first maximal.
+
+    One chief series 1 = N_0 < ... < N_r = G is read off the normal
+    subgroups (the classes of size 1, in lattice order): N_i is the
+    least-order one strictly above N_(i-1).  A maximal M goes to the first
+    factor whose top N_i is not inside M.  Then N_(i-1) <= M, G = M N_i, and
+    M cap N_i is normal in M and (as N_i/N_(i-1) is abelian) in N_i, so in
+    G; it lies between N_(i-1) and N_i and is not N_i, so it is N_(i-1).
+    So N_(i-1) <= Y = core(M), N_i cap Y = N_(i-1), and N_i Y/Y, a normal
+    subgroup of the primitive G/Y G-isomorphic to N_i/N_(i-1), is the
+    socle: the action and centralizer are computed once per chief factor.
+    Factors are irreducible: by Schur's lemma two of equal dimension are
+    isomorphic iff a nonzero intertwiner exists."""
     cached = G._cache.get("crown_classes")
     if cached is not None:
         return cached
+    series = [1]
+    for s, size in gr.conjugacy_classes_of_subgroups(G):
+        if size == 1 and s != series[-1] and s & series[-1] == series[-1]:
+            series.append(s)
     classes: list[ChiefFactorClass] = []
-    # conjugate maximals share their core Y and socle X, so the action on
-    # X/Y and its centralizer are memoised per (Y, X) pair
-    steps = G._cache.setdefault("factor_action_by_pair", {})
+    class_of: dict[int, ChiefFactorClass] = {}  # factor index -> its class
     for m in gr.maximal_subgroups(G):
-        y, x = gr.core_and_socle(m, G)
-        if (y, x) not in steps:
-            steps[y, x] = (*gr.action_on_factor(G, x, y),
-                           gr.centralizer_of_factor(G, x, y))
-        p, d, mats, c = steps[y, x]
-        # X/Y is the unique minimal normal subgroup of the primitive G/Y, so
-        # both modules are irreducible.  By Schur's lemma a nonzero
-        # intertwiner T has kernel 0 and image everything, so two of equal
-        # dimension are isomorphic iff one exists.
-        for cls in classes:
-            if ((cls.prime, cls.dim, cls.centralizer) == (p, d, c)
-                    and _intertwiners(cls.action_matrices, mats, p, d)):
-                cls.maximals.append(m)
-                break
-        else:
-            classes.append(ChiefFactorClass(label=f"p{p}d{d}#{len(classes)}", prime=p, dim=d,
-                                            action_matrices=mats, centralizer=c, maximals=[m]))
+        i = next(i for i, n in enumerate(series) if n & ~m)
+        cls = class_of.get(i)
+        if cls is None:
+            p, d, mats = gr.action_on_factor(G, series[i], series[i - 1])
+            c = gr.centralizer_of_factor(G, series[i], series[i - 1])
+            cls = next((known for known in classes
+                        if (known.prime, known.dim, known.centralizer) == (p, d, c)
+                        and _intertwiners(known.action_matrices, mats, p, d)), None)
+            if cls is None:
+                cls = ChiefFactorClass(label=f"p{p}d{d}#{len(classes)}", prime=p, dim=d,
+                                       action_matrices=mats, centralizer=c, maximals=[])
+                classes.append(cls)
+            class_of[i] = cls
+        cls.maximals.append(m)
     G._cache["crown_classes"] = classes
     return classes
 
 
 def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
     """C = C_G(V), R = intersection of the maximals in the class, delta with
-    |C:R| = |V|^delta, and a direct normal complement D when one exists."""
+    |C:R| = |V|^delta, and the first direct normal complement D (a class of
+    size 1) when one exists."""
     r = gr._meet_above(G, 1, v_class.maximals)
     c = v_class.centralizer
     if r & c != r:
@@ -698,13 +710,9 @@ def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
             raise AssertionError("crown size |C:R| is not a power of |V|")
         quotient //= size
         delta += 1
-    complement = None
-    for s in gr.all_subgroups(G):
-        if s.bit_count() != target or s & ~c or (s & r) != 1:
-            continue
-        if gr._is_normal(G, s):
-            complement = s
-            break
+    complement = next((s for s, size in gr.conjugacy_classes_of_subgroups(G)
+                       if size == 1 and s.bit_count() == target and not s & ~c and s & r == 1),
+                      None)
     return CrownData(v_class, c, r, delta, complement)
 
 

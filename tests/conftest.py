@@ -34,3 +34,10 @@ def small_pool_oracles(sdp_pool):
     """(G, oracle) for the pool groups of order <= 500, embedded once: the
     oracles memoise their lattices, which several tests compare."""
     return [(G, sdp.embed_as_oracle(G)) for G in sdp_pool if G.order <= 500]
+
+
+@pytest.fixture(scope="session")
+def large_pool_oracles(sdp_pool):
+    """The pool groups above order 500 whose lattices fit LATTICE_CAP,
+    embedded once."""
+    return [sdp.embed_as_oracle(G) for G in sdp_pool if G.order in (1029, 1210, 1296, 1944)]

@@ -324,12 +324,12 @@ def test_chief_factor_complement_checks(corpus_and_primitive_oracles):
 
 
 def test_chief_factor_action_and_centralizer_match_references(corpus_and_primitive_oracles,
-                                                              small_pool_oracles, sdp_pool):
+                                                              small_pool_oracles,
+                                                              large_pool_oracles):
     # the coset table and the per-coset centralizer test against the least
     # element of each coset by a scan over Y and a test of every element
-    large = [sdp.embed_as_oracle(G) for G in sdp_pool if G.order in (1029, 1210, 1296, 1944)]
-    assert sorted(g.n for g in large) == [1029, 1210, 1296, 1944]
-    oracles = corpus_and_primitive_oracles + [g for _, g in small_pool_oracles] + large
+    assert sorted(g.n for g in large_pool_oracles) == [1029, 1210, 1296, 1944]
+    oracles = corpus_and_primitive_oracles + [g for _, g in small_pool_oracles] + large_pool_oracles
     for g in oracles:
         try:
             maximals = gr.maximal_subgroups(g)
@@ -339,28 +339,6 @@ def test_chief_factor_action_and_centralizer_match_references(corpus_and_primiti
         for y, x in {gr.core_and_socle(m, g) for m in maximals}:
             assert gr.action_on_factor(g, x, y) == reference_action_on_factor(g, x, y, g.gens), g.name
             assert gr.centralizer_of_factor(g, x, y) == reference_centralizer_of_factor(g, x, y), g.name
-
-
-def test_core_and_socle_with_a_memoised_socle_runs_no_closure(corpus_list, monkeypatch):
-    calls = []
-    closure_mask = gr.closure_mask
-
-    def counting_closure_mask(G, gen_ids):
-        calls.append(G.name)
-        return closure_mask(G, gen_ids)
-
-    monkeypatch.setattr(gr, "closure_mask", counting_closure_mask)
-    reused = 0
-    for c in corpus_list:
-        g = gr.OracleGroup(c.n, c.mul, c.name, c.gens, c._inv)
-        for m in gr.maximal_subgroups(g):
-            memoised = gr.normal_core(g, m) in g._cache.get("socle_by_core", {})
-            calls.clear()
-            gr.core_and_socle(m, g)
-            if memoised:
-                reused += 1
-                assert calls == [], g.name
-    assert reused > 0
 
 
 def test_socle_is_the_least_normal_subgroup_above_the_core(corpus_and_primitive_oracles,

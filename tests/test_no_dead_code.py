@@ -43,6 +43,8 @@ BENCH_SPANS = {
     "intersect_case_spanning", "intersect_case_nested", "find_corona_crown",
     "subgroup_closure", "conjugate_mask", "rref", "corpus_group",
     "fvectors_of_submodule", "fixed_space_over",
+    # also the reference that tests check sdp.chief_factor_classes against
+    "core_and_socle",
 }
 KEEP = PAPER_RESULTS.keys() | BENCH_SPANS
 

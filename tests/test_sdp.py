@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from solvint import corpus, ffla, sdp
+from solvint import corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import (
     CaseDispatchError,
@@ -14,9 +14,9 @@ from solvint.errors import (
 )
 from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
-from references import (all_subspaces, decompose, f_span, intersect, inverse, is_subspace_of,
-                        order_of, sd_act, sd_inverse, sd_mul, subspace_vectors, sum_with, vec_add,
-                        zero_subspace)
+from references import (all_subspaces, counting_law_calls, decompose, f_span, intersect, inverse,
+                        is_subspace_of, order_of, sd_act, sd_inverse, sd_mul, subspace_vectors,
+                        sum_with, vec_add, zero_subspace)
 
 
 def g_f5_c4(t=1):
@@ -626,16 +626,21 @@ def reference_chief_factor_classes(g):
 
 
 def test_chief_factor_classes_match_the_isomorphism_search(corpus_and_primitive_oracles,
-                                                           small_pool_oracles):
-    # the classes compare irreducible factors by a nonzero intertwiner
-    # (Schur's lemma); the reference asks for an invertible one.  In
-    # F_7^2 x| C_3, with the generator scaling the two coordinates by 2
-    # and 4, the two F_7 factors share prime, dimension and centralizer
-    # but are not isomorphic.
+                                                           small_pool_oracles, large_pool_oracles,
+                                                           tower2, tower3):
+    # the classes take each maximal's factor from one chief series and
+    # compare irreducible factors by a nonzero intertwiner (Schur's lemma);
+    # the reference takes the socle of G/core(M) and asks for an invertible
+    # one.  In F_7^2 x| C_3, with the generator scaling the two coordinates
+    # by 2 and 4, the two F_7 factors share prime, dimension and
+    # centralizer but are not isomorphic.
     f49_c3 = gr.oracle_from_split_tables([7, 7], [[2 * 7, 4]], gr.cyclic(3), "F7^2:C3")
     assert ([(p, d, c.bit_count()) for _, p, d, c, _ in reference_chief_factor_classes(f49_c3)]
             == [(7, 1, 49), (7, 1, 49), (3, 1, 147)])
-    for g in corpus_and_primitive_oracles + [g for _, g in small_pool_oracles] + [f49_c3]:
+    towers = [tower.TowerGroup(tower.find_primes(1)).embed_as_oracle(),
+              tower2.embed_as_oracle(), tower3.embed_as_oracle()]
+    for g in (corpus_and_primitive_oracles + [g for _, g in small_pool_oracles]
+              + large_pool_oracles + towers + [f49_c3]):
         try:
             classes = sdp.chief_factor_classes(g)
         except ResourceCapExceeded:
@@ -643,6 +648,31 @@ def test_chief_factor_classes_match_the_isomorphism_search(corpus_and_primitive_
             continue
         got = [(c.label, c.prime, c.dim, c.centralizer, c.maximals) for c in classes]
         assert got == reference_chief_factor_classes(g), g.name
+
+
+def test_chief_factor_classes_act_once_per_chief_factor(monkeypatch):
+    # F_7^2 with H = 1 has 8 maximals, all normal, and chief length 2: the
+    # action and its centralizer are computed per chief factor, not per
+    # maximal
+    g = sdp.embed_as_oracle(sdp.SdGroup.create(7, 1, 2, []))
+    calls = []
+
+    def counting(name):
+        step = getattr(gr, name)
+
+        def counted(G, x, y):
+            calls.append(name)
+            return step(G, x, y)
+        return counted
+
+    for name in ("action_on_factor", "centralizer_of_factor"):
+        monkeypatch.setattr(gr, name, counting(name))
+    classes = sdp.chief_factor_classes(g)
+    maximals = list(gr.maximal_subgroups(g))
+    assert len(maximals) == 8
+    assert sorted(calls) == ["action_on_factor"] * 2 + ["centralizer_of_factor"] * 2
+    # both factors are the trivial module F_7, so one class holds every maximal
+    assert [(c.prime, c.dim, c.maximals) for c in classes] == [(7, 1, maximals)]
 
 
 def reference_fixed_space_over(G, W):
@@ -902,6 +932,21 @@ def test_matrix_group_solvability_matches_the_derived_series_of_elements():
         mats = tuple(ffla.mat_mod(g, p) for g in gens)
         group = sdp._matrix_oracle(ordered_elements(reference_closure(p, k, gens), k), mats, p, "H")
         assert gr.is_solvable(group) == solvable, (p, k, gens)
+
+
+def test_solvability_of_a_cyclic_matrix_group_walks_no_elements():
+    # the Singer cycle of x^9 + x^4 + 1 over F_2, order 511: G.gens generates
+    # G, so the derived series finds no generating set by a walk over the
+    # elements, which would cost a law call per element
+    k = 9
+    singer = (tuple(tuple(int(j == i + 1) for j in range(k)) for i in range(k - 1))
+              + ((1, 0, 0, 0, 1, 0, 0, 0, 0),))
+    group = sdp._matrix_oracle(ordered_elements(reference_closure(2, k, [singer]), k), (singer,), 2,
+                               "C511")
+    with counting_law_calls(group) as calls:
+        assert gr.is_solvable(group)
+    assert gr.derived_series(group) == ((1 << 511) - 1, 1)
+    assert calls[0] < 10, calls
 
 
 def ordered_elements(members, k):
