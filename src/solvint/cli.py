@@ -66,7 +66,16 @@ def load_spec(path: str) -> dict:
 def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
     kind = doc["kind"]
     if kind == "sdp":
-        return sdp.embed_as_oracle(sdp.sdgroup_from_spec(doc, cap), cap)
+        G = sdp.sdgroup_from_spec(doc, cap)
+        # every F_p-subspace of V^t is a subgroup, so the lattice cap is
+        # checked before any table is built against the number of subspaces
+        # of F_p^m, m = kt: G_(j+1) = 2 G_j + (p^j - 1) G_(j-1), G_0 = 1
+        below, subspaces = 0, 1
+        for j in range(G.wdim):
+            below, subspaces = subspaces, 2 * subspaces + (G.p**j - 1) * below
+        if subspaces > gr.LATTICE_CAP:
+            raise ResourceCapExceeded("subgroup lattice size", gr.LATTICE_CAP)
+        return sdp.embed_as_oracle(G, cap)
     if kind == "tower":
         return _tower_from_spec(doc, cap).embed_as_oracle()
     table = doc.get("table")
@@ -232,6 +241,8 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
             report.add("propo", g.name, "alpha", _fr(rep.alpha), "oracle")
             report.check("propo", g.name, rep.ok)
     elif suite == "tower":
+        if doc and doc.get("kind") != "tower":
+            raise SchemaError("the tower suite needs a tower spec")
         t = _tower_from_spec(doc, cap) if doc else tower.TowerGroup(tower.find_primes(2), cap)
         expected = {2: 1}
         for p in t.primes.primes:

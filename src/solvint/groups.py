@@ -29,8 +29,9 @@ per new representative r, one law call per new element, instead of
 closing <gens, x> again from scratch.  The power maps g -> g^e of every e
 are read off one walk of the cyclic subgroups.
 
-Laws are immutable; derived data (lattice, Moebius values, power
-tables) is memoized on the group in `G._cache`, the memoized tuples are
+Laws are immutable; derived data (the lattice record, Moebius values,
+power tables) is memoized on the group through `G._memo`, the helper that
+every group object of the package shares; the memoized tuples are
 returned as they are, and every public result is in canonical order.
 `G.gens` always generates G.
 """
@@ -38,8 +39,9 @@ returned as they are, and every public result is in canonical order.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -50,6 +52,23 @@ DEFAULT_ORDER_CAP = 5000
 LATTICE_CAP = 10**4
 
 
+class _Memoised:
+    """The memo helper of `OracleGroup`, `sdp.SdGroup` and `tower.TowerGroup`,
+    each of which creates its `_cache` dict in its `__init__`."""
+
+    def _memo(self, table: str, key, compute, *args):
+        """compute(*args), memoised under `key` in table `table` of `_cache`.
+        A table enters `_cache` with its first value, so a compute that
+        raises leaves none.  The CLI builds its groups afresh per request."""
+        try:
+            return self._cache[table][key]
+        except KeyError:
+            pass
+        out = compute(*args)
+        self._cache.setdefault(table, {})[key] = out
+        return out
+
+
 def mask_bits(mask: int):
     """Yield the set bit positions of a mask, ascending."""
     while mask:
@@ -58,7 +77,7 @@ def mask_bits(mask: int):
         mask ^= lsb
 
 
-class OracleGroup:
+class OracleGroup(_Memoised):
     """A finite group given by its law `mul(a, b)`, a closure over the data
     its constructor built, and its inverse array."""
 
@@ -84,34 +103,36 @@ class OracleGroup:
         subgroup <g>, g^i maps to g^(i*e mod k).  The cyclic subgroups are
         walked once per group (each g not met yet starts a walk), and every
         exponent's table is read off those lists with no law call."""
-        key = ("pow", e)
-        tab = self._cache.get(key)
-        if tab is None:
-            cycles = self._cache.get("cycles")
-            if cycles is None:
-                mul = self.mul
-                cycles = []
-                seen = bytearray(self.n)
-                for g in range(self.n):
-                    if not seen[g]:
-                        cycle = [0]
-                        x = g
-                        while x:
-                            cycle.append(x)
-                            seen[x] = 1
-                            x = mul(x, g)
-                        cycles.append(array("i", cycle))
-                self._cache["cycles"] = cycles
-            tab = array("i", [0]) * self.n
-            for cycle in cycles:
-                k = len(cycle)
-                for i, x in enumerate(cycle):
-                    tab[x] = cycle[i * e % k]
-            self._cache[key] = tab
-        return tab
+        return self._memo("pow", e, _power_table, self, e)
 
     def __repr__(self):
         return f"OracleGroup({self.name}, order={self.n})"
+
+
+def _cycles(G: OracleGroup) -> list[array]:
+    """The lists 1, g, ..., g^(k-1) of `power_table`, one per cyclic subgroup."""
+    mul = G.mul
+    cycles = []
+    seen = bytearray(G.n)
+    for g in range(G.n):
+        if not seen[g]:
+            cycle = [0]
+            x = g
+            while x:
+                cycle.append(x)
+                seen[x] = 1
+                x = mul(x, g)
+            cycles.append(array("i", cycle))
+    return cycles
+
+
+def _power_table(G: OracleGroup, e: int) -> array:
+    tab = array("i", [0]) * G.n
+    for cycle in G._memo("cycles", None, _cycles, G):
+        k = len(cycle)
+        for i, x in enumerate(cycle):
+            tab[x] = cycle[i * e % k]
+    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +251,11 @@ def _closure_of_objects(gens, mul_fn, identity, cap=20000):
     return order
 
 
+def _sorted_closure(gens, mul_fn, identity, cap=20000) -> tuple:
+    """The closure of `gens` under `mul_fn`, identity first, the rest sorted."""
+    return (identity, *sorted(_closure_of_objects(gens, mul_fn, identity, cap)[1:]))
+
+
 def from_permutations(perm_gens, name: str) -> OracleGroup:
     """Group generated by permutations given as tuples (images of 0..d-1)."""
     degree = len(perm_gens[0])
@@ -238,9 +264,8 @@ def from_permutations(perm_gens, name: str) -> OracleGroup:
     def compose(a, b):  # apply a then b
         return tuple(b[a[i]] for i in range(degree))
 
-    elems = _closure_of_objects([tuple(g) for g in perm_gens], compose, identity)
-    ordered = [identity] + sorted(e for e in elems if e != identity)
-    return from_elements(ordered, compose, name, gen_elems=[tuple(g) for g in perm_gens])
+    gens = [tuple(g) for g in perm_gens]
+    return from_elements(_sorted_closure(gens, compose, identity), compose, name, gen_elems=gens)
 
 
 def from_matrices(mat_gens, p: int, name: str) -> OracleGroup:
@@ -252,9 +277,7 @@ def from_matrices(mat_gens, p: int, name: str) -> OracleGroup:
     def mul(a, b):
         return mat_mul(a, b, p)
 
-    elems = _closure_of_objects(gens, mul, identity)
-    ordered = [identity] + sorted(e for e in elems if e != identity)
-    return from_elements(ordered, mul, name, gen_elems=gens)
+    return from_elements(_sorted_closure(gens, mul, identity), mul, name, gen_elems=gens)
 
 
 def cyclic(m: int, name: str | None = None) -> OracleGroup:
@@ -422,16 +445,9 @@ def _conjugation(G: OracleGroup, gens):
     `__getitem__` over its image list (memoised per g), and the map
     x -> 2^x.  A conjugate's members are map(image, members) and, the
     images being distinct, its mask is sum(map(bit, members))."""
-    images = []
-    for g in gens:
-        table = G._cache.get(("conj", g))
-        if table is None:
-            table = G._cache[("conj", g)] = [G.conj(x, g) for x in range(G.n)]
-        images.append(table.__getitem__)
-    powers = G._cache.get("powers_of_two")
-    if powers is None:
-        powers = G._cache["powers_of_two"] = [1 << x for x in range(G.n)]
-    return images, powers.__getitem__
+    images = [G._memo("conj", g, list, map(G.conj, range(G.n), repeat(g))).__getitem__
+              for g in gens]
+    return images, G._memo("powers_of_two", None, lambda: [1 << x for x in range(G.n)]).__getitem__
 
 
 def conjugate_mask(G: OracleGroup, mask: int, g: int) -> int:
@@ -523,11 +539,7 @@ def greedy_generators(G: OracleGroup, mask: int) -> list[int]:
 
 
 def small_generating_set(G: OracleGroup) -> list[int]:
-    cached = G._cache.get("gens_small")
-    if cached is None:
-        cached = greedy_generators(G, (1 << G.n) - 1)
-        G._cache["gens_small"] = cached
-    return cached
+    return G._memo("gens_small", None, greedy_generators, G, (1 << G.n) - 1)
 
 
 def normal_closure_mask(G: OracleGroup, seed_ids, ambient_gens) -> int:
@@ -552,19 +564,14 @@ def derived_mask(G: OracleGroup, mask: int) -> int:
 
 
 def derived_series(G: OracleGroup) -> tuple[int, ...]:
-    cached = G._cache.get("derived_series")
-    if cached is None:
-        full = (1 << G.n) - 1
-        series = [full]
-        while True:
-            nxt = derived_mask(G, series[-1])
-            if nxt == series[-1]:
-                break
-            series.append(nxt)
-            if nxt == 1:
-                break
-        cached = G._cache["derived_series"] = tuple(series)
-    return cached
+    return G._memo("derived_series", None, _derived_series, G)
+
+
+def _derived_series(G: OracleGroup) -> tuple[int, ...]:
+    series = [(1 << G.n) - 1]
+    while series[-1] != 1 and (nxt := derived_mask(G, series[-1])) != series[-1]:
+        series.append(nxt)
+    return tuple(series)
 
 
 def is_solvable(G: OracleGroup) -> bool:
@@ -592,13 +599,31 @@ def _canonical_key(mask: int):
         _REVERSED_COMPLEMENT)
 
 
-def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
-    """Every subgroup of a solvable G, canonically ordered; the conjugacy
-    classes come out of the same pass into `G._cache["classes"]`, each
-    subgroup's least conjugate into `G._cache["least_conjugate"]`, and the
-    normaliser of each extended class member into `G._cache["normaliser"]`.
+# one lattice pass: every subgroup in canonical order, the (least member,
+# size) of each class, each subgroup's least conjugate, and the normaliser
+# of each extended class member
+Lattice = namedtuple("Lattice", "subgroups classes least_conjugate normalisers")
 
-    Cyclic extension (Neubueser 1960), run up to conjugacy as GAP's
+
+def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
+    """Every subgroup of a solvable G, canonically ordered."""
+    return G._memo("lattice", None, _lattice_pass, G).subgroups
+
+
+def _lattice(G: OracleGroup) -> Lattice:
+    """The lattice record of G.  A cold G gets it through `all_subgroups`,
+    so the pass runs inside that query whichever query asked first."""
+    return G._memo("lattice", None, _lattice_through_query, G)
+
+
+def _lattice_through_query(G: OracleGroup) -> Lattice:
+    all_subgroups(G)
+    return _lattice(G)
+
+
+def _lattice_pass(G: OracleGroup) -> Lattice:
+    """The lattice and its conjugacy classes from one pass of cyclic
+    extension (Neubueser 1960), run up to conjugacy as GAP's
     `LatticeByCyclicExtension` does: the lattice is generated bottom-up by
     adjoining to S the elements g that normalise S with g^p in S, p prime,
     and only one member of each conjugacy class is extended.  When an
@@ -623,77 +648,73 @@ def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
     LATTICE_CAP is checked after each orbit is added, and an orbit has at
     most |G| members.
     """
-    cached = G._cache.get("lattice")
-    if cached is None:
-        if not is_solvable(G):
-            raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
-        n = G.n
-        mul = G.mul
-        _, bit = _conjugation(G, ())  # x -> 2^x
-        # roots[p][x]: mask of the g with g^p = x
-        roots = {p: [0] * n for p in prime_factors(n)}
-        for p, masks in roots.items():
-            for g, x in enumerate(G.power_table(p)):
-                masks[x] |= 1 << g
-        full = (1 << n) - 1
-        class_of = {1: 0}  # lattice mask -> number of its class
-        sizes = [1]  # class sizes by number
-        by_order: dict[int, list[int]] = {}  # the lattice so far, by order
-        normalisers = {1: full}
-        queue = [(1, [0], full)]  # (mask, members, normaliser), one per class
-        for s_mask, s_members, s_norm in queue:  # extended while it is walked
-            order = len(s_members)
-            for p in prime_factors(s_norm.bit_count() // order):
-                known = by_order.setdefault(p * order, [])
-                root_masks = roots[p]
-                candidates = 0
-                for s in s_members:
-                    candidates |= root_masks[s]
-                candidates &= s_norm & ~s_mask
-                for d in known:
-                    if d & s_mask == s_mask:
-                        candidates &= ~d
-                while candidates:
-                    g = (candidates & -candidates).bit_length() - 1
-                    t_members = list(s_members)
-                    coset = s_members
-                    for _ in range(1, p):
-                        coset = [mul(y, g) for y in coset]
-                        t_members += coset
-                    t_mask = s_mask | sum(map(bit, t_members[order:]))
-                    orbit, t_norm = _orbit_and_normaliser(G, t_mask, t_members)
-                    for c in orbit:
-                        if c & s_mask == s_mask:
-                            candidates &= ~c
-                    class_of.update(dict.fromkeys(orbit, len(sizes)))
-                    sizes.append(len(orbit))
-                    known += orbit
-                    normalisers[t_mask] = t_norm
-                    queue.append((t_mask, t_members, t_norm))
-                    if len(class_of) > LATTICE_CAP:
-                        raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
-        lattice = tuple(sorted(class_of, key=_canonical_key))
-        reps: dict[int, int] = {}  # class number -> least member, in lattice order
-        for s in lattice:
-            reps.setdefault(class_of[s], s)
-        G._cache["classes"] = tuple((s, sizes[c]) for c, s in reps.items())
-        G._cache["least_conjugate"] = {s: reps[c] for s, c in class_of.items()}
-        G._cache["normaliser"] = normalisers
-        cached = G._cache["lattice"] = lattice
-    return cached
+    if not is_solvable(G):
+        raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
+    n = G.n
+    mul = G.mul
+    _, bit = _conjugation(G, ())  # x -> 2^x
+    # roots[p][x]: mask of the g with g^p = x
+    roots = {p: [0] * n for p in prime_factors(n)}
+    for p, masks in roots.items():
+        for g, x in enumerate(G.power_table(p)):
+            masks[x] |= 1 << g
+    full = (1 << n) - 1
+    class_of = {1: 0}  # lattice mask -> number of its class
+    sizes = [1]  # class sizes by number
+    by_order: dict[int, list[int]] = {}  # the lattice so far, by order
+    normalisers = {1: full}
+    queue = [(1, [0], full)]  # (mask, members, normaliser), one per class
+    for s_mask, s_members, s_norm in queue:  # extended while it is walked
+        order = len(s_members)
+        for p in prime_factors(s_norm.bit_count() // order):
+            known = by_order.setdefault(p * order, [])
+            root_masks = roots[p]
+            candidates = 0
+            for s in s_members:
+                candidates |= root_masks[s]
+            candidates &= s_norm & ~s_mask
+            for d in known:
+                if d & s_mask == s_mask:
+                    candidates &= ~d
+            while candidates:
+                g = (candidates & -candidates).bit_length() - 1
+                t_members = list(s_members)
+                coset = s_members
+                for _ in range(1, p):
+                    coset = [mul(y, g) for y in coset]
+                    t_members += coset
+                t_mask = s_mask | sum(map(bit, t_members[order:]))
+                orbit, t_norm = _orbit_and_normaliser(G, t_mask, t_members)
+                for c in orbit:
+                    if c & s_mask == s_mask:
+                        candidates &= ~c
+                class_of.update(dict.fromkeys(orbit, len(sizes)))
+                sizes.append(len(orbit))
+                known += orbit
+                normalisers[t_mask] = t_norm
+                queue.append((t_mask, t_members, t_norm))
+                if len(class_of) > LATTICE_CAP:
+                    raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
+    lattice = tuple(sorted(class_of, key=_canonical_key))
+    reps: dict[int, int] = {}  # class number -> least member, in lattice order
+    for s in lattice:
+        reps.setdefault(class_of[s], s)
+    return Lattice(lattice, tuple((s, sizes[c]) for c, s in reps.items()),
+                   {s: reps[c] for s, c in class_of.items()}, normalisers)
 
 
 def maximal_subgroups(G: OracleGroup) -> tuple[int, ...]:
-    cached = G._cache.get("maximals")
-    if cached is None:
-        # a proper overgroup of s comes later in the lattice and lies in a
-        # maximal, so s is maximal iff no later maximal contains it
-        maximals: list[int] = []
-        for s in reversed(all_subgroups(G)[:-1]):
-            if not any(s & m == s for m in maximals):
-                maximals.append(s)
-        cached = G._cache["maximals"] = tuple(reversed(maximals))
-    return cached
+    return G._memo("maximals", None, _maximals, G)
+
+
+def _maximals(G: OracleGroup) -> tuple[int, ...]:
+    # a proper overgroup of s comes later in the lattice and lies in a
+    # maximal, so s is maximal iff no later maximal contains it
+    maximals: list[int] = []
+    for s in reversed(all_subgroups(G)[:-1]):
+        if not any(s & m == s for m in maximals):
+            maximals.append(s)
+    return tuple(reversed(maximals))
 
 
 def frattini(G: OracleGroup) -> int:
@@ -705,11 +726,7 @@ def conjugacy_classes_of_subgroups(G: OracleGroup):
     """(class representative, class size) pairs in lattice order; each
     representative is the canonically least subgroup of its class.
     `all_subgroups` finds the classes as it builds the lattice."""
-    cached = G._cache.get("classes")
-    if cached is None:
-        all_subgroups(G)
-        cached = G._cache["classes"]
-    return cached
+    return _lattice(G).classes
 
 
 # ---------------------------------------------------------------------------
@@ -726,23 +743,23 @@ def mobius_all(G: OracleGroup) -> MappingProxyType:
     fixing G, so it carries the overgroups of s onto those of s^g and
     mu(s^g) = mu(s).  The first member of a class that the reverse scan
     meets sums over its overgroups, and the others copy its value."""
-    cached = G._cache.get("mobius_all")
-    if cached is None:
-        subs = all_subgroups(G)
-        least = G._cache["least_conjugate"]
-        mu: dict[int, int] = {subs[-1]: 1}
-        by_class: dict[int, int] = {}  # least member -> mu of its class
-        nonzero = [(subs[-1], 1)]
-        for s in reversed(subs[:-1]):
-            value = by_class.get(least[s])
-            if value is None:
-                value = by_class[least[s]] = -sum(v for t, v in nonzero if s & t == s)
-            mu[s] = value
-            if value:
-                nonzero.append((s, value))
-        G._cache["mobius_all"] = mu
-        cached = mu
-    return MappingProxyType(cached)
+    return MappingProxyType(G._memo("mobius_all", None, _mobius_all, G))
+
+
+def _mobius_all(G: OracleGroup) -> dict[int, int]:
+    subs = all_subgroups(G)
+    least = _lattice(G).least_conjugate
+    mu: dict[int, int] = {subs[-1]: 1}
+    by_class: dict[int, int] = {}  # least member -> mu of its class
+    nonzero = [(subs[-1], 1)]
+    for s in reversed(subs[:-1]):
+        value = by_class.get(least[s])
+        if value is None:
+            value = by_class[least[s]] = -sum(v for t, v in nonzero if s & t == s)
+        mu[s] = value
+        if value:
+            nonzero.append((s, value))
+    return mu
 
 
 def overgroups(G: OracleGroup, h: int) -> list[int]:

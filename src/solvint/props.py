@@ -344,16 +344,13 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     with ok=False."""
     if not gr.is_solvable(G):
         raise gr.UnsupportedGroup("verifier requires a solvable group")
-    classes = sdp.chief_factor_classes(G)
-    class_of_maximal = {}
-    for cls in classes:
-        for m in cls.maximals:
-            class_of_maximal[m] = cls
+    class_of_maximal = {m: cls for cls in sdp.chief_factor_classes(G) for m in cls.maximals}
     rows = []
     for h in maximal_intersection_classes(G):
         rec = eta_of_intersection(G, h)
-        gamma_h = max(_class_gamma_min(G, class_of_maximal[m])
-                      for m in gr.maximal_subgroups(G) if m & h == h)
+        above = [class_of_maximal[m] for m in gr.maximal_subgroups(G) if m & h == h]
+        gamma_h = max(G._memo("class_gamma_min", cls.label, _class_gamma_min, cls)
+                      for cls in above)
         rows.append(
             GammaEtaRow(h, rec.index, rec.product, gamma_h,
                         rec.eta_leq(gamma_h + 1))
@@ -361,13 +358,10 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     return rows
 
 
-def _class_gamma_min(G: gr.OracleGroup, cls: sdp.ChiefFactorClass) -> int:
-    memo = G._cache.setdefault("class_gamma_min", {})
-    if cls.label not in memo:
-        module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices,
-                                    name=f"action-{cls.label}")
-        memo[cls.label] = gamma_min(module).gamma_min
-    return memo[cls.label]
+def _class_gamma_min(cls: sdp.ChiefFactorClass) -> int:
+    module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices,
+                                name=f"action-{cls.label}")
+    return gamma_min(module).gamma_min
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,8 @@ class HModule:
         if k > lines.bit_length() or (p**k - 1) // (p - 1) > lines:
             raise ResourceCapExceeded("irreducibility test lines of F_p^k", lines)
         identity = mat_identity(k)
-        elems = gr._closure_of_objects(gens or (identity,), lambda a, b: mat_mul(a, b, p),
-                                       identity, H_ORDER_CAP)
-        elements = (identity,) + tuple(sorted(e for e in elems if e != identity))
+        elements = gr._sorted_closure(gens or (identity,), lambda a, b: mat_mul(a, b, p),
+                                      identity, H_ORDER_CAP)
         # faithfulness is structural for matrix groups: the only element
         # acting trivially is the identity matrix itself
         group = _matrix_oracle(elements, gens, p, name)
@@ -158,8 +157,9 @@ def _matrix_oracle(elements, gens, p: int, name: str) -> gr.OracleGroup:
 # the semidirect product
 
 
-class SdGroup:
-    """G = V^t x| H with diagonal action of H on the t factors."""
+class SdGroup(gr._Memoised):
+    """G = V^t x| H with diagonal action of H on the t factors.  The closed
+    form and the brute force memoise on the group through `_memo`."""
 
     def __init__(self, module: HModule, t: int, name: str | None = None):
         if t < 0:
@@ -178,21 +178,6 @@ class SdGroup:
                cap: int | None = None) -> "SdGroup":
         return cls(HModule.create(p, k, h_gens, name=f"H<GL({k},{p})", t=t, cap=cap), t,
                    name=name)
-
-    # -- arithmetic on group elements ((w, h_idx) pairs)
-
-    def _memo(self, table: str, key, compute, *args):
-        """compute(*args), memoised under `key` in table `table` of
-        `_cache`.  The memos live as long as the group, and the CLI builds
-        its groups afresh for every request."""
-        memo = self._cache.get(table)
-        if memo is None:
-            memo = self._cache[table] = {}
-        try:
-            return memo[key]
-        except KeyError:
-            out = memo[key] = compute(*args)
-            return out
 
     # -- submodules of V^t via F-subspaces of F^t
 
@@ -663,9 +648,10 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     socle: the action and centralizer are computed once per chief factor.
     Factors are irreducible: by Schur's lemma two of equal dimension are
     isomorphic iff a nonzero intertwiner exists."""
-    cached = G._cache.get("crown_classes")
-    if cached is not None:
-        return cached
+    return G._memo("crown_classes", None, _chief_factor_classes, G)
+
+
+def _chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     series = [1]
     for s, size in gr.conjugacy_classes_of_subgroups(G):
         if size == 1 and s != series[-1] and s & series[-1] == series[-1]:
@@ -687,7 +673,6 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
                 classes.append(cls)
             class_of[i] = cls
         cls.maximals.append(m)
-    G._cache["crown_classes"] = classes
     return classes
 
 
@@ -783,21 +768,13 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int):
     rng = random.Random(seed)
     failures = []
     supplements = {id(g): enumerate_maximal_supplements(g) for g in pool}
-    # element masks of the supplements drawn so far, per group and descriptor
-    masks: dict = {id(g): {} for g in pool}
-
-    def supplement_mask(g, m):
-        mask = masks[id(g)].get(m)
-        if mask is None:
-            mask = masks[id(g)][m] = supplement_elements(g, m)
-        return mask
-
     for case in range(pair_cases):
         g = pool[rng.randrange(len(pool))]
         k_desc = random_partial(g, rng)
         m = supplements[id(g)][rng.randrange(len(supplements[id(g)]))]
         result, _witness = intersect_supplement(g, k_desc, m)
-        brute = partial_elements(g, k_desc) & supplement_mask(g, m)
+        brute = (partial_elements(g, k_desc)
+                 & g._memo("supplement_mask", m, supplement_elements, g, m))
         if brute != partial_elements(g, result):
             failures.append(("pair", case, g.name))
     for case in range(family_cases):
@@ -806,9 +783,9 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int):
         size = rng.randrange(1, FAMILY_MAX + 1)
         family = [avail[rng.randrange(len(avail))] for _ in range(size)]
         ci = canonicalize_intersection(g, family)
-        brute = supplement_mask(g, family[0])
-        for m in family[1:]:
-            brute &= supplement_mask(g, m)
+        brute = (1 << g.order) - 1
+        for m in family:
+            brute &= g._memo("supplement_mask", m, supplement_elements, g, m)
         if brute != canonical_elements(g, ci):
             failures.append(("family", case, g.name))
     return pair_cases, family_cases, failures

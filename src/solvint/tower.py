@@ -92,7 +92,7 @@ def _zeta(p: int, order: int) -> int:
     return min(pow(y, k, p) for k in range(1, order, 2))
 
 
-class TowerGroup:
+class TowerGroup(gr._Memoised):
     """One level G_n; elements are ((a_1, ..., a_n), e) with a_m in F_{p_m}
     and e in Z/2^n, multiplied with the same right-action convention as the
     single-prime semidirect products, and named by their oracle ids.  A
@@ -143,17 +143,7 @@ class TowerGroup:
     # -- oracle bridge
 
     def embed_as_oracle(self) -> gr.OracleGroup:
-        cached = self._cache.get("oracle")
-        if cached is not None:
-            return cached
-        # the unit vector e_m has id place_m, the product of the later
-        # primes, and x maps it to zeta_m e_m
-        places = [math.prod(self.primes.primes[m + 1:]) for m in range(self.n)]
-        images = [[zeta * place for zeta, place in zip(self.zetas, places)]]
-        oracle = gr.oracle_from_split_tables(self.primes.primes, images, gr.cyclic(self.h_order),
-                                             self.name)
-        self._cache["oracle"] = oracle
-        return oracle
+        return self._memo("oracle", None, _tower_oracle, self)
 
     def subgroup_mask(self, digit_sets, exponents) -> int:
         """The mask of the product set {((a_1, ..., a_n), e) : a_m in
@@ -167,6 +157,14 @@ class TowerGroup:
             mask = sum(mask << (a * width) for a in digits)
             width *= p
         return mask
+
+
+def _tower_oracle(T: TowerGroup) -> gr.OracleGroup:
+    # the unit vector e_m has id place_m, the product of the later primes,
+    # and x maps it to zeta_m e_m
+    places = [math.prod(T.primes.primes[m + 1:]) for m in range(T.n)]
+    images = [[zeta * place for zeta, place in zip(T.zetas, places)]]
+    return gr.oracle_from_split_tables(T.primes.primes, images, gr.cyclic(T.h_order), T.name)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +295,7 @@ def structural_matches_oracle(T: TowerGroup) -> bool:
     oracle subgroup reads None and fails the check)."""
     oracle, data = _oracle_class_data(T)
     oracle_reps = {rep for rep, _s, _mu, is_mi in data if is_mi}
-    least = oracle._cache["least_conjugate"]
+    least = gr._lattice(oracle).least_conjugate
     classes = classify_intersections(T)
     structural_reps = {least.get(class_representative_elements(T, cls)) for cls in classes}
     return len(structural_reps) == len(classes) and structural_reps == oracle_reps

@@ -3,8 +3,9 @@
 `sdp.descriptor_elements` builds the element set of a descriptor subgroup
 from the basis rows of U's F_p span and H's matrices alone; the
 equivalence suites compare it with the closed-form calculus.  These tests
-read src/solvint/sdp.py as source (nothing is imported or executed).  The
-checker and every function or method of the module it reaches, the span
+read src/solvint/sdp.py as source (nothing is imported or executed), with
+the memo helper `_memo` that sdp's groups share from src/solvint/groups.py.
+The checker and every function or method of the module it reaches, the span
 of U's F-rows included, name none of the closed-form, splitting or
 subspace-reduction entry points, nor the F-coordinate frame and F's row
 arithmetic.  The calculus in turn reaches neither the checker nor an F_p
@@ -14,7 +15,9 @@ span: it reduces and compares in F-coordinates only.
 import ast
 from pathlib import Path
 
-SDP = Path(__file__).resolve().parents[1] / "src" / "solvint" / "sdp.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "solvint"
+SDP = SRC / "sdp.py"
+GROUPS = SRC / "groups.py"
 CHECKER = "descriptor_elements"
 FORBIDDEN = {
     "intersect_case_spanning", "intersect_case_nested", "intersect_supplement",
@@ -69,8 +72,15 @@ def named_from(defs, reached, names):
             for name in names_in(node) if name in names}
 
 
-def test_checker_names_no_closed_form_code():
+def sdp_functions():
+    """The functions of sdp.py, and the memo helper its groups inherit from groups.py."""
     defs = functions(ast.parse(SDP.read_text()))
+    defs["_memo"] = functions(ast.parse(GROUPS.read_text()))["_memo"]
+    return defs
+
+
+def test_checker_names_no_closed_form_code():
+    defs = sdp_functions()
     reached = reached_from(defs, CHECKER)
     # the memo helpers and the span of U's F-rows are reached, so the walk
     # follows the checker's calls
@@ -80,7 +90,7 @@ def test_checker_names_no_closed_form_code():
 
 
 def test_calculus_names_no_checker_or_span_code():
-    defs = functions(ast.parse(SDP.read_text()))
+    defs = sdp_functions()
     reached = set().union(*(reached_from(defs, root) for root in CALCULUS))
     # the row arithmetic and the F-coordinate frame are reached
     assert {"_solution", "_rows", "_add_row", "centralizer_of", "vector_of"} <= reached

@@ -260,6 +260,37 @@ def test_cap_error_exit_3(spec_dir, capsys):
         assert time.monotonic() - start < 5, name
 
 
+def test_subspace_count_refuses_a_lattice_before_any_table(spec_dir, capsys, monkeypatch):
+    # every F_p-subspace of V^t is a subgroup: C2^7 has 29,212 subspaces,
+    # F_3^6 has 56,632 and C2^12 far more, all above LATTICE_CAP, so no
+    # oracle is built (C2^12 used to take about 3 s and 190 MB to exit 3)
+    monkeypatch.setattr(sdp, "embed_as_oracle", None)
+    specs = {"c2^12": {"kind": "sdp", "p": 2, "k": 1, "t": 12, "h_gens": []},
+             "f3^6-c2": {"kind": "sdp", "p": 3, "k": 1, "t": 6, "h_gens": [[[2]]]}}
+    for name, doc in specs.items():
+        (spec_dir / f"{name}.json").write_text(json.dumps(doc))
+    for name in ("c2^12", "f3^6-c2", "c2^7"):
+        for command in (["analyze"], ["verify", "--suite", "thuno"], ["verify", "--suite", "propo"]):
+            start = time.monotonic()
+            code, out, err = run(capsys, *command, "--spec", str(spec_dir / f"{name}.json"))
+            assert time.monotonic() - start < 0.5, (name, command)
+            assert (code, out) == (3, ""), (name, command, err)
+            assert err.strip().splitlines() == [
+                "resource cap: subgroup lattice size (cap: 10000)"], (name, command)
+
+
+def test_verify_tower_suite_refuses_a_spec_of_another_kind(spec_dir, capsys):
+    # neither spec is a tower, so neither may stand in for the default n = 2
+    specs = {"sdp-with-n": {"kind": "sdp", "p": 3, "k": 1, "t": 1, "h_gens": [[[2]]], "n": 2},
+             "table-with-n": {"kind": "oracle-table", "table": [[0]], "n": 1}}
+    for name, doc in specs.items():
+        (spec_dir / f"{name}.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--suite", "tower",
+                             "--spec", str(spec_dir / f"{name}.json"))
+        assert (code, out) == (2, ""), name
+        assert err.strip().splitlines() == ["schema error: the tower suite needs a tower spec"]
+
+
 def test_a_latin_square_that_is_not_associative_is_refused(spec_dir, capsys):
     # C_1500 with the intercalate at rows and columns 1 and 751 swapped: a
     # Latin square with an identity that 10^5 random triples pass

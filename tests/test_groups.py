@@ -133,7 +133,8 @@ def test_all_subgroups_cap(monkeypatch):
 
 def test_lattice_cap_fires_on_the_class_and_maximal_paths(sdp_pool):
     # C2^7 has 29,212 subgroups and the order-486 pool group 3^5:C2 more
-    # than LATTICE_CAP; each query starts on a cold copy of its group
+    # than LATTICE_CAP; each query starts on a cold copy of its group, and
+    # the cap leaves the lattice table out of its memos
     c2_7 = gr.cyclic(2)
     for _ in range(6):
         c2_7 = gr.direct_product(c2_7, gr.cyclic(2))
@@ -143,6 +144,8 @@ def test_lattice_cap_fires_on_the_class_and_maximal_paths(sdp_pool):
             cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
             with pytest.raises(ResourceCapExceeded, match="subgroup lattice size"):
                 query(cold)
+            # a compute that raises leaves no memo table behind
+            assert "lattice" not in cold._cache and "maximals" not in cold._cache
 
 
 def test_all_subgroups_requires_solvable():
@@ -795,8 +798,8 @@ def test_memoised_normalisers_match_conjugation_by_every_element(lattice_oracles
         except ResourceCapExceeded:
             assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
             continue
-        normalisers = g._cache["normaliser"]
-        least = g._cache["least_conjugate"]
+        lattice = gr._lattice(g)
+        normalisers, least = lattice.normalisers, lattice.least_conjugate
         assert sorted(least[s] for s in normalisers) == sorted(s for s, _ in classes), g.name
         conj = reference_conjugation(g)
         for s, norm in normalisers.items():
