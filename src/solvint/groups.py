@@ -26,13 +26,14 @@ on every member of a class: `mobius_all` sums over overgroups once per
 class and `counts` tests one member per class.  Closures grow by right
 cosets (Dimino's algorithm): adjoining x to H = <gens> fills one coset Hr
 per new representative r, one law call per new element, instead of
-closing <gens, x> again from scratch.  The power maps g -> g^e of every e
-are read off one walk of the cyclic subgroups.
+closing <gens, x> again from scratch.  The lattice pass reads the p-th
+roots of every element, for each prime p dividing |G|, off one walk of
+the cyclic subgroups.
 
 Laws are immutable; derived data (the lattice record, Moebius values,
-power tables) is memoized on the group through `G._memo`, the helper that
-every group object of the package shares; the memoized tuples are
-returned as they are, and every public result is in canonical order.
+conjugation tables) is memoized on the group through `G._memo`, the
+helper that every group object of the package shares; the memoized tuples
+are returned as they are, and every public result is in canonical order.
 `G.gens` always generates G.
 """
 
@@ -98,41 +99,8 @@ class OracleGroup(_Memoised):
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self._inv[a], self._inv[b]), self.mul(a, b))
 
-    def power_table(self, e: int) -> array:
-        """g -> g^e for every g: with 1, g, ..., g^(k-1) listed for a cyclic
-        subgroup <g>, g^i maps to g^(i*e mod k).  The cyclic subgroups are
-        walked once per group (each g not met yet starts a walk), and every
-        exponent's table is read off those lists with no law call."""
-        return self._memo("pow", e, _power_table, self, e)
-
     def __repr__(self):
         return f"OracleGroup({self.name}, order={self.n})"
-
-
-def _cycles(G: OracleGroup) -> list[array]:
-    """The lists 1, g, ..., g^(k-1) of `power_table`, one per cyclic subgroup."""
-    mul = G.mul
-    cycles = []
-    seen = bytearray(G.n)
-    for g in range(G.n):
-        if not seen[g]:
-            cycle = [0]
-            x = g
-            while x:
-                cycle.append(x)
-                seen[x] = 1
-                x = mul(x, g)
-            cycles.append(array("i", cycle))
-    return cycles
-
-
-def _power_table(G: OracleGroup, e: int) -> array:
-    tab = array("i", [0]) * G.n
-    for cycle in G._memo("cycles", None, _cycles, G):
-        k = len(cycle)
-        for i, x in enumerate(cycle):
-            tab[x] = cycle[i * e % k]
-    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +485,6 @@ def _orbit_and_normaliser(G: OracleGroup, mask: int, members) -> tuple[list[int]
     return masks, norm
 
 
-def _is_normal(G: OracleGroup, mask: int) -> bool:
-    images, bit = _conjugation(G, G.gens)
-    members = list(mask_bits(mask))
-    return all(sum(map(bit, map(image, members))) == mask for image in images)
-
-
 def greedy_generators(G: OracleGroup, mask: int) -> list[int]:
     """A short generating list for the subgroup given by `mask`: each
     member, ascending, that is not in the subgroup generated so far.
@@ -600,9 +562,8 @@ def _canonical_key(mask: int):
 
 
 # one lattice pass: every subgroup in canonical order, the (least member,
-# size) of each class, each subgroup's least conjugate, and the normaliser
-# of each extended class member
-Lattice = namedtuple("Lattice", "subgroups classes least_conjugate normalisers")
+# size) of each class, and each subgroup's least conjugate
+Lattice = namedtuple("Lattice", "subgroups classes least_conjugate")
 
 
 def all_subgroups(G: OracleGroup) -> tuple[int, ...]:
@@ -650,19 +611,13 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
     """
     if not is_solvable(G):
         raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
-    n = G.n
     mul = G.mul
     _, bit = _conjugation(G, ())  # x -> 2^x
-    # roots[p][x]: mask of the g with g^p = x
-    roots = {p: [0] * n for p in prime_factors(n)}
-    for p, masks in roots.items():
-        for g, x in enumerate(G.power_table(p)):
-            masks[x] |= 1 << g
-    full = (1 << n) - 1
+    roots = _root_masks(G)
+    full = (1 << G.n) - 1
     class_of = {1: 0}  # lattice mask -> number of its class
     sizes = [1]  # class sizes by number
     by_order: dict[int, list[int]] = {}  # the lattice so far, by order
-    normalisers = {1: full}
     queue = [(1, [0], full)]  # (mask, members, normaliser), one per class
     for s_mask, s_members, s_norm in queue:  # extended while it is walked
         order = len(s_members)
@@ -691,7 +646,6 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
                 class_of.update(dict.fromkeys(orbit, len(sizes)))
                 sizes.append(len(orbit))
                 known += orbit
-                normalisers[t_mask] = t_norm
                 queue.append((t_mask, t_members, t_norm))
                 if len(class_of) > LATTICE_CAP:
                     raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
@@ -700,7 +654,30 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
     for s in lattice:
         reps.setdefault(class_of[s], s)
     return Lattice(lattice, tuple((s, sizes[c]) for c, s in reps.items()),
-                   {s: reps[c] for s, c in class_of.items()}, normalisers)
+                   {s: reps[c] for s, c in class_of.items()})
+
+
+def _root_masks(G: OracleGroup) -> dict[int, list[int]]:
+    """roots[p][x] for each prime p dividing |G|: the mask of the g with
+    g^p = x.  Each g not met yet starts a walk 1, g, ..., g^(k-1) of <g>,
+    and g^i joins the mask of its p-th power g^(i*p mod k), read off the
+    same list; every element lies on some walk."""
+    mul = G.mul
+    roots = {p: [0] * G.n for p in prime_factors(G.n)}
+    seen = bytearray(G.n)
+    for g in range(G.n):
+        if not seen[g]:
+            cycle = [0]
+            x = g
+            while x:
+                cycle.append(x)
+                seen[x] = 1
+                x = mul(x, g)
+            k = len(cycle)
+            for p, masks in roots.items():
+                for i, x in enumerate(cycle):
+                    masks[cycle[i * p % k]] |= 1 << x
+    return roots
 
 
 def maximal_subgroups(G: OracleGroup) -> tuple[int, ...]:
@@ -879,7 +856,19 @@ def core_and_socle(m: int, G: OracleGroup) -> tuple[int, int]:
     return y, x
 
 
-def factor_prime_dim(G: OracleGroup, x: int, y: int) -> tuple[int, int]:
+def factor_action(G: OracleGroup, x: int, y: int):
+    """The conjugation action of G on the elementary abelian factor X/Y, for
+    normal subgroups Y <= X of G: (p, d, matrices, centralizer).
+
+    |X/Y| = p^d, and there is one d x d matrix over F_p per generator in
+    G.gens, on a basis of coset representatives chosen deterministically.
+    The centralizer is the mask of the g with [X, g] <= Y.  Conjugation by g
+    is an automorphism of X/Y, so g centralizes X/Y exactly when it fixes
+    the coset of every basis representative.  The test runs once per right
+    coset of X: for x' in X and a in X, a^(x'g) = (a[a, x'])^g lies in
+    a^g Y, as [a, x'] lies in Y, so the test of the least untested g decides
+    its whole coset Xg.
+    """
     size = x.bit_count() // y.bit_count()
     ps = prime_factors(size)
     if len(ps) != 1:
@@ -889,16 +878,6 @@ def factor_prime_dim(G: OracleGroup, x: int, y: int) -> tuple[int, int]:
     while size > 1:
         size //= p
         d += 1
-    return p, d
-
-
-def action_on_factor(G: OracleGroup, x: int, y: int):
-    """Conjugation action of G on the elementary abelian factor x/y.
-
-    Returns (p, d, matrices) with one d x d matrix over F_p per generator
-    in G.gens; the factor is coordinatized deterministically.
-    """
-    p, d = factor_prime_dim(G, x, y)
     y_members = tuple(mask_bits(y))
     mul = G.mul
     # walking x ascending, the first element met in a coset Ya is its
@@ -933,32 +912,15 @@ def action_on_factor(G: OracleGroup, x: int, y: int):
     for g in G.gens:
         rows = [vec_of[rep[G.conj(b, g)]] for b in basis]
         matrices.append(tuple(rows))
-    return p, d, matrices
-
-
-def centralizer_of_factor(G: OracleGroup, x: int, y: int) -> int:
-    """Elements g with [x, g] <= y, for y <= x with y normal in G and x/y
-    abelian.
-
-    The test runs once per right coset of x: for x' in x and a in x,
-    a^(x'g) = (a[a, x'])^g lies in a^g y, as [a, x'] lies in y and y is
-    normal.  So [a, x'g] lies in y exactly when [a, g] does, and the test
-    of the least untested g decides its whole coset xg.
-    """
-    x_gens = greedy_generators(G, x)
     x_members = tuple(mask_bits(x))
-    mul = G.mul
-    inv = G._inv
-    a_invs = [(a, inv[a]) for a in x_gens]
     untested = (1 << G.n) - 1
-    mask = 0
+    centralizer = 0
     while untested:
         g = (untested & -untested).bit_length() - 1
         coset = 0
-        for s in x_members:
-            coset |= 1 << mul(s, g)
+        for a in x_members:
+            coset |= 1 << mul(a, g)
         untested &= ~coset
-        gi = inv[g]
-        if all((y >> mul(ai, mul(mul(gi, a), g))) & 1 for a, ai in a_invs):
-            mask |= coset
-    return mask
+        if all(rep[G.conj(b, g)] == b for b in basis):
+            centralizer |= coset
+    return p, d, matrices, centralizer

@@ -648,10 +648,6 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     socle: the action and centralizer are computed once per chief factor.
     Factors are irreducible: by Schur's lemma two of equal dimension are
     isomorphic iff a nonzero intertwiner exists."""
-    return G._memo("crown_classes", None, _chief_factor_classes, G)
-
-
-def _chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     series = [1]
     for s, size in gr.conjugacy_classes_of_subgroups(G):
         if size == 1 and s != series[-1] and s & series[-1] == series[-1]:
@@ -662,8 +658,7 @@ def _chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
         i = next(i for i, n in enumerate(series) if n & ~m)
         cls = class_of.get(i)
         if cls is None:
-            p, d, mats = gr.action_on_factor(G, series[i], series[i - 1])
-            c = gr.centralizer_of_factor(G, series[i], series[i - 1])
+            p, d, mats, c = gr.factor_action(G, series[i], series[i - 1])
             cls = next((known for known in classes
                         if (known.prime, known.dim, known.centralizer) == (p, d, c)
                         and _intertwiners(known.action_matrices, mats, p, d)), None)
@@ -678,13 +673,15 @@ def _chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
 
 def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
     """C = C_G(V), R = intersection of the maximals in the class, delta with
-    |C:R| = |V|^delta, and the first direct normal complement D (a class of
-    size 1) when one exists."""
+    |C:R| = |V|^delta, and the first direct normal complement D when one
+    exists.  The normal subgroups are the classes of size 1 that the
+    lattice lists, in lattice order."""
     r = gr._meet_above(G, 1, v_class.maximals)
     c = v_class.centralizer
     if r & c != r:
         raise AssertionError("crown core is not inside the centralizer")
-    if not gr._is_normal(G, r):
+    normal = [s for s, size in gr.conjugacy_classes_of_subgroups(G) if size == 1]
+    if r not in normal:
         raise AssertionError("crown core is not normal")
     target = c.bit_count() // r.bit_count()
     quotient = target
@@ -695,9 +692,8 @@ def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
             raise AssertionError("crown size |C:R| is not a power of |V|")
         quotient //= size
         delta += 1
-    complement = next((s for s, size in gr.conjugacy_classes_of_subgroups(G)
-                       if size == 1 and s.bit_count() == target and not s & ~c and s & r == 1),
-                      None)
+    complement = next((s for s in normal
+                       if s.bit_count() == target and not s & ~c and s & r == 1), None)
     return CrownData(v_class, c, r, delta, complement)
 
 
@@ -711,7 +707,7 @@ def crown_module_check(G: gr.OracleGroup, data: CrownData) -> bool:
         return False
     if delta == 0:
         return True
-    pc, dc, mats_c = gr.action_on_factor(G, data.centralizer, data.core_r)
+    pc, dc, mats_c, _ = gr.factor_action(G, data.centralizer, data.core_r)
     if pc != p or dc != d * delta:
         return False
     big = []

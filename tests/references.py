@@ -276,8 +276,15 @@ def reference_counts(G) -> dict:
 
 def reference_action_on_factor(G, x: int, y: int, gens):
     """The conjugation action on x/y, each coset representative found as
-    the least element of its coset Ya by a scan over y."""
-    p, d = gr.factor_prime_dim(G, x, y)
+    the least element of its coset Ya by a scan over y, and |x/y| = p^d
+    by trial division."""
+    size = x.bit_count() // y.bit_count()
+    p = next(q for q in range(2, size + 1) if size % q == 0)
+    d = 0
+    while size % p == 0:
+        size //= p
+        d += 1
+    assert size == 1, "factor is not of prime-power order"
     y_members = tuple(gr.mask_bits(y))
     mul = G.mul
 

@@ -340,8 +340,9 @@ def test_chief_factor_action_and_centralizer_match_references(corpus_and_primiti
             assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
             continue
         for y, x in {gr.core_and_socle(m, g) for m in maximals}:
-            assert gr.action_on_factor(g, x, y) == reference_action_on_factor(g, x, y, g.gens), g.name
-            assert gr.centralizer_of_factor(g, x, y) == reference_centralizer_of_factor(g, x, y), g.name
+            p, d, mats, c = gr.factor_action(g, x, y)
+            assert (p, d, mats) == reference_action_on_factor(g, x, y, g.gens), g.name
+            assert c == reference_centralizer_of_factor(g, x, y), g.name
 
 
 def test_socle_is_the_least_normal_subgroup_above_the_core(corpus_and_primitive_oracles,
@@ -590,25 +591,18 @@ def test_split_tables_refuse_images_that_do_not_fit_h():
         gr.oracle_from_split_tables([7], [], no_gens, "C7:C3")
 
 
-def test_power_tables_match_powers_by_squaring(corpus_list, small_pool_oracles, tower2, tower3):
-    # e = 0, 1, each prime dividing |G| and |G| - 1 (the inverse map)
+def test_root_masks_match_powers_by_squaring(corpus_list, small_pool_oracles, tower2, tower3):
+    # for each prime p dividing |G|, the p-th roots of every element
     oracles = list(corpus_list) + [g for _, g in small_pool_oracles]
     oracles += [T.embed_as_oracle() for T in reference_towers(tower2, tower3)]
     for g in oracles:
-        for e in (0, 1, g.n - 1, *ffla.prime_factors(g.n)):
-            assert list(g.power_table(e)) == [reference_power(g, x, e) for x in range(g.n)], (g.name, e)
-        assert list(g.power_table(g.n - 1)) == list(g._inv), g.name
-
-
-def test_a_new_exponent_reads_its_power_table_without_law_calls(corpus_list, tower3):
-    # the cyclic subgroups are walked by the first table only
-    for g in list(corpus_list[:8]) + [tower3.embed_as_oracle()]:
-        cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
-        cold.power_table(2)
-        with counting_law_calls(cold) as calls:
-            tables = [cold.power_table(e) for e in (3, 5, g.n - 1)]
-        assert calls == [0], g.name
-        assert tables == [g.power_table(e) for e in (3, 5, g.n - 1)], g.name
+        roots = gr._root_masks(g)
+        assert sorted(roots) == ffla.prime_factors(g.n), g.name
+        for p, masks in roots.items():
+            expected = [0] * g.n
+            for x in range(g.n):
+                expected[reference_power(g, x, p)] |= 1 << x
+            assert masks == expected, (g.name, p)
 
 
 def test_greedy_generators_of_order_2040_take_under_two_law_calls_per_element(tower3):
@@ -788,9 +782,9 @@ def test_orbit_matches_conjugates_by_every_element(corpus_list, small_pool_oracl
                 assert gr._orbit(g, s) == orbit, g.name
 
 
-def test_memoised_normalisers_match_conjugation_by_every_element(lattice_oracles):
-    # the normaliser of each extended class member, against the x with
-    # S^x = S from conjugation by every element; one member per class
+def test_orbit_normalisers_match_conjugation_by_every_element(lattice_oracles):
+    # the normaliser from the orbit walk, against the x with S^x = S from
+    # conjugation by every element; one member per class
     oracles, _, _ = lattice_oracles
     for g in oracles:
         try:
@@ -798,19 +792,18 @@ def test_memoised_normalisers_match_conjugation_by_every_element(lattice_oracles
         except ResourceCapExceeded:
             assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
             continue
-        lattice = gr._lattice(g)
-        normalisers, least = lattice.normalisers, lattice.least_conjugate
-        assert sorted(least[s] for s in normalisers) == sorted(s for s, _ in classes), g.name
         conj = reference_conjugation(g)
-        for s, norm in normalisers.items():
+        for s, size in classes:
             members = list(gr.mask_bits(s))
+            orbit, norm = gr._orbit_and_normaliser(g, s, members)
+            assert len(orbit) == size, g.name
             expected = sum(1 << x for x, images in enumerate(conj)
                            if all((s >> images[y]) & 1 for y in members))
             assert norm == expected, g.name
 
 
 def test_cold_lattice_of_order_2040_takes_under_32000_law_calls(tower3):
-    # the power tables, the solvability test and the conjugation tables
+    # the root masks, the solvability test and the conjugation tables
     # included; testing each candidate for normalising S and computing
     # every extension took 46,439
     g = tower3.embed_as_oracle()

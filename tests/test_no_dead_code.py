@@ -17,6 +17,9 @@ CLI's `main`, the statements that run at import (module level and class
 bodies), the dunder methods that Python calls, the paper's results, and
 every name in the span tables of bench/run.py.  A reached function's body
 reaches the names it holds, until nothing new is reached.
+
+A field of a `namedtuple` record is dead too when the package never reads
+it as an attribute.
 """
 
 import ast
@@ -117,6 +120,25 @@ def reached_names(trees, span_names):
             names |= new
             todo += new
     return names
+
+
+def record_fields(trees):
+    """(record, field) for every field of the `namedtuple` records that the
+    package defines, given as a name and a string of field names."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "namedtuple"):
+                record, fields = (arg.value for arg in node.args)
+                for field in fields.replace(",", " ").split():
+                    yield record, field
+
+
+def test_every_record_field_is_read_in_the_package():
+    trees = package_trees()
+    named = {name for tree in trees for name in names_in(tree)}
+    assert sorted((record, field) for record, field in record_fields(trees)
+                  if "." + field not in named) == []
 
 
 def test_every_function_is_reached_from_a_root():
