@@ -157,7 +157,7 @@ def cmd_analyze(doc: dict, cap: int, seed: int) -> Report:
     report = Report("analyze", _digest(doc), seed)
     oracle = build_oracle(doc, cap)
     report.add("group", oracle.name, "order", oracle.n, "oracle")
-    entries = gr.counts(oracle).entries
+    entries = gr.counts(oracle)
     for n, (m_n, _b_n, _c_n) in entries:
         if m_n:
             report.add("maximal_counts", f"n={n}", "m_n", m_n, "oracle")

@@ -76,21 +76,14 @@ _corpus_cache: dict[str, gr.OracleGroup] = {}
 def corpus_groups() -> list[gr.OracleGroup]:
     """The curated solvable corpus: orders <= 200, the order-60 tower
     level used for cross-checks among them."""
-    out = []
-    for name, build in CORPUS_BUILDERS:
-        if name not in _corpus_cache:
-            _corpus_cache[name] = build()
-        out.append(_corpus_cache[name])
-    return out
+    return [corpus_group(name) for name, _ in CORPUS_BUILDERS]
 
 
 def corpus_group(name: str) -> gr.OracleGroup:
-    for known, build in CORPUS_BUILDERS:
-        if known == name:
-            if name not in _corpus_cache:
-                _corpus_cache[name] = build()
-            return _corpus_cache[name]
-    raise KeyError(name)
+    """The corpus group `name`, built once; KeyError for an unknown name."""
+    if name not in _corpus_cache:
+        _corpus_cache[name] = dict(CORPUS_BUILDERS)[name]()
+    return _corpus_cache[name]
 
 
 # ---------------------------------------------------------------------------

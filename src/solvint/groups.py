@@ -2,7 +2,9 @@
 
 Groups are multiplication laws `G.mul(a, b)` over dense element ids
 0..n-1 with the identity at id 0: a split product W x| H multiplies from
-its split tables, an explicit group reads its n x n table.  A subgroup is
+its split tables, an explicit group reads its n x n table, and a group of
+element objects (matrices, permutations) multiplies two objects and looks
+the product up, with no table.  A subgroup is
 an int mask over element ids, bit x set exactly when element x is in it;
 every subgroup argument and result here is such a mask, so
 |H| = h.bit_count() and |G:H| = G.n // h.bit_count().
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from types import MappingProxyType
@@ -51,6 +52,9 @@ from .ffla import _addition_table, mat_identity, mat_mod, mat_mul, prime_factors
 
 DEFAULT_ORDER_CAP = 5000
 LATTICE_CAP = 10**4
+# the most elements `_sorted_closure` walks: the matrix and permutation groups
+# given by generators, and every H of V^t x| H
+CLOSURE_CAP = 10**4
 
 
 class _Memoised:
@@ -181,47 +185,41 @@ def from_mul_table(table, name: str = "table-group") -> OracleGroup:
 
 
 def from_elements(elems, mul_fn, name: str, gen_elems=()) -> OracleGroup:
-    """Build from hashable element objects (identity first) and a closed
-    multiplication function; the law is trusted (constructive)."""
+    """Build from hashable element objects, identity first and closed under
+    `mul_fn`, as `_sorted_closure` returns them.  The law multiplies two
+    objects and looks the product up, with no table.  The gens are the ids
+    of the non-identity `gen_elems`, or a small generating set when there
+    are none, and the inverses come from the cyclic walks: on the walk
+    1, g, ..., g^(k-1) of <g>, the inverse of g^i is g^(k-i)."""
     index = {e: i for i, e in enumerate(elems)}
-    if len(index) != len(elems):
-        raise MalformedInput("duplicate elements")
-    n = len(elems)
-    flat = array("i", [0] * (n * n))
-    for i, a in enumerate(elems):
-        row = i * n
-        for j, b in enumerate(elems):
-            product = mul_fn(a, b)
-            if product not in index:
-                raise MalformedInput("multiplication is not closed over the given elements")
-            flat[row + j] = index[product]
-    gens = tuple(index[g] for g in gen_elems)
-    G = _table_group(n, flat, name, gens)
-    if not gens:
+
+    def mul(a: int, b: int) -> int:
+        return index[mul_fn(elems[a], elems[b])]
+
+    G = OracleGroup(len(elems), mul, name, tuple(i for g in gen_elems if (i := index[g])),
+                    array("i", [0]) * len(elems))
+    for cycle in _cycles(G):
+        for i, x in enumerate(cycle):
+            G._inv[x] = cycle[-i]  # g^(k-i), and 1 for i = 0
+    if not G.gens:
         G.gens = tuple(small_generating_set(G))
     return G
 
 
-def _closure_of_objects(gens, mul_fn, identity, cap=20000):
+def _sorted_closure(gens, mul_fn, identity) -> tuple:
+    """The closure of `gens` under `mul_fn`, identity first, the rest
+    sorted; ResourceCapExceeded once it passes CLOSURE_CAP elements."""
     seen = {identity}
     order = [identity]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
+    for x in order:  # grows while it is walked
         for g in gens:
             y = mul_fn(x, g)
             if y not in seen:
                 seen.add(y)
                 order.append(y)
-                if len(order) > cap:
-                    raise ResourceCapExceeded("element closure", cap)
-    return order
-
-
-def _sorted_closure(gens, mul_fn, identity, cap=20000) -> tuple:
-    """The closure of `gens` under `mul_fn`, identity first, the rest sorted."""
-    return (identity, *sorted(_closure_of_objects(gens, mul_fn, identity, cap)[1:]))
+                if len(order) > CLOSURE_CAP:
+                    raise ResourceCapExceeded("element closure", CLOSURE_CAP)
+    return (identity, *sorted(order[1:]))
 
 
 def from_permutations(perm_gens, name: str) -> OracleGroup:
@@ -657,13 +655,11 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
                    {s: reps[c] for s, c in class_of.items()})
 
 
-def _root_masks(G: OracleGroup) -> dict[int, list[int]]:
-    """roots[p][x] for each prime p dividing |G|: the mask of the g with
-    g^p = x.  Each g not met yet starts a walk 1, g, ..., g^(k-1) of <g>,
-    and g^i joins the mask of its p-th power g^(i*p mod k), read off the
-    same list; every element lies on some walk."""
+def _cycles(G: OracleGroup):
+    """The walks [1, g, ..., g^(k-1)] of the cyclic subgroups <g>, k the
+    order of g, one for each g not met on an earlier walk, ascending: every
+    element lies on some walk, at one law call per element walked."""
     mul = G.mul
-    roots = {p: [0] * G.n for p in prime_factors(G.n)}
     seen = bytearray(G.n)
     for g in range(G.n):
         if not seen[g]:
@@ -673,10 +669,19 @@ def _root_masks(G: OracleGroup) -> dict[int, list[int]]:
                 cycle.append(x)
                 seen[x] = 1
                 x = mul(x, g)
-            k = len(cycle)
-            for p, masks in roots.items():
-                for i, x in enumerate(cycle):
-                    masks[cycle[i * p % k]] |= 1 << x
+            yield cycle
+
+
+def _root_masks(G: OracleGroup) -> dict[int, list[int]]:
+    """roots[p][x] for each prime p dividing |G|: the mask of the g with
+    g^p = x.  On each walk of `_cycles`, g^i joins the mask of its p-th
+    power g^(i*p mod k), read off the same list."""
+    roots = {p: [0] * G.n for p in prime_factors(G.n)}
+    for cycle in _cycles(G):
+        k = len(cycle)
+        for p, masks in roots.items():
+            for i, x in enumerate(cycle):
+                masks[cycle[i * p % k]] |= 1 << x
     return roots
 
 
@@ -771,27 +776,17 @@ def _meet_above(G: OracleGroup, mask: int, maximal_masks) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Per-index counts: n -> (maximals, nonzero-Moebius, maximal-intersections)."""
-
-    entries: tuple[tuple[int, tuple[int, int, int]], ...]
-
-    def as_dict(self) -> dict[int, tuple[int, int, int]]:
-        return dict(self.entries)
-
-
-def counts(G: OracleGroup) -> CountTable:
-    """m_n, b_n, c_n for every index n > 1 dividing |G| (proper subgroups
-    only; a maximal subgroup is the intersection of the family containing
-    just itself).
+def counts(G: OracleGroup) -> tuple[tuple[int, tuple[int, int, int]], ...]:
+    """(n, (m_n, b_n, c_n)) for every index n > 1 dividing |G|, ascending:
+    the numbers of maximals, of nonzero-Moebius subgroups and of maximal
+    intersections of index n (proper subgroups only; a maximal subgroup is
+    the intersection of the family containing just itself).
 
     Being maximal, mu != 0 and being a maximal intersection are invariant
     under conjugation (an automorphism of the lattice), so each class is
     tested once, on its representative, and counted with its size."""
     mu = mobius_all(G)
-    maximal_masks = maximal_subgroups(G)
-    maximal_set = set(maximal_masks)
+    maximal_set = set(maximal_subgroups(G))
     full = (1 << G.n) - 1
     divisors = sorted(d for d in range(2, G.n + 1) if G.n % d == 0)
     table = {d: [0, 0, 0] for d in divisors}
@@ -803,13 +798,13 @@ def counts(G: OracleGroup) -> CountTable:
             row[0] += size
         if mu[s] != 0:
             row[1] += size
-        if _meet_above(G, s, maximal_masks) == s:
+        if is_maximal_intersection(s, G):
             row[2] += size
     entries = tuple((d, tuple(table[d])) for d in divisors)
     for _, (m_n, b_n, c_n) in entries:
         if not (m_n <= b_n <= c_n):
             raise AssertionError("count chain m_n <= b_n <= c_n violated (internal bug)")
-    return CountTable(entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------

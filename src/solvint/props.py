@@ -291,9 +291,8 @@ def eta_of_intersection(G: gr.OracleGroup, h: int) -> EtaRecord:
 def maximal_intersection_classes(G: gr.OracleGroup) -> list[int]:
     """Conjugacy class representatives of proper maximal intersections."""
     full = (1 << G.n) - 1
-    maximal_masks = gr.maximal_subgroups(G)
     return [rep for rep, _size in gr.conjugacy_classes_of_subgroups(G)
-            if rep != full and gr._meet_above(G, rep, maximal_masks) == rep]
+            if rep != full and gr.is_maximal_intersection(rep, G)]
 
 
 @dataclass(frozen=True)
@@ -441,7 +440,7 @@ def check_subgroup_count_bound(G: gr.OracleGroup) -> CountBoundReport:
     milli-floor of eta_min(G); the bound is evaluated at these lower
     approximations, so a pass certifies the inequality at the true
     (eta_min, alpha_min)."""
-    table = gr.counts(G).as_dict()
+    table = dict(gr.counts(G))
     best = 0
     for k, (m_k, _b, _c) in table.items():
         if m_k >= 1:

@@ -14,7 +14,6 @@ deterministic function of its arguments; caches only memoize.
 from __future__ import annotations
 
 import random
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -46,7 +45,6 @@ from .ffla import (
     vec_sub,
 )
 
-H_ORDER_CAP = 10000
 # ffla.is_irreducible spins every line of F_p^k; the corpus and the benchmark
 # catalogue use at most 7 lines (F_2^3)
 IRREDUCIBILITY_LINE_CAP = 4096
@@ -97,11 +95,10 @@ class HModule:
         if k > lines.bit_length() or (p**k - 1) // (p - 1) > lines:
             raise ResourceCapExceeded("irreducibility test lines of F_p^k", lines)
         identity = mat_identity(k)
-        elements = gr._sorted_closure(gens or (identity,), lambda a, b: mat_mul(a, b, p),
-                                      identity, H_ORDER_CAP)
+        elements = gr._sorted_closure(gens, lambda a, b: mat_mul(a, b, p), identity)
         # faithfulness is structural for matrix groups: the only element
         # acting trivially is the identity matrix itself
-        group = _matrix_oracle(elements, gens, p, name)
+        group = gr.from_elements(elements, lambda a, b: mat_mul(a, b, p), name, gens)
         if not gr.is_solvable(group):
             raise ValidationError("solvability", "H is not solvable")
         if cap is not None:
@@ -137,20 +134,6 @@ class HModule:
         vectors = [self.vector_of(r) for r in frows]
         return sum(1 << x for x in gr.mask_bits(h_mask)
                    if all(vec_mat(v, self.elements[x], self.p) == v for v in vectors))
-
-
-def _matrix_oracle(elements, gens, p: int, name: str) -> gr.OracleGroup:
-    """The group of the matrices `elements` (identity first) over their
-    ids: the law multiplies two matrices and looks the product up, and the
-    inverses are looked up once.  Its gens are the ids of the non-identity
-    `gens`."""
-    index = {m: i for i, m in enumerate(elements)}
-
-    def mul(a: int, b: int) -> int:
-        return index[mat_mul(elements[a], elements[b], p)]
-
-    inv = array("i", [index[mat_inv(e, p)] for e in elements])
-    return gr.OracleGroup(len(elements), mul, name, tuple(i for g in gens if (i := index[g])), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +734,7 @@ def random_submodule(G: SdGroup, rng) -> tuple:
 def random_partial(G: SdGroup, rng) -> PartialIntersection:
     w = random_submodule(G, rng)
     seeds = [rng.randrange(G.module.order) for _ in range(rng.randrange(1, 3))]
-    x_set = gr._closure_of_objects(
+    x_set = gr._sorted_closure(
         seeds, lambda a, b: G._memo("hmul", (a, b), G.module.group.mul, a, b), 0)
     v = tuple(rng.randrange(G.p) for _ in range(G.wdim))
     return PartialIntersection(w, sum(1 << x for x in x_set), v)

@@ -257,9 +257,8 @@ def _oracle_class_data(T: TowerGroup):
     oracle = T.embed_as_oracle()
     classes = gr.conjugacy_classes_of_subgroups(oracle)
     mu = gr.mobius_all(oracle)
-    maximal_masks = gr.maximal_subgroups(oracle)
     full = (1 << oracle.n) - 1
-    data = [(rep, size, mu[rep], gr._meet_above(oracle, rep, maximal_masks) == rep)
+    data = [(rep, size, mu[rep], gr.is_maximal_intersection(rep, oracle))
             for rep, size in classes if rep != full]
     return oracle, data
 

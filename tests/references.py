@@ -12,8 +12,9 @@ their action and ids, closures and greedy generators closed from
 scratch, and the count tables tested one subgroup at a time, the order
 of an element, the action of H on V^t, the product and the inverse in
 V^t x| H, the F_p-span of the F-multiples of vectors of V, the map of a
-module isomorphism applied to a vector, and the tables of a field by
-matrix products, sums and an inverse scan.  The tests keep them to build
+module isomorphism applied to a vector, the tables of a field by
+matrix products, sums and an inverse scan, and the product table and
+inverses of a matrix group by the same.  The tests keep them to build
 independent references and test data, with a counter of the law calls an
 oracle makes.
 """
@@ -55,6 +56,15 @@ def subspace_vectors(s: FpSubspace):
 def inverse(G, a: int) -> int:
     """a^-1 in the oracle group G, read off its inverse array."""
     return G._inv[a]
+
+
+def reference_matrix_table(elements, p: int):
+    """The product table of the matrices `elements` over their ids, one
+    `mat_mul` per cell, and each id's inverse by a scan of its row for the
+    identity (id 0)."""
+    index = {m: i for i, m in enumerate(elements)}
+    table = [[index[mat_mul(a, b, p)] for b in elements] for a in elements]
+    return table, [row.index(0) for row in table]
 
 
 def check_compatible(a: FpSubspace, b: FpSubspace) -> None:

@@ -139,7 +139,7 @@ def test_criterion_06_mobius_lattice_correctness(corpus_list):
             assert row_sum == (1 if h == full else 0), g.name
             if mu[h] != 0:
                 assert gr.is_maximal_intersection(h, g), g.name
-        for _n, (m_n, b_n, c_n) in gr.counts(g).entries:
+        for _n, (m_n, b_n, c_n) in gr.counts(g):
             assert m_n <= b_n <= c_n, g.name
     report(6, f"Moebius row sums, mu != 0 => maximal intersection, and "
               f"m_n <= b_n <= c_n over {len(eligible)} solvable groups")

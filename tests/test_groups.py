@@ -254,7 +254,7 @@ def test_nonzero_mobius_implies_maximal_intersection(corpus_list):
 
 
 def test_counts_s3():
-    table = gr.counts(s3()).as_dict()
+    table = dict(gr.counts(s3()))
     assert table[2] == (1, 1, 1)
     assert table[3] == (3, 3, 3)
     assert table[6] == (0, 1, 1)
@@ -262,13 +262,13 @@ def test_counts_s3():
 
 def test_counts_chain(corpus_list):
     for g in corpus_list:
-        for _n, (m_n, b_n, c_n) in gr.counts(g).entries:
+        for _n, (m_n, b_n, c_n) in gr.counts(g):
             assert m_n <= b_n <= c_n, g.name
 
 
 def test_counts_tower_g2_maximals():
     g2 = corpus.corpus_group("tower-G2")
-    table = gr.counts(g2).as_dict()
+    table = dict(gr.counts(g2))
     assert table[2][0] == 1 and table[3][0] == 3 and table[5][0] == 5
 
 
@@ -659,6 +659,25 @@ def test_from_mul_table_finds_inverses_and_rejects_a_row_without_identity():
         gr.from_mul_table([[0, 1], [1, 1]], "no-inverse")
 
 
+def test_every_inverse_array_inverts(corpus_list, sdp_pool, small_pool_oracles,
+                                     large_pool_oracles, tower2, tower3):
+    # mul(a, inv[a]) == mul(inv[a], a) == 0 for every element, whichever
+    # builder made the group: element objects (the module groups, the
+    # permutation and matrix groups), split tables and explicit tables
+    s4 = corpus.corpus_group("S4")
+    groups = list(corpus_list) + [g.module.group for g in sdp_pool + corpus.primitive_groups()]
+    groups += [g for _, g in small_pool_oracles] + large_pool_oracles
+    groups += [T.embed_as_oracle() for T in reference_towers(tower2, tower3)[:3]]
+    groups += [gr.from_mul_table([[s4.mul(a, b) for b in range(s4.n)] for a in range(s4.n)]),
+               gr.from_permutations([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)], "F20"),
+               gr.from_matrices([((1, 1), (0, 1)), ((2, 0), (0, 1)), ((0, 1), (1, 0))], 3,
+                                "GL(2,3)")]
+    for g in groups:
+        mul, inv = g.mul, g._inv
+        assert len(inv) == g.n, g.name
+        assert all(mul(a, inv[a]) == mul(inv[a], a) == 0 for a in range(g.n)), g.name
+
+
 @pytest.fixture(scope="session")
 def lattice_oracles(corpus_list, small_pool_oracles, tower2, tower3):
     """The tower levels, the pool groups of order <= 500 and the corpus,
@@ -694,7 +713,7 @@ def test_counts_match_the_per_subgroup_reference(lattice_oracles):
     oracles, _, _ = lattice_oracles
     for g in oracles:
         try:
-            table = gr.counts(g).as_dict()
+            table = dict(gr.counts(g))
         except ResourceCapExceeded:
             assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
             continue

@@ -37,14 +37,13 @@ PAPER_RESULTS = {
     "subgroup_equal": "canonical triples are equal exactly when their subgroups are",
     "is_gamma_module": "the gamma condition on the centralizers of H in V",
     "has_eta_property": "the eta bound on intersections of maximal subgroups",
-    "is_maximal_intersection": "a subgroup is the meet of the maximals above it",
 }
 # named by the span tables of bench/run.py, whose traced run raises on a
 # span it cannot wrap; a name the tables drop must leave the package too
 BENCH_SPANS = {
     "mobius", "overgroups", "express_in_rows", "maximal_descriptors",
     "intersect_case_spanning", "intersect_case_nested", "find_corona_crown",
-    "subgroup_closure", "conjugate_mask", "rref", "corpus_group",
+    "subgroup_closure", "conjugate_mask", "rref",
     "fvectors_of_submodule", "fixed_space_over",
     # also the reference that tests check sdp.chief_factor_classes against
     "core_and_socle",

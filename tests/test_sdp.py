@@ -17,8 +17,8 @@ from solvint.errors import (
 from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
 from references import (all_subspaces, counting_law_calls, decompose, f_span, intersect, inverse,
-                        is_subspace_of, order_of, sd_act, sd_inverse, sd_mul, subspace_vectors,
-                        sum_with, vec_add, zero_subspace)
+                        is_subspace_of, order_of, reference_matrix_table, sd_act, sd_inverse,
+                        sd_mul, subspace_vectors, sum_with, vec_add, zero_subspace)
 
 
 def g_f5_c4(t=1):
@@ -954,19 +954,21 @@ def test_matrix_group_solvability_matches_the_derived_series_of_elements():
     assert expected[:len(named)] == [case[3] for case in named]
     for (p, k, gens), solvable in zip(cases, expected):
         mats = tuple(ffla.mat_mod(g, p) for g in gens)
-        group = sdp._matrix_oracle(ordered_elements(reference_closure(p, k, gens), k), mats, p, "H")
+        group = gr.from_elements(ordered_elements(reference_closure(p, k, gens), k),
+                                 lambda a, b, p=p: ffla.mat_mul(a, b, p), "H", mats)
         assert gr.is_solvable(group) == solvable, (p, k, gens)
 
 
+# the Singer cycle of x^9 + x^4 + 1 over F_2, of order 511
+SINGER = (tuple(tuple(int(j == i + 1) for j in range(9)) for i in range(8))
+          + ((1, 0, 0, 0, 1, 0, 0, 0, 0),))
+
+
 def test_solvability_of_a_cyclic_matrix_group_walks_no_elements():
-    # the Singer cycle of x^9 + x^4 + 1 over F_2, order 511: G.gens generates
-    # G, so the derived series finds no generating set by a walk over the
-    # elements, which would cost a law call per element
-    k = 9
-    singer = (tuple(tuple(int(j == i + 1) for j in range(k)) for i in range(k - 1))
-              + ((1, 0, 0, 0, 1, 0, 0, 0, 0),))
-    group = sdp._matrix_oracle(ordered_elements(reference_closure(2, k, [singer]), k), (singer,), 2,
-                               "C511")
+    # G.gens generates G, so the derived series finds no generating set by
+    # a walk over the elements, which would cost a law call per element
+    group = gr.from_elements(ordered_elements(reference_closure(2, 9, [SINGER]), 9),
+                             lambda a, b: ffla.mat_mul(a, b, 2), "C511", (SINGER,))
     with counting_law_calls(group) as calls:
         assert gr.is_solvable(group)
     assert gr.derived_series(group) == ((1 << 511) - 1, 1)
@@ -982,17 +984,33 @@ def ordered_elements(members, k):
 
 def test_module_group_matches_the_table_of_its_elements(sdp_pool):
     # the law and the inverses of module.group, cell by cell, against the
-    # |H|^2 table that groups.from_elements fills from matrix products
+    # |H|^2 table of matrix products and its scan for the identity
     modules = {id(g.module): g.module for g in sdp_pool + corpus.primitive_groups()}
     for module in modules.values():
         H = module.group
-        table = gr.from_elements(list(module.elements),
-                                 lambda a, b: ffla.mat_mul(a, b, module.p), "table")
-        assert H.n == table.n == module.order
-        cells = [(a, b) for a in range(H.n) for b in range(H.n)]
-        assert [H.mul(a, b) for a, b in cells] == [table.mul(a, b) for a, b in cells], module.name
-        assert [inverse(H, a) for a in range(H.n)] == [inverse(table, a) for a in range(H.n)], module.name
+        table, inverses = reference_matrix_table(module.elements, module.p)
+        assert H.n == len(table) == module.order
+        assert [[H.mul(a, b) for b in range(H.n)] for a in range(H.n)] == table, module.name
+        assert [inverse(H, a) for a in range(H.n)] == inverses, module.name
         assert module.elements[0] == ffla.mat_identity(module.k)
         assert list(module.elements[1:]) == sorted(module.elements[1:])
         assert all(H.gens)  # the ids of the non-identity generators
         assert gr.closure_mask(H, H.gens) == (1 << H.n) - 1, module.name
+
+
+def test_module_creation_inverts_no_element_of_h(monkeypatch):
+    # mat_inv checks each generator and inverts the frame; the inverses of
+    # H come from its cyclic walks, so even the order-511 Singer H inverts
+    # no element
+    calls = [0]
+    mat_inv = ffla.mat_inv
+
+    def counted(a, p):
+        calls[0] += 1
+        return mat_inv(a, p)
+
+    monkeypatch.setattr(sdp, "mat_inv", counted)
+    for p, k, gens in corpus.SDP_TEMPLATES + ((2, 9, (SINGER,)),):
+        calls[0] = 0
+        module = sdp.HModule.create(p, k, gens)
+        assert calls[0] <= len(gens) + 1, (p, k, module.order, calls[0])
