@@ -444,15 +444,6 @@ class FieldOps:
 # module isomorphisms
 
 
-@dataclass(frozen=True)
-class ModuleMap:
-    """An equivariant linear map between two submodules, in ambient terms."""
-
-    source: FpSubspace
-    target: FpSubspace
-    matrix: Matrix  # dim(source) x dim(target), acting on coordinates
-
-
 def induced_action(sub: FpSubspace, g: Matrix) -> Matrix:
     """Matrix of g restricted to an invariant subspace, over its RREF basis."""
     rows = []
@@ -470,7 +461,9 @@ ISOMORPHISM_SEARCH_CAP = 100000
 
 
 def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b):
-    """Invertible equivariant map A -> B if one exists, else None.
+    """The matrix of an invertible equivariant map A -> B if one exists,
+    else None: d x d over the RREF bases of A and B, acting on coordinates
+    (() for d = 0).
 
     gens_a and gens_b are parallel lists (images of the same abstract
     generators).  Solutions are enumerated in lexicographic coefficient
@@ -483,7 +476,7 @@ def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b):
     if d != sub_b.dim:
         return None
     if d == 0:
-        return ModuleMap(sub_a, sub_b, ())
+        return ()
     rho_a = [induced_action(sub_a, g) for g in gens_a]
     rho_b = [induced_action(sub_b, g) for g in gens_b]
     kernel = _intertwiners(rho_a, rho_b, p, d)
@@ -503,5 +496,5 @@ def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b):
                     vec[i] = (vec[i] + c * basis_vec[i]) % p
         t_mat = tuple(tuple(vec[i * d + j] for j in range(d)) for i in range(d))
         if len(_rref(t_mat, p, d)[1]) == d:
-            return ModuleMap(sub_a, sub_b, t_mat)
+            return t_mat
     return None

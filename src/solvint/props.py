@@ -1,5 +1,6 @@
-"""Property analyzers: gamma-module witnesses, eta exponents of maximal
-intersections, and the finite-level verifiers tying them together.
+"""Property analyzers: the gamma of a module (from the distinct
+centralizers of its F-lines), eta exponents of maximal intersections, and
+the finite-level verifiers tying them together.
 
 All accept/reject decisions are made in exact integer arithmetic: an
 exponent eta = log(P)/log(N) is carried as the integer pair (P, N).  A
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import and_
 
 from . import groups as gr
 from . import sdp
@@ -23,8 +22,6 @@ from .errors import MalformedInput, ResourceCapExceeded
 
 PALFY_WOLF = Fraction(3243, 1000)
 
-GAMMA_DIM_CAP = 6
-GAMMA_FIELD_CAP = 9
 ETA_NODE_CAP = 10**5
 
 
@@ -139,72 +136,41 @@ def floor_root_pow(n: int, num: int, den: int) -> int:
 # gamma-module analysis
 
 
-@dataclass(frozen=True)
-class GammaWitness:
-    """W and its least weak and strong witnesses W*, as F-RREF rows over F^f_dim."""
+def gamma_min(module: sdp.HModule) -> int:
+    """The least gamma such that every F-subspace W of V has a witness W*
+    of F-dimension at most gamma: C_H(W*) meets the maximal subgroups of H
+    above C_H(W) in C_H(W) itself (gamma is at least 1; W* = W is one).
 
-    w_subspace: tuple
-    weak_dim: int
-    weak_witness: tuple
-    strong_dim: int
-    strong_witness: tuple
-
-
-@dataclass(frozen=True)
-class GammaReport:
-    """Per-module witness dimensions: for every F-subspace W the least
-    dim_F W* satisfying the centralizer condition (weak uses the maximal
-    subgroups above C_H(W), strong demands C_H(W) = C_H(W*) outright)."""
-
-    module_label: str
-    f_dim: int
-    gamma_min: int
-    strong_gamma_min: int
-    witnesses: tuple[GammaWitness, ...]
-
-
-def gamma_min(module: sdp.HModule) -> GammaReport:
-    """Gamma witness search over all F-subspaces of V, refused when
-    dim_F V >= 2 exceeds GAMMA_DIM_CAP or |F| exceeds GAMMA_FIELD_CAP.
-
-    Subspaces are enumerated by F-dimension then lexicographic canonical
-    basis, so reported witnesses are deterministic.  Both conditions read
-    W* only through C_H(W*), and W* = W meets both.  So the least W* is the
-    first subspace with the first centralizer, in order of first
-    appearance, that meets the condition, and it comes no later than W:
-    one pass finds every witness.
+    The condition reads W and W* only through their centralizers, and F
+    commutes with H, so C_H(W) is the meet of the centralizers of W's
+    F-lines.  A breadth-first pass from C_H(0) = H meets each centralizer
+    first reached at level k - 1 with every line centralizer; one not seen
+    before is C_H(W) for a W of least dimension k.  The lines are at most
+    sdp.IRREDUCIBILITY_LINE_CAP, which HModule.create enforces, and every
+    centralizer is a subgroup of H, whose lattice maximal_subgroups has
+    held to gr.LATTICE_CAP, so no other cap is needed.
     """
-    f = module.f_dim
-    if f >= 2 and f > GAMMA_DIM_CAP:
-        raise ResourceCapExceeded(f"F-subspace enumeration with dim_F V={f}", GAMMA_DIM_CAP)
-    if f >= 2 and module.fops.q > GAMMA_FIELD_CAP:
-        raise ResourceCapExceeded(f"F-subspace enumeration with |F|={module.fops.q}", GAMMA_FIELD_CAP)
     H = module.group
-    maximal_masks = gr.maximal_subgroups(H)
+    maximals = gr.maximal_subgroups(H)
     full = (1 << H.n) - 1
-    # F commutes with H, so C_H(W) is the meet of C_H(w) over the F-rows w
-    # of W, and each F-RREF row is a monic F-line, one of the 1-dim subspaces
-    line_c = {w: module.centralizer_of((w,), full)
-              for (w,) in module.fops.subspaces(f, 1)}
-    first: dict = {}  # each C_H(W) met so far -> the first (dim, rows) with it
-    witnesses = []
-    for d in range(f + 1):
-        for rows in module.fops.subspaces(f, d):
-            c_w = reduce(and_, map(line_c.__getitem__, rows), full)
-            first.setdefault(c_w, (d, rows))
-            inter = gr._meet_above(H, c_w, maximal_masks)
-            weak = next((first[c] for c in first if c & inter == c_w), None)
-            if weak is None:
-                raise AssertionError("witness search failed (W* = W always works)")
-            witnesses.append(GammaWitness(rows, *weak, *first[c_w]))
-    return GammaReport(module.name, f, max(1, *(w.weak_dim for w in witnesses)),
-                       max(1, *(w.strong_dim for w in witnesses)), tuple(witnesses))
+    line_c = {module.centralizer_of(line, full) for line in module.fops.subspaces(module.f_dim, 1)}
+    mindim = {full: 0}  # each C_H(W) -> the least dim_F W with it
+    level, k = [full], 0
+    while level:
+        k += 1
+        level = {c & l for c in level for l in line_c} - mindim.keys()
+        mindim.update(dict.fromkeys(level, k))
+    weak = 0
+    for c in mindim:
+        inter = gr._meet_above(H, c, maximals)
+        weak = max(weak, min(d for c_star, d in mindim.items() if c_star & inter == c))
+    return max(1, weak)
 
 
 def is_gamma_module(module: sdp.HModule, gamma: int) -> bool:
     if gamma < 1:
         raise MalformedInput("gamma must be a positive integer")
-    return gamma_min(module).gamma_min <= gamma
+    return gamma_min(module) <= gamma
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +263,6 @@ def maximal_intersection_classes(G: gr.OracleGroup) -> list[int]:
 
 @dataclass(frozen=True)
 class EtaReport:
-    group_name: str
     records: tuple[EtaRecord, ...]
 
     def max_floor_times(self, c_num: int, c_den: int) -> int:
@@ -313,7 +278,7 @@ class EtaReport:
 
 def eta_report(G: gr.OracleGroup) -> EtaReport:
     records = tuple(eta_of_intersection(G, h) for h in maximal_intersection_classes(G))
-    return EtaReport(G.name, records)
+    return EtaReport(records)
 
 
 def has_eta_property(G: gr.OracleGroup, eta: Fraction) -> bool:
@@ -331,7 +296,6 @@ class GammaEtaRow:
     subgroup_mask: int
     index: int
     product: int
-    gamma_h: int
     ok: bool
 
 
@@ -350,17 +314,14 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
         above = [class_of_maximal[m] for m in gr.maximal_subgroups(G) if m & h == h]
         gamma_h = max(G._memo("class_gamma_min", cls.label, _class_gamma_min, cls)
                       for cls in above)
-        rows.append(
-            GammaEtaRow(h, rec.index, rec.product, gamma_h,
-                        rec.eta_leq(gamma_h + 1))
-        )
+        rows.append(GammaEtaRow(h, rec.index, rec.product, rec.eta_leq(gamma_h + 1)))
     return rows
 
 
 def _class_gamma_min(cls: sdp.ChiefFactorClass) -> int:
     module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices,
                                 name=f"action-{cls.label}")
-    return gamma_min(module).gamma_min
+    return gamma_min(module)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +330,6 @@ def _class_gamma_min(cls: sdp.ChiefFactorClass) -> int:
 
 @dataclass(frozen=True)
 class EtaGammaReport:
-    group_name: str
     gamma_v: int
     eta_floor_c: int           # floor(eta_min * 3.243), exact
     gamma_ok: bool
@@ -386,7 +346,7 @@ def verify_eta_to_gamma(sd_group: sdp.SdGroup,
         raise MalformedInput("primitive verifier expects t = 1 (Gamma = V x| H)")
     oracle = sdp.embed_as_oracle(sd_group, cap)
     report = eta_report(oracle)
-    gamma_v = gamma_min(sd_group.module).gamma_min
+    gamma_v = gamma_min(sd_group.module)
     c = PALFY_WOLF
     bound = report.max_floor_times(c.numerator, c.denominator)
     bound_lo = report.max_floor_times(324, 100)
@@ -394,7 +354,6 @@ def verify_eta_to_gamma(sd_group: sdp.SdGroup,
     v_size = sd_group.p**sd_group.k
     pw_ok = sd_group.order ** c.denominator <= v_size**c.numerator
     return EtaGammaReport(
-        group_name=sd_group.name,
         gamma_v=gamma_v,
         eta_floor_c=bound,
         gamma_ok=gamma_v <= bound,
@@ -426,7 +385,6 @@ def subgroup_count_bound(n: int, eta: Fraction, alpha: Fraction) -> int:
 
 @dataclass(frozen=True)
 class CountBoundReport:
-    group_name: str
     eta: Fraction
     alpha: Fraction
     rows: tuple[tuple[int, int, int], ...]  # (n, c_n, bound)
@@ -454,4 +412,4 @@ def check_subgroup_count_bound(G: gr.OracleGroup) -> CountBoundReport:
         bound = subgroup_count_bound(n, eta, alpha)
         rows.append((n, c_n, bound))
         ok = ok and c_n <= bound
-    return CountBoundReport(G.name, eta, alpha, tuple(rows), ok)
+    return CountBoundReport(eta, alpha, tuple(rows), ok)

@@ -6,7 +6,7 @@ the lower central series test, the enumeration of every F-subspace of
 F^t, adding and scaling vectors, the inverse of an oracle element, the
 chief-factor action and centralizer one element at a time, integer roots
 and logarithms by bisection, the least eta product over every family of
-maximals, the gamma witnesses by a scan of every F-subspace for every
+maximals, the gamma of a module by a scan of every F-subspace for every
 F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with
 their action and ids, closures and greedy generators closed from
 scratch, and the count tables tested one subgroup at a time, the order
@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from solvint import groups as gr
-from solvint import props, tower
+from solvint import tower
 from solvint.errors import MalformedInput
 from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_mul,
                           mat_scale, vec_mat, vec_sub)
@@ -211,14 +211,16 @@ def reference_field_tables(p: int, dim: int, basis):
     return tuple(elements), one, add_t, neg_t, mul_t, inv_t
 
 
-def apply_module_map(iso, v):
-    """The image of v under the ModuleMap iso, in ambient coordinates."""
-    coords = iso.source.coords_of(v)
+def apply_module_map(source, target, matrix, v):
+    """The image of v under the map of module_isomorphism(source, ...,
+    target, ...), whose matrix acts on RREF coordinates, in ambient
+    coordinates."""
+    coords = source.coords_of(v)
     if coords is None:
         raise MalformedInput("vector outside the source submodule")
-    p = iso.source.p
-    out = [0] * iso.target.ambient_dim
-    for c, row in zip(vec_mat(coords, iso.matrix, p), iso.target.basis):
+    p = source.p
+    out = [0] * target.ambient_dim
+    for c, row in zip(vec_mat(coords, matrix, p), target.basis):
         out = [(x + c * y) % p for x, y in zip(out, row)]
     return tuple(out)
 
@@ -412,33 +414,20 @@ def reference_class_representative(T, cls):
 
 
 def reference_gamma_min(module):
-    """The GammaReport of props.gamma_min by the exhaustive search: C_H(W)
-    from all of W's row vectors at once, and for every W a scan of every
-    F-subspace W*, in order, for the first weak and strong witness."""
+    """props.gamma_min by the exhaustive search: C_H(W) from all of W's row
+    vectors at once, and for every F-subspace W a scan of every F-subspace
+    W*, in order of dimension, for the first weak witness; the largest
+    witness dimension, at least 1."""
     f, H = module.f_dim, module.group
     maximal_masks = gr.maximal_subgroups(H)
     full = (1 << H.n) - 1
-    by_dim = [[(rows, module.centralizer_of(rows, full))
-               for rows in module.fops.subspaces(f, d)] for d in range(f + 1)]
-    witnesses = []
+    by_dim = [[module.centralizer_of(rows, full) for rows in module.fops.subspaces(f, d)]
+              for d in range(f + 1)]
     weak_max = 0
-    strong_max = 0
     for d in range(f + 1):
-        for w_space, c_w in by_dim[d]:
+        for c_w in by_dim[d]:
             inter = gr._meet_above(H, c_w, maximal_masks)
-            weak = strong = None
-            for d_star in range(f + 1):
-                for w_star, c_star in by_dim[d_star]:
-                    if weak is None and c_star & inter == c_w:
-                        weak = (d_star, w_star)
-                    if strong is None and c_star == c_w:
-                        strong = (d_star, w_star)
-                    if weak and strong:
-                        break
-                if weak and strong:
-                    break
-            witnesses.append(props.GammaWitness(w_space, weak[0], weak[1], strong[0], strong[1]))
-            weak_max = max(weak_max, weak[0])
-            strong_max = max(strong_max, strong[0])
-    return props.GammaReport(module.name, f, max(1, weak_max), max(1, strong_max),
-                             tuple(witnesses))
+            weak = next(d_star for d_star in range(f + 1)
+                        if any(c_star & inter == c_w for c_star in by_dim[d_star]))
+            weak_max = max(weak_max, weak)
+    return max(1, weak_max)

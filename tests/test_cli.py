@@ -58,6 +58,11 @@ def spec_dir(tmp_path):
         json.dumps({"kind": "sdp", "p": 7, "k": 2, "t": 1,
                     "h_gens": [[[0, 4], [3, 1]], [[2, 0], [0, 4]]]})
     )
+    # Q8 acting on F_11^2: order 968, with |F| = 11 and twelve F-lines
+    (tmp_path / "q8-f121.json").write_text(
+        json.dumps({"kind": "sdp", "p": 11, "k": 2, "t": 1,
+                    "h_gens": [[[0, 1], [10, 0]], [[1, 3], [3, 10]]]})
+    )
     # C8 acting on F_25 = F_5^2: order 200
     (tmp_path / "c8-f25.json").write_text(
         json.dumps({"kind": "sdp", "p": 5, "k": 2, "t": 1, "h_gens": [[[0, 1], [2, 0]]]})
@@ -587,3 +592,14 @@ def test_verify_thuno_with_spec(spec_dir, capsys):
                        "--spec", str(spec_dir / "s3.json"))
     assert code == 0
     assert "thuno,S3,pass,yes,oracle" in out
+
+
+def test_thuno_and_due_read_gamma_over_a_field_of_order_11(spec_dir, capsys):
+    # gamma comes from the centralizers of the twelve F-lines, not from a
+    # walk over the F-subspaces, so a field of order 11 needs no cap
+    for suite in ("thuno", "due"):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--spec", str(spec_dir / "q8-f121.json"))
+        assert (code, err) == (0, ""), (suite, err)
+        assert out.count("command,verify:") == 1 and "status,ok" in out, suite
+    assert 'due,"V^1:H<GL(2,11)",gamma_v,1,oracle' in out

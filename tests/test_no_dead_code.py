@@ -18,8 +18,8 @@ bodies), the dunder methods that Python calls, the paper's results, and
 every name in the span tables of bench/run.py.  A reached function's body
 reaches the names it holds, until nothing new is reached.
 
-A field of a `namedtuple` record is dead too when the package never reads
-it as an attribute.
+A field of a record, a `namedtuple` or a `@dataclass`, is dead too when
+the package never reads it as an attribute.
 """
 
 import ast
@@ -122,8 +122,9 @@ def reached_names(trees, span_names):
 
 
 def record_fields(trees):
-    """(record, field) for every field of the `namedtuple` records that the
-    package defines, given as a name and a string of field names."""
+    """(record, field) for every field of the records that the package
+    defines: a `namedtuple` given as a name and a string of field names, and
+    a class under `@dataclass` with its annotated class attributes."""
     for tree in trees:
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -131,6 +132,11 @@ def record_fields(trees):
                 record, fields = (arg.value for arg in node.args)
                 for field in fields.replace(",", " ").split():
                     yield record, field
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in names_in(d) for d in node.decorator_list):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield node.name, stmt.target.id
 
 
 def test_every_record_field_is_read_in_the_package():

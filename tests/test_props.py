@@ -98,32 +98,31 @@ def test_floor_log_near_one_ratios():
     assert got == [floor_log(*case) for case in cases] + [10**4, 10**4 - 1]
 
 
+# Q8 on F_11^2, inside the order-968 group V x| Q8
+Q8_F11 = ((0, 1), (10, 0)), ((1, 3), (3, 10))
+
+
 def test_gamma_min_one_dimensional_modules():
     for p, gen in [(5, 2), (7, 3), (3, 2)]:
         module = sdp.SdGroup.create(p, 1, 1, [((gen,),)]).module
-        report = props.gamma_min(module)
-        assert report.f_dim == 1
-        assert report.gamma_min == 1 and report.strong_gamma_min == 1
+        assert module.f_dim == 1
+        assert props.gamma_min(module) == 1
 
 
 def test_gamma_min_sl23():
     module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
-    report = props.gamma_min(module)
-    assert report.f_dim == 2
-    assert report.gamma_min == 1
-    # the full space W = V needs a 1-dimensional witness, found among lines
-    full = [w for w in report.witnesses if len(w.w_subspace) == 2]
-    assert full and all(w.weak_dim == 1 for w in full)
+    assert module.f_dim == 2
+    # the full space W = V has a 1-dimensional witness among the lines
+    assert props.gamma_min(module) == 1
 
 
-def test_gamma_monotone_and_strong_implies_weak():
+def test_is_gamma_module_is_monotone():
     module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
-    report = props.gamma_min(module)
-    for gamma in range(report.gamma_min, report.f_dim + 1):
-        assert props.is_gamma_module(module, gamma)
-    assert report.gamma_min <= report.strong_gamma_min
-    for w in report.witnesses:
-        assert w.weak_dim <= w.strong_dim
+    gamma = props.gamma_min(module)
+    assert not any(props.is_gamma_module(module, g) for g in range(1, gamma))
+    assert all(props.is_gamma_module(module, g) for g in range(gamma, module.f_dim + 2))
+    with pytest.raises(MalformedInput):
+        props.is_gamma_module(module, 0)
 
 
 def test_gamma_min_matches_the_exhaustive_witness_search(sdp_pool, corpus_list):
@@ -135,11 +134,10 @@ def test_gamma_min_matches_the_exhaustive_witness_search(sdp_pool, corpus_list):
     sign = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     monomial = sdp.HModule.create(3, 4, [cycle, sign])
     assert (monomial.order, monomial.f_dim, monomial.fops.q) == (64, 4, 3)
-    for module in modules + [monomial]:
+    q8 = sdp.HModule.create(11, 2, Q8_F11)
+    assert (q8.order, q8.f_dim, q8.fops.q) == (8, 2, 11)
+    for module in modules + [monomial, q8]:
         assert props.gamma_min(module) == reference_gamma_min(module), module.name
-    report = props.gamma_min(monomial)
-    assert len(report.witnesses) == 212
-    assert sum(len(w.w_subspace) == 1 for w in report.witnesses) == 40
 
 
 def test_nilpotent_derived_chief_factors_are_one_dimensional(corpus_list):
@@ -299,18 +297,3 @@ def test_check_subgroup_count_bound_corpus(corpus_list):
 
 def test_palfy_wolf_constant_is_exact_rational():
     assert props.PALFY_WOLF == Fraction(3243, 1000)
-
-
-def test_gamma_min_enumeration_cap(monkeypatch):
-    from solvint.errors import ResourceCapExceeded
-
-    module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
-    with monkeypatch.context() as m:
-        m.setattr(props, "GAMMA_FIELD_CAP", 2)
-        with pytest.raises(ResourceCapExceeded) as info:
-            props.gamma_min(module)  # |F| = 3 exceeds the forced cap
-    assert str(info.value) == "F-subspace enumeration with |F|=3 (cap: 2)"
-    monkeypatch.setattr(props, "GAMMA_DIM_CAP", 1)
-    with pytest.raises(ResourceCapExceeded) as info:
-        props.gamma_min(module)  # dim_F V = 2 exceeds the forced cap
-    assert str(info.value) == "F-subspace enumeration with dim_F V=2 (cap: 1)"
