@@ -32,6 +32,12 @@ from .errors import (
 
 DEFAULT_SEED = 20240
 SUITES = ("interKM", "thuno", "due", "propo", "tower")
+# A spec file is read only up to SPEC_BYTES_PER_ENTRY * cap^2 + SPEC_SLACK_BYTES
+# bytes, cap the order cap: an entry of a table of order at most cap, its
+# separator and the indent of a one-entry-per-line layout fit in 32 bytes,
+# and the slack holds the rest of a table spec and any sdp or tower spec.
+SPEC_BYTES_PER_ENTRY = 32
+SPEC_SLACK_BYTES = 1 << 16
 
 
 def _fr(x: Fraction) -> str:
@@ -46,12 +52,19 @@ def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def load_spec(path: str) -> dict:
+def load_spec(path: str, cap: int) -> dict:
+    """The spec document at `path`, refused with ResourceCapExceeded before
+    it is parsed when the file is larger than the order cap `cap` allows."""
+    limit = SPEC_BYTES_PER_ENTRY * cap * cap + SPEC_SLACK_BYTES
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
+            text = fh.read(limit + 1)  # a character takes at least one byte
+    except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read spec file: {e}")
+    if len(text) > limit:
+        raise ResourceCapExceeded(f"spec file size in bytes at order cap {cap}", limit)
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"spec file is not valid JSON: {e}")
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -328,9 +341,9 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             if not args.spec:
                 raise SchemaError("analyze requires --spec")
-            report = cmd_analyze(load_spec(args.spec), args.cap_order, args.seed)
+            report = cmd_analyze(load_spec(args.spec, args.cap_order), args.cap_order, args.seed)
         elif args.command == "verify":
-            doc = load_spec(args.spec) if args.spec else None
+            doc = load_spec(args.spec, args.cap_order) if args.spec else None
             report = cmd_verify(doc, args.suite, args.cap_order, args.seed)
         else:
             if args.spec:

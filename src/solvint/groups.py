@@ -36,7 +36,9 @@ Laws are immutable; derived data (the lattice record, Moebius values,
 conjugation tables) is memoized on the group through `G._memo`, the
 helper that every group object of the package shares; the memoized tuples
 are returned as they are, and every public result is in canonical order.
-`G.gens` always generates G.
+`G.gens` always generates G; a split product W x| H takes a single W
+generator, the sum of W's unit vectors, whenever its H-submodule is W,
+so every tower level has 2 gens.
 """
 
 from __future__ import annotations
@@ -289,7 +291,21 @@ def oracle_from_split_tables(radices, images, H: OracleGroup, name: str) -> Orac
     images[j][i] is the id of e_i^g for the unit vector e_i of digit i and
     g = H.gens[j].  Element id = w*|H| + h, the law is
     (w1,h1)(w2,h2) = (act[h2][w1] + w2, h1*h2) and id 0 is the identity.
-    The gens are the e_i with r_i > 1, most significant first, then H.gens.
+
+    The gens are one or more W generators, then H.gens.  Let s be the sum
+    of the unit vectors e_i with r_i > 1.  One walk from 0 under w -> w + s
+    and under act[g] for g in H.gens takes |W| (1 + #H.gens) list reads and
+    no law call.  If it reaches all of W, s alone stands for W; otherwise
+    the e_i with r_i > 1 do, most significant first.  The walk is the
+    H-submodule generated by s.  It is closed under act[g], so also under
+    act[g^-1] = act[g]^(ord g - 1), and so under every act[h].  For w in it,
+    w^(h^-1) + s is in it, and so is its image w + s^h: it is closed under
+    adding every s^h, and it holds nothing that submodule does not.  As
+    (s, 1)^(0, h) = (s^h, 1), <(s, 1), H> is that submodule x| H, which is
+    G exactly when the walk reaches W.  So every tower level has 2 gens,
+    the order-2040 level among them, as its W is cyclic, and V x| H with V
+    irreducible has one W generator.  V^t x| H with t >= 2 keeps its unit
+    vectors: s lies in the diagonal submodule {(v, ..., v)}.
 
     act[g] follows by additivity, least significant digit first: if `row`
     holds the images of the lower digits' ids, a digit of radix r and image
@@ -343,6 +359,19 @@ def oracle_from_split_tables(radices, images, H: OracleGroup, name: str) -> Orac
         place //= r
         if r > 1:
             gens.append(place)
+    if len(gens) > 1:
+        s = sum(gens)  # the unit vectors' digits are 1 in distinct places
+        steps = [add[s // h_size], *gen_acts]
+        walk, seen = [0], bytearray(w_size)
+        seen[0] = 1
+        for w in walk:  # grows while it is walked
+            for step in steps:
+                y = step[w]
+                if not seen[y]:
+                    seen[y] = 1
+                    walk.append(y)
+        if len(walk) == w_size:
+            gens = [s]
     return OracleGroup(n, mul, name, tuple(gens) + tuple(H.gens), inv)
 
 

@@ -9,14 +9,15 @@ and logarithms by bisection, the least eta product over every family of
 maximals, the gamma of a module by a scan of every F-subspace for every
 F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with
 their action and ids, closures and greedy generators closed from
-scratch, and the count tables tested one subgroup at a time, the order
-of an element, the action of H on V^t, the product and the inverse in
-V^t x| H, the F_p-span of the F-multiples of vectors of V, the map of a
-module isomorphism applied to a vector, the tables of a field by
-matrix products, sums and an inverse scan, and the product table and
-inverses of a matrix group by the same.  The tests keep them to build
-independent references and test data, with a counter of the law calls an
-oracle makes.
+scratch, the H-submodule of a split product's W that the sum of its
+unit vectors generates, closed from its conjugates, and the count tables
+tested one subgroup at a time, the order of an element, the action of H
+on V^t, the product and the inverse in V^t x| H, the F_p-span of the
+F-multiples of vectors of V, the map of a module isomorphism applied to
+a vector, the tables of a field by matrix products, sums and an inverse
+scan, and the product table and inverses of a matrix group by the same.
+The tests keep them to build independent references and test data, with
+a counter of the law calls an oracle makes.
 """
 
 from contextlib import contextmanager
@@ -236,6 +237,17 @@ def reference_closure(G, gens) -> int:
                 mask |= 1 << y
                 members.append(y)
     return mask
+
+
+def reference_w_module_closure(G, units, h_size: int) -> int:
+    """The H-submodule of W generated by s, the product of the unit vectors
+    `units` of the split product G = W x| H (W's elements are the ids
+    w * h_size, H's the ids below h_size): the closure of the conjugates
+    of s by every element of H, as a mask of G."""
+    s = 0
+    for e in units:
+        s = G.mul(s, e)
+    return reference_closure(G, {G.mul(G.mul(inverse(G, h), s), h) for h in range(h_size)})
 
 
 def reference_greedy_generators(G, mask: int) -> list[int]:

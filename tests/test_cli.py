@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,37 @@ def test_cap_error_exit_3(spec_dir, capsys):
         assert code == 3, (name, err)
         assert "cap" in err
         assert time.monotonic() - start < 5, name
+
+
+def test_an_oversized_spec_file_is_refused_before_it_is_parsed(spec_dir, capsys):
+    # C_2000 as a table spec is 17.8 MB of JSON, and parsing it costs about
+    # 200 MB; at order cap 100 the file may hold 32 * 100^2 + 2^16 bytes.
+    # The file is written one row at a time, so the test holds no table.
+    n = 2000
+    path = spec_dir / "c2000.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"kind": "oracle-table", "name": "C2000", "table": [')
+        for i in range(n):
+            fh.write(("" if i == 0 else ", ") + json.dumps([(i + j) % n for j in range(n)]))
+        fh.write("]}")
+    limit = cli.SPEC_BYTES_PER_ENTRY * 100**2 + cli.SPEC_SLACK_BYTES
+    assert path.stat().st_size > 40 * limit
+    for command in (["analyze"], ["verify", "--suite", "propo"]):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *command, "--spec", str(path), "--cap-order", "100")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, ""), (command, err)
+        assert err.strip().splitlines() == [
+            f"resource cap: spec file size in bytes at order cap 100 (cap: {limit})"]
+        assert peak < 4 * limit, peak
+    # a file that is not UTF-8 is a schema error, not a traceback
+    (spec_dir / "latin1.json").write_bytes(b'{"kind": "sdp", "name": "\xe9"}')
+    code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / "latin1.json"))
+    assert (code, out) == (2, "") and len(err.strip().splitlines()) == 1, err
+    assert err.startswith("schema error: cannot read spec file")
 
 
 def test_subspace_count_refuses_a_lattice_before_any_table(spec_dir, capsys, monkeypatch):

@@ -13,7 +13,8 @@ from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
 from references import (counting_law_calls, is_nilpotent_mask, reference_action_on_factor,
                         reference_centralizer_of_factor, reference_closure, reference_counts,
                         order_of, reference_greedy_generators, reference_power,
-                        reference_towers, inverse, sd_act, tower_act_w, tower_w_id, vec_add)
+                        reference_towers, reference_w_module_closure, inverse, sd_act,
+                        tower_act_w, tower_w_id, vec_add)
 
 
 def s3():
@@ -544,17 +545,50 @@ def reference_mobius(subs):
     return mu
 
 
+def check_generator_rule(g, radices, h_size: int) -> tuple[list[int], list[int]]:
+    """Assert that g.gens generate the split product g = W x| H, and that
+    their W part (the ids w * h_size) is the product s of the unit vectors
+    exactly when the submodule s generates is W, and the unit vectors
+    otherwise.  Returns (the W part, the unit vectors)."""
+    assert gr.closure_mask(g, g.gens) == (1 << g.n) - 1, g.name
+    units, place = [], g.n
+    for r in radices:
+        place //= r
+        if r > 1:
+            units.append(place)
+    w_gens = [x for x in g.gens if x % h_size == 0]
+    if units and reference_w_module_closure(g, units, h_size).bit_count() == g.n // h_size:
+        assert w_gens == [functools.reduce(g.mul, units, 0)], g.name
+    else:
+        assert w_gens == units, g.name
+    return w_gens, units
+
+
 def test_split_tables_match_cell_by_cell_reference(small_pool_oracles, tower2, tower3):
     for T in reference_towers(tower2, tower3):
         g = T.embed_as_oracle()
         flat = reference_split_table(T.w_size, T.h_order, *reference_tower_tables(T))
         assert law_cells(g) == flat, T.name
         assert law_inverses(g) == reference_inverses(flat, g.n), T.name
+        # W is cyclic, so s generates it and x generates H
+        assert len(check_generator_rule(g, T.primes.primes, T.h_order)[0]) == 1, T.name
+        assert len(g.gens) == 2, T.name
     assert len(small_pool_oracles) > 0
+    shortened = kept = 0
     for G, g in small_pool_oracles:
         flat = reference_split_table(G.p**G.wdim, G.module.order, *reference_sdp_tables(G))
         assert law_cells(g) == flat, g.name
         assert law_inverses(g) == reference_inverses(flat, g.n), g.name
+        w_gens, units = check_generator_rule(g, [G.p] * G.wdim, G.module.order)
+        if G.t == 1:
+            # V is irreducible, so the nonzero s generates it
+            assert len(w_gens) == 1, g.name
+            shortened += len(units) > 1
+        elif G.k == 1:
+            # H acts by scalars, so s spans a line of V^t
+            assert w_gens == units and len(units) > 1, g.name
+            kept += 1
+    assert shortened and kept
 
 
 def test_split_tables_of_edge_shapes_match_references():
@@ -571,13 +605,17 @@ def test_split_tables_of_edge_shapes_match_references():
     # (|W|, |H|) of each reference
     shapes = [(len(add), len(hmul)) for _, (_, add, hmul) in cases]
     assert shapes == [(1, 4), (5, 1), (1, 1), (4, 2), (6, 2), (1, 1), (3, 1), (9, 1), (27, 1)]
-    for (g, tables), shape in zip(cases, shapes):
+    radices = [[1], [5], [1], [4], [6]] + [[3] * t for t in (0, 1, 2, 3)]
+    w_gens = []
+    for (g, tables), shape, digits in zip(cases, shapes, radices):
         assert g.n == shape[0] * shape[1], shape
-        assert gr.closure_mask(g, g.gens) == (1 << g.n) - 1, shape
+        w_gens.append(check_generator_rule(g, digits, shape[1])[0])
         flat = reference_split_table(*shape, *tables)
         assert law_cells(g) == flat, shape
         assert law_inverses(g) == reference_inverses(flat, g.n), shape
         assert list(gr.all_subgroups(g)) == reference_lattice(g), shape
+    # V^2 and V^3 x| 1 keep their unit vectors: 1 fixes the line of s
+    assert w_gens == [[], [1], [], [2], [2], [], [1], [3, 1], [9, 3, 1]]
 
 
 def test_split_tables_refuse_images_that_do_not_fit_h():
@@ -821,15 +859,17 @@ def test_orbit_normalisers_match_conjugation_by_every_element(lattice_oracles):
             assert norm == expected, g.name
 
 
-def test_cold_lattice_of_order_2040_takes_under_32000_law_calls(tower3):
+def test_cold_lattice_of_order_2040_takes_under_20000_law_calls(tower3):
     # the root masks, the solvability test and the conjugation tables
     # included; testing each candidate for normalising S and computing
-    # every extension took 46,439
+    # every extension took 46,439, and one table per unit vector of W
+    # (4 gens) 26,084
     g = tower3.embed_as_oracle()
+    assert len(g.gens) == 2, g.gens
     cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
     with counting_law_calls(cold) as calls:
         lattice = gr.all_subgroups(cold)
-    assert calls[0] < 32000, calls
+    assert calls[0] < 20000, calls
     assert lattice == gr.all_subgroups(g)
 
 

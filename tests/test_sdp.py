@@ -1,11 +1,14 @@
 import dataclasses
 import functools
+import importlib.util
+import json
 import operator
 import random
+from pathlib import Path
 
 import pytest
 
-from solvint import corpus, ffla, sdp, tower
+from solvint import cli, corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import (
     CaseDispatchError,
@@ -19,6 +22,8 @@ from solvint.ffla import FpSubspace, vec_mat, vec_sub
 from references import (all_subspaces, counting_law_calls, decompose, f_span, intersect, inverse,
                         is_subspace_of, order_of, reference_matrix_table, sd_act, sd_inverse,
                         sd_mul, subspace_vectors, sum_with, vec_add, zero_subspace)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def g_f5_c4(t=1):
@@ -1014,3 +1019,72 @@ def test_module_creation_inverts_no_element_of_h(monkeypatch):
         calls[0] = 0
         module = sdp.HModule.create(p, k, gens)
         assert calls[0] <= len(gens) + 1, (p, k, module.order, calls[0])
+
+
+# ---------------------------------------------------------------------------
+# Gaschuetz's product formula: the crowns fix the Moebius sums by index
+
+
+@pytest.fixture(scope="module")
+def gaschuetz_oracles(corpus_and_primitive_oracles, small_pool_oracles, large_pool_oracles,
+                      tower2, tower3):
+    """The groups of the distinct `spec-mix` specs of bench/workloads.py,
+    built as the CLI builds them, the corpus and primitive groups, tower
+    n = 1..3 and the pool groups whose lattices fit LATTICE_CAP."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    specs = {json.dumps(req["spec"], sort_keys=True): req["spec"]
+             for req, _copies in workloads.catalogue()["spec-mix"]}
+    oracles = [cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP) for doc in specs.values()]
+    oracles += corpus_and_primitive_oracles + [g for _, g in small_pool_oracles if g.n != 486]
+    oracles += large_pool_oracles
+    oracles += [tower.TowerGroup(tower.find_primes(1)).embed_as_oracle(),
+                tower2.embed_as_oracle(), tower3.embed_as_oracle()]
+    assert len(specs) == 30
+    return oracles
+
+
+def crown_factors(g):
+    """(class, delta, q, c) for each complemented chief-factor class A of
+    g: delta from its crown, q = |End_G(A)| from the class's action
+    matrices, and c = 1 when G acts trivially on A, |A| otherwise."""
+    full = (1 << g.n) - 1
+    for cls in sdp.chief_factor_classes(g):
+        q = ffla.endomorphism_field(cls.action_matrices, cls.prime, cls.dim).q
+        c = 1 if cls.centralizer == full else cls.module_size
+        yield cls, sdp.crown(g, cls).delta, q, c
+
+
+def test_moebius_sums_by_index_are_the_crown_product(gaschuetz_oracles):
+    # Gaschuetz (1959), in the crown form of Detomi and Lucchini (2003):
+    # for solvable G, the sum of mu(H, G) |G:H|^(-s) over H <= G is the
+    # product over the classes A of prod_(i < delta_A) (1 - c_A q_A^i |A|^(-s));
+    # both sides as Dirichlet polynomials, index -> coefficient
+    for g in gaschuetz_oracles:
+        sums: dict[int, int] = {}
+        for s, value in gr.mobius_all(g).items():
+            index = g.n // s.bit_count()
+            sums[index] = sums.get(index, 0) + value
+        product_ = {1: 1}
+        for cls, delta, q, c in crown_factors(g):
+            for i in range(delta):
+                term: dict[int, int] = {}
+                for index, coeff in product_.items():
+                    term[index] = term.get(index, 0) + coeff
+                    bigger = index * cls.module_size
+                    term[bigger] = term.get(bigger, 0) - coeff * c * q**i
+                product_ = term
+        assert ({n: v for n, v in sums.items() if v}
+                == {n: v for n, v in product_.items() if v}), g.name
+
+
+def test_maximals_per_class_are_the_crown_count(gaschuetz_oracles):
+    # the linear terms of the product: c_A (q_A^delta - 1) / (q_A - 1)
+    # maximals complement the factors of class A
+    classes = 0
+    for g in gaschuetz_oracles:
+        for cls, delta, q, c in crown_factors(g):
+            assert len(cls.maximals) == c * (q**delta - 1) // (q - 1), (g.name, cls.label)
+            classes += 1
+    assert classes > 200
