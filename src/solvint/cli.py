@@ -58,14 +58,15 @@ def load_spec(path: str, cap: int) -> dict:
     limit = SPEC_BYTES_PER_ENTRY * cap * cap + SPEC_SLACK_BYTES
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read(limit + 1)  # a character takes at least one byte
+            # a character takes at least one byte; read takes at most sys.maxsize
+            text = fh.read(min(limit + 1, sys.maxsize))
     except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read spec file: {e}")
     if len(text) > limit:
         raise ResourceCapExceeded(f"spec file size in bytes at order cap {cap}", limit)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SchemaError(f"spec file is not valid JSON: {e}")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("spec must be a JSON object with a 'kind' field")

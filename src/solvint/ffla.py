@@ -303,7 +303,7 @@ def endomorphism_field(generators, p: int, k: int) -> "FieldOps":
         raise ValidationError("irreducibility", "H does not act irreducibly on V")
     basis = tuple(
         tuple(tuple(vec[i * k + j] for j in range(k)) for i in range(k))
-        for vec in _intertwiners(generators, generators, p, k)
+        for vec in _intertwiners(generators, generators, p, k, k)
     )
     e = len(basis)
     if k % e != 0:
@@ -313,21 +313,22 @@ def endomorphism_field(generators, p: int, k: int) -> "FieldOps":
     return FieldOps(p, k, basis)
 
 
-def _intertwiners(rho_a, rho_b, p: int, d: int):
+def _intertwiners(rho_a, rho_b, p: int, d: int, e: int):
     """Canonical basis of {T : a*T = T*b for every pair (a, b) of the
-    parallel lists rho_a, rho_b}, each T a d x d matrix flattened with T_ij
-    at i*d + j: the nullspace of one equation per (pair, i, j)."""
+    parallel lists rho_a, rho_b}, with a d x d, b e x e and each T a d x e
+    matrix flattened with T_ij at i*e + j: the nullspace of one equation
+    per (pair, i, j)."""
     rows = []
     for ga, gb in zip(rho_a, rho_b):
         for i in range(d):
-            for j in range(d):
-                row = [0] * (d * d)
+            for j in range(e):
+                row = [0] * (d * e)
                 for b in range(d):
-                    row[b * d + j] = (row[b * d + j] + ga[i][b]) % p
-                for a in range(d):
-                    row[i * d + a] = (row[i * d + a] - gb[a][j]) % p
+                    row[b * e + j] = (row[b * e + j] + ga[i][b]) % p
+                for a in range(e):
+                    row[i * e + a] = (row[i * e + a] - gb[a][j]) % p
                 rows.append(tuple(row))
-    return nullspace(rows, p, d * d)
+    return nullspace(rows, p, d * e)
 
 
 def _addition_table(radices) -> list[list[int]]:
@@ -456,45 +457,23 @@ def induced_action(sub: FpSubspace, g: Matrix) -> Matrix:
     return tuple(rows)
 
 
-# module_isomorphism tries at most this many nonzero kernel combinations
-ISOMORPHISM_SEARCH_CAP = 100000
+def module_isomorphism(rho_v, rho_a, p: int, d: int, e: int):
+    """The e x e matrix of a G-isomorphism V^(e/d) -> A, or None when A is
+    not a sum of copies of V: V = F_p^d is irreducible and A = F_p^e, under
+    the parallel lists rho_v, rho_a (images of the same generators).  Row
+    block i of the matrix is the i-th map kept below (() for e = 0).
 
-
-def module_isomorphism(sub_a: FpSubspace, gens_a, sub_b: FpSubspace, gens_b):
-    """The matrix of an invertible equivariant map A -> B if one exists,
-    else None: d x d over the RREF bases of A and B, acting on coordinates
-    (() for d = 0).
-
-    gens_a and gens_b are parallel lists (images of the same abstract
-    generators).  Solutions are enumerated in lexicographic coefficient
-    order over the canonical solution basis; the first invertible one wins.
+    A nonzero G-map V -> A is injective, as V is irreducible, so its image
+    meets any submodule in 0 or in all of itself.  So each map of a basis
+    of Hom_G(V, A) whose image rows raise the rank of those kept raises it
+    by exactly d, the kept images are a direct sum, and that sum is the sum
+    of all the images: A exactly when A is a sum of copies of V.
     """
-    if sub_a.p != sub_b.p:
-        raise MalformedInput("modules over different primes")
-    p = sub_a.p
-    d = sub_a.dim
-    if d != sub_b.dim:
-        return None
-    if d == 0:
-        return ()
-    rho_a = [induced_action(sub_a, g) for g in gens_a]
-    rho_b = [induced_action(sub_b, g) for g in gens_b]
-    kernel = _intertwiners(rho_a, rho_b, p, d)
-    if not kernel:
-        return None
-    count = 0
-    for coeffs in iter_product(range(p), repeat=len(kernel)):
-        if not any(coeffs):
-            continue
-        count += 1
-        if count > ISOMORPHISM_SEARCH_CAP:
-            raise ResourceCapExceeded("module_isomorphism solution search", ISOMORPHISM_SEARCH_CAP)
-        vec = [0] * (d * d)
-        for c, basis_vec in zip(coeffs, kernel):
-            if c:
-                for i in range(d * d):
-                    vec[i] = (vec[i] + c * basis_vec[i]) % p
-        t_mat = tuple(tuple(vec[i * d + j] for j in range(d)) for i in range(d))
-        if len(_rref(t_mat, p, d)[1]) == d:
-            return t_mat
-    return None
+    kept: Matrix = ()
+    for vec in _intertwiners(rho_v, rho_a, p, d, e):
+        if len(kept) == e:
+            break
+        t = tuple(tuple(vec[i * e:(i + 1) * e]) for i in range(d))
+        if len(_rref(kept + t, p, e)[1]) > len(kept):
+            kept += t
+    return kept if len(kept) == e else None

@@ -319,6 +319,8 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
 
 
 def _class_gamma_min(cls: sdp.ChiefFactorClass) -> int:
+    if cls.dim == 1:
+        return 1  # V's only subspaces are 0 and V, and W* = W is a witness
     module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices,
                                 name=f"action-{cls.label}")
     return gamma_min(module)

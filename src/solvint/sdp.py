@@ -33,7 +33,6 @@ from .ffla import (
     FpSubspace,
     Matrix,
     Vector,
-    _intertwiners,
     endomorphism_field,
     is_prime,
     mat_identity,
@@ -629,8 +628,9 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
     So N_(i-1) <= Y = core(M), N_i cap Y = N_(i-1), and N_i Y/Y, a normal
     subgroup of the primitive G/Y G-isomorphic to N_i/N_(i-1), is the
     socle: the action and centralizer are computed once per chief factor.
-    Factors are irreducible: by Schur's lemma two of equal dimension are
-    isomorphic iff a nonzero intertwiner exists."""
+    Factors are irreducible, so by Schur's lemma any nonzero intertwiner
+    between two of equal dimension is invertible: module_isomorphism with
+    e = d decides their isomorphism."""
     series = [1]
     for s, size in gr.conjugacy_classes_of_subgroups(G):
         if size == 1 and s != series[-1] and s & series[-1] == series[-1]:
@@ -644,7 +644,8 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
             p, d, mats, c = gr.factor_action(G, series[i], series[i - 1])
             cls = next((known for known in classes
                         if (known.prime, known.dim, known.centralizer) == (p, d, c)
-                        and _intertwiners(known.action_matrices, mats, p, d)), None)
+                        and module_isomorphism(known.action_matrices, mats, p, d, d) is not None),
+                       None)
             if cls is None:
                 cls = ChiefFactorClass(label=f"p{p}d{d}#{len(classes)}", prime=p, dim=d,
                                        action_matrices=mats, centralizer=c, maximals=[])
@@ -682,29 +683,17 @@ def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
 
 def crown_module_check(G: gr.OracleGroup, data: CrownData) -> bool:
     """Exact check that C/R is G-isomorphic to V^delta: sizes agree and the
-    conjugation action on C/R is equivalent to the delta-fold diagonal of
-    the class action."""
+    conjugation action on C/R is a sum of copies of the class action, so
+    |C/R| = |V|^delta makes it delta copies."""
     cls = data.v_class
     p, d, delta = cls.prime, cls.dim, data.delta
     if data.centralizer.bit_count() != data.core_r.bit_count() * (p**d) ** delta:
         return False
     if delta == 0:
         return True
-    pc, dc, mats_c, _ = gr.factor_action(G, data.centralizer, data.core_r)
-    if pc != p or dc != d * delta:
-        return False
-    big = []
-    for m in cls.action_matrices:
-        rows = []
-        for block in range(delta):
-            for i in range(d):
-                row = [0] * (d * delta)
-                for j in range(d):
-                    row[block * d + j] = m[i][j]
-                rows.append(tuple(row))
-        big.append(tuple(rows))
-    full = FpSubspace.full(p, d * delta)
-    return module_isomorphism(full, mats_c, full, big) is not None
+    # |C/R| = p^(d delta), so the factor's prime is p and its dimension d delta
+    mats_c = gr.factor_action(G, data.centralizer, data.core_r)[2]
+    return module_isomorphism(cls.action_matrices, mats_c, p, d, d * delta) is not None
 
 
 def find_corona_crown(G: gr.OracleGroup) -> CrownData:

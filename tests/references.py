@@ -13,8 +13,9 @@ scratch, the H-submodule of a split product's W that the sum of its
 unit vectors generates, closed from its conjugates, and the count tables
 tested one subgroup at a time, the order of an element, the action of H
 on V^t, the product and the inverse in V^t x| H, the F_p-span of the
-F-multiples of vectors of V, the map of a module isomorphism applied to
-a vector, the tables of a field by matrix products, sums and an inverse
+F-multiples of vectors of V, the module isomorphism search over the
+intertwiners in lexicographic order and the crown check built on it, the
+tables of a field by matrix products, sums and an inverse
 scan, and the product table and inverses of a matrix group by the same.
 The tests keep them to build independent references and test data, with
 a counter of the law calls an oracle makes.
@@ -25,9 +26,9 @@ from itertools import product
 
 from solvint import groups as gr
 from solvint import tower
-from solvint.errors import MalformedInput
+from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_mul,
-                          mat_scale, vec_mat, vec_sub)
+                          mat_scale, nullspace, vec_mat, vec_sub)
 
 
 def vec_add(u, v, p):
@@ -212,18 +213,64 @@ def reference_field_tables(p: int, dim: int, basis):
     return tuple(elements), one, add_t, neg_t, mul_t, inv_t
 
 
-def apply_module_map(source, target, matrix, v):
-    """The image of v under the map of module_isomorphism(source, ...,
-    target, ...), whose matrix acts on RREF coordinates, in ambient
-    coordinates."""
-    coords = source.coords_of(v)
-    if coords is None:
-        raise MalformedInput("vector outside the source submodule")
-    p = source.p
-    out = [0] * target.ambient_dim
-    for c, row in zip(vec_mat(coords, matrix, p), target.basis):
-        out = [(x + c * y) % p for x, y in zip(out, row)]
-    return tuple(out)
+def block_diagonal(m, copies):
+    """The matrix of `copies` copies of the square matrix m along the diagonal."""
+    d = len(m)
+    return tuple(tuple(m[i][j - b * d] if 0 <= j - b * d < d else 0 for j in range(d * copies))
+                 for b in range(copies) for i in range(d))
+
+
+# reference_module_isomorphism tries at most this many nonzero kernel combinations
+ISOMORPHISM_SEARCH_CAP = 100000
+
+
+def reference_module_isomorphism(rho_a, rho_b, p: int, d: int):
+    """The first invertible d x d matrix T with a*T = T*b for every pair
+    (a, b) of the parallel lists rho_a, rho_b, or None: the nullspace of
+    one equation per (pair, i, j), then its nonzero combinations in
+    lexicographic coefficient order, at most ISOMORPHISM_SEARCH_CAP of them
+    (ResourceCapExceeded past it)."""
+    equations = []
+    for ga, gb in zip(rho_a, rho_b):
+        for i in range(d):
+            for j in range(d):
+                row = [0] * (d * d)
+                for k in range(d):
+                    row[k * d + j] += ga[i][k]
+                    row[i * d + k] -= gb[k][j]
+                equations.append(tuple(x % p for x in row))
+    kernel = nullspace(equations, p, d * d)
+    count = 0
+    for coeffs in product(range(p), repeat=len(kernel)):
+        if not any(coeffs):
+            continue
+        count += 1
+        if count > ISOMORPHISM_SEARCH_CAP:
+            raise ResourceCapExceeded("module_isomorphism solution search",
+                                      ISOMORPHISM_SEARCH_CAP)
+        vec = [0] * (d * d)
+        for c, basis_vec in zip(coeffs, kernel):
+            if c:
+                for i in range(d * d):
+                    vec[i] = (vec[i] + c * basis_vec[i]) % p
+        t_mat = tuple(tuple(vec[i * d:(i + 1) * d]) for i in range(d))
+        if len(_rref(t_mat, p, d)[1]) == d:
+            return t_mat
+    return None
+
+
+def reference_crown_module_check(G, data) -> bool:
+    """C/R against the block-diagonal sum of delta copies of the class
+    action, by reference_module_isomorphism."""
+    cls = data.v_class
+    p, d, delta = cls.prime, cls.dim, data.delta
+    if data.centralizer.bit_count() != data.core_r.bit_count() * (p**d) ** delta:
+        return False
+    if delta == 0:
+        return True
+    mats_c = gr.factor_action(G, data.centralizer, data.core_r)[2]
+    big = [block_diagonal(m, delta) for m in cls.action_matrices]
+    return reference_module_isomorphism(mats_c, big, p, d * delta) is not None
 
 
 def reference_closure(G, gens) -> int:

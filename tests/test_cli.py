@@ -297,6 +297,27 @@ def test_an_oversized_spec_file_is_refused_before_it_is_parsed(spec_dir, capsys)
     assert err.startswith("schema error: cannot read spec file")
 
 
+def test_a_deeply_nested_spec_is_a_schema_error(spec_dir, capsys):
+    # json.loads raises RecursionError on 100,000 nested arrays
+    path = spec_dir / "deep.json"
+    path.write_text('{"kind": "sdp", "p": 3, "k": 1, "t": 1, "h_gens": '
+                    + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert (code, out) == (2, "") and len(err.strip().splitlines()) == 1, err
+    assert err.startswith("schema error: spec file is not valid JSON")
+
+
+def test_an_order_cap_past_the_read_size_limit_is_no_traceback(spec_dir, capsys):
+    # 32 cap^2 + 2^16 characters no longer fit a read at |cap| = 10^9
+    code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / "s3.json"),
+                         "--cap-order", str(10**9))
+    assert (code, err) == (0, "") and "S3" in out, err
+    code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / "s3.json"),
+                         "--cap-order", str(-10**9))
+    assert (code, out) == (3, "") and len(err.strip().splitlines()) == 1, err
+    assert err.startswith("resource cap: oracle embedding")
+
+
 def test_subspace_count_refuses_a_lattice_before_any_table(spec_dir, capsys, monkeypatch):
     # every F_p-subspace of V^t is a subgroup: C2^7 has 29,212 subspaces,
     # F_3^6 has 56,632 and C2^12 far more, all above LATTICE_CAP, so no
@@ -635,3 +656,14 @@ def test_thuno_and_due_read_gamma_over_a_field_of_order_11(spec_dir, capsys):
         assert (code, err) == (0, ""), (suite, err)
         assert out.count("command,verify:") == 1 and "status,ok" in out, suite
     assert 'due,"V^1:H<GL(2,11)",gamma_v,1,oracle' in out
+
+
+def test_thuno_reads_gamma_1_on_a_factor_of_dimension_1_over_f_521(spec_dir, capsys):
+    # the tower over the prime 521 is D_1042: its factor F_521 has dimension
+    # 1, so gamma is 1 without the endomorphism field, whose order 521
+    # passes the field cap
+    path = spec_dir / "tower-521.json"
+    path.write_text(json.dumps({"kind": "tower", "primes": [521]}))
+    code, out, err = run(capsys, "verify", "--suite", "thuno", "--spec", str(path))
+    assert (code, err) == (0, ""), err
+    assert out.count("command,verify:") == 1 and "status,ok" in out

@@ -12,7 +12,7 @@ from solvint import corpus, ffla, sdp
 from solvint.errors import MalformedInput, ResourceCapExceeded, ValidationError
 from solvint.ffla import FpSubspace
 
-from references import (apply_module_map, intersect, is_subspace_of, reference_field_tables,
+from references import (block_diagonal, intersect, is_subspace_of, reference_field_tables,
                         subspace_vectors, sum_with, vec_add, vec_scale, zero_subspace)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -397,33 +397,49 @@ def test_field_ops_tables_consistent():
         assert fops.mul_t[i][fops.inv_t[i]] == fops.one
 
 
+def assert_module_isomorphism(rho_v, rho_a, p, d, e, iso):
+    # an invertible e x e matrix T with (copies of v) * T = T * a for every pair
+    assert len(ffla._rref(iso, p, e)[1]) == e
+    for v, a in zip(rho_v, rho_a):
+        assert ffla.mat_mul(block_diagonal(v, e // d), iso, p) == ffla.mat_mul(iso, a, p)
+
+
 def test_module_isomorphism_identity():
-    full = FpSubspace.full(5, 1)
     gens = [((2,),)]
-    iso = ffla.module_isomorphism(full, gens, full, gens)
+    iso = ffla.module_isomorphism(gens, gens, 5, 1, 1)
     assert iso is not None
-    assert apply_module_map(full, full, iso, (3,)) in [(3,), (1,), (2,), (4,)]
-    # equivariance
-    for v in subspace_vectors(full):
-        assert (apply_module_map(full, full, iso, ffla.vec_mat(v, gens[0], 5))
-                == ffla.vec_mat(apply_module_map(full, full, iso, v), gens[0], 5))
+    assert_module_isomorphism(gens, gens, 5, 1, 1, iso)
+    assert ffla.module_isomorphism(gens, gens, 5, 1, 0) == ()  # V^0 is the zero module
 
 
 def test_module_isomorphism_coordinate_swap():
-    # diagonal C_4 action on F_5^2; the two coordinate lines are isomorphic
-    g = ((2, 0), (0, 2))
-    a = ffla.rref([(1, 0)], 5, 2)
-    b = ffla.rref([(0, 1)], 5, 2)
-    iso = ffla.module_isomorphism(a, [g], b, [g])
-    assert iso is not None
-    assert iso == ((1,),)  # the first invertible candidate
-    assert apply_module_map(a, b, iso, (1, 0)) in [(0, 1), (0, 2), (0, 3), (0, 4)]
+    # V = F_3^2 under a rotation of order 4 (irreducible: x^2 + 1 has no root
+    # mod 3, so End(V) = F_9) against V^2 with its coordinates mixed by
+    # `mix`: Hom(V, V^2) = End(V)^2 has dimension 4 over F_3.  The first two
+    # basis maps have the same image, so the second is skipped and the
+    # isomorphism takes the first and the third.
+    rot = ((0, 1), (2, 0))
+    mix = ((1, 2, 2, 1), (1, 2, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0))
+    rho_a = [ffla.mat_mul(ffla.mat_mul(ffla.mat_inv(mix, 3), block_diagonal(rot, 2), 3), mix, 3)]
+    basis = ffla._intertwiners([rot], rho_a, 3, 2, 4)
+    assert len(basis) == 4
+    first_two = [basis[0][:4], basis[0][4:], basis[1][:4], basis[1][4:]]
+    assert len(ffla._rref(first_two, 3, 4)[1]) == 2
+    iso = ffla.module_isomorphism([rot], rho_a, 3, 2, 4)
+    assert iso == (basis[0][:4], basis[0][4:], basis[2][:4], basis[2][4:])
+    assert_module_isomorphism([rot], rho_a, 3, 2, 4, iso)
 
 
 def test_module_isomorphism_none_for_nonisomorphic():
     # trivial vs nontrivial 1-dimensional modules over F_7
-    full = FpSubspace.full(7, 1)
-    assert ffla.module_isomorphism(full, [((1,),)], full, [((2,),)]) is None
+    assert ffla.module_isomorphism([((1,),)], [((2,),)], 7, 1, 1) is None
+    # over F_5, V = (2) against (2) + (3): a copy of V and one of another module
+    assert ffla.module_isomorphism([((2,),)], [((2, 0), (0, 3))], 5, 1, 2) is None
+    # a trivial V against the non-split [[1, 1], [0, 1]], whose only trivial
+    # submodule is the line of (0, 1)
+    assert ffla.module_isomorphism([((1,),)], [((1, 1), (0, 1))], 5, 1, 2) is None
+    # dimensions that are not a multiple of d
+    assert ffla.module_isomorphism([((0, 1), (2, 0))], [((1,),)], 3, 2, 1) is None
 
 
 def test_projective_points_count():

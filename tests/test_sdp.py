@@ -4,6 +4,7 @@ import importlib.util
 import json
 import operator
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from solvint.errors import (
 from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
 from references import (all_subspaces, counting_law_calls, decompose, f_span, intersect, inverse,
-                        is_subspace_of, order_of, reference_matrix_table, sd_act, sd_inverse,
+                        is_subspace_of, order_of, reference_crown_module_check,
+                        reference_matrix_table, reference_module_isomorphism, sd_act, sd_inverse,
                         sd_mul, subspace_vectors, sum_with, vec_add, zero_subspace)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -641,15 +643,15 @@ def test_crowns_match_normality_by_every_element(corpus_and_primitive_oracles,
 
 def reference_chief_factor_classes(g):
     """(label, prime, dim, centralizer, maximals) of each class, grouping the
-    factors by an explicit invertible intertwiner from module_isomorphism."""
+    factors by an explicit invertible intertwiner from the lexicographic
+    search of reference_module_isomorphism."""
     classes = []
     for m in gr.maximal_subgroups(g):
         y, x = gr.core_and_socle(m, g)
         p, d, mats, c = gr.factor_action(g, x, y)
-        full = FpSubspace.full(p, d)
         for cp, cd, cmats, cc, maximals in classes:
             if ((cp, cd, cc) == (p, d, c)
-                    and ffla.module_isomorphism(full, cmats, full, mats) is not None):
+                    and reference_module_isomorphism(cmats, mats, p, d) is not None):
                 maximals.append(m)
                 break
         else:
@@ -1088,3 +1090,56 @@ def test_maximals_per_class_are_the_crown_count(gaschuetz_oracles):
             assert len(cls.maximals) == c * (q**delta - 1) // (q - 1), (g.name, cls.label)
             classes += 1
     assert classes > 200
+
+
+# ---------------------------------------------------------------------------
+# the crown module check against the lexicographic isomorphism search
+
+
+# the crowns (group, order, delta) on which reference_module_isomorphism
+# passes its cap, after 2-7 s each; the next test checks the five of them
+SEARCH_CAPPED = {("V^4:H<GL(1,3)", 162, 4), ("V^3:H<GL(1,7)", 1029, 3)}
+
+
+def test_crown_module_check_matches_the_isomorphism_search(gaschuetz_oracles):
+    # every crown is G-isomorphic to V^delta, by both checks; the negatives
+    # pair a crown with another class of the same prime and dimension, as
+    # the two F_7 classes of F_7^2 x| C_3 (generator scaling by 2 and 4)
+    f49_c3 = gr.oracle_from_split_tables([7, 7], [[2 * 7, 4]], gr.cyclic(3), "F7^2:C3")
+    crowns, capped, negatives = 0, set(), 0
+    for g in gaschuetz_oracles + [f49_c3]:
+        classes = sdp.chief_factor_classes(g)
+        for cls in classes:
+            data = sdp.crown(g, cls)
+            assert sdp.crown_module_check(g, data), (g.name, cls.label)
+            crowns += 1
+            if (g.name, g.n, data.delta) in SEARCH_CAPPED:
+                capped.add((g.name, g.n, data.delta))
+            else:
+                assert reference_crown_module_check(g, data), (g.name, cls.label)
+            for other in classes:
+                if other is not cls and (other.prime, other.dim) == (cls.prime, cls.dim):
+                    wrong = dataclasses.replace(data, v_class=other)
+                    assert not sdp.crown_module_check(g, wrong), (g.name, cls.label)
+                    assert not reference_crown_module_check(g, wrong), (g.name, cls.label)
+                    negatives += 1
+    assert (crowns, capped, negatives) == (231, SEARCH_CAPPED, 4)
+
+
+def test_crown_module_check_passes_where_the_search_hit_its_cap(small_pool_oracles,
+                                                                large_pool_oracles):
+    # C2^6, F_3^4 x| C_2 and F_7^3 as sdp specs, and the pool's F_3^4 x| C_2
+    # and V^3:H<GL(1,7): one crown each of delta 6, 4, 3, 4 and 3
+    specs = [sdp.embed_as_oracle(sdp.SdGroup.create(p, 1, t, gens))
+             for p, t, gens in ((2, 6, []), (3, 4, [((2,),)]), (7, 3, []))]
+    capped_groups = {(name, order) for name, order, _delta in SEARCH_CAPPED}
+    pool = [g for g in [g for _, g in small_pool_oracles] + large_pool_oracles
+            if (g.name, g.n) in capped_groups]
+    crowns = [(g, data) for g in specs + pool for cls in sdp.chief_factor_classes(g)
+              for data in [sdp.crown(g, cls)] if data.delta >= 3]
+    assert [data.delta for _, data in crowns] == [6, 4, 3, 4, 3]
+    start = time.perf_counter()
+    assert all(sdp.crown_module_check(g, data) for g, data in crowns)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ResourceCapExceeded, match="module_isomorphism solution search"):
+        reference_crown_module_check(*crowns[2])  # F_7^3, the quickest to reach the cap
