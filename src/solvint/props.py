@@ -1,6 +1,6 @@
-"""Property analyzers: the gamma of a module (from the distinct
-centralizers of its F-lines), eta exponents of maximal intersections, and
-the finite-level verifiers tying them together.
+"""Property analyzers: the gamma of a G-module on G's own masks (from the
+distinct stabilisers of its vectors), eta exponents of maximal
+intersections, and the finite-level verifiers tying them together.
 
 All accept/reject decisions are made in exact integer arithmetic: an
 exponent eta = log(P)/log(N) is carried as the integer pair (P, N).  A
@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import groups as gr
 from . import sdp
 from .errors import MalformedInput, ResourceCapExceeded
+from .ffla import mat_identity, mat_mul, projective_points, vec_mat
 
 PALFY_WOLF = Fraction(3243, 1000)
 
@@ -136,41 +137,59 @@ def floor_root_pow(n: int, num: int, den: int) -> int:
 # gamma-module analysis
 
 
-def gamma_min(module: sdp.HModule) -> int:
-    """The least gamma such that every F-subspace W of V has a witness W*
-    of F-dimension at most gamma: C_H(W*) meets the maximal subgroups of H
-    above C_H(W) in C_H(W) itself (gamma is at least 1; W* = W is one).
+def gamma_min(G: gr.OracleGroup, kernel: int, p: int, d: int, matrices) -> int:
+    """The least gamma >= 1 such that every F-subspace W of A = F_p^d has a
+    witness W* of F-dimension at most gamma: C_G(W*) meets the maximals of
+    G above C_G(W) in C_G(W) (W* = W is one).  G acts on A by one matrix
+    per G.gens, F = End_G(A) and C_G(A) = kernel, which every centralizer
+    contains: this is the gamma of A for H = G/kernel, on G's masks.
 
-    The condition reads W and W* only through their centralizers, and F
-    commutes with H, so C_H(W) is the meet of the centralizers of W's
-    F-lines.  A breadth-first pass from C_H(0) = H meets each centralizer
-    first reached at level k - 1 with every line centralizer; one not seen
-    before is C_H(W) for a W of least dimension k.  The lines are at most
-    sdp.IRREDUCIBILITY_LINE_CAP, which HModule.create enforces, and every
-    centralizer is a subgroup of H, whose lattice maximal_subgroups has
-    held to gr.LATTICE_CAP, so no other cap is needed.
+    F commutes with G, so C_G(W) is the meet of the centralizers of W's
+    F-lines, each that of any nonzero vector in it: the C_G(v) for v in
+    projective_points(p, d), with no F built.  A walk over G/kernel along
+    G.gens (v^(gs) = (v^g)^s) gives each coset with its matrix; C_G(v) is
+    the union of those whose matrix fixes v.  A breadth-first pass from
+    C_G(0) = G meets each centralizer first reached at level k - 1 with
+    every line centralizer; one not seen before is C_G(W), dim_F W = k least.
+
+    The order cap that built G bounds the work.  For a chief factor A = X/Y
+    of G, X <= kernel (A is abelian), so |A| |G:kernel| <= |kernel:Y|
+    |G:kernel| <= |G|; for kernel 1, |A| |G| = |A x| G|.  So under |G|/(p-1),
+    or |A x| G|/(p-1), vectors are tested, and each centralizer is a
+    subgroup of G, whose lattice gr.LATTICE_CAP holds.
     """
-    H = module.group
-    maximals = gr.maximal_subgroups(H)
-    full = (1 << H.n) - 1
-    line_c = {module.centralizer_of(line, full) for line in module.fops.subspaces(module.f_dim, 1)}
-    mindim = {full: 0}  # each C_H(W) -> the least dim_F W with it
+    if d == 1:
+        return 1  # A's only subspaces are 0 and A, and W* = W is a witness
+    members = tuple(gr.mask_bits(kernel))
+    walk = [(mat_identity(d), 0)]  # one (matrix, element) per coset of the kernel
+    cosets = {walk[0][0]: kernel}  # each coset's matrix -> its mask
+    for m, g in walk:  # grows while it is walked
+        for m_s, s in zip(matrices, G.gens):
+            if (m_gs := mat_mul(m, m_s, p)) not in cosets:
+                gs = G.mul(g, s)
+                cosets[m_gs] = sum(1 << G.mul(c, gs) for c in members)
+                walk.append((m_gs, gs))
+    line_c = {sum(c for m, c in cosets.items() if vec_mat(v, m, p) == v)
+              for v in projective_points(p, d)}
+    full = (1 << G.n) - 1
+    mindim = {full: 0}  # each C_G(W) -> the least dim_F W with it
     level, k = [full], 0
     while level:
         k += 1
         level = {c & l for c in level for l in line_c} - mindim.keys()
         mindim.update(dict.fromkeys(level, k))
+    maximals = gr.maximal_subgroups(G)
     weak = 0
     for c in mindim:
-        inter = gr._meet_above(H, c, maximals)
-        weak = max(weak, min(d for c_star, d in mindim.items() if c_star & inter == c))
+        inter = gr._meet_above(G, c, maximals)
+        weak = max(weak, min(dim for c_star, dim in mindim.items() if c_star & inter == c))
     return max(1, weak)
 
 
-def is_gamma_module(module: sdp.HModule, gamma: int) -> bool:
+def is_gamma_module(G: gr.OracleGroup, kernel: int, p: int, d: int, matrices, gamma: int) -> bool:
     if gamma < 1:
         raise MalformedInput("gamma must be a positive integer")
-    return gamma_min(module) <= gamma
+    return gamma_min(G, kernel, p, d, matrices) <= gamma
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +331,10 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     for h in maximal_intersection_classes(G):
         rec = eta_of_intersection(G, h)
         above = [class_of_maximal[m] for m in gr.maximal_subgroups(G) if m & h == h]
-        gamma_h = max(G._memo("class_gamma_min", cls.label, _class_gamma_min, cls)
-                      for cls in above)
+        gamma_h = max(G._memo("class_gamma_min", cls.label, gamma_min, G, cls.centralizer,
+                              cls.prime, cls.dim, cls.action_matrices) for cls in above)
         rows.append(GammaEtaRow(h, rec.index, rec.product, rec.eta_leq(gamma_h + 1)))
     return rows
-
-
-def _class_gamma_min(cls: sdp.ChiefFactorClass) -> int:
-    if cls.dim == 1:
-        return 1  # V's only subspaces are 0 and V, and W* = W is a witness
-    module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices,
-                                name=f"action-{cls.label}")
-    return gamma_min(module)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +359,8 @@ def verify_eta_to_gamma(sd_group: sdp.SdGroup,
         raise MalformedInput("primitive verifier expects t = 1 (Gamma = V x| H)")
     oracle = sdp.embed_as_oracle(sd_group, cap)
     report = eta_report(oracle)
-    gamma_v = gamma_min(sd_group.module)
+    H, elements = sd_group.module.group, sd_group.module.elements
+    gamma_v = gamma_min(H, 1, sd_group.p, sd_group.k, [elements[g] for g in H.gens])
     c = PALFY_WOLF
     bound = report.max_floor_times(c.numerator, c.denominator)
     bound_lo = report.max_floor_times(324, 100)

@@ -1,6 +1,13 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
-from solvint import corpus, sdp, tower
+from solvint import cli, corpus, sdp, tower
+from solvint import groups as gr
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +48,16 @@ def large_pool_oracles(sdp_pool):
     """The pool groups above order 500 whose lattices fit LATTICE_CAP,
     embedded once."""
     return [sdp.embed_as_oracle(G) for G in sdp_pool if G.order in (1029, 1210, 1296, 1944)]
+
+
+@pytest.fixture(scope="session")
+def spec_mix_oracles():
+    """The groups of the 30 distinct `spec-mix` specs of bench/workloads.py,
+    built as the CLI builds them."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    specs = {json.dumps(req["spec"], sort_keys=True): req["spec"]
+             for req, _copies in workloads.catalogue()["spec-mix"]}
+    assert len(specs) == 30
+    return [cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP) for doc in specs.values()]

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from solvint import corpus, props, sdp
+from solvint import corpus, props, sdp, tower
 from solvint import groups as gr
-from solvint.errors import MalformedInput
+from solvint.errors import MalformedInput, ResourceCapExceeded
+from solvint.ffla import FIELD_ORDER_CAP, mat_identity, mat_mul
 
 from references import (floor_log, floor_root, is_nilpotent_mask, reference_eta_product,
                         reference_gamma_min)
@@ -102,33 +103,78 @@ def test_floor_log_near_one_ratios():
 Q8_F11 = ((0, 1), (10, 0)), ((1, 3), (3, 10))
 
 
+def module_gamma(module):
+    """props.gamma_min of H = module.group on V, with trivial kernel."""
+    H = module.group
+    return props.gamma_min(H, 1, module.p, module.k, [module.elements[g] for g in H.gens])
+
+
+def f23_squared_by_c3():
+    """F_23^2 x| C_3, C_3 by the companion matrix of x^2 + x + 1, built as
+    sdp.embed_as_oracle builds V x| H.  End_G(F_23^2) = F_529 is past
+    ffla.FIELD_ORDER_CAP."""
+    p = 23
+
+    def mul(a, b):
+        return mat_mul(a, b, p)
+
+    companion = ((0, 1), (22, 22))
+    elements = gr._sorted_closure([companion], mul, mat_identity(2))
+    H = gr.from_elements(elements, mul, "C3", [companion])
+    # a generator matrix maps e_i to row i, read as base-p digits
+    images = [[row[0] * p + row[1] for row in elements[g]] for g in H.gens]
+    return gr.oracle_from_split_tables([p, p], images, H, "F23^2:C3")
+
+
 def test_gamma_min_one_dimensional_modules():
     for p, gen in [(5, 2), (7, 3), (3, 2)]:
         module = sdp.SdGroup.create(p, 1, 1, [((gen,),)]).module
         assert module.f_dim == 1
-        assert props.gamma_min(module) == 1
+        assert module_gamma(module) == 1
 
 
 def test_gamma_min_sl23():
     module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
     assert module.f_dim == 2
     # the full space W = V has a 1-dimensional witness among the lines
-    assert props.gamma_min(module) == 1
+    assert module_gamma(module) == 1
 
 
 def test_is_gamma_module_is_monotone():
     module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
-    gamma = props.gamma_min(module)
-    assert not any(props.is_gamma_module(module, g) for g in range(1, gamma))
-    assert all(props.is_gamma_module(module, g) for g in range(gamma, module.f_dim + 2))
+    H = module.group
+    args = (H, 1, module.p, module.k, [module.elements[g] for g in H.gens])
+    gamma = props.gamma_min(*args)
+    assert not any(props.is_gamma_module(*args, g) for g in range(1, gamma))
+    assert all(props.is_gamma_module(*args, g) for g in range(gamma, module.f_dim + 2))
     with pytest.raises(MalformedInput):
-        props.is_gamma_module(module, 0)
+        props.is_gamma_module(*args, 0)
 
 
-def test_gamma_min_matches_the_exhaustive_witness_search(sdp_pool, corpus_list):
+def test_gamma_min_matches_the_exhaustive_witness_search(corpus_list, spec_mix_oracles, tower2,
+                                                       tower3, sdp_pool):
+    # chief factors on their group's own masks, against the F-subspace scan
+    # of the module that HModule.create builds from the class's matrices
+    oracles = corpus_list + spec_mix_oracles + [f23_squared_by_c3()]
+    oracles += [tower.TowerGroup(tower.find_primes(1)).embed_as_oracle(),
+                tower2.embed_as_oracle(), tower3.embed_as_oracle()]
+    classes = skipped = 0
+    for g in oracles:
+        for cls in sdp.chief_factor_classes(g):
+            got = props.gamma_min(g, cls.centralizer, cls.prime, cls.dim, cls.action_matrices)
+            classes += 1
+            try:
+                module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices)
+            except ResourceCapExceeded as exc:
+                assert str(exc) == ("order of the endomorphism field of V "
+                                    f"(cap: {FIELD_ORDER_CAP})"), (g.name, cls.label)
+                skipped += 1
+                continue
+            assert got == reference_gamma_min(module), (g.name, cls.label)
+    # the reference builds F, so it skips F_23^2 (|F| = 529) alone
+    assert (classes, skipped) == (131, 1)
+    # modules with trivial kernel
     modules = [g.module for g in sdp_pool + corpus.primitive_groups()]
-    modules += [sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices)
-                for g in corpus_list for cls in sdp.chief_factor_classes(g)]
     # the monomial group 2^4:4 <= GL(4, 3): 212 F-subspaces, 40 of them lines
     cycle = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
     sign = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -137,7 +183,19 @@ def test_gamma_min_matches_the_exhaustive_witness_search(sdp_pool, corpus_list):
     q8 = sdp.HModule.create(11, 2, Q8_F11)
     assert (q8.order, q8.f_dim, q8.fops.q) == (8, 2, 11)
     for module in modules + [monomial, q8]:
-        assert props.gamma_min(module) == reference_gamma_min(module), module.name
+        assert module_gamma(module) == reference_gamma_min(module), module.name
+    # gamma 2, also on C_2 x H with the kernel C_2 acting trivially
+    lift = gr.direct_product(gr.cyclic(2), monomial.group)
+    matrices = [mat_identity(4)] + [monomial.elements[g] for g in monomial.group.gens]
+    assert props.gamma_min(lift, 1 | 1 << monomial.order, 3, 4, matrices) == module_gamma(monomial)
+    assert module_gamma(monomial) == 2
+
+
+def test_thuno_answers_a_chief_factor_whose_field_passes_the_field_cap():
+    # F_23^2 x| C_3 (order 1,587): End_G(F_23^2) = F_529, yet gamma is read
+    # on G's own masks with no field, so the verifier answers every class
+    rows = props.verify_gamma_to_eta(f23_squared_by_c3())
+    assert len(rows) == 3 and all(r.ok for r in rows)
 
 
 def test_nilpotent_derived_chief_factors_are_one_dimensional(corpus_list):

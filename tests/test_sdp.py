@@ -1,15 +1,12 @@
 import dataclasses
 import functools
-import importlib.util
-import json
 import operator
 import random
 import time
-from pathlib import Path
 
 import pytest
 
-from solvint import cli, corpus, ffla, sdp, tower
+from solvint import corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import (
     CaseDispatchError,
@@ -24,8 +21,6 @@ from references import (all_subspaces, counting_law_calls, decompose, f_span, in
                         is_subspace_of, order_of, reference_crown_module_check,
                         reference_matrix_table, reference_module_isomorphism, sd_act, sd_inverse,
                         sd_mul, subspace_vectors, sum_with, vec_add, zero_subspace)
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def g_f5_c4(t=1):
@@ -1028,22 +1023,16 @@ def test_module_creation_inverts_no_element_of_h(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def gaschuetz_oracles(corpus_and_primitive_oracles, small_pool_oracles, large_pool_oracles,
-                      tower2, tower3):
+def gaschuetz_oracles(spec_mix_oracles, corpus_and_primitive_oracles, small_pool_oracles,
+                      large_pool_oracles, tower2, tower3):
     """The groups of the distinct `spec-mix` specs of bench/workloads.py,
     built as the CLI builds them, the corpus and primitive groups, tower
     n = 1..3 and the pool groups whose lattices fit LATTICE_CAP."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    specs = {json.dumps(req["spec"], sort_keys=True): req["spec"]
-             for req, _copies in workloads.catalogue()["spec-mix"]}
-    oracles = [cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP) for doc in specs.values()]
-    oracles += corpus_and_primitive_oracles + [g for _, g in small_pool_oracles if g.n != 486]
+    oracles = spec_mix_oracles + corpus_and_primitive_oracles
+    oracles += [g for _, g in small_pool_oracles if g.n != 486]
     oracles += large_pool_oracles
     oracles += [tower.TowerGroup(tower.find_primes(1)).embed_as_oracle(),
                 tower2.embed_as_oracle(), tower3.embed_as_oracle()]
-    assert len(specs) == 30
     return oracles
 
 
