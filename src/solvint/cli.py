@@ -66,7 +66,7 @@ def load_spec(path: str, cap: int) -> dict:
         raise ResourceCapExceeded(f"spec file size in bytes at order cap {cap}", limit)
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError: past the int-string digit limit too
         raise SchemaError(f"spec file is not valid JSON: {e}")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("spec must be a JSON object with a 'kind' field")
@@ -74,6 +74,8 @@ def load_spec(path: str, cap: int) -> dict:
         raise SchemaError(f"unknown spec kind: {doc['kind']!r}")
     if not isinstance(doc.get("name", ""), str):
         raise SchemaError("spec 'name' must be a string")
+    if any("\ud800" <= c <= "\udfff" for c in doc.get("name", "")):  # lone surrogates
+        raise SchemaError("spec 'name' must encode as UTF-8")
     return doc
 
 

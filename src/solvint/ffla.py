@@ -71,6 +71,11 @@ def mat_inv(a: Matrix, p: int) -> Matrix:
     return tuple(row[k:] for row in red)
 
 
+def fixing_mask(cosets, vectors, p: int) -> int:
+    """The union of the (disjoint) masks of `cosets` whose matrix fixes each of `vectors`."""
+    return sum(mask for m, mask in cosets.items() if all(vec_mat(v, m, p) == v for v in vectors))
+
+
 def prime_factors(n: int) -> list[int]:
     out = []
     d = 2

@@ -882,16 +882,16 @@ def core_and_socle(m: int, G: OracleGroup) -> tuple[int, int]:
 
 def factor_action(G: OracleGroup, x: int, y: int):
     """The conjugation action of G on the elementary abelian factor X/Y, for
-    normal subgroups Y <= X of G: (p, d, matrices, centralizer).
+    normal subgroups Y <= X of G: (p, d, matrices, cosets).
 
     |X/Y| = p^d, and there is one d x d matrix over F_p per generator in
-    G.gens, on a basis of coset representatives chosen deterministically.
-    The centralizer is the mask of the g with [X, g] <= Y.  Conjugation by g
-    is an automorphism of X/Y, so g centralizes X/Y exactly when it fixes
-    the coset of every basis representative.  The test runs once per right
-    coset of X: for x' in X and a in X, a^(x'g) = (a[a, x'])^g lies in
-    a^g Y, as [a, x'] lies in Y, so the test of the least untested g decides
-    its whole coset Xg.
+    G.gens, read off `cosets`, on a basis of coset representatives chosen
+    deterministically.  `cosets` maps each matrix by which an element of G
+    acts on X/Y to the mask of the elements acting by it, so C_G(X/Y) =
+    cosets[mat_identity(d)].  The matrix is read once per right coset of X:
+    for x' in X and a in X, a^(x'g) = (a[a, x'])^g lies in a^g Y, as
+    [a, x'] lies in Y, so the matrix of the least untested g is that of its
+    whole coset Xg.
     """
     size = x.bit_count() // y.bit_count()
     ps = prime_factors(size)
@@ -932,19 +932,15 @@ def factor_action(G: OracleGroup, x: int, y: int):
             x_pow = rep[mul(x_pow, r)]
     if len(vec_of) != p**d:
         raise AssertionError("factor coordinatization incomplete")
-    matrices = []
-    for g in G.gens:
-        rows = [vec_of[rep[G.conj(b, g)]] for b in basis]
-        matrices.append(tuple(rows))
     x_members = tuple(mask_bits(x))
     untested = (1 << G.n) - 1
-    centralizer = 0
+    cosets: dict = {}
     while untested:
         g = (untested & -untested).bit_length() - 1
         coset = 0
         for a in x_members:
             coset |= 1 << mul(a, g)
         untested &= ~coset
-        if all(rep[G.conj(b, g)] == b for b in basis):
-            centralizer |= coset
-    return p, d, matrices, centralizer
+        m = tuple(vec_of[rep[G.conj(b, g)]] for b in basis)
+        cosets[m] = cosets.get(m, 0) | coset
+    return p, d, [next(m for m, c in cosets.items() if c >> s & 1) for s in G.gens], cosets

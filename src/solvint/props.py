@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import groups as gr
 from . import sdp
 from .errors import MalformedInput, ResourceCapExceeded
-from .ffla import mat_identity, mat_mul, projective_points, vec_mat
+from .ffla import fixing_mask, projective_points
 
 PALFY_WOLF = Fraction(3243, 1000)
 
@@ -137,40 +137,31 @@ def floor_root_pow(n: int, num: int, den: int) -> int:
 # gamma-module analysis
 
 
-def gamma_min(G: gr.OracleGroup, kernel: int, p: int, d: int, matrices) -> int:
+def gamma_min(G: gr.OracleGroup, p: int, d: int, cosets) -> int:
     """The least gamma >= 1 such that every F-subspace W of A = F_p^d has a
     witness W* of F-dimension at most gamma: C_G(W*) meets the maximals of
-    G above C_G(W) in C_G(W) (W* = W is one).  G acts on A by one matrix
-    per G.gens, F = End_G(A) and C_G(A) = kernel, which every centralizer
-    contains: this is the gamma of A for H = G/kernel, on G's masks.
+    G above C_G(W) in C_G(W) (W* = W is one).  `cosets` maps each matrix by
+    which G acts on A to the mask of the elements acting by it (as from
+    gr.factor_action or HModule.cosets) and F = End_G(A): this is the gamma
+    of A for H = G/C_G(A), on G's masks.
 
     F commutes with G, so C_G(W) is the meet of the centralizers of W's
     F-lines, each that of any nonzero vector in it: the C_G(v) for v in
-    projective_points(p, d), with no F built.  A walk over G/kernel along
-    G.gens (v^(gs) = (v^g)^s) gives each coset with its matrix; C_G(v) is
-    the union of those whose matrix fixes v.  A breadth-first pass from
-    C_G(0) = G meets each centralizer first reached at level k - 1 with
-    every line centralizer; one not seen before is C_G(W), dim_F W = k least.
+    projective_points(p, d), with no F built, from ffla.fixing_mask.  A
+    breadth-first pass from C_G(0) = G meets each centralizer first reached
+    at level k - 1 with every line centralizer; one not seen before is
+    C_G(W), dim_F W = k least.
 
     The order cap that built G bounds the work.  For a chief factor A = X/Y
-    of G, X <= kernel (A is abelian), so |A| |G:kernel| <= |kernel:Y|
-    |G:kernel| <= |G|; for kernel 1, |A| |G| = |A x| G|.  So under |G|/(p-1),
-    or |A x| G|/(p-1), vectors are tested, and each centralizer is a
-    subgroup of G, whose lattice gr.LATTICE_CAP holds.
+    of G, X <= C_G(A) (A is abelian), so |A| |G:C_G(A)| <= |C_G(A):Y|
+    |G:C_G(A)| <= |G|; for C_G(A) = 1, |A| |G| = |A x| G|.  `cosets` holds
+    |G:C_G(A)| matrices, so under |G|/(p-1), or |A x| G|/(p-1), vectors are
+    tested, and each centralizer is a subgroup of G, whose lattice
+    gr.LATTICE_CAP holds.
     """
     if d == 1:
         return 1  # A's only subspaces are 0 and A, and W* = W is a witness
-    members = tuple(gr.mask_bits(kernel))
-    walk = [(mat_identity(d), 0)]  # one (matrix, element) per coset of the kernel
-    cosets = {walk[0][0]: kernel}  # each coset's matrix -> its mask
-    for m, g in walk:  # grows while it is walked
-        for m_s, s in zip(matrices, G.gens):
-            if (m_gs := mat_mul(m, m_s, p)) not in cosets:
-                gs = G.mul(g, s)
-                cosets[m_gs] = sum(1 << G.mul(c, gs) for c in members)
-                walk.append((m_gs, gs))
-    line_c = {sum(c for m, c in cosets.items() if vec_mat(v, m, p) == v)
-              for v in projective_points(p, d)}
+    line_c = {fixing_mask(cosets, (v,), p) for v in projective_points(p, d)}
     full = (1 << G.n) - 1
     mindim = {full: 0}  # each C_G(W) -> the least dim_F W with it
     level, k = [full], 0
@@ -186,10 +177,10 @@ def gamma_min(G: gr.OracleGroup, kernel: int, p: int, d: int, matrices) -> int:
     return max(1, weak)
 
 
-def is_gamma_module(G: gr.OracleGroup, kernel: int, p: int, d: int, matrices, gamma: int) -> bool:
+def is_gamma_module(G: gr.OracleGroup, p: int, d: int, cosets, gamma: int) -> bool:
     if gamma < 1:
         raise MalformedInput("gamma must be a positive integer")
-    return gamma_min(G, kernel, p, d, matrices) <= gamma
+    return gamma_min(G, p, d, cosets) <= gamma
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +322,8 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     for h in maximal_intersection_classes(G):
         rec = eta_of_intersection(G, h)
         above = [class_of_maximal[m] for m in gr.maximal_subgroups(G) if m & h == h]
-        gamma_h = max(G._memo("class_gamma_min", cls.label, gamma_min, G, cls.centralizer,
-                              cls.prime, cls.dim, cls.action_matrices) for cls in above)
+        gamma_h = max(G._memo("class_gamma_min", cls.label, gamma_min, G, cls.prime, cls.dim,
+                              cls.cosets) for cls in above)
         rows.append(GammaEtaRow(h, rec.index, rec.product, rec.eta_leq(gamma_h + 1)))
     return rows
 
@@ -359,8 +350,7 @@ def verify_eta_to_gamma(sd_group: sdp.SdGroup,
         raise MalformedInput("primitive verifier expects t = 1 (Gamma = V x| H)")
     oracle = sdp.embed_as_oracle(sd_group, cap)
     report = eta_report(oracle)
-    H, elements = sd_group.module.group, sd_group.module.elements
-    gamma_v = gamma_min(H, 1, sd_group.p, sd_group.k, [elements[g] for g in H.gens])
+    gamma_v = gamma_min(sd_group.module.group, sd_group.p, sd_group.k, sd_group.module.cosets)
     c = PALFY_WOLF
     bound = report.max_floor_times(c.numerator, c.denominator)
     bound_lo = report.max_floor_times(324, 100)

@@ -34,6 +34,7 @@ from .ffla import (
     Matrix,
     Vector,
     endomorphism_field,
+    fixing_mask,
     is_prime,
     mat_identity,
     mat_inv,
@@ -69,6 +70,7 @@ class HModule:
         self.k = k
         self.elements = elements  # identity first, rest sorted by entries
         self.group: gr.OracleGroup = group
+        self.cosets = {m: 1 << x for x, m in enumerate(elements)}  # matrix -> its id's mask
         self.fops: FieldOps = fops
         self.frame: Matrix = frame  # row i*e + j is b_i * fops.basis[j], b_i an F-basis of V
         self.frame_inv: Matrix = mat_inv(frame, p)
@@ -128,11 +130,9 @@ class HModule:
         return vec_mat([idx // p ** (e - 1 - j) % p for idx in frow for j in range(e)],
                        self.frame, p)
 
-    def centralizer_of(self, frows, h_mask: int) -> int:
-        """The mask of the x in h_mask fixing the vector of each F-coordinate row in `frows`."""
-        vectors = [self.vector_of(r) for r in frows]
-        return sum(1 << x for x in gr.mask_bits(h_mask)
-                   if all(vec_mat(v, self.elements[x], self.p) == v for v in vectors))
+    def centralizer_of(self, frows) -> int:
+        """The mask of the x in H fixing the vector of each F-coordinate row in `frows`."""
+        return fixing_mask(self.cosets, [self.vector_of(r) for r in frows], self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +357,7 @@ def centralizer_in_h(G: SdGroup, z_space) -> int:
     row only: F commutes with H, so an element fixing z fixes every
     F-multiple of z, and so all of Z."""
     module = G.module
-    return G._memo("centralizer", z_space, module.centralizer_of, z_space,
-                   (1 << module.order) - 1)
+    return G._memo("centralizer", z_space, module.centralizer_of, z_space)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +557,7 @@ def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersectio
         return False
     delta = vec_sub(a.translate, b.translate, G.p)
     values = [row[G.t:] for row in _rows(G, a.submodule, delta).values()]
-    return G.module.centralizer_of(values, cen) == cen
+    return G.module.centralizer_of(values) & cen == cen
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +595,12 @@ class ChiefFactorClass:
     prime: int
     dim: int
     action_matrices: list[Matrix]
-    centralizer: int
+    cosets: dict  # gr.factor_action's table: each matrix -> the mask acting by it
     maximals: list[int]
+
+    @property
+    def centralizer(self) -> int:
+        return self.cosets[mat_identity(self.dim)]
 
     @property
     def module_size(self) -> int:
@@ -641,14 +644,15 @@ def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:
         i = next(i for i, n in enumerate(series) if n & ~m)
         cls = class_of.get(i)
         if cls is None:
-            p, d, mats, c = gr.factor_action(G, series[i], series[i - 1])
+            p, d, mats, cosets = gr.factor_action(G, series[i], series[i - 1])
+            c = cosets[mat_identity(d)]
             cls = next((known for known in classes
                         if (known.prime, known.dim, known.centralizer) == (p, d, c)
                         and module_isomorphism(known.action_matrices, mats, p, d, d) is not None),
                        None)
             if cls is None:
                 cls = ChiefFactorClass(label=f"p{p}d{d}#{len(classes)}", prime=p, dim=d,
-                                       action_matrices=mats, centralizer=c, maximals=[])
+                                       action_matrices=mats, cosets=cosets, maximals=[])
                 classes.append(cls)
             class_of[i] = cls
         cls.maximals.append(m)

@@ -474,14 +474,18 @@ def reference_class_representative(T, cls):
 
 def reference_gamma_min(module):
     """props.gamma_min by the exhaustive search: C_H(W) from all of W's row
-    vectors at once, and for every F-subspace W a scan of every F-subspace
-    W*, in order of dimension, for the first weak witness; the largest
-    witness dimension, at least 1."""
-    f, H = module.f_dim, module.group
+    vectors at once, each matrix of H tested on them, and for every
+    F-subspace W a scan of every F-subspace W*, in order of dimension, for
+    the first weak witness; the largest witness dimension, at least 1."""
+    f, H, p = module.f_dim, module.group, module.p
     maximal_masks = gr.maximal_subgroups(H)
-    full = (1 << H.n) - 1
-    by_dim = [[module.centralizer_of(rows, full) for rows in module.fops.subspaces(f, d)]
-              for d in range(f + 1)]
+
+    def centralizer(rows):
+        vectors = [module.vector_of(r) for r in rows]
+        return sum(1 << x for x, m in enumerate(module.elements)
+                   if all(vec_mat(v, m, p) == v for v in vectors))
+
+    by_dim = [[centralizer(rows) for rows in module.fops.subspaces(f, d)] for d in range(f + 1)]
     weak_max = 0
     for d in range(f + 1):
         for c_w in by_dim[d]:

@@ -9,7 +9,9 @@ The checker and every function or method of the module it reaches, the span
 of U's F-rows included, name none of the closed-form, splitting or
 subspace-reduction entry points, nor the F-coordinate frame and F's row
 arithmetic.  The calculus in turn reaches neither the checker nor an F_p
-span: it reduces and compares in F-coordinates only.
+span: it reduces and compares in F-coordinates only.  Likewise the gamma
+reference of tests/references.py tests H's matrices itself, and names
+none of the stabiliser code that props.gamma_min runs.
 """
 
 import ast
@@ -18,6 +20,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "solvint"
 SDP = SRC / "sdp.py"
 GROUPS = SRC / "groups.py"
+REFERENCES = Path(__file__).resolve().parent / "references.py"
 CHECKER = "descriptor_elements"
 FORBIDDEN = {
     "intersect_case_spanning", "intersect_case_nested", "intersect_supplement",
@@ -96,3 +99,10 @@ def test_calculus_names_no_checker_or_span_code():
     assert {"_solution", "_rows", "_add_row", "centralizer_of", "vector_of"} <= reached
     assert named_from(defs, reached, CHECKER_ONLY) == set()
 
+
+def test_gamma_reference_names_no_gamma_code():
+    defs = functions(ast.parse(REFERENCES.read_text()))
+    reached = reached_from(defs, "reference_gamma_min")
+    # C_H(W) comes from the reference's own scan of the matrices
+    assert "centralizer" in reached
+    assert named_from(defs, reached, {"fixing_mask", "centralizer_of", "gamma_min"}) == set()

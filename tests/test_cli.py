@@ -214,6 +214,16 @@ def test_spec_name_must_be_a_string(spec_dir, capsys):
     assert code == 0 and "group,S3,order,6,oracle" in out
 
 
+def test_a_spec_name_that_does_not_encode_as_utf8_is_a_schema_error(spec_dir, capsys):
+    # "\ud800" is valid JSON but a lone surrogate, which stdout cannot write
+    path = spec_dir / "surrogate.json"
+    path.write_text(json.dumps({**SDP_C2_ON_F3, "name": "\ud800"}))
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "analyze", "--spec", str(path), "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err.strip().splitlines() == ["schema error: spec 'name' must encode as UTF-8"]
+
+
 def test_a_tower_spec_name_names_the_group(spec_dir, capsys):
     path = spec_dir / "named-tower.json"
     path.write_text(json.dumps({"kind": "tower", "n": 2, "name": "mine"}))
@@ -305,6 +315,17 @@ def test_a_deeply_nested_spec_is_a_schema_error(spec_dir, capsys):
     code, out, err = run(capsys, "analyze", "--spec", str(path))
     assert (code, out) == (2, "") and len(err.strip().splitlines()) == 1, err
     assert err.startswith("schema error: spec file is not valid JSON")
+
+
+def test_an_integer_past_the_digit_limit_is_a_schema_error(spec_dir, capsys):
+    # json.loads raises ValueError on an integer literal of more than 4,300
+    # digits, and json.dumps cannot write one, so the spec is raw text
+    path = spec_dir / "huge.json"
+    path.write_text('{"kind": "sdp", "p": 1' + "0" * 5000 + ', "k": 1, "t": 1, "h_gens": []}')
+    for command in (["analyze"], ["verify", "--suite", "propo"]):
+        code, out, err = run(capsys, *command, "--spec", str(path))
+        assert (code, out) == (2, "") and len(err.strip().splitlines()) == 1, (command, err)
+        assert err.startswith("schema error: spec file is not valid JSON"), command
 
 
 def test_an_order_cap_past_the_read_size_limit_is_no_traceback(spec_dir, capsys):

@@ -1,4 +1,5 @@
 import functools
+import operator
 import random
 import tracemalloc
 from array import array
@@ -9,6 +10,7 @@ import pytest
 from solvint import cli, corpus, ffla, sdp, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
+from solvint.ffla import mat_identity
 
 from references import (counting_law_calls, is_nilpotent_mask, reference_action_on_factor,
                         reference_centralizer_of_factor, reference_closure, reference_counts,
@@ -330,8 +332,9 @@ def test_chief_factor_complement_checks(corpus_and_primitive_oracles):
 def test_chief_factor_action_and_centralizer_match_references(corpus_and_primitive_oracles,
                                                               small_pool_oracles,
                                                               large_pool_oracles):
-    # the coset table and the per-coset centralizer test against the least
-    # element of each coset by a scan over Y and a test of every element
+    # the coset table and the per-coset matrices against the least element
+    # of each coset by a scan over Y, each element's own matrix and a test
+    # of every element
     assert sorted(g.n for g in large_pool_oracles) == [1029, 1210, 1296, 1944]
     oracles = corpus_and_primitive_oracles + [g for _, g in small_pool_oracles] + large_pool_oracles
     for g in oracles:
@@ -341,9 +344,14 @@ def test_chief_factor_action_and_centralizer_match_references(corpus_and_primiti
             assert g.n == 486, g.name  # 3^5:C2 has more than LATTICE_CAP subgroups
             continue
         for y, x in {gr.core_and_socle(m, g) for m in maximals}:
-            p, d, mats, c = gr.factor_action(g, x, y)
+            p, d, mats, cosets = gr.factor_action(g, x, y)
             assert (p, d, mats) == reference_action_on_factor(g, x, y, g.gens), g.name
-            assert c == reference_centralizer_of_factor(g, x, y), g.name
+            # the masks partition G, each element under the matrix it acts by
+            assert functools.reduce(operator.or_, cosets.values()) == (1 << g.n) - 1, g.name
+            assert sum(c.bit_count() for c in cosets.values()) == g.n, g.name
+            acts_by = reference_action_on_factor(g, x, y, range(g.n))[2]
+            assert all((cosets[acts_by[e]] >> e) & 1 for e in range(g.n)), g.name
+            assert cosets[mat_identity(d)] == reference_centralizer_of_factor(g, x, y), g.name
 
 
 def test_socle_is_the_least_normal_subgroup_above_the_core(corpus_and_primitive_oracles,

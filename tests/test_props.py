@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from solvint import corpus, props, sdp, tower
+from solvint import corpus, ffla, props, sdp, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import FIELD_ORDER_CAP, mat_identity, mat_mul
@@ -104,9 +104,8 @@ Q8_F11 = ((0, 1), (10, 0)), ((1, 3), (3, 10))
 
 
 def module_gamma(module):
-    """props.gamma_min of H = module.group on V, with trivial kernel."""
-    H = module.group
-    return props.gamma_min(H, 1, module.p, module.k, [module.elements[g] for g in H.gens])
+    """props.gamma_min of H = module.group on V, one element per matrix."""
+    return props.gamma_min(module.group, module.p, module.k, module.cosets)
 
 
 def f23_squared_by_c3():
@@ -140,10 +139,32 @@ def test_gamma_min_sl23():
     assert module_gamma(module) == 1
 
 
-def test_is_gamma_module_is_monotone():
+def test_gamma_min_reads_the_module_table_with_no_products(monkeypatch):
+    # SL(2,3) on F_3^2, as due passes it: every matrix of H is in
+    # module.cosets already, so once H's maximals are memoised gamma_min
+    # makes no law call and no matrix product
     module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
     H = module.group
-    args = (H, 1, module.p, module.k, [module.elements[g] for g in H.gens])
+    gr.maximal_subgroups(H)
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(H, "mul", counting("law", H.mul))
+    for mod in (ffla, gr, props, sdp):
+        if hasattr(mod, "mat_mul"):
+            monkeypatch.setattr(mod, "mat_mul", counting("mat_mul", mod.mat_mul))
+    assert module_gamma(module) == 1
+    assert calls == []
+
+
+def test_is_gamma_module_is_monotone():
+    module = sdp.SdGroup.create(3, 2, 1, [((1, 1), (0, 1)), ((0, 2), (1, 0))]).module
+    args = (module.group, module.p, module.k, module.cosets)
     gamma = props.gamma_min(*args)
     assert not any(props.is_gamma_module(*args, g) for g in range(1, gamma))
     assert all(props.is_gamma_module(*args, g) for g in range(gamma, module.f_dim + 2))
@@ -161,7 +182,7 @@ def test_gamma_min_matches_the_exhaustive_witness_search(corpus_list, spec_mix_o
     classes = skipped = 0
     for g in oracles:
         for cls in sdp.chief_factor_classes(g):
-            got = props.gamma_min(g, cls.centralizer, cls.prime, cls.dim, cls.action_matrices)
+            got = props.gamma_min(g, cls.prime, cls.dim, cls.cosets)
             classes += 1
             try:
                 module = sdp.HModule.create(cls.prime, cls.dim, cls.action_matrices)
@@ -186,8 +207,9 @@ def test_gamma_min_matches_the_exhaustive_witness_search(corpus_list, spec_mix_o
         assert module_gamma(module) == reference_gamma_min(module), module.name
     # gamma 2, also on C_2 x H with the kernel C_2 acting trivially
     lift = gr.direct_product(gr.cyclic(2), monomial.group)
-    matrices = [mat_identity(4)] + [monomial.elements[g] for g in monomial.group.gens]
-    assert props.gamma_min(lift, 1 | 1 << monomial.order, 3, 4, matrices) == module_gamma(monomial)
+    # (c, h) is element c |H| + h of the lift and acts by the matrix of h
+    cosets = {m: 1 << h | 1 << (monomial.order + h) for h, m in enumerate(monomial.elements)}
+    assert props.gamma_min(lift, 3, 4, cosets) == module_gamma(monomial)
     assert module_gamma(monomial) == 2
 
 

@@ -18,7 +18,8 @@ from solvint.errors import (
 from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
 from references import (all_subspaces, counting_law_calls, decompose, f_span, intersect, inverse,
-                        is_subspace_of, order_of, reference_crown_module_check,
+                        is_subspace_of, order_of, reference_centralizer_of_factor,
+                        reference_crown_module_check,
                         reference_matrix_table, reference_module_isomorphism, sd_act, sd_inverse,
                         sd_mul, subspace_vectors, sum_with, vec_add, zero_subspace)
 
@@ -639,11 +640,15 @@ def test_crowns_match_normality_by_every_element(corpus_and_primitive_oracles,
 def reference_chief_factor_classes(g):
     """(label, prime, dim, centralizer, maximals) of each class, grouping the
     factors by an explicit invertible intertwiner from the lexicographic
-    search of reference_module_isomorphism."""
-    classes = []
+    search of reference_module_isomorphism, each centralizer by a test of
+    every element."""
+    classes, centralizers = [], {}
     for m in gr.maximal_subgroups(g):
         y, x = gr.core_and_socle(m, g)
-        p, d, mats, c = gr.factor_action(g, x, y)
+        p, d, mats, _cosets = gr.factor_action(g, x, y)
+        if (y, x) not in centralizers:
+            centralizers[y, x] = reference_centralizer_of_factor(g, x, y)
+        c = centralizers[y, x]
         for cp, cd, cmats, cc, maximals in classes:
             if ((cp, cd, cc) == (p, d, c)
                     and reference_module_isomorphism(cmats, mats, p, d) is not None):
