@@ -310,8 +310,13 @@ def cmd_counts(n_min: int, n_max: int, strict: bool, cap: int, seed: int) -> Rep
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a one-line schema error
+        raise SchemaError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solvint",
         description="Exact analysis of intersections of maximal subgroups in finite solvable groups",
     )
@@ -338,9 +343,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if args.command == "analyze":
             if not args.spec:
                 raise SchemaError("analyze requires --spec")

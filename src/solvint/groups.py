@@ -25,10 +25,11 @@ generators), and the candidates are read off it with no test.
 Conjugation by g is an automorphism of the lattice that fixes G, so
 Moebius values, maximality and being a maximal intersection are the same
 on every member of a class: `mobius_all` sums over overgroups once per
-class and `counts` tests one member per class.  Closures grow by right
-cosets (Dimino's algorithm): adjoining x to H = <gens> fills one coset Hr
-per new representative r, one law call per new element, instead of
-closing <gens, x> again from scratch.  The lattice pass reads the p-th
+class and `counts` tests one member per class.  Every closure, normal
+closure and chief-factor basis grows by right cosets in one walk,
+`_closures` (Dimino's algorithm): adjoining x to H = <gens> fills one
+coset Hr per new representative r, one law call per new element, instead
+of closing <gens, x> again from scratch.  The lattice pass reads the p-th
 roots of every element, for each prime p dividing |G|, off one walk of
 the cyclic subgroups.
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -380,8 +381,8 @@ def oracle_from_split_tables(radices, images, H: OracleGroup, name: str) -> Orac
 
 
 def _closures(G: OracleGroup, candidates, start=(1, (0,))):
-    """Adjoin each candidate not yet inside to the subgroup generated so
-    far, yielding (candidate, mask of the new subgroup) after each one.
+    """Adjoin each candidate not yet inside (a list may grow meanwhile) to
+    the subgroup so far, yielding (candidate, mask, members) after each one.
 
     Each step grows H = <gens> to <gens, x> by right cosets of H (Dimino's
     algorithm): K is a union of cosets Hr, from r = 1; for each r and each
@@ -396,7 +397,8 @@ def _closures(G: OracleGroup, candidates, start=(1, (0,))):
     1; its own generators are not needed when every candidate normalises
     it.  Then so does each r, and for t in H0, Hr t = H (r t r^-1) r = Hr
     with r t r^-1 in H0 <= H: K is closed under right multiplication by
-    H0 as well, so K = <H0, gens, x>."""
+    H0 as well, so K = <H0, gens, x>.  `members` lists H's members, then
+    each new coset Hr, in the order r was found, as h r over H's members."""
     mul = G.mul
     mask, members = start
     gens = []
@@ -416,13 +418,13 @@ def _closures(G: OracleGroup, candidates, start=(1, (0,))):
                         z = mul(h, y)
                         mask |= 1 << z
                         members.append(z)
-        yield x, mask
+        yield x, mask, members
 
 
 def closure_mask(G: OracleGroup, gen_ids) -> int:
     """Subgroup generated by the given element ids, as a mask."""
     mask = 1
-    for _, mask in _closures(G, gen_ids):
+    for _, mask, _ in _closures(G, gen_ids):
         pass
     return mask
 
@@ -506,7 +508,7 @@ def _orbit_and_normaliser(G: OracleGroup, mask: int, members) -> tuple[list[int]
         for i, g in tree[1:]:
             u.append(mul(u[i], g))
         schreier = (mul(mul(u[i], g), inv[u[j]]) for i, g, j in edges)
-        for _, norm in _closures(G, schreier, (mask, members)):
+        for _, norm, _ in _closures(G, schreier, (mask, members)):
             if norm.bit_count() == norm_order:
                 break
     return masks, norm
@@ -520,7 +522,7 @@ def greedy_generators(G: OracleGroup, mask: int) -> list[int]:
     its right cosets (`_closures`), not closed again from scratch, so each
     element costs one law call however many generators came before it."""
     gens: list[int] = []
-    for x, cur in _closures(G, mask_bits(mask)):
+    for x, cur, _ in _closures(G, mask_bits(mask)):
         gens.append(x)
         if cur == mask:
             break
@@ -532,17 +534,14 @@ def small_generating_set(G: OracleGroup) -> list[int]:
 
 
 def normal_closure_mask(G: OracleGroup, seed_ids, ambient_gens) -> int:
-    """Normal closure of the seeds under conjugation by the ambient gens."""
-    conj_closed = set()
-    stack = list(seed_ids)
-    while stack:
-        x = stack.pop()
-        if x in conj_closed:
-            continue
-        conj_closed.add(x)
-        for g in ambient_gens:
-            stack.append(G.conj(x, g))
-    return closure_mask(G, conj_closed)
+    """Normal closure of the seeds under conjugation by the ambient gens,
+    from one `_closures` run whose every adjoined generator appends its
+    conjugates to the candidates: N holds them, so N^g = N for each g."""
+    candidates = list(seed_ids)
+    mask = 1
+    for x, mask, _ in _closures(G, candidates):
+        candidates.extend(G.conj(x, g) for g in ambient_gens)
+    return mask
 
 
 def derived_mask(G: OracleGroup, mask: int) -> int:
@@ -885,62 +884,39 @@ def factor_action(G: OracleGroup, x: int, y: int):
     normal subgroups Y <= X of G: (p, d, matrices, cosets).
 
     |X/Y| = p^d, and there is one d x d matrix over F_p per generator in
-    G.gens, read off `cosets`, on a basis of coset representatives chosen
-    deterministically.  `cosets` maps each matrix by which an element of G
-    acts on X/Y to the mask of the elements acting by it, so C_G(X/Y) =
-    cosets[mat_identity(d)].  The matrix is read once per right coset of X:
-    for x' in X and a in X, a^(x'g) = (a[a, x'])^g lies in a^g Y, as
-    [a, x'] lies in Y, so the matrix of the least untested g is that of its
-    whole coset Xg.
-    """
-    size = x.bit_count() // y.bit_count()
-    ps = prime_factors(size)
+    G.gens, read off `cosets`, on the basis that one `_closures` run from Y
+    adjoins: b_i, the least element of X outside K_i = <Y, b_j : j < i>.
+    X/Y is elementary abelian (else AssertionError) iff each |K_(i+1):K_i|
+    is p, each b_i^p is in Y and the b_i commute mod Y; then K_(i+1) lists
+    K_i b_i^j for j < p in turn, so member n of X has the base-p digits of
+    n // |Y| as its coordinates.  `cosets` maps each matrix by which an
+    element of G acts on X/Y to the mask of the elements acting by it, so
+    C_G(X/Y) = cosets[mat_identity(d)].  The matrix is read once per right
+    coset of X: for x' in X and a in X, a^(x'g) = (a[a, x'])^g lies in
+    a^g Y, as [a, x'] lies in Y, so the matrix of the least untested g is
+    that of its whole coset Xg."""
+    ny = y.bit_count()
+    ps = prime_factors(x.bit_count() // ny)
     if len(ps) != 1:
         raise MalformedInput("factor is not of prime-power order")
     p = ps[0]
-    d = 0
-    while size > 1:
-        size //= p
-        d += 1
-    y_members = tuple(mask_bits(y))
     mul = G.mul
-    # walking x ascending, the first element met in a coset Ya is its
-    # least, so rep maps each coset to it and reps comes out ascending
-    rep: dict[int, int] = {}
-    reps: list[int] = []
-    for a in mask_bits(x):
-        if a not in rep:
-            reps.append(a)
-            rep.update(dict.fromkeys([mul(e, a) for e in y_members], a))
-    vec_of: dict[int, tuple[int, ...]] = {reps[0]: (0,) * d}
-    if rep[0] != reps[0]:
-        raise AssertionError("identity coset is not canonical-least")
     basis: list[int] = []
-    for r in reps:
-        if r in vec_of:
-            continue
-        basis.append(r)
-        i = len(basis) - 1
-        current = list(vec_of.items())
-        x_pow = r
-        for j in range(1, p):
-            for s, v in current:
-                t = rep[mul(s, x_pow)]
-                w = list(v)
-                w[i] = j
-                vec_of[t] = tuple(w)
-            x_pow = rep[mul(x_pow, r)]
-    if len(vec_of) != p**d:
-        raise AssertionError("factor coordinatization incomplete")
-    x_members = tuple(mask_bits(x))
+    for b, _, members in _closures(G, mask_bits(x), (y, tuple(mask_bits(y)))):
+        if (len(members) != ny * p ** (len(basis) + 1)
+                or not y >> mul(members[-len(members) // p], b) & 1  # b^(p-1) b
+                or any(not y >> G.commutator(c, b) & 1 for c in basis)):
+            raise AssertionError("factor is not elementary abelian")
+        basis.append(b)
+    d = len(basis)
+    vecs = [v[::-1] for v in product(range(p), repeat=d)]
+    vec_of = {z: vecs[n // ny] for n, z in enumerate(members)}
     untested = (1 << G.n) - 1
     cosets: dict = {}
     while untested:
         g = (untested & -untested).bit_length() - 1
-        coset = 0
-        for a in x_members:
-            coset |= 1 << mul(a, g)
+        coset = sum(1 << mul(a, g) for a in members)  # |Xg| distinct bits
         untested &= ~coset
-        m = tuple(vec_of[rep[G.conj(b, g)]] for b in basis)
+        m = tuple(vec_of[G.conj(b, g)] for b in basis)
         cosets[m] = cosets.get(m, 0) | coset
     return p, d, [next(m for m, c in cosets.items() if c >> s & 1) for s in G.gens], cosets

@@ -8,10 +8,10 @@ chief-factor action and centralizer one element at a time, integer roots
 and logarithms by bisection, the least eta product over every family of
 maximals, the gamma of a module by a scan of every F-subspace for every
 F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with
-their action and ids, closures and greedy generators closed from
-scratch, the H-submodule of a split product's W that the sum of its
-unit vectors generates, closed from its conjugates, and the count tables
-tested one subgroup at a time, the order of an element, the action of H
+their action and ids, closures, greedy generators, derived series and
+normal closures closed from scratch, the H-submodule of a split
+product's W that the sum of its unit vectors generates, closed from its
+conjugates, and the count tables tested one subgroup at a time, the order of an element, the action of H
 on V^t, the product and the inverse in V^t x| H, the F_p-span of the
 F-multiples of vectors of V, the module isomorphism search over the
 intertwiners in lexicographic order and the crown check built on it, the
@@ -284,6 +284,31 @@ def reference_closure(G, gens) -> int:
                 mask |= 1 << y
                 members.append(y)
     return mask
+
+
+def reference_derived_series(G) -> tuple[int, ...]:
+    """G = G^(0) > G^(1) > ... until a term equals the one before it: each
+    term closes every commutator [a, b] of two members of the previous term
+    by `reference_closure`.  [b, a] = [a, b]^-1 and a finite closure holds
+    the inverses, so the pairs a < b suffice."""
+    series = [(1 << G.n) - 1]
+    mul = G.mul
+    while True:
+        members = list(gr.mask_bits(series[-1]))
+        comms = {mul(mul(inverse(G, a), inverse(G, b)), mul(a, b))
+                 for i, a in enumerate(members) for b in members[i + 1:]}
+        term = reference_closure(G, comms)
+        if term == series[-1]:
+            return tuple(series)
+        series.append(term)
+
+
+def reference_normal_closure(G, seeds, ambient: int) -> int:
+    """The least subgroup holding the seeds that the subgroup `ambient`
+    normalises: the closure of the conjugates of every seed by every
+    member of `ambient`, by `reference_closure`."""
+    return reference_closure(G, {G.mul(G.mul(inverse(G, g), x), g)
+                                 for x in seeds for g in gr.mask_bits(ambient)})
 
 
 def reference_w_module_closure(G, units, h_size: int) -> int:

@@ -11,7 +11,9 @@ subspace-reduction entry points, nor the F-coordinate frame and F's row
 arithmetic.  The calculus in turn reaches neither the checker nor an F_p
 span: it reduces and compares in F-coordinates only.  Likewise the gamma
 reference of tests/references.py tests H's matrices itself, and names
-none of the stabiliser code that props.gamma_min runs.
+none of the stabiliser code that props.gamma_min runs, and the derived
+series and normal closure references close by their own walk over the
+law, naming none of the closure code of groups.
 """
 
 import ast
@@ -106,3 +108,14 @@ def test_gamma_reference_names_no_gamma_code():
     # C_H(W) comes from the reference's own scan of the matrices
     assert "centralizer" in reached
     assert named_from(defs, reached, {"fixing_mask", "centralizer_of", "gamma_min"}) == set()
+
+
+def test_derived_series_and_normal_closure_references_name_no_closure_code():
+    defs = functions(ast.parse(REFERENCES.read_text()))
+    reached = (reached_from(defs, "reference_derived_series")
+               | reached_from(defs, "reference_normal_closure"))
+    # both close by the reference's own walk over G.mul
+    assert "reference_closure" in reached
+    assert named_from(defs, reached, {"_closures", "closure_mask", "normal_closure_mask",
+                                      "derived_mask", "derived_series",
+                                      "greedy_generators"}) == set()

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -580,6 +581,22 @@ def test_thuno_propo_and_due_requests_without_a_spec_are_cold(monkeypatch):
         assert built == [], suite
 
 
+# the SHA-256 of each report that `verify --suite S` prints without a spec,
+# at the default seed: the corpus groups and the primitive groups
+SUITE_DIGESTS = {
+    "thuno": "dfe40c7ee6b624f64b3cdbcb75b5e13d7ffdc0a3a8a7072ee0f37573fcddce04",
+    "propo": "1702fbb04df8f11e5e75d6f11ef2b27f4de4a4af1b34a2a661b8d6f900dcdf41",
+    "due": "bfd6aa5f09ae74f5871d566a1de7f28a68e28b910d6232dcacbeed2c649e90d3",
+}
+
+
+def test_reports_of_the_suites_without_a_spec_keep_their_bytes(capsys):
+    for suite, digest in SUITE_DIGESTS.items():
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0, suite
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, suite
+
+
 def test_counts_range(capsys):
     code, out, _ = run(capsys, "counts", "--range", "2..3", "--cap-order", "100")
     assert code == 0
@@ -612,6 +629,30 @@ def test_counts_refuses_a_spec(capsys):
     assert (code, out) == (2, "")
     assert err.strip().splitlines() == [
         "schema error: counts builds its towers from --range and takes no spec"]
+
+
+def test_argument_errors_are_one_line_schema_errors(spec_dir, capsys):
+    # argparse's own usage block took 2 to 4 lines of stderr
+    spec = str(spec_dir / "s3.json")
+    cases = (
+        (["analyze", "--format", "xml", "--spec", spec],
+         "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        (["analyze", "--cap-order", "abc"], "argument --cap-order: invalid int value: 'abc'"),
+        (["verify", "--suite", "nope"], "argument --suite: invalid choice: 'nope' (choose from "
+                                        "'interKM', 'thuno', 'due', 'propo', 'tower')"),
+        ([], "the following arguments are required: command"),
+        (["counts", "--bogus"], "unrecognized arguments: --bogus"),
+    )
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.splitlines() == [f"schema error: {message}"], argv
+    for argv in (["--help"], ["analyze", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == 0 and captured.out.startswith("usage: solvint")
+        assert captured.err == ""
 
 
 def test_counts_bad_range(capsys):

@@ -14,9 +14,10 @@ from solvint.ffla import mat_identity
 
 from references import (counting_law_calls, is_nilpotent_mask, reference_action_on_factor,
                         reference_centralizer_of_factor, reference_closure, reference_counts,
-                        order_of, reference_greedy_generators, reference_power,
-                        reference_towers, reference_w_module_closure, inverse, sd_act,
-                        tower_act_w, tower_w_id, vec_add)
+                        reference_derived_series, reference_normal_closure, order_of,
+                        reference_greedy_generators, reference_power, reference_towers,
+                        reference_w_module_closure, inverse, sd_act, tower_act_w, tower_w_id,
+                        vec_add)
 
 
 def s3():
@@ -385,6 +386,72 @@ def test_solvability_and_derived_series():
     assert not is_nilpotent_mask(g, gr.derived_series(g)[1])
     q8 = corpus.corpus_group("Q8")
     assert is_nilpotent_mask(q8, (1 << q8.n) - 1)
+
+
+def test_derived_series_and_normal_closure_match_references(corpus_and_primitive_oracles,
+                                                            small_pool_oracles,
+                                                            large_pool_oracles, tower2, tower3):
+    # each derived term against the closure of every commutator of the
+    # term above it, and the normal closure of seeded random seeds against
+    # the closure of their conjugates by every member of the ambient group
+    towers = [tower.TowerGroup(tower.find_primes(1)).embed_as_oracle(),
+              tower2.embed_as_oracle(), tower3.embed_as_oracle()]
+    rng = random.Random(41)
+    for g in (corpus_and_primitive_oracles + [g for _, g in small_pool_oracles]
+              + large_pool_oracles + towers):
+        assert gr.derived_series(g) == reference_derived_series(g), g.name
+        full = (1 << g.n) - 1
+        for _ in range(3):
+            seeds = rng.sample(range(g.n), rng.randint(1, 3))
+            assert (gr.normal_closure_mask(g, seeds, g.gens)
+                    == reference_normal_closure(g, seeds, full)), g.name
+            ambient_gens = rng.sample(range(g.n), rng.randint(1, 2))
+            assert (gr.normal_closure_mask(g, seeds, ambient_gens)
+                    == reference_normal_closure(g, seeds, reference_closure(g, ambient_gens))), g.name
+
+
+def test_derived_series_of_the_order_1944_pool_group_takes_at_most_3000_law_calls(
+        large_pool_oracles):
+    # V^2 x| H, H < GL(2, 3): each normal closure adjoins the commutators
+    # and the conjugates of each adjoined generator, and builds no
+    # conjugation-closed element set first (9,263 law calls when it did)
+    (g,) = [g for g in large_pool_oracles if g.n == 1944]
+    fresh = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
+    with counting_law_calls(fresh) as calls:
+        series = gr.derived_series(fresh)
+    assert series == gr.derived_series(g)
+    assert calls[0] <= 3000
+
+
+def relabelled(g, order):
+    """The table group on the elements of g whose id i is g's id order[i]."""
+    new = {x: i for i, x in enumerate(order)}
+    return gr.from_mul_table([[new[g.mul(a, b)] for b in order] for a in order], g.name)
+
+
+def test_factor_action_refuses_a_factor_that_is_not_elementary_abelian():
+    c6 = corpus.corpus_group("C6")
+    with pytest.raises(MalformedInput, match="prime-power order"):
+        gr.factor_action(c6, (1 << c6.n) - 1, 1)
+    groups = [gr.cyclic(4), gr.cyclic(8), gr.cyclic(9)]
+    groups += [corpus.corpus_group(name) for name in ("D8", "M16", "Q8", "C9:C3")]
+    # every step of these two multiplies the order by 2: C4 = <g^2, g> falls
+    # to the power test (g^2 is not 1), and D8 = <z, s, t>, z central and
+    # s, t reflections with st of order 4, to the commutator test
+    c4 = gr.cyclic(4)
+    g = c4.gens[0]
+    g2 = c4.mul(g, g)
+    groups.append(relabelled(c4, [0, g2, g, c4.mul(g2, g)]))
+    d8 = corpus.corpus_group("D8")
+    involutions = [x for x in range(1, 8) if d8.mul(x, x) == 0]
+    z = next(x for x in involutions if all(d8.mul(x, y) == d8.mul(y, x) for y in range(8)))
+    s = min(x for x in involutions if x != z)
+    klein = (0, z, s, d8.mul(z, s))
+    t = min(x for x in involutions if x not in klein)
+    groups.append(relabelled(d8, [*klein, t, *(x for x in range(8) if x not in (*klein, t))]))
+    for g in groups:
+        with pytest.raises(AssertionError, match="factor is not elementary abelian"):
+            gr.factor_action(g, (1 << g.n) - 1, 1)
 
 
 def test_direct_product_and_semidirect():

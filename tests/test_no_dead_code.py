@@ -14,9 +14,10 @@ tests, as a reference.
 Being named is not enough: code that only dead code names is dead too.  So
 every function and method must also be reached by name from a root: the
 CLI's `main`, the statements that run at import (module level and class
-bodies), the dunder methods that Python calls, the paper's results, and
-every name in the span tables of bench/run.py.  A reached function's body
-reaches the names it holds, until nothing new is reached.
+bodies), the dunder methods that Python calls, the standard-library
+methods that the package overrides and the library calls, the paper's
+results, and every name in the span tables of bench/run.py.  A reached
+function's body reaches the names it holds, until nothing new is reached.
 
 A field of a record, a `namedtuple` or a `@dataclass`, is dead too when
 the package never reads it as an attribute.
@@ -50,7 +51,11 @@ BENCH_SPANS = {
     # ffla.module_iso_s names it with module_isomorphism, which no longer calls it
     "induced_action",
 }
-KEEP = PAPER_RESULTS.keys() | BENCH_SPANS
+# methods that override a standard-library method the library calls
+LIBRARY_HOOKS = {
+    "error": "argparse reports a usage error through ArgumentParser.error (cli._Parser)",
+}
+KEEP = PAPER_RESULTS.keys() | BENCH_SPANS | LIBRARY_HOOKS.keys()
 
 
 def names_in(node):
@@ -94,11 +99,12 @@ def unnamed_defs():
 
 def reached_names(trees, span_names):
     """Every identifier reached from the roots: the bodies of `main` and of
-    the dunder methods, what runs at import, PAPER_RESULTS and
-    `span_names`, then the body of every function or method that a reached
+    the dunder methods, what runs at import, PAPER_RESULTS, LIBRARY_HOOKS
+    and `span_names`, then the body of every function or method that a reached
     identifier names."""
     bodies: dict = {}
-    names = set().union(*(reads(name, False) for name in {*PAPER_RESULTS, *span_names, "main"}))
+    names = set().union(*(reads(name, False)
+                          for name in {*PAPER_RESULTS, *LIBRARY_HOOKS, *span_names, "main"}))
     for tree in trees:
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
