@@ -82,16 +82,7 @@ def load_spec(path: str, cap: int) -> dict:
 def build_oracle(doc: dict, cap: int) -> gr.OracleGroup:
     kind = doc["kind"]
     if kind == "sdp":
-        G = sdp.sdgroup_from_spec(doc, cap)
-        # every F_p-subspace of V^t is a subgroup, so the lattice cap is
-        # checked before any table is built against the number of subspaces
-        # of F_p^m, m = kt: G_(j+1) = 2 G_j + (p^j - 1) G_(j-1), G_0 = 1
-        below, subspaces = 0, 1
-        for j in range(G.wdim):
-            below, subspaces = subspaces, 2 * subspaces + (G.p**j - 1) * below
-        if subspaces > gr.LATTICE_CAP:
-            raise ResourceCapExceeded("subgroup lattice size", gr.LATTICE_CAP)
-        return sdp.embed_as_oracle(G, cap)
+        return sdp.oracle_from_spec(doc, cap)
     if kind == "tower":
         return _tower_from_spec(doc, cap).embed_as_oracle()
     table = doc.get("table")
@@ -204,8 +195,8 @@ def cmd_analyze(doc: dict, cap: int, seed: int) -> Report:
 
 
 def _fresh(groups: list[sdp.SdGroup]) -> list[sdp.SdGroup]:
-    """New groups over copies of the set-up modules of the corpus, with a
-    fresh H, so that the memos of one request start cold and end with it."""
+    """New groups over copies of the sdp pool's modules, each with a fresh H,
+    so that the memos of an interKM request start cold and end with it."""
     out = []
     for g in groups:
         module = copy.copy(g.module)
@@ -238,17 +229,19 @@ def cmd_verify(doc: dict | None, suite: str, cap: int, seed: int) -> Report:
         if doc:
             if doc.get("kind") != "sdp":
                 raise SchemaError("the due suite needs an sdp spec (Gamma = V x| H)")
-            # the verifier refuses t != 1 before it embeds: keep that first
-            targets = [sdp.sdgroup_from_spec(doc, cap if doc.get("t") == 1 else None)]
+            # the verifier refuses t != 1: keep that before any cap
+            if type(doc.get("t")) is int and doc["t"] != 1:
+                raise MalformedInput("primitive verifier expects t = 1 (Gamma = V x| H)")
+            targets = [build_oracle(doc, cap)]
         else:
-            targets = _fresh(corpus.primitive_groups())
-        for sd_group in targets:
-            rep = props.verify_eta_to_gamma(sd_group, cap)
-            report.add("due", sd_group.name, "gamma_v", rep.gamma_v, "oracle")
-            report.add("due", sd_group.name, "floor_eta_c", rep.eta_floor_c, "oracle")
-            report.add("due", sd_group.name, "constant_sensitive",
+            targets = [sdp.embed_as_oracle(g) for g in corpus.primitive_groups()]
+        for g in targets:
+            rep = props.verify_eta_to_gamma(g)
+            report.add("due", g.name, "gamma_v", rep.gamma_v, "oracle")
+            report.add("due", g.name, "floor_eta_c", rep.eta_floor_c, "oracle")
+            report.add("due", g.name, "constant_sensitive",
                        "yes" if rep.constant_sensitive else "no", "oracle")
-            report.check("due", sd_group.name, rep.gamma_ok and rep.palfy_wolf_ok)
+            report.check("due", g.name, rep.gamma_ok and rep.palfy_wolf_ok)
     elif suite == "propo":
         targets = [build_oracle(doc, cap)] if doc else _fresh_oracles(corpus.corpus_groups())
         for g in targets:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import groups as gr
 from . import sdp
 from .errors import MalformedInput, ResourceCapExceeded
-from .ffla import fixing_mask, projective_points
+from .ffla import fixing_mask, mat_identity, projective_points
 
 PALFY_WOLF = Fraction(3243, 1000)
 
@@ -341,22 +341,25 @@ class EtaGammaReport:
     constant_sensitive: bool   # verdict would flip for c in [3.24, 3.25]
 
 
-def verify_eta_to_gamma(sd_group: sdp.SdGroup,
-                        cap: int = gr.DEFAULT_ORDER_CAP) -> EtaGammaReport:
+def verify_eta_to_gamma(G: gr.OracleGroup) -> EtaGammaReport:
     """For a primitive solvable Gamma = V x| H: the module witness dimension
-    is bounded by floor(eta_min * c) with c = 3.243 (Palfy-Wolf).  Gamma
-    is embedded as an oracle only up to order `cap`."""
-    if sd_group.t != 1:
-        raise MalformedInput("primitive verifier expects t = 1 (Gamma = V x| H)")
-    oracle = sdp.embed_as_oracle(sd_group, cap)
-    report = eta_report(oracle)
-    gamma_v = gamma_min(sd_group.module.group, sd_group.p, sd_group.k, sd_group.module.cosets)
+    is bounded by floor(eta_min * c) with c = 3.243 (Palfy-Wolf).  V is the
+    first normal subgroup above 1 in lattice order, so a minimal normal one,
+    and gamma is read on G's masks from gr.factor_action's table, as in
+    `verify_gamma_to_eta`.  MalformedInput unless C_G(V) = V, which for a
+    solvable G holds exactly when G is primitive (V is then the Fitting
+    subgroup and the only minimal normal one, so the Frattini subgroup is 1)."""
+    v = next((s for s, size in gr.conjugacy_classes_of_subgroups(G) if size == 1 and s != 1), 1)
+    p, d, _mats, cosets = gr.factor_action(G, v, 1)  # MalformedInput for G = 1
+    if cosets[mat_identity(d)] != v:
+        raise MalformedInput("primitive verifier expects C_G(V) = V (Gamma = V x| H primitive)")
+    report = eta_report(G)
+    gamma_v = gamma_min(G, p, d, cosets)
     c = PALFY_WOLF
     bound = report.max_floor_times(c.numerator, c.denominator)
     bound_lo = report.max_floor_times(324, 100)
     bound_hi = report.max_floor_times(325, 100)
-    v_size = sd_group.p**sd_group.k
-    pw_ok = sd_group.order ** c.denominator <= v_size**c.numerator
+    pw_ok = G.n ** c.denominator <= v.bit_count() ** c.numerator
     return EtaGammaReport(
         gamma_v=gamma_v,
         eta_floor_c=bound,

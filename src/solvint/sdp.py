@@ -28,13 +28,13 @@ from .errors import (
     ValidationError,
 )
 from .ffla import (
-    FIELD_ORDER_CAP,
     FieldOps,
     FpSubspace,
     Matrix,
     Vector,
     endomorphism_field,
     fixing_mask,
+    is_irreducible,
     is_prime,
     mat_identity,
     mat_inv,
@@ -65,7 +65,7 @@ class HModule:
     an oracle over the ids of `elements`, a subgroup of H is a mask over
     those ids, and an F-subspace of V is held as the F-RREF of `fcoords`."""
 
-    def __init__(self, p, k, elements, group, fops, frame, name):
+    def __init__(self, p, k, elements, group, fops, frame):
         self.p = p
         self.k = k
         self.elements = elements  # identity first, rest sorted by entries
@@ -75,35 +75,14 @@ class HModule:
         self.frame: Matrix = frame  # row i*e + j is b_i * fops.basis[j], b_i an F-basis of V
         self.frame_inv: Matrix = mat_inv(frame, p)
         self.f_dim = k // fops.degree
-        self.name = name
 
     @classmethod
-    def create(cls, p: int, k: int, gens, name: str = "H", t: int = 1,
-               cap: int | None = None):
-        """H = <gens> on F_p^k, validated.  With a `cap`, V^t x| H of order
-        above it is refused once H is enumerated and found solvable, before
-        the endomorphism field is built."""
-        gens = tuple(mat_mod(g, p) for g in gens)
-        for g in gens:
-            if len(g) != k or any(len(row) != k for row in g):
-                raise MalformedInput(f"generator is not {k}x{k}")
-            mat_inv(g, p)  # raises on singular input
-        # F contains F_p, so a large p is refused before F is even computed
-        if p > FIELD_ORDER_CAP:
-            raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
-        lines = IRREDUCIBILITY_LINE_CAP
-        # F_p^k has at least 2^k - 1 lines, so p**k is only taken for small k
-        if k > lines.bit_length() or (p**k - 1) // (p - 1) > lines:
-            raise ResourceCapExceeded("irreducibility test lines of F_p^k", lines)
+    def create(cls, p: int, k: int, gens):
+        """H = <gens> on F_p^k, validated by `_matrix_group`, with F, refused
+        above ffla.FIELD_ORDER_CAP, and F's frame: for the corpus pool and
+        the tests, as a spec request reads no F."""
+        gens, elements, group = _matrix_group(p, k, gens)
         identity = mat_identity(k)
-        elements = gr._sorted_closure(gens, lambda a, b: mat_mul(a, b, p), identity)
-        # faithfulness is structural for matrix groups: the only element
-        # acting trivially is the identity matrix itself
-        group = gr.from_elements(elements, lambda a, b: mat_mul(a, b, p), name, gens)
-        if not gr.is_solvable(group):
-            raise ValidationError("solvability", "H is not solvable")
-        if cap is not None:
-            gr._check_embedding_order(p ** (k * t) * len(elements), cap)
         # ValidationError("irreducibility") unless every line spins to V
         fops = endomorphism_field(gens or (identity,), p, k)
         # the unit vectors outside the F-span of those taken before them
@@ -111,7 +90,7 @@ class HModule:
         for u in identity:
             if not FpSubspace.from_vectors(p, k, frame).contains(u):
                 frame += tuple(vec_mat(u, b, p) for b in fops.basis)
-        return cls(p, k, elements, group, fops, frame, name)
+        return cls(p, k, elements, group, fops, frame)
 
     @property
     def order(self) -> int:
@@ -135,6 +114,27 @@ class HModule:
         return fixing_mask(self.cosets, [self.vector_of(r) for r in frows], self.p)
 
 
+def _matrix_group(p: int, k: int, gens):
+    """(gens mod p, elements, H) for the faithful H = <gens> <= GL(k, p),
+    elements identity first: MalformedInput for a generator not k x k or
+    singular, ResourceCapExceeded past the lines of the irreducibility test
+    or past CLOSURE_CAP elements, ValidationError unless H is solvable."""
+    gens = tuple(mat_mod(g, p) for g in gens)
+    for g in gens:
+        if len(g) != k or any(len(row) != k for row in g):
+            raise MalformedInput(f"generator is not {k}x{k}")
+        mat_inv(g, p)  # raises on singular input
+    lines = IRREDUCIBILITY_LINE_CAP
+    # F_p^k has at least 2^k - 1 lines, so p**k is only taken for small k
+    if k > lines.bit_length() or (p**k - 1) // (p - 1) > lines:
+        raise ResourceCapExceeded("irreducibility test lines of F_p^k", lines)
+    elements = gr._sorted_closure(gens, lambda a, b: mat_mul(a, b, p), mat_identity(k))
+    group = gr.from_elements(elements, lambda a, b: mat_mul(a, b, p), f"H<GL({k},{p})", gens)
+    if not gr.is_solvable(group):
+        raise ValidationError("solvability", "H is not solvable")
+    return gens, elements, group
+
+
 # ---------------------------------------------------------------------------
 # the semidirect product
 
@@ -152,14 +152,12 @@ class SdGroup(gr._Memoised):
         self.k = module.k
         self.wdim = module.k * t
         self.order = module.p ** self.wdim * module.order
-        self.name = name or f"V^{t}:{module.name}"
+        self.name = name or f"V^{t}:{module.group.name}"
         self._cache: dict = {}
 
     @classmethod
-    def create(cls, p: int, k: int, t: int, h_gens, name: str | None = None,
-               cap: int | None = None) -> "SdGroup":
-        return cls(HModule.create(p, k, h_gens, name=f"H<GL({k},{p})", t=t, cap=cap), t,
-                   name=name)
+    def create(cls, p: int, k: int, t: int, h_gens, name: str | None = None) -> "SdGroup":
+        return cls(HModule.create(p, k, h_gens), t, name=name)
 
     # -- submodules of V^t via F-subspaces of F^t
 
@@ -564,22 +562,22 @@ def subgroup_equal(G: SdGroup, a: CanonicalIntersection, b: CanonicalIntersectio
 # oracle bridge
 
 
-def embed_as_oracle(G: SdGroup, cap: int = gr.DEFAULT_ORDER_CAP) -> gr.OracleGroup:
-    """Explicit OracleGroup for G.
+def embed_as_oracle(G: SdGroup) -> gr.OracleGroup:
+    """`_embed` for G, refused above gr.DEFAULT_ORDER_CAP."""
+    gr._check_embedding_order(G.order, gr.DEFAULT_ORDER_CAP)
+    return _embed(G.p, G.k, G.t, G.module.elements, G.module.group, G.name)
 
-    Element ids enumerate (w, h) with w in lexicographic digit order and h
-    in the canonical H order, so the identity gets id 0: (w, h) has id
-    w_id(w) * |H| + h, where w_id reads the coordinates of w as base-p
-    digits, first digit most significant.
-    """
-    gr._check_embedding_order(G.order, cap)
-    p, k, wdim = G.p, G.k, G.wdim
-    H = G.module.group
+
+def _embed(p: int, k: int, t: int, elements, H: gr.OracleGroup, name: str) -> gr.OracleGroup:
+    """The oracle of V^t x| H, H over the ids of the matrices `elements`:
+    (w, h) has id w_id(w) * |H| + h, where w_id reads the coordinates of w
+    as base-p digits, first digit most significant, so the identity is 0."""
+    wdim = k * t
     # a generator matrix m maps e_i to row i % k of m, placed in k-block i // k
     images = [[sum(x * p ** (wdim - 1 - (i - i % k + j)) for j, x in enumerate(m[i % k]))
                for i in range(wdim)]
-              for m in (G.module.elements[g] for g in H.gens)]
-    return gr.oracle_from_split_tables([p] * wdim, images, H, G.name)
+              for m in (elements[g] for g in H.gens)]
+    return gr.oracle_from_split_tables([p] * wdim, images, H, name)
 
 
 # ---------------------------------------------------------------------------
@@ -767,11 +765,11 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int):
 # group-spec ingestion (shared wire format with the CLI)
 
 
-def sdgroup_from_spec(doc: dict, cap: int | None = None) -> SdGroup:
-    """Build and validate an SdGroup from its structured document; raises
-    SchemaError for shape problems and ValidationError (named invariant)
-    for group-theoretic ones.  With a `cap`, a group of order above it is
-    refused before its endomorphism field is built."""
+def oracle_from_spec(doc: dict, cap: int) -> gr.OracleGroup:
+    """The oracle of V^t x| H from its structured document, with no module
+    and no field built: SchemaError for shape problems, ValidationError
+    (named invariant) for group-theoretic ones, and ResourceCapExceeded for
+    an order above `cap` or more subspaces than gr.LATTICE_CAP."""
     for key in ("p", "k", "t", "h_gens"):
         if key not in doc:
             raise SchemaError(f"sdp spec is missing '{key}'")
@@ -788,5 +786,15 @@ def sdgroup_from_spec(doc: dict, cap: int | None = None) -> SdGroup:
         raise SchemaError("h_gens must be a list of integer matrices")
     if k * t > SPEC_DIMENSION_CAP:
         raise ResourceCapExceeded("dimension k*t of V^t", SPEC_DIMENSION_CAP)
-    mats = [tuple(tuple(row) for row in g) for g in gens]
-    return SdGroup.create(p, k, t, mats, name=doc.get("name"), cap=cap)
+    gens, elements, H = _matrix_group(p, k, gens)
+    gr._check_embedding_order(p ** (k * t) * len(elements), cap)
+    if not is_irreducible(gens, p, k):
+        raise ValidationError("irreducibility", "H does not act irreducibly on V")
+    # every F_p-subspace of V^t is a subgroup: F_p^m, m = kt, has G_m of
+    # them, G_(j+1) = 2 G_j + (p^j - 1) G_(j-1), G_0 = 1, checked before any table
+    below, subspaces = 0, 1
+    for j in range(k * t):
+        below, subspaces = subspaces, 2 * subspaces + (p**j - 1) * below
+    if subspaces > gr.LATTICE_CAP:
+        raise ResourceCapExceeded("subgroup lattice size", gr.LATTICE_CAP)
+    return _embed(p, k, t, elements, H, doc.get("name") or f"V^{t}:{H.name}")

@@ -51,13 +51,18 @@ def large_pool_oracles(sdp_pool):
 
 
 @pytest.fixture(scope="session")
-def spec_mix_oracles():
-    """The groups of the 30 distinct `spec-mix` specs of bench/workloads.py,
-    built as the CLI builds them."""
+def spec_mix_specs():
+    """The 30 distinct `spec-mix` spec documents of bench/workloads.py."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     specs = {json.dumps(req["spec"], sort_keys=True): req["spec"]
              for req, _copies in workloads.catalogue()["spec-mix"]}
     assert len(specs) == 30
-    return [cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP) for doc in specs.values()]
+    return list(specs.values())
+
+
+@pytest.fixture(scope="session")
+def spec_mix_oracles(spec_mix_specs):
+    """The groups of the `spec-mix` specs, built as the CLI builds them."""
+    return [cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP) for doc in spec_mix_specs]

@@ -172,7 +172,7 @@ def test_criterion_08_gamma_bounds_eta(corpus_list):
 def test_criterion_09_eta_bounds_gamma():
     names = []
     for g in corpus.primitive_groups():
-        rep = props.verify_eta_to_gamma(g)
+        rep = props.verify_eta_to_gamma(sdp.embed_as_oracle(g))
         assert rep.gamma_ok, g.name
         assert rep.palfy_wolf_ok, g.name
         names.append(g.name)

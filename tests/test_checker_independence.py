@@ -9,7 +9,8 @@ The checker and every function or method of the module it reaches, the span
 of U's F-rows included, name none of the closed-form, splitting or
 subspace-reduction entry points, nor the F-coordinate frame and F's row
 arithmetic.  The calculus in turn reaches neither the checker nor an F_p
-span: it reduces and compares in F-coordinates only.  Likewise the gamma
+span: it reduces and compares in F-coordinates only.  A spec's oracle is
+built with no module and no endomorphism field.  Likewise the gamma
 reference of tests/references.py tests H's matrices itself, and names
 none of the stabiliser code that props.gamma_min runs, and the derived
 series and normal closure references close by their own walk over the
@@ -100,6 +101,15 @@ def test_calculus_names_no_checker_or_span_code():
     # the row arithmetic and the F-coordinate frame are reached
     assert {"_solution", "_rows", "_add_row", "centralizer_of", "vector_of"} <= reached
     assert named_from(defs, reached, CHECKER_ONLY) == set()
+
+
+def test_spec_ingestion_names_no_module_or_field_code():
+    defs = sdp_functions()
+    reached = reached_from(defs, "oracle_from_spec")
+    # the matrix group and the embedding are reached
+    assert {"_matrix_group", "_embed"} <= reached
+    assert named_from(defs, reached, {"endomorphism_field", "FieldOps", "HModule", "SdGroup",
+                                      "fops", "frame"}) == set()
 
 
 def test_gamma_reference_names_no_gamma_code():

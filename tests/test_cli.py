@@ -76,6 +76,15 @@ def spec_dir(tmp_path):
         companion = [[int(j == i + 1) for j in range(k)] for i in range(k - 1)] + [list(low)]
         (tmp_path / f"singer-f{2**k}.json").write_text(
             json.dumps({"kind": "sdp", "p": 2, "k": k, "t": 1, "h_gens": [companion]}))
+    # D_1042 and F_23^2 x| C_3, C_3 by the transpose of the companion matrix
+    # of x^2 + x + 1: End_H(V) = F_521 and F_529 pass the field cap, and no
+    # spec request builds End_H(V)
+    (tmp_path / "d1042.json").write_text(
+        json.dumps({"kind": "sdp", "p": 521, "k": 1, "t": 1, "h_gens": [[[520]]]})
+    )
+    (tmp_path / "f23^2-c3.json").write_text(
+        json.dumps({"kind": "sdp", "p": 23, "k": 2, "t": 1, "h_gens": [[[0, 22], [1, 22]]]})
+    )
     # F_1201: FieldOps would tabulate 1201^2 field sums and products; the
     # group at t = 0 (order 1,200) passes the default order cap
     for t in (0, 1):
@@ -730,3 +739,73 @@ def test_thuno_reads_gamma_1_on_a_factor_of_dimension_1_over_f_521(spec_dir, cap
     code, out, err = run(capsys, "verify", "--suite", "thuno", "--spec", str(path))
     assert (code, err) == (0, ""), err
     assert out.count("command,verify:") == 1 and "status,ok" in out
+
+
+def test_no_spec_request_builds_a_module_or_a_field(spec_dir, spec_mix_specs, capsys,
+                                                     monkeypatch):
+    # a spec request runs build_oracle and then its suite on the oracle
+    # alone, so the specs past the field cap answer every command too
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module or a field was built")
+
+    monkeypatch.setattr(sdp.HModule, "create", refuse)
+    for module in (ffla, sdp):
+        monkeypatch.setattr(module, "endomorphism_field", refuse)
+    docs = [doc for doc in spec_mix_specs if doc["kind"] == "sdp"]
+    assert (len(docs), sum(doc["t"] == 1 for doc in docs)) == (18, 12)
+    paths = [spec_dir / f"{name}.json" for name in ("s3", "q8-f121", "c8-f25", "d1042",
+                                                    "f23^2-c3")]
+    for i, doc in enumerate(docs):
+        paths.append(spec_dir / f"spec-mix-{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    commands = (["analyze"], ["verify", "--suite", "thuno"], ["verify", "--suite", "propo"],
+                ["verify", "--suite", "due"])
+    for path in paths:
+        t = json.loads(path.read_text())["t"]
+        for command in commands[:None if t == 1 else 3]:
+            code, out, err = run(capsys, *command, "--spec", str(path))
+            assert (code, err) == (0, ""), (path.name, command)
+            assert out.splitlines()[0].endswith(",status,ok"), (path.name, command)
+
+
+def test_specs_past_the_field_cap_answer_as_their_independent_builds(spec_dir, capsys):
+    from test_props import f23_squared_by_c3
+
+    code, _out, err = run(capsys, "analyze", "--spec", str(spec_dir / "f1201-t0.json"))
+    assert (code, err) == (0, "")
+
+    def body(doc):
+        """The analyze rows of `doc` but the header and the group row."""
+        path = spec_dir / "body.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "analyze", "--spec", str(path))
+        assert code == 0, doc
+        return [row for row in out.splitlines()[1:] if not row.startswith("group,")]
+
+    def spec(name):
+        return json.loads((spec_dir / name).read_text())
+
+    # D_1042 as the tower over 521
+    assert body(spec("d1042.json")) == body({"kind": "tower", "primes": [521]})
+    # F_23^2 x| C_3 by the companion matrix itself is the group of the
+    # independent build, product for product, and the transpose's report
+    # is that group's
+    companion = {"kind": "sdp", "p": 23, "k": 2, "t": 1, "h_gens": [[[0, 1], [22, 22]]]}
+    G, ref = cli.build_oracle(companion, gr.DEFAULT_ORDER_CAP), f23_squared_by_c3()
+    assert G.n == ref.n == 1587
+    assert all([G.mul(a, b) for b in range(G.n)] == [ref.mul(a, b) for b in range(G.n)]
+               for a in range(G.n))
+    assert body(spec("f23^2-c3.json")) == body(companion)
+
+
+def test_due_keeps_the_schema_errors_of_a_spec_without_an_integer_t(spec_dir, capsys):
+    path = spec_dir / "due-t.json"
+    for t, message in ((None, "sdp spec is missing 't'"),
+                       ("1", "k must be an integer >= 1 and t an integer >= 0")):
+        doc = {"kind": "sdp", "p": 3, "k": 1, "h_gens": [[[2]]]}
+        if t is not None:
+            doc["t"] = t
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--suite", "due", "--spec", str(path))
+        assert (code, out) == (2, ""), t
+        assert err.strip().splitlines() == [f"schema error: {message}"], t

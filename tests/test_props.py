@@ -351,15 +351,38 @@ def test_verify_gamma_to_eta_corpus(corpus_list):
 
 def test_verify_eta_to_gamma_primitive():
     for g in corpus.primitive_groups():
-        rep = props.verify_eta_to_gamma(g)
+        rep = props.verify_eta_to_gamma(sdp.embed_as_oracle(g))
         assert rep.gamma_ok and rep.palfy_wolf_ok, g.name
         assert not rep.constant_sensitive, g.name
 
 
 def test_verify_eta_to_gamma_requires_t1():
-    g = sdp.SdGroup.create(5, 1, 2, [((2,),)])
+    g = sdp.embed_as_oracle(sdp.SdGroup.create(5, 1, 2, [((2,),)]))
     with pytest.raises(MalformedInput):
         props.verify_eta_to_gamma(g)
+
+
+def test_verify_eta_to_gamma_reads_the_gamma_of_h(sdp_pool):
+    # gamma on G's masks from the action on its minimal normal subgroup V is
+    # H's own gamma on V, for every t = 1 group of the pool and the corpus
+    groups = [g for g in sdp_pool if g.t == 1] + corpus.primitive_groups()
+    assert len(groups) == 27
+    for g in groups:
+        assert (props.verify_eta_to_gamma(sdp.embed_as_oracle(g)).gamma_v
+                == props.gamma_min(g.module.group, g.p, g.k, g.module.cosets)), g.name
+
+
+def test_verify_eta_to_gamma_requires_a_primitive_group(sdp_pool):
+    for name in ("S3", "S4", "A4", "F20", "F42"):
+        rep = props.verify_eta_to_gamma(corpus.corpus_group(name))
+        assert rep.gamma_ok and rep.palfy_wolf_ok, name
+    # C_G(V) > V for the least normal subgroup V above 1
+    refused = [corpus.corpus_group(name) for name in ("C6", "D8", "Q8", "C8", "C2^3")]
+    refused += [sdp.embed_as_oracle(g) for g in sdp_pool if g.t == 2]
+    assert len(refused) == 5 + 11
+    for g in refused:
+        with pytest.raises(MalformedInput):
+            props.verify_eta_to_gamma(g)
 
 
 def test_subgroup_count_bound_integer_example():

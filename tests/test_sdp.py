@@ -527,8 +527,7 @@ def test_embed_as_oracle_examples():
 def test_embed_as_oracle_fills_h_table_from_the_generators(monkeypatch):
     # H's table takes one matrix product per element and generator of H
     # (144 here), not one per pair of elements (5,184)
-    g = sdp.sdgroup_from_spec({"kind": "sdp", "p": 7, "k": 2, "t": 1,
-                               "h_gens": [[[5, 0], [0, 1]], [[0, 1], [1, 0]]]})
+    g = sdp.SdGroup.create(7, 2, 1, [((5, 0), (0, 1)), ((0, 1), (1, 0))])
     H = g.module.group
     assert (H.n, len(H.gens)) == (72, 2)
     calls = [0]
@@ -894,12 +893,13 @@ def test_trivial_acting_group_edge():
 def test_sdgroup_from_spec_schema():
     from solvint.errors import SchemaError
 
+    cap = gr.DEFAULT_ORDER_CAP
     with pytest.raises(SchemaError):
-        sdp.sdgroup_from_spec({"kind": "sdp", "p": 4, "k": 1, "t": 1, "h_gens": [[[1]]]})
+        sdp.oracle_from_spec({"kind": "sdp", "p": 4, "k": 1, "t": 1, "h_gens": [[[1]]]}, cap)
     with pytest.raises(SchemaError):
-        sdp.sdgroup_from_spec({"p": 5})
-    g = sdp.sdgroup_from_spec({"kind": "sdp", "p": 5, "k": 1, "t": 2, "h_gens": [[[2]]]})
-    assert g.order == 100
+        sdp.oracle_from_spec({"p": 5}, cap)
+    g = sdp.oracle_from_spec({"kind": "sdp", "p": 5, "k": 1, "t": 2, "h_gens": [[[2]]]}, cap)
+    assert g.n == 100
 
 
 def reference_closure(p, k, gens):
