@@ -336,16 +336,20 @@ def _intertwiners(rho_a, rho_b, p: int, d: int, e: int):
     return nullspace(rows, p, d * e)
 
 
-def _addition_table(radices) -> list[list[int]]:
-    """Addition table of Z/r_1 x ... x Z/r_m on mixed-radix ids (digit 1
-    most significant), built one digit at a time from one int object per id."""
-    add = [[0]]
+def spread_ids(radices) -> tuple[list[int], list[int]]:
+    """(spread, fold): carry-free ids of W = Z/r_1 x ... x Z/r_m, whose
+    ids are mixed-radix over `radices`, digit 1 most significant.  spread[w]
+    reads the digits d_i of w in the radices 2r_i - 1 in place of r_i, so
+    in the sum of two spread ids every digit is at most 2r_i - 2 and the
+    addition never carries; fold[s] reduces each digit of s mod r_i and
+    gives the dense id back: w1 + w2 = fold[spread[w1] + spread[w2]].
+    Built one digit at a time, with |W| and prod(2r_i - 1) <= |W|^log2(3)
+    entries."""
+    spread, fold = [0], [0]
     for r in radices:
-        digit_add = [[(a + b) % r for b in range(r)] for a in range(r)]
-        ids = list(range(len(add) * r))
-        add = [[ids[x * r + d] for x in row for d in digit_row]
-               for row in add for digit_row in digit_add]
-    return add
+        spread = [x * (2 * r - 1) + d for x in spread for d in range(r)]
+        fold = [x * r + d % r for x in fold for d in range(2 * r - 1)]
+    return spread, fold
 
 
 class FieldOps:
@@ -354,14 +358,14 @@ class FieldOps:
     tables for its arithmetic and linear algebra over F on tuples of
     element indices.  Element i is sum_j c_j basis[j] for the base-p digits
     c_0 ... c_(e-1) of i, c_0 first, so 0 is zero and `add_t` is the
-    mixed-radix addition table.  Products and inverses are read off the
-    exp/log tables of the first g with q - 1 distinct powers (Zech
-    logarithms; Lidl and Niederreiter, Finite Fields, ch. 9), walked on
-    first rows: e_1 g^(k+1) = (e_1 g^k) g takes no matrix product.  If the
-    rows first return to e_1 at k = q - 1, they are q - 1 distinct nonzero
-    rows, so with 0 every element has its own first row, which names it,
-    and the nonzero elements are the units g^k.  If no g does that, the span
-    is not a field (ValidationError): F* is cyclic."""
+    mixed-radix addition table, read off `spread_ids`.  Products and
+    inverses are read off the exp/log tables of the first g with q - 1
+    distinct powers (Zech logarithms; Lidl and Niederreiter, Finite Fields,
+    ch. 9), walked on first rows: e_1 g^(k+1) = (e_1 g^k) g takes no
+    matrix product.  If the rows first return to e_1 at k = q - 1, they are
+    q - 1 distinct nonzero rows, so with 0 every element has its own first
+    row, which names it, and the nonzero elements are the units g^k.  If no
+    g does that, the span is not a field (ValidationError): F* is cyclic."""
 
     def __init__(self, p: int, dim: int, basis):
         self.p, self.dim, self.basis = p, dim, basis
@@ -371,7 +375,8 @@ class FieldOps:
         for b in basis:
             elements = [mat_add(m, mat_scale(b, c, p), p) for m in elements for c in range(p)]
         self.elements: tuple[Matrix, ...] = tuple(elements)
-        self.add_t = _addition_table([p] * e)
+        spread, fold = spread_ids([p] * e)
+        self.add_t = [[fold[x + y] for y in spread] for x in spread]
         self.neg_t = [row.index(0) for row in self.add_t]
         named = {m[0]: i for i, m in enumerate(elements)}
         one_row = mat_identity(dim)[0]

@@ -51,7 +51,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
-from .ffla import _addition_table, mat_identity, mat_mod, mat_mul, prime_factors
+from .ffla import mat_identity, mat_mod, mat_mul, prime_factors, spread_ids
 
 DEFAULT_ORDER_CAP = 5000
 LATTICE_CAP = 10**4
@@ -293,6 +293,19 @@ def oracle_from_split_tables(radices, images, H: OracleGroup, name: str) -> Orac
     g = H.gens[j].  Element id = w*|H| + h, the law is
     (w1,h1)(w2,h2) = (act[h2][w1] + w2, h1*h2) and id 0 is the identity.
 
+    W adds on the carry-free ids of `ffla.spread_ids`: spread[w] has w's
+    digits in the radices 2r_i - 1, so a sum of two spread ids never
+    carries, and fold[s] reduces its digits mod r_i to the dense id.  act
+    holds spread ids, so the law is
+    fold_h[act[h2][w1] + spread[w2]] + cols[h2][h1] with fold_h[s] =
+    fold[s] * |H|: |W| + prod(2r_i - 1) <= |W| + |W|^log2(3) entries for W,
+    |H| act rows of |W| ids, H's |H|^2 columns and three length-n lists
+    splitting an id into (w, h, spread[w]), with no |W|^2 or n x n table.
+    The inverse is (w, h)^-1 = (-act[h^-1][w], h^-1), where -w is
+    fold[neg - spread[w]]: neg = spread[top] + spread[u], with top's digits
+    r_i - 1 and u's 1 where r_i > 1, so each digit of the difference is
+    r_i - d_i, in 1..r_i, and folds to -d_i.
+
     The gens are one or more W generators, then H.gens.  Let s be the sum
     of the unit vectors e_i with r_i > 1.  One walk from 0 under w -> w + s
     and under act[g] for g in H.gens takes |W| (1 + #H.gens) list reads and
@@ -311,58 +324,60 @@ def oracle_from_split_tables(radices, images, H: OracleGroup, name: str) -> Orac
     act[g] follows by additivity, least significant digit first: if `row`
     holds the images of the lower digits' ids, a digit of radix r and image
     b extends it to row ++ (row + b) ++ ... ++ (row + (r-1)b).  One walk
-    along H's Cayley graph reaches each h once as parent*g, and reads act[h]
-    off act[parent] through act[g] and H's column x -> x*h off the parent's
-    through x -> x*g.  The law reads W's addition table, act and the columns,
-    with two length-n lists splitting an id into (w, h): no n x n table.
-    The inverse is (w, h)^-1 = (-act[h^-1][w], h^-1).
+    along H's Cayley graph reaches each h once as g*parent = cols[parent][g]
+    and reads act[h] = act[parent] o act[g] off act[parent] through the
+    dense ids of act[g], and H's column x -> x*h off the parent's through
+    x -> x*g.
     """
     if len(images) != len(H.gens):
         raise MalformedInput(f"{len(images)} generator images for {len(H.gens)} generators of H")
-    add = _addition_table(radices)
+    spread, fold = spread_ids(radices)
     gen_acts = []
     for g_images in images:
         row = [0]
         for r, b in zip(reversed(radices), reversed(g_images)):
-            add_b = add[b]
+            b = spread[b]
             shifted = row
             row = list(row)
             for _ in range(1, r):
-                shifted = [add_b[x] for x in shifted]
+                shifted = [fold[spread[x] + b] for x in shifted]
                 row += shifted
         gen_acts.append(row)
-    w_size, h_size = len(add), H.n
-    act = [list(range(w_size))] + [None] * (h_size - 1)
+    w_size, h_size = len(spread), H.n
+    act = [spread] + [None] * (h_size - 1)
     cols = [list(range(h_size))] + [None] * (h_size - 1)
     rights = [[H.mul(x, g) for x in range(h_size)] for g in H.gens]
     order = [0]
     for parent in order:
-        for gen_act, right in zip(gen_acts, rights):
-            h = right[parent]
+        for g, gen_act, right in zip(H.gens, gen_acts, rights):
+            h = cols[parent][g]
             if cols[h] is None:
-                act[h] = [gen_act[w] for w in act[parent]]
-                cols[h] = [right[x] for x in cols[parent]]
+                act[h] = list(map(act[parent].__getitem__, gen_act))
+                cols[h] = list(map(cols[parent].__getitem__, right))
                 order.append(h)
     if len(order) != h_size:
         raise MalformedInput("H.gens do not generate H")
     n = w_size * h_size
     w_of = [w for w in range(w_size) for _ in range(h_size)]
     h_of = list(range(h_size)) * w_size
+    spread_of = [x for x in spread for _ in range(h_size)]
+    fold_h = [w * h_size for w in fold]
 
     def mul(a: int, b: int) -> int:
         h2 = h_of[b]
-        return add[act[h2][w_of[a]]][w_of[b]] * h_size + cols[h2][h_of[a]]
+        return fold_h[act[h2][w_of[a]] + spread_of[b]] + cols[h2][h_of[a]]
 
-    w_neg = [add_row.index(0) for add_row in add]
-    inv = array("i", [w_neg[act[hi][w]] * h_size + hi for w in range(w_size) for hi in H._inv])
-    gens, place = [], n
+    units, place = [], w_size
     for r in radices:
         place //= r
         if r > 1:
-            gens.append(place)
+            units.append(place)
+    s = sum(units)  # the unit vectors' digits are 1 in distinct places
+    neg = spread[-1] + spread[s]
+    inv = array("i", [fold_h[neg - act[hi][w]] + hi for w in range(w_size) for hi in H._inv])
+    gens = [u * h_size for u in units]
     if len(gens) > 1:
-        s = sum(gens)  # the unit vectors' digits are 1 in distinct places
-        steps = [add[s // h_size], *gen_acts]
+        steps = [[fold[x + spread[s]] for x in spread], *gen_acts]
         walk, seen = [0], bytearray(w_size)
         seen[0] = 1
         for w in walk:  # grows while it is walked
@@ -372,7 +387,7 @@ def oracle_from_split_tables(radices, images, H: OracleGroup, name: str) -> Orac
                     seen[y] = 1
                     walk.append(y)
         if len(walk) == w_size:
-            gens = [s]
+            gens = [s * h_size]
     return OracleGroup(n, mul, name, tuple(gens) + tuple(H.gens), inv)
 
 

@@ -11,8 +11,9 @@ F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with
 their action and ids, closures, greedy generators, derived series and
 normal closures closed from scratch, the H-submodule of a split
 product's W that the sum of its unit vectors generates, closed from its
-conjugates, and the count tables tested one subgroup at a time, the order of an element, the action of H
-on V^t, the product and the inverse in V^t x| H, the F_p-span of the
+conjugates, the law and inverses of a split product with W added digit
+by digit, and the count tables tested one subgroup at a time, the order
+of an element, the action of H on V^t, the product and the inverse in V^t x| H, the F_p-span of the
 F-multiples of vectors of V, the module isomorphism search over the
 intertwiners in lexicographic order and the crown check built on it, the
 tables of a field by matrix products, sums and an inverse
@@ -320,6 +321,54 @@ def reference_w_module_closure(G, units, h_size: int) -> int:
     for e in units:
         s = G.mul(s, e)
     return reference_closure(G, {G.mul(G.mul(inverse(G, h), s), h) for h in range(h_size)})
+
+
+def reference_split_law(radices, images, H):
+    """(mul, inverse) of the split product W x| H that
+    `groups.oracle_from_split_tables(radices, images, H, ...)` builds, on
+    the ids w * |H| + h, with W's elements as digit tuples added digit by
+    digit: the images of the unit vectors under each h come from a walk
+    along H's Cayley graph, and w^h = sum_i d_i e_i^h."""
+    m, h_size = len(radices), H.n
+
+    def digits(w):
+        out = []
+        for r in reversed(radices):
+            w, d = divmod(w, r)
+            out.append(d)
+        return out[::-1]
+
+    def w_id(ds):
+        w = 0
+        for r, d in zip(radices, ds):
+            w = w * r + d
+        return w
+
+    def combine(ds, rows):
+        """sum_i ds[i] * rows[i], digit by digit"""
+        return [sum(d * row[j] for d, row in zip(ds, rows)) % r for j, r in enumerate(radices)]
+
+    gen_rows = [[digits(x) for x in g_images] for g_images in images]
+    units = {0: [[int(i == j) for j in range(m)] for i in range(m)]}
+    walk = [0]
+    for h in walk:
+        for g, rows in zip(H.gens, gen_rows):
+            hg = H.mul(h, g)
+            if hg not in units:
+                units[hg] = [combine(e, rows) for e in units[h]]  # e^(hg) = (e^h)^g
+                walk.append(hg)
+
+    def mul(a, b):
+        (w1, h1), (w2, h2) = divmod(a, h_size), divmod(b, h_size)
+        w = [(x + y) % r for x, y, r in zip(combine(digits(w1), units[h2]), digits(w2), radices)]
+        return w_id(w) * h_size + H.mul(h1, h2)
+
+    def inverse(a):
+        w, h = divmod(a, h_size)
+        hi = next(x for x in range(h_size) if H.mul(h, x) == 0)
+        return w_id([-x % r for x, r in zip(combine(digits(w), units[hi]), radices)]) * h_size + hi
+
+    return mul, inverse
 
 
 def reference_greedy_generators(G, mask: int) -> list[int]:

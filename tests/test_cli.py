@@ -317,6 +317,36 @@ def test_an_oversized_spec_file_is_refused_before_it_is_parsed(spec_dir, capsys)
     assert err.startswith("schema error: cannot read spec file")
 
 
+# F_17^3 and F_47^2 x| C_2, with the SHA-256 of the report `analyze`
+# printed while W's addition was a |W|^2 table, whose builds then peaked
+# at 197 MiB and 39 MiB (gr.cyclic(5000) at 1.12 GiB)
+LARGE_W_SPECS = (
+    ({"kind": "sdp", "p": 17, "k": 1, "t": 3, "h_gens": []},
+     "720638bb56023a78a902f4e0ad64a6aca207b1dbf69ab2ff467e48dc1c9ab1e6"),
+    ({"kind": "sdp", "p": 47, "k": 1, "t": 2, "h_gens": [[[46]]]},
+     "fb49d4d0c7821d6a6d3544472a88e6817e406fe2bd283a25f51a63f6a9b1f23e"),
+)
+
+
+def test_split_oracles_of_a_large_w_keep_their_bytes_in_little_memory(spec_dir, capsys):
+    builds = [lambda doc=doc: cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP)
+              for doc, _digest in LARGE_W_SPECS]
+    for build in builds + [lambda: gr.cyclic(5000)]:
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+    for i, (doc, digest) in enumerate(LARGE_W_SPECS):
+        path = spec_dir / f"large-w-{i}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "analyze", "--spec", str(path))
+        assert code == 0, doc
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, doc
+
+
 def test_a_deeply_nested_spec_is_a_schema_error(spec_dir, capsys):
     # json.loads raises RecursionError on 100,000 nested arrays
     path = spec_dir / "deep.json"

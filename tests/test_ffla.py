@@ -449,11 +449,13 @@ def test_projective_points_count():
 
 
 def test_addition_table_shares_one_int_per_id():
-    # 529^2 entries, each a fresh int, peak at 7.15 MB; with one int object
-    # per id the table is its row lists alone
+    # 529^2 entries, each a fresh int, peak at 7.15 MB; read off the spread
+    # and fold lists, as FieldOps.add_t is, every entry is one of fold's
+    # 45^2 ints and the table is its row lists alone
     tracemalloc.start()
     try:
-        add = ffla._addition_table([23, 23])
+        spread, fold = ffla.spread_ids([23, 23])
+        add = [[fold[x + y] for y in spread] for x in spread]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,8 +15,8 @@ from solvint.ffla import mat_identity
 from references import (counting_law_calls, is_nilpotent_mask, reference_action_on_factor,
                         reference_centralizer_of_factor, reference_closure, reference_counts,
                         reference_derived_series, reference_normal_closure, order_of,
-                        reference_greedy_generators, reference_power, reference_towers,
-                        reference_w_module_closure, inverse, sd_act, tower_act_w, tower_w_id,
+                        reference_greedy_generators, reference_power, reference_split_law,
+                        reference_towers, reference_w_module_closure, inverse, sd_act, tower_act_w, tower_w_id,
                         vec_add)
 
 
@@ -740,6 +740,65 @@ def test_split_oracle_of_order_2040_and_its_lattice_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+# the gens of each split oracle before W added on spread ids: the towers
+# n = 1..3, the pool in its order, three sdp specs and cyclic(1), (2), (5000)
+SPLIT_GENS = (
+    ((2, 1), (24, 1), (824, 1))
+    + ((2, 1), (6, 2, 1), (18, 6, 2, 1), (54, 18, 6, 2, 1), (162, 54, 18, 6, 2, 1),
+       (486, 162, 54, 18, 6, 2, 1), (4, 1), (20, 4, 1), (100, 20, 4, 1), (2, 1), (10, 2, 1),
+       (50, 10, 2, 1), (250, 50, 10, 2, 1), (6, 2), (42, 6, 2), (3, 1), (21, 3, 1),
+       (147, 21, 3, 1), (10, 1), (110, 10, 1), (12, 1), (8, 1), (16, 2),
+       (108, 36, 12, 4, 2), (96, 9, 4), (648, 216, 72, 24, 9, 4), (64, 7, 5),
+       (432, 144, 48, 16, 7, 5), (9, 2), (24, 12, 6, 3, 2), (96, 48, 24, 12, 6, 3, 2),
+       (384, 192, 96, 48, 24, 12, 6, 3, 2), (48, 1), (49, 2), (224, 112, 56, 28, 14, 7, 2))
+    + ((72, 1), (289, 17, 1), (94, 2, 1))
+    + ((), (1,), (1,))
+)
+# F_23^2 x| C_3, F_17^3 and F_47^2 x| C_2
+SPLIT_SPECS = (
+    {"kind": "sdp", "p": 23, "k": 2, "t": 1, "h_gens": [[[0, 22], [1, 22]]]},
+    {"kind": "sdp", "p": 17, "k": 1, "t": 3, "h_gens": []},
+    {"kind": "sdp", "p": 47, "k": 1, "t": 2, "h_gens": [[[46]]]},
+)
+
+
+def test_split_law_matches_a_digitwise_reference(monkeypatch, sdp_pool):
+    # every split oracle the package builds, each checked on the arguments
+    # it was built from: every pair up to order 200, else 10^4 seeded pairs
+    built, split = [], gr.oracle_from_split_tables
+
+    def recording(radices, images, H, name):
+        g = split(radices, images, H, name)
+        built.append((g, radices, images, H))
+        return g
+
+    monkeypatch.setattr(gr, "oracle_from_split_tables", recording)
+    builds = [lambda n=n: tower.TowerGroup(tower.find_primes(n)).embed_as_oracle()
+              for n in (1, 2, 3)]
+    builds += [lambda G=G: sdp.embed_as_oracle(G) for G in sdp_pool]
+    builds += [lambda doc=doc: cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP) for doc in SPLIT_SPECS]
+    builds += [lambda m=m: gr.cyclic(m) for m in (1, 2, 5000)]
+    cases = []
+    for build in builds:
+        build()
+        cases.append(built[-1])  # H may be a split oracle built first
+    assert [g.gens for g, *_ in cases] == list(SPLIT_GENS)
+    assert {tuple(radices) for _, radices, _, _ in cases} >= {
+        (3,), (3, 5), (3, 5, 17), (23, 23), (17, 17, 17), (47, 47), (1,), (2,), (5000,)}
+    for g, radices, images, H in cases:
+        mul, inv = reference_split_law(radices, images, H)
+        if g.n <= 200:
+            pairs = product(range(g.n), repeat=2)
+        else:
+            rng = random.Random(g.n)
+            pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(10**4)]
+        for a, b in pairs:
+            assert g.mul(a, b) == mul(a, b), (g.name, a, b)
+        elements = range(g.n) if g.n <= 200 else {a for pair in pairs for a in pair}
+        for a in elements:
+            assert inverse(g, a) == inv(a), (g.name, a)
 
 
 def test_split_and_table_laws_give_the_same_lattice(small_pool_oracles, tower2, tower3):
