@@ -20,18 +20,21 @@ carries extensions to extensions: if T = <S, g> with S normal of prime
 index in T and S = R^x, then T^(x^-1) = <R, g^(x^-1)> extends R.  So every
 class is reached from the extended member of the class below it.  The
 orbit pass also gives the normaliser (orbit-stabiliser, Schreier
-generators), and the candidates are read off it with no test.
+generators), and the candidates are read off it with no test.  The
+candidates are p-elements only, as the p-part of any g that extends S
+gives the same extension.  An extension whose generators every G-gen
+conjugates into it is normal: it is its own orbit, with no orbit walk.
 
 Conjugation by g is an automorphism of the lattice that fixes G, so
 Moebius values, maximality and being a maximal intersection are the same
 on every member of a class: `mobius_all` sums over overgroups once per
-class and `counts` tests one member per class.  Every closure, normal
-closure and chief-factor basis grows by right cosets in one walk,
-`_closures` (Dimino's algorithm): adjoining x to H = <gens> fills one
-coset Hr per new representative r, one law call per new element, instead
-of closing <gens, x> again from scratch.  The lattice pass reads the p-th
-roots of every element, for each prime p dividing |G|, off one walk of
-the cyclic subgroups.
+class, and `maximal_subgroups` and `counts` test one member per class.
+Every closure, normal closure and chief-factor basis grows by right
+cosets in one walk, `_closures` (Dimino's algorithm): adjoining x to
+H = <gens> fills one coset Hr per new representative r, one law call per
+new element, instead of closing <gens, x> again from scratch.  The
+lattice pass reads the p-th roots of p-power order, for each prime p
+dividing |G|, off one walk of the cyclic subgroups.
 
 Laws are immutable; derived data (the lattice record, Moebius values,
 conjugation tables) is memoized on the group through `G._memo`, the
@@ -457,7 +460,9 @@ def _conjugation(G: OracleGroup, gens):
     `__getitem__` over its image list (memoised per g), and the map
     x -> 2^x.  A conjugate's members are map(image, members) and, the
     images being distinct, its mask is sum(map(bit, members))."""
-    images = [G._memo("conj", g, list, map(G.conj, range(G.n), repeat(g))).__getitem__
+    n, mul, inv = G.n, G.mul, G._inv
+    images = [G._memo("conj", g, list, map(mul, map(mul, repeat(inv[g], n), range(n)),
+                                           repeat(g, n))).__getitem__
               for g in gens]
     return images, G._memo("powers_of_two", None, lambda: [1 << x for x in range(G.n)]).__getitem__
 
@@ -640,11 +645,22 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
     candidates for S are read off masks with no test: the g in N_G(S) - S
     with g^p in S.  Such a g gives <S, g> = S<g> = S u Sg u ... u Sg^(p-1),
     of order p|S| and inside N_G(S), so only the p dividing |N_G(S):S| are
-    tried.  A candidate g inside a known subgroup d of order p|S| with
-    S <= d gives S<g> = d (g in d - S normalises S with g^p in S, and S<g>
-    <= d has d's order): before S is extended by p, every such d is
-    cleared from the candidates, and so is every member of a new orbit
-    that contains S.  Each extension computed is then a new class.
+    tried.  Only the p-elements g are tried, which loses no extension: if
+    T = <S, g> as above, write g = g_p g_p', both powers of g, g_p of p-power
+    order and g_p' of order prime to p.  The image of g_p' in T/S = C_p has
+    order prime to p, so g_p' lies in S; then g_p lies in gS, in T - S, with
+    g_p^p = (g^p)^e in S, and S<g_p> = T.  A candidate g inside a known
+    subgroup d of order p|S| with S <= d gives S<g> = d (g in d - S
+    normalises S with g^p in S, and S<g> <= d has d's order): before S is
+    extended by p, every such d is cleared from the candidates, and so is
+    every member of a new orbit that contains S.  Each extension computed is
+    then a new class.
+
+    Each queued T carries its generators, those of S and g.  T is normal
+    exactly when every G-gen conjugates each of them into T (T^h <= T has
+    T's order, and the G-gens generate G), a few bit tests on the
+    conjugation tables; a normal T is its own orbit, with N_G(T) = G, and
+    only a T that is not normal walks its orbit.
 
     Each class is represented by its least member in the lattice order.
     LATTICE_CAP is checked after each orbit is added, and an orbit has at
@@ -653,14 +669,14 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
     if not is_solvable(G):
         raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
     mul = G.mul
-    _, bit = _conjugation(G, ())  # x -> 2^x
+    images, bit = _conjugation(G, G.gens)  # x -> x^h per G-gen h, x -> 2^x
     roots = _root_masks(G)
     full = (1 << G.n) - 1
     class_of = {1: 0}  # lattice mask -> number of its class
     sizes = [1]  # class sizes by number
     by_order: dict[int, list[int]] = {}  # the lattice so far, by order
-    queue = [(1, [0], full)]  # (mask, members, normaliser), one per class
-    for s_mask, s_members, s_norm in queue:  # extended while it is walked
+    queue = [(1, [0], full, ())]  # (mask, members, normaliser, gens), one per class
+    for s_mask, s_members, s_norm, s_gens in queue:  # extended while it is walked
         order = len(s_members)
         for p in prime_factors(s_norm.bit_count() // order):
             known = by_order.setdefault(p * order, [])
@@ -677,17 +693,21 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
                 t_members = list(s_members)
                 coset = s_members
                 for _ in range(1, p):
-                    coset = [mul(y, g) for y in coset]
+                    coset = list(map(mul, coset, repeat(g)))
                     t_members += coset
                 t_mask = s_mask | sum(map(bit, t_members[order:]))
-                orbit, t_norm = _orbit_and_normaliser(G, t_mask, t_members)
+                t_gens = s_gens + (g,)
+                if all((t_mask >> image(y)) & 1 for image in images for y in t_gens):
+                    orbit, t_norm = [t_mask], full
+                else:
+                    orbit, t_norm = _orbit_and_normaliser(G, t_mask, t_members)
                 for c in orbit:
                     if c & s_mask == s_mask:
                         candidates &= ~c
                 class_of.update(dict.fromkeys(orbit, len(sizes)))
                 sizes.append(len(orbit))
                 known += orbit
-                queue.append((t_mask, t_members, t_norm))
+                queue.append((t_mask, t_members, t_norm, t_gens))
                 if len(class_of) > LATTICE_CAP:
                     raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
     lattice = tuple(sorted(class_of, key=_canonical_key))
@@ -716,15 +736,24 @@ def _cycles(G: OracleGroup):
 
 
 def _root_masks(G: OracleGroup) -> dict[int, list[int]]:
-    """roots[p][x] for each prime p dividing |G|: the mask of the g with
-    g^p = x.  On each walk of `_cycles`, g^i joins the mask of its p-th
-    power g^(i*p mod k), read off the same list."""
+    """roots[p][y] for each prime p dividing |G|: the mask of the elements x
+    of p-power order > 1 with x^p = y.  On a walk [1, g, ..., g^(k-1)] of
+    `_cycles` with k = p^a q, p not dividing q, these x are the g^i with i a
+    nonzero multiple of q, and x^p = g^(i*p mod k) is read off the same list.
+    An element on several walks joins its mask once."""
     roots = {p: [0] * G.n for p in prime_factors(G.n)}
+    done = bytearray(G.n)
     for cycle in _cycles(G):
         k = len(cycle)
         for p, masks in roots.items():
-            for i, x in enumerate(cycle):
-                masks[cycle[i * p % k]] |= 1 << x
+            q = k  # the p'-part of k: with q = k the range is empty
+            while q % p == 0:
+                q //= p
+            for i in range(q, k, q):
+                x = cycle[i]
+                if not done[x]:
+                    done[x] = 1
+                    masks[cycle[i * p % k]] |= 1 << x
     return roots
 
 
@@ -733,13 +762,18 @@ def maximal_subgroups(G: OracleGroup) -> tuple[int, ...]:
 
 
 def _maximals(G: OracleGroup) -> tuple[int, ...]:
-    # a proper overgroup of s comes later in the lattice and lies in a
-    # maximal, so s is maximal iff no later maximal contains it
+    # maximality is a class property, and a proper overgroup of s has a
+    # larger order, so its class comes later in the lattice: a class is
+    # maximal iff no member of a later maximal class contains its least member
+    lattice = _lattice(G)
+    members: dict[int, list[int]] = {}  # least member -> class, in lattice order
+    for s in lattice.subgroups[:-1]:
+        members.setdefault(lattice.least_conjugate[s], []).append(s)
     maximals: list[int] = []
-    for s in reversed(all_subgroups(G)[:-1]):
+    for s in reversed(members):
         if not any(s & m == s for m in maximals):
-            maximals.append(s)
-    return tuple(reversed(maximals))
+            maximals += members[s]
+    return tuple(sorted(maximals, key=_canonical_key))
 
 
 def frattini(G: OracleGroup) -> int:

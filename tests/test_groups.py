@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import random
 import tracemalloc
@@ -705,16 +706,19 @@ def test_split_tables_refuse_images_that_do_not_fit_h():
 
 
 def test_root_masks_match_powers_by_squaring(corpus_list, small_pool_oracles, tower2, tower3):
-    # for each prime p dividing |G|, the p-th roots of every element
+    # for each prime p dividing |G|, the p-th roots of p-power order > 1 of
+    # every element: x has p-power order exactly when x^(p-part of |G|) = 1
     oracles = list(corpus_list) + [g for _, g in small_pool_oracles]
     oracles += [T.embed_as_oracle() for T in reference_towers(tower2, tower3)]
     for g in oracles:
         roots = gr._root_masks(g)
         assert sorted(roots) == ffla.prime_factors(g.n), g.name
         for p, masks in roots.items():
+            p_part = math.gcd(g.n, p ** g.n)
             expected = [0] * g.n
-            for x in range(g.n):
-                expected[reference_power(g, x, p)] |= 1 << x
+            for x in range(1, g.n):
+                if reference_power(g, x, p_part) == 0:
+                    expected[reference_power(g, x, p)] |= 1 << x
             assert masks == expected, (g.name, p)
 
 
@@ -1005,6 +1009,42 @@ def test_cold_lattice_of_order_2040_takes_under_20000_law_calls(tower3):
         lattice = gr.all_subgroups(cold)
     assert calls[0] < 20000, calls
     assert lattice == gr.all_subgroups(g)
+
+
+def test_cold_lattice_of_order_2040_walks_one_orbit_per_class_above_size_one(tower3,
+                                                                               monkeypatch):
+    # a normal extension is found by its generators, with no orbit walk
+    g = tower3.embed_as_oracle()
+    cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
+    walked, conjugates = [], gr._conjugates
+    monkeypatch.setattr(gr, "_conjugates", lambda G, mask, members: (
+        walked.append(mask), conjugates(G, mask, members))[1])
+    with counting_law_calls(cold) as calls:
+        gr.all_subgroups(cold)
+    assert calls[0] < 20000, calls
+    sizes = [size for _, size in gr.conjugacy_classes_of_subgroups(cold)]
+    assert len(walked) == sum(size > 1 for size in sizes) == 17, (len(walked), sizes)
+
+
+def test_classes_sized_one_are_normal_and_the_others_fill_their_orbits(spec_mix_oracles,
+                                                                       large_pool_oracles):
+    # the full orbit walk checks the normal shortcut of the lattice pass
+    for g in spec_mix_oracles + large_pool_oracles:
+        for s, size in gr.conjugacy_classes_of_subgroups(g):
+            orbit = gr._orbit(g, s)
+            if size == 1:
+                assert orbit == {s}, g.name
+            else:
+                assert len(orbit) == size, g.name
+
+
+def test_maximals_by_class_match_the_overgroup_reference(spec_mix_oracles, large_pool_oracles):
+    # maximality tested once per class against the overgroup bitsets of
+    # every subgroup, here on the larger lattices (F_47^2 x| C_2 has 4,516)
+    f47 = cli.build_oracle(SPLIT_SPECS[2], gr.DEFAULT_ORDER_CAP)
+    for g in spec_mix_oracles + large_pool_oracles + [f47]:
+        subs = list(gr.all_subgroups(g))
+        assert list(gr.maximal_subgroups(g)) == reference_maximals(subs), g.name
 
 
 def test_orbit_with_conjugation_tables_makes_no_law_call(corpus_list, tower3):
