@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product as iter_product
+from operator import getitem
 
 from .errors import MalformedInput, ResourceCapExceeded, ValidationError
 
@@ -403,7 +404,7 @@ class FieldOps:
     def _add_multiple(self, x, a, y) -> tuple[int, ...]:
         """x + a*y for vectors x, y over F and a in F."""
         add, ay = self.add_t, self.mul_t[a]
-        return tuple(add[u][ay[w]] for u, w in zip(x, y))
+        return tuple(map(getitem, map(add.__getitem__, x), map(ay.__getitem__, y)))
 
     def f_rref(self, vectors, t: int):
         rows = [list(v) for v in vectors]

@@ -14,7 +14,7 @@ deterministic function of its arguments; caches only memoize.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -207,36 +207,21 @@ class SdGroup(gr._Memoised):
 # ---------------------------------------------------------------------------
 # descriptors
 #
-# A descriptor's submodule is its F-RREF rows over F^t.
+# A descriptor's submodule is its F-RREF rows over F^t.  Descriptors are
+# namedtuples, so they are built, hashed and compared as tuples: the
+# calculus and the checker key memos on them.
 
+MaximalSupplement = namedtuple("MaximalSupplement", "submodule translate")
+MaximalSupplement.__doc__ = """M = W * H^v with W a maximal H-submodule of V^t; the
+translate is the canonical coset representative, so descriptor equality
+is subgroup equality."""
 
-@dataclass(frozen=True)
-class MaximalSupplement:
-    """M = W * H^v with W a maximal H-submodule of V^t; the translate is the
-    canonical coset representative, so descriptor equality is subgroup
-    equality."""
+PartialIntersection = namedtuple("PartialIntersection", "submodule h_mask translate")
+PartialIntersection.__doc__ = """A subgroup W * X^v with X <= H given by its mask."""
 
-    submodule: tuple
-    translate: Vector
-
-
-@dataclass(frozen=True)
-class PartialIntersection:
-    """A subgroup W * X^v with X <= H given by its mask."""
-
-    submodule: tuple
-    h_mask: int
-    translate: Vector
-
-
-@dataclass(frozen=True)
-class CanonicalIntersection:
-    """The triple (U, v, Z) representing U * C_{H^v}(Z), with Z given by
-    its F-RREF rows over F^f_dim."""
-
-    submodule: tuple
-    translate: Vector
-    z_space: tuple
+CanonicalIntersection = namedtuple("CanonicalIntersection", "submodule translate z_space")
+CanonicalIntersection.__doc__ = """The triple (U, v, Z) representing U * C_{H^v}(Z), with Z
+given by its F-RREF rows over F^f_dim."""
 
 
 def enumerate_maximal_supplements(G: SdGroup) -> list[MaximalSupplement]:
@@ -275,15 +260,27 @@ def descriptor_elements(G: SdGroup, submodule, h_mask: int, translate) -> int:
 
     This brute force reads only the basis rows of U's F_p span and H's
     matrices.  Its memos live in the group: the steps B and masks L per
-    group, U's mask per submodule, and block - block*x per k-block of V and
-    x in H.
+    group, U's mask per submodule, X's grouping by shift per (v, X), so
+    supplements of different submodules that share a translate group H
+    once, and block - block*x per k-block of V and x in H.
     """
     moves = G._memo("digit_moves", None, _digit_moves, G)
     u_mask = G._memo("span_mask", submodule, _span_mask, G, submodule, moves)
+    groups = G._memo("shift_groups", (translate, h_mask), _shift_groups, G, translate, h_mask)
+    p = G.p
+    out = 0
+    for shift, h_bits in groups:
+        out |= _move(u_mask * h_bits, shift, p, moves)
+    return out
+
+
+def _shift_groups(G: SdGroup, translate, h_mask: int) -> tuple:
+    """The pairs (v - v^x, h_bits) of `descriptor_elements`, one per shift,
+    h_bits the mask of the x in X with that shift: U_mask << x for every
+    such x is U_mask * h_bits."""
     p, k = G.p, G.k
     blocks = [translate[b:b + k] for b in range(0, G.wdim, k)]
     diffs_by_x = G._memo("shift", None, defaultdict, dict)
-    # U_mask << x for every x sharing a shift is U_mask times their h bits
     h_bits_by_shift: dict = {}
     for x in gr.mask_bits(h_mask):
         diffs = diffs_by_x[x]
@@ -294,10 +291,7 @@ def descriptor_elements(G: SdGroup, submodule, h_mask: int, translate) -> int:
                 diff = diffs[block] = vec_sub(block, vec_mat(block, G.module.elements[x], p), p)
             shift += diff
         h_bits_by_shift[shift] = h_bits_by_shift.get(shift, 0) | 1 << x
-    out = 0
-    for shift, h_bits in h_bits_by_shift.items():
-        out |= _move(u_mask * h_bits, shift, p, moves)
-    return out
+    return tuple(h_bits_by_shift.items())
 
 
 def _digit_moves(G: SdGroup):
@@ -372,13 +366,19 @@ def centralizer_in_h(G: SdGroup, z_space) -> int:
 
 
 def _f_rref_pivots(fops: FieldOps, rows, n: int) -> list[int]:
-    """The leading columns of `rows`, or MalformedInput unless they are in F-RREF over F^n."""
-    pivots = [next((c for c, x in enumerate(row) if x), None) for row in rows]
-    if (None in pivots or pivots != sorted(set(pivots))
-            or not all(len(row) == n and all(0 <= x < fops.q for x in row) for row in rows)
-            or any(row[c] != (fops.one if i == j else 0)
-                   for i, c in enumerate(pivots) for j, row in enumerate(rows))):
-        raise MalformedInput(f"rows are not in F-RREF over F^{n}")
+    """The leading columns of `rows`, or MalformedInput unless they are in
+    F-RREF over F^n, checked in one pass: each row has length n, entries in
+    F, a leading one right of the pivot before it, and zeros in its pivot
+    column in the rows before it.  Its other entries in pivot columns lie
+    left of its leading one, so they are zero."""
+    pivots: list[int] = []
+    for i, row in enumerate(rows):
+        c = next((c for c, x in enumerate(row) if x), n)
+        if not (len(row) == n and c < n and row[c] == fops.one
+                and (not pivots or c > pivots[-1]) and 0 <= min(row) and max(row) < fops.q
+                and not any(above[c] for above in rows[:i])):
+            raise MalformedInput(f"rows are not in F-RREF over F^{n}")
+        pivots.append(c)
     return pivots
 
 

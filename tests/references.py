@@ -13,11 +13,13 @@ normal closures closed from scratch, the H-submodule of a split
 product's W that the sum of its unit vectors generates, closed from its
 conjugates, the law and inverses of a split product with W added digit
 by digit, and the count tables tested one subgroup at a time, the order
-of an element, the action of H on V^t, the product and the inverse in V^t x| H, the F_p-span of the
-F-multiples of vectors of V, the module isomorphism search over the
-intertwiners in lexicographic order and the crown check built on it, the
-tables of a field by matrix products, sums and an inverse
-scan, and the product table and inverses of a matrix group by the same.
+of an element, the action of H on V^t, the product and the inverse in
+V^t x| H, the F_p-span of the F-multiples of vectors of V, the F-RREF
+check of rows by their leading columns and then every row against every
+leading column, the module isomorphism search over the intertwiners in
+lexicographic order and the crown check built on it, the tables of a
+field by matrix products, sums and an inverse scan, and the product
+table and inverses of a matrix group by the same.
 The tests keep them to build independent references and test data, with
 a counter of the law calls an oracle makes.
 """
@@ -181,6 +183,19 @@ def f_span(fops, vectors) -> FpSubspace:
     p, k = fops.p, fops.dim
     return FpSubspace.from_vectors(p, k, [vec_mat(v, m, p) for v in vectors
                                           for m in fops.basis])
+
+
+def reference_f_rref_pivots(fops, rows, n: int) -> list[int]:
+    """The leading columns of `rows`, or MalformedInput unless they are in
+    F-RREF over F^n: the leading columns first, then every row against
+    every leading column."""
+    pivots = [next((c for c, x in enumerate(row) if x), None) for row in rows]
+    if (None in pivots or pivots != sorted(set(pivots))
+            or not all(len(row) == n and all(0 <= x < fops.q for x in row) for row in rows)
+            or any(row[c] != (fops.one if i == j else 0)
+                   for i, c in enumerate(pivots) for j, row in enumerate(rows))):
+        raise MalformedInput(f"rows are not in F-RREF over F^{n}")
+    return pivots
 
 
 def reference_field_tables(p: int, dim: int, basis):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from solvint import corpus, ffla, sdp, tower
+from solvint import corpus, ffla, props, sdp, tower
 from solvint import groups as gr
 from solvint.errors import (
     CaseDispatchError,
@@ -19,7 +19,7 @@ from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
 from references import (all_subspaces, counting_law_calls, decompose, f_span, intersect, inverse,
                         is_subspace_of, order_of, reference_centralizer_of_factor,
-                        reference_crown_module_check,
+                        reference_crown_module_check, reference_f_rref_pivots,
                         reference_matrix_table, reference_module_isomorphism, sd_act, sd_inverse,
                         sd_mul, subspace_vectors, sum_with, vec_add, zero_subspace)
 
@@ -42,7 +42,7 @@ def fp_span(G, rows) -> FpSubspace:
 
 def fp_form(G, K):
     """The descriptor K with its submodule given by its F_p span."""
-    return dataclasses.replace(K, submodule=fp_span(G, K.submodule))
+    return K._replace(submodule=fp_span(G, K.submodule))
 
 
 def test_create_validates_invariants():
@@ -166,6 +166,31 @@ def test_descriptor_masks_match_reference(sdp_pool):
             fresh = sdp.SdGroup(g.module, g.t)
             assert sdp.descriptor_elements(fresh, *desc) == mask, (g.name, desc)
             assert sdp.descriptor_elements(fresh, *desc) == mask, (g.name, desc)
+
+
+def test_shift_groups_are_shared_across_submodules(sdp_pool):
+    # one cold group per pool group of order <= 300 answers every maximal
+    # supplement, then 20 seeded partials, in sequence: H's grouping by the
+    # shift v - v^x is memoised per (translate, X), so supplements of other
+    # hyperplanes with the same translate read back a grouping built for
+    # another submodule
+    rng = random.Random(1414)
+    descriptors = shared = 0
+    for g in sdp_pool:
+        if g.order > 300:
+            continue
+        cold = sdp.SdGroup(g.module, g.t)
+        full = (1 << g.module.order) - 1
+        descs = [(m.submodule, full, m.translate) for m in sdp.enumerate_maximal_supplements(cold)]
+        for _ in range(20):
+            k = sdp.random_partial(cold, rng)
+            descs.append((k.submodule, k.h_mask, k.translate))
+        for desc in descs:
+            ref = encode_elements(g, reference_elements(g, *desc))
+            assert sdp.descriptor_elements(cold, *desc) == ref, (g.name, g.order, desc)
+        descriptors += len(descs)
+        shared += len(descs) - len(cold._cache["shift_groups"])
+    assert descriptors > 1000 and shared > 500, (descriptors, shared)
 
 
 def test_case_spanning_spec_example():
@@ -430,6 +455,57 @@ def test_realize_rejects_z_rows_not_in_f_rref():
               [(0, 0)], [(one,)], [(one, 0, 0)], [(one, fops.q)]):
         with pytest.raises(MalformedInput):
             sdp.realize_intersection(g, zero, z)
+
+
+def rref_verdict(check, fops, rows, n: int):
+    """The pivots `check` returns for `rows`, or the message it refuses them with."""
+    try:
+        return check(fops, rows, n)
+    except MalformedInput as err:
+        return str(err)
+
+
+def test_f_rref_check_matches_the_reference(sdp_pool):
+    # the one-pass check accepts, with the same pivots, and refuses, with
+    # the same message, exactly the row sets that the reference does, over
+    # every field of the pool
+    rng = random.Random(1618)
+    fields = {(g.module.fops.q, g.module.fops.one): g.module.fops for g in sdp_pool}
+    accepted = refused = 0
+    for fops in fields.values():
+        q, one = fops.q, fops.one
+        other = next(x for x in range(1, q) if x != one)
+        # a zero row, equal pivots, falling pivots, a leading entry other
+        # than one, a nonzero entry in another row's pivot column, entries
+        # >= q and < 0, rows of the wrong length
+        cases = [((one, 0, 0), (0, 0, 0)), ((0, one, 0), (0, one, 0)), ((0, one, 0), (one, 0, 0)),
+                 ((other, 0, 0),), ((one, other, 0), (0, one, 0)), ((one, q, 0),),
+                 ((one, 0, -1),), ((one, 0),), ((one, 0, 0, 0),), ((one, 0, 0), (0, one))]
+        for rows in cases:
+            for check in (sdp._f_rref_pivots, reference_f_rref_pivots):
+                assert rref_verdict(check, fops, rows, 3) == "rows are not in F-RREF over F^3"
+        # RREF row sets with up to two entries overwritten, rows shuffled at times
+        for _ in range(300):
+            n = rng.randrange(5)
+            vectors = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(n + 2))]
+            rows = [list(row) for row in fops.f_rref(vectors, n)[0]]
+            for _ in range(rng.randrange(3) if rows and n else 0):
+                rows[rng.randrange(len(rows))][rng.randrange(n)] = rng.choice(
+                    (0, one, other, rng.randrange(q), -1, q))
+            if rng.randrange(4) == 0:
+                rng.shuffle(rows)
+            rows = tuple(map(tuple, rows))
+            verdict = rref_verdict(sdp._f_rref_pivots, fops, rows, n)
+            assert verdict == rref_verdict(reference_f_rref_pivots, fops, rows, n), (q, rows)
+            accepted += isinstance(verdict, list)
+            refused += isinstance(verdict, str)
+        # every basis the field enumerates is accepted, with its leading columns
+        for n in range(4):
+            for rows in all_subspaces(fops, n):
+                pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+                assert sdp._f_rref_pivots(fops, rows, n) == pivots, (q, rows)
+                assert reference_f_rref_pivots(fops, rows, n) == pivots, (q, rows)
+    assert accepted > 500 and refused > 500, (accepted, refused)
 
 
 def round_trip_instances():
@@ -1084,6 +1160,31 @@ def test_maximals_per_class_are_the_crown_count(gaschuetz_oracles):
             assert len(cls.maximals) == c * (q**delta - 1) // (q - 1), (g.name, cls.label)
             classes += 1
     assert classes > 200
+
+
+def test_realized_intersections_have_eta_at_most_the_family_product(sdp_pool):
+    # realize_intersection(G, U, Z) gives t* + d supplements of index |V|
+    # meeting in U * C_H(Z), so the oracle's least eta product for that
+    # subgroup is at most |V|^(t* + d).  Pool groups above order 300 are
+    # left out: the trivial subgroup of V^3:H<GL(1,5)> (order 500) hits the
+    # eta search's node cap.
+    families = tight = 0
+    for g in sdp_pool:
+        if g.order > 300:
+            continue
+        oracle = sdp.embed_as_oracle(g)
+        for u, z in round_trip_pairs(g):
+            t_star, d = g.t - len(u), len(z)
+            if t_star == 0:
+                continue
+            h = functools.reduce(operator.and_, (sdp.supplement_elements(g, m)
+                                                 for m in sdp.realize_intersection(g, u, z)))
+            product = props.eta_of_intersection(oracle, h).product
+            bound = (g.p ** g.k) ** (t_star + d)
+            assert product <= bound, (g.name, g.order, u, z)
+            families += 1
+            tight += product == bound
+    assert families > 800 and 0 < tight < families, (families, tight)
 
 
 # ---------------------------------------------------------------------------
