@@ -143,18 +143,18 @@ _template_cache: dict[tuple, sdp.SdGroup] = {}
 
 def sdp_pool(max_order: int = 2000) -> list[sdp.SdGroup]:
     """All template groups V^t x| H with order at most `max_order`, over
-    every multiplicity t >= 1 that fits."""
+    every multiplicity t >= 1 that fits.  Each is named with its order, as
+    `V^1:H<GL(2,3)|36`: one H and t can give several groups."""
     out = []
     for p, k, gens in SDP_TEMPLATES:
         t = 1
         while True:
             key = (p, k, gens, t)
             if key not in _template_cache:
-                base_key = (p, k, gens, 1)
-                if base_key in _template_cache:
-                    _template_cache[key] = sdp.SdGroup(_template_cache[base_key].module, t)
-                else:
-                    _template_cache[key] = sdp.SdGroup.create(p, k, t, list(gens))
+                module = (_template_cache[(p, k, gens, 1)].module if t > 1
+                          else sdp.HModule.create(p, k, list(gens)))
+                order = p ** (k * t) * module.order
+                _template_cache[key] = sdp.SdGroup(module, t, f"V^{t}:{module.group.name}|{order}")
             g = _template_cache[key]
             if g.order > max_order:
                 break

@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import math
+import random
 import tempfile
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -839,3 +841,41 @@ def test_due_keeps_the_schema_errors_of_a_spec_without_an_integer_t(spec_dir, ca
         code, out, err = run(capsys, "verify", "--suite", "due", "--spec", str(path))
         assert (code, out) == (2, ""), t
         assert err.strip().splitlines() == [f"schema error: {message}"], t
+
+
+def relabelled_table(g, rng) -> list[list[int]]:
+    """g's Cayley table under a seeded relabelling x -> perm[x] that fixes
+    the identity: the product of perm[a] and perm[b] is perm[ab]."""
+    perm = [0] + rng.sample(range(1, g.n), g.n - 1)
+    table = [[0] * g.n for _ in range(g.n)]
+    for a in range(g.n):
+        row = table[perm[a]]
+        for b in range(g.n):
+            row[perm[b]] = perm[g.mul(a, b)]
+    return table
+
+
+def analyze_rows(doc) -> Counter:
+    """The rows of `analyze` as a multiset, with the group name and each
+    crown label's class number dropped: classes of one prime and dimension
+    are numbered in lattice order, which follows the labels."""
+    rows = cli.cmd_analyze(doc, gr.DEFAULT_ORDER_CAP, 0).rows
+    return Counter((section, None if section == "group" else label.split("#")[0], field, value,
+                    provenance) for section, label, field, value, provenance in rows)
+
+
+def test_analyze_rows_do_not_depend_on_element_labels(spec_mix_specs):
+    # the 9 table groups of `spec-mix` and the tower levels of order <= 400,
+    # each against its table relabelled by two seeded permutations
+    docs = [doc for doc in spec_mix_specs if doc["kind"] == "oracle-table"]
+    docs += [{"kind": "tower", "n": n} for n in (1, 2)]
+    docs += [{"kind": "tower", "primes": [p, q]}
+             for p, q in ((3, 13), (3, 17), (5, 13), (5, 17), (7, 13))]
+    assert len(docs) == 16
+    rng = random.Random(46)
+    for doc in docs:
+        g = cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP)
+        rows = analyze_rows(doc)
+        for _ in range(2):
+            table = relabelled_table(g, rng)
+            assert analyze_rows({"kind": "oracle-table", "table": table}) == rows, doc

@@ -770,7 +770,9 @@ SPLIT_SPECS = (
 
 def test_split_law_matches_a_digitwise_reference(monkeypatch, sdp_pool):
     # every split oracle the package builds, each checked on the arguments
-    # it was built from: every pair up to order 200, else 10^4 seeded pairs
+    # it was built from: every pair up to order 200, else 10^4 seeded pairs;
+    # and each gen's conjugation table, H's included when H is one, against
+    # x -> g^-1 x g from the law
     built, split = [], gr.oracle_from_split_tables
 
     def recording(radices, images, H, name):
@@ -803,6 +805,11 @@ def test_split_law_matches_a_digitwise_reference(monkeypatch, sdp_pool):
         elements = range(g.n) if g.n <= 200 else {a for pair in pairs for a in pair}
         for a in elements:
             assert inverse(g, a) == inv(a), (g.name, a)
+    for g, *_ in built:
+        assert set(g._gen_conj) == set(g.gens), g.name
+        mul, inv = g.mul, g._inv
+        for x, table in g._gen_conj.items():
+            assert table() == [mul(mul(inv[x], y), x) for y in range(g.n)], (g.name, x)
 
 
 def test_split_and_table_laws_give_the_same_lattice(small_pool_oracles, tower2, tower3):
@@ -1024,6 +1031,25 @@ def test_cold_lattice_of_order_2040_walks_one_orbit_per_class_above_size_one(tow
     assert calls[0] < 20000, calls
     sizes = [size for _, size in gr.conjugacy_classes_of_subgroups(cold)]
     assert len(walked) == sum(size > 1 for size in sizes) == 17, (len(walked), sizes)
+
+
+def test_fresh_order_2040_lattice_reads_its_split_conjugation_tables(monkeypatch):
+    # the split oracle's own tables make no law call, and the orbit walks
+    # stop at the orbit-stabiliser count; tables from the law and whole
+    # orbit walks took 18,017 law calls and built 1,426 conjugates
+    g = tower.TowerGroup(tower.find_primes(3)).embed_as_oracle()
+    masks, conjugates = [0], gr._conjugates
+
+    def counted(G, mask, members):
+        for edge in conjugates(G, mask, members):
+            masks[0] += 1
+            yield edge
+
+    monkeypatch.setattr(gr, "_conjugates", counted)
+    with counting_law_calls(g) as calls:
+        gr.all_subgroups(g)
+    assert calls[0] < 11000, calls
+    assert masks[0] <= 800, masks
 
 
 def test_classes_sized_one_are_normal_and_the_others_fill_their_orbits(spec_mix_oracles,

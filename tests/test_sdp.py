@@ -1166,7 +1166,7 @@ def test_realized_intersections_have_eta_at_most_the_family_product(sdp_pool):
     # realize_intersection(G, U, Z) gives t* + d supplements of index |V|
     # meeting in U * C_H(Z), so the oracle's least eta product for that
     # subgroup is at most |V|^(t* + d).  Pool groups above order 300 are
-    # left out: the trivial subgroup of V^3:H<GL(1,5)> (order 500) hits the
+    # left out: the trivial subgroup of V^3:H<GL(1,5)|500 hits the
     # eta search's node cap.
     families = tight = 0
     for g in sdp_pool:
@@ -1193,7 +1193,7 @@ def test_realized_intersections_have_eta_at_most_the_family_product(sdp_pool):
 
 # the crowns (group, order, delta) on which reference_module_isomorphism
 # passes its cap, after 2-7 s each; the next test checks the five of them
-SEARCH_CAPPED = {("V^4:H<GL(1,3)", 162, 4), ("V^3:H<GL(1,7)", 1029, 3)}
+SEARCH_CAPPED = {("V^4:H<GL(1,3)|162", 162, 4), ("V^3:H<GL(1,7)|1029", 1029, 3)}
 
 
 def test_crown_module_check_matches_the_isomorphism_search(gaschuetz_oracles):
@@ -1224,7 +1224,7 @@ def test_crown_module_check_matches_the_isomorphism_search(gaschuetz_oracles):
 def test_crown_module_check_passes_where_the_search_hit_its_cap(small_pool_oracles,
                                                                 large_pool_oracles):
     # C2^6, F_3^4 x| C_2 and F_7^3 as sdp specs, and the pool's F_3^4 x| C_2
-    # and V^3:H<GL(1,7): one crown each of delta 6, 4, 3, 4 and 3
+    # and V^3:H<GL(1,7)|1029: one crown each of delta 6, 4, 3, 4 and 3
     specs = [sdp.embed_as_oracle(sdp.SdGroup.create(p, 1, t, gens))
              for p, t, gens in ((2, 6, []), (3, 4, [((2,),)]), (7, 3, []))]
     capped_groups = {(name, order) for name, order, _delta in SEARCH_CAPPED}
