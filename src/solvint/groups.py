@@ -34,6 +34,9 @@ Conjugation by g is an automorphism of the lattice that fixes G, so
 Moebius values, maximality and being a maximal intersection are the same
 on every member of a class: `mobius_all` sums over overgroups once per
 class, and `maximal_subgroups` and `counts` test one member per class.
+The maximal-intersection test reads one memoised record per subgroup h,
+`_maximals_above`: the maximals above h and their meet, which `frattini`
+and props' eta and gamma read too.
 Every closure, normal closure and chief-factor basis grows by right
 cosets in one walk, `_closures` (Dimino's algorithm): adjoining x to
 H = <gens> fills one coset Hr per new representative r, one law call per
@@ -54,10 +57,10 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, product, repeat
 from math import gcd
-from operator import itemgetter
+from operator import and_, itemgetter
 from types import MappingProxyType
 
 from .errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
@@ -834,7 +837,7 @@ def _maximals(G: OracleGroup) -> tuple[int, ...]:
 
 def frattini(G: OracleGroup) -> int:
     """Intersection of all maximal subgroups (G itself when |G| = 1)."""
-    return _meet_above(G, 1, maximal_subgroups(G))
+    return _maximals_above(G, 1)[1]
 
 
 def conjugacy_classes_of_subgroups(G: OracleGroup):
@@ -897,16 +900,18 @@ def mobius(h: int, G: OracleGroup) -> int:
 def is_maximal_intersection(h: int, G: OracleGroup) -> bool:
     """True iff h equals the intersection of the maximal subgroups above it
     (the empty intersection is G, so G itself qualifies)."""
-    return _meet_above(G, h, maximal_subgroups(G)) == h
+    return _maximals_above(G, h)[1] == h
 
 
-def _meet_above(G: OracleGroup, mask: int, maximal_masks) -> int:
-    """Intersection of the maximal masks containing `mask` (G if none)."""
-    out = (1 << G.n) - 1
-    for m in maximal_masks:
-        if m & mask == mask:
-            out &= m
-    return out
+def _maximals_above(G: OracleGroup, h: int) -> tuple[tuple[int, ...], int]:
+    """The record of h: (above, meet), the maximal masks containing h in
+    `maximal_subgroups` order and their intersection (G if none)."""
+    return G._memo("above", h, _above_and_meet, G, h)
+
+
+def _above_and_meet(G: OracleGroup, h: int) -> tuple[tuple[int, ...], int]:
+    above = tuple(m for m in maximal_subgroups(G) if m & h == h)
+    return above, reduce(and_, above, (1 << G.n) - 1)
 
 
 def counts(G: OracleGroup) -> tuple[tuple[int, tuple[int, int, int]], ...]:

@@ -169,10 +169,9 @@ def gamma_min(G: gr.OracleGroup, p: int, d: int, cosets) -> int:
         k += 1
         level = {c & l for c in level for l in line_c} - mindim.keys()
         mindim.update(dict.fromkeys(level, k))
-    maximals = gr.maximal_subgroups(G)
     weak = 0
     for c in mindim:
-        inter = gr._meet_above(G, c, maximals)
+        inter = gr._maximals_above(G, c)[1]
         weak = max(weak, min(dim for c_star, dim in mindim.items() if c_star & inter == c))
     return max(1, weak)
 
@@ -218,10 +217,10 @@ def eta_of_intersection(G: gr.OracleGroup, h: int) -> EtaRecord:
     full = (1 << G.n) - 1
     if h == full:
         raise MalformedInput("eta is defined for proper maximal intersections only")
-    above = [m for m in gr.maximal_subgroups(G) if m & h == h]
-    if gr._meet_above(G, h, above) != h:
+    above, meet = gr._maximals_above(G, h)
+    if meet != h:
         raise MalformedInput("subgroup is not an intersection of maximal subgroups")
-    above.sort(key=lambda m: (G.n // m.bit_count(), m))
+    above = sorted(above, key=lambda m: (G.n // m.bit_count(), m))
     idx = [G.n // m.bit_count() for m in above]
     suffix = [full] * (len(above) + 1)
     for i in range(len(above) - 1, -1, -1):
@@ -321,7 +320,7 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     rows = []
     for h in maximal_intersection_classes(G):
         rec = eta_of_intersection(G, h)
-        above = [class_of_maximal[m] for m in gr.maximal_subgroups(G) if m & h == h]
+        above = [class_of_maximal[m] for m in gr._maximals_above(G, h)[0]]
         gamma_h = max(G._memo("class_gamma_min", cls.label, gamma_min, G, cls.prime, cls.dim,
                               cls.cosets) for cls in above)
         rows.append(GammaEtaRow(h, rec.index, rec.product, rec.eta_leq(gamma_h + 1)))

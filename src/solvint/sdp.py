@@ -662,7 +662,9 @@ def crown(G: gr.OracleGroup, v_class: ChiefFactorClass) -> CrownData:
     |C:R| = |V|^delta, and the first direct normal complement D when one
     exists.  The normal subgroups are the classes of size 1 that the
     lattice lists, in lattice order."""
-    r = gr._meet_above(G, 1, v_class.maximals)
+    r = (1 << G.n) - 1
+    for m in v_class.maximals:
+        r &= m
     c = v_class.centralizer
     if r & c != r:
         raise AssertionError("crown core is not inside the centralizer")

@@ -253,16 +253,6 @@ class TowerCounts:
     beta_bound_holds: bool | None
 
 
-def _oracle_class_data(T: TowerGroup):
-    oracle = T.embed_as_oracle()
-    classes = gr.conjugacy_classes_of_subgroups(oracle)
-    mu = gr.mobius_all(oracle)
-    full = (1 << oracle.n) - 1
-    data = [(rep, size, mu[rep], gr.is_maximal_intersection(rep, oracle))
-            for rep, size in classes if rep != full]
-    return oracle, data
-
-
 def _capped_counts(n: int, primes: tuple[int, ...]) -> TowerCounts:
     """The closed forms of level n, with every oracle column None."""
     return TowerCounts(n, primes, (1 << (n - 1)) * (n + 2) - 1, (1 << (n + 1)) - 1, None,
@@ -275,10 +265,12 @@ def tilde_counts(T: TowerGroup) -> TowerCounts:
     the closed formula is compared, not assumed.  The structural count is
     taken once the oracle data exists."""
     counts = _capped_counts(T.n, T.primes.primes)
-    oracle, data = _oracle_class_data(T)
+    oracle = T.embed_as_oracle()
+    mu = gr.mobius_all(oracle)
+    reps = [rep for rep, _size in gr.conjugacy_classes_of_subgroups(oracle)[:-1]]  # G's is last
     structural = len(classify_intersections(T))
-    gamma_oracle = sum(1 for _rep, _s, _mu, is_mi in data if is_mi)
-    beta_oracle = sum(1 for _rep, _s, mu_v, _mi in data if mu_v != 0)
+    gamma_oracle = sum(gr.is_maximal_intersection(rep, oracle) for rep in reps)
+    beta_oracle = sum(mu[rep] != 0 for rep in reps)
     return replace(
         counts, gamma_tilde_structural=structural, gamma_tilde_oracle=gamma_oracle,
         beta_tilde_oracle=beta_oracle,
@@ -292,8 +284,9 @@ def structural_matches_oracle(T: TowerGroup) -> bool:
     classes (by conjugacy of representatives, each read as its least
     conjugate off the lattice pass; a representative that is not an
     oracle subgroup reads None and fails the check)."""
-    oracle, data = _oracle_class_data(T)
-    oracle_reps = {rep for rep, _s, _mu, is_mi in data if is_mi}
+    oracle = T.embed_as_oracle()
+    oracle_reps = {rep for rep, _size in gr.conjugacy_classes_of_subgroups(oracle)[:-1]
+                   if gr.is_maximal_intersection(rep, oracle)}
     least = gr._lattice(oracle).least_conjugate
     classes = classify_intersections(T)
     structural_reps = {least.get(class_representative_elements(T, cls)) for cls in classes}

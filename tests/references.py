@@ -565,7 +565,8 @@ def reference_gamma_min(module):
     """props.gamma_min by the exhaustive search: C_H(W) from all of W's row
     vectors at once, each matrix of H tested on them, and for every
     F-subspace W a scan of every F-subspace W*, in order of dimension, for
-    the first weak witness; the largest witness dimension, at least 1."""
+    the first weak witness; the largest witness dimension, at least 1.
+    Each meet of the maximals above C_H(W) is its own loop over them."""
     f, H, p = module.f_dim, module.group, module.p
     maximal_masks = gr.maximal_subgroups(H)
 
@@ -578,7 +579,10 @@ def reference_gamma_min(module):
     weak_max = 0
     for d in range(f + 1):
         for c_w in by_dim[d]:
-            inter = gr._meet_above(H, c_w, maximal_masks)
+            inter = (1 << H.n) - 1
+            for m in maximal_masks:
+                if m & c_w == c_w:
+                    inter &= m
             weak = next(d_star for d_star in range(f + 1)
                         if any(c_star & inter == c_w for c_star in by_dim[d_star]))
             weak_max = max(weak_max, weak)

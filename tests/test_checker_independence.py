@@ -11,10 +11,11 @@ subspace-reduction entry points, nor the F-coordinate frame and F's row
 arithmetic.  The calculus in turn reaches neither the checker nor an F_p
 span: it reduces and compares in F-coordinates only.  A spec's oracle is
 built with no module and no endomorphism field.  Likewise the gamma
-reference of tests/references.py tests H's matrices itself, and names
-none of the stabiliser code that props.gamma_min runs, and the derived
-series and normal closure references close by their own walk over the
-law, naming none of the closure code of groups.
+reference of tests/references.py tests H's matrices itself and meets the
+maximals by its own loop, naming none of the stabiliser or meet code that
+props.gamma_min runs, and the derived series and normal closure
+references close by their own walk over the law, naming none of the
+closure code of groups.
 """
 
 import ast
@@ -117,7 +118,9 @@ def test_gamma_reference_names_no_gamma_code():
     reached = reached_from(defs, "reference_gamma_min")
     # C_H(W) comes from the reference's own scan of the matrices
     assert "centralizer" in reached
-    assert named_from(defs, reached, {"fixing_mask", "centralizer_of", "gamma_min"}) == set()
+    assert named_from(defs, reached, {"fixing_mask", "centralizer_of", "gamma_min",
+                                      "_meet_above", "_maximals_above", "_above_and_meet",
+                                      "is_maximal_intersection"}) == set()
 
 
 def test_derived_series_and_normal_closure_references_name_no_closure_code():

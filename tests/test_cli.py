@@ -349,6 +349,20 @@ def test_split_oracles_of_a_large_w_keep_their_bytes_in_little_memory(spec_dir, 
         assert hashlib.sha256(out.encode()).hexdigest() == digest, doc
 
 
+def test_a_cold_analyze_filters_the_maximals_once_per_subgroup(monkeypatch):
+    # every question about the maximals above h and their meet reads one
+    # record per h, so a cold `analyze` filters the maximals at most once
+    # per subgroup class: F_17^3 has 616 classes and F_47^2 x| C_2 100
+    filtered = []
+    compute = gr._above_and_meet
+    monkeypatch.setattr(gr, "_above_and_meet",
+                        lambda G, h: filtered.append(h) or compute(G, h))
+    for (doc, _digest), classes in zip(LARGE_W_SPECS, (616, 100)):
+        filtered.clear()
+        assert cli.cmd_analyze(doc, gr.DEFAULT_ORDER_CAP, 0).failures == 0
+        assert 0 < len(filtered) <= classes, doc
+
+
 def test_a_deeply_nested_spec_is_a_schema_error(spec_dir, capsys):
     # json.loads raises RecursionError on 100,000 nested arrays
     path = spec_dir / "deep.json"
@@ -864,18 +878,45 @@ def analyze_rows(doc) -> Counter:
                     provenance) for section, label, field, value, provenance in rows)
 
 
-def test_analyze_rows_do_not_depend_on_element_labels(spec_mix_specs):
-    # the 9 table groups of `spec-mix` and the tower levels of order <= 400,
-    # each against its table relabelled by two seeded permutations
+def suite_rows(doc, suite: str) -> Counter:
+    """The rows of `verify --suite suite` as a multiset, with the group name
+    dropped."""
+    rows = cli.cmd_verify(doc, suite, gr.DEFAULT_ORDER_CAP, 0).rows
+    return Counter((section, field, value, provenance)
+                   for section, _name, field, value, provenance in rows)
+
+
+@pytest.fixture(scope="module")
+def relabelled_docs(spec_mix_specs):
+    """(doc, its two relabelled table docs) for the 9 table groups of
+    `spec-mix` and the tower levels of order <= 400: each group's table under
+    two seeded relabellings."""
     docs = [doc for doc in spec_mix_specs if doc["kind"] == "oracle-table"]
     docs += [{"kind": "tower", "n": n} for n in (1, 2)]
     docs += [{"kind": "tower", "primes": [p, q]}
              for p, q in ((3, 13), (3, 17), (5, 13), (5, 17), (7, 13))]
     assert len(docs) == 16
     rng = random.Random(46)
+    out = []
     for doc in docs:
         g = cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP)
+        out.append((doc, [{"kind": "oracle-table", "table": relabelled_table(g, rng)}
+                          for _ in range(2)]))
+    return out
+
+
+def test_analyze_rows_do_not_depend_on_element_labels(relabelled_docs):
+    for doc, relabelled in relabelled_docs:
         rows = analyze_rows(doc)
-        for _ in range(2):
-            table = relabelled_table(g, rng)
-            assert analyze_rows({"kind": "oracle-table", "table": table}) == rows, doc
+        for other in relabelled:
+            assert analyze_rows(other) == rows, doc
+
+
+def test_thuno_and_propo_rows_do_not_depend_on_element_labels(relabelled_docs):
+    # both suites read the maximals above each class and their meet: thuno
+    # for eta and the gamma of the factors above, propo for c_n and eta_min
+    for doc, relabelled in relabelled_docs:
+        for suite in ("thuno", "propo"):
+            rows = suite_rows(doc, suite)
+            for other in relabelled:
+                assert suite_rows(other, suite) == rows, (doc, suite)
