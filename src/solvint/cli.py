@@ -195,12 +195,17 @@ def cmd_analyze(doc: dict, cap: int, seed: int) -> Report:
 
 
 def _fresh(groups: list[sdp.SdGroup]) -> list[sdp.SdGroup]:
-    """New groups over copies of the sdp pool's modules, each with a fresh H,
-    so that the memos of an interKM request start cold and end with it."""
+    """New groups over copies of the sdp pool's modules, so that the memos of
+    an interKM request start cold and end with it.  Each distinct module is
+    copied once, with a fresh H, so the groups of one module share the
+    tables that sdp memoises on H: those that depend on the module alone."""
+    fresh: dict[int, sdp.HModule] = {}
     out = []
     for g in groups:
-        module = copy.copy(g.module)
-        (module.group,) = _fresh_oracles([module.group])
+        module = fresh.get(id(g.module))
+        if module is None:
+            module = fresh[id(g.module)] = copy.copy(g.module)
+            (module.group,) = _fresh_oracles([module.group])
         out.append(sdp.SdGroup(module, g.t, g.name))
     return out
 

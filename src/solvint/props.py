@@ -150,7 +150,8 @@ def gamma_min(G: gr.OracleGroup, p: int, d: int, cosets) -> int:
     projective_points(p, d), with no F built, from ffla.fixing_mask.  A
     breadth-first pass from C_G(0) = G meets each centralizer first reached
     at level k - 1 with every line centralizer; one not seen before is
-    C_G(W), dim_F W = k least.
+    C_G(W), dim_F W = k least.  The meet of the maximals above each C_G(W)
+    is read once and not memoised: no other caller reads these records.
 
     The order cap that built G bounds the work.  For a chief factor A = X/Y
     of G, X <= C_G(A) (A is abelian), so |A| |G:C_G(A)| <= |C_G(A):Y|
@@ -171,7 +172,7 @@ def gamma_min(G: gr.OracleGroup, p: int, d: int, cosets) -> int:
         mindim.update(dict.fromkeys(level, k))
     weak = 0
     for c in mindim:
-        inter = gr._maximals_above(G, c)[1]
+        inter = gr._above_and_meet(G, c)[1]
         weak = max(weak, min(dim for c_star, dim in mindim.items() if c_star & inter == c))
     return max(1, weak)
 
@@ -313,9 +314,8 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
     seen above H has witness dimension at most gamma_H, then H admits a
     family with product at most index^(gamma_H + 1).  Violations would be
     implementation bugs, not counterexamples; they are reported as rows
-    with ok=False."""
-    if not gr.is_solvable(G):
-        raise gr.UnsupportedGroup("verifier requires a solvable group")
+    with ok=False.  A G that is not solvable is refused by its lattice
+    query (UnsupportedGroup)."""
     class_of_maximal = {m: cls for cls in sdp.chief_factor_classes(G) for m in cls.maximals}
     rows = []
     for h in maximal_intersection_classes(G):

@@ -63,7 +63,9 @@ class HModule:
     """A solvable matrix group H <= GL(k, p) acting faithfully and
     irreducibly on V = F_p^k, with its endomorphism field F.  `group` is H as
     an oracle over the ids of `elements`, a subgroup of H is a mask over
-    those ids, and an F-subspace of V is held as the F-RREF of `fcoords`."""
+    those ids, and an F-subspace of V is held as the F-RREF of `fcoords`.
+    The tables that depend on the module alone (H's products, F-coordinates,
+    vectors, centralizers, the checker's shifts) are memoised on `group`."""
 
     def __init__(self, p, k, elements, group, fops, frame):
         self.p = p
@@ -141,7 +143,8 @@ def _matrix_group(p: int, k: int, gens):
 
 class SdGroup(gr._Memoised):
     """G = V^t x| H with diagonal action of H on the t factors.  The closed
-    form and the brute force memoise on the group through `_memo`."""
+    form and the brute force memoise the tables that depend on t on the
+    group through `_memo`, and the rest on `module.group`."""
 
     def __init__(self, module: HModule, t: int, name: str | None = None):
         if t < 0:
@@ -262,7 +265,7 @@ def descriptor_elements(G: SdGroup, submodule, h_mask: int, translate) -> int:
     matrices.  Its memos live in the group: the steps B and masks L per
     group, U's mask per submodule, X's grouping by shift per (v, X), so
     supplements of different submodules that share a translate group H
-    once, and block - block*x per k-block of V and x in H.
+    once; block - block*x per k-block of V and x in H lives on H.
     """
     moves = G._memo("digit_moves", None, _digit_moves, G)
     u_mask = G._memo("span_mask", submodule, _span_mask, G, submodule, moves)
@@ -280,7 +283,7 @@ def _shift_groups(G: SdGroup, translate, h_mask: int) -> tuple:
     such x is U_mask * h_bits."""
     p, k = G.p, G.k
     blocks = [translate[b:b + k] for b in range(0, G.wdim, k)]
-    diffs_by_x = G._memo("shift", None, defaultdict, dict)
+    diffs_by_x = G.module.group._memo("shift", None, defaultdict, dict)
     h_bits_by_shift: dict = {}
     for x in gr.mask_bits(h_mask):
         diffs = diffs_by_x[x]
@@ -349,7 +352,7 @@ def centralizer_in_h(G: SdGroup, z_space) -> int:
     row only: F commutes with H, so an element fixing z fixes every
     F-multiple of z, and so all of Z."""
     module = G.module
-    return G._memo("centralizer", z_space, module.centralizer_of, z_space)
+    return module.group._memo("centralizer", z_space, module.centralizer_of, z_space)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +408,11 @@ def _annihilator(G: SdGroup, W):
 
 def _rows(G: SdGroup, W, v: Vector) -> dict:
     """The rows of W * X^v: c is the sum over j of phi_j times the
-    F-coordinates of v's j-th k-block, memoised per block."""
+    F-coordinates of v's j-th k-block, memoised per block on the module."""
     phis, pivots = G._memo("ann", W, _annihilator, G, W)
     module, k = G.module, G.k
     fops = module.fops
-    blocks = [G._memo("fcoords", b, module.fcoords, b)
+    blocks = [module.group._memo("fcoords", b, module.fcoords, b)
               for b in (v[i:i + k] for i in range(0, G.wdim, k))]
     rows = {}
     for phi, j in zip(phis, pivots):
@@ -458,7 +461,8 @@ def _solution(G: SdGroup, rows: dict):
         if any(lead):
             blocks = [fops._add_multiple(b, fops.neg_t[a], lead) if a else b
                       for a, b in zip(s, blocks)]
-    return U, tuple(x for b in blocks for x in G._memo("vector", b, module.vector_of, b))
+    return U, tuple(x for b in blocks
+                    for x in module.group._memo("vector", b, module.vector_of, b))
 
 
 def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
@@ -727,8 +731,8 @@ def random_submodule(G: SdGroup, rng) -> tuple:
 def random_partial(G: SdGroup, rng) -> PartialIntersection:
     w = random_submodule(G, rng)
     seeds = [rng.randrange(G.module.order) for _ in range(rng.randrange(1, 3))]
-    x_set = gr._sorted_closure(
-        seeds, lambda a, b: G._memo("hmul", (a, b), G.module.group.mul, a, b), 0)
+    H = G.module.group
+    x_set = gr._sorted_closure(seeds, lambda a, b: H._memo("hmul", (a, b), H.mul, a, b), 0)
     v = tuple(rng.randrange(G.p) for _ in range(G.wdim))
     return PartialIntersection(w, sum(1 << x for x in x_set), v)
 

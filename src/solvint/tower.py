@@ -182,8 +182,9 @@ class IntersectionClass:
     index: int
 
 
-def classify_intersections(T: TowerGroup) -> list[IntersectionClass]:
-    """Every conjugacy class of proper maximal intersections, structurally.
+def classify_intersections(T: TowerGroup) -> tuple[IntersectionClass, ...]:
+    """Every conjugacy class of proper maximal intersections, structurally,
+    memoised on T.
 
     X_J for nonempty J; Y_J for every J including the empty set (Y_{} is
     the unique index-2 maximal subgroup itself); Z_{J,i} for i in {2..n}
@@ -191,6 +192,10 @@ def classify_intersections(T: TowerGroup) -> list[IntersectionClass]:
     printed alongside it in tilde_counts may disagree and the report says
     so explicitly.
     """
+    return T._memo("classes", None, _classify_intersections, T)
+
+
+def _classify_intersections(T: TowerGroup) -> tuple[IntersectionClass, ...]:
     n, primes = T.n, T.primes.primes
     out = []
     for level in range(n + 1):
@@ -199,12 +204,16 @@ def classify_intersections(T: TowerGroup) -> list[IntersectionClass]:
                 if (level == 0 and j) or level == 1 or level in j:
                     index = (1 << level) * math.prod(primes[m - 1] for m in j)
                     out.append(IntersectionClass("XYZ"[min(level, 2)], frozenset(j), level, index))
-    return out
+    return tuple(out)
 
 
 def class_representative_elements(T: TowerGroup, cls: IntersectionClass) -> int:
-    """The mask of the canonical representative subgroup: socle coordinates
-    vanish on J and the cyclic part is <x^(2^level)>."""
+    """The mask of the canonical representative subgroup, memoised on T:
+    socle coordinates vanish on J and the cyclic part is <x^(2^level)>."""
+    return T._memo("class_rep", cls, _class_representative_elements, T, cls)
+
+
+def _class_representative_elements(T: TowerGroup, cls: IntersectionClass) -> int:
     digits = [(0,) if m in cls.j_set else range(p)
               for m, p in enumerate(T.primes.primes, start=1)]
     return T.subgroup_mask(digits, range(0, T.h_order, 1 << cls.level))

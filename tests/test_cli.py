@@ -571,19 +571,40 @@ def test_verify_interkm_deterministic(capsys):
 
 
 def test_interkm_requests_are_cold(monkeypatch):
-    # an interKM request works on fresh groups over the pool's modules, so
-    # it leaves no memo behind in the pool groups for the next request; a
-    # pool of its own keeps earlier tests from having filled them already
+    # an interKM request works on fresh groups over copies of the pool's
+    # modules, so it leaves no memo behind in the pool groups or in their
+    # H for the next request; a pool of its own keeps earlier tests from
+    # having filled them already
     monkeypatch.setattr(corpus, "_template_cache", {})
     pool = corpus.sdp_pool(2000)
+    groups = pool + list({id(g.module): g.module.group for g in pool}.values())
 
     def cache_sizes():
-        return [{key: len(value) for key, value in g._cache.items()} for g in pool]
+        return [{key: len(value) for key, value in g._cache.items()} for g in groups]
 
     before = cache_sizes()
     report = cli.cmd_verify(None, "interKM", gr.DEFAULT_ORDER_CAP, 5)
     assert report.failures == 0
     assert cache_sizes() == before
+    # the tables of the module alone stay on the request's own H
+    tables = {"hmul", "centralizer", "fcoords", "vector", "shift"}
+    assert all(tables.isdisjoint(g._cache) for g in groups)
+
+
+def test_fresh_pool_groups_of_one_module_share_one_fresh_h(sdp_pool):
+    # 35 groups over 14 modules: the groups of one module share its copy
+    # and its fresh H, which is neither the pool's H nor another request's
+    fresh, again = cli._fresh(sdp_pool), cli._fresh(sdp_pool)
+    modules = {}
+    for g, f, a in zip(sdp_pool, fresh, again):
+        assert (f.t, f.name) == (g.t, g.name)
+        f_module, a_module = modules.setdefault(id(g.module), (f.module, a.module))
+        assert f.module is f_module and a.module is a_module, g.name
+        assert f.module.group is not g.module.group, g.name
+        assert f.module.group is not a.module.group, g.name
+        assert f.module.group._cache == {}, g.name
+    assert (len(sdp_pool), len(modules)) == (35, 14)
+    assert len({id(f.module.group) for f in fresh}) == 14
 
 
 def test_verify_interkm_refuses_a_spec(spec_dir, capsys):
@@ -888,20 +909,26 @@ def suite_rows(doc, suite: str) -> Counter:
 
 @pytest.fixture(scope="module")
 def relabelled_docs(spec_mix_specs):
-    """(doc, its two relabelled table docs) for the 9 table groups of
-    `spec-mix` and the tower levels of order <= 400: each group's table under
-    two seeded relabellings."""
+    """(doc, its relabelled table docs) for the 9 table groups of `spec-mix`,
+    the tower levels of order <= 400 and the `spec-mix` sdp specs C4-F5^1
+    and C3-F4^2: each group's table under two seeded relabellings, and an
+    sdp spec's own table as well, so that the split oracle is checked
+    against the table oracle of the same group."""
     docs = [doc for doc in spec_mix_specs if doc["kind"] == "oracle-table"]
     docs += [{"kind": "tower", "n": n} for n in (1, 2)]
     docs += [{"kind": "tower", "primes": [p, q]}
              for p, q in ((3, 13), (3, 17), (5, 13), (5, 17), (7, 13))]
-    assert len(docs) == 16
+    docs += [doc for name in ("C4-F5^1", "C3-F4^2")
+             for doc in spec_mix_specs if doc.get("name") == name]
+    assert len(docs) == 18
     rng = random.Random(46)
     out = []
     for doc in docs:
         g = cli.build_oracle(doc, gr.DEFAULT_ORDER_CAP)
-        out.append((doc, [{"kind": "oracle-table", "table": relabelled_table(g, rng)}
-                          for _ in range(2)]))
+        tables = [relabelled_table(g, rng) for _ in range(2)]
+        if doc["kind"] == "sdp":
+            tables.insert(0, [[g.mul(a, b) for b in range(g.n)] for a in range(g.n)])
+        out.append((doc, [{"kind": "oracle-table", "table": table} for table in tables]))
     return out
 
 

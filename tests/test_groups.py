@@ -163,6 +163,73 @@ def test_all_subgroups_requires_solvable():
         gr.all_subgroups(a5)
 
 
+def not_solvable_groups():
+    """A5, S5, A5 x C2^3 and S5 x C2^3 (orders 60, 120, 480 and 960)."""
+    a5 = gr.from_permutations([(1, 2, 3, 4, 0), (1, 0, 3, 2, 4)], "A5")
+    s5 = gr.from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], "S5")
+    c2_3 = gr.direct_product(gr.direct_product(gr.cyclic(2), gr.cyclic(2)), gr.cyclic(2))
+    return [a5, s5, gr.direct_product(a5, c2_3), gr.direct_product(s5, c2_3)]
+
+
+def test_the_lattice_pass_refuses_exactly_the_groups_that_are_not_solvable(
+        corpus_and_primitive_oracles, small_pool_oracles, monkeypatch):
+    # the pass reaches G exactly when G is solvable, with no derived series;
+    # S5 x C2^3 has more solvable subgroups than LATTICE_CAP and 3^5:C2 more
+    # subgroups, so there, and only there, the cap branch tests solvability
+    groups = corpus_and_primitive_oracles + [g for _, g in small_pool_oracles]
+    tested, is_solvable = [], gr.is_solvable
+    monkeypatch.setattr(gr, "is_solvable", lambda G: tested.append(G.n) or is_solvable(G))
+    refused = {}
+    for g in groups + not_solvable_groups():
+        cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
+        try:
+            gr.all_subgroups(cold)
+            refused[g.name] = False
+        except UnsupportedGroup as e:
+            assert str(e) == "subgroup lattice enumeration requires a solvable group"
+            refused[g.name] = True
+        except ResourceCapExceeded:
+            assert g.n in (486, 960), g.name
+            refused[g.name] = False
+        assert refused[g.name] == (reference_derived_series(g)[-1] != 1), g.name
+    assert [name for name, no in refused.items() if no] == ["A5", "S5", "A5xC2xC2xC2",
+                                                            "S5xC2xC2xC2"]
+    assert tested == [486, 960]
+
+
+def test_the_lattice_cap_refuses_a_group_that_is_not_solvable_as_unsupported(monkeypatch):
+    # past the cap the derived series decides: A5 (59 subgroups) is not
+    # solvable, S4 (30) is; neither leaves a lattice table behind
+    monkeypatch.setattr(gr, "LATTICE_CAP", 20)
+    a5 = not_solvable_groups()[0]
+    s4 = corpus.corpus_group("S4")
+    for g, error in ((a5, UnsupportedGroup), (s4, ResourceCapExceeded)):
+        cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
+        with pytest.raises(error):
+            gr.all_subgroups(cold)
+        assert "lattice" not in cold._cache, g.name
+
+
+def test_cold_tower_lattices_take_no_derived_series(monkeypatch):
+    # the order-884 level (primes 13, 17) and the order-2040 level (3, 5, 17)
+    calls = []
+    derived = gr._derived_series
+    monkeypatch.setattr(gr, "_derived_series", lambda G: calls.append(G.n) or derived(G))
+    for primes in (tower.TowerPrimes(2, (13, 17), False), tower.find_primes(3)):
+        g = tower.TowerGroup(primes).embed_as_oracle()
+        assert gr.all_subgroups(g)[-1] == (1 << g.n) - 1
+    assert calls == []
+
+
+def test_cold_order_884_lattice_takes_under_2800_law_calls():
+    # 2,730 law calls; 3,462 while a derived series tested solvability first
+    g = tower.TowerGroup(tower.TowerPrimes(2, (13, 17), False)).embed_as_oracle()
+    assert g.n == 884
+    with counting_law_calls(g) as calls:
+        gr.all_subgroups(g)
+    assert calls[0] < 2800, calls
+
+
 def test_maximals_and_frattini():
     g = s3()
     maxs = gr.maximal_subgroups(g)
@@ -1005,16 +1072,17 @@ def test_orbit_normalisers_match_conjugation_by_every_element(lattice_oracles):
 
 
 def test_cold_lattice_of_order_2040_takes_under_20000_law_calls(tower3):
-    # the root masks, the solvability test and the conjugation tables
-    # included; testing each candidate for normalising S and computing
-    # every extension took 46,439, and one table per unit vector of W
-    # (4 gens) 26,084
+    # the root masks and the conjugation tables included, on a copy that
+    # has only the law: 17,537 (18,379 with a derived series first, a bound
+    # of 20,000 then); testing each candidate for normalising S and
+    # computing every extension took 46,439, and one table per unit vector
+    # of W (4 gens) 26,084
     g = tower3.embed_as_oracle()
     assert len(g.gens) == 2, g.gens
     cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
     with counting_law_calls(cold) as calls:
         lattice = gr.all_subgroups(cold)
-    assert calls[0] < 20000, calls
+    assert calls[0] < 19100, calls
     assert lattice == gr.all_subgroups(g)
 
 
@@ -1028,15 +1096,16 @@ def test_cold_lattice_of_order_2040_walks_one_orbit_per_class_above_size_one(tow
         walked.append(mask), conjugates(G, mask, members))[1])
     with counting_law_calls(cold) as calls:
         gr.all_subgroups(cold)
-    assert calls[0] < 20000, calls
+    assert calls[0] < 19100, calls
     sizes = [size for _, size in gr.conjugacy_classes_of_subgroups(cold)]
     assert len(walked) == sum(size > 1 for size in sizes) == 17, (len(walked), sizes)
 
 
 def test_fresh_order_2040_lattice_reads_its_split_conjugation_tables(monkeypatch):
-    # the split oracle's own tables make no law call, and the orbit walks
-    # stop at the orbit-stabiliser count; tables from the law and whole
-    # orbit walks took 18,017 law calls and built 1,426 conjugates
+    # the split oracle's own tables make no law call, the orbit walks stop
+    # at the orbit-stabiliser count, and no derived series runs: 9,377 law
+    # calls (10,219 with the series); tables from the law and whole orbit
+    # walks took 18,017 law calls and built 1,426 conjugates
     g = tower.TowerGroup(tower.find_primes(3)).embed_as_oracle()
     masks, conjugates = [0], gr._conjugates
 
@@ -1048,7 +1117,7 @@ def test_fresh_order_2040_lattice_reads_its_split_conjugation_tables(monkeypatch
     monkeypatch.setattr(gr, "_conjugates", counted)
     with counting_law_calls(g) as calls:
         gr.all_subgroups(g)
-    assert calls[0] < 11000, calls
+    assert calls[0] < 9500, calls
     assert masks[0] <= 800, masks
 
 

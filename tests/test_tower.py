@@ -1,9 +1,10 @@
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from solvint import tower
+from solvint import cli, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput
 from solvint.ffla import is_prime
@@ -204,6 +205,23 @@ def test_ratio_table_builds_no_level_over_the_order_cap(monkeypatch):
         gamma, beta, ratio = closed_forms[n]
         assert tc == tower.TowerCounts(n, p, gamma, beta, None, None, None, ratio,
                                        None, None), n
+
+
+def test_a_cold_tower_suite_builds_its_class_list_and_each_representative_once(monkeypatch):
+    # the suite reads the structural classes in four checks and most
+    # representatives in two or three; both are memoised on the level
+    lists, reps = [], Counter()
+    classify, represent = tower._classify_intersections, tower._class_representative_elements
+    monkeypatch.setattr(tower, "_classify_intersections",
+                        lambda T: lists.append(classify(T)) or lists[-1])
+    monkeypatch.setattr(tower, "_class_representative_elements",
+                        lambda T, cls: reps.update([(T.n, cls)]) or represent(T, cls))
+    for n in (2, 3):
+        report = cli.cmd_verify({"kind": "tower", "n": n}, "tower", gr.DEFAULT_ORDER_CAP, 0)
+        assert report.failures == 0, n
+        assert len(lists) == n - 1, n
+        assert sorted(reps.values()) == [1] * sum(len(classes) for classes in lists), n
+        assert {cls for m, cls in reps if m == n} == set(lists[-1]), n
 
 
 def test_ratio_table_strict_primes():
