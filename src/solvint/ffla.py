@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from operator import getitem
 
-from .errors import MalformedInput, ResourceCapExceeded, ValidationError
+from .errors import MalformedInput, ResourceCapExceeded
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -306,14 +306,14 @@ def endomorphism_field(generators, p: int, k: int) -> "FieldOps":
     """Solve X*g = g*X for all generators and tabulate the resulting field,
     refusing one above FIELD_ORDER_CAP before any table is built."""
     if not is_irreducible(generators, p, k):
-        raise ValidationError("irreducibility", "H does not act irreducibly on V")
+        raise MalformedInput("irreducibility: H does not act irreducibly on V")
     basis = tuple(
         tuple(tuple(vec[i * k + j] for j in range(k)) for i in range(k))
         for vec in _intertwiners(generators, generators, p, k, k)
     )
     e = len(basis)
     if k % e != 0:
-        raise ValidationError("irreducibility", "centralizer dimension does not divide k")
+        raise MalformedInput("irreducibility: centralizer dimension does not divide k")
     if p**e > FIELD_ORDER_CAP:
         raise ResourceCapExceeded("order of the endomorphism field of V", FIELD_ORDER_CAP)
     return FieldOps(p, k, basis)
@@ -366,7 +366,7 @@ class FieldOps:
     matrix product.  If the rows first return to e_1 at k = q - 1, they are
     q - 1 distinct nonzero rows, so with 0 every element has its own first
     row, which names it, and the nonzero elements are the units g^k.  If no
-    g does that, the span is not a field (ValidationError): F* is cyclic."""
+    g does that, the span is not a field (MalformedInput): F* is cyclic."""
 
     def __init__(self, p: int, dim: int, basis):
         self.p, self.dim, self.basis = p, dim, basis
@@ -389,7 +389,7 @@ class FieldOps:
             if row == one_row and len(exp) == q - 1:
                 break
         else:
-            raise ValidationError("irreducibility", "centralizer is not a field")
+            raise MalformedInput("irreducibility: centralizer is not a field")
         log = [0] * q
         for k, x in enumerate(exp):
             log[x] = k

@@ -64,7 +64,7 @@ from math import gcd
 from operator import and_, itemgetter
 from types import MappingProxyType
 
-from .errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
+from .errors import MalformedInput, ResourceCapExceeded
 from .ffla import mat_identity, mat_mod, mat_mul, prime_factors, spread_ids
 
 DEFAULT_ORDER_CAP = 5000
@@ -722,12 +722,12 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
     solvable.  An extension S<g> of a solvable S, with S normal of prime
     index in it, is solvable, so every subgroup reached is; and the argument
     above reaches every T of a solvable G, G itself included.  A pass that
-    ends without G raises UnsupportedGroup.
+    ends without G raises MalformedInput.
 
     Each class is represented by its least member in the lattice order.
     LATTICE_CAP is checked after each orbit is added, and an orbit has at
     most |G| members.  Past the cap, `is_solvable` decides between
-    UnsupportedGroup and ResourceCapExceeded.
+    MalformedInput and ResourceCapExceeded.
     """
     mul = G.mul
     images, bit = _conjugation(G, G.gens)  # x -> x^h per G-gen h, x -> 2^x
@@ -771,11 +771,11 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
                 queue.append((t_mask, t_members, t_norm, t_gens))
                 if len(class_of) > LATTICE_CAP:
                     if not is_solvable(G):
-                        raise UnsupportedGroup(
+                        raise MalformedInput(
                             "subgroup lattice enumeration requires a solvable group")
                     raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
     if full not in class_of:
-        raise UnsupportedGroup("subgroup lattice enumeration requires a solvable group")
+        raise MalformedInput("subgroup lattice enumeration requires a solvable group")
     lattice = tuple(sorted(class_of, key=_canonical_key))
     reps: dict[int, int] = {}  # class number -> least member, in lattice order
     for s in lattice:
@@ -980,7 +980,7 @@ def core_and_socle(m: int, G: OracleGroup) -> tuple[int, int]:
     with G^(i) not inside Y, read off the memoized `derived_series(G)` as
     the union of the cosets Ya over a in G^(i)."""
     if not is_solvable(G):
-        raise UnsupportedGroup("core_and_socle requires a solvable group")
+        raise MalformedInput("core_and_socle requires a solvable group")
     y = normal_core(G, m)
     # the terms inside Y are a suffix of the series, and it ends in 1
     d = next(d for d in reversed(derived_series(G)) if d & ~y)

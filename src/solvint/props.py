@@ -301,21 +301,12 @@ def has_eta_property(G: gr.OracleGroup, eta: Fraction) -> bool:
 # verifier: witness dimensions bound intersection exponents
 
 
-@dataclass(frozen=True)
-class GammaEtaRow:
-    subgroup_mask: int
-    index: int
-    product: int
-    ok: bool
-
-
-def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
-    """For every maximal-intersection class H: if every socle factor class
-    seen above H has witness dimension at most gamma_H, then H admits a
-    family with product at most index^(gamma_H + 1).  Violations would be
-    implementation bugs, not counterexamples; they are reported as rows
-    with ok=False.  A G that is not solvable is refused by its lattice
-    query (UnsupportedGroup)."""
+def verify_gamma_to_eta(G: gr.OracleGroup) -> list[bool]:
+    """For every maximal-intersection class H, in order: whether, with
+    gamma_H the largest witness dimension of the socle factor classes seen
+    above H, H admits a family with product at most index^(gamma_H + 1).
+    A False would be an implementation bug, not a counterexample.  A G that
+    is not solvable is refused by its lattice query (MalformedInput)."""
     class_of_maximal = {m: cls for cls in sdp.chief_factor_classes(G) for m in cls.maximals}
     rows = []
     for h in maximal_intersection_classes(G):
@@ -323,7 +314,7 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[GammaEtaRow]:
         above = [class_of_maximal[m] for m in gr._maximals_above(G, h)[0]]
         gamma_h = max(G._memo("class_gamma_min", cls.label, gamma_min, G, cls.prime, cls.dim,
                               cls.cosets) for cls in above)
-        rows.append(GammaEtaRow(h, rec.index, rec.product, rec.eta_leq(gamma_h + 1)))
+        rows.append(rec.eta_leq(gamma_h + 1))
     return rows
 
 

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from . import groups as gr
-from .errors import (
-    CaseDispatchError,
-    MalformedInput,
-    RealizationError,
-    ResourceCapExceeded,
-    SchemaError,
-    ValidationError,
-)
+from .errors import MalformedInput, ResourceCapExceeded, SchemaError
 from .ffla import (
     FieldOps,
     FpSubspace,
@@ -46,11 +39,9 @@ from .ffla import (
 )
 
 # ffla.is_irreducible spins every line of F_p^k; the corpus and the benchmark
-# catalogue use at most 7 lines (F_2^3)
+# catalogue use at most 7 lines (F_2^3).  The order cap bounds |V| only for
+# t >= 1: a t = 0 spec has |G| = |H|
 IRREDUCIBILITY_LINE_CAP = 4096
-# a spec's V^t has p^(k t) >= 2^(k t) elements, too many for any order cap
-# that fits in memory once k t passes this
-SPEC_DIMENSION_CAP = 64
 # random_case_suite draws families of 1..FAMILY_MAX maximal supplements
 FAMILY_MAX = 5
 
@@ -85,7 +76,7 @@ class HModule:
         the tests, as a spec request reads no F."""
         gens, elements, group = _matrix_group(p, k, gens)
         identity = mat_identity(k)
-        # ValidationError("irreducibility") unless every line spins to V
+        # MalformedInput("irreducibility: ...") unless every line spins to V
         fops = endomorphism_field(gens or (identity,), p, k)
         # the unit vectors outside the F-span of those taken before them
         frame: Matrix = ()
@@ -120,7 +111,7 @@ def _matrix_group(p: int, k: int, gens):
     """(gens mod p, elements, H) for the faithful H = <gens> <= GL(k, p),
     elements identity first: MalformedInput for a generator not k x k or
     singular, ResourceCapExceeded past the lines of the irreducibility test
-    or past CLOSURE_CAP elements, ValidationError unless H is solvable."""
+    or past CLOSURE_CAP elements, MalformedInput unless H is solvable."""
     gens = tuple(mat_mod(g, p) for g in gens)
     for g in gens:
         if len(g) != k or any(len(row) != k for row in g):
@@ -133,7 +124,7 @@ def _matrix_group(p: int, k: int, gens):
     elements = gr._sorted_closure(gens, lambda a, b: mat_mul(a, b, p), mat_identity(k))
     group = gr.from_elements(elements, lambda a, b: mat_mul(a, b, p), f"H<GL({k},{p})", gens)
     if not gr.is_solvable(group):
-        raise ValidationError("solvability", "H is not solvable")
+        raise MalformedInput("solvability: H is not solvable")
     return gens, elements, group
 
 
@@ -429,7 +420,7 @@ def _add_row(G: SdGroup, rows: dict, M: MaximalSupplement):
     zero, else None once it is kept."""
     own = G._memo("row", M, _rows, G, M.submodule, M.translate)
     if len(own) != 1:
-        raise CaseDispatchError("M's submodule is not maximal")
+        raise MalformedInput("M's submodule is not maximal")
     fops, t = G.module.fops, G.t
     (row,) = own.values()
     for j, other in rows.items():
@@ -487,7 +478,7 @@ def intersect_case_spanning(G: SdGroup, K: PartialIntersection,
     cosets."""
     spanning, (out, _) = _pair_step(G, K, M)
     if not spanning:
-        raise CaseDispatchError("submodules do not span V^t; use the nested case")
+        raise MalformedInput("submodules do not span V^t; use the nested case")
     return out
 
 
@@ -500,7 +491,7 @@ def intersect_case_nested(G: SdGroup, K: PartialIntersection, M: MaximalSuppleme
     """
     spanning, out = _pair_step(G, K, M)
     if spanning:
-        raise CaseDispatchError("K's submodule is not inside M's; use the spanning case")
+        raise MalformedInput("K's submodule is not inside M's; use the spanning case")
     return out
 
 
@@ -535,9 +526,8 @@ def realize_intersection(G: SdGroup, U, Z) -> list[MaximalSupplement]:
     U = tuple(map(tuple, U))
     phis, pivots = G._memo("ann", U, _annihilator, G, U)
     if not phis and Z:
-        raise RealizationError(
-            "U = V^t admits no maximal submodule above it; cannot realize a nonzero Z"
-        )
+        raise MalformedInput(
+            "U = V^t admits no maximal submodule above it; cannot realize a nonzero Z")
     zero = (0,) * module.f_dim
     rows = [{j: phi + zero} for phi, j in zip(phis, pivots)]
     rows += [{pivots[0]: phis[0] + tuple(z)} for z in Z]
@@ -708,7 +698,7 @@ def find_corona_crown(G: gr.OracleGroup) -> CrownData:
     """A crown with a nontrivial direct complement D (exists whenever the
     Frattini subgroup is trivial)."""
     if gr.frattini(G) != 1:
-        raise ValidationError("frattini-free", "find_corona_crown requires Frattini(G) = 1")
+        raise MalformedInput("frattini-free: find_corona_crown requires Frattini(G) = 1")
     for cls in chief_factor_classes(G):
         data = crown(G, cls)
         if data.complement not in (None, 1):
@@ -773,9 +763,11 @@ def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int):
 
 def oracle_from_spec(doc: dict, cap: int) -> gr.OracleGroup:
     """The oracle of V^t x| H from its structured document, with no module
-    and no field built: SchemaError for shape problems, ValidationError
+    and no field built: SchemaError for shape problems, MalformedInput
     (named invariant) for group-theoretic ones, and ResourceCapExceeded for
-    an order above `cap` or more subspaces than gr.LATTICE_CAP."""
+    an order above `cap` or more subspaces than gr.LATTICE_CAP.  |G| >=
+    |V^t| = p^(k t) >= 2^(k t), so V^t is weighed against `cap` before H is
+    closed, and p^(k t) is only taken for k t below cap's bit length."""
     for key in ("p", "k", "t", "h_gens"):
         if key not in doc:
             raise SchemaError(f"sdp spec is missing '{key}'")
@@ -790,12 +782,13 @@ def oracle_from_spec(doc: dict, cap: int) -> gr.OracleGroup:
                                     for r in g) for g in gens
     ):
         raise SchemaError("h_gens must be a list of integer matrices")
-    if k * t > SPEC_DIMENSION_CAP:
-        raise ResourceCapExceeded("dimension k*t of V^t", SPEC_DIMENSION_CAP)
+    if k * t >= cap.bit_length() or p ** (k * t) > cap:
+        raise ResourceCapExceeded(f"oracle embedding of |V^t|={p}^{k * t} exceeds the order cap",
+                                  cap)
     gens, elements, H = _matrix_group(p, k, gens)
     gr._check_embedding_order(p ** (k * t) * len(elements), cap)
     if not is_irreducible(gens, p, k):
-        raise ValidationError("irreducibility", "H does not act irreducibly on V")
+        raise MalformedInput("irreducibility: H does not act irreducibly on V")
     # every F_p-subspace of V^t is a subgroup: F_p^m, m = kt, has G_m of
     # them, G_(j+1) = 2 G_j + (p^j - 1) G_(j-1), G_0 = 1, checked before any table
     below, subspaces = 0, 1

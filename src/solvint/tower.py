@@ -250,8 +250,6 @@ def verify_realizing_families(T: TowerGroup) -> bool:
 
 @dataclass(frozen=True)
 class TowerCounts:
-    n: int
-    primes: tuple[int, ...]
     gamma_tilde_formula: int       # closed form printed alongside the oracle
     beta_tilde_bound: int
     gamma_tilde_structural: int | None
@@ -262,10 +260,10 @@ class TowerCounts:
     beta_bound_holds: bool | None
 
 
-def _capped_counts(n: int, primes: tuple[int, ...]) -> TowerCounts:
+def _capped_counts(n: int) -> TowerCounts:
     """The closed forms of level n, with every oracle column None."""
-    return TowerCounts(n, primes, (1 << (n - 1)) * (n + 2) - 1, (1 << (n + 1)) - 1, None,
-                       None, None, Fraction(4, n + 2), None, None)
+    return TowerCounts((1 << (n - 1)) * (n + 2) - 1, (1 << (n + 1)) - 1, None, None, None,
+                       Fraction(4, n + 2), None, None)
 
 
 def tilde_counts(T: TowerGroup) -> TowerCounts:
@@ -273,7 +271,7 @@ def tilde_counts(T: TowerGroup) -> TowerCounts:
     nonzero-Moebius classes (beta); the oracle values are authoritative and
     the closed formula is compared, not assumed.  The structural count is
     taken once the oracle data exists."""
-    counts = _capped_counts(T.n, T.primes.primes)
+    counts = _capped_counts(T.n)
     oracle = T.embed_as_oracle()
     mu = gr.mobius_all(oracle)
     reps = [rep for rep, _size in gr.conjugacy_classes_of_subgroups(oracle)[:-1]]  # G's is last
@@ -339,7 +337,7 @@ def ratio_table(n_min: int, n_max: int, strict: bool = False,
         try:
             counts = tilde_counts(TowerGroup(primes, cap))
         except ResourceCapExceeded:
-            counts = _capped_counts(n, primes.primes)
+            counts = _capped_counts(n)
         provenance = "oracle" if counts.gamma_tilde_oracle is not None else "formula"
         rows.append((n, primes.primes, counts, provenance))
     return rows

