@@ -52,14 +52,18 @@ def load_spec(path: str, cap: int) -> dict:
     limit = SPEC_BYTES_PER_ENTRY * cap * cap + SPEC_SLACK_BYTES
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # a character takes at least one byte; read takes at most sys.maxsize
-            text = fh.read(min(limit + 1, sys.maxsize))
+            # a character takes at least one byte; read(n) allocates its n
+            # characters first, so the file is read a buffer at a time
+            chunks, size = [], 0
+            while size <= limit and (chunk := fh.read(io.DEFAULT_BUFFER_SIZE)):
+                chunks.append(chunk)
+                size += len(chunk)
     except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read spec file: {e}")
-    if len(text) > limit:
+    if size > limit:
         raise ResourceCapExceeded(f"spec file size in bytes at order cap {cap}", limit)
     try:
-        doc = json.loads(text)
+        doc = json.loads("".join(chunks))
     except (ValueError, RecursionError) as e:  # ValueError: past the int-string digit limit too
         raise SchemaError(f"spec file is not valid JSON: {e}")
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -96,7 +100,7 @@ def _tower_from_spec(doc: dict, cap: int) -> tower.TowerGroup:
         primes = doc["primes"]
         if not isinstance(primes, list) or not all(type(p) is int for p in primes):
             raise SchemaError("tower primes must be an integer array")
-        tp = tower.TowerPrimes(len(primes), tuple(primes), strict)
+        tp = tower.TowerPrimes(tuple(primes), strict)
     else:
         n = doc.get("n")
         if type(n) is not int or n < 1:

@@ -29,7 +29,7 @@ def _sl23() -> gr.OracleGroup:
 
 
 def _tower_g2() -> gr.OracleGroup:
-    return tower.TowerGroup(tower.TowerPrimes(2, (3, 5), False)).embed_as_oracle()
+    return tower.TowerGroup(tower.TowerPrimes((3, 5), False)).embed_as_oracle()
 
 
 def _affine_36() -> gr.OracleGroup:

@@ -250,22 +250,22 @@ def rref(vectors, p: int, ambient_dim: int) -> FpSubspace:
 
 
 def spin(seed: Vector, generators, p: int) -> FpSubspace:
-    """Smallest generator-invariant subspace containing `seed`."""
+    """Smallest generator-invariant subspace containing `seed`: each image
+    of each vector of the growing spanning list is tested once against the
+    span, and listed when it lies outside."""
     if not any(x % p for x in seed):
         raise MalformedInput("spin requires a nonzero seed vector")
     n = len(seed)
-    space = FpSubspace.from_vectors(p, n, [seed])
-    queue = list(space.basis)
-    while queue:
-        v = queue.pop()
+    spanning = [seed]
+    space = FpSubspace.from_vectors(p, n, spanning)
+    for v in spanning:
+        if space.dim == n:
+            break
         for g in generators:
             w = vec_mat(v, g, p)
             if not space.contains(w):
+                spanning.append(w)
                 space = FpSubspace.from_vectors(p, n, space.basis + (w,))
-                queue.extend(space.basis)
-                break
-        if space.dim == n:
-            break
     return space
 
 
@@ -369,7 +369,7 @@ class FieldOps:
     g does that, the span is not a field (MalformedInput): F* is cyclic."""
 
     def __init__(self, p: int, dim: int, basis):
-        self.p, self.dim, self.basis = p, dim, basis
+        self.basis = basis
         self.degree = e = len(basis)
         self.q = q = p**e
         elements = [((0,) * dim,) * dim]

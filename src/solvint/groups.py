@@ -268,8 +268,8 @@ def from_matrices(mat_gens, p: int, name: str) -> OracleGroup:
     return from_elements(_sorted_closure(gens, mul, identity), mul, name, gen_elems=gens)
 
 
-def cyclic(m: int, name: str | None = None) -> OracleGroup:
-    return semidirect_cyclic(m, 1, 1, name or f"C{m}")
+def cyclic(m: int) -> OracleGroup:
+    return semidirect_cyclic(m, 1, 1, f"C{m}")
 
 
 def direct_product(A: OracleGroup, B: OracleGroup, name: str | None = None) -> OracleGroup:

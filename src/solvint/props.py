@@ -384,7 +384,6 @@ def subgroup_count_bound(n: int, eta: Fraction, alpha: Fraction) -> int:
 class CountBoundReport:
     eta: Fraction
     alpha: Fraction
-    rows: tuple[tuple[int, int, int], ...]  # (n, c_n, bound)
     ok: bool
 
 
@@ -402,11 +401,5 @@ def check_subgroup_count_bound(G: gr.OracleGroup) -> CountBoundReport:
             best = max(best, floor_log_ratio(m_k, k, 1000))
     alpha = Fraction(best, 1000)
     eta = Fraction(max(eta_report(G).max_floor_times(1000, 1), 1000), 1000)
-    rows = []
-    ok = True
-    for n in sorted(table):
-        c_n = table[n][2]
-        bound = subgroup_count_bound(n, eta, alpha)
-        rows.append((n, c_n, bound))
-        ok = ok and c_n <= bound
-    return CountBoundReport(eta, alpha, tuple(rows), ok)
+    ok = all(c_n <= subgroup_count_bound(n, eta, alpha) for n, (_m, _b, c_n) in table.items())
+    return CountBoundReport(eta, alpha, ok)

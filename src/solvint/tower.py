@@ -37,12 +37,11 @@ class TowerPrimes:
     """Primes p_1 < ... < p_n with 2^m dividing p_m - 1; in strict mode the
     growth condition p_{m+1} > 2^m p_1...p_m holds as well."""
 
-    n: int
     primes: tuple[int, ...]
     strict: bool
 
     def __post_init__(self):
-        if self.n < 1 or len(self.primes) != self.n:
+        if not self.primes:
             raise MalformedInput("need one prime per level")
         prod = 1
         last = 1
@@ -78,7 +77,7 @@ def find_primes(n: int, strict: bool = False) -> TowerPrimes:
                 raise ResourceCapExceeded("prime search ceiling", PRIME_SEARCH_CEILING)
         primes.append(p)
         prod *= p
-    return TowerPrimes(n, tuple(primes), strict)
+    return TowerPrimes(tuple(primes), strict)
 
 
 def _zeta(p: int, order: int) -> int:
@@ -100,12 +99,11 @@ class TowerGroup(gr._Memoised):
 
     def __init__(self, primes: TowerPrimes, cap: int = gr.DEFAULT_ORDER_CAP,
                  name: str | None = None):
-        self.w_size = math.prod(primes.primes)
-        self.order = self.w_size << primes.n
+        self.n = len(primes.primes)
+        self.order = math.prod(primes.primes) << self.n
         gr._check_embedding_order(self.order, cap)
         self.primes = primes
-        self.n = primes.n
-        self.h_order = 1 << primes.n
+        self.h_order = 1 << self.n
         self.zetas = tuple(_zeta(p, 1 << m) for m, p in enumerate(primes.primes, start=1))
         # zeta_pows[m][e] = zetas[m]^e mod p_m
         self.zeta_pows = tuple(
@@ -179,7 +177,6 @@ class IntersectionClass:
     kind: str  # "X" (level 0), "Y" (level 1), "Z" (level >= 2)
     j_set: frozenset[int]
     level: int
-    index: int
 
 
 def classify_intersections(T: TowerGroup) -> tuple[IntersectionClass, ...]:
@@ -196,14 +193,13 @@ def classify_intersections(T: TowerGroup) -> tuple[IntersectionClass, ...]:
 
 
 def _classify_intersections(T: TowerGroup) -> tuple[IntersectionClass, ...]:
-    n, primes = T.n, T.primes.primes
+    n = T.n
     out = []
     for level in range(n + 1):
         for size in range(n + 1):
             for j in combinations(range(1, n + 1), size):
                 if (level == 0 and j) or level == 1 or level in j:
-                    index = (1 << level) * math.prod(primes[m - 1] for m in j)
-                    out.append(IntersectionClass("XYZ"[min(level, 2)], frozenset(j), level, index))
+                    out.append(IntersectionClass("XYZ"[min(level, 2)], frozenset(j), level))
     return tuple(out)
 
 

@@ -3,11 +3,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from solvint import cli, corpus, sdp, tower
 from solvint import groups as gr
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# every run draws the same examples and writes no example database
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,9 @@ V^t x| H, the F_p-span of the F-multiples of vectors of V, the F-RREF
 check of rows by their leading columns and then every row against every
 leading column, the module isomorphism search over the intertwiners in
 lexicographic order and the crown check built on it, the tables of a
-field by matrix products, sums and an inverse scan, and the product
-table and inverses of a matrix group by the same.
+field by matrix products, sums and an inverse scan, the product
+table and inverses of a matrix group by the same, and the spin of a
+vector by a queue refilled with each new RREF basis.
 The tests keep them to build independent references and test data, with
 a counter of the law calls an oracle makes.
 """
@@ -32,6 +33,28 @@ from solvint import tower
 from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_mul,
                           mat_scale, nullspace, vec_mat, vec_sub)
+
+
+def reference_spin(seed, generators, p: int) -> FpSubspace:
+    """The smallest generator-invariant subspace containing `seed`, by a
+    queue of basis vectors that is refilled with the whole new RREF basis
+    each time an image leaves the span."""
+    if not any(x % p for x in seed):
+        raise MalformedInput("spin requires a nonzero seed vector")
+    n = len(seed)
+    space = FpSubspace.from_vectors(p, n, [seed])
+    queue = list(space.basis)
+    while queue:
+        v = queue.pop()
+        for g in generators:
+            w = vec_mat(v, g, p)
+            if not space.contains(w):
+                space = FpSubspace.from_vectors(p, n, space.basis + (w,))
+                queue.extend(space.basis)
+                break
+        if space.dim == n:
+            break
+    return space
 
 
 def vec_add(u, v, p):
@@ -176,11 +199,10 @@ def sd_inverse(G, a):
     return tuple(-x % G.p for x in sd_act(G, w, hi)), hi
 
 
-def f_span(fops, vectors) -> FpSubspace:
-    """The F_p-span of the F-multiples of the given vectors of V: the
-    F-subspace they span, by one F_p elimination of every v * beta for the
-    basis beta of F over F_p."""
-    p, k = fops.p, fops.dim
+def f_span(fops, p: int, k: int, vectors) -> FpSubspace:
+    """The F_p-span of the F-multiples of the given vectors of V = F_p^k:
+    the F-subspace they span, by one F_p elimination of every v * beta for
+    the basis beta of F over F_p."""
     return FpSubspace.from_vectors(p, k, [vec_mat(v, m, p) for v in vectors
                                           for m in fops.basis])
 
@@ -529,7 +551,7 @@ def reference_towers(tower2, tower3):
     """Tower levels n = 1, 2, 3 from find_primes and the order-884 and
     order-364 levels (13, 17) and (7, 13)."""
     towers = [tower.TowerGroup(tower.find_primes(1)), tower2, tower3]
-    towers += [tower.TowerGroup(tower.TowerPrimes(2, primes, False)) for primes in ((13, 17), (7, 13))]
+    towers += [tower.TowerGroup(tower.TowerPrimes(primes, False)) for primes in ((13, 17), (7, 13))]
     return towers
 
 

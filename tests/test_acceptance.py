@@ -101,7 +101,7 @@ def _tower_level_checks(t: tower.TowerGroup):
 
 def test_criterion_04_tower_level_two():
     start = time.monotonic()
-    t = tower.TowerGroup(tower.TowerPrimes(2, (3, 5), False))
+    t = tower.TowerGroup(tower.TowerPrimes((3, 5), False))
     assert t.order == 60
     counts, zed = _tower_level_checks(t)
     elapsed = time.monotonic() - start
@@ -116,7 +116,7 @@ def test_criterion_04_tower_level_two():
 
 def test_criterion_05_tower_level_three():
     start = time.monotonic()
-    t = tower.TowerGroup(tower.TowerPrimes(3, (3, 5, 17), False))
+    t = tower.TowerGroup(tower.TowerPrimes((3, 5, 17), False))
     assert t.order == 2040
     counts, zed = _tower_level_checks(t)
     elapsed = time.monotonic() - start

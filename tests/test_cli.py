@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -412,6 +416,29 @@ def test_an_order_cap_past_the_read_size_limit_is_no_traceback(spec_dir, capsys)
                          "--cap-order", str(-10**9))
     assert (code, out) == (3, "") and len(err.strip().splitlines()) == 1, err
     assert err.startswith("resource cap: oracle embedding")
+
+
+def test_no_order_cap_reserves_the_spec_read_size_in_memory(spec_dir):
+    # 32 cap^2 + 2^16 characters pass 2 GB from cap 8,000 up, and read(n)
+    # allocates its n characters before it reads: the child process runs
+    # under a 2 GB address-space limit
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for cap in (5000, 2 * 10**4, 10**6, 10**8, 10**9):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvint.cli", "analyze", "--spec", str(spec_dir / "s3.json"),
+             "--cap-order", str(cap)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_address_space)
+        assert time.perf_counter() - start < 30, cap
+        assert proc.returncode in (0, 1, 2, 3), (cap, proc.stderr)
+        assert "Traceback" not in proc.stderr, (cap, proc.stderr)
+        if proc.returncode:
+            assert len(proc.stderr.strip().splitlines()) == 1, (cap, proc.stderr)
+        else:
+            assert "S3" in proc.stdout, cap
 
 
 def test_subspace_count_refuses_a_lattice_before_any_table(spec_dir, capsys, monkeypatch):

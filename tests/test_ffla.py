@@ -13,7 +13,8 @@ from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import FpSubspace
 
 from references import (block_diagonal, intersect, is_subspace_of, reference_field_tables,
-                        subspace_vectors, sum_with, vec_add, vec_scale, zero_subspace)
+                        reference_spin, subspace_vectors, sum_with, vec_add, vec_scale,
+                        zero_subspace)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PRIMES = [2, 3, 5, 7]
@@ -167,6 +168,24 @@ def test_spin_result_is_invariant():
             assert s.contains(ffla.vec_mat(row, rot, 7))
 
 
+def test_spin_matches_the_queue_reference_on_random_generators():
+    dims = set()
+    for rng_seed in range(30):
+        rng = random.Random(rng_seed)
+        for p in (2, 3, 5):
+            for k in range(1, 5):
+                gens = [tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(k))
+                        for _ in range(rng.randrange(4))]
+                seed = tuple(rng.randrange(p) for _ in range(k))
+                if not any(seed):
+                    continue
+                space = ffla.spin(seed, gens, p)
+                assert space == reference_spin(seed, gens, p), (rng_seed, p, k)
+                dims.add((k, space.dim))
+    # proper and full spins at every k
+    assert {(k, d) for k in range(1, 5) for d in (1, k)} <= dims
+
+
 def test_irreducibility_catches_eigen_lines():
     # diagonalizable quarter-turn over F_5 fixes the line through (1, 2):
     # spinning standard basis vectors alone would miss it
@@ -295,18 +314,20 @@ def test_field_tables_match_the_matrix_product_reference(sdp_pool):
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    fields = {id(g.module.fops): g.module.fops for g in sdp_pool + corpus.primitive_groups()}
+    # id(F) -> (p, dim, F), F spanned by dim x dim matrices over F_p
+    fields = {id(g.module.fops): (g.p, g.k, g.module.fops)
+              for g in sdp_pool + corpus.primitive_groups()}
     for p, k, gens in [*workloads.SDP_MODULES.values(), (2, 1, [])]:
         fops = sdp.HModule.create(p, k, gens).fops
-        fields[id(fops)] = fops
+        fields[id(fops)] = (p, k, fops)
     for p, gen in SINGER_FIELDS.values():
         fops = ffla.endomorphism_field([gen], p, len(gen))
-        fields[id(fops)] = fops
+        fields[id(fops)] = (p, len(gen), fops)
     orders = set()
-    for f in fields.values():
+    for p, dim, f in fields.values():
         orders.add(f.q)
-        assert (reference_field_tables(f.p, f.dim, f.basis)
-                == (f.elements, f.one, f.add_t, f.neg_t, f.mul_t, f.inv_t)), (f.p, f.basis)
+        assert (reference_field_tables(p, dim, f.basis)
+                == (f.elements, f.one, f.add_t, f.neg_t, f.mul_t, f.inv_t)), (p, f.basis)
     assert orders == {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 256}
 
 

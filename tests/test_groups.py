@@ -216,7 +216,7 @@ def test_cold_tower_lattices_take_no_derived_series(monkeypatch):
     calls = []
     derived = gr._derived_series
     monkeypatch.setattr(gr, "_derived_series", lambda G: calls.append(G.n) or derived(G))
-    for primes in (tower.TowerPrimes(2, (13, 17), False), tower.find_primes(3)):
+    for primes in (tower.TowerPrimes((13, 17), False), tower.find_primes(3)):
         g = tower.TowerGroup(primes).embed_as_oracle()
         assert gr.all_subgroups(g)[-1] == (1 << g.n) - 1
     assert calls == []
@@ -224,7 +224,7 @@ def test_cold_tower_lattices_take_no_derived_series(monkeypatch):
 
 def test_cold_order_884_lattice_takes_under_2800_law_calls():
     # 2,730 law calls; 3,462 while a derived series tested solvability first
-    g = tower.TowerGroup(tower.TowerPrimes(2, (13, 17), False)).embed_as_oracle()
+    g = tower.TowerGroup(tower.TowerPrimes((13, 17), False)).embed_as_oracle()
     assert g.n == 884
     with counting_law_calls(g) as calls:
         gr.all_subgroups(g)
@@ -582,7 +582,7 @@ def reference_tower_tables(T):
     the w_ids read the digits first digit most significant, so the tuples
     in lexicographic order have ids 0, 1, ..."""
     w_vectors = list(product(*(range(p) for p in T.primes.primes)))
-    assert [tower_w_id(T, w) for w in w_vectors] == list(range(T.w_size))
+    assert [tower_w_id(T, w) for w in w_vectors] == list(range(T.order >> T.n))
     act = [[tower_w_id(T, tower_act_w(T, w, e)) for w in w_vectors] for e in range(T.h_order)]
     add = [[tower_w_id(T, tuple((x + y) % p for x, y, p in zip(w1, w2, T.primes.primes)))
             for w2 in w_vectors] for w1 in w_vectors]
@@ -711,7 +711,7 @@ def check_generator_rule(g, radices, h_size: int) -> tuple[list[int], list[int]]
 def test_split_tables_match_cell_by_cell_reference(small_pool_oracles, tower2, tower3):
     for T in reference_towers(tower2, tower3):
         g = T.embed_as_oracle()
-        flat = reference_split_table(T.w_size, T.h_order, *reference_tower_tables(T))
+        flat = reference_split_table(T.order >> T.n, T.h_order, *reference_tower_tables(T))
         assert law_cells(g) == flat, T.name
         assert law_inverses(g) == reference_inverses(flat, g.n), T.name
         # W is cyclic, so s generates it and x generates H

@@ -19,11 +19,19 @@ methods that the package overrides and the library calls, the paper's
 results, and every name in the span tables of bench/run.py.  A reached
 function's body reaches the names it holds, until nothing new is reached.
 
-A field of a record, a `namedtuple` or a `@dataclass`, is dead too when
-the package never reads it as an attribute.
+Stored state is dead too when nothing reads it for its own class: a
+field of a record (a `namedtuple` or a `@dataclass`) or a `self.x` that a
+method assigns.  A read of `.x` counts for class C when its object is
+`self` in a method of C or of a base of C, a parameter annotated with C,
+or a local bound from `C(...)` or `C.create(...)`.  When only one class
+stores x, any read of `.x` counts, as then it can only be that one's;
+when several do, a field read only from objects the check cannot resolve
+stands in COLLIDING with the package function that reads it.  A read in
+the method that assigns the attribute does not count.
 """
 
 import ast
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -56,6 +64,15 @@ LIBRARY_HOOKS = {
     "error": "argparse reports a usage error through ArgumentParser.error (cli._Parser)",
 }
 KEEP = PAPER_RESULTS.keys() | BENCH_SPANS | LIBRARY_HOOKS.keys()
+# fields that two or more classes store and that the package reads only
+# from objects the check cannot resolve, each with the package function
+# (`f` or `Class.method`) that reads it
+COLLIDING = {
+    # read off `fops = endomorphism_field(...)`, a call's result
+    ("FieldOps", "basis"): "HModule.create",
+    # read off `self.module.fops`, an attribute's attribute
+    ("FieldOps", "elements"): "SdGroup.submodule_from_fvectors",
+}
 
 
 def names_in(node):
@@ -129,29 +146,172 @@ def reached_names(trees, span_names):
     return names
 
 
-def record_fields(trees):
-    """(record, field) for every field of the records that the package
-    defines: a `namedtuple` given as a name and a string of field names, and
-    a class under `@dataclass` with its annotated class attributes."""
+def _methods(cls):
+    return (stmt for stmt in cls.body if isinstance(stmt, ast.FunctionDef))
+
+
+def _self_name(method):
+    """The name of a method's instance parameter, or None for a static or
+    class method."""
+    args = method.args.posonlyargs + method.args.args
+    bound = not any({"staticmethod", "classmethod"} & set(names_in(d))
+                    for d in method.decorator_list)
+    return args[0].arg if bound and args else None
+
+
+def _own_nodes(node):
+    """The nodes under `node`, not descending into nested scopes."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from _own_nodes(child)
+
+
+def package_classes(trees):
+    """{class: the last names of its bases} for every class the package
+    defines, a `namedtuple` record (with no bases) included."""
+    classes = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = {b.attr if isinstance(b, ast.Attribute) else b.id
+                                      for b in node.bases}
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "namedtuple"):
+                classes[node.args[0].value] = set()
+    return classes
+
+
+def stored_state(trees):
+    """{field: {class: the methods that assign it}}: each field of a
+    `namedtuple` or of a `@dataclass` (its annotated class attributes),
+    which no method assigns, and each `self.x` that a method of a package
+    class assigns."""
+    stored: dict = {}
     for tree in trees:
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "namedtuple"):
                 record, fields = (arg.value for arg in node.args)
                 for field in fields.replace(",", " ").split():
-                    yield record, field
-            elif isinstance(node, ast.ClassDef) and any(
-                    "dataclass" in names_in(d) for d in node.decorator_list):
-                for stmt in node.body:
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        yield node.name, stmt.target.id
+                    stored.setdefault(field, {}).setdefault(record, set())
+            elif isinstance(node, ast.ClassDef):
+                if any("dataclass" in names_in(d) for d in node.decorator_list):
+                    for stmt in node.body:
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                            stored.setdefault(stmt.target.id, {}).setdefault(node.name, set())
+                for method in _methods(node):
+                    me = _self_name(method)
+                    for sub in ast.walk(method):
+                        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                                and isinstance(sub.value, ast.Name) and sub.value.id == me):
+                            stored.setdefault(sub.attr, {}).setdefault(node.name, set()).add(method)
+    return stored
 
 
-def test_every_record_field_is_read_in_the_package():
-    trees = package_trees()
-    named = {name for tree in trees for name in names_in(tree)}
-    assert sorted((record, field) for record, field in record_fields(trees)
-                  if "." + field not in named) == []
+def _named_class(expr, classes):
+    """The package class an annotation or a callee names: `C`, `mod.C`,
+    `"C"` or `C | None`; else None."""
+    if isinstance(expr, ast.BinOp):
+        return _named_class(expr.left, classes) or _named_class(expr.right, classes)
+    name = (expr.value if isinstance(expr, ast.Constant) else
+            expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None))
+    return name if name in classes else None
+
+
+def _constructed(value, classes):
+    """The class C of a value `C(...)` or `C.create(...)`, else None."""
+    if not isinstance(value, ast.Call):
+        return None
+    func = value.func
+    if isinstance(func, ast.Attribute) and func.attr == "create":
+        func = func.value
+    return _named_class(func, classes)
+
+
+def attribute_reads(trees, classes):
+    """(attribute, owners, function) for every attribute the package reads:
+    `owners` is the set of classes that the object read from resolves to,
+    or None, and `function` is the innermost def around the read (None at
+    import).  A name resolves to C when it is `self` in a method of C or
+    of a base of C (then to every class below that one), a parameter
+    annotated with C, or a local that only `C(...)` or `C.create(...)`
+    binds."""
+    def ancestors(c):
+        return {c}.union(*(ancestors(b) for b in classes.get(c, ()) if b in classes))
+
+    below = {c: {d for d in classes if c in ancestors(d)} for c in classes}
+
+    def scope(fn, env, cls):
+        env = dict(env)
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs:
+            env.pop(arg.arg, None)
+            owner = _named_class(arg.annotation, classes)
+            if owner:
+                env[arg.arg] = {owner}
+        me = _self_name(fn) if cls else None
+        if me:
+            env[me] = below[cls]
+        built = {id(sub.targets[0]): _constructed(sub.value, classes) for sub in _own_nodes(fn)
+                 if isinstance(sub, ast.Assign) and len(sub.targets) == 1}
+        binds: dict = {}
+        for sub in _own_nodes(fn):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                binds.setdefault(sub.id, set()).add(built.get(id(sub)))
+        for name, owners in binds.items():
+            env.pop(name, None)
+            if None not in owners:
+                env[name] = owners
+        return env
+
+    def visit(node, env, func, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, env, func, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                yield from visit(child, scope(child, env, cls), child, None)
+            else:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                    value = child.value
+                    owners = env.get(value.id) if isinstance(value, ast.Name) else None
+                    yield child.attr, owners, func
+                yield from visit(child, env, func, cls)
+
+    for tree in trees:
+        yield from visit(tree, {}, None, None)
+
+
+def dead_state(trees, colliding):
+    """(class, field) for each stored field of `stored_state` that no read
+    counts for.  A read of `.x` outside the methods that assign it counts
+    for the one class that stores x, or, when several classes do, for the
+    classes its object resolves to (`attribute_reads`).  A field of
+    `colliding` counts as read when the package function it names reads
+    `.x` itself."""
+    classes = package_classes(trees)
+    reads: dict = {}
+    for attr, owners, func in attribute_reads(trees, classes):
+        reads.setdefault(attr, []).append((owners, func))
+    functions = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                functions.update((f"{node.name}.{m.name}", m) for m in _methods(node))
+    dead = []
+    for field, storers in stored_state(trees).items():
+        for cls, setters in storers.items():
+            if any(func not in setters and (len(storers) == 1 or cls in (owners or ()))
+                   for owners, func in reads.get(field, ())):
+                continue
+            reader = functions.get(colliding.get((cls, field)))
+            if len(storers) > 1 and reader and any(
+                    isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                    and sub.attr == field for sub in ast.walk(reader)):
+                continue
+            dead.append((cls, field))
+    return sorted(dead)
 
 
 def test_every_function_is_reached_from_a_root():
@@ -183,3 +343,94 @@ def test_bench_spans_keep_only_names_the_span_tables_hold():
     spans = {span.rsplit(".", 1)[-1] for table in tables.values()
              for names in table.values() for span in names}
     assert sorted(BENCH_SPANS - spans) == []
+
+
+def test_every_stored_field_is_read_for_its_own_class():
+    assert dead_state(package_trees(), COLLIDING) == []
+
+
+def test_colliding_holds_only_fields_the_check_cannot_resolve():
+    # an entry whose field is gone, or now read for its own class, is stale
+    assert sorted(COLLIDING.keys() - set(dead_state(package_trees(), {}))) == []
+
+
+# two classes store x; B reads its own, `unresolved` reads an unknown one's
+TWO_STORERS = """
+class A:
+    def __init__(self):
+        self.x = 1
+
+class B:
+    def __init__(self):
+        self.x = 2
+
+    def get(self):
+        return self.x
+
+def unresolved(obj):
+    return obj.x
+"""
+
+
+def dead_in(*sources, colliding=None):
+    return dead_state([ast.parse(textwrap.dedent(s)) for s in sources], colliding or {})
+
+
+def test_the_check_fails_a_colliding_field_read_only_from_an_unresolved_object():
+    assert dead_in(TWO_STORERS) == [("A", "x")]
+    # a COLLIDING entry whose function does not read `.x` keeps no field
+    assert dead_in(TWO_STORERS, colliding={("A", "x"): "A.__init__"}) == [("A", "x")]
+    assert dead_in(TWO_STORERS, colliding={("A", "x"): "unresolved"}) == []
+
+
+def test_the_check_passes_a_colliding_field_read_for_its_own_class():
+    own_method = "\n\n    def get(self):\n        return self.x"
+    assert dead_in(TWO_STORERS.replace("self.x = 1", "self.x = 1" + own_method)) == []
+    base = "class Base:\n    def get(self):\n        return self.x\n"
+    assert dead_in(TWO_STORERS.replace("class A:", "class A(Base):"), base) == []
+    for reader in ["def f(a: A):\n    return a.x\n",
+                   "def f(a: 'A'):\n    return a.x\n",
+                   "def f(a: mod.A | None):\n    return a.x\n",
+                   "def f():\n    a = A()\n    return a.x\n",
+                   "def f():\n    a = mod.A.create()\n    return a.x\n"]:
+        assert dead_in(TWO_STORERS, reader) == [], reader
+
+
+def test_the_check_resolves_no_read_to_a_class_it_does_not_name():
+    for reader in [
+            # self in a subclass's method is the subclass, not A
+            "class C(A):\n    def get(self):\n        return self.x\n",
+            # a local bound from A(...) and from something else
+            "def f(b):\n    a = A()\n    a = b\n    return a.x\n",
+            # an annotated parameter that a nested function shadows
+            "def f(a: A):\n    def g(a):\n        return a.x\n    return g\n"]:
+        assert dead_in(TWO_STORERS, reader) == [("A", "x")], reader
+
+
+def test_the_check_fails_an_attribute_read_only_in_the_method_that_stores_it():
+    source = """
+    class A:
+        def __init__(self, n):
+            self.x = n
+            self.y = self.x + 1
+
+    def f(a: A):
+        return a.y
+    """
+    assert dead_in(source) == [("A", "x")]
+    assert dead_in(source, "def g(a):\n    return a.x\n") == []
+
+
+def test_the_check_fails_a_record_field_that_nothing_reads():
+    source = """
+    P = namedtuple("P", "x y")
+
+    @dataclass(frozen=True)
+    class R:
+        u: int
+        v: int
+
+    def f(p, r):
+        return p.x + r.v
+    """
+    assert dead_in(source) == [("P", "y"), ("R", "u")]

@@ -394,8 +394,8 @@ def test_check_subgroup_count_bound_corpus(corpus_list):
     for g in corpus_list:
         rep = props.check_subgroup_count_bound(g)
         assert rep.ok, g.name
-        for n, c_n, bound in rep.rows:
-            assert c_n <= bound
+        for n, (_m_n, _b_n, c_n) in gr.counts(g):
+            assert c_n <= props.subgroup_count_bound(n, rep.eta, rep.alpha), g.name
 
 
 def test_palfy_wolf_constant_is_exact_rational():

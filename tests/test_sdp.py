@@ -290,7 +290,8 @@ def same_witness(module, row, z) -> bool:
     if row is None or z is None:
         return row is z
     return (len(row) == module.f_dim and is_f_rref(module, [row])
-            and f_span(module.fops, [module.vector_of(row)]) == f_span(module.fops, [z]))
+            and f_span(module.fops, module.p, module.k, [module.vector_of(row)])
+            == f_span(module.fops, module.p, module.k, [z]))
 
 
 def test_calculus_steps_match_the_decomposition_reference(sdp_pool):
@@ -333,7 +334,7 @@ def reference_canonicalize(G, family):
         if z is not None:
             witnesses.append(z)
     return (cur.submodule, cur.submodule.reduce(cur.translate),
-            f_span(G.module.fops, witnesses), cur.h_mask)
+            f_span(G.module.fops, G.p, G.k, witnesses), cur.h_mask)
 
 
 def test_canonicalize_matches_the_fold_of_the_pair_references(sdp_pool):
@@ -354,7 +355,7 @@ def test_canonicalize_matches_the_fold_of_the_pair_references(sdp_pool):
             module = g.module
             assert is_f_rref(module, ci.z_space) and all(len(r) == module.f_dim
                                                          for r in ci.z_space)
-            z_span = f_span(module.fops, map(module.vector_of, ci.z_space))
+            z_span = f_span(module.fops, module.p, module.k, map(module.vector_of, ci.z_space))
             got = (fp_span(g, ci.submodule), ci.translate, z_span,
                    sdp.centralizer_in_h(g, ci.z_space))
             assert got == reference_canonicalize(g, fam), (g.name, fam)

@@ -30,11 +30,13 @@ def test_find_primes_ceiling(monkeypatch):
 
 def test_tower_primes_validation():
     with pytest.raises(MalformedInput):
-        tower.TowerPrimes(2, (3, 7), False)  # 4 does not divide 6
+        tower.TowerPrimes((3, 7), False)  # 4 does not divide 6
     with pytest.raises(MalformedInput):
-        tower.TowerPrimes(2, (5, 3), False)  # not ascending
+        tower.TowerPrimes((5, 3), False)  # not ascending
     with pytest.raises(MalformedInput):
-        tower.TowerPrimes(2, (3, 5), True)  # growth condition fails
+        tower.TowerPrimes((3, 5), True)  # growth condition fails
+    with pytest.raises(MalformedInput, match="^need one prime per level$"):
+        tower.TowerPrimes((), False)
 
 
 def test_level_one_is_symmetric_group_of_order_six():
@@ -81,7 +83,7 @@ def test_maximal_counts(tower2, tower3):
 def test_unique_maximal_above_socle(tower2):
     oracle = tower2.embed_as_oracle()
     socle_mask = 0
-    for w_id in range(tower2.w_size):
+    for w_id in range(tower2.order >> tower2.n):  # |W|
         socle_mask |= 1 << (w_id * tower2.h_order)
     containing = [m for m in gr.maximal_subgroups(oracle) if m & socle_mask == socle_mask]
     assert len(containing) == 1
@@ -95,7 +97,9 @@ def test_classification_n2(tower2):
     assert ("X", (1,), 0) in kinds and ("X", (1, 2), 0) in kinds
     assert ("Y", (), 1) in kinds  # the index-2 maximal itself
     assert ("Z", (2,), 2) in kinds and ("Z", (1, 2), 2) in kinds
-    indices = {(c.kind, tuple(sorted(c.j_set))): c.index for c in classes}
+    indices = {(c.kind, tuple(sorted(c.j_set))):
+               tower2.order // tower.class_representative_elements(tower2, c).bit_count()
+               for c in classes}
     assert indices[("X", (1, 2))] == 15
     assert indices[("Y", (1, 2))] == 30
     assert indices[("Z", (1, 2))] == 60  # the trivial subgroup
@@ -255,7 +259,7 @@ def test_zeta_is_the_smallest_root_of_exact_order():
 
 def test_tower_group_with_a_huge_prime_is_built_at_once():
     start = time.perf_counter()
-    primes = tower.TowerPrimes(2, (5, 1000000000000000000117), False)
+    primes = tower.TowerPrimes((5, 1000000000000000000117), False)
     T = tower.TowerGroup(primes, cap=5 * primes.primes[1] * 4)
     assert time.perf_counter() - start < 1.0
     p = T.primes.primes[1]
