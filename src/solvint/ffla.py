@@ -8,9 +8,9 @@ representative used for equality, hashing and deduplication everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product as iter_product
-from operator import getitem
+from operator import getitem, mul
 
 from .errors import MalformedInput, ResourceCapExceeded
 
@@ -34,8 +34,7 @@ def vec_sub(u: Vector, v: Vector, p: int) -> Vector:
 
 
 def vec_mat(v: Vector, m: Matrix, p: int) -> Vector:
-    cols = len(m[0]) if m else 0
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p for j in range(cols))
+    return tuple(sum(map(mul, v, col)) % p for col in zip(*m))
 
 
 def mat_identity(k: int) -> Matrix:
@@ -43,12 +42,8 @@ def mat_identity(k: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    n = len(b)
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(row[i] * b[i][j] for i in range(n)) % p for j in range(cols))
-        for row in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
 
 
 def mat_add(a: Matrix, b: Matrix, p: int) -> Matrix:
@@ -192,14 +187,11 @@ def nullspace(rows, p: int, ncols: int):
 # subspaces
 
 
-@dataclass(frozen=True)
-class FpSubspace:
-    """A subspace of F_p^n held as a canonical RREF basis."""
+class FpSubspace(namedtuple("FpSubspace", "p ambient_dim basis pivots")):
+    """A subspace of F_p^n held as a canonical RREF basis (a Matrix) with
+    its pivot columns."""
 
-    p: int
-    ambient_dim: int
-    basis: Matrix
-    pivots: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "FpSubspace":

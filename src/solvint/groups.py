@@ -69,6 +69,9 @@ from .ffla import mat_identity, mat_mod, mat_mul, prime_factors, spread_ids
 
 DEFAULT_ORDER_CAP = 5000
 LATTICE_CAP = 10**4
+# `_conjugation`'s powers of two and `_root_masks` take about |G|^2/16 bytes
+# each; a 512 MiB budget for the two, |G|^2/8 <= 2^29, is |G| <= 2^16
+LATTICE_ORDER_CEILING = 2**16
 # the most elements `_sorted_closure` walks: the matrix and permutation groups
 # given by generators, and every H of V^t x| H
 CLOSURE_CAP = 10**4
@@ -726,9 +729,13 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
 
     Each class is represented by its least member in the lattice order.
     LATTICE_CAP is checked after each orbit is added, and an orbit has at
-    most |G| members.  Past the cap, `is_solvable` decides between
+    most |G| members.  A G past LATTICE_ORDER_CEILING is refused before any
+    table is built.  Past either cap, `is_solvable` decides between
     MalformedInput and ResourceCapExceeded.
     """
+    if G.n > LATTICE_ORDER_CEILING:
+        raise _lattice_refused(G, f"lattice pass of |G|={G.n} exceeds its memory ceiling",
+                               LATTICE_ORDER_CEILING)
     mul = G.mul
     images, bit = _conjugation(G, G.gens)  # x -> x^h per G-gen h, x -> 2^x
     roots = _root_masks(G)
@@ -770,10 +777,7 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
                 known += orbit
                 queue.append((t_mask, t_members, t_norm, t_gens))
                 if len(class_of) > LATTICE_CAP:
-                    if not is_solvable(G):
-                        raise MalformedInput(
-                            "subgroup lattice enumeration requires a solvable group")
-                    raise ResourceCapExceeded("subgroup lattice size", LATTICE_CAP)
+                    raise _lattice_refused(G, "subgroup lattice size", LATTICE_CAP)
     if full not in class_of:
         raise MalformedInput("subgroup lattice enumeration requires a solvable group")
     lattice = tuple(sorted(class_of, key=_canonical_key))
@@ -782,6 +786,14 @@ def _lattice_pass(G: OracleGroup) -> Lattice:
         reps.setdefault(class_of[s], s)
     return Lattice(lattice, tuple((s, sizes[c]) for c, s in reps.items()),
                    {s: reps[c] for s, c in class_of.items()})
+
+
+def _lattice_refused(G: OracleGroup, what: str, cap: int) -> Exception:
+    """The error of a lattice pass that a cap stops: MalformedInput for a G
+    that is not solvable, else ResourceCapExceeded."""
+    if not is_solvable(G):
+        return MalformedInput("subgroup lattice enumeration requires a solvable group")
+    return ResourceCapExceeded(what, cap)
 
 
 def _cycles(G: OracleGroup):

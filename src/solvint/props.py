@@ -13,7 +13,7 @@ seeds it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import groups as gr
@@ -187,15 +187,12 @@ def is_gamma_module(G: gr.OracleGroup, p: int, d: int, cosets, gamma: int) -> bo
 # eta exponents
 
 
-@dataclass(frozen=True)
-class EtaRecord:
+class EtaRecord(namedtuple("EtaRecord", "subgroup_mask index product family")):
     """Certified optimum for one maximal-intersection class: the least
-    product P of indices over realizing families, against the index N."""
+    product P of indices over realizing families (a tuple of masks), against
+    the index N.  The field `index` shadows `tuple.index`."""
 
-    subgroup_mask: int
-    index: int
-    product: int
-    family: tuple[int, ...]
+    __slots__ = ()
 
     def eta_leq(self, num: int, den: int = 1) -> bool:
         """eta <= num/den, exactly."""
@@ -271,9 +268,10 @@ def maximal_intersection_classes(G: gr.OracleGroup) -> list[int]:
             if rep != full and gr.is_maximal_intersection(rep, G)]
 
 
-@dataclass(frozen=True)
-class EtaReport:
-    records: tuple[EtaRecord, ...]
+class EtaReport(namedtuple("EtaReport", "records")):
+    """The EtaRecord of every maximal-intersection class, as a tuple."""
+
+    __slots__ = ()
 
     def max_floor_times(self, c_num: int, c_den: int) -> int:
         """floor(eta_min(G) * c_num/c_den) = max over classes (floor is
@@ -322,13 +320,10 @@ def verify_gamma_to_eta(G: gr.OracleGroup) -> list[bool]:
 # verifier: intersection exponents bound witness dimensions
 
 
-@dataclass(frozen=True)
-class EtaGammaReport:
-    gamma_v: int
-    eta_floor_c: int           # floor(eta_min * 3.243), exact
-    gamma_ok: bool
-    palfy_wolf_ok: bool        # |Gamma| <= |V|^3.243, exact
-    constant_sensitive: bool   # verdict would flip for c in [3.24, 3.25]
+# eta_floor_c is floor(eta_min * 3.243), exact; palfy_wolf_ok is |Gamma| <=
+# |V|^3.243, exact; constant_sensitive: the verdict would flip for c in [3.24, 3.25]
+EtaGammaReport = namedtuple(
+    "EtaGammaReport", "gamma_v eta_floor_c gamma_ok palfy_wolf_ok constant_sensitive")
 
 
 def verify_eta_to_gamma(G: gr.OracleGroup) -> EtaGammaReport:
@@ -380,11 +375,7 @@ def subgroup_count_bound(n: int, eta: Fraction, alpha: Fraction) -> int:
     return (x * (x + 1) // 2) * y
 
 
-@dataclass(frozen=True)
-class CountBoundReport:
-    eta: Fraction
-    alpha: Fraction
-    ok: bool
+CountBoundReport = namedtuple("CountBoundReport", "eta alpha ok")  # eta, alpha Fractions
 
 
 def check_subgroup_count_bound(G: gr.OracleGroup) -> CountBoundReport:

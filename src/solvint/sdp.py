@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 from . import groups as gr
@@ -578,17 +577,14 @@ def _embed(p: int, k: int, t: int, elements, H: gr.OracleGroup, name: str) -> gr
 # crowns (computed on oracle groups)
 
 
-@dataclass
-class ChiefFactorClass:
+class ChiefFactorClass(namedtuple("ChiefFactorClass",
+                                  "label prime dim action_matrices cosets maximals")):
     """A class of G-isomorphic complemented chief factors, carried by the
-    maximal subgroups (masks) whose socle factor realizes it."""
+    maximal subgroups (masks) whose socle factor realizes it: the list
+    `maximals` grows in place.  `action_matrices` is a list of matrices and
+    `cosets` is gr.factor_action's table, each matrix -> the mask acting by it."""
 
-    label: str
-    prime: int
-    dim: int
-    action_matrices: list[Matrix]
-    cosets: dict  # gr.factor_action's table: each matrix -> the mask acting by it
-    maximals: list[int]
+    __slots__ = ()
 
     @property
     def centralizer(self) -> int:
@@ -599,15 +595,9 @@ class ChiefFactorClass:
         return self.prime**self.dim
 
 
-@dataclass
-class CrownData:
-    """(C_G(V), R_G(V), delta, optional direct complement D with C = R x D), as masks."""
-
-    v_class: ChiefFactorClass
-    centralizer: int
-    core_r: int
-    delta: int
-    complement: int | None
+CrownData = namedtuple("CrownData", "v_class centralizer core_r delta complement")
+CrownData.__doc__ = """(C_G(V), R_G(V), delta, optional direct complement D with C = R x D), as
+masks, for the ChiefFactorClass v_class of V."""
 
 
 def chief_factor_classes(G: gr.OracleGroup) -> list[ChiefFactorClass]:

@@ -19,7 +19,7 @@ mask(D_(m+1) x ... x D_n x E) << (a place_m 2^n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -32,15 +32,14 @@ from .ffla import is_prime
 PRIME_SEARCH_CEILING = 10**6
 
 
-@dataclass(frozen=True)
-class TowerPrimes:
-    """Primes p_1 < ... < p_n with 2^m dividing p_m - 1; in strict mode the
-    growth condition p_{m+1} > 2^m p_1...p_m holds as well."""
+class TowerPrimes(namedtuple("TowerPrimes", "primes strict")):
+    """Primes p_1 < ... < p_n (a tuple) with 2^m dividing p_m - 1; in strict
+    mode the growth condition p_{m+1} > 2^m p_1...p_m holds as well."""
 
-    primes: tuple[int, ...]
-    strict: bool
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, primes: tuple[int, ...], strict: bool):
+        self = super().__new__(cls, primes, strict)
         if not self.primes:
             raise MalformedInput("need one prime per level")
         prod = 1
@@ -56,6 +55,7 @@ class TowerPrimes:
                 raise MalformedInput(f"growth condition fails at level {m}")
             prod *= p
             last = p
+        return self
 
 
 def find_primes(n: int, strict: bool = False) -> TowerPrimes:
@@ -169,14 +169,10 @@ def _tower_oracle(T: TowerGroup) -> gr.OracleGroup:
 # structural classification of maximal intersections
 
 
-@dataclass(frozen=True)
-class IntersectionClass:
-    """A conjugacy class of intersections of maximal subgroups: the socle
-    part drops the V_j with j in J and the 2-part is <x^(2^level)>."""
-
-    kind: str  # "X" (level 0), "Y" (level 1), "Z" (level >= 2)
-    j_set: frozenset[int]
-    level: int
+IntersectionClass = namedtuple("IntersectionClass", "kind j_set level")
+IntersectionClass.__doc__ = """A conjugacy class of intersections of maximal subgroups: the socle
+part drops the V_j with j in the frozenset j_set and the 2-part is
+<x^(2^level)>; kind is "X" (level 0), "Y" (level 1) or "Z" (level >= 2)."""
 
 
 def classify_intersections(T: TowerGroup) -> tuple[IntersectionClass, ...]:
@@ -244,16 +240,12 @@ def verify_realizing_families(T: TowerGroup) -> bool:
 # counts
 
 
-@dataclass(frozen=True)
-class TowerCounts:
-    gamma_tilde_formula: int       # closed form printed alongside the oracle
-    beta_tilde_bound: int
-    gamma_tilde_structural: int | None
-    gamma_tilde_oracle: int | None
-    beta_tilde_oracle: int | None
-    ratio_bound: Fraction
-    formula_agrees_oracle: bool | None
-    beta_bound_holds: bool | None
+# gamma_tilde_formula is the closed form printed alongside the oracle, and
+# ratio_bound a Fraction; the structural and oracle columns, the agreement
+# and the bound check are None on a level the caps refuse
+TowerCounts = namedtuple(
+    "TowerCounts", "gamma_tilde_formula beta_tilde_bound gamma_tilde_structural "
+    "gamma_tilde_oracle beta_tilde_oracle ratio_bound formula_agrees_oracle beta_bound_holds")
 
 
 def _capped_counts(n: int) -> TowerCounts:
@@ -274,8 +266,8 @@ def tilde_counts(T: TowerGroup) -> TowerCounts:
     structural = len(classify_intersections(T))
     gamma_oracle = sum(gr.is_maximal_intersection(rep, oracle) for rep in reps)
     beta_oracle = sum(mu[rep] != 0 for rep in reps)
-    return replace(
-        counts, gamma_tilde_structural=structural, gamma_tilde_oracle=gamma_oracle,
+    return counts._replace(
+        gamma_tilde_structural=structural, gamma_tilde_oracle=gamma_oracle,
         beta_tilde_oracle=beta_oracle,
         formula_agrees_oracle=counts.gamma_tilde_formula == gamma_oracle,
         beta_bound_holds=beta_oracle <= counts.beta_tilde_bound,

@@ -19,8 +19,9 @@ check of rows by their leading columns and then every row against every
 leading column, the module isomorphism search over the intertwiners in
 lexicographic order and the crown check built on it, the tables of a
 field by matrix products, sums and an inverse scan, the product
-table and inverses of a matrix group by the same, and the spin of a
-vector by a queue refilled with each new RREF basis.
+table and inverses of a matrix group by the same, the spin of a
+vector by a queue refilled with each new RREF basis, and the products
+v * M and A * B by index loops, which every reference here uses.
 The tests keep them to build independent references and test data, with
 a counter of the law calls an oracle makes.
 """
@@ -31,8 +32,22 @@ from itertools import product
 from solvint import groups as gr
 from solvint import tower
 from solvint.errors import MalformedInput, ResourceCapExceeded
-from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_mul,
-                          mat_scale, nullspace, vec_mat, vec_sub)
+from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_scale,
+                          nullspace, vec_sub)
+
+
+def reference_vec_mat(v, m, p: int):
+    """v * m over F_p, by index loops over the entries."""
+    cols = len(m[0]) if m else 0
+    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p for j in range(cols))
+
+
+def reference_mat_mul(a, b, p: int):
+    """a * b over F_p, by index loops over the entries."""
+    n = len(b)
+    cols = len(b[0]) if b else 0
+    return tuple(tuple(sum(row[i] * b[i][j] for i in range(n)) % p for j in range(cols))
+                 for row in a)
 
 
 def reference_spin(seed, generators, p: int) -> FpSubspace:
@@ -47,7 +62,7 @@ def reference_spin(seed, generators, p: int) -> FpSubspace:
     while queue:
         v = queue.pop()
         for g in generators:
-            w = vec_mat(v, g, p)
+            w = reference_vec_mat(v, g, p)
             if not space.contains(w):
                 space = FpSubspace.from_vectors(p, n, space.basis + (w,))
                 queue.extend(space.basis)
@@ -88,10 +103,10 @@ def inverse(G, a: int) -> int:
 
 def reference_matrix_table(elements, p: int):
     """The product table of the matrices `elements` over their ids, one
-    `mat_mul` per cell, and each id's inverse by a scan of its row for the
-    identity (id 0)."""
+    `reference_mat_mul` per cell, and each id's inverse by a scan of its
+    row for the identity (id 0)."""
     index = {m: i for i, m in enumerate(elements)}
-    table = [[index[mat_mul(a, b, p)] for b in elements] for a in elements]
+    table = [[index[reference_mat_mul(a, b, p)] for b in elements] for a in elements]
     return table, [row.index(0) for row in table]
 
 
@@ -182,7 +197,7 @@ def sd_act(G, w, h: int):
     """w^h in V^t for the sdp group G = V^t x| H: each k-block of w times
     the matrix of h."""
     k, m = G.k, G.module.elements[h]
-    return tuple(y for b in range(0, G.wdim, k) for y in vec_mat(w[b:b + k], m, G.p))
+    return tuple(y for b in range(0, G.wdim, k) for y in reference_vec_mat(w[b:b + k], m, G.p))
 
 
 def sd_mul(G, a, b):
@@ -203,7 +218,7 @@ def f_span(fops, p: int, k: int, vectors) -> FpSubspace:
     """The F_p-span of the F-multiples of the given vectors of V = F_p^k:
     the F-subspace they span, by one F_p elimination of every v * beta for
     the basis beta of F over F_p."""
-    return FpSubspace.from_vectors(p, k, [vec_mat(v, m, p) for v in vectors
+    return FpSubspace.from_vectors(p, k, [reference_vec_mat(v, m, p) for v in vectors
                                           for m in fops.basis])
 
 
@@ -239,7 +254,7 @@ def reference_field_tables(p: int, dim: int, basis):
     mul_t = [[0] * q for _ in range(q)]
     for i in range(q):
         for j in range(i, q):
-            mul_t[i][j] = mul_t[j][i] = index[mat_mul(elements[i], elements[j], p)]
+            mul_t[i][j] = mul_t[j][i] = index[reference_mat_mul(elements[i], elements[j], p)]
     add_t = [[index[mat_add(a, b, p)] for b in elements] for a in elements]
     neg_t = [index[mat_scale(a, -1, p)] for a in elements]
     inv_t = [0] * q
@@ -595,7 +610,7 @@ def reference_gamma_min(module):
     def centralizer(rows):
         vectors = [module.vector_of(r) for r in rows]
         return sum(1 << x for x, m in enumerate(module.elements)
-                   if all(vec_mat(v, m, p) == v for v in vectors))
+                   if all(reference_vec_mat(v, m, p) == v for v in vectors))
 
     by_dim = [[centralizer(rows) for rows in module.fops.subspaces(f, d)] for d in range(f + 1)]
     weak_max = 0

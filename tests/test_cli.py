@@ -421,24 +421,33 @@ def test_an_order_cap_past_the_read_size_limit_is_no_traceback(spec_dir, capsys)
 def test_no_order_cap_reserves_the_spec_read_size_in_memory(spec_dir):
     # 32 cap^2 + 2^16 characters pass 2 GB from cap 8,000 up, and read(n)
     # allocates its n characters before it reads: the child process runs
-    # under a 2 GB address-space limit
+    # under a 2 GB address-space limit.  The lattice pass's tables take about
+    # |G|^2/8 bytes, 6.6 GB for the dihedral group of order 200,006 and 19.6 GB
+    # for the tower's level 4 (|G| = 395,760), so both are refused before them
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
+    dihedral = spec_dir / "d200006.json"
+    dihedral.write_text(json.dumps({"kind": "sdp", "p": 100003, "k": 1, "t": 1,
+                                    "h_gens": [[[100002]]]}))
+    runs = [(["analyze", "--spec", str(spec_dir / "s3.json")], cap, "S3")
+            for cap in (5000, 2 * 10**4, 10**6, 10**8, 10**9)]
+    runs += [(["counts", "--range", "4..4"], cap, "counts,n=4,gamma_formula,47,formula")
+             for cap in (10**6, 10**8, 10**9)]
+    runs += [(["analyze", "--spec", str(dihedral)], 10**6, None)]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    for cap in (5000, 2 * 10**4, 10**6, 10**8, 10**9):
+    for command, cap, expected in runs:
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "solvint.cli", "analyze", "--spec", str(spec_dir / "s3.json"),
-             "--cap-order", str(cap)],
+            [sys.executable, "-m", "solvint.cli", *command, "--cap-order", str(cap)],
             capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_address_space)
-        assert time.perf_counter() - start < 30, cap
-        assert proc.returncode in (0, 1, 2, 3), (cap, proc.stderr)
-        assert "Traceback" not in proc.stderr, (cap, proc.stderr)
+        assert time.perf_counter() - start < 30, (command, cap)
+        assert proc.returncode in (0, 1, 2, 3), (command, cap, proc.stderr)
+        assert "Traceback" not in proc.stderr, (command, cap, proc.stderr)
         if proc.returncode:
-            assert len(proc.stderr.strip().splitlines()) == 1, (cap, proc.stderr)
-        else:
-            assert "S3" in proc.stdout, cap
+            assert len(proc.stderr.strip().splitlines()) == 1, (command, cap, proc.stderr)
+        if expected:
+            assert proc.returncode == 0 and expected in proc.stdout, (command, cap)
 
 
 def test_subspace_count_refuses_a_lattice_before_any_table(spec_dir, capsys, monkeypatch):

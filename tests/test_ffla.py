@@ -13,8 +13,8 @@ from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import FpSubspace
 
 from references import (block_diagonal, intersect, is_subspace_of, reference_field_tables,
-                        reference_spin, subspace_vectors, sum_with, vec_add, vec_scale,
-                        zero_subspace)
+                        reference_mat_mul, reference_spin, subspace_vectors, sum_with, vec_add,
+                        vec_scale, zero_subspace)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PRIMES = [2, 3, 5, 7]
@@ -353,6 +353,21 @@ def test_a_field_above_the_cap_is_refused_before_its_tables(monkeypatch):
     gen = companion((1, 0, 0, 1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ResourceCapExceeded, match="endomorphism field"):
         ffla.endomorphism_field([gen], 2, 10)
+
+
+def test_matrix_products_match_the_index_loop_references():
+    rng = random.Random(18)
+    # empty, 1 x k and k x 1 factors first, then random shapes up to 5 x 5
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 4, 1), (4, 1, 4), (1, 1, 1)]
+    shapes += [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(300)]
+    for rows, inner, cols in shapes:
+        for p in (2, 3, 5, 7, 11, 13):
+            a = tuple(random_vectors(rng, p, inner, rows))
+            b = tuple(random_vectors(rng, p, cols, inner))
+            expected = reference_mat_mul(a, b, p)
+            assert ffla.mat_mul(a, b, p) == expected, (a, b, p)
+            for v, row in zip(a, expected):
+                assert ffla.vec_mat(v, b, p) == row, (v, b, p)
 
 
 def test_mat_inv_inverts_exactly_the_matrices_with_zero_left_kernel():

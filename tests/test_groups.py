@@ -199,16 +199,23 @@ def test_the_lattice_pass_refuses_exactly_the_groups_that_are_not_solvable(
 
 def test_the_lattice_cap_refuses_a_group_that_is_not_solvable_as_unsupported(monkeypatch):
     # past the cap the derived series decides: A5 (59 subgroups) is not
-    # solvable, S4 (30) is; neither leaves a lattice table behind
-    monkeypatch.setattr(gr, "LATTICE_CAP", 20)
+    # solvable, S4 (30) is; neither leaves a lattice table behind.  Past the
+    # order ceiling (A5 has order 60, S4 24) it decides the same way, before
+    # the pass builds a conjugation table
     a5 = not_solvable_groups()[0]
     s4 = corpus.corpus_group("S4")
-    for g, error, message in ((a5, MalformedInput, "requires a solvable group"),
-                              (s4, ResourceCapExceeded, "subgroup lattice size")):
-        cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
-        with pytest.raises(error, match=message):
-            gr.all_subgroups(cold)
-        assert "lattice" not in cold._cache, g.name
+    for cap, value, capped in (("LATTICE_CAP", 20, "subgroup lattice size"),
+                               ("LATTICE_ORDER_CEILING", 23, "exceeds its memory ceiling")):
+        monkeypatch.setattr(gr, cap, value)
+        for g, error, message in ((a5, MalformedInput, "requires a solvable group"),
+                                  (s4, ResourceCapExceeded, capped)):
+            cold = gr.OracleGroup(g.n, g.mul, g.name, g.gens, g._inv)
+            with pytest.raises(error, match=message):
+                gr.all_subgroups(cold)
+            assert "lattice" not in cold._cache, (cap, g.name)
+            if cap == "LATTICE_ORDER_CEILING":
+                assert not {"conj", "powers_of_two"} & cold._cache.keys(), g.name
+        monkeypatch.undo()
 
 
 def test_cold_tower_lattices_take_no_derived_series(monkeypatch):

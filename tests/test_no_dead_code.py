@@ -20,20 +20,24 @@ results, and every name in the span tables of bench/run.py.  A reached
 function's body reaches the names it holds, until nothing new is reached.
 
 Stored state is dead too when nothing reads it for its own class: a
-field of a record (a `namedtuple` or a `@dataclass`) or a `self.x` that a
-method assigns.  A read of `.x` counts for class C when its object is
-`self` in a method of C or of a base of C, a parameter annotated with C,
-or a local bound from `C(...)` or `C.create(...)`.  When only one class
-stores x, any read of `.x` counts, as then it can only be that one's;
-when several do, a field read only from objects the check cannot resolve
-stands in COLLIDING with the package function that reads it.  A read in
-the method that assigns the attribute does not count.
+field of a record (a `namedtuple`, or a class whose base is one) or a
+`self.x` that a method assigns.  A read of `.x` counts for class C when
+its object is `self` in a method of C or of a base of C, a parameter
+annotated with C, or a local bound from `C(...)` or `C.create(...)`.
+When only one class stores x, any read of `.x` counts, as then it can
+only be that one's; when several do, a field read only from objects the
+check cannot resolve stands in COLLIDING with the package function that
+reads it.  A read in the method that assigns the attribute does not
+count.  No module may import `dataclasses`, whose fields the check does
+not read.
 """
 
 import ast
 import textwrap
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from test_bench_spans import BENCH, SPAN_TABLES, module_constants
 
@@ -167,39 +171,44 @@ def _own_nodes(node):
             yield from _own_nodes(child)
 
 
+def _is_namedtuple(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "namedtuple")
+
+
 def package_classes(trees):
     """{class: the last names of its bases} for every class the package
-    defines, a `namedtuple` record (with no bases) included."""
+    defines, a `namedtuple` record (with no bases) included.  The record
+    `class X(namedtuple("X", ...))` is X, and its `namedtuple` base is no
+    package base."""
     classes = {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 classes[node.name] = {b.attr if isinstance(b, ast.Attribute) else b.id
-                                      for b in node.bases}
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "namedtuple"):
-                classes[node.args[0].value] = set()
+                                      for b in node.bases if not _is_namedtuple(b)}
+            elif _is_namedtuple(node):
+                classes.setdefault(node.args[0].value, set())
     return classes
 
 
 def stored_state(trees):
     """{field: {class: the methods that assign it}}: each field of a
-    `namedtuple` or of a `@dataclass` (its annotated class attributes),
-    which no method assigns, and each `self.x` that a method of a package
-    class assigns."""
+    `namedtuple`, which no method assigns, and each `self.x` that a method
+    of a package class assigns.  A `@dataclass` would store fields that
+    this check does not read, so no module may import `dataclasses`."""
     stored: dict = {}
     for tree in trees:
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "namedtuple"):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                    alias.name for alias in node.names]
+                assert "dataclasses" not in modules, "records are namedtuples, not dataclasses"
+            elif _is_namedtuple(node):
                 record, fields = (arg.value for arg in node.args)
                 for field in fields.replace(",", " ").split():
                     stored.setdefault(field, {}).setdefault(record, set())
             elif isinstance(node, ast.ClassDef):
-                if any("dataclass" in names_in(d) for d in node.decorator_list):
-                    for stmt in node.body:
-                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                            stored.setdefault(stmt.target.id, {}).setdefault(node.name, set())
                 for method in _methods(node):
                     me = _self_name(method)
                     for sub in ast.walk(method):
@@ -425,12 +434,26 @@ def test_the_check_fails_a_record_field_that_nothing_reads():
     source = """
     P = namedtuple("P", "x y")
 
-    @dataclass(frozen=True)
-    class R:
-        u: int
-        v: int
+    class R(namedtuple("R", "u v")):
+        __slots__ = ()
 
-    def f(p, r):
-        return p.x + r.v
+        def total(self):
+            return self.v
+
+    def f(p):
+        return p.x
     """
     assert dead_in(source) == [("P", "y"), ("R", "u")]
+    # A stores u too, so only a read that resolves to R counts for R: self
+    # in a method of the subclass is R
+    other = "class A:\n    def __init__(self):\n        self.u = 1\n\n    def get(self):\n" \
+            "        return self.u\n"
+    assert dead_in(source, other) == [("P", "y"), ("R", "u")]
+    read = source.replace("return self.v", "return self.u + self.v")
+    assert dead_in(read, other) == [("P", "y")]
+
+
+def test_the_check_refuses_a_module_that_imports_dataclasses():
+    for line in ("import dataclasses", "from dataclasses import dataclass"):
+        with pytest.raises(AssertionError, match="not dataclasses"):
+            dead_in(line)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import operator
 import random
@@ -1209,7 +1208,7 @@ def test_crown_module_check_matches_the_isomorphism_search(gaschuetz_oracles):
                 assert reference_crown_module_check(g, data), (g.name, cls.label)
             for other in classes:
                 if other is not cls and (other.prime, other.dim) == (cls.prime, cls.dim):
-                    wrong = dataclasses.replace(data, v_class=other)
+                    wrong = data._replace(v_class=other)
                     assert not sdp.crown_module_check(g, wrong), (g.name, cls.label)
                     assert not reference_crown_module_check(g, wrong), (g.name, cls.label)
                     negatives += 1
