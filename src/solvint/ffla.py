@@ -9,7 +9,7 @@ representative used for equality, hashing and deduplication everywhere.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 from operator import getitem, mul
 
 from .errors import MalformedInput, ResourceCapExceeded
@@ -204,10 +204,6 @@ class FpSubspace(namedtuple("FpSubspace", "p ambient_dim basis pivots")):
         rows, pivots = _rref(vectors, p, ambient_dim)
         return cls(p, ambient_dim, rows, pivots)
 
-    @classmethod
-    def full(cls, p: int, ambient_dim: int) -> "FpSubspace":
-        return cls.from_vectors(p, ambient_dim, mat_identity(ambient_dim))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -227,13 +223,6 @@ class FpSubspace(namedtuple("FpSubspace", "p ambient_dim basis pivots")):
 
     def contains(self, v: Vector) -> bool:
         return not any(self.reduce(v))
-
-    def coords_of(self, v: Vector):
-        """Coefficients of v over the RREF basis, or None if v is outside."""
-        coords = tuple(v[c] % self.p for c in self.pivots)
-        if self.contains(v):
-            return coords
-        return None
 
 
 def rref(vectors, p: int, ambient_dim: int) -> FpSubspace:
@@ -418,30 +407,15 @@ class FieldOps:
                 break
         return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
-    def subspaces(self, t: int, dim: int):
-        """All RREF bases of F-subspaces of F^t of the given dimension, in a
-        deterministic order (pivot columns, then free entries, lex)."""
-        if dim == 0:
-            yield ()
-            return
-        nonzero = range(self.q)
-        for pivots in combinations(range(t), dim):
-            free_positions = []
-            for i in range(dim):
-                for c in range(pivots[i] + 1, t):
-                    if c not in pivots:
-                        free_positions.append((i, c))
-            for fill in iter_product(nonzero, repeat=len(free_positions)):
-                rows = [[0] * t for _ in range(dim)]
-                for i in range(dim):
-                    rows[i][pivots[i]] = self.one
-                for (i, c), val in zip(free_positions, fill):
-                    rows[i][c] = val
-                yield tuple(tuple(r) for r in rows)
-
     def hyperplanes(self, t: int):
-        """The F-subspaces of F^t of dimension t - 1; F^0 has none."""
-        return list(self.subspaces(t, t - 1)) if t else []
+        """The F-hyperplanes of F^t as F-RREF rows.  For each non-pivot
+        column f, from t - 1 down to 0, row c is e_c + a_c e_f for c < f and
+        e_c for c > f, with (a_0, ..., a_(f-1)) running over F^f in
+        lexicographic order; F^0 has none."""
+        unit = tuple(tuple(self.one if j == c else 0 for j in range(t)) for c in range(t))
+        return [tuple(unit[c][:f] + (a_c,) + unit[c][f + 1:] for c, a_c in enumerate(a))
+                + unit[f + 1:]
+                for f in range(t - 1, -1, -1) for a in iter_product(range(self.q), repeat=f)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +427,9 @@ def induced_action(sub: FpSubspace, g: Matrix) -> Matrix:
     rows = []
     for u in sub.basis:
         w = vec_mat(u, g, sub.p)
-        coords = sub.coords_of(w)
-        if coords is None:
+        if not sub.contains(w):
             raise MalformedInput("subspace is not invariant under the given matrix")
-        rows.append(coords)
+        rows.append(tuple(w[c] for c in sub.pivots))
     return tuple(rows)
 
 

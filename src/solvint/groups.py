@@ -137,15 +137,9 @@ class OracleGroup(_Memoised):
 
 
 def _table_group(n: int, flat: array, name: str, gens: tuple[int, ...]) -> OracleGroup:
-    """An oracle over the flat n x n table `flat`: the law reads a cell,
-    and each row is scanned for the identity to find the inverses."""
-    inv = array("i", [0] * n)
-    for a in range(n):
-        row = a * n
-        try:
-            inv[a] = flat.index(0, row, row + n) - row
-        except ValueError:
-            raise MalformedInput(f"element {a} has no inverse") from None
+    """An oracle over the flat n x n group table `flat`: the law reads a
+    cell, and each row is scanned for the identity to find the inverses."""
+    inv = array("i", [flat.index(0, a * n, a * n + n) - a * n for a in range(n)])
 
     def mul(a: int, b: int) -> int:
         return flat[a * n + b]
@@ -196,7 +190,8 @@ def _check_table(flat: array, n: int) -> list[int]:
 
 def from_mul_table(table, name: str = "table-group") -> OracleGroup:
     """Build from an explicit n x n table; the group axioms are verified
-    exactly at every order, associativity by Light's test (_check_table)."""
+    exactly at every order before the oracle is built, associativity by
+    Light's test (_check_table)."""
     n = len(table)
     for row in table:
         if len(row) != n:
@@ -204,18 +199,16 @@ def from_mul_table(table, name: str = "table-group") -> OracleGroup:
         if min(row) < 0 or max(row) >= n:
             raise MalformedInput("table entry out of range")
     flat = array("i", chain.from_iterable(table))
-    G = _table_group(n, flat, name, gens=())
-    G.gens = tuple(_check_table(flat, n))
-    return G
+    return _table_group(n, flat, name, tuple(_check_table(flat, n)))
 
 
-def from_elements(elems, mul_fn, name: str, gen_elems=()) -> OracleGroup:
+def from_elements(elems, mul_fn, name: str, gen_elems) -> OracleGroup:
     """Build from hashable element objects, identity first and closed under
-    `mul_fn`, as `_sorted_closure` returns them.  The law multiplies two
-    objects and looks the product up, with no table.  The gens are the ids
-    of the non-identity `gen_elems`, or a small generating set when there
-    are none, and the inverses come from the cyclic walks: on the walk
-    1, g, ..., g^(k-1) of <g>, the inverse of g^i is g^(k-i)."""
+    `mul_fn`, as `_sorted_closure` returns them from `gen_elems`.  The law
+    multiplies two objects and looks the product up, with no table.  The
+    gens are the ids of the non-identity `gen_elems`, and the inverses come
+    from the cyclic walks: on the walk 1, g, ..., g^(k-1) of <g>, the
+    inverse of g^i is g^(k-i)."""
     index = {e: i for i, e in enumerate(elems)}
 
     def mul(a: int, b: int) -> int:
@@ -226,8 +219,6 @@ def from_elements(elems, mul_fn, name: str, gen_elems=()) -> OracleGroup:
     for cycle in _cycles(G):
         for i, x in enumerate(cycle):
             G._inv[x] = cycle[-i]  # g^(k-i), and 1 for i = 0
-    if not G.gens:
-        G.gens = tuple(small_generating_set(G))
     return G
 
 
@@ -301,10 +292,22 @@ def semidirect_cyclic(n_order: int, h_order: int, action_exp: int,
     return oracle_from_split_tables([n_order], [[s]], cyclic(h_order), name)
 
 
+def _embedding_bound(cap: int) -> tuple[int, str]:
+    """The largest order of a group the package embeds as an OracleGroup
+    under the order cap `cap`, and the limit that binds: past
+    LATTICE_ORDER_CEILING the lattice pass would refuse the group after
+    its tables had been built."""
+    if cap > LATTICE_ORDER_CEILING:
+        return LATTICE_ORDER_CEILING, "the lattice order ceiling"
+    return cap, "the order cap"
+
+
 def _check_embedding_order(order: int, cap: int) -> None:
-    """Refuse to embed a group of order above `cap` as an OracleGroup."""
-    if order > cap:
-        raise ResourceCapExceeded(f"oracle embedding of |G|={order} exceeds the order cap", cap)
+    """Refuse to embed a group of order above min(cap, LATTICE_ORDER_CEILING)
+    as an OracleGroup, before anything is built."""
+    bound, limit = _embedding_bound(cap)
+    if order > bound:
+        raise ResourceCapExceeded(f"oracle embedding of |G|={order} exceeds {limit}", bound)
 
 
 def oracle_from_split_tables(radices, images, H: OracleGroup, name: str) -> OracleGroup:
@@ -549,15 +552,10 @@ def _conjugates(G: OracleGroup, mask: int, members):
         yield i, g, j, c
 
 
-def _orbit(G: OracleGroup, mask: int) -> set[int]:
-    """The conjugates of the subgroup `mask` (its orbit under G.gens)."""
-    return {mask, *(c for _, _, _, c in _conjugates(G, mask, tuple(mask_bits(mask))))}
-
-
 def _orbit_and_normaliser(G: OracleGroup, mask: int, members) -> tuple[list[int], int]:
-    """The conjugates of the subgroup T = (mask, members), as in `_orbit`,
-    and its normaliser N_G(T), from one walk of the orbit that stops as
-    soon as both are known.
+    """The conjugates of the subgroup T = (mask, members), as `_conjugates`
+    walks them, and its normaliser N_G(T), from one walk of the orbit that
+    stops as soon as both are known.
 
     Conjugation is a right action, T^(ab) = (T^a)^b, and the gens generate
     G, so the walk meets every conjugate.  Each conjugate c = T^(u_c) gets
@@ -973,11 +971,8 @@ def counts(G: OracleGroup) -> tuple[tuple[int, tuple[int, int, int]], ...]:
 
 
 def normal_core(G: OracleGroup, m: int) -> int:
-    """Intersection of all conjugates of m."""
-    core = (1 << G.n) - 1
-    for c in _orbit(G, m):
-        core &= c
-    return core
+    """Intersection of all conjugates of m, met on one `_conjugates` walk."""
+    return reduce(and_, (c for *_, c in _conjugates(G, m, tuple(mask_bits(m)))), m)
 
 
 def core_and_socle(m: int, G: OracleGroup) -> tuple[int, int]:

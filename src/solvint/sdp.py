@@ -193,7 +193,7 @@ class SdGroup(gr._Memoised):
         H is faithful and nontrivial, so V^H = 0 and the preimage is W.
         """
         if self.wdim == 0 or self.module.order == 1:
-            return FpSubspace.full(self.p, self.wdim)
+            return FpSubspace.from_vectors(self.p, self.wdim, mat_identity(self.wdim))
         return W
 
 
@@ -755,9 +755,10 @@ def oracle_from_spec(doc: dict, cap: int) -> gr.OracleGroup:
     """The oracle of V^t x| H from its structured document, with no module
     and no field built: SchemaError for shape problems, MalformedInput
     (named invariant) for group-theoretic ones, and ResourceCapExceeded for
-    an order above `cap` or more subspaces than gr.LATTICE_CAP.  |G| >=
-    |V^t| = p^(k t) >= 2^(k t), so V^t is weighed against `cap` before H is
-    closed, and p^(k t) is only taken for k t below cap's bit length."""
+    an order above min(cap, gr.LATTICE_ORDER_CEILING) or more subspaces
+    than gr.LATTICE_CAP.  |G| >= |V^t| = p^(k t) >= 2^(k t), so V^t is
+    weighed against that bound before H is closed, and p^(k t) is only
+    taken for k t below the bound's bit length."""
     for key in ("p", "k", "t", "h_gens"):
         if key not in doc:
             raise SchemaError(f"sdp spec is missing '{key}'")
@@ -772,9 +773,9 @@ def oracle_from_spec(doc: dict, cap: int) -> gr.OracleGroup:
                                     for r in g) for g in gens
     ):
         raise SchemaError("h_gens must be a list of integer matrices")
-    if k * t >= cap.bit_length() or p ** (k * t) > cap:
-        raise ResourceCapExceeded(f"oracle embedding of |V^t|={p}^{k * t} exceeds the order cap",
-                                  cap)
+    bound, limit = gr._embedding_bound(cap)
+    if k * t >= bound.bit_length() or p ** (k * t) > bound:
+        raise ResourceCapExceeded(f"oracle embedding of |V^t|={p}^{k * t} exceeds {limit}", bound)
     gens, elements, H = _matrix_group(p, k, gens)
     gr._check_embedding_order(p ** (k * t) * len(elements), cap)
     if not is_irreducible(gens, p, k):

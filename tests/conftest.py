@@ -1,5 +1,10 @@
 import importlib.util
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,22 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # every run draws the same examples and writes no example database
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+
+def run_capped_cli(args, address_space: int, seconds: float):
+    """Run `python -m solvint.cli *args` on the package's source in a child
+    process whose address space is limited to `address_space` bytes, and
+    raise subprocess.TimeoutExpired past `seconds` of wall time.  The limit
+    acts on the child only.  Returns (exit code, stdout, stderr, seconds
+    taken)."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "solvint.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=seconds, preexec_fn=limit_address_space)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")

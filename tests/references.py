@@ -1,10 +1,11 @@
 """Reference implementations shared by the tests.
 
 The package no longer needs these: subspace sums, meets, decompositions
-and containment, the zero subspace and the list of a subspace's vectors,
-the lower central series test, the enumeration of every F-subspace of
-F^t, adding and scaling vectors, the inverse of an oracle element, the
-chief-factor action and centralizer one element at a time, integer roots
+and containment, the zero and the whole subspace and the list of a
+subspace's vectors, the lower central series test, the enumeration of
+every F-subspace of F^t, the orbit of a subgroup, adding and scaling
+vectors, the inverse of an oracle element, the chief-factor action and
+centralizer one element at a time, integer roots
 and logarithms by bisection, the least eta product over every family of
 maximals, the gamma of a module by a scan of every F-subspace for every
 F-subspace, and the tower's element tuples ((a_1, ..., a_n), e) with
@@ -27,7 +28,7 @@ a counter of the law calls an oracle makes.
 """
 
 from contextlib import contextmanager
-from itertools import product
+from itertools import combinations, product
 
 from solvint import groups as gr
 from solvint import tower
@@ -82,6 +83,10 @@ def vec_scale(u, c, p):
 
 def zero_subspace(p: int, ambient_dim: int) -> FpSubspace:
     return FpSubspace(p, ambient_dim, (), ())
+
+
+def full_subspace(p: int, ambient_dim: int) -> FpSubspace:
+    return FpSubspace.from_vectors(p, ambient_dim, mat_identity(ambient_dim))
 
 
 def subspace_vectors(s: FpSubspace):
@@ -153,10 +158,35 @@ def decompose(a: FpSubspace, v, b: FpSubspace):
     return x, vec_sub(v, x, p)
 
 
+def subspaces(fops, t: int, dim: int):
+    """All RREF bases of F-subspaces of F^t of the given dimension over the
+    field `fops`, in a deterministic order (pivot columns, then free
+    entries, lex)."""
+    if dim == 0:
+        yield ()
+        return
+    for pivots in combinations(range(t), dim):
+        free_positions = [(i, c) for i in range(dim) for c in range(pivots[i] + 1, t)
+                          if c not in pivots]
+        for fill in product(range(fops.q), repeat=len(free_positions)):
+            rows = [[0] * t for _ in range(dim)]
+            for i in range(dim):
+                rows[i][pivots[i]] = fops.one
+            for (i, c), val in zip(free_positions, fill):
+                rows[i][c] = val
+            yield tuple(tuple(r) for r in rows)
+
+
 def all_subspaces(fops, t: int):
     """Every F-subspace of F^t as its F-RREF rows, by dimension."""
     for d in range(t + 1):
-        yield from fops.subspaces(t, d)
+        yield from subspaces(fops, t, d)
+
+
+def orbit(G, mask: int) -> set:
+    """The conjugates of the subgroup `mask`: its orbit under G.gens, read
+    off the walk of `groups._conjugates`."""
+    return {mask, *(c for *_, c in gr._conjugates(G, mask, tuple(gr.mask_bits(mask))))}
 
 
 def is_nilpotent_mask(G, mask: int) -> bool:
@@ -612,7 +642,7 @@ def reference_gamma_min(module):
         return sum(1 << x for x, m in enumerate(module.elements)
                    if all(reference_vec_mat(v, m, p) == v for v in vectors))
 
-    by_dim = [[centralizer(rows) for rows in module.fops.subspaces(f, d)] for d in range(f + 1)]
+    by_dim = [[centralizer(rows) for rows in subspaces(module.fops, f, d)] for d in range(f + 1)]
     weak_max = 0
     for d in range(f + 1):
         for c_w in by_dim[d]:

@@ -3,11 +3,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import random
-import resource
-import subprocess
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -21,6 +17,7 @@ from hypothesis import strategies as st
 from solvint import cli, corpus, ffla, props, sdp
 from solvint import groups as gr
 
+from conftest import run_capped_cli
 from references import counting_law_calls
 
 
@@ -297,18 +294,24 @@ def test_cap_error_exit_3(spec_dir, capsys):
 def test_the_order_cap_refuses_an_sdp_spec_by_v_t_before_h_is_closed(spec_dir, capsys,
                                                                      monkeypatch):
     # |G| >= |V^t| = p^(k t) >= 2^(k t), so a V^t past the order cap is
-    # refused before any generator is read; at k t = 100 no power is taken
+    # refused before any generator is read; at k t = 100 no power is taken.
+    # Past the lattice order ceiling, the bound and the message are its own
     monkeypatch.setattr(sdp, "_matrix_group", None)
     (spec_dir / "f2^100.json").write_text(
         json.dumps({"kind": "sdp", "p": 2, "k": 1, "t": 100, "h_gens": []}))
-    for name, cap, v_t in (("c29-on-f2^28", 1000, "2^28"), ("f1201-t1", 1000, "1201^1"),
-                           ("safe-prime", 1000, "200000000000000363^1"),
-                           ("f2^100", 5000, "2^100"), ("f2^100", 2**99, "2^100")):
+    ceiling = "the lattice order ceiling (cap: 65536)"
+    for name, cap, v_t, limit in (
+            ("c29-on-f2^28", 1000, "2^28", "the order cap (cap: 1000)"),
+            ("f1201-t1", 1000, "1201^1", "the order cap (cap: 1000)"),
+            ("safe-prime", 1000, "200000000000000363^1", "the order cap (cap: 1000)"),
+            ("f2^100", 5000, "2^100", "the order cap (cap: 5000)"),
+            ("f2^100", 2**99, "2^100", ceiling), ("safe-prime", 10**20, "200000000000000363^1",
+                                                  ceiling)):
         code, out, err = run(capsys, "analyze", "--spec", str(spec_dir / f"{name}.json"),
                              "--cap-order", str(cap))
         assert (code, out) == (3, ""), (name, err)
         assert err.strip().splitlines() == [
-            f"resource cap: oracle embedding of |V^t|={v_t} exceeds the order cap (cap: {cap})"]
+            f"resource cap: oracle embedding of |V^t|={v_t} exceeds {limit}"]
 
 
 def test_an_oversized_spec_file_is_refused_before_it_is_parsed(spec_dir, capsys):
@@ -423,31 +426,36 @@ def test_no_order_cap_reserves_the_spec_read_size_in_memory(spec_dir):
     # allocates its n characters before it reads: the child process runs
     # under a 2 GB address-space limit.  The lattice pass's tables take about
     # |G|^2/8 bytes, 6.6 GB for the dihedral group of order 200,006 and 19.6 GB
-    # for the tower's level 4 (|G| = 395,760), so both are refused before them
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+    # for the tower's level 4 (|G| = 395,760), so both are refused before them.
+    # The tower's level 5 (|G| = 152,763,360) and F_99991 x| C_9999 (|G| =
+    # 999,810,009) pass a cap of 10^9 but not the lattice order ceiling, which
+    # refuses them before a table is built (they ended in a MemoryError while
+    # their oracles were built, after 7.5 s and 36.6 s)
     dihedral = spec_dir / "d200006.json"
     dihedral.write_text(json.dumps({"kind": "sdp", "p": 100003, "k": 1, "t": 1,
                                     "h_gens": [[[100002]]]}))
-    runs = [(["analyze", "--spec", str(spec_dir / "s3.json")], cap, "S3")
+    large_h = spec_dir / "f99991-c9999.json"
+    large_h.write_text(json.dumps({"kind": "sdp", "p": 99991, "k": 1, "t": 1,
+                                   "h_gens": [[[59049]]]}))
+    # (command, cap, seconds it may take, exit code, text of stdout)
+    runs = [(["analyze", "--spec", str(spec_dir / "s3.json")], cap, 30, 0, "S3")
             for cap in (5000, 2 * 10**4, 10**6, 10**8, 10**9)]
-    runs += [(["counts", "--range", "4..4"], cap, "counts,n=4,gamma_formula,47,formula")
+    runs += [(["counts", "--range", "4..4"], cap, 30, 0, "counts,n=4,gamma_formula,47,formula")
              for cap in (10**6, 10**8, 10**9)]
-    runs += [(["analyze", "--spec", str(dihedral)], 10**6, None)]
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    for command, cap, expected in runs:
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "solvint.cli", *command, "--cap-order", str(cap)],
-            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_address_space)
-        assert time.perf_counter() - start < 30, (command, cap)
-        assert proc.returncode in (0, 1, 2, 3), (command, cap, proc.stderr)
-        assert "Traceback" not in proc.stderr, (command, cap, proc.stderr)
-        if proc.returncode:
-            assert len(proc.stderr.strip().splitlines()) == 1, (command, cap, proc.stderr)
-        if expected:
-            assert proc.returncode == 0 and expected in proc.stdout, (command, cap)
+    runs += [(["analyze", "--spec", str(dihedral)], 10**6, 30, None, None),
+             (["counts", "--range", "5..5"], 10**9, 5, 0, "counts,n=5,gamma_formula,111,formula"),
+             (["analyze", "--spec", str(large_h)], 10**9, 5, 3, None)]
+    for command, cap, within, expected_code, expected_text in runs:
+        code, out, err, seconds = run_capped_cli([*command, "--cap-order", str(cap)],
+                                                 2 << 30, 60)
+        assert seconds < within, (command, cap, seconds)
+        assert code in (0, 1, 2, 3), (command, cap, err)
+        assert "Traceback" not in err, (command, cap, err)
+        if code:
+            assert len(err.strip().splitlines()) == 1, (command, cap, err)
+        assert expected_code in (None, code), (command, cap, err)
+        if expected_text:
+            assert expected_text in out, (command, cap)
 
 
 def test_subspace_count_refuses_a_lattice_before_any_table(spec_dir, capsys, monkeypatch):

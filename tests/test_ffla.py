@@ -12,9 +12,9 @@ from solvint import corpus, ffla, sdp
 from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import FpSubspace
 
-from references import (block_diagonal, intersect, is_subspace_of, reference_field_tables,
-                        reference_mat_mul, reference_spin, subspace_vectors, sum_with, vec_add,
-                        vec_scale, zero_subspace)
+from references import (block_diagonal, full_subspace, intersect, is_subspace_of,
+                        reference_field_tables, reference_mat_mul, reference_spin, subspaces,
+                        subspace_vectors, sum_with, vec_add, vec_scale, zero_subspace)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PRIMES = [2, 3, 5, 7]
@@ -115,7 +115,7 @@ def test_modular_law():
 def test_sum_example_f3():
     a = ffla.rref([(1, 0)], 3, 2)
     b = ffla.rref([(0, 1)], 3, 2)
-    assert sum_with(a, b) == FpSubspace.full(3, 2)
+    assert sum_with(a, b) == full_subspace(3, 2)
 
 
 def test_zero_ambient_dimension_is_legal():
@@ -431,6 +431,16 @@ def test_field_ops_tables_consistent():
             )
     for i in range(1, fops.q):
         assert fops.mul_t[i][fops.inv_t[i]] == fops.one
+
+
+def test_hyperplanes_list_the_subspaces_of_codimension_one_in_order(sdp_pool):
+    # element for element and in the order of the enumeration of every
+    # subspace, so every interKM case draws the same supplements
+    fields = {id(g.module.fops): g.module.fops for g in sdp_pool + corpus.primitive_groups()}
+    for fops in fields.values():
+        assert fops.hyperplanes(0) == []
+        for t in range(1, 5):
+            assert fops.hyperplanes(t) == list(subspaces(fops, t, t - 1)), (fops.q, t)
 
 
 def assert_module_isomorphism(rho_v, rho_a, p, d, e, iso):

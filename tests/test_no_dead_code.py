@@ -18,6 +18,9 @@ bodies), the dunder methods that Python calls, the standard-library
 methods that the package overrides and the library calls, the paper's
 results, and every name in the span tables of bench/run.py.  A reached
 function's body reaches the names it holds, until nothing new is reached.
+A function that the span tables reach and no other root does must be a
+span-table name itself, so that no private helper stays behind a function
+that only the benchmark names.
 
 Stored state is dead too when nothing reads it for its own class: a
 field of a record (a `namedtuple`, or a class whose base is one) or a
@@ -62,6 +65,8 @@ BENCH_SPANS = {
     "core_and_socle",
     # ffla.module_iso_s names it with module_isomorphism, which no longer calls it
     "induced_action",
+    # every builder of an oracle hands over the generators it closed
+    "small_generating_set",
 }
 # methods that override a standard-library method the library calls
 LIBRARY_HOOKS = {
@@ -95,17 +100,31 @@ def reads(name: str, method: bool) -> set:
 
 
 def defs(tree):
-    """(node, reads) for the module's functions and the methods of its
-    classes, except the dunder methods that Python calls."""
+    """(name, node, reads) for the module's functions and the methods of its
+    classes, except the dunder methods that Python calls: name is `f` for a
+    function and `C.f` for a method."""
     for node in tree.body:
         method = isinstance(node, ast.ClassDef)
         for sub in node.body if method else [node]:
             if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
-                yield sub, reads(sub.name, method)
+                name = f"{node.name}.{sub.name}" if method else sub.name
+                yield name, sub, reads(sub.name, method)
+
+
+def package_modules():
+    """{module name: its parsed source} for each module of the package."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def package_trees():
-    return [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    return list(package_modules().values())
+
+
+def span_entries():
+    """Every entry of the span tables of bench/run.py: `layer.f`,
+    `layer.C.f`, or a prefix `layer.C.` that names the class C."""
+    tables = module_constants(BENCH / "run.py", SPAN_TABLES)
+    return {span for table in tables.values() for names in table.values() for span in names}
 
 
 def unnamed_defs():
@@ -114,7 +133,7 @@ def unnamed_defs():
     a method counts as named when any attribute of that name is read."""
     trees = package_trees()
     named = Counter(name for tree in trees for name in names_in(tree))
-    return {node.name for tree in trees for node, node_reads in defs(tree)
+    return {node.name for tree in trees for _, node, node_reads in defs(tree)
             if all(named[r] == Counter(names_in(node))[r] for r in node_reads)}
 
 
@@ -148,6 +167,20 @@ def reached_names(trees, span_names):
             names |= new
             todo += new
     return names
+
+
+def span_only(modules, entries):
+    """The functions and methods, as `module.f` or `module.C.f`, that the
+    span-table `entries` reach and no other root does, and that are not an
+    exact entry themselves.  A prefix entry `module.C.` names the class C,
+    not each of its methods."""
+    trees = list(modules.values())
+    from_spans = reached_names(trees, {e.rstrip(".").rsplit(".", 1)[-1] for e in entries})
+    from_other_roots = reached_names(trees, set())
+    return sorted(f"{module}.{name}" for module, tree in modules.items()
+                  for name, _, node_reads in defs(tree)
+                  if node_reads & from_spans and not node_reads & from_other_roots
+                  and f"{module}.{name}" not in entries)
 
 
 def _methods(cls):
@@ -325,13 +358,17 @@ def dead_state(trees, colliding):
 
 def test_every_function_is_reached_from_a_root():
     trees = package_trees()
-    tables = module_constants(BENCH / "run.py", SPAN_TABLES)
     # "ffla.rref" names rref; the prefix "ffla.FpSubspace." names its class
-    spans = {span.rstrip(".").rsplit(".", 1)[-1] for table in tables.values()
-             for names in table.values() for span in names}
+    spans = {span.rstrip(".").rsplit(".", 1)[-1] for span in span_entries()}
     reached = reached_names(trees, spans)
-    assert sorted(node.name for tree in trees for node, node_reads in defs(tree)
+    assert sorted(node.name for tree in trees for _, node, node_reads in defs(tree)
                   if not node_reads & reached) == []
+
+
+def test_every_function_only_the_span_tables_reach_is_a_span_name():
+    # a helper behind a function that only the span tables name would stay
+    # in the package when the tables drop that name
+    assert span_only(package_modules(), span_entries()) == []
 
 
 def test_every_public_function_is_named_in_the_package_or_kept():
@@ -348,9 +385,7 @@ def test_keep_holds_only_functions_the_package_does_not_name():
 
 
 def test_bench_spans_keep_only_names_the_span_tables_hold():
-    tables = module_constants(BENCH / "run.py", SPAN_TABLES)
-    spans = {span.rsplit(".", 1)[-1] for table in tables.values()
-             for names in table.values() for span in names}
+    spans = {span.rsplit(".", 1)[-1] for span in span_entries()}
     assert sorted(BENCH_SPANS - spans) == []
 
 
@@ -361,6 +396,39 @@ def test_every_stored_field_is_read_for_its_own_class():
 def test_colliding_holds_only_fields_the_check_cannot_resolve():
     # an entry whose field is gone, or now read for its own class, is stale
     assert sorted(COLLIDING.keys() - set(dead_state(package_trees(), {}))) == []
+
+
+# `traced` stands in a span table, `main` is the other root
+SPAN_HELPER = """
+def traced():
+    return _helper() + C().method()
+
+def _helper():
+    return 1
+
+class C:
+    def method(self):
+        return 2
+
+def main():
+    return 0
+"""
+
+
+def test_the_check_fails_a_helper_that_only_a_span_named_function_reaches():
+    modules = {"mod": ast.parse(SPAN_HELPER)}
+    assert span_only(modules, {"mod.traced"}) == ["mod.C.method", "mod._helper"]
+    # a prefix entry names the class, not its methods; an exact entry names one
+    assert span_only(modules, {"mod.traced", "mod.C."}) == ["mod.C.method", "mod._helper"]
+    assert span_only(modules, {"mod.traced", "mod.C.method"}) == ["mod._helper"]
+
+
+def test_the_check_passes_a_helper_that_another_root_reaches_too():
+    modules = {"mod": ast.parse(SPAN_HELPER.replace("return 0", "return _helper()"))}
+    assert span_only(modules, {"mod.traced"}) == ["mod.C.method"]
+    # once main calls the span-named function, all it reaches is main's too
+    modules = {"mod": ast.parse(SPAN_HELPER.replace("return 0", "return traced()"))}
+    assert span_only(modules, {"mod.traced"}) == []
 
 
 # two classes store x; B reads its own, `unresolved` reads an unknown one's

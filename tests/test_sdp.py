@@ -10,9 +10,10 @@ from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import FpSubspace, vec_mat, vec_sub
 
-from references import (all_subspaces, counting_law_calls, decompose, f_span, intersect, inverse,
-                        is_subspace_of, order_of, reference_centralizer_of_factor,
-                        reference_crown_module_check, reference_f_rref_pivots,
+from references import (all_subspaces, counting_law_calls, decompose, f_span, full_subspace,
+                        intersect, inverse, is_subspace_of, order_of,
+                        reference_centralizer_of_factor, reference_crown_module_check,
+                        reference_f_rref_pivots,
                         reference_matrix_table, reference_module_isomorphism, sd_act, sd_inverse,
                         sd_mul, subspace_vectors, sum_with, vec_add, zero_subspace)
 
@@ -92,7 +93,7 @@ def test_supplement_enumeration_is_complete():
               sdp.SdGroup.create(3, 2, 1, [((0, 2), (1, 0))]),
               sdp.SdGroup.create(2, 2, 2, [((1, 1), (1, 0))])]:
         oracle = sdp.embed_as_oracle(g)
-        socle = encode_elements(g, [(w, 0) for w in subspace_vectors(FpSubspace.full(g.p, g.wdim))])
+        socle = encode_elements(g, [(w, 0) for w in subspace_vectors(full_subspace(g.p, g.wdim))])
         oracle_sups = {m for m in gr.maximal_subgroups(oracle)
                        if m & socle != socle}
         enumerated = set()
@@ -129,7 +130,7 @@ def test_encode_elements_pins_the_id_order_of_the_law():
     rng = random.Random(31)
     for g, samples in ((g_s3(), None), (g_f5_c4(2), 2000)):
         oracle = sdp.embed_as_oracle(g)
-        elements = [(w, h) for w in subspace_vectors(FpSubspace.full(g.p, g.wdim))
+        elements = [(w, h) for w in subspace_vectors(full_subspace(g.p, g.wdim))
                     for h in range(g.module.order)]
         ids = {x: encode_elements(g, [x]).bit_length() - 1 for x in elements}
         assert sorted(ids.values()) == list(range(oracle.n))
@@ -319,7 +320,7 @@ def reference_canonicalize(G, family):
     first, restarting the pass after each, then nested steps, with Z the
     F_p-span of the F-multiples of the witnesses that shrank the H-part:
     (U, v, Z, X) with X the H-part the fold ends with."""
-    cur = sdp.PartialIntersection(FpSubspace.full(G.p, G.wdim), (1 << G.module.order) - 1,
+    cur = sdp.PartialIntersection(full_subspace(G.p, G.wdim), (1 << G.module.order) - 1,
                                   (0,) * G.wdim)
     pending = list(family)
     while (m := next((m for m in pending
@@ -369,7 +370,7 @@ def test_non_maximal_supplement_is_refused():
     k = sdp.PartialIntersection(line, 0b1111, (0, 0))
     maximal = sdp.MaximalSupplement(line, (0, 1))
     zero, full = (), ((one, 0), (0, one))
-    assert (fp_span(g2, zero), fp_span(g2, full)) == (zero_subspace(5, 2), FpSubspace.full(5, 2))
+    assert (fp_span(g2, zero), fp_span(g2, full)) == (zero_subspace(5, 2), full_subspace(5, 2))
     for w in (zero, full):
         m = sdp.MaximalSupplement(w, (0, 1))
         with pytest.raises(MalformedInput, match="not maximal"):
@@ -780,7 +781,7 @@ def reference_fixed_space_over(G, W):
     the n^2 linear equations, one per (generator, coordinate of V^t/W)."""
     p, n = G.p, G.wdim
     if n == 0 or not G.module.group.gens:
-        return FpSubspace.full(p, n)
+        return full_subspace(p, n)
     eq_rows = []
     for g in G.module.group.gens:
         reds = []
@@ -868,7 +869,7 @@ def test_frame_coordinates_are_f_linear_and_invert_vector_of(sdp_pool):
         fops, p = module.fops, module.p
         shapes.add((module.fops.degree, module.f_dim))
         assert len(module.frame) == module.k
-        coords = {v: module.fcoords(v) for v in subspace_vectors(FpSubspace.full(p, module.k))}
+        coords = {v: module.fcoords(v) for v in subspace_vectors(full_subspace(p, module.k))}
         for v, c in coords.items():
             assert len(c) == module.f_dim and all(0 <= x < fops.q for x in c)
             assert module.vector_of(c) == v, (module.name, v)

@@ -6,10 +6,10 @@ import pytest
 
 from solvint import cli, tower
 from solvint import groups as gr
-from solvint.errors import MalformedInput
+from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import is_prime
 
-from references import (order_of, reference_class_representative, reference_towers,
+from references import (orbit, order_of, reference_class_representative, reference_towers,
                         tower_act_w, tower_mask)
 
 
@@ -134,7 +134,7 @@ def test_classes_pairwise_nonconjugate(tower2):
     reps = set()
     for cls in tower.classify_intersections(tower2):
         mask = tower.class_representative_elements(tower2, cls)
-        reps.add(frozenset(gr._orbit(oracle, mask)))
+        reps.add(frozenset(orbit(oracle, mask)))
     assert len(reps) == 9
 
 
@@ -149,7 +149,7 @@ def test_structural_check_compares_classes_of_swapped_representatives(tower2, mo
     oracle = tower2.embed_as_oracle()
     classes = tower.classify_intersections(tower2)
     reps = [tower.class_representative_elements(tower2, cls) for cls in classes]
-    orbits = [gr._orbit(oracle, r) for r in reps]
+    orbits = [orbit(oracle, r) for r in reps]
     i = next(i for i, orbit in enumerate(orbits) if len(orbit) > 1)
     conjugate = next(c for c in orbits[i] if c != reps[i])
     other = next(s for s in gr.all_subgroups(oracle) if not any(s in orbit for orbit in orbits))
@@ -257,10 +257,13 @@ def test_zeta_is_the_smallest_root_of_exact_order():
         tower._zeta(7, 4)
 
 
-def test_tower_group_with_a_huge_prime_is_built_at_once():
+def test_roots_of_unity_mod_a_huge_prime_are_found_at_once():
+    # the level over (5, 10^21 + 117) is far past the lattice order ceiling,
+    # so no order cap lets it be built; its roots of unity take no time
     start = time.perf_counter()
-    primes = tower.TowerPrimes((5, 1000000000000000000117), False)
-    T = tower.TowerGroup(primes, cap=5 * primes.primes[1] * 4)
+    p = 1000000000000000000117
+    with pytest.raises(ResourceCapExceeded, match="the lattice order ceiling"):
+        tower.TowerGroup(tower.TowerPrimes((5, p), False), cap=5 * p * 4)
+    zeta = tower._zeta(p, 4)
     assert time.perf_counter() - start < 1.0
-    p = T.primes.primes[1]
-    assert pow(T.zetas[1], 4, p) == 1 and pow(T.zetas[1], 2, p) == p - 1
+    assert pow(zeta, 4, p) == 1 and pow(zeta, 2, p) == p - 1
