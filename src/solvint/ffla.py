@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product as iter_product
-from operator import getitem, mul
+from operator import mul
 
 from .errors import MalformedInput, ResourceCapExceeded
 
@@ -385,27 +385,32 @@ class FieldOps:
     def _add_multiple(self, x, a, y) -> tuple[int, ...]:
         """x + a*y for vectors x, y over F and a in F."""
         add, ay = self.add_t, self.mul_t[a]
-        return tuple(map(getitem, map(add.__getitem__, x), map(ay.__getitem__, y)))
+        return tuple([add[u][ay[v]] for u, v in zip(x, y)])
 
     def f_rref(self, vectors, t: int):
-        rows = [list(v) for v in vectors]
+        """(rows, pivots): the F-RREF rows of the span of `vectors` over F^t
+        and their leading columns, with zero rows dropped.  For each column,
+        the first row past the pivot rows that is nonzero there is scaled to
+        lead with one and cleared from every other row."""
+        axpy, mul, neg, inv, one = self._add_multiple, self.mul_t, self.neg_t, self.inv_t, self.one
+        rows = list(map(tuple, vectors))  # the pivot rows, then the rest
         pivots = []
-        r = 0
         for c in range(t):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if piv is None:
+            r = len(pivots)
+            for i in range(r, len(rows)):
+                if rows[i][c]:
+                    break
+            else:
                 continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = self.inv_t[rows[r][c]]
-            rows[r] = [self.mul_t[x][inv] for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    rows[i] = self._add_multiple(rows[i], self.neg_t[rows[i][c]], rows[r])
+            row = rows.pop(i)
+            if row[c] != one:
+                scale = mul[inv[row[c]]]
+                row = tuple([scale[x] for x in row])
+            rows = [axpy(u, neg[u[c]], row) if u[c] else u for u in rows]
+            rows.insert(r, row)
             pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+        # the rest is zero now
+        return tuple(rows[:len(pivots)]), tuple(pivots)
 
     def hyperplanes(self, t: int):
         """The F-hyperplanes of F^t as F-RREF rows.  For each non-pivot

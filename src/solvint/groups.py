@@ -85,10 +85,10 @@ class _Memoised:
         """compute(*args), memoised under `key` in table `table` of `_cache`.
         A table enters `_cache` with its first value, so a compute that
         raises leaves none.  The CLI builds its groups afresh per request."""
-        try:
-            return self._cache[table][key]
-        except KeyError:
-            pass
+        memo = self._cache.get(table)
+        # a table holds no value that is the table itself, so it marks a miss
+        if memo is not None and (out := memo.get(key, memo)) is not memo:
+            return out
         out = compute(*args)
         self._cache.setdefault(table, {})[key] = out
         return out

@@ -54,8 +54,9 @@ class HModule:
     irreducibly on V = F_p^k, with its endomorphism field F.  `group` is H as
     an oracle over the ids of `elements`, a subgroup of H is a mask over
     those ids, and an F-subspace of V is held as the F-RREF of `fcoords`.
-    The tables that depend on the module alone (H's products, F-coordinates,
-    vectors, centralizers, the checker's shifts) are memoised on `group`."""
+    The tables that depend on the module alone (H's products, the draws'
+    seed closures, F-coordinates, vectors, centralizers, the checker's
+    shifts) are memoised on `group`."""
 
     def __init__(self, p, k, elements, group, fops, frame):
         self.p = p
@@ -366,7 +367,11 @@ def _f_rref_pivots(fops: FieldOps, rows, n: int) -> list[int]:
     left of its leading one, so they are zero."""
     pivots: list[int] = []
     for i, row in enumerate(rows):
-        c = next((c for c, x in enumerate(row) if x), n)
+        for c, x in enumerate(row):
+            if x:
+                break
+        else:
+            c = n
         if not (len(row) == n and c < n and row[c] == fops.one
                 and (not pivots or c > pivots[-1]) and 0 <= min(row) and max(row) < fops.q
                 and not any(above[c] for above in rows[:i])):
@@ -401,37 +406,48 @@ def _rows(G: SdGroup, W, v: Vector) -> dict:
     F-coordinates of v's j-th k-block, memoised per block on the module."""
     phis, pivots = G._memo("ann", W, _annihilator, G, W)
     module, k = G.module, G.k
-    fops = module.fops
-    blocks = [module.group._memo("fcoords", b, module.fcoords, b)
+    axpy, H = module.fops._add_multiple, module.group
+    blocks = [H._memo("fcoords", b, module.fcoords, b)
               for b in (v[i:i + k] for i in range(0, G.wdim, k))]
     rows = {}
     for phi, j in zip(phis, pivots):
         c = (0,) * module.f_dim
         for a, x in zip(phi, blocks):
             if a:
-                c = fops._add_multiple(c, a, x)
+                c = axpy(c, a, x)
         rows[j] = phi + c
     return rows
+
+
+def _supplement_row(G: SdGroup, M: MaximalSupplement):
+    """M's one row phi + c; MalformedInput unless M's submodule is maximal."""
+    own = _rows(G, M.submodule, M.translate)
+    if len(own) != 1:
+        raise MalformedInput("M's submodule is not maximal")
+    (row,) = own.values()
+    return row
 
 
 def _add_row(G: SdGroup, rows: dict, M: MaximalSupplement):
     """Add M's row to `rows` in place: the witness c when its phi reduces to
     zero, else None once it is kept."""
-    own = G._memo("row", M, _rows, G, M.submodule, M.translate)
-    if len(own) != 1:
-        raise MalformedInput("M's submodule is not maximal")
+    row = G._memo("row", M, _supplement_row, G, M)
     fops, t = G.module.fops, G.t
-    (row,) = own.values()
+    axpy, neg = fops._add_multiple, fops.neg_t
     for j, other in rows.items():
         if row[j]:
-            row = fops._add_multiple(row, fops.neg_t[row[j]], other)
-    piv = next((j for j in range(t) if row[j]), None)
-    if piv is None:
+            row = axpy(row, neg[row[j]], other)
+    for piv in range(t):
+        if row[piv]:
+            break
+    else:
         return row[t:]
-    row = fops._add_multiple((0,) * len(row), fops.inv_t[row[piv]], row)
+    if row[piv] != fops.one:
+        scale = fops.mul_t[fops.inv_t[row[piv]]]
+        row = tuple([scale[x] for x in row])
     for j, other in rows.items():
         if other[piv]:
-            rows[j] = fops._add_multiple(other, fops.neg_t[other[piv]], row)
+            rows[j] = axpy(other, neg[other[piv]], row)
     rows[piv] = row
     return None
 
@@ -441,18 +457,17 @@ def _solution(G: SdGroup, rows: dict):
     with pi_phi(v) = c for each row phi + c: c on its pivot block of F-coordinates,
     reduced modulo U's F-RREF rows, is the one vector of v's coset zero on U's pivot blocks."""
     module, t, fops = G.module, G.t, G.module.fops
+    axpy, neg, H = fops._add_multiple, fops.neg_t, module.group
     pivots = sorted(rows)
-    phis = tuple(rows[j][:t] for j in pivots)
+    phis = tuple([rows[j][:t] for j in pivots])
     U, u_pivots = G._memo("kernel", phis, _f_nullspace, fops, phis, pivots, t)
     blocks = [rows[j][t:] if j in rows else (0,) * module.f_dim for j in range(t)]
     # block j loses s_j times block c, for each row s of U with pivot c
     for s, c in zip(U, u_pivots):
         lead = blocks[c]
         if any(lead):
-            blocks = [fops._add_multiple(b, fops.neg_t[a], lead) if a else b
-                      for a, b in zip(s, blocks)]
-    return U, tuple(x for b in blocks
-                    for x in module.group._memo("vector", b, module.vector_of, b))
+            blocks = [axpy(b, neg[a], lead) if a else b for a, b in zip(s, blocks)]
+    return U, tuple([x for b in blocks for x in H._memo("vector", b, module.vector_of, b)])
 
 
 def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
@@ -462,8 +477,11 @@ def _pair_step(G: SdGroup, K: PartialIntersection, M: MaximalSupplement):
     if z is None:
         U, v = _solution(G, rows)
         return True, (PartialIntersection(U, K.h_mask, v), None)
-    # z = 0 has no line and all of H as its centralizer
-    lines = G.module.fops.f_rref([z], G.module.f_dim)[0]
+    # z = 0 has no line and all of H as its centralizer; else its line is
+    # z scaled by the inverse of its lead
+    fops = G.module.fops
+    lead = next((x for x in z if x), 0)
+    lines = (tuple([fops.mul_t[fops.inv_t[lead]][x] for x in z]),) if lead else ()
     cen = centralizer_in_h(G, lines) & K.h_mask
     if cen == K.h_mask:
         return False, (K, None)
@@ -704,17 +722,25 @@ def random_submodule(G: SdGroup, rng) -> tuple:
     """The F-RREF rows of a seeded random F-subspace of F^t."""
     fops = G.module.fops
     dim = rng.randrange(G.t + 1)
-    rows = [tuple(rng.randrange(fops.q) for _ in range(G.t)) for _ in range(dim)]
+    rows = [tuple([rng.randrange(fops.q) for _ in range(G.t)]) for _ in range(dim)]
     return fops.f_rref(rows, G.t)[0]
 
 
 def random_partial(G: SdGroup, rng) -> PartialIntersection:
+    """W * X^v for a random W, X = <1 or 2 random seeds> and v; X's mask is
+    memoised on H by its seeds."""
     w = random_submodule(G, rng)
-    seeds = [rng.randrange(G.module.order) for _ in range(rng.randrange(1, 3))]
+    seeds = tuple([rng.randrange(G.module.order) for _ in range(rng.randrange(1, 3))])
     H = G.module.group
+    x_mask = H._memo("seed_closure", seeds, _seed_closure, H, seeds)
+    v = tuple([rng.randrange(G.p) for _ in range(G.wdim)])
+    return PartialIntersection(w, x_mask, v)
+
+
+def _seed_closure(H: gr.OracleGroup, seeds) -> int:
+    """The mask of <seeds> in H, closed over H's memoised products."""
     x_set = gr._sorted_closure(seeds, lambda a, b: H._memo("hmul", (a, b), H.mul, a, b), 0)
-    v = tuple(rng.randrange(G.p) for _ in range(G.wdim))
-    return PartialIntersection(w, sum(1 << x for x in x_set), v)
+    return sum(1 << x for x in x_set)
 
 
 def random_case_suite(pool, pair_cases: int, family_cases: int, seed: int):

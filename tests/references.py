@@ -17,8 +17,10 @@ by digit, and the count tables tested one subgroup at a time, the order
 of an element, the action of H on V^t, the product and the inverse in
 V^t x| H, the F_p-span of the F-multiples of vectors of V, the F-RREF
 check of rows by their leading columns and then every row against every
-leading column, the module isomorphism search over the intertwiners in
-lexicographic order and the crown check built on it, the tables of a
+leading column, the F-RREF of vectors by row swaps, the draw of a random
+partial intersection that closes its seeds afresh, the module
+isomorphism search over the intertwiners in lexicographic order and the
+crown check built on it, the tables of a
 field by matrix products, sums and an inverse scan, the product
 table and inverses of a matrix group by the same, the spin of a
 vector by a queue refilled with each new RREF basis, and the products
@@ -31,7 +33,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 from solvint import groups as gr
-from solvint import tower
+from solvint import sdp, tower
 from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import (FpSubspace, _rref, express_in_rows, mat_add, mat_identity, mat_scale,
                           nullspace, vec_sub)
@@ -263,6 +265,45 @@ def reference_f_rref_pivots(fops, rows, n: int) -> list[int]:
                    for i, c in enumerate(pivots) for j, row in enumerate(rows))):
         raise MalformedInput(f"rows are not in F-RREF over F^{n}")
     return pivots
+
+
+def reference_f_rref(fops, vectors, t: int):
+    """(rows, pivots) of `vectors` over F^t by swaps: each pivot row is
+    swapped up, scaled and cleared from every other row, reading F's
+    tables entry by entry; the rows past the last pivot, all zero, drop."""
+    rows = [list(v) for v in vectors]
+    pivots = []
+    r = 0
+    for c in range(t):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = fops.inv_t[rows[r][c]]
+        rows[r] = [fops.mul_t[x][inv] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                a = fops.neg_t[rows[i][c]]
+                rows[i] = [fops.add_t[x][fops.mul_t[a][y]] for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def reference_random_partial(G, rng):
+    """The draw of sdp.random_partial, W by `reference_f_rref` and X by
+    `reference_closure`, closed afresh on every draw: the same calls to
+    `rng` in the same order."""
+    fops = G.module.fops
+    dim = rng.randrange(G.t + 1)
+    rows = [tuple(rng.randrange(fops.q) for _ in range(G.t)) for _ in range(dim)]
+    w = reference_f_rref(fops, rows, G.t)[0]
+    seeds = [rng.randrange(G.module.order) for _ in range(rng.randrange(1, 3))]
+    x_mask = reference_closure(G.module.group, seeds)
+    v = tuple(rng.randrange(G.p) for _ in range(G.wdim))
+    return sdp.PartialIntersection(w, x_mask, v)
 
 
 def reference_field_tables(p: int, dim: int, basis):

@@ -32,6 +32,7 @@ FORBIDDEN = {
     "_f_nullspace", "_annihilator", "_rows", "_add_row", "_solution", "_pair_step",
     "reduce", "decompose", "intersect",
     "fcoords", "vector_of", "centralizer_in_h", "_add_multiple",
+    "_supplement_row", "_seed_closure", "f_rref",
 }
 CALCULUS = ("canonicalize_intersection", "intersect_supplement", "realize_intersection",
             "subgroup_equal")

@@ -650,7 +650,7 @@ def test_interkm_requests_are_cold(monkeypatch):
     assert report.failures == 0
     assert cache_sizes() == before
     # the tables of the module alone stay on the request's own H
-    tables = {"hmul", "centralizer", "fcoords", "vector", "shift"}
+    tables = {"hmul", "seed_closure", "centralizer", "fcoords", "vector", "shift"}
     assert all(tables.isdisjoint(g._cache) for g in groups)
 
 

@@ -13,7 +13,8 @@ from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import FpSubspace
 
 from references import (block_diagonal, full_subspace, intersect, is_subspace_of,
-                        reference_field_tables, reference_mat_mul, reference_spin, subspaces,
+                        reference_f_rref, reference_field_tables, reference_mat_mul,
+                        reference_spin, subspaces,
                         subspace_vectors, sum_with, vec_add, vec_scale, zero_subspace)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -441,6 +442,34 @@ def test_hyperplanes_list_the_subspaces_of_codimension_one_in_order(sdp_pool):
         assert fops.hyperplanes(0) == []
         for t in range(1, 5):
             assert fops.hyperplanes(t) == list(subspaces(fops, t, t - 1)), (fops.q, t)
+
+
+def test_f_rref_matches_the_reference(sdp_pool):
+    # the one-pass F-RREF equals the reference's swaps, rows and pivots, on
+    # seeded random vectors with zero and repeated rows mixed in, on the
+    # empty list and at t = 0, over the field of every pool and primitive
+    # module, for t up to 4 and t = f_dim
+    rng = random.Random(4242)
+    fields = {}
+    for g in sdp_pool + corpus.primitive_groups():
+        fields.setdefault(id(g.module.fops), (g.module.fops, set()))[1].add(g.module.f_dim)
+    assert set().union(*(f_dims for _, f_dims in fields.values())) == {1, 2}
+    cases = 0
+    for fops, f_dims in fields.values():
+        for t in sorted(set(range(5)) | f_dims):
+            assert fops.f_rref([], t) == reference_f_rref(fops, [], t) == ((), ())
+            for _ in range(40):
+                vectors = [tuple(rng.randrange(fops.q) for _ in range(t))
+                           for _ in range(rng.randrange(6))]
+                if vectors and rng.randrange(2):
+                    vectors.insert(rng.randrange(len(vectors) + 1), (0,) * t)
+                if vectors and rng.randrange(2):
+                    vectors.append(rng.choice(vectors))
+                rows, pivots = fops.f_rref(vectors, t)
+                assert (rows, pivots) == reference_f_rref(fops, vectors, t), (fops.q, vectors)
+                assert fops.f_rref(rows, t) == (rows, pivots)
+                cases += 1
+    assert cases > 1000, cases
 
 
 def assert_module_isomorphism(rho_v, rho_a, p, d, e, iso):

@@ -2,10 +2,11 @@ import functools
 import operator
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from solvint import corpus, ffla, props, sdp, tower
+from solvint import cli, corpus, ffla, props, sdp, tower
 from solvint import groups as gr
 from solvint.errors import MalformedInput, ResourceCapExceeded
 from solvint.ffla import FpSubspace, vec_mat, vec_sub
@@ -13,7 +14,7 @@ from solvint.ffla import FpSubspace, vec_mat, vec_sub
 from references import (all_subspaces, counting_law_calls, decompose, f_span, full_subspace,
                         intersect, inverse, is_subspace_of, order_of,
                         reference_centralizer_of_factor, reference_crown_module_check,
-                        reference_f_rref_pivots,
+                        reference_f_rref_pivots, reference_random_partial,
                         reference_matrix_table, reference_module_isomorphism, sd_act, sd_inverse,
                         sd_mul, subspace_vectors, sum_with, vec_add, zero_subspace)
 
@@ -900,6 +901,42 @@ def test_random_case_suite_seeded(sdp_pool):
     pairs, fams, failures = sdp.random_case_suite(sdp_pool, 120, 120, seed=7)
     assert (pairs, fams) == (120, 120)
     assert failures == []
+
+
+def test_random_partial_draws_the_reference_stream(sdp_pool):
+    # on each pool group, cold with a fresh H, the seed closures memoised on
+    # H give the draws of the reference, which closes every draw's seeds
+    # afresh, and leave the generator in the same state: every interKM
+    # request draws the same cases
+    for seed, g in enumerate(sdp_pool):
+        (cold,) = cli._fresh([g])
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert sdp.random_partial(cold, rng) == reference_random_partial(cold, ref), g.name
+        assert rng.getstate() == ref.getstate(), g.name
+
+
+def test_the_suite_catches_a_broken_calculus(sdp_pool, monkeypatch):
+    # two mutants of the closed form, each run on a fresh pool: a translate
+    # with its first digit one off fails pairs and families, and a nested
+    # case that returns K unchanged fails pairs only, as families take no
+    # pair step
+    solution, pair_step = sdp._solution, sdp._pair_step
+
+    def translate_off_by_one(G, rows):
+        U, v = solution(G, rows)
+        return U, v and ((v[0] + 1) % G.p,) + v[1:]
+
+    def nested_keeps_k(G, K, M):
+        spanning, out = pair_step(G, K, M)
+        return (spanning, out) if spanning else (False, (K, None))
+
+    for name, mutant, expected in (("_solution", translate_off_by_one, {"pair": 91, "family": 89}),
+                                   ("_pair_step", nested_keeps_k, {"pair": 59})):
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, name, mutant)
+            _, _, failures = sdp.random_case_suite(cli._fresh(sdp_pool), 200, 200, 3)
+        assert Counter(kind for kind, _, _ in failures) == expected, name
 
 
 def test_canonicalize_is_order_invariant(sdp_pool):
